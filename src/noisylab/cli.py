@@ -4,8 +4,9 @@ Commands (one per config file): tau, weight, simulate, bounds, sweep,
 noise-synth, plus validate (schema/range check only, writes nothing).
 Configs are JSON objects; a mandatory integer seed makes every run
 reproducible, and the manifest written next to the CSV echoes the effective
-configuration (flag overrides applied) together with tool version and wall
-time.
+configuration (flag overrides applied) together with tool version, random
+stream version and wall time.  Both files are written atomically: a partial
+file never appears under the output name.
 
 Exit codes: 0 success, 2 invalid config, 3 runtime failure.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .freqmodel import build_prior, estimate_tau, weight_estimate
-from .mcsim import BoundReport, InstanceScenario, bound_report, sweep
+from .mcsim import STREAM_VERSION, BoundReport, InstanceScenario, bound_report, sweep
 from .noise import InstanceNoiseSynth
 
 __all__ = ["ValidationReport", "validate", "validate_config", "main", "entry"]
@@ -283,10 +285,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to a temporary sibling, then rename it over path."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, columns, rows) -> int:
     lines = [",".join(columns)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
     return len(rows)
 
 
@@ -504,23 +516,24 @@ def main(argv=None) -> int:
         return 2
 
     out_path = Path(doc.get("out", f"{args.command}.csv"))
+    manifest_path = out_path.with_suffix(".manifest.json")
     try:
         result = _execute(args.command, doc, out_path)
+        manifest = {
+            "tool": "noisylab",
+            "version": __version__,
+            "stream_version": STREAM_VERSION,
+            "command": args.command,
+            "seed": doc["seed"],
+            "workers": doc.get("workers", 1),
+            "config": doc,
+            "out": str(out_path),
+            **result,
+        }
+        _write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except Exception as exc:  # noqa: BLE001 - boundary: report and signal failure
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-    manifest = {
-        "tool": "noisylab",
-        "version": __version__,
-        "command": args.command,
-        "seed": doc["seed"],
-        "workers": doc.get("workers", 1),
-        "config": doc,
-        "out": str(out_path),
-        **result,
-    }
-    manifest_path = out_path.with_suffix(".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{args.command}: wrote {result['rows']} rows to {out_path} (manifest {manifest_path})")
     return 0
 

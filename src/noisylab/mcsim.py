@@ -1,14 +1,17 @@
 """Seeded Monte-Carlo engine for per-treatment success/failure/tie rates.
 
+Every outcome tallied here depends on a trial's l noisy labels only through
+its wrong-label count, which is Binomial(l, e_y); each trial therefore draws
+that count directly (numpy's BTPE binomial sampler) rather than its labels.
+
 Determinism contract: results are a pure function of (scenario, treatment,
-trials, seed) — independent of worker count and chunking.  Each trial owns
-a fixed, block-aligned span of the Philox counter stream: trial i consumes
-ceil(l/4) counter blocks (4 doubles each) starting at block i*ceil(l/4),
-under a key derived from (seed, treatment, scenario fields).  Chunks of
-trials are generated by advancing the counter to the chunk's first block,
-so any partition of the trial range — one worker or many — reads identical
-uniforms.  Classification then reduces each trial's uniforms to integer
-counts, and integer merges are order-independent.
+trials, seed) — independent of worker count.  Trials are cut into fixed
+chunks of _CHUNK_TRIALS; chunk c draws its counts from its own Philox
+counter range, starting at counter [0, 0, 0, c] under a key derived from
+(seed, treatment, scenario fields).  A chunk's counts are therefore a pure
+function of (key, chunk index), whichever worker draws them, and integer
+merges are order-independent.  STREAM_VERSION names this mapping from seeds
+to draws and changes whenever the same seed would draw different numbers.
 """
 from __future__ import annotations
 
@@ -29,11 +32,10 @@ from .bounds import (
     peer_failure_lower,
     peer_success_lower,
 )
-from .memorize import LabelDist
-from .noise import BinaryNoiseRates
-from .treatments import Comparison, compare_ls_lc
+from .treatments import _TIE_EPS
 
 __all__ = [
+    "STREAM_VERSION",
     "Treatment",
     "InstanceScenario",
     "TrialTally",
@@ -45,9 +47,11 @@ __all__ = [
     "sweep",
 ]
 
+# 1: l uniforms per trial, trial i reading ceil(l/4) Philox blocks;
+# 2: one binomial wrong-label count per trial, in fixed-size chunks
+STREAM_VERSION = 2
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
-_DOUBLES_PER_BLOCK = 4  # Philox-4x64 emits 4 doubles per counter block
-_CHUNK_DOUBLES = 1 << 19  # ~0.5M doubles (4 MB) per generation chunk
+_CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
 _TIE_FUZZ = 1e-9
 _FAILURE, _SUCCESS, _TIE = 0, 1, 2
 
@@ -182,35 +186,14 @@ def _stream_key(seed: int, treatment: Treatment, scenario: InstanceScenario) -> 
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
-def _wrong_counts(
-    key: np.ndarray, l: int, e_y: float, start_trial: int, count: int
-) -> np.ndarray:
-    """Wrong-label counts for trials [start_trial, start_trial + count).
+def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int) -> np.ndarray:
+    """Wrong-label counts of the first `count` trials of chunk `chunk`.
 
-    Each trial reads exactly blocks_per_trial counter blocks; the generator
-    is advanced to the first block of start_trial, so the mapping from
-    trial index to uniforms is invariant to how callers batch this.
+    The chunk's generator starts at its own counter range, so the counts
+    depend only on (key, chunk index) and never on which worker asks.
     """
-    blocks_per_trial = -(-l // _DOUBLES_PER_BLOCK)
-    bit_gen = np.random.Philox(key=key)
-    bit_gen.advance(start_trial * blocks_per_trial)
-    uniforms = np.random.Generator(bit_gen).random(
-        (count, blocks_per_trial * _DOUBLES_PER_BLOCK)
-    )
-    return (uniforms[:, :l] < e_y).sum(axis=1)
-
-
-def _chunk_rows(l: int) -> int:
-    blocks_per_trial = -(-l // _DOUBLES_PER_BLOCK)
-    return max(1, _CHUNK_DOUBLES // (blocks_per_trial * _DOUBLES_PER_BLOCK))
-
-
-@dataclass(frozen=True)
-class _ChunkCounts:
-    success: int
-    failure: int
-    tie: int
-    wrong_labels: int
+    bit_gen = np.random.Philox(key=key, counter=[0, 0, 0, chunk])
+    return np.random.Generator(bit_gen).binomial(l, e_y, size=count)
 
 
 def _threshold_table(l: int, correct_needed: float) -> np.ndarray:
@@ -253,8 +236,8 @@ def _outcome_table(scenario: InstanceScenario, treatment: Treatment) -> np.ndarr
     empirical distribution (see _lc_correct_threshold; comparison taken on
     the uncapped entries, so an already-perfect split counts as a success
     rather than a cap-induced tie).  label_smoothing: the smoothed label
-    beats the capped corrected one; each reachable split is delegated to
-    compare_ls_lc, whose LS_BETTER is this treatment's success.  peer_loss:
+    beats the capped corrected one, by compare_ls_lc's rule evaluated on
+    every reachable split (see _smoothing_table).  peer_loss:
     the peer decision is correct iff the correct count exceeds l times the
     global noisy rate of the true label.
     """
@@ -268,33 +251,44 @@ def _outcome_table(scenario: InstanceScenario, treatment: Treatment) -> np.ndarr
         if threshold is None:
             return np.full(l + 1, _TIE, dtype=np.int8)
         return _threshold_table(l, threshold)
-    rates = BinaryNoiseRates(scenario.e_plus, scenario.e_minus)
-    outcome_code = {
-        Comparison.LS_BETTER: _SUCCESS,
-        Comparison.LC_BETTER: _FAILURE,
-        Comparison.TIE: _TIE,
-    }
-    table = np.empty(l + 1, dtype=np.int8)
-    for wrong in range(l + 1):
-        p_true = (l - wrong) / l
-        probs = [1.0 - p_true, p_true] if scenario.y == 1 else [p_true, 1.0 - p_true]
-        got = compare_ls_lc(
-            LabelDist(np.array(probs)), scenario.y, rates, scenario.smoothing_a
-        )
-        table[wrong] = outcome_code[got]
+    return _smoothing_table(scenario)
+
+
+def _smoothing_table(scenario: InstanceScenario) -> np.ndarray:
+    """compare_ls_lc over every reachable split at once, LS_BETTER = success.
+
+    Repeats the comparator's float operations elementwise: the raw corrected
+    label, the cap (decided on the +1 entry), then 1 - p on the true label's
+    entry, against 1 - p of the smoothed label.  Its two tie rules carry
+    over: the exact even split under equal rates, and equal error values.
+    """
+    l, y, e_plus, e_minus, a = (
+        scenario.l, scenario.y, scenario.e_plus, scenario.e_minus, scenario.smoothing_a
+    )
+    p_true = (l - np.arange(l + 1)) / l
+    p_other = 1.0 - p_true
+    p_plus, p_minus = (p_true, p_other) if y == 1 else (p_other, p_true)
+    gap = 1.0 - e_plus - e_minus
+    raw_plus = ((1.0 - e_minus) * p_plus - e_minus * p_minus) / gap
+    raw_true = raw_plus if y == 1 else ((1.0 - e_plus) * p_minus - e_plus * p_plus) / gap
+    capped_true = np.where(
+        raw_plus > 1.0, float(y == 1), np.where(raw_plus < 0.0, float(y == -1), raw_true)
+    )
+    err_lc = 1.0 - capped_true
+    err_ls = 1.0 - ((1.0 - a) * p_true + a / 2)
+    table = np.where(err_lc < err_ls, _FAILURE, _SUCCESS).astype(np.int8)
+    table[err_lc == err_ls] = _TIE
+    if e_plus == e_minus:
+        table[np.abs(p_true - 0.5) <= _TIE_EPS] = _TIE
     return table
 
 
-def _classify_chunk(wrong: np.ndarray, table: np.ndarray) -> _ChunkCounts:
-    """Tally one chunk's wrong-label counts through an outcome table."""
-    wrong = np.asarray(wrong, dtype=np.int64)
+def _classify_chunk(wrong: np.ndarray, table: np.ndarray) -> tuple[int, int, int, int]:
+    """(success, failure, tie, wrong labels) of one chunk's wrong-label counts."""
     outcomes = table[wrong]
     success = int(np.count_nonzero(outcomes == _SUCCESS))
     tie = int(np.count_nonzero(outcomes == _TIE))
-    failure = wrong.size - success - tie
-    return _ChunkCounts(
-        success=success, failure=failure, tie=tie, wrong_labels=int(wrong.sum())
-    )
+    return success, wrong.size - success - tie, tie, int(wrong.sum())
 
 
 def run_trials(
@@ -320,23 +314,18 @@ def run_trials(
         treatment = Treatment(treatment)
     key = _stream_key(seed, treatment, scenario)
     table = _outcome_table(scenario, treatment)
-    rows = _chunk_rows(scenario.l)
-    spans = [(start, min(rows, trials - start)) for start in range(0, trials, rows)]
+    n_chunks = -(-trials // _CHUNK_TRIALS)
 
-    def job(span: tuple[int, int]) -> _ChunkCounts:
-        start, count = span
-        wrong = _wrong_counts(key, scenario.l, scenario.e_y, start, count)
-        return _classify_chunk(wrong, table)
+    def job(chunk: int) -> tuple[int, int, int, int]:
+        count = min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
+        return _classify_chunk(_chunk_counts(key, scenario.l, scenario.e_y, chunk, count), table)
 
-    if workers == 1 or len(spans) == 1:
-        chunks = [job(span) for span in spans]
+    if workers == 1 or n_chunks == 1:
+        chunks = [job(c) for c in range(n_chunks)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(job, spans))
-    success = sum(c.success for c in chunks)
-    failure = sum(c.failure for c in chunks)
-    tie = sum(c.tie for c in chunks)
-    wrong_labels = sum(c.wrong_labels for c in chunks)
+        with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+            chunks = list(pool.map(job, range(n_chunks)))
+    success, failure, tie, wrong_labels = map(sum, zip(*chunks))
     if treatment is Treatment.MEMORIZE:
         total_labels = trials * scenario.l
         estimate = wrong_labels / total_labels

@@ -45,11 +45,21 @@ class LabelDist:
         object.__setattr__(self, "probs", probs)
         if probs.size < 2:
             raise ValueError("a label distribution needs at least two classes")
-        if not np.all(np.isfinite(probs)):
+        if probs.size == 2:
+            # the binary case runs the same checks on Python floats
+            lo, hi = probs.tolist()
+            finite = math.isfinite(lo) and math.isfinite(hi)
+            total = lo + hi
+            in_range = -1e-12 <= lo <= 1.0 + 1e-12 and -1e-12 <= hi <= 1.0 + 1e-12
+        else:
+            finite = bool(np.all(np.isfinite(probs)))
+            total = probs.sum()
+            in_range = not np.any((probs < -1e-12) | (probs > 1.0 + 1e-12))
+        if not finite:
             raise ValueError("label distribution entries must be finite")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        if abs(total - 1.0) > 1e-12:
             raise ValueError(f"label distribution must sum to 1, got {probs.sum()!r}")
-        if not self.signed and np.any((probs < -1e-12) | (probs > 1.0 + 1e-12)):
+        if not self.signed and not in_range:
             raise ValueError(f"proper distribution entries must lie in [0, 1], got {probs}")
 
     @property
@@ -60,8 +70,8 @@ class LabelDist:
         return float(self.probs[label_to_index(y, self.m)])
 
 
-def empirical_distribution(labels, m: int = 2) -> LabelDist:
-    """Empirical distribution of observed labels: probs[k] = count(k) / l.
+def _label_counts(labels, m: int = 2) -> np.ndarray:
+    """Per-class counts of observed labels, in class-index order.
 
     Binary labels use the -1/+1 convention; multiclass labels are indices.
     """
@@ -69,15 +79,23 @@ def empirical_distribution(labels, m: int = 2) -> LabelDist:
     if arr.size == 0:
         raise ValueError("need at least one label")
     arr = arr.astype(np.int64)
-    if m == 2 and np.all((arr == -1) | (arr == 1)):
-        idx = (arr + 1) // 2
-    elif np.all((arr >= 0) & (arr < m)):
-        idx = arr
-    else:
+    if m == 2:
+        n_plus = np.count_nonzero(arr == 1)
+        if n_plus + np.count_nonzero(arr == -1) == arr.size:
+            return np.array([arr.size - n_plus, n_plus])
+    if not np.all((arr >= 0) & (arr < m)):
         raise ValueError(f"labels must all be -1/+1 (binary) or indices below {m}")
-    counts = np.bincount(idx, minlength=m)
+    return np.bincount(arr, minlength=m)
+
+
+def empirical_distribution(labels, m: int = 2) -> LabelDist:
+    """Empirical distribution of observed labels: probs[k] = count(k) / l.
+
+    Binary labels use the -1/+1 convention; multiclass labels are indices.
+    """
+    counts = _label_counts(labels, m)
     # count/l with a common integer denominator keeps one-hot cases exact
-    return LabelDist(counts / arr.size)
+    return LabelDist(counts / counts.sum())
 
 
 def memorization_error(dist: LabelDist, y: int) -> float:

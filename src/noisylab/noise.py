@@ -103,22 +103,24 @@ def invert_transition(t: TransitionMatrix) -> np.ndarray:
     """Inverse of a transition matrix.
 
     Binary case uses the closed form
-    (1/(1-e_plus-e_minus)) * [[1-e_plus, -e_minus], [-e_plus, 1-e_minus]];
-    larger matrices go through standard inversion.  The determinant must stay
-    at least 1e-12 away from zero.  The result is returned as a plain array:
-    its rows still sum to 1 but entries may be negative, so it is not itself
-    a TransitionMatrix.
+    (1/(1-e_plus-e_minus)) * [[1-e_plus, -e_minus], [-e_plus, 1-e_minus]],
+    whose scale is the determinant itself, so it needs no verification;
+    larger matrices go through standard inversion and a residual check.  The
+    determinant must stay at least 1e-12 away from zero.  The result is
+    returned as a plain array: its rows still sum to 1 but entries may be
+    negative, so it is not itself a TransitionMatrix.
     """
     a = t.entries
+    if t.m == 2:
+        e_m, e_p = float(a[0, 1]), float(a[1, 0])
+        det = 1.0 - e_p - e_m  # the determinant of a 2x2 row-stochastic matrix
+        if abs(det) < 1e-12:
+            raise ValueError(f"transition matrix is singular (det={det:.3e})")
+        return np.array([[1.0 - e_p, -e_m], [-e_p, 1.0 - e_m]]) / det
     det = float(np.linalg.det(a))
     if abs(det) < 1e-12:
         raise ValueError(f"transition matrix is singular (det={det:.3e})")
-    if t.m == 2:
-        e_m, e_p = a[0, 1], a[1, 0]
-        scale = 1.0 - e_p - e_m  # equals det for a 2x2 row-stochastic matrix
-        inv = np.array([[1.0 - e_p, -e_m], [-e_p, 1.0 - e_m]]) / scale
-    else:
-        inv = np.linalg.inv(a)
+    inv = np.linalg.inv(a)
     residual = np.abs(a @ inv - np.eye(t.m)).max()
     if residual > 1e-10:
         raise ValueError(f"inverse failed verification, max |T T^-1 - I| = {residual:.3e}")

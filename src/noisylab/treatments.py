@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memorize import LabelDist, empirical_distribution, memorization_error
-from .noise import BinaryNoiseRates, TransitionMatrix, binary_transition, invert_transition, label_to_index
+from .memorize import LabelDist, _label_counts, empirical_distribution, memorization_error
+from .noise import BinaryNoiseRates, TransitionMatrix, invert_transition, label_to_index
 
 __all__ = [
     "Comparison",
@@ -66,7 +66,7 @@ def as_loss_vector(loss) -> np.ndarray:
     arr = np.asarray(loss, dtype=float).ravel()
     if arr.size < 2:
         raise ValueError("loss vector needs at least two classes")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("loss vector entries must be finite")
     return arr
 
@@ -112,18 +112,28 @@ def corrected_label(dist: LabelDist, rates: BinaryNoiseRates) -> CorrectedLabel:
     return CorrectedLabel(raw=raw, capped=LabelDist(raw.probs.copy()), was_capped=False)
 
 
+def _binary_surrogate(loss_minus: float, loss_plus: float, rates: BinaryNoiseRates) -> tuple[float, float]:
+    """Closed-form T^-1 l for binary rates, as (l_LC(-1), l_LC(+1))."""
+    e_p, e_m = rates.e_plus, rates.e_minus
+    gap = 1.0 - e_p - e_m
+    return (
+        ((1.0 - e_p) * loss_minus - e_m * loss_plus) / gap,
+        ((1.0 - e_m) * loss_plus - e_p * loss_minus) / gap,
+    )
+
+
 def lc_loss_vector(loss, noise) -> np.ndarray:
     """Surrogate loss T^-1 l whose noisy expectation is the clean loss."""
     arr = as_loss_vector(loss)
     if isinstance(noise, BinaryNoiseRates):
-        transition = binary_transition(noise)
-    elif isinstance(noise, TransitionMatrix):
-        transition = noise
-    else:
+        if arr.size != 2:
+            raise ValueError(f"loss vector has {arr.size} classes, transition has 2")
+        return np.array(_binary_surrogate(*arr.tolist(), noise))
+    if not isinstance(noise, TransitionMatrix):
         raise TypeError(f"expected BinaryNoiseRates or TransitionMatrix, got {type(noise)!r}")
-    if arr.size != transition.m:
-        raise ValueError(f"loss vector has {arr.size} classes, transition has {transition.m}")
-    return invert_transition(transition) @ arr
+    if arr.size != noise.m:
+        raise ValueError(f"loss vector has {arr.size} classes, transition has {noise.m}")
+    return invert_transition(noise) @ arr
 
 
 def lc_empirical_loss(labels, rates: BinaryNoiseRates, loss) -> float:
@@ -131,12 +141,17 @@ def lc_empirical_loss(labels, rates: BinaryNoiseRates, loss) -> float:
 
     Equal (to float accuracy) to the raw corrected label dotted with the
     uncorrected loss — training on corrected losses and training on
-    (uncapped) corrected labels are the same computation.
+    (uncapped) corrected labels are the same computation.  Binary rates
+    count the labels directly rather than building a distribution object.
     """
     arr = as_loss_vector(loss)
-    dist = empirical_distribution(labels, m=arr.size)
-    surrogate = lc_loss_vector(arr, rates)
-    return float(dist.probs @ surrogate)
+    if arr.size != 2 or not isinstance(rates, BinaryNoiseRates):
+        dist = empirical_distribution(labels, m=arr.size)
+        return float(dist.probs @ lc_loss_vector(arr, rates))
+    n_minus, n_plus = _label_counts(labels).tolist()
+    l = n_minus + n_plus
+    surrogate_minus, surrogate_plus = _binary_surrogate(*arr.tolist(), rates)
+    return (n_minus / l) * surrogate_minus + (n_plus / l) * surrogate_plus
 
 
 def smoothed_label(dist: LabelDist, a: float) -> LabelDist:

@@ -17,6 +17,7 @@ from noisylab.cli import (
     validate,
     validate_config,
 )
+from noisylab.mcsim import STREAM_VERSION
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -271,6 +272,11 @@ class TestBoundsCommand:
         assert manifest["out"] == str(out)
         assert manifest["wall_time_s"] >= 0.0
         assert manifest["config"]["scenario"]["l"] == 10
+        assert manifest["stream_version"] == STREAM_VERSION
+        # both files were renamed into place: no temporary sibling is left
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "report.csv", "report.manifest.json",
+        ]
 
     def test_simulate_keeps_headline_rows_only(self, tmp_path):
         config = _write_config(tmp_path, _bounds_doc())
@@ -322,6 +328,18 @@ class TestBoundsCommand:
         missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["bounds", "--config", str(config), "--out", str(missing_dir)]) == 3
         assert "runtime error:" in capsys.readouterr().err
+
+    def test_unwritable_manifest_exits_3_without_a_traceback(self, tmp_path, capsys):
+        config = _write_config(tmp_path, _bounds_doc(trials=50))
+        out = tmp_path / "x.csv"
+        (tmp_path / "x.manifest.json").mkdir()
+        assert main(["bounds", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:") and "Traceback" not in err
+        assert (tmp_path / "x.manifest.json").is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "x.csv", "x.manifest.json",
+        ]
 
 
 class TestTauCommand:

@@ -16,17 +16,17 @@ from noisylab.bounds import (
 )
 from noisylab.memorize import LabelDist
 from noisylab.mcsim import (
+    _CHUNK_TRIALS,
     _FAILURE,
     _SUCCESS,
     _TIE,
     InstanceScenario,
     Treatment,
     TrialTally,
-    _chunk_rows,
+    _chunk_counts,
     _lc_correct_threshold,
     _outcome_table,
     _stream_key,
-    _wrong_counts,
     bound_report,
     run_trials,
     sweep,
@@ -34,6 +34,28 @@ from noisylab.mcsim import (
 )
 from noisylab.noise import BinaryNoiseRates
 from noisylab.treatments import Comparison, compare_ls_lc, corrected_label
+
+
+def _label_level_counts(key, l: int, e_y: float, start_trial: int, count: int) -> np.ndarray:
+    """Test-only oracle: the retired label-level sampler.
+
+    Each trial reads ceil(l/4) Philox blocks of 4 uniforms and counts the
+    ones below e_y, i.e. simulates every label.  It shares nothing with the
+    engine's binomial draws beyond the Philox key.
+    """
+    blocks_per_trial = -(-l // 4)
+    bit_gen = np.random.Philox(key=key)
+    bit_gen.advance(start_trial * blocks_per_trial)
+    uniforms = np.random.Generator(bit_gen).random((count, 4 * blocks_per_trial))
+    return (uniforms[:, :l] < e_y).sum(axis=1)
+
+
+def _assert_binomial_histogram(wrong: np.ndarray, l: int, e_y: float) -> None:
+    """Every count's frequency sits within 4 binomial SEs of its pmf."""
+    pmf = stats.binom.pmf(np.arange(l + 1), l, e_y)
+    freq = np.bincount(wrong, minlength=l + 1) / wrong.size
+    se = np.sqrt(pmf * (1 - pmf) / wrong.size)
+    np.testing.assert_array_less(np.abs(freq - pmf), 4 * se + 1e-12)
 
 
 def _random_scenario(rng: np.random.Generator) -> InstanceScenario:
@@ -142,13 +164,13 @@ class TestDeterminism:
             )
 
     def test_worker_count_never_changes_the_tally(self):
-        # 1e5 trials at l=10 spans multiple chunks, so threads actually engage
+        # more than three chunks, the last one partial, so threads actually engage
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
-        assert 100_000 > _chunk_rows(10)
+        trials = 3 * _CHUNK_TRIALS + 1234
         for t in Treatment:
-            base = run_trials(s, t, 100_000, seed=7, workers=1)
+            base = run_trials(s, t, trials, seed=7, workers=1)
             for workers in (2, 3, 5):
-                again = run_trials(s, t, 100_000, seed=7, workers=workers)
+                again = run_trials(s, t, trials, seed=7, workers=workers)
                 assert (base.success, base.failure, base.tie) == (
                     again.success,
                     again.failure,
@@ -156,17 +178,28 @@ class TestDeterminism:
                 )
 
     def test_trial_streams_are_batching_invariant(self):
+        # a chunk's counts are a pure function of (key, chunk index): redrawing
+        # reproduces them, and a partial final chunk reads a prefix of them
         s = InstanceScenario(l=7, y=-1, e_plus=0.15, e_minus=0.3)
         key = _stream_key(3, Treatment.MEMORIZE, s)
-        whole = _wrong_counts(key, s.l, s.e_y, 0, 1000)
-        parts = np.concatenate(
-            [
-                _wrong_counts(key, s.l, s.e_y, 0, 137),
-                _wrong_counts(key, s.l, s.e_y, 137, 400),
-                _wrong_counts(key, s.l, s.e_y, 537, 463),
-            ]
+        chunk = [_chunk_counts(key, s.l, s.e_y, c, 1000) for c in range(3)]
+        for c in reversed(range(3)):
+            np.testing.assert_array_equal(_chunk_counts(key, s.l, s.e_y, c, 1000), chunk[c])
+            np.testing.assert_array_equal(_chunk_counts(key, s.l, s.e_y, c, 137), chunk[c][:137])
+        assert not np.array_equal(chunk[0], chunk[1])
+        assert not np.array_equal(chunk[1], chunk[2])
+
+    def test_tallies_reassemble_from_their_chunks(self):
+        s = InstanceScenario(l=12, y=1, e_plus=0.3, e_minus=0.3)
+        trials, seed = 2 * _CHUNK_TRIALS + 99, 5
+        tally = run_trials(s, Treatment.MEMORIZE, trials, seed)
+        key = _stream_key(seed, Treatment.MEMORIZE, s)
+        sizes = (_CHUNK_TRIALS, _CHUNK_TRIALS, 99)
+        wrong = np.concatenate(
+            [_chunk_counts(key, s.l, s.e_y, c, n) for c, n in enumerate(sizes)]
         )
-        np.testing.assert_array_equal(whole, parts)
+        assert tally.estimate == wrong.sum() / (trials * s.l)
+        assert tally.success == np.count_nonzero(s.l - wrong > s.l / 2)
 
     def test_distinct_settings_get_distinct_streams(self):
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
@@ -264,11 +297,16 @@ class TestRunTrials:
     def test_wrong_counts_follow_the_binomial_law(self):
         s = InstanceScenario(l=3, y=1, e_plus=0.4, e_minus=0.2)
         key = _stream_key(17, Treatment.MEMORIZE, s)
-        wrong = _wrong_counts(key, 3, 0.4, 0, 100_000)
-        pmf = stats.binom.pmf(np.arange(4), 3, 0.4)
-        freq = np.bincount(wrong, minlength=4) / 100_000
-        se = np.sqrt(pmf * (1 - pmf) / 100_000)
-        np.testing.assert_array_less(np.abs(freq - pmf), 4 * se + 1e-12)
+        _assert_binomial_histogram(_chunk_counts(key, 3, 0.4, 0, 100_000), 3, 0.4)
+
+    def test_count_and_label_level_samplers_share_the_binomial_law(self):
+        rng = np.random.default_rng(19)
+        for l in range(1, 9):
+            e_y = float(rng.uniform(0.05, 0.6))
+            s = InstanceScenario(l=l, y=1, e_plus=e_y, e_minus=0.3)
+            key = _stream_key(int(rng.integers(1 << 16)), Treatment.MEMORIZE, s)
+            _assert_binomial_histogram(_chunk_counts(key, l, e_y, 0, 50_000), l, e_y)
+            _assert_binomial_histogram(_label_level_counts(key, l, e_y, 0, 50_000), l, e_y)
 
 
 class TestOutcomeTables:
@@ -317,10 +355,22 @@ class TestOutcomeTables:
             Comparison.LC_BETTER: _FAILURE,
             Comparison.TIE: _TIE,
         }
-        for s in (
+        rng = np.random.default_rng(29)
+        scenarios = [
             InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2, smoothing_a=0.1),
             InstanceScenario(l=9, y=-1, e_plus=0.1, e_minus=0.5, smoothing_a=0.3),
-        ):
+        ]
+        for i in range(40):
+            s = _random_scenario(rng)
+            if i % 4 == 0:  # equal rates reach the exact even-split tie
+                e = float(rng.uniform(0.01, 0.45))
+                s = InstanceScenario(
+                    l=2 * s.l, y=s.y, e_plus=e, e_minus=e, smoothing_a=s.smoothing_a
+                )
+            scenarios.append(s)
+        assert {s.y for s in scenarios} == {-1, 1}
+        assert any(s.e_plus != s.e_minus for s in scenarios)
+        for s in scenarios:
             rates = BinaryNoiseRates(s.e_plus, s.e_minus)
             table = _outcome_table(s, Treatment.LABEL_SMOOTHING)
             for wrong in range(s.l + 1):
@@ -361,9 +411,10 @@ class TestEngineMatchesComparators:
     def test_correction_tally_replays_through_corrected_label(self):
         s = InstanceScenario(l=9, y=1, e_plus=0.1, e_minus=0.5)
         trials, seed = 50_000, 13
+        assert trials <= _CHUNK_TRIALS  # one chunk holds every trial
         tally = run_trials(s, Treatment.LOSS_CORRECTION, trials, seed)
         key = _stream_key(seed, Treatment.LOSS_CORRECTION, s)
-        wrong = _wrong_counts(key, s.l, s.e_y, 0, trials)
+        wrong = _chunk_counts(key, s.l, s.e_y, 0, trials)
         rates = BinaryNoiseRates(s.e_plus, s.e_minus)
         success = failure = tie = 0
         for w in np.bincount(wrong, minlength=s.l + 1).nonzero()[0]:
@@ -382,9 +433,10 @@ class TestEngineMatchesComparators:
     def test_smoothing_tally_replays_through_the_comparator(self):
         s = InstanceScenario(l=9, y=-1, e_plus=0.1, e_minus=0.5, smoothing_a=0.3)
         trials, seed = 50_000, 13
+        assert trials <= _CHUNK_TRIALS
         tally = run_trials(s, Treatment.LABEL_SMOOTHING, trials, seed)
         key = _stream_key(seed, Treatment.LABEL_SMOOTHING, s)
-        wrong = _wrong_counts(key, s.l, s.e_y, 0, trials)
+        wrong = _chunk_counts(key, s.l, s.e_y, 0, trials)
         rates = BinaryNoiseRates(s.e_plus, s.e_minus)
         buckets = {Comparison.LS_BETTER: 0, Comparison.LC_BETTER: 0, Comparison.TIE: 0}
         for w in np.bincount(wrong, minlength=s.l + 1).nonzero()[0]:
@@ -573,6 +625,19 @@ class TestBoundReport:
                 pmf[peer_table != _SUCCESS].sum(),
                 atol=1e-10,
             )
+
+
+    def test_a_million_labels_per_trial_stay_cheap_and_agree_with_the_oracle(self):
+        # one binomial count per trial: l = 1e6 costs what l = 10 does
+        s = InstanceScenario(l=1_000_000, y=1, e_plus=0.2, e_minus=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = bound_report(s, trials=2000, seed=3)
+        assert len(report.checks) == 6
+        for check in report.checks:
+            denom = report.trials * (s.l if check.treatment is Treatment.MEMORIZE else 1)
+            se = np.sqrt(check.exact * (1.0 - check.exact) / denom)
+            assert abs(check.mc_estimate - check.exact) <= 4.0 * se
 
 
 class TestSweep:
