@@ -5,7 +5,8 @@ noise-synth, plus validate (schema/range check only, writes nothing).
 Configs are JSON objects; a mandatory integer seed makes every run
 reproducible, and the manifest written next to the CSV echoes the effective
 configuration (flag overrides applied) together with tool version, random
-stream version and wall time.  Both files are written atomically: a partial
+stream version, the environment (Python, numpy and scipy versions, platform,
+CPU count) and wall time.  Both files are written atomically: a partial
 file never appears under the output name.
 
 Exit codes: 0 success, 2 invalid config, 3 runtime failure.
@@ -15,16 +16,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .freqmodel import build_prior, estimate_tau, weight_estimate
-from .mcsim import STREAM_VERSION, BoundReport, InstanceScenario, bound_report, sweep
+from .freqmodel import build_prior, estimate_taus, weight_estimate
+from .mcsim import _Z_95, STREAM_VERSION, BoundReport, InstanceScenario, bound_report, sweep
 from .noise import InstanceNoiseSynth
 
 __all__ = ["ValidationReport", "validate", "validate_config", "main", "entry"]
@@ -54,7 +57,6 @@ CSV_COLUMNS = (
 )
 SYNTH_COLUMNS = ("instance", "q", "projection", "rate")
 
-_Z_95 = 1.959963984540054
 _MAX_SEED = 2**64 - 1
 
 # Distinct substream tags for commands that draw outside the trial engine.
@@ -357,17 +359,17 @@ def _report_rows(report: BoundReport, headline_only: bool) -> list[list]:
 
 
 def _tau_rows(doc: dict, seed: int) -> list[list]:
-    prior = _build_prior(doc["prior"])
-    rng = _command_rng(seed, "tau")
     n = doc["n"]
-    ls = doc["l"] if isinstance(doc["l"], list) else [doc["l"]]
-    mc_replicates = doc.get("mc_replicates", 0)
-    weight_replicates = doc.get("weight_replicates", 10**4)
+    estimates = estimate_taus(
+        _build_prior(doc["prior"]),
+        n,
+        doc["l"] if isinstance(doc["l"], list) else [doc["l"]],
+        _command_rng(seed, "tau"),
+        mc_replicates=doc.get("mc_replicates", 0),
+        weight_replicates=doc.get("weight_replicates", 10**4),
+    )
     rows = []
-    for l in ls:
-        est = estimate_tau(
-            prior, n, l, rng, mc_replicates=mc_replicates, weight_replicates=weight_replicates
-        )
+    for est in estimates:
         if est.mc is None:
             mc = ci_lo = ci_hi = None
         else:
@@ -376,10 +378,10 @@ def _tau_rows(doc: dict, seed: int) -> list[list]:
             ci_hi = mc + _Z_95 * est.mc_stderr
         for form, value, regime in (
             ("tau_lower_large", est.lower_large, est.regime_ok),
-            ("tau_lower_small", est.lower_small, est.regime_ok and l > 1),
+            ("tau_lower_small", est.lower_small, est.regime_ok and est.l > 1),
         ):
             rows.append(
-                [l, None, None, None, None, None, None, n, "tau", mc, ci_lo, ci_hi,
+                [est.l, None, None, None, None, None, None, n, "tau", mc, ci_lo, ci_hi,
                  est.exact, value, form, regime, (est.exact >= value) if regime else None]
             )
     return rows
@@ -431,6 +433,17 @@ def _synth_rows(doc: dict, seed: int) -> list[list]:
         q, projection, rate = synth.draw(feature, rng)
         rows.append([i, q, projection, rate])
     return rows
+
+
+def _env() -> dict:
+    """The software and machine a run used, under the benchmark record's field names."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "nproc": os.cpu_count(),
+    }
 
 
 def _execute(command: str, doc: dict, out_path: Path) -> dict:
@@ -523,6 +536,7 @@ def main(argv=None) -> int:
             "tool": "noisylab",
             "version": __version__,
             "stream_version": STREAM_VERSION,
+            "env": _env(),
             "command": args.command,
             "seed": doc["seed"],
             "workers": doc.get("workers", 1),

@@ -13,7 +13,8 @@ matching the algebra the closed-form lower bounds are derived in);
 tau_monte_carlo estimates the normalized-mode variant by sampling whole
 realizations.  weight(pi, [b1, b2]) — the expected fraction of total mass
 carried by instances whose realized frequency lands in the interval — has
-no closed form for general priors and is estimated by Monte Carlo.
+no closed form for general priors and is estimated by Monte Carlo; every
+Monte-Carlo route reduces one shared, chunked batch (see estimate_taus).
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "PriorSpec",
@@ -41,9 +41,10 @@ __all__ = [
     "large_interval",
     "small_interval",
     "estimate_tau",
+    "estimate_taus",
 ]
 
-_CHUNK_ROWS = 2000  # replicate rows drawn per chunk; keeps (rows x N) matrices small
+_CHUNK_ELEMENTS = 1 << 18  # prior draws per chunk; every chunk temporary holds at most this
 
 # Regime under which the large-l importance-weight bound is asserted.
 _REGIME_MIN_N = 10**3
@@ -226,20 +227,53 @@ def sample_frequencies(prior: PriorSpec, rng: np.random.Generator) -> FrequencyS
     return FrequencySample(p / p.sum())
 
 
-def _draw_frequency_matrix(
-    prior: PriorSpec, rows: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rows x N) raw draws and their row sums."""
-    p = prior.values[rng.integers(0, prior.n_values, size=(rows, prior.n_values))]
-    return p, p.sum(axis=1)
+def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight_replicates=0):
+    """Reduce one batch of max(mc_replicates, weight_replicates) realizations to,
+    per l and replicate, log sum_x D^k D^l (1-D)^(n-l) for k = 1 (lnum) and k = 0
+    (lden), max-shifted per row so n up to 1e7 cannot underflow, and to the
+    captured mass of each window."""
+    values, log_values, n_values = prior.values, np.log(prior.values), prior.n_values
+    lnum = np.empty((len(ls), mc_replicates))
+    lden = np.empty_like(lnum)
+    masses = np.empty((len(windows), weight_replicates))
+    total, step = max(mc_replicates, weight_replicates), max(1, _CHUNK_ELEMENTS // n_values)
+    for start in range(0, total, step):
+        idx = rng.integers(0, n_values, size=(min(step, total - start), n_values))
+        p = values[idx]
+        totals = p.sum(axis=1)
+        d = p / totals[:, None]
+        k = min(len(idx), weight_replicates - start)
+        for j, (b1, b2) in enumerate(windows if k > 0 else ()):
+            selected = np.where((d[:k] >= b1) & (d[:k] <= b2), p[:k], 0.0).sum(axis=1)
+            masses[j, start : start + k] = selected / totals[:k]
+        k = min(len(idx), mc_replicates - start)
+        if k <= 0 or not ls:
+            continue
+        log_d = log_values[idx[:k]] - np.log(totals[:k])[:, None]
+        with np.errstate(divide="ignore"):
+            log_rest = np.log1p(-d[:k])
+        w = np.empty_like(log_d)
+        for i, l in enumerate(ls):
+            np.multiply(log_d, l, out=w)
+            if n > l:
+                w += (n - l) * log_rest
+            top = w.max(axis=1)
+            w -= top[:, None]
+            np.exp(w, out=w)
+            lden[i, start : start + k] = top + np.log(w.sum(axis=1))
+            w *= d[:k]
+            lnum[i, start : start + k] = top + np.log(w.sum(axis=1))
+    return lnum, lden, masses
 
 
-def weight_estimate(
-    prior: PriorSpec,
-    interval: tuple[float, float],
-    replicates: int,
-    rng: np.random.Generator,
-) -> WeightEstimate:
+def _require_replicates(replicates: int, least: int) -> None:
+    if replicates < least:
+        why = " for a standard error" if least > 1 else ""
+        raise ValueError(f"replicates must be >= {least}{why}, got {replicates}")
+
+
+def weight_estimate(prior: PriorSpec, interval: tuple[float, float], replicates: int,
+                    rng: np.random.Generator) -> WeightEstimate:
     """Monte-Carlo weight(pi, [b1, b2]) = E[sum_x D(x) 1(D(x) in [b1, b2])].
 
     Per replicate the captured mass is (sum of selected p_x) / (sum of all
@@ -250,30 +284,11 @@ def weight_estimate(
     b1, b2 = float(interval[0]), float(interval[1])
     if not 0.0 <= b1 <= b2 <= 1.0:
         raise ValueError(f"need 0 <= b1 <= b2 <= 1, got [{b1}, {b2}]")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    masses = np.empty(replicates)
-    done = 0
-    while done < replicates:
-        rows = min(_CHUNK_ROWS, replicates - done)
-        p, totals = _draw_frequency_matrix(prior, rows, rng)
-        d = p / totals[:, None]
-        selected = np.where((d >= b1) & (d <= b2), p, 0.0).sum(axis=1)
-        masses[done : done + rows] = selected / totals
-        done += rows
+    _require_replicates(replicates, 1)
+    masses = _realizations(prior, rng, windows=[(b1, b2)], weight_replicates=replicates)[2][0]
     value = float(masses.mean())
     stderr = float(masses.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
     return WeightEstimate(value=value, stderr=stderr, replicates=replicates, interval=(b1, b2))
-
-
-def _log_moment_weights(values: np.ndarray, n: int, l: int) -> np.ndarray:
-    """log of alpha^l (1-alpha)^(n-l) elementwise, with the n == l edge kept
-    free of 0 * log(0)."""
-    w = l * np.log(values)
-    if n > l:
-        with np.errstate(divide="ignore"):
-            w = w + (n - l) * np.log1p(-values)
-    return w
 
 
 def tau_exact(prior: PriorSpec, n: int, l: int) -> float:
@@ -294,7 +309,10 @@ def tau_exact(prior: PriorSpec, n: int, l: int) -> float:
     first = values[0]
     if np.all(values == first):
         return float(first)
-    w = _log_moment_weights(values, n, l)
+    w = l * np.log(values)
+    if n > l:  # the n == l edge stays free of 0 * log(0)
+        with np.errstate(divide="ignore"):
+            w = w + (n - l) * np.log1p(-values)
     top = float(np.max(w))
     if not math.isfinite(top):
         raise ValueError("tau is undefined: every prior value has zero moment weight")
@@ -308,27 +326,20 @@ def tau_monte_carlo(
     """Normalized-mode tau_l: sample whole frequency realizations, normalize,
     and form the ratio-of-means estimator over all slots.
 
-    Per replicate r both moments are averaged over the N exchangeable slots
+    Per replicate r both moments are summed over the N exchangeable slots
     in log space; the final ratio and its delta-method standard error come
     from the per-replicate (numerator, denominator) pairs rescaled by a
     common shift, which cancels in both.
     """
     if l < 1 or l > n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    if replicates < 2:
-        raise ValueError(f"replicates must be >= 2 for a standard error, got {replicates}")
-    log_n_slots = math.log(prior.n_values)
-    lnum = np.empty(replicates)
-    lden = np.empty(replicates)
-    done = 0
-    while done < replicates:
-        rows = min(_CHUNK_ROWS, replicates - done)
-        p, totals = _draw_frequency_matrix(prior, rows, rng)
-        d = p / totals[:, None]
-        w = _log_moment_weights(d, n, l)
-        lden[done : done + rows] = logsumexp(w, axis=1) - log_n_slots
-        lnum[done : done + rows] = logsumexp(w + np.log(d), axis=1) - log_n_slots
-        done += rows
+    _require_replicates(replicates, 2)
+    lnum, lden, _ = _realizations(prior, rng, n=n, ls=[l], mc_replicates=replicates)
+    return _tau_mc(lnum[0], lden[0])
+
+
+def _tau_mc(lnum: np.ndarray, lden: np.ndarray) -> TauMcEstimate:
+    replicates = lnum.size
     shift = float(np.max(lden))
     num = np.exp(lnum - shift)
     den = np.exp(lden - shift)
@@ -337,9 +348,7 @@ def tau_monte_carlo(
     value = num_mean / den_mean
     # Delta method for a ratio of means over paired replicates.
     resid = num - value * den
-    stderr = float(
-        math.sqrt(np.dot(resid, resid) / (replicates - 1) / replicates) / den_mean
-    )
+    stderr = float(math.sqrt(np.dot(resid, resid) / (replicates - 1) / replicates) / den_mean)
     return TauMcEstimate(value=value, stderr=stderr, replicates=replicates)
 
 
@@ -384,42 +393,44 @@ def small_interval(n: int, l: int) -> tuple[float, float]:
     return 0.7 * base, (4.0 / 3.0) * base
 
 
-def estimate_tau(
-    prior: PriorSpec,
-    n: int,
-    l: int,
-    rng: np.random.Generator,
-    *,
-    mc_replicates: int = 0,
-    weight_replicates: int = 10**4,
-) -> TauEstimate:
-    """Assemble exact tau, optional normalized-mode MC, and both lower bounds.
+def estimate_taus(prior: PriorSpec, n: int, ls: list[int], rng: np.random.Generator, *,
+                  mc_replicates: int = 0, weight_replicates: int = 10**4) -> list[TauEstimate]:
+    """Exact tau, optional normalized-mode MC, and both lower bounds, per l.
 
-    The bounds need weight(pi, .) over their respective frequency windows;
-    those are estimated with weight_replicates draws from rng.  mc_replicates
-    = 0 skips the MC route.
+    The bounds need weight(pi, .) over each l's two frequency windows (only
+    the large one at l = 1, where the small-l bound is vacuous).  Every
+    window and the MC moments of every l are reduced from one batch of
+    max(mc_replicates, weight_replicates) realizations drawn from rng, in
+    chunks of whole rows sized by the element budget _CHUNK_ELEMENTS: the
+    windows read the first weight_replicates rows and the MC route the first
+    mc_replicates rows (mc_replicates = 0 skips it).  The draws do not depend
+    on the chunking, so each l's estimate is the same whether it is requested
+    alone or with others, and the bound columns do not depend on
+    mc_replicates.
     """
-    exact = tau_exact(prior, n, l)
-    lo, hi = large_interval(n, l)
-    w_large = weight_estimate(prior, (lo, min(hi, 1.0)), weight_replicates, rng)
-    lo_large = tau_lower_large(n, l, min(1.0, w_large.value))
-    b1, b2 = small_interval(n, l)
-    if l == 1:
-        lo_small = tau_lower_small(n, l, 0.0)
-    else:
-        w_small = weight_estimate(prior, (b1, min(b2, 1.0)), weight_replicates, rng)
-        lo_small = tau_lower_small(n, l, min(1.0, w_small.value))
-    mc = mc_stderr = None
+    exact = [tau_exact(prior, n, l) for l in ls]
+    _require_replicates(weight_replicates, 1)
     if mc_replicates:
-        est = tau_monte_carlo(prior, n, l, mc_replicates, rng)
-        mc, mc_stderr = est.value, est.stderr
-    return TauEstimate(
-        l=l,
-        n=n,
-        exact=exact,
-        lower_large=lo_large,
-        lower_small=lo_small,
-        mc=mc,
-        mc_stderr=mc_stderr,
-        regime_ok=prior.regime_ok(n, l),
+        _require_replicates(mc_replicates, 2)
+    windows = {(l, "large"): large_interval(n, l) for l in ls}
+    windows.update({(l, "small"): small_interval(n, l) for l in ls if l > 1})
+    lnum, lden, masses = _realizations(
+        prior, rng, n=n, ls=ls if mc_replicates else (), mc_replicates=mc_replicates,
+        windows=[(lo, min(hi, 1.0)) for lo, hi in windows.values()],
+        weight_replicates=weight_replicates,
     )
+    weight = {key: min(1.0, float(row.mean())) for key, row in zip(windows, masses)}
+    out = []
+    for i, l in enumerate(ls):
+        mc = _tau_mc(lnum[i], lden[i]) if mc_replicates else None
+        small = tau_lower_small(n, l, weight.get((l, "small"), 0.0))
+        out.append(TauEstimate(l, n, exact[i], tau_lower_large(n, l, weight[l, "large"]), small,
+                               mc.value if mc else None, mc.stderr if mc else None,
+                               prior.regime_ok(n, l)))
+    return out
+
+
+def estimate_tau(prior: PriorSpec, n: int, l: int, rng: np.random.Generator,
+                 **replicates) -> TauEstimate:
+    """estimate_taus for one l; replicates are its mc_/weight_replicates keywords."""
+    return estimate_taus(prior, n, [l], rng, **replicates)[0]

@@ -48,8 +48,9 @@ __all__ = [
 ]
 
 # 1: l uniforms per trial, trial i reading ceil(l/4) Philox blocks;
-# 2: one binomial wrong-label count per trial, in fixed-size chunks
-STREAM_VERSION = 2
+# 2: one binomial wrong-label count per trial, in fixed-size chunks;
+# 3: freqmodel's tau moments and weight windows share one realization batch
+STREAM_VERSION = 3
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
 _TIE_FUZZ = 1e-9

@@ -273,6 +273,7 @@ class TestBoundsCommand:
         assert manifest["wall_time_s"] >= 0.0
         assert manifest["config"]["scenario"]["l"] == 10
         assert manifest["stream_version"] == STREAM_VERSION
+        assert set(manifest["env"]) == {"python", "numpy", "scipy", "platform", "nproc"}
         # both files were renamed into place: no temporary sibling is left
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "report.csv", "report.manifest.json",
@@ -387,6 +388,29 @@ class TestTauCommand:
         _, rows = _read_csv(out)
         assert all(row[12] == "0.001" for row in rows)
 
+    @pytest.mark.parametrize(
+        "overrides, code, message",
+        [
+            ({"mc_replicates": 1}, 3,
+             "runtime error: replicates must be >= 2 for a standard error, got 1\n"),
+            ({"l": [2, 101]}, 2, "l: every value must be <= n=100\n"),
+            ({"l": 0}, 2, "l: must be a positive integer or nonempty list of them\n"),
+            ({"weight_replicates": 0}, 2, "weight_replicates: must be >= 1, got 0\n"),
+            ({"mc_replicates": -1}, 2, "mc_replicates: must be >= 0, got -1\n"),
+            ({"prior": {"generator": "zipf", "n_values": 10, "exponent": 1.1, "cap": 0.05}}, 3,
+             "runtime error: cap 0.05 is infeasible for 10 values summing to 1.0\n"),
+        ],
+    )
+    def test_invalid_configs_keep_their_exit_codes_and_messages(
+        self, tmp_path, capsys, overrides, code, message
+    ):
+        doc = {"seed": 1, "n": 100, "l": [2, 10],
+               "prior": {"generator": "zipf", "n_values": 50, "exponent": 1.1}, **overrides}
+        out = tmp_path / "tau.csv"
+        assert main(["tau", "--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == code
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
 
 class TestWeightCommand:
     def test_single_row_with_bracketed_estimate(self, tmp_path):
@@ -408,6 +432,26 @@ class TestWeightCommand:
         assert row[8] == "weight"
         value, lo, hi = float(row[9]), float(row[10]), float(row[11])
         assert 0.0 <= lo <= value <= hi <= 1.0
+
+    # Frozen outputs: the weight draws read the same stream under any
+    # chunking, and the per-replicate mass formula is fixed, so these bytes
+    # may only change together with the stream version.
+    @pytest.mark.parametrize(
+        "prior, interval, replicates, row",
+        [
+            ({"generator": "explicit", "values": [0.1, 0.2, 0.3, 0.4]}, [0.05, 0.4], 10_000,
+             ",,,,,,,,weight,0.8981888888888888,0.8944136384914023,0.9019641392863753,,,,,"),
+            ({"generator": "zipf", "n_values": 1000, "exponent": 1.1, "cap": 0.05},
+             [0.0005, 0.002], 2500,
+             ",,,,,,,,weight,0.17502521396051032,0.17409375300803226,0.1759566749129884,,,,,"),
+        ],
+    )
+    def test_golden_output(self, tmp_path, prior, interval, replicates, row):
+        doc = {"command": "weight", "seed": 7, "prior": prior, "interval": interval,
+               "replicates": replicates}
+        out = tmp_path / "w.csv"
+        assert main(["weight", "--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == ",".join(CSV_COLUMNS) + "\n" + row + "\n"
 
 
 class TestNoiseSynthCommand:

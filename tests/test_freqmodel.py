@@ -3,14 +3,19 @@
 tau_exact is validated against a direct power-product evaluation (no
 log-space) wherever that route cannot underflow, weight_estimate against a
 closed-form enumeration oracle for a two-value prior, and the lower bounds
-against frozen hand-computed constants.
+against frozen hand-computed constants.  The shared realization batch is
+held to its determinism contract: an estimate does not depend on the other
+l requested with it, on mc_replicates (for the bound columns), or on the
+chunking, and chunks stay within their element budget at N = 1e6.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from noisylab import freqmodel
 from noisylab import (
     FrequencySample,
     PriorSpec,
@@ -26,6 +31,7 @@ from noisylab import (
     tau_monte_carlo,
     weight_estimate,
 )
+from noisylab.freqmodel import estimate_taus
 
 
 def _tau_direct(values: np.ndarray, n: int, l: int) -> float:
@@ -373,3 +379,89 @@ class TestEstimateTau:
         assert est.lower_large == 0.0
         assert est.lower_small == 0.0
         assert est.exact > 0.0
+
+
+class _DrawRecorder:
+    """Delegates to a Generator and records the shape of every index draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def integers(self, low, high, size):
+        self.sizes.append(size)
+        return self.rng.integers(low, high, size=size)
+
+
+class TestSharedRealizations:
+    # an odd slot count, so no chunk of index draws splits evenly into pairs
+    PRIOR = build_prior("zipf", n=199, exponent=1.1, cap=0.05)
+    N_DRAWS = 2000
+    LS = (2, 5, 40)
+
+    def _taus(self, ls=LS, seed=31, mc_replicates=300, weight_replicates=500):
+        return estimate_taus(self.PRIOR, self.N_DRAWS, list(ls), np.random.default_rng(seed),
+                             mc_replicates=mc_replicates, weight_replicates=weight_replicates)
+
+    def test_each_l_is_the_same_alone_or_in_a_list(self):
+        together = self._taus()
+        assert [est.l for est in together] == list(self.LS)
+        for est in together:
+            assert est.mc is not None
+            assert self._taus(ls=[est.l]) == [est]
+            alone = estimate_tau(self.PRIOR, self.N_DRAWS, est.l, np.random.default_rng(31),
+                                 mc_replicates=300, weight_replicates=500)
+            assert alone == est
+        assert self._taus(ls=self.LS[::-1]) == together[::-1]
+
+    def test_bound_columns_do_not_depend_on_mc_replicates(self):
+        def bounds(mc_replicates):
+            return [(e.exact, e.lower_large, e.lower_small)
+                    for e in self._taus(mc_replicates=mc_replicates)]
+
+        reference = bounds(0)
+        assert all(value > 0.0 for _, value, _ in reference)
+        for mc_replicates in (2, 300, 500, 1200):
+            assert bounds(mc_replicates) == reference
+
+    @pytest.mark.parametrize("rows", [1, 7, 1200])
+    def test_results_do_not_depend_on_the_chunking(self, monkeypatch, rows):
+        # one row per chunk, a prime row count, and the whole batch in one chunk
+        reference = (
+            self._taus(mc_replicates=1200),
+            tau_monte_carlo(self.PRIOR, self.N_DRAWS, 5, 301, np.random.default_rng(3)),
+            weight_estimate(self.PRIOR, (0.004, 0.01), 503, np.random.default_rng(4)),
+        )
+        monkeypatch.setattr(freqmodel, "_CHUNK_ELEMENTS", rows * self.PRIOR.n_values)
+        assert (
+            self._taus(mc_replicates=1200),
+            tau_monte_carlo(self.PRIOR, self.N_DRAWS, 5, 301, np.random.default_rng(3)),
+            weight_estimate(self.PRIOR, (0.004, 0.01), 503, np.random.default_rng(4)),
+        ) == reference
+
+    def test_one_batch_of_budget_sized_chunks(self):
+        rng = _DrawRecorder(np.random.default_rng(5))
+        estimate_taus(self.PRIOR, self.N_DRAWS, list(self.LS), rng,
+                      mc_replicates=3000, weight_replicates=700)
+        full = freqmodel._CHUNK_ELEMENTS // self.PRIOR.n_values
+        assert [rows for rows, _ in rng.sizes] == [full] * (3000 // full) + [3000 % full]
+        assert {n_values for _, n_values in rng.sizes} == {self.PRIOR.n_values}
+
+    def test_a_million_values_stay_within_the_chunk_budget(self):
+        prior = build_prior("zipf", n=1_000_000, exponent=1.1, cap=0.05)
+        assert prior.n_values > freqmodel._CHUNK_ELEMENTS  # one realization per chunk
+        tracemalloc.start()
+        try:
+            rng = _DrawRecorder(np.random.default_rng(6))
+            weight = weight_estimate(prior, large_interval(10**7, 10), 64, rng)
+            taus = estimate_taus(prior, 10**7, [2, 10], rng,
+                                 mc_replicates=64, weight_replicates=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rng.sizes == [(1, prior.n_values)] * 128
+        # a few realization-sized temporaries at a time, never the batch
+        assert peak < 16 * 8 * prior.n_values
+        assert 0.0 < weight.value <= 1.0 and weight.replicates == 64
+        for est in taus:
+            assert est.exact >= est.lower_large and est.exact >= est.lower_small
+            assert math.isfinite(est.mc) and est.mc_stderr > 0.0
