@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 __all__ = [
     "BoundKind",
@@ -30,6 +29,36 @@ __all__ = [
     "peer_failure_lower",
     "improvement_bound",
 ]
+
+
+def _deferred_special(namespace: dict, *names: str) -> tuple:
+    """Stand-ins for scipy.special functions that import it on their first call.
+
+    Importing scipy.special takes about half of a cold `import noisylab.cli`,
+    and only binom_tail, truncated_normal and combine_rate need it, so
+    commands that never call them (validate, tau, weight) never load it.  The
+    first call of any stand-in rebinds every name in `namespace` (the calling
+    module's globals) to the scipy.special function, so later calls go
+    straight to it.
+    """
+
+    def bind() -> None:
+        import scipy.special
+
+        namespace.update({name: getattr(scipy.special, name) for name in names})
+
+    def stand_in(name: str):
+        def first_call(*args, **kwargs):
+            bind()
+            return namespace[name](*args, **kwargs)
+
+        first_call.__name__ = first_call.__qualname__ = name
+        return first_call
+
+    return tuple(stand_in(name) for name in names)
+
+
+gammaln, logsumexp = _deferred_special(globals(), "gammaln", "logsumexp")
 
 
 class BoundKind(str, enum.Enum):

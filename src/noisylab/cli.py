@@ -6,8 +6,9 @@ Configs are JSON objects; a mandatory integer seed makes every run
 reproducible, and the manifest written next to the CSV echoes the effective
 configuration (flag overrides applied) together with tool version, random
 stream version, the environment (Python, numpy and scipy versions, platform,
-CPU count) and wall time.  Both files are written atomically: a partial
-file never appears under the output name.
+CPU count), wall time and its split into computing the rows and writing the
+CSV.  Both files are written atomically: a partial file never appears under
+the output name.
 
 Exit codes: 0 success, 2 invalid config, 3 runtime failure.
 """
@@ -451,24 +452,30 @@ def _execute(command: str, doc: dict, out_path: Path) -> dict:
     seed = doc["seed"]
     workers = doc.get("workers", 1)
     started = time.perf_counter()
+    columns = CSV_COLUMNS
     if command == "tau":
-        rows = _write_csv(out_path, CSV_COLUMNS, _tau_rows(doc, seed))
+        rows = _tau_rows(doc, seed)
     elif command == "weight":
-        rows = _write_csv(out_path, CSV_COLUMNS, _weight_rows(doc, seed))
+        rows = _weight_rows(doc, seed)
     elif command in ("simulate", "bounds"):
         report = bound_report(_build_scenario(doc["scenario"]), doc["trials"], seed, workers=workers)
-        rows = _write_csv(out_path, CSV_COLUMNS, _report_rows(report, headline_only=command == "simulate"))
+        rows = _report_rows(report, headline_only=command == "simulate")
     elif command == "sweep":
-        reports = sweep(_sweep_scenarios(doc), doc["trials"], seed, workers=workers)
-        all_rows: list[list] = []
-        for report in reports:
-            all_rows.extend(_report_rows(report, headline_only=True))
-        rows = _write_csv(out_path, CSV_COLUMNS, all_rows)
+        rows = []
+        for report in sweep(_sweep_scenarios(doc), doc["trials"], seed, workers=workers):
+            rows.extend(_report_rows(report, headline_only=True))
     elif command == "noise-synth":
-        rows = _write_csv(out_path, SYNTH_COLUMNS, _synth_rows(doc, seed))
+        columns, rows = SYNTH_COLUMNS, _synth_rows(doc, seed)
     else:  # pragma: no cover - guarded by validation
         raise ValueError(f"unknown command {command!r}")
-    return {"rows": rows, "wall_time_s": time.perf_counter() - started}
+    computed = time.perf_counter()
+    count = _write_csv(out_path, columns, rows)
+    written = time.perf_counter()
+    return {
+        "rows": count,
+        "wall_time_s": written - started,
+        "timings": {"compute_s": computed - started, "write_s": written - computed},
+    }
 
 
 def main(argv=None) -> int:

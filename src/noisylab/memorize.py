@@ -78,7 +78,7 @@ def _label_counts(labels, m: int = 2) -> np.ndarray:
     arr = np.asarray(labels).ravel()
     if arr.size == 0:
         raise ValueError("need at least one label")
-    arr = arr.astype(np.int64)
+    arr = arr.astype(np.int64, copy=False)
     if m == 2:
         n_plus = np.count_nonzero(arr == 1)
         if n_plus + np.count_nonzero(arr == -1) == arr.size:

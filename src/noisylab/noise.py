@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr, ndtri
+
+from .bounds import _deferred_special
 
 __all__ = [
     "BinaryNoiseRates",
@@ -24,6 +25,8 @@ __all__ = [
     "label_to_index",
     "index_to_label",
 ]
+
+expit, ndtr, ndtri = _deferred_special(globals(), "expit", "ndtr", "ndtri")
 
 _RATE_CEIL = 1.0 - 1e-6
 

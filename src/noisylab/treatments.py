@@ -66,7 +66,7 @@ def as_loss_vector(loss) -> np.ndarray:
     arr = np.asarray(loss, dtype=float).ravel()
     if arr.size < 2:
         raise ValueError("loss vector needs at least two classes")
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError("loss vector entries must be finite")
     return arr
 
@@ -77,7 +77,8 @@ class CorrectedLabel:
 
     raw = (T^-1)^T applied to the empirical distribution; its entries sum
     to one but may exit [0, 1].  capped is raw when already proper and
-    otherwise the one-hot vector on the side the violation points to.
+    otherwise the one-hot vector on the side the violation points to; the
+    two one-hot vectors are shared, read-only objects.
     Algebraic identities (the empirical-loss equivalence, unbiasedness)
     hold for raw only; memorization-style error comparisons use capped.
     """
@@ -85,6 +86,18 @@ class CorrectedLabel:
     raw: LabelDist
     capped: LabelDist
     was_capped: bool
+
+
+def _one_hot(index: int) -> LabelDist:
+    """A shared read-only point mass; LabelDist is frozen, so callers can share it."""
+    probs = np.zeros(2)
+    probs[index] = 1.0
+    probs.flags.writeable = False
+    return LabelDist(probs)
+
+
+_ONE_HOT_MINUS = _one_hot(0)
+_ONE_HOT_PLUS = _one_hot(1)
 
 
 def corrected_label(dist: LabelDist, rates: BinaryNoiseRates) -> CorrectedLabel:
@@ -100,15 +113,16 @@ def corrected_label(dist: LabelDist, rates: BinaryNoiseRates) -> CorrectedLabel:
     """
     if dist.m != 2:
         raise ValueError("corrected labels are defined for the binary case")
-    p_minus, p_plus = float(dist.probs[0]), float(dist.probs[1])
-    gap = 1.0 - rates.e_plus - rates.e_minus
-    raw_plus = ((1.0 - rates.e_minus) * p_plus - rates.e_minus * p_minus) / gap
-    raw_minus = ((1.0 - rates.e_plus) * p_minus - rates.e_plus * p_plus) / gap
+    p_minus, p_plus = dist.probs.tolist()
+    e_p, e_m = rates.e_plus, rates.e_minus
+    gap = 1.0 - e_p - e_m
+    raw_plus = ((1.0 - e_m) * p_plus - e_m * p_minus) / gap
+    raw_minus = ((1.0 - e_p) * p_minus - e_p * p_plus) / gap
     raw = LabelDist(np.array([raw_minus, raw_plus]), signed=True)
     if raw_plus > 1.0:
-        return CorrectedLabel(raw=raw, capped=LabelDist(np.array([0.0, 1.0])), was_capped=True)
+        return CorrectedLabel(raw=raw, capped=_ONE_HOT_PLUS, was_capped=True)
     if raw_plus < 0.0:
-        return CorrectedLabel(raw=raw, capped=LabelDist(np.array([1.0, 0.0])), was_capped=True)
+        return CorrectedLabel(raw=raw, capped=_ONE_HOT_MINUS, was_capped=True)
     return CorrectedLabel(raw=raw, capped=LabelDist(raw.probs.copy()), was_capped=False)
 
 

@@ -1,6 +1,7 @@
 """Tests for the batch CLI: config validation, runs, CSV/manifest output."""
 
 import csv
+import hashlib
 import json
 import sys
 
@@ -271,6 +272,7 @@ class TestBoundsCommand:
         assert manifest["rows"] == 6
         assert manifest["out"] == str(out)
         assert manifest["wall_time_s"] >= 0.0
+        assert set(manifest["timings"]) == {"compute_s", "write_s"}
         assert manifest["config"]["scenario"]["l"] == 10
         assert manifest["stream_version"] == STREAM_VERSION
         assert set(manifest["env"]) == {"python", "numpy", "scipy", "platform", "nproc"}
@@ -526,6 +528,57 @@ class TestSweepCommand:
         assert [row[0] for row in rows[:4]] == ["6"] * 4
         assert [row[0] for row in rows[4:]] == ["4"] * 4
         assert rows[0][1] == "-1" and rows[4][1] == "1"
+
+
+_README_SCENARIO = {"l": 10, "y": 1, "e_plus": 0.2, "e_minus": 0.2}
+
+
+class TestGoldenOutputs:
+    # Frozen README examples, plus `simulate` on the `bounds` scenario: exit
+    # code, manifest row count, the first and last CSV lines and the SHA-256
+    # of the whole file.  These bytes may only change together with the
+    # stream version.
+    @pytest.mark.parametrize(
+        "doc, rows, first, last, digest",
+        [
+            ({"command": "bounds", "seed": 42, "trials": 100_000, "scenario": _README_SCENARIO}, 6,
+             "10,1,0.2,0.2,0.5,0.5,0.1,,memorize,0.200413,0.19962955946943242,"
+             "0.20119874222397324,0.2,,,,",
+             "10,1,0.2,0.2,0.5,0.5,0.1,,peer_loss,0.03193,0.030858167729230734,"
+             "0.03303779232198276,0.03279349760000003,0.02400959708748615,"
+             "peer_failure_lower,true,true",
+             "bfd548f35283130a08e4697ff562f5c749285400e30f6b5674f1580142fd8378"),
+            ({"command": "simulate", "seed": 42, "trials": 100_000, "scenario": _README_SCENARIO}, 4,
+             "10,1,0.2,0.2,0.5,0.5,0.1,,memorize,0.200413,0.19962955946943242,"
+             "0.20119874222397324,0.2,,,,",
+             "10,1,0.2,0.2,0.5,0.5,0.1,,peer_loss,0.96807,0.9669622076780172,"
+             "0.9691418322707693,0.9672065024000006,0.8347011117784136,peer_success,true,true",
+             "abc14adb5515548e709af3508af338ad5cc158cdc969284d6757f27c1a662d93"),
+            ({"command": "sweep", "seed": 42, "trials": 20_000,
+              "grid": {"l": [4, 10, 20, 50], "e": [0.1, 0.2, 0.3], "base": {"y": 1}}}, 48,
+             "4,1,0.1,0.1,0.5,0.5,0.1,,memorize,0.0985375,0.09649146211217649,"
+             "0.10062209107811243,0.1,,,,",
+             "50,1,0.3,0.3,0.5,0.5,0.1,,peer_loss,0.99745,0.9966490860306292,"
+             "0.9980598572971522,0.9976304521510114,0.9816843611112658,peer_success,true,true",
+             "9c88b5f19f2998fb5cab4d35685d39f22b36c3a70b209ca77eb739afc9e6eb82"),
+            ({"command": "noise-synth", "seed": 3, "epsilon": 0.2, "sigma": 0.1, "count": 1000,
+              "feature_dim": 8}, 1000,
+             "0,0.22289351119992568,0.940472542387562,0.3206078416602905",
+             "999,0.33134629544113803,0.8777467457629607,0.4680962740401424",
+             "c6273dff03aae91bf2c1477d9af4e44ca44eefe58e9d2b578f0f82b60429713b"),
+        ],
+        ids=["bounds", "simulate", "sweep", "noise-synth"],
+    )
+    def test_readme_example_output_is_frozen(self, tmp_path, doc, rows, first, last, digest):
+        out = tmp_path / "out.csv"
+        config = _write_config(tmp_path, doc)
+        assert main([doc["command"], "--config", str(config), "--out", str(out)]) == 0
+        data = out.read_bytes()
+        lines = data.decode("utf-8").splitlines()
+        assert (lines[1], lines[-1]) == (first, last)
+        assert hashlib.sha256(data).hexdigest() == digest
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text(encoding="utf-8"))
+        assert manifest["rows"] == rows == len(lines) - 1
 
 
 class TestEntryPoint:

@@ -1,0 +1,121 @@
+"""Import hygiene: scipy.special stays unloaded until a function computes with it.
+
+Importing scipy.special costs about as much as the rest of a cold
+`import noisylab.cli`, and only binom_tail, truncated_normal and combine_rate
+use it.  This process loaded it long ago, so every check runs in a fresh
+interpreter that imports the same noisylab sources.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import noisylab
+from noisylab.bounds import binom_tail
+from noisylab.noise import combine_rate, truncated_normal
+
+SRC = Path(noisylab.__file__).resolve().parents[1]
+
+UNLOADED = "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'"
+
+# One valid config per command; the README examples where there is one.
+CONFIGS = {
+    "tau": {"command": "tau", "seed": 7, "n": 1000, "l": [2, 10],
+            "prior": {"generator": "zipf", "n_values": 50, "exponent": 1.1, "cap": 0.05},
+            "mc_replicates": 200, "weight_replicates": 400},
+    "weight": {"command": "weight", "seed": 7, "interval": [0.05, 0.4], "replicates": 1000,
+               "prior": {"generator": "explicit", "values": [0.1, 0.2, 0.3, 0.4]}},
+    "simulate": {"command": "simulate", "seed": 42, "trials": 1000,
+                 "scenario": {"l": 10, "y": 1, "e_plus": 0.2, "e_minus": 0.2}},
+    "bounds": {"command": "bounds", "seed": 42, "trials": 1000,
+               "scenario": {"l": 10, "y": 1, "e_plus": 0.2, "e_minus": 0.2}},
+    "sweep": {"command": "sweep", "seed": 42, "trials": 1000,
+              "grid": {"l": [4, 10], "e": [0.1, 0.3], "base": {"y": 1}}},
+    "noise-synth": {"command": "noise-synth", "seed": 3, "epsilon": 0.2, "sigma": 0.1,
+                    "count": 10, "feature_dim": 8},
+}
+
+# Both truncated_normal branches: a window holding most of the mass samples
+# by rejection, one holding less than half of it by the inverse CDF.
+FIRST_USE_CALLS = (
+    "binom_tail(10, 0.8, 6)",
+    "truncated_normal(0.2, 0.1, 0.0, 1.0, np.random.default_rng(5))",
+    "truncated_normal(3.0, 0.5, 0.0, 1.0, np.random.default_rng(5))",
+    "combine_rate(0.3, 0.7)",
+)
+
+# After the first call, these module globals are the scipy.special functions
+# themselves, so later calls pay nothing for the deferred import.
+REBOUND = [("bounds", "gammaln"), ("bounds", "logsumexp"),
+           ("noise", "expit"), ("noise", "ndtr"), ("noise", "ndtri")]
+
+
+def _fresh(code: str, cwd: Path) -> str:
+    """Run code in a new interpreter importing noisylab from SRC; return its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=300, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def _write_configs(tmp_path: Path, names) -> None:
+    for name in names:
+        (tmp_path / f"{name}.json").write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
+
+
+@pytest.mark.parametrize("statement", ["import noisylab", "import noisylab.cli"])
+def test_import_leaves_scipy_special_unloaded(tmp_path, statement):
+    _fresh(f"import sys\n{statement}\n{UNLOADED}", tmp_path)
+
+
+def test_validating_every_command_leaves_it_unloaded(tmp_path):
+    _write_configs(tmp_path, CONFIGS)
+    codes = _fresh(
+        "import sys\nfrom noisylab.cli import main\n"
+        f"codes = [main(['validate', '--config', name + '.json']) for name in {list(CONFIGS)!r}]\n"
+        f"{UNLOADED}\nprint(codes)",
+        tmp_path,
+    ).splitlines()[-1]
+    assert codes == str([0] * len(CONFIGS))
+
+
+def test_tau_and_weight_runs_leave_it_unloaded(tmp_path):
+    _write_configs(tmp_path, ("tau", "weight"))
+    codes = _fresh(
+        "import sys\nfrom noisylab.cli import main\n"
+        "codes = [main([name, '--config', name + '.json', '--out', name + '.csv'])"
+        " for name in ('tau', 'weight')]\n"
+        f"{UNLOADED}\nprint(codes)",
+        tmp_path,
+    ).splitlines()[-1]
+    assert codes == "[0, 0]"
+    assert (tmp_path / "tau.csv").exists() and (tmp_path / "weight.csv").exists()
+
+
+def test_first_use_loads_it_and_matches_this_process(tmp_path):
+    calls = ", ".join(FIRST_USE_CALLS)
+    printed = _fresh(
+        "import json, sys\nimport numpy as np\n"
+        "from noisylab.bounds import binom_tail\n"
+        "from noisylab.noise import combine_rate, truncated_normal\n"
+        f"{UNLOADED}\n"
+        f"values = [{calls}]\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "import scipy.special\n"
+        "assert all(getattr(sys.modules['noisylab.' + m], f) is getattr(scipy.special, f)"
+        f" for m, f in {REBOUND!r})\n"
+        "print(json.dumps(values))",
+        tmp_path,
+    )
+    namespace = {"np": np, "binom_tail": binom_tail, "truncated_normal": truncated_normal,
+                 "combine_rate": combine_rate}
+    assert json.loads(printed) == [eval(call, namespace) for call in FIRST_USE_CALLS]

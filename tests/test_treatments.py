@@ -87,6 +87,14 @@ class TestCorrectedLabel:
         np.testing.assert_array_equal(low.capped.probs, [1.0, 0.0])
         assert low.was_capped
 
+    def test_capped_point_masses_are_shared_and_read_only(self):
+        first = corrected_label(empirical_distribution([1, 1, 1]), SYMM_02).capped
+        again = corrected_label(empirical_distribution([1, 1, 1, 1]), SYMM_02).capped
+        assert first is again and not first.signed
+        with pytest.raises(ValueError):
+            first.probs[0] = 0.5
+        np.testing.assert_array_equal(first.probs, [0.0, 1.0])
+
     def test_posterior_proportions_invert_to_one_hot(self):
         # empirical mass (0.2, 0.8) is exactly the noisy posterior of +1
         out = corrected_label(empirical_distribution([1, 1, 1, 1, -1]), SYMM_02)
@@ -167,6 +175,10 @@ class TestLcLossVector:
             as_loss_vector([1.0])
         with pytest.raises(ValueError):
             as_loss_vector([np.inf, 0.0])
+        with pytest.raises(ValueError):
+            as_loss_vector([0.0, np.nan])
+        with pytest.raises(ValueError):
+            as_loss_vector([0.0, 1.0, -np.inf])
 
 
 class TestLcEmpiricalLoss:
