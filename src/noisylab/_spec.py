@@ -1,0 +1,91 @@
+"""Field specs: each rule on a config or dataclass field, stated once.
+
+A Spec gives one field's type and range.  field_violations checks a mapping
+against a table of specs and cross-field rules and returns one message per
+violation, led by the field's path.  Dataclasses raise the first message as
+ValueError; the CLI prints every message and exits 2, so a config that
+validates is one the dataclasses accept.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+_TYPES = {"integer": (int, np.integer), "number": (int, float, np.integer, np.floating)}
+
+
+@dataclass(frozen=True)
+class Spec:
+    """One field's type and range.
+
+    kind is "integer" (Python or numpy integers) or "number" (Python or
+    numpy integers and floats); booleans are neither.  choices, when given,
+    replaces the type and range check.  lo and hi are inclusive unless
+    lo_open / hi_open.  A field that is not required may be absent; given
+    as None it is reported as missing unless it is nullable, where None
+    means "not given".
+    """
+
+    kind: str = "number"
+    lo: float | None = None
+    hi: float | None = None
+    lo_open: bool = False
+    hi_open: bool = False
+    required: bool = True
+    nullable: bool = False
+    choices: tuple = ()
+
+    def violation(self, value) -> str | None:
+        """Why a given value breaks this spec, or None when it fits."""
+        if self.choices:
+            if value in self.choices:
+                return None
+            return f"must be {' or '.join(map(str, self.choices))}, got {value!r}"
+        if isinstance(value, bool) or not isinstance(value, _TYPES[self.kind]):
+            noun = "an integer" if self.kind == "integer" else "a number"
+            return f"must be {noun}, got {value!r}"
+        if self.kind == "number":
+            value = float(value)
+        # written so that NaN fails every bound
+        if self.lo is not None and not (value > self.lo if self.lo_open else value >= self.lo):
+            return f"must be {'>' if self.lo_open else '>='} {self.lo}, got {value}"
+        if self.hi is not None and not (value < self.hi if self.hi_open else value <= self.hi):
+            return f"must be {'<' if self.hi_open else '<='} {self.hi}, got {value}"
+        return None
+
+
+def field_violations(values, fields: dict, rules: dict | None = None, path: str = "") -> list[str]:
+    """One message per broken field or cross-field rule, in table order.
+
+    values maps field names to values.  rules maps a field name to
+    (field reported, fields read, predicate, message), checked right after
+    that field and only when every field it reads was given and fits.
+    """
+    prefix = f"{path}." if path else ""
+    violations: list[str] = []
+    fitting = {}
+    for name, spec in fields.items():
+        value = values.get(name)
+        if (name in values or spec.required) and not (value is None and spec.nullable):
+            if value is None and not spec.choices:
+                message = f"{name} required"
+            else:
+                message = spec.violation(value)
+            if message is None:
+                fitting[name] = value
+            else:
+                violations.append(f"{prefix}{name}: {message}")
+        rule = rules.get(name) if rules else None
+        if rule is not None:
+            reported, reads, holds, message = rule
+            args = [fitting.get(read) for read in reads]
+            if None not in args and not holds(*args):
+                violations.append(f"{prefix}{reported}: {message(*args)}")
+    return violations
+
+
+def raise_first(violations: list[str]) -> None:
+    """Raise the first violation as ValueError, as a dataclass check does."""
+    if violations:
+        raise ValueError(violations[0])

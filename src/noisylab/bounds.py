@@ -69,7 +69,6 @@ class BoundKind(str, enum.Enum):
     PEER_SUCCESS = "peer_success"
     PEER_FAILURE_LOWER = "peer_failure_lower"
     IMPACT = "impact"
-    IMPROVEMENT = "improvement"
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,8 @@ class BoundValue:
 
     regime_ok records whether the assumptions under which the bound is
     asserted were satisfied; when False the value is reported for reference
-    only and no ordering against exact probabilities is claimed.
+    only and no ordering against exact probabilities is claimed.  Every
+    kind but IMPACT bounds a probability.
     """
 
     kind: BoundKind
@@ -86,19 +86,10 @@ class BoundValue:
     params: dict = field(default_factory=dict)
     regime_ok: bool = True
 
-    _PROBABILITY_KINDS = frozenset(
-        {
-            BoundKind.HOEFFDING_SUCCESS,
-            BoundKind.BINOMIAL_FAILURE_LOWER,
-            BoundKind.PEER_SUCCESS,
-            BoundKind.PEER_FAILURE_LOWER,
-        }
-    )
-
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
             raise ValueError(f"bound value must be finite, got {self.value}")
-        if self.kind in self._PROBABILITY_KINDS and not 0.0 <= self.value <= 1.0:
+        if self.kind is not BoundKind.IMPACT and not 0.0 <= self.value <= 1.0:
             raise ValueError(f"{self.kind.value} bound must lie in [0, 1], got {self.value}")
         if self.value < 0.0:
             raise ValueError(f"bound values are nonnegative, got {self.value}")
@@ -229,19 +220,15 @@ def max_l_for_failure(delta: float, e: float) -> int | None:
     return l
 
 
-def peer_success_lower(
-    l: int, p_opposite: float, e_plus: float, e_minus: float, form: str = "hoeffding_corrected"
-) -> float:
-    """Lower bound on the peer decision's strict-success probability.
+def peer_success_lower(l: int, p_opposite: float, e_plus: float, e_minus: float) -> float:
+    """Lower bound 1 - exp(-2 l (p_opposite (1 - e_plus - e_minus))^2) on peer strict success.
 
     The margin between the correct-label vote rate and the global noisy
-    positive rate concentrates at p_opposite * (1 - e_plus - e_minus), so
-    form="hoeffding_corrected" (the asserted default) returns
-    1 - exp(-2 l (p_opposite (1 - e_plus - e_minus))^2).  The variant
-    form="reciprocal_margin", 1 - exp(-2l / (p_opposite^2
-    (1-e_plus-e_minus)^2)), divides by the squared margin instead of
-    multiplying and is kept for reporting only: its exponent grows as the
-    margin shrinks, so it is not a valid bound and is never asserted.
+    positive rate is p_opposite * (1 - e_plus - e_minus), so Hoeffding's
+    inequality on l draws bounds the chance that the correct-label count
+    stays above the peer threshold (Liu & Guo 2020, "Peer Loss Functions",
+    arXiv 1910.03231).  The bound weakens as the margin shrinks and is
+    vacuously 0 at l = 0.
     """
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
@@ -250,11 +237,7 @@ def peer_success_lower(
     gap = 1.0 - e_plus - e_minus
     if gap <= 0.0:
         raise ValueError("e_plus + e_minus must be < 1")
-    if form == "hoeffding_corrected":
-        return -math.expm1(-2.0 * l * (p_opposite * gap) ** 2)
-    if form == "reciprocal_margin":
-        return -math.expm1(-2.0 * l / (p_opposite * gap) ** 2)
-    raise ValueError(f"unknown form {form!r}")
+    return -math.expm1(-2.0 * l * (p_opposite * gap) ** 2)
 
 
 def peer_failure_lower(l: int, e: float) -> float:

@@ -20,32 +20,37 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
+from ._spec import Spec, field_violations
 from .freqmodel import build_prior, estimate_taus, weight_estimate
-from .mcsim import _Z_95, STREAM_VERSION, BoundReport, InstanceScenario, bound_report, sweep
-from .noise import InstanceNoiseSynth
+from .mcsim import (
+    _COUNT,
+    _RUN_FIELDS,
+    _SCENARIO_FIELDS,
+    _Z_95,
+    STREAM_VERSION,
+    BoundReport,
+    InstanceScenario,
+    bound_report,
+    scenario_violations,
+    sweep,
+)
+from .noise import _SYNTH_FIELDS, InstanceNoiseSynth
 
 __all__ = ["ValidationReport", "validate", "validate_config", "main", "entry"]
 
-COMMANDS = ("tau", "weight", "simulate", "bounds", "sweep", "noise-synth")
-
-# One fixed layout for all event/estimate tables; the noise-synth command,
-# which emits per-instance draws rather than event estimates, has its own.
+# One fixed layout for all event/estimate tables, led by the scenario fields;
+# the noise-synth command, which emits per-instance draws rather than event
+# estimates, has its own.
 CSV_COLUMNS = (
-    "l",
-    "y",
-    "e_plus",
-    "e_minus",
-    "p_plus",
-    "p_minus",
-    "smoothing_a",
-    "n",
+    *_SCENARIO_FIELDS,
     "treatment",
     "mc_estimate",
     "ci_lo",
@@ -77,198 +82,153 @@ class ValidationReport:
 # config validation
 
 
-def _require_int(doc: dict, path: str, key: str, violations: list[str], *, lo=None, hi=None):
-    value = doc.get(key)
-    where = f"{path}{key}" if not path else f"{path}.{key}"
-    if value is None:
-        violations.append(f"{where}: {key} required")
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        violations.append(f"{where}: must be an integer, got {value!r}")
-        return None
-    if lo is not None and value < lo:
-        violations.append(f"{where}: must be >= {lo}, got {value}")
-        return None
-    if hi is not None and value > hi:
-        violations.append(f"{where}: must be <= {hi}, got {value}")
-        return None
-    return value
+_TOP_FIELDS = {
+    "seed": replace(_RUN_FIELDS["seed"], hi=_MAX_SEED),
+    "workers": replace(_RUN_FIELDS["workers"], required=False),
+}
+_TRIALS = {"trials": _RUN_FIELDS["trials"]}
+_PRIOR_FIELDS = {
+    "uniform": {"n_values": _COUNT},
+    "zipf": {"n_values": _COUNT, "exponent": Spec(lo=0.0, lo_open=True)},
+    "explicit": {},
+}
+_CAP = {"cap": Spec(lo=0.0, hi=1.0, lo_open=True, required=False)}
+_TAU_REPLICATES = {
+    "mc_replicates": Spec("integer", lo=0, required=False),
+    "weight_replicates": Spec("integer", lo=1, required=False),
+}
+_NUMBER = Spec()
+_POSITIVE = Spec(lo=0.0, lo_open=True)
+# grid lists: (spec every entry must fit, message when one does not)
+_GRID_ENTRIES = {
+    "l": (_COUNT, "entries must be positive integers"),
+    "e": (Spec(lo=0.0, hi=0.5, hi_open=True), "symmetric rates must lie in [0, 0.5)"),
+}
 
 
-def _require_real(doc: dict, path: str, key: str, violations: list[str], *, lo=None, hi=None,
-                  lo_open=False, hi_open=False, required=True):
-    value = doc.get(key)
-    where = f"{path}.{key}" if path else key
-    if value is None:
-        if required:
-            violations.append(f"{where}: {key} required")
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        violations.append(f"{where}: must be a number, got {value!r}")
-        return None
-    value = float(value)
-    if lo is not None and (value <= lo if lo_open else value < lo):
-        violations.append(f"{where}: must be {'>' if lo_open else '>='} {lo}, got {value}")
-        return None
-    if hi is not None and (value >= hi if hi_open else value > hi):
-        violations.append(f"{where}: must be {'<' if hi_open else '<='} {hi}, got {value}")
-        return None
-    return value
-
-
-def _check_prior(doc: dict, path: str, violations: list[str]) -> None:
+def _check_prior(doc: dict) -> list[str]:
     prior = doc.get("prior")
     if prior is None:
-        violations.append(f"{path}: prior required")
-        return
+        return ["prior: prior required"]
     if not isinstance(prior, dict):
-        violations.append(f"{path}: must be an object")
-        return
+        return ["prior: must be an object"]
     generator = prior.get("generator")
-    if generator not in ("uniform", "zipf", "explicit"):
-        violations.append(f"{path}.generator: must be one of uniform, zipf, explicit, got {generator!r}")
-        return
-    if generator in ("uniform", "zipf"):
-        _require_int(prior, path, "n_values", violations, lo=1)
-    if generator == "zipf":
-        _require_real(prior, path, "exponent", violations, lo=0.0, lo_open=True)
+    if not isinstance(generator, str) or generator not in _PRIOR_FIELDS:
+        return [f"prior.generator: must be one of uniform, zipf, explicit, got {generator!r}"]
+    violations = field_violations(prior, _PRIOR_FIELDS[generator], path="prior")
     if generator == "explicit":
         values = prior.get("values")
         if not isinstance(values, list) or not values:
-            violations.append(f"{path}.values: explicit prior needs a nonempty list of values")
-        elif any(isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0 for v in values):
-            violations.append(f"{path}.values: all values must be positive numbers")
-    if "cap" in prior:
-        _require_real(prior, path, "cap", violations, lo=0.0, hi=1.0, lo_open=True)
+            violations.append("prior.values: explicit prior needs a nonempty list of values")
+        elif any(map(_POSITIVE.violation, values)):
+            violations.append("prior.values: all values must be positive numbers")
+        elif not all(v <= 1 for v in values):
+            violations.append("prior.values: all values must be <= 1")
+    return violations + field_violations(prior, _CAP, path="prior")
 
 
-def _check_scenario(doc, path: str, violations: list[str]) -> None:
+def _check_draw_counts(doc: dict) -> list[str]:
+    ls = doc.get("l")
+    if isinstance(ls, int) and not isinstance(ls, bool):
+        ls = [ls]
+    if not isinstance(ls, list) or not ls or any(map(_COUNT.violation, ls)):
+        return ["l: must be a positive integer or nonempty list of them"]
+    n = doc.get("n")
+    if _COUNT.violation(n) is None and any(v > n for v in ls):
+        return [f"l: every value must be <= n={n}"]
+    return []
+
+
+def _check_interval(doc: dict) -> list[str]:
+    interval = doc.get("interval")
+    if (
+        not isinstance(interval, list)
+        or len(interval) != 2
+        or any(map(_NUMBER.violation, interval))
+    ):
+        return ["interval: must be a [beta1, beta2] pair of numbers"]
+    if not 0.0 <= interval[0] <= interval[1] <= 1.0:
+        return [f"interval: need 0 <= beta1 <= beta2 <= 1, got {interval}"]
+    return []
+
+
+def _check_scenario(doc, path: str) -> list[str]:
     if not isinstance(doc, dict):
-        violations.append(f"{path}: must be an object")
-        return
-    l = _require_int(doc, path, "l", violations, lo=1)
-    y = doc.get("y")
-    if y not in (-1, 1):
-        violations.append(f"{path}.y: must be -1 or 1, got {y!r}")
-    e_plus = _require_real(doc, path, "e_plus", violations, lo=0.0, hi=1.0, hi_open=True)
-    e_minus = _require_real(doc, path, "e_minus", violations, lo=0.0, hi=1.0, hi_open=True)
-    if e_plus is not None and e_minus is not None and e_plus + e_minus >= 1.0:
-        violations.append(f"{path}.e_plus: e_plus + e_minus must be < 1, got {e_plus + e_minus}")
-    p_plus = _require_real(doc, path, "p_plus", violations, lo=0.0, hi=1.0,
-                           lo_open=True, hi_open=True, required=False)
-    p_minus = _require_real(doc, path, "p_minus", violations, lo=0.0, hi=1.0,
-                            lo_open=True, hi_open=True, required=False)
-    if p_plus is not None and p_minus is not None and abs(p_plus + p_minus - 1.0) > 1e-9:
-        violations.append(f"{path}.p_plus: p_plus + p_minus must equal 1, got {p_plus + p_minus}")
-    _require_real(doc, path, "smoothing_a", violations, lo=0.0, hi=1.0,
-                  lo_open=True, hi_open=True, required=False)
-    if "n" in doc:
-        n = _require_int(doc, path, "n", violations, lo=1)
-        if n is not None and l is not None and n < l:
-            violations.append(f"{path}.n: must be >= l, got n={n}, l={l}")
+        return [f"{path}: must be an object"]
+    return scenario_violations(doc, path)
+
+
+def _check_scenarios(doc: dict) -> list[str]:
+    scenarios = doc.get("scenarios")
+    if scenarios is None:
+        return [] if doc.get("grid") is not None else ["scenarios: sweep needs scenarios or grid"]
+    if not isinstance(scenarios, list) or not scenarios:
+        return ["scenarios: must be a nonempty list"]
+    return [v for i, s in enumerate(scenarios) for v in _check_scenario(s, f"scenarios[{i}]")]
+
+
+def _grid_point(base: dict, l: int, e: float) -> dict:
+    """The scenario fields of one grid point: base fields, y = 1 by default."""
+    return {"y": 1, **base, "l": l, "e_plus": e, "e_minus": e}
+
+
+def _check_grid(doc: dict) -> list[str]:
+    grid = doc.get("grid")
+    if grid is None:
+        return []
+    if not isinstance(grid, dict):
+        return ["grid: must be an object"]
+    violations, valid = [], {}
+    for key, (spec, message) in _GRID_ENTRIES.items():
+        vals = grid.get(key)
+        if not isinstance(vals, list) or not vals:
+            violations.append(f"grid.{key}: must be a nonempty list")
+        elif any(map(spec.violation, vals)):
+            violations.append(f"grid.{key}: {message}")
+        else:
+            valid[key] = vals
+    base = grid.get("base", {})
+    if not isinstance(base, dict):
+        return violations + ["grid.base: must be an object"]
+    # the base fields hold at every grid point once they hold at the largest
+    # l (the n >= l rule); placeholders stand in for invalid lists
+    point = _grid_point(base, max(valid.get("l", [1])), valid.get("e", [0.0])[0])
+    return violations + scenario_violations(point, "grid.base")
 
 
 def validate_config(doc) -> list[str]:
     """Full schema and range check; returns one message per violation."""
-    violations: list[str] = []
     if not isinstance(doc, dict):
         return ["config: must be a JSON object"]
+    violations: list[str] = []
     command = doc.get("command")
+    spec = _COMMANDS.get(command) if isinstance(command, str) else None
     if command is None:
         violations.append("command: command required")
-    elif command not in COMMANDS:
-        violations.append(f"command: must be one of {', '.join(COMMANDS)}, got {command!r}")
-    _require_int(doc, "", "seed", violations, lo=0, hi=_MAX_SEED)
-    if "workers" in doc:
-        _require_int(doc, "", "workers", violations, lo=1)
+    elif spec is None:
+        violations.append(f"command: must be one of {', '.join(_COMMANDS)}, got {command!r}")
+    violations += field_violations(doc, _TOP_FIELDS)
     if "out" in doc and not isinstance(doc["out"], str):
         violations.append("out: must be a string path")
-    if command not in COMMANDS:
-        return violations
-
-    if command == "tau":
-        _check_prior(doc, "prior", violations)
-        n = _require_int(doc, "", "n", violations, lo=1)
-        ls = doc.get("l")
-        if isinstance(ls, int) and not isinstance(ls, bool):
-            ls = [ls]
-        if not isinstance(ls, list) or not ls or any(
-            isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in ls
-        ):
-            violations.append("l: must be a positive integer or nonempty list of them")
-        elif n is not None and any(v > n for v in ls):
-            violations.append(f"l: every value must be <= n={n}")
-        if "mc_replicates" in doc:
-            _require_int(doc, "", "mc_replicates", violations, lo=0)
-        if "weight_replicates" in doc:
-            _require_int(doc, "", "weight_replicates", violations, lo=1)
-    elif command == "weight":
-        _check_prior(doc, "prior", violations)
-        interval = doc.get("interval")
-        if (
-            not isinstance(interval, list)
-            or len(interval) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in interval)
-        ):
-            violations.append("interval: must be a [beta1, beta2] pair of numbers")
-        elif not 0.0 <= interval[0] <= interval[1] <= 1.0:
-            violations.append(f"interval: need 0 <= beta1 <= beta2 <= 1, got {interval}")
-        _require_int(doc, "", "replicates", violations, lo=1)
-    elif command in ("simulate", "bounds"):
-        _check_scenario(doc.get("scenario"), "scenario", violations)
-        _require_int(doc, "", "trials", violations, lo=1)
-    elif command == "sweep":
-        _require_int(doc, "", "trials", violations, lo=1)
-        scenarios = doc.get("scenarios")
-        grid = doc.get("grid")
-        if scenarios is None and grid is None:
-            violations.append("scenarios: sweep needs scenarios or grid")
-        if scenarios is not None:
-            if not isinstance(scenarios, list) or not scenarios:
-                violations.append("scenarios: must be a nonempty list")
-            else:
-                for i, s in enumerate(scenarios):
-                    _check_scenario(s, f"scenarios[{i}]", violations)
-        if grid is not None:
-            if not isinstance(grid, dict):
-                violations.append("grid: must be an object")
-            else:
-                for key in ("l", "e"):
-                    vals = grid.get(key)
-                    if not isinstance(vals, list) or not vals:
-                        violations.append(f"grid.{key}: must be a nonempty list")
-                    elif key == "l" and any(
-                        isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in vals
-                    ):
-                        violations.append("grid.l: entries must be positive integers")
-                    elif key == "e" and any(
-                        isinstance(v, bool)
-                        or not isinstance(v, (int, float))
-                        or not 0.0 <= v < 0.5
-                        for v in vals
-                    ):
-                        violations.append("grid.e: symmetric rates must lie in [0, 0.5)")
-                base = grid.get("base", {})
-                if not isinstance(base, dict):
-                    violations.append("grid.base: must be an object")
-    elif command == "noise-synth":
-        _require_real(doc, "", "epsilon", violations, lo=0.0, hi=1.0)
-        if "sigma" in doc:
-            _require_real(doc, "", "sigma", violations, lo=0.0, lo_open=True)
-        _require_int(doc, "", "count", violations, lo=1)
-        _require_int(doc, "", "feature_dim", violations, lo=1)
+    for check in spec.checks if spec is not None else ():
+        violations += field_violations(doc, check) if isinstance(check, dict) else check(doc)
     return violations
+
+
+def _load(config_path) -> tuple[object, str | None]:
+    """The parsed config file, or None and why it could not be read."""
+    try:
+        return json.loads(Path(config_path).read_text(encoding="utf-8")), None
+    except OSError as exc:
+        return None, f"config: unreadable ({exc})"
+    except json.JSONDecodeError as exc:
+        return None, f"config: malformed JSON ({exc})"
 
 
 def validate(config_path) -> ValidationReport:
     """Load and check a config file without touching anything else."""
-    try:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        return ValidationReport((f"config: unreadable ({exc})",))
-    except json.JSONDecodeError as exc:
-        return ValidationReport((f"config: malformed JSON ({exc})",))
-    return ValidationReport(tuple(validate_config(doc)))
+    doc, error = _load(config_path)
+    return ValidationReport((error,) if error else tuple(validate_config(doc)))
 
 
 # --------------------------------------------------------------------------
@@ -320,20 +280,7 @@ def _build_prior(doc: dict):
 
 
 def _build_scenario(doc: dict) -> InstanceScenario:
-    return InstanceScenario(
-        l=doc["l"],
-        y=doc["y"],
-        e_plus=doc["e_plus"],
-        e_minus=doc["e_minus"],
-        p_plus=doc.get("p_plus", 0.5),
-        p_minus=doc.get("p_minus"),
-        smoothing_a=doc.get("smoothing_a", 0.1),
-        n=doc.get("n"),
-    )
-
-
-def _scenario_cells(s: InstanceScenario) -> list:
-    return [s.l, s.y, s.e_plus, s.e_minus, s.p_plus, s.p_minus, s.smoothing_a, s.n]
+    return InstanceScenario(**{name: doc[name] for name in _SCENARIO_FIELDS if name in doc})
 
 
 def _report_rows(report: BoundReport, headline_only: bool) -> list[list]:
@@ -343,7 +290,7 @@ def _report_rows(report: BoundReport, headline_only: bool) -> list[list]:
             continue
         bound = check.bound
         rows.append(
-            _scenario_cells(report.scenario)
+            [getattr(report.scenario, name) for name in _SCENARIO_FIELDS]
             + [
                 check.treatment.value,
                 check.mc_estimate,
@@ -359,13 +306,13 @@ def _report_rows(report: BoundReport, headline_only: bool) -> list[list]:
     return rows
 
 
-def _tau_rows(doc: dict, seed: int) -> list[list]:
+def _tau_rows(doc: dict) -> list[list]:
     n = doc["n"]
     estimates = estimate_taus(
         _build_prior(doc["prior"]),
         n,
         doc["l"] if isinstance(doc["l"], list) else [doc["l"]],
-        _command_rng(seed, "tau"),
+        _command_rng(doc["seed"], "tau"),
         mc_replicates=doc.get("mc_replicates", 0),
         weight_replicates=doc.get("weight_replicates", 10**4),
     )
@@ -388,9 +335,9 @@ def _tau_rows(doc: dict, seed: int) -> list[list]:
     return rows
 
 
-def _weight_rows(doc: dict, seed: int) -> list[list]:
+def _weight_rows(doc: dict) -> list[list]:
     prior = _build_prior(doc["prior"])
-    rng = _command_rng(seed, "weight")
+    rng = _command_rng(doc["seed"], "weight")
     b1, b2 = doc["interval"]
     est = weight_estimate(prior, (b1, b2), doc["replicates"], rng)
     ci_lo = max(0.0, est.value - _Z_95 * est.stderr)
@@ -401,30 +348,30 @@ def _weight_rows(doc: dict, seed: int) -> list[list]:
     ]
 
 
-def _sweep_scenarios(doc: dict) -> list[InstanceScenario]:
+def _scenario_rows(headline_only: bool) -> Callable[[dict], list[list]]:
+    def rows(doc: dict) -> list[list]:
+        scenario = _build_scenario(doc["scenario"])
+        report = bound_report(scenario, doc["trials"], doc["seed"], workers=doc.get("workers", 1))
+        return _report_rows(report, headline_only)
+
+    return rows
+
+
+def _sweep_rows(doc: dict) -> list[list]:
     if doc.get("scenarios") is not None:
-        return [_build_scenario(s) for s in doc["scenarios"]]
-    grid = doc["grid"]
-    base = grid.get("base", {})
-    scenarios = []
-    for l in grid["l"]:
-        for e in grid["e"]:
-            scenarios.append(
-                InstanceScenario(
-                    l=l,
-                    y=base.get("y", 1),
-                    e_plus=e,
-                    e_minus=e,
-                    p_plus=base.get("p_plus", 0.5),
-                    smoothing_a=base.get("smoothing_a", 0.1),
-                    n=base.get("n"),
-                )
-            )
-    return scenarios
+        scenarios = [_build_scenario(s) for s in doc["scenarios"]]
+    else:
+        grid = doc["grid"]
+        base = grid.get("base", {})
+        scenarios = [_build_scenario(_grid_point(base, l, e)) for l in grid["l"] for e in grid["e"]]
+    rows = []
+    for report in sweep(scenarios, doc["trials"], doc["seed"], workers=doc.get("workers", 1)):
+        rows.extend(_report_rows(report, headline_only=True))
+    return rows
 
 
-def _synth_rows(doc: dict, seed: int) -> list[list]:
-    rng = _command_rng(seed, "noise-synth")
+def _synth_rows(doc: dict) -> list[list]:
+    rng = _command_rng(doc["seed"], "noise-synth")
     synth = InstanceNoiseSynth.sample(
         doc["epsilon"], doc["feature_dim"], rng, sigma=doc.get("sigma", 0.1)
     )
@@ -447,29 +394,39 @@ def _env() -> dict:
     }
 
 
+@dataclass(frozen=True)
+class _Command:
+    """A run command: its config checks, its row builder and its CSV columns.
+
+    checks run in order; each is a table of top-level fields or a function
+    of the config returning its violations.
+    """
+
+    checks: tuple
+    rows: Callable[[dict], list[list]]
+    columns: tuple[str, ...] = CSV_COLUMNS
+
+
+_ONE_SCENARIO = (lambda doc: _check_scenario(doc.get("scenario"), "scenario"), _TRIALS)
+_COMMANDS = {
+    "tau": _Command((_check_prior, {"n": _COUNT}, _check_draw_counts, _TAU_REPLICATES), _tau_rows),
+    "weight": _Command((_check_prior, _check_interval, {"replicates": _COUNT}), _weight_rows),
+    "simulate": _Command(_ONE_SCENARIO, _scenario_rows(headline_only=True)),
+    "bounds": _Command(_ONE_SCENARIO, _scenario_rows(headline_only=False)),
+    "sweep": _Command((_TRIALS, _check_scenarios, _check_grid), _sweep_rows),
+    "noise-synth": _Command(
+        ({**_SYNTH_FIELDS, "count": _COUNT, "feature_dim": _COUNT},), _synth_rows, SYNTH_COLUMNS
+    ),
+}
+
+
 def _execute(command: str, doc: dict, out_path: Path) -> dict:
     """Run a validated config; returns manifest fields describing the output."""
-    seed = doc["seed"]
-    workers = doc.get("workers", 1)
+    spec = _COMMANDS[command]
     started = time.perf_counter()
-    columns = CSV_COLUMNS
-    if command == "tau":
-        rows = _tau_rows(doc, seed)
-    elif command == "weight":
-        rows = _weight_rows(doc, seed)
-    elif command in ("simulate", "bounds"):
-        report = bound_report(_build_scenario(doc["scenario"]), doc["trials"], seed, workers=workers)
-        rows = _report_rows(report, headline_only=command == "simulate")
-    elif command == "sweep":
-        rows = []
-        for report in sweep(_sweep_scenarios(doc), doc["trials"], seed, workers=workers):
-            rows.extend(_report_rows(report, headline_only=True))
-    elif command == "noise-synth":
-        columns, rows = SYNTH_COLUMNS, _synth_rows(doc, seed)
-    else:  # pragma: no cover - guarded by validation
-        raise ValueError(f"unknown command {command!r}")
+    rows = spec.rows(doc)
     computed = time.perf_counter()
-    count = _write_csv(out_path, columns, rows)
+    count = _write_csv(out_path, spec.columns, rows)
     written = time.perf_counter()
     return {
         "rows": count,
@@ -483,7 +440,7 @@ def main(argv=None) -> int:
         prog="noisylab",
         description="Label-noise treatment simulator: exact bounds, binomial oracles, seeded Monte Carlo.",
     )
-    parser.add_argument("command", choices=COMMANDS + ("validate",))
+    parser.add_argument("command", choices=(*_COMMANDS, "validate"))
     parser.add_argument("--config", required=True, help="path to a JSON config file")
     parser.add_argument("--out", help="output CSV path (default: <command>.csv)")
     parser.add_argument("--trials", type=int, help="override config trials")
@@ -491,38 +448,21 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, help="override config worker count")
     args = parser.parse_args(argv)
 
-    try:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"config: unreadable ({exc})", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config: malformed JSON ({exc})", file=sys.stderr)
-        return 2
-    if not isinstance(doc, dict):
-        print("config: must be a JSON object", file=sys.stderr)
+    doc, error = _load(args.config)
+    if error is None and not isinstance(doc, dict):
+        error = "config: must be a JSON object"
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
 
     if args.command == "validate":
         violations = validate_config(doc)
-        for violation in violations:
-            print(violation)
-        if violations:
-            return 2
-        print("config valid")
-        return 0
+        print("\n".join(violations) if violations else "config valid")
+        return 2 if violations else 0
 
     # flag overrides, then full validation against the effective document
-    doc = dict(doc)
-    doc["command"] = doc.get("command", args.command)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.trials is not None:
-        doc["trials"] = args.trials
-    if args.workers is not None:
-        doc["workers"] = args.workers
-    if args.out is not None:
-        doc["out"] = args.out
+    overrides = {key: getattr(args, key) for key in ("seed", "trials", "workers", "out")}
+    doc = {"command": args.command, **doc, **{k: v for k, v in overrides.items() if v is not None}}
     if doc["command"] != args.command:
         print(
             f"command: config file is for {doc['command']!r}, invoked as {args.command!r}",
@@ -531,8 +471,7 @@ def main(argv=None) -> int:
         return 2
     violations = validate_config(doc)
     if violations:
-        for violation in violations:
-            print(violation, file=sys.stderr)
+        print("\n".join(violations), file=sys.stderr)
         return 2
 
     out_path = Path(doc.get("out", f"{args.command}.csv"))

@@ -18,11 +18,13 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
+from ._spec import Spec, field_violations, raise_first
 from .bounds import (
     BoundKind,
     BoundValue,
@@ -32,6 +34,7 @@ from .bounds import (
     peer_failure_lower,
     peer_success_lower,
 )
+from .noise import _RATE_FIELDS, _RATE_RULES
 from .treatments import _TIE_EPS
 
 __all__ = [
@@ -72,6 +75,28 @@ _TREATMENT_CODE = {
 }
 
 
+_COUNT = Spec("integer", lo=1)
+_RUN_FIELDS = {"trials": _COUNT, "seed": Spec("integer", lo=0), "workers": _COUNT}
+_OPEN_UNIT = Spec(lo=0.0, hi=1.0, lo_open=True, hi_open=True, required=False)
+# InstanceScenario's fields in dataclass order, which is also the order of
+# their checks and of the scenario columns of the CSV.
+_SCENARIO_FIELDS = {
+    "l": _COUNT,
+    "y": Spec(choices=(-1, 1)),
+    **_RATE_FIELDS,
+    "p_plus": _OPEN_UNIT,
+    "p_minus": replace(_OPEN_UNIT, nullable=True),
+    "smoothing_a": _OPEN_UNIT,
+    "n": replace(_COUNT, required=False, nullable=True),
+}
+_SCENARIO_RULES = {
+    **_RATE_RULES,
+    "p_minus": ("p_plus", ("p_plus", "p_minus"), lambda a, b: abs(a + b - 1.0) <= 1e-9,
+                lambda a, b: f"p_plus + p_minus must equal 1, got {a + b}"),
+    "n": ("n", ("n", "l"), lambda n, l: n >= l, lambda n, l: f"must be >= l, got n={n}, l={l}"),
+}
+
+
 @dataclass(frozen=True)
 class InstanceScenario:
     """One instance's simulation setting.
@@ -79,7 +104,9 @@ class InstanceScenario:
     l noisy labels are drawn for a true label y under class-dependent rates
     (e_plus, e_minus); (p_plus, p_minus) are the global clean priors the
     peer decision references; smoothing_a parameterizes label smoothing.
-    n is carried for reporting only and never affects trial draws.
+    n is carried for reporting only and never affects trial draws.  The
+    fields obey _SCENARIO_FIELDS and _SCENARIO_RULES; the first violation
+    is raised as ValueError.
     """
 
     l: int
@@ -92,25 +119,9 @@ class InstanceScenario:
     n: int | None = None
 
     def __post_init__(self) -> None:
-        if self.l < 1:
-            raise ValueError(f"l must be >= 1, got {self.l}")
-        if self.y not in (-1, 1):
-            raise ValueError(f"y must be -1 or +1, got {self.y}")
-        for name, e in (("e_plus", self.e_plus), ("e_minus", self.e_minus)):
-            if not 0.0 <= e < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {e}")
-        if self.e_plus + self.e_minus >= 1.0:
-            raise ValueError("e_plus + e_minus must be < 1")
+        raise_first(scenario_violations(vars(self)))
         p_minus = 1.0 - self.p_plus if self.p_minus is None else self.p_minus
         object.__setattr__(self, "p_minus", float(p_minus))
-        if not (0.0 < self.p_plus < 1.0 and 0.0 < self.p_minus < 1.0):
-            raise ValueError("clean priors must lie strictly inside (0, 1)")
-        if abs(self.p_plus + self.p_minus - 1.0) > 1e-9:
-            raise ValueError(f"p_plus + p_minus must equal 1, got {self.p_plus + self.p_minus}")
-        if not 0.0 < self.smoothing_a < 1.0:
-            raise ValueError(f"smoothing_a must lie in (0, 1), got {self.smoothing_a}")
-        if self.n is not None and self.n < self.l:
-            raise ValueError(f"n must be >= l, got n={self.n}, l={self.l}")
 
     @property
     def e_y(self) -> float:
@@ -126,6 +137,22 @@ class InstanceScenario:
         """Population rate of observing label y."""
         rate = self.noisy_positive_rate
         return rate if y == 1 else 1.0 - rate
+
+
+_SCENARIO_DEFAULTS = {
+    f.name: f.default for f in fields(InstanceScenario) if f.default is not MISSING
+}
+
+
+def scenario_violations(doc, path: str = "") -> list[str]:
+    """One message per broken scenario rule, for a mapping of scenario fields.
+
+    Absent fields take InstanceScenario's defaults, so the prior-sum rule
+    reads p_plus = 0.5 when only p_minus is given; a None p_minus or n means
+    "not given", as it does in the dataclass.  The CLI and the dataclass
+    both check scenarios here.
+    """
+    return field_violations({**_SCENARIO_DEFAULTS, **doc}, _SCENARIO_FIELDS, _SCENARIO_RULES, path)
 
 
 @dataclass(frozen=True)
@@ -226,6 +253,11 @@ def _lc_correct_threshold(scenario: InstanceScenario) -> float | None:
     return scenario.l * (e_other / e_sum)
 
 
+def _peer_threshold(s: InstanceScenario) -> float:
+    """Correct-label count the peer decision must exceed: l times the true label's noisy rate."""
+    return s.l * s.noisy_rate_of(s.y)
+
+
 def _outcome_table(scenario: InstanceScenario, treatment: Treatment) -> np.ndarray:
     """Per-wrong-count outcome codes for one treatment.
 
@@ -244,7 +276,7 @@ def _outcome_table(scenario: InstanceScenario, treatment: Treatment) -> np.ndarr
     """
     l = scenario.l
     if treatment is Treatment.PEER_LOSS:
-        return _threshold_table(l, l * scenario.noisy_rate_of(scenario.y))
+        return _threshold_table(l, _peer_threshold(scenario))
     if treatment is Treatment.MEMORIZE:
         return _threshold_table(l, l / 2)
     if treatment is Treatment.LOSS_CORRECTION:
@@ -305,12 +337,7 @@ def run_trials(
     seed) and identical for every worker count; workers only parallelize
     the fixed chunk schedule.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS))
     if not isinstance(treatment, Treatment):
         treatment = Treatment(treatment)
     key = _stream_key(seed, treatment, scenario)
@@ -374,230 +401,175 @@ class BoundReport:
         return tuple(c for c in self.checks if c.treatment is treatment)
 
 
-def _tail_threshold(x: float) -> int:
-    """Smallest integer count k with k >= x, snapping near-integer x."""
+def _count_threshold(x: float, strict: bool = False) -> int:
+    """Smallest integer count k with k >= x (k > x when strict), snapping near-integer x."""
     if abs(x - round(x)) <= _TIE_FUZZ:
-        return int(round(x))
-    return int(math.ceil(x))
-
-
-def _strict_threshold(x: float) -> int:
-    """Smallest integer count k with k > x, snapping near-integer x."""
-    if abs(x - round(x)) <= _TIE_FUZZ:
-        return int(round(x)) + 1
+        return int(round(x)) + strict
     return int(math.ceil(x))
 
 
 def _tail_or_degenerate(l: int, p: float, k: int) -> float:
+    """P[Bin(l, p) >= k] for any integer k: 0 above l, 1 at or below 0."""
     if k > l:
         return 0.0
-    return binom_tail(l, p, max(k, 0))
+    if k <= 0:
+        return 1.0
+    return binom_tail(l, p, k)
+
+
+def _lc_success_count(s: InstanceScenario) -> int:
+    """Fewest correct labels at which loss correction strictly wins; l + 1 when it never does."""
+    threshold = _lc_correct_threshold(s)
+    return s.l + 1 if threshold is None else _count_threshold(threshold, strict=True)
+
+
+def _ls_exact(s: InstanceScenario) -> float:
+    # the LS-vs-LC error gap grows with the wrong count, so the favorable
+    # region is a single upper tail
+    nonfail = np.nonzero(_outcome_table(s, Treatment.LABEL_SMOOTHING) != _FAILURE)[0]
+    return _tail_or_degenerate(s.l, s.e_y, int(nonfail[0])) if nonfail.size else 0.0
+
+
+def _rates_equal(s: InstanceScenario) -> bool:
+    return abs(s.e_plus - s.e_minus) <= 1e-12
+
+
+def _peer_symmetric(s: InstanceScenario) -> bool:
+    return abs(s.p_plus - 0.5) <= 1e-12 and _rates_equal(s)
+
+
+# Closed forms: (kind, value, params) for a scenario, or None where the form
+# is omitted (outside its domain, or vacuous when e_y = 0).
+def _hoeffding_form(s: InstanceScenario):
+    if not 0.0 < s.e_y <= 0.5:
+        return None
+    return BoundKind.HOEFFDING_SUCCESS, lc_success_lower(s.l, s.e_y), {"l": s.l, "e": s.e_y}
+
+
+def _kl_floor_form(s: InstanceScenario):
+    if s.e_y == 0.0:
+        return None
+    return BoundKind.BINOMIAL_FAILURE_LOWER, lc_failure_lower(s.l, s.e_y), {"l": s.l, "e": s.e_y}
+
+
+def _peer_success_form(s: InstanceScenario):
+    p_opposite = s.p_minus if s.y == 1 else s.p_plus
+    params = {"l": s.l, "p_opposite": p_opposite, "e_plus": s.e_plus, "e_minus": s.e_minus}
+    return BoundKind.PEER_SUCCESS, peer_success_lower(s.l, p_opposite, s.e_plus, s.e_minus), params
+
+
+def _peer_floor_form(s: InstanceScenario):
+    if s.e_y == 0.0:
+        return None
+    symmetric = _peer_symmetric(s)
+    if not symmetric:
+        warnings.warn(
+            "peer failure bound outside its symmetric regime: value computed, not asserted",
+            stacklevel=3,
+        )
+    params = {"l": s.l, "e": s.e_y, "symmetric": symmetric}
+    return BoundKind.PEER_FAILURE_LOWER, peer_failure_lower(s.l, s.e_y), params
+
+
+@dataclass(frozen=True)
+class _Event:
+    """One bound_report check.
+
+    counts names the tally counts whose sum over trials is the Monte-Carlo
+    estimate, with its Wilson interval; () takes the tally's own estimate.
+    exact is the binomial oracle of the same event; bound, when not None,
+    gives the closed form, and regime whether its ordering is asserted.
+    """
+
+    treatment: Treatment
+    event: str
+    headline: bool
+    counts: tuple[str, ...]
+    exact: Callable[[InstanceScenario], float]
+    bound: Callable[[InstanceScenario], tuple | None] | None = None
+    regime: Callable[[InstanceScenario], bool] | None = None
+
+
+def _even_and(predicate):
+    return lambda s: s.l % 2 == 0 and predicate(s)
+
+
+# The checks in report order.  The loss-correction and smoothing bounds are
+# stated for equal rates, failure floors for even l (where the tie carries
+# the mass the l/sqrt term needs), the peer floor for the symmetric regime;
+# the peer success bound holds in every regime.
+_EVENTS = (
+    _Event(Treatment.MEMORIZE, "mean_label_error", True, (), lambda s: s.e_y),
+    _Event(Treatment.LOSS_CORRECTION, "strict_success", True, ("success",),
+           lambda s: _tail_or_degenerate(s.l, 1.0 - s.e_y, _lc_success_count(s)),
+           _hoeffding_form, _rates_equal),
+    _Event(Treatment.LOSS_CORRECTION, "tie_inclusive_failure", False, ("failure", "tie"),
+           lambda s: _tail_or_degenerate(s.l, s.e_y, s.l - _lc_success_count(s) + 1),
+           _kl_floor_form, _even_and(_rates_equal)),
+    _Event(Treatment.LABEL_SMOOTHING, "ls_better_or_tie", True, ("success", "tie"), _ls_exact,
+           _kl_floor_form, _even_and(_rates_equal)),
+    _Event(Treatment.PEER_LOSS, "strict_success", True, ("success",),
+           lambda s: _tail_or_degenerate(
+               s.l, 1.0 - s.e_y, _count_threshold(_peer_threshold(s), strict=True)
+           ),
+           _peer_success_form, lambda s: True),
+    _Event(Treatment.PEER_LOSS, "tie_inclusive_failure", False, ("failure", "tie"),
+           lambda s: _tail_or_degenerate(s.l, s.e_y, _count_threshold(s.l - _peer_threshold(s))),
+           _peer_floor_form, _even_and(_peer_symmetric)),
+)
 
 
 def bound_report(
     scenario: InstanceScenario, trials: int, seed: int, workers: int = 1
 ) -> BoundReport:
-    """Run all four treatments for a scenario and assemble every check.
+    """Run all four treatments for a scenario and assemble one check per _EVENTS entry.
 
     Headline checks (one per treatment) are what sweep rows export; the
     non-headline failure-side checks are additionally exported by the
     bounds command.  Exact columns always describe the simulated event;
-    the closed-form loss-correction/smoothing bounds are stated for equal
-    rates, so off that regime they are computed with regime_ok=False and
-    never asserted.  When e_y = 0 the scenario is flagged degenerate: every
-    draw keeps the true label, the corrected label coincides with the
-    empirical one on the only reachable split, so every loss-correction
-    trial ties (strict success has probability 0, tie-inclusive failure 1)
-    and the closed-form bounds on both sides are omitted as vacuous.
+    a closed form outside its regime is computed with regime_ok=False and
+    never asserted.  ordering_holds is exact >= bound (to 1e-12) where the
+    regime holds, else None.  When e_y = 0 the scenario is flagged
+    degenerate: every draw keeps the true label, the corrected label
+    coincides with the empirical one on the only reachable split, so every
+    loss-correction trial ties (strict success has probability 0,
+    tie-inclusive failure 1) and the closed forms on both sides are
+    omitted as vacuous.
     """
-    l, e_y = scenario.l, scenario.e_y
-    even = l % 2 == 0
-    rates_symmetric = abs(scenario.e_plus - scenario.e_minus) <= 1e-12
-    tallies = {
-        t: run_trials(scenario, t, trials, seed, workers=workers) for t in Treatment
-    }
-    degenerate = e_y == 0.0
-    checks: list[BoundCheck] = []
-
-    mem = tallies[Treatment.MEMORIZE]
-    checks.append(
-        BoundCheck(
-            treatment=Treatment.MEMORIZE,
-            event="mean_label_error",
-            headline=True,
-            tally=mem,
-            mc_estimate=mem.estimate,
-            ci=mem.wilson_ci,
-            exact=e_y,
-        )
-    )
-
-    lc = tallies[Treatment.LOSS_CORRECTION]
-    lc_threshold = _lc_correct_threshold(scenario)
-    if lc_threshold is None:
-        s_star = l + 1
-        exact_success = 0.0
-    else:
-        s_star = _strict_threshold(lc_threshold)
-        exact_success = _tail_or_degenerate(l, 1.0 - e_y, s_star)
-    if 0.0 < e_y <= 0.5:
-        success_bound = BoundValue(
-            kind=BoundKind.HOEFFDING_SUCCESS,
-            value=lc_success_lower(l, e_y),
-            params={"l": l, "e": e_y},
-            regime_ok=rates_symmetric,
-        )
-        ordering = (
-            bool(exact_success >= success_bound.value - 1e-12)
-            if success_bound.regime_ok
-            else None
-        )
-    else:
-        success_bound, ordering = None, None
-    checks.append(
-        BoundCheck(
-            treatment=Treatment.LOSS_CORRECTION,
-            event="strict_success",
-            headline=True,
-            tally=lc,
-            mc_estimate=lc.success / trials,
-            ci=lc.wilson_ci,
-            exact=exact_success,
-            bound=success_bound,
-            ordering_holds=ordering,
-        )
-    )
-
-    exact_fail = (
-        1.0 if lc_threshold is None else _tail_or_degenerate(l, e_y, l - s_star + 1)
-    )
-    if degenerate:
-        failure_bound = None
-    else:
-        failure_bound = BoundValue(
-            kind=BoundKind.BINOMIAL_FAILURE_LOWER,
-            value=lc_failure_lower(l, e_y),
-            params={"l": l, "e": e_y},
-            regime_ok=even and rates_symmetric,
-        )
-    fail_ordering = (
-        bool(exact_fail >= failure_bound.value - 1e-12)
-        if failure_bound is not None and failure_bound.regime_ok
-        else None
-    )
-    checks.append(
-        BoundCheck(
-            treatment=Treatment.LOSS_CORRECTION,
-            event="tie_inclusive_failure",
-            headline=False,
-            tally=lc,
-            mc_estimate=(lc.failure + lc.tie) / trials,
-            ci=wilson_interval(lc.failure + lc.tie, trials),
-            exact=exact_fail,
-            bound=failure_bound,
-            ordering_holds=fail_ordering,
-        )
-    )
-
-    ls = tallies[Treatment.LABEL_SMOOTHING]
-    ls_table = _outcome_table(scenario, Treatment.LABEL_SMOOTHING)
-    nonfail = np.nonzero(ls_table != _FAILURE)[0]
-    # the LS-vs-LC error gap grows with the wrong count, so the favorable
-    # region is a single upper tail
-    exact_ls = _tail_or_degenerate(l, e_y, int(nonfail[0])) if nonfail.size else 0.0
-    ls_ordering = (
-        bool(exact_ls >= failure_bound.value - 1e-12)
-        if failure_bound is not None and failure_bound.regime_ok
-        else None
-    )
-    checks.append(
-        BoundCheck(
-            treatment=Treatment.LABEL_SMOOTHING,
-            event="ls_better_or_tie",
-            headline=True,
-            tally=ls,
-            mc_estimate=(ls.success + ls.tie) / trials,
-            ci=wilson_interval(ls.success + ls.tie, trials),
-            exact=exact_ls,
-            bound=failure_bound,
-            ordering_holds=ls_ordering,
-        )
-    )
-
-    peer = tallies[Treatment.PEER_LOSS]
-    threshold = l * scenario.noisy_rate_of(scenario.y)
-    p_opposite = scenario.p_minus if scenario.y == 1 else scenario.p_plus
-    reciprocal = peer_success_lower(
-        l, p_opposite, scenario.e_plus, scenario.e_minus, form="reciprocal_margin"
-    )
-    peer_success_bound = BoundValue(
-        kind=BoundKind.PEER_SUCCESS,
-        value=peer_success_lower(l, p_opposite, scenario.e_plus, scenario.e_minus),
-        params={
-            "l": l,
-            "p_opposite": p_opposite,
-            "e_plus": scenario.e_plus,
-            "e_minus": scenario.e_minus,
-            "form": "hoeffding_corrected",
-            "reciprocal_margin_value": reciprocal,
-        },
-        regime_ok=True,
-    )
-    exact_peer_success = _tail_or_degenerate(l, 1.0 - e_y, _strict_threshold(threshold))
-    checks.append(
-        BoundCheck(
-            treatment=Treatment.PEER_LOSS,
-            event="strict_success",
-            headline=True,
-            tally=peer,
-            mc_estimate=peer.success / trials,
-            ci=peer.wilson_ci,
-            exact=exact_peer_success,
-            bound=peer_success_bound,
-            ordering_holds=bool(exact_peer_success >= peer_success_bound.value - 1e-12),
-        )
-    )
-
-    symmetric = abs(scenario.p_plus - 0.5) <= 1e-12 and rates_symmetric
-    exact_peer_fail = _tail_or_degenerate(l, e_y, _tail_threshold(l - threshold))
-    if degenerate:
-        peer_failure_bound = None
-    else:
-        if not symmetric:
-            warnings.warn(
-                "peer failure bound outside its symmetric regime: value computed, not asserted",
-                stacklevel=2,
+    tallies = {t: run_trials(scenario, t, trials, seed, workers=workers) for t in Treatment}
+    checks = []
+    for event in _EVENTS:
+        tally = tallies[event.treatment]
+        if event.counts:
+            count = sum(getattr(tally, name) for name in event.counts)
+            mc_estimate, ci = count / trials, wilson_interval(count, trials)
+        else:
+            mc_estimate, ci = tally.estimate, tally.wilson_ci
+        exact = event.exact(scenario)
+        form = event.bound(scenario) if event.bound is not None else None
+        bound = None if form is None else BoundValue(*form, regime_ok=event.regime(scenario))
+        checks.append(
+            BoundCheck(
+                treatment=event.treatment,
+                event=event.event,
+                headline=event.headline,
+                tally=tally,
+                mc_estimate=mc_estimate,
+                ci=ci,
+                exact=exact,
+                bound=bound,
+                ordering_holds=(
+                    bool(exact >= bound.value - 1e-12)
+                    if bound is not None and bound.regime_ok
+                    else None
+                ),
             )
-        peer_failure_bound = BoundValue(
-            kind=BoundKind.PEER_FAILURE_LOWER,
-            value=peer_failure_lower(l, e_y),
-            params={"l": l, "e": e_y, "symmetric": symmetric},
-            regime_ok=symmetric and even,
         )
-    peer_fail_ordering = (
-        bool(exact_peer_fail >= peer_failure_bound.value - 1e-12)
-        if peer_failure_bound is not None and peer_failure_bound.regime_ok
-        else None
-    )
-    checks.append(
-        BoundCheck(
-            treatment=Treatment.PEER_LOSS,
-            event="tie_inclusive_failure",
-            headline=False,
-            tally=peer,
-            mc_estimate=(peer.failure + peer.tie) / trials,
-            ci=wilson_interval(peer.failure + peer.tie, trials),
-            exact=exact_peer_fail,
-            bound=peer_failure_bound,
-            ordering_holds=peer_fail_ordering,
-        )
-    )
-
     return BoundReport(
         scenario=scenario,
         trials=trials,
         seed=seed,
-        degenerate=degenerate,
+        degenerate=scenario.e_y == 0.0,
         checks=tuple(checks),
     )
 

@@ -74,11 +74,15 @@ def _label_counts(labels, m: int = 2) -> np.ndarray:
     """Per-class counts of observed labels, in class-index order.
 
     Binary labels use the -1/+1 convention; multiclass labels are indices.
+    Integral floats such as 1.0 count as labels; other values are rejected,
+    never truncated.
     """
-    arr = np.asarray(labels).ravel()
-    if arr.size == 0:
+    raw = np.asarray(labels).ravel()
+    if raw.size == 0:
         raise ValueError("need at least one label")
-    arr = arr.astype(np.int64, copy=False)
+    arr = raw.astype(np.int64, copy=False)
+    if arr is not raw and not np.array_equal(arr, raw):
+        raise ValueError("labels must be integer-valued")
     if m == 2:
         n_plus = np.count_nonzero(arr == 1)
         if n_plus + np.count_nonzero(arr == -1) == arr.size:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._spec import Spec, field_violations, raise_first
 from .bounds import _deferred_special
 
 __all__ = [
@@ -29,6 +30,17 @@ __all__ = [
 expit, ndtr, ndtri = _deferred_special(globals(), "expit", "ndtr", "ndtri")
 
 _RATE_CEIL = 1.0 - 1e-6
+
+_RATE = Spec(lo=0.0, hi=1.0, hi_open=True)
+_RATE_FIELDS = {"e_plus": _RATE, "e_minus": _RATE}
+_RATE_RULES = {  # see BinaryNoiseRates for why the sum stays below 1
+    "e_minus": ("e_plus", ("e_plus", "e_minus"), lambda a, b: a + b < 1.0,
+                lambda a, b: f"e_plus + e_minus must be < 1, got {a + b}"),
+}
+_SYNTH_FIELDS = {
+    "epsilon": Spec(lo=0.0, hi=1.0),
+    "sigma": Spec(lo=0.0, lo_open=True, required=False),
+}
 
 
 def label_to_index(y: int, m: int = 2) -> int:
@@ -60,14 +72,7 @@ class BinaryNoiseRates:
     e_minus: float
 
     def __post_init__(self) -> None:
-        for name, e in (("e_plus", self.e_plus), ("e_minus", self.e_minus)):
-            if not 0.0 <= e < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {e}")
-        if self.e_plus + self.e_minus >= 1.0:
-            raise ValueError(
-                "e_plus + e_minus must be < 1 (noise is not identifiable otherwise), "
-                f"got {self.e_plus} + {self.e_minus}"
-            )
+        raise_first(field_violations(vars(self), _RATE_FIELDS, _RATE_RULES))
 
     def rate_for(self, y: int) -> float:
         """Flip rate applied to true label y."""
@@ -199,6 +204,17 @@ def combine_rate(q: float, projection: float) -> float:
     return float(min(max(q * 2.0 * expit(projection), 0.0), _RATE_CEIL))
 
 
+def _synth_parts(feature_vector, epsilon, sigma, rng, w) -> tuple[float, float, float]:
+    """(q, projection, rate) for one instance; q is drawn first, then w when it is None."""
+    feature = np.asarray(feature_vector, dtype=float).ravel()
+    q = truncated_normal(epsilon, sigma, 0.0, 1.0, rng)
+    if w is None:
+        w = rng.standard_normal(feature.size)
+    norm = float(np.linalg.norm(feature))
+    projection = float(feature @ w) / norm if norm > 0.0 else 0.0
+    return q, projection, combine_rate(q, projection)
+
+
 def synth_instance_noise(
     feature_vector,
     epsilon: float,
@@ -213,15 +229,8 @@ def synth_instance_noise(
     pass a shared w (see InstanceNoiseSynth) to hold the projection fixed
     across a dataset.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    feature = np.asarray(feature_vector, dtype=float).ravel()
-    q = truncated_normal(epsilon, sigma, 0.0, 1.0, rng)
-    if w is None:
-        w = rng.standard_normal(feature.size)
-    norm = float(np.linalg.norm(feature))
-    projection = float(feature @ w) / norm if norm > 0.0 else 0.0
-    return combine_rate(q, projection)
+    raise_first(field_violations({"epsilon": epsilon}, _SYNTH_FIELDS))
+    return _synth_parts(feature_vector, epsilon, sigma, rng, w)[2]
 
 
 @dataclass(frozen=True)
@@ -233,10 +242,7 @@ class InstanceNoiseSynth:
     sigma: float = 0.1
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        raise_first(field_violations(vars(self), _SYNTH_FIELDS))
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float).ravel())
 
     @classmethod
@@ -248,12 +254,8 @@ class InstanceNoiseSynth:
         return cls(epsilon=epsilon, w=rng.standard_normal(dim), sigma=sigma)
 
     def rate(self, feature_vector, rng: np.random.Generator) -> float:
-        return synth_instance_noise(feature_vector, self.epsilon, self.sigma, rng, w=self.w)
+        return self.draw(feature_vector, rng)[2]
 
     def draw(self, feature_vector, rng: np.random.Generator) -> tuple[float, float, float]:
         """Sample (q, projection, rate) for one instance, exposing the parts."""
-        feature = np.asarray(feature_vector, dtype=float).ravel()
-        q = truncated_normal(self.epsilon, self.sigma, 0.0, 1.0, rng)
-        norm = float(np.linalg.norm(feature))
-        projection = float(feature @ self.w) / norm if norm > 0.0 else 0.0
-        return q, projection, combine_rate(q, projection)
+        return _synth_parts(feature_vector, self.epsilon, self.sigma, rng, self.w)

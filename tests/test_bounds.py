@@ -260,13 +260,6 @@ class TestPeerBounds:
         strong = peer_success_lower(50, 0.5, 0.05, 0.05)
         assert weak < strong
 
-    def test_reciprocal_form_reported_but_distinct(self):
-        corrected = peer_success_lower(10, 0.5, 0.2, 0.2)
-        reciprocal = peer_success_lower(10, 0.5, 0.2, 0.2, form="reciprocal_margin")
-        assert reciprocal > corrected  # the reciprocal exponent explodes as margins shrink
-        with pytest.raises(ValueError):
-            peer_success_lower(10, 0.5, 0.2, 0.2, form="nonsense")
-
     def test_success_validation(self):
         with pytest.raises(ValueError):
             peer_success_lower(10, 0.0, 0.2, 0.2)

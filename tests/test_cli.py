@@ -3,7 +3,9 @@
 import csv
 import hashlib
 import json
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -566,8 +568,18 @@ class TestGoldenOutputs:
              "0,0.22289351119992568,0.940472542387562,0.3206078416602905",
              "999,0.33134629544113803,0.8777467457629607,0.4680962740401424",
              "c6273dff03aae91bf2c1477d9af4e44ca44eefe58e9d2b578f0f82b60429713b"),
+            ({"command": "tau", "seed": 7,
+              "prior": {"generator": "zipf", "n_values": 1000, "exponent": 1.1, "cap": 0.05},
+              "n": 10000, "l": [2, 10, 100], "mc_replicates": 10000}, 6,
+             "2,,,,,,,10000,tau,0.00021684053679166447,0.00021656571740583794,"
+             "0.000217115356177491,0.00021535254065503442,7.272542963057769e-10,"
+             "tau_lower_large,true,true",
+             "100,,,,,,,10000,tau,0.00990520087657236,0.009899301366604317,"
+             "0.009911100386540401,0.009909000827635437,2.8634351731114718e-08,"
+             "tau_lower_small,true,true",
+             "fe4a8e5a81482c34446b75e9c7bc6f252cd0df67cd8b2529be68b8d00adc9e3d"),
         ],
-        ids=["bounds", "simulate", "sweep", "noise-synth"],
+        ids=["bounds", "simulate", "sweep", "noise-synth", "tau"],
     )
     def test_readme_example_output_is_frozen(self, tmp_path, doc, rows, first, last, digest):
         out = tmp_path / "out.csv"
@@ -579,6 +591,170 @@ class TestGoldenOutputs:
         assert hashlib.sha256(data).hexdigest() == digest
         manifest = json.loads(out.with_suffix(".manifest.json").read_text(encoding="utf-8"))
         assert manifest["rows"] == rows == len(lines) - 1
+
+
+_W = {"seed": 1, "replicates": 10, "interval": [0.1, 0.2],
+      "prior": {"generator": "uniform", "n_values": 4}}
+_S = {"l": 4, "y": 1, "e_plus": 0.1, "e_minus": 0.1}
+_B = {"seed": 1, "trials": 10, "scenario": _S}
+_N = {"seed": 1, "epsilon": 0.2, "count": 5, "feature_dim": 3}
+
+
+def _scenario(**fields):
+    return {**_B, "scenario": {**_S, **fields}}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _run(tmp_path, capsys, command, doc):
+    """Exit code and stderr of a run, plus the exit code and stdout of validate."""
+    out = tmp_path / "out.csv"
+    config = _write_config(tmp_path, doc)
+    code = main([command, "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert not out.exists()
+    checked = _write_config(tmp_path, {"command": command, **doc}, name="checked.json")
+    validate_code = main(["validate", "--config", str(checked)])
+    return code, err, validate_code, capsys.readouterr().out
+
+
+class TestFrozenErrors:
+    # Exit code and full stderr of invalid configs, captured before the
+    # validation rules were consolidated; every exit-2 message is also what
+    # `validate` prints for the same config.
+    @pytest.mark.parametrize(
+        "command, doc, err",
+        [
+            ("weight", {**_W, "interval": [0.4, 0.2]},
+             "interval: need 0 <= beta1 <= beta2 <= 1, got [0.4, 0.2]\n"),
+            ("weight", {**_W, "interval": [0.1, "x"]},
+             "interval: must be a [beta1, beta2] pair of numbers\n"),
+            ("weight", _without(_W, "replicates"), "replicates: replicates required\n"),
+            ("bounds", _scenario(l=0), "scenario.l: must be >= 1, got 0\n"),
+            ("simulate", _scenario(l=2.5), "scenario.l: must be an integer, got 2.5\n"),
+            ("bounds", _scenario(y=2), "scenario.y: must be -1 or 1, got 2\n"),
+            ("bounds", _scenario(e_plus=1.0), "scenario.e_plus: must be < 1.0, got 1.0\n"),
+            ("simulate", _scenario(e_minus=-0.1), "scenario.e_minus: must be >= 0.0, got -0.1\n"),
+            ("bounds", _scenario(e_plus="x"), "scenario.e_plus: must be a number, got 'x'\n"),
+            ("bounds", _scenario(p_plus=1.0), "scenario.p_plus: must be < 1.0, got 1.0\n"),
+            ("bounds", _scenario(p_minus=0), "scenario.p_minus: must be > 0.0, got 0.0\n"),
+            ("simulate", _scenario(smoothing_a=1.0),
+             "scenario.smoothing_a: must be < 1.0, got 1.0\n"),
+            ("bounds", _scenario(n=0), "scenario.n: must be >= 1, got 0\n"),
+            ("bounds", _scenario(e_plus=0.7, e_minus=0.5),
+             "scenario.e_plus: e_plus + e_minus must be < 1, got 1.2\n"),
+            ("simulate", _scenario(p_plus=0.6, p_minus=0.6),
+             "scenario.p_plus: p_plus + p_minus must equal 1, got 1.2\n"),
+            ("bounds", _scenario(n=2), "scenario.n: must be >= l, got n=2, l=4\n"),
+            ("bounds", {**_B, "scenario": [1]}, "scenario: must be an object\n"),
+            ("bounds", _without(_B, "scenario"), "scenario: must be an object\n"),
+            ("bounds",
+             {"seed": -1, "trials": 0,
+              "scenario": {"l": 0, "y": 2, "e_plus": 0.7, "e_minus": 0.5, "p_plus": 0.6,
+                           "p_minus": 0.6, "smoothing_a": 2, "n": 0}},
+             "seed: must be >= 0, got -1\n"
+             "scenario.l: must be >= 1, got 0\n"
+             "scenario.y: must be -1 or 1, got 2\n"
+             "scenario.e_plus: e_plus + e_minus must be < 1, got 1.2\n"
+             "scenario.p_plus: p_plus + p_minus must equal 1, got 1.2\n"
+             "scenario.smoothing_a: must be < 1.0, got 2.0\n"
+             "scenario.n: must be >= 1, got 0\n"
+             "trials: must be >= 1, got 0\n"),
+            ("sweep", {"seed": 1, "trials": 10,
+                       "scenarios": [_S, {**_S, "e_plus": 0.9, "e_minus": 0.9}]},
+             "scenarios[1].e_plus: e_plus + e_minus must be < 1, got 1.8\n"),
+            ("sweep", {"seed": 1, "trials": 10, "scenarios": [_S, {"l": 4}]},
+             "scenarios[1].y: must be -1 or 1, got None\n"
+             "scenarios[1].e_plus: e_plus required\n"
+             "scenarios[1].e_minus: e_minus required\n"),
+            ("sweep", {"seed": 1, "trials": 10, "scenarios": []},
+             "scenarios: must be a nonempty list\n"),
+            ("sweep", {"seed": 1, "trials": 10, "grid": {"l": [0, 4], "e": [0.1]}},
+             "grid.l: entries must be positive integers\n"),
+            ("sweep", {"seed": 1, "trials": 10, "grid": {"e": [0.1]}},
+             "grid.l: must be a nonempty list\n"),
+            ("sweep", {"seed": 1, "trials": 10, "grid": {"l": [4], "e": [0.6]}},
+             "grid.e: symmetric rates must lie in [0, 0.5)\n"),
+            ("sweep", {"seed": 1, "trials": 10, "grid": {"l": [4], "e": []}},
+             "grid.e: must be a nonempty list\n"),
+            ("sweep", {"seed": 1, "trials": 10, "grid": "x"}, "grid: must be an object\n"),
+            ("sweep", {"seed": 1, "trials": 10, "grid": {"l": [4], "e": [0.1], "base": [1]}},
+             "grid.base: must be an object\n"),
+            ("sweep", {"seed": 1, "trials": 10}, "scenarios: sweep needs scenarios or grid\n"),
+            ("noise-synth", {**_N, "epsilon": 1.5}, "epsilon: must be <= 1.0, got 1.5\n"),
+            ("noise-synth", _without(_N, "epsilon"), "epsilon: epsilon required\n"),
+            ("noise-synth", {**_N, "sigma": 0}, "sigma: must be > 0.0, got 0.0\n"),
+            ("noise-synth", {**_N, "count": 0}, "count: must be >= 1, got 0\n"),
+            ("noise-synth", {**_N, "feature_dim": 0}, "feature_dim: must be >= 1, got 0\n"),
+            ("noise-synth", {**_N, "feature_dim": 2.0},
+             "feature_dim: must be an integer, got 2.0\n"),
+            ("bounds", {**_B, "seed": -1}, "seed: must be >= 0, got -1\n"),
+            ("bounds", {**_B, "seed": 2**64},
+             "seed: must be <= 18446744073709551615, got 18446744073709551616\n"),
+            ("bounds", _without(_B, "seed"), "seed: seed required\n"),
+            ("bounds", {**_B, "workers": 0}, "workers: must be >= 1, got 0\n"),
+        ],
+    )
+    def test_invalid_config_keeps_exit_2_and_its_messages(self, tmp_path, capsys, command, doc, err):
+        assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)
+
+    @pytest.mark.parametrize(
+        "doc, out",
+        [
+            (_B, "command: command required\n"),
+            ({**_B, "command": "explode"},
+             "command: must be one of tau, weight, simulate, bounds, sweep, noise-synth, "
+             "got 'explode'\n"),
+            ({**_B, "command": "bounds", "out": 7}, "out: must be a string path\n"),
+        ],
+    )
+    def test_validate_reports_top_level_violations(self, tmp_path, capsys, doc, out):
+        assert main(["validate", "--config", str(_write_config(tmp_path, doc))]) == 2
+        assert capsys.readouterr().out == out
+
+    # Configs that `validate` accepted and a run rejected with exit 3: the
+    # run and `validate` now read the same scenario and prior rules.
+    @pytest.mark.parametrize(
+        "command, doc, err",
+        [
+            ("sweep", {"seed": 1, "trials": 10, "grid": {"l": [4, 10], "e": [0.1], "base": {"y": 2}}},
+             "grid.base.y: must be -1 or 1, got 2\n"),
+            ("sweep", {"seed": 1, "trials": 10,
+                       "grid": {"l": [4, 10], "e": [0.1], "base": {"p_plus": 1.5}}},
+             "grid.base.p_plus: must be < 1.0, got 1.5\n"),
+            ("sweep", {"seed": 1, "trials": 10,
+                       "grid": {"l": [4, 10], "e": [0.1], "base": {"smoothing_a": 0}}},
+             "grid.base.smoothing_a: must be > 0.0, got 0.0\n"),
+            ("sweep", {"seed": 1, "trials": 10, "grid": {"l": [4, 10], "e": [0.1], "base": {"n": 2}}},
+             "grid.base.n: must be >= l, got n=2, l=10\n"),
+            ("bounds", _scenario(p_minus=0.3),
+             "scenario.p_plus: p_plus + p_minus must equal 1, got 0.8\n"),
+            ("weight", {**_W, "prior": {"generator": "explicit", "values": [1, 2, 3, 4]}},
+             "prior.values: all values must be <= 1\n"),
+            ("tau", {"seed": 1, "n": 100, "l": [2],
+                     "prior": {"generator": "explicit", "values": [0.5, 1.5]}},
+             "prior.values: all values must be <= 1\n"),
+        ],
+        ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
+             "weight-prior-above-1", "tau-prior-above-1"],
+    )
+    def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
+        assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)
+
+    def test_config_for_another_command_exits_2(self, tmp_path, capsys):
+        config = _write_config(tmp_path, {**_B, "command": "explode"})
+        assert main(["bounds", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == "command: config file is for 'explode', invoked as 'bounds'\n"
+
+
+def test_every_readme_config_is_valid():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) >= 5
+    for block in blocks:
+        assert validate_config(json.loads(block)) == [], block
 
 
 class TestEntryPoint:

@@ -16,6 +16,7 @@ from noisylab.bounds import (
 )
 from noisylab.memorize import LabelDist
 from noisylab.mcsim import (
+    scenario_violations,
     _CHUNK_TRIALS,
     _FAILURE,
     _SUCCESS,
@@ -104,6 +105,42 @@ class TestInstanceScenario:
             InstanceScenario(l=4, y=1, e_plus=0.1, e_minus=0.1, smoothing_a=1.0)
         with pytest.raises(ValueError):
             InstanceScenario(l=4, y=1, e_plus=0.1, e_minus=0.1, n=3)  # n < l
+
+    def test_accepts_python_and_numpy_scalars(self):
+        s = InstanceScenario(
+            l=np.int64(4), y=np.int32(-1), e_plus=0, e_minus=np.float32(0.25),
+            p_plus=np.float64(0.3), smoothing_a=np.float64(0.2), n=np.uint16(9),
+        )
+        assert (s.e_y, s.n) == (0.25, 9)
+        np.testing.assert_allclose(s.p_minus, 0.7)
+        nan = float("nan")
+        for bad in ({"l": 4.0}, {"e_plus": True}, {"n": 9.0}, {"p_plus": None}, {"p_plus": nan},
+                    {"smoothing_a": nan}, {"e_minus": nan}):
+            with pytest.raises(ValueError):
+                InstanceScenario(**{"l": 4, "y": 1, "e_plus": 0.1, "e_minus": 0.1, **bad})
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"l": 0}, "l: must be >= 1, got 0"),
+            ({"y": 2}, "y: must be -1 or 1, got 2"),
+            ({"e_plus": 0.7, "e_minus": 0.5}, "e_plus: e_plus + e_minus must be < 1, got 1.2"),
+            ({"p_minus": 0.3}, "p_plus: p_plus + p_minus must equal 1, got 0.8"),
+            ({"smoothing_a": 0}, "smoothing_a: must be > 0.0, got 0.0"),
+            ({"n": 2}, "n: must be >= l, got n=2, l=4"),
+        ],
+    )
+    def test_raises_the_message_the_cli_reports(self, fields, message):
+        # one rule table: the dataclass raises the CLI's first violation, unprefixed
+        scenario = {"l": 4, "y": 1, "e_plus": 0.1, "e_minus": 0.1, **fields}
+        assert scenario_violations(scenario, "scenario") == [f"scenario.{message}"]
+        with pytest.raises(ValueError) as excinfo:
+            InstanceScenario(**scenario)
+        assert str(excinfo.value) == message
+        if set(fields) <= {"e_plus", "e_minus"}:
+            with pytest.raises(ValueError) as excinfo:
+                BinaryNoiseRates(scenario["e_plus"], scenario["e_minus"])
+            assert str(excinfo.value) == message
 
 
 class TestWilsonInterval:

@@ -17,6 +17,7 @@ from noisylab import (
     memorization_error,
     total_excess,
 )
+from noisylab.memorize import _label_counts
 
 
 class TestLabelDist:
@@ -71,6 +72,16 @@ class TestEmpiricalDistribution:
             empirical_distribution([])
         with pytest.raises(ValueError):
             empirical_distribution([0, 3], m=3)
+
+    def test_non_integer_labels_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="integer"):
+            _label_counts(np.array([1.5, -1.0]))
+        with pytest.raises(ValueError, match="integer"):
+            empirical_distribution([1.9, -1])
+        with pytest.raises(ValueError, match="integer"):
+            empirical_distribution([0.0, 2.5], m=3)
+        np.testing.assert_array_equal(_label_counts(np.array([1.0, -1.0, 1.0])), [1, 2])
+        np.testing.assert_array_equal(empirical_distribution([0.0, 2.0], m=3).probs, [0.5, 0.0, 0.5])
 
 
 class TestMemorizationError:

@@ -244,6 +244,21 @@ class TestSynthInstanceNoise:
         np.testing.assert_allclose(projection, float(feature @ synth.w) / np.linalg.norm(feature), rtol=1e-12)
         assert rate == combine_rate(q, projection)
 
+    def test_draws_keep_their_stream_order(self):
+        # q is drawn before the projection weights when w is omitted; rate and
+        # draw read the same numbers (values frozen from the separate code paths)
+        feature = np.array([1.0, -2.0, 0.5])
+        w = np.array([0.3, 0.1, -0.4])
+        rng = np.random.default_rng(21)
+        assert synth_instance_noise(feature, 0.2, 0.1, rng) == 0.43872912855934326
+        assert synth_instance_noise(feature, 0.2, 0.1, rng, w=w) == 0.19100785183852984
+        synth = InstanceNoiseSynth(0.2, w)
+        assert synth.rate(feature, rng) == 0.11738389572831202
+        assert synth.draw(feature, rng) == (
+            0.11970432816096381, -0.04364357804719849, 0.11709258011664507
+        )
+        assert rng.random() == 0.11240308334734228
+
     def test_zero_feature_vector_neutral_projection(self):
         rng = np.random.default_rng(11)
         synth = InstanceNoiseSynth.sample(0.3, 3, rng)

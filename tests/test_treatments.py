@@ -208,6 +208,13 @@ class TestLcEmpiricalLoss:
         with pytest.raises(ValueError):
             lc_empirical_loss([], SYMM_02, [2.0, 0.1])
 
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            lc_empirical_loss([1.5, -1.0], SYMM_02, [2.0, 0.1])
+        assert lc_empirical_loss([1.0, 1.0, -1.0], SYMM_02, [2.0, 0.1]) == lc_empirical_loss(
+            [1, 1, -1], SYMM_02, [2.0, 0.1]
+        )
+
 
 class TestSmoothedLabel:
     def test_identity_and_uniform_endpoints(self):
