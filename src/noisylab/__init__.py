@@ -5,31 +5,28 @@ The package models instances by how often they appear in a training set
 weight for generalization, and compares three treatments of noisy labels —
 loss correction, label smoothing, peer loss — three ways at once: closed-form
 bounds, exact binomial probabilities, and seeded Monte-Carlo simulation.
+
+A name is exported here only while a CLI command, the acceptance gate, a
+README claim, an oracle test or perfbench's tracer reads it.
 """
 from .bounds import (
     BoundKind,
     BoundValue,
     bernoulli_kl,
     binom_tail,
-    improvement_bound,
     lc_failure_lower,
     lc_success_lower,
-    max_l_for_failure,
-    min_l_for_delta,
     peer_failure_lower,
     peer_success_lower,
 )
 from .freqmodel import (
-    FrequencySample,
     PriorSpec,
     TauEstimate,
     TauMcEstimate,
     WeightEstimate,
     build_prior,
     capped,
-    estimate_tau,
     large_interval,
-    sample_frequencies,
     small_interval,
     tau_exact,
     tau_lower_large,
@@ -38,14 +35,9 @@ from .freqmodel import (
     weight_estimate,
 )
 from .memorize import (
-    ExcessRecord,
     LabelDist,
-    argmax_error,
     empirical_distribution,
-    impact_lower_bound,
-    individual_excess,
     memorization_error,
-    total_excess,
 )
 from .mcsim import (
     BoundCheck,
@@ -61,13 +53,8 @@ from .mcsim import (
 from .noise import (
     BinaryNoiseRates,
     InstanceNoiseSynth,
-    TransitionMatrix,
-    binary_transition,
     combine_rate,
-    index_to_label,
-    invert_transition,
     label_to_index,
-    sample_noisy_labels,
     synth_instance_noise,
     truncated_normal,
 )
@@ -83,7 +70,6 @@ from .treatments import (
     corrected_label,
     lc_empirical_loss,
     lc_loss_vector,
-    paradox_gap,
     peer_expected_loss,
     peer_instance_objective,
     peer_loss_pairs_mc,

@@ -21,7 +21,8 @@ class Spec:
 
     kind is "integer" (Python or numpy integers) or "number" (Python or
     numpy integers and floats); booleans are neither.  choices, when given,
-    replaces the type and range check.  lo and hi are inclusive unless
+    replaces the type and range check: only those integers fit, so a bool
+    or a float equal to one does not.  lo and hi are inclusive unless
     lo_open / hi_open.  A field that is not required may be absent; given
     as None it is reported as missing unless it is nullable, where None
     means "not given".
@@ -39,7 +40,8 @@ class Spec:
     def violation(self, value) -> str | None:
         """Why a given value breaks this spec, or None when it fits."""
         if self.choices:
-            if value in self.choices:
+            integer = isinstance(value, _TYPES["integer"]) and not isinstance(value, bool)
+            if integer and value in self.choices:
                 return None
             return f"must be {' or '.join(map(str, self.choices))}, got {value!r}"
         if isinstance(value, bool) or not isinstance(value, _TYPES[self.kind]):

@@ -23,11 +23,8 @@ __all__ = [
     "binom_tail",
     "lc_success_lower",
     "lc_failure_lower",
-    "min_l_for_delta",
-    "max_l_for_failure",
     "peer_success_lower",
     "peer_failure_lower",
-    "improvement_bound",
 ]
 
 
@@ -68,7 +65,6 @@ class BoundKind(str, enum.Enum):
     BINOMIAL_FAILURE_LOWER = "binomial_failure_lower"
     PEER_SUCCESS = "peer_success"
     PEER_FAILURE_LOWER = "peer_failure_lower"
-    IMPACT = "impact"
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ class BoundValue:
     regime_ok records whether the assumptions under which the bound is
     asserted were satisfied; when False the value is reported for reference
     only and no ordering against exact probabilities is claimed.  Every
-    kind but IMPACT bounds a probability.
+    kind bounds a probability, so value lies in [0, 1].
     """
 
     kind: BoundKind
@@ -87,12 +83,8 @@ class BoundValue:
     regime_ok: bool = True
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"bound value must be finite, got {self.value}")
-        if self.kind is not BoundKind.IMPACT and not 0.0 <= self.value <= 1.0:
+        if not 0.0 <= self.value <= 1.0:  # NaN fails too
             raise ValueError(f"{self.kind.value} bound must lie in [0, 1], got {self.value}")
-        if self.value < 0.0:
-            raise ValueError(f"bound values are nonnegative, got {self.value}")
 
 
 def bernoulli_kl(a: float, b: float) -> float:
@@ -160,28 +152,6 @@ def lc_success_lower(l: int, e: float) -> float:
     return -math.expm1(-2.0 * l * (0.5 - e) ** 2)
 
 
-def min_l_for_delta(delta: float, e: float) -> int:
-    """Smallest l with lc_success_lower(l, e) >= 1 - delta.
-
-    Closed form l >= ln(1/delta) / (2(1/2 - e)^2) - rounded up with a small
-    backoff so values that are integers up to float noise are not bumped a
-    step too high.  e = 1/2 admits no l and raises.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not 0.0 <= e <= 0.5:
-        raise ValueError(f"e must lie in [0, 1/2], got {e}")
-    if e == 0.5:
-        raise ValueError("e = 1/2 carries no signal; no l achieves the target")
-    need = math.log(1.0 / delta) / (2.0 * (0.5 - e) ** 2)
-    l = max(1, math.ceil(need - 1e-12))
-    # The backoff can undershoot only when `need` sat within 1e-12 of an
-    # integer; one verification step repairs either direction.
-    while lc_success_lower(l, e) < 1.0 - delta:
-        l += 1
-    return l
-
-
 def lc_failure_lower(l: int, e: float) -> float:
     """Anti-concentration floor (1/sqrt(2l)) * exp(-l * KL(1/2 || e)).
 
@@ -194,30 +164,6 @@ def lc_failure_lower(l: int, e: float) -> float:
     if not 0.0 < e < 1.0:
         raise ValueError(f"e must lie in (0, 1), got {e}")
     return math.exp(-l * bernoulli_kl(0.5, e)) / math.sqrt(2.0 * l)
-
-
-def max_l_for_failure(delta: float, e: float) -> int | None:
-    """Largest l with lc_failure_lower(l, e) >= delta, or None when unbounded.
-
-    Uses the sqrt(2l) >= sqrt(2) relaxation, giving the closed form
-    l <= ln(1/(sqrt(2) delta)) / KL(1/2 || e); hence delta must sit below
-    1/sqrt(2).  At e = 1/2 the KL vanishes and every l qualifies (None).
-    Raises when even l = 1 misses the relaxed target.
-    """
-    if not 0.0 < delta < 1.0 / math.sqrt(2.0):
-        raise ValueError(f"delta must lie in (0, 1/sqrt(2)), got {delta}")
-    if not 0.0 < e < 1.0:
-        raise ValueError(f"e must lie in (0, 1), got {e}")
-    kl = bernoulli_kl(0.5, e)
-    if kl == 0.0:
-        return None
-    l = math.floor(math.log(1.0 / (math.sqrt(2.0) * delta)) / kl + 1e-12)
-    if l < 1:
-        raise ValueError(
-            f"no sample size satisfies the floor: delta={delta} already exceeds "
-            f"the relaxed bound at l=1 for e={e}"
-        )
-    return l
 
 
 def peer_success_lower(l: int, p_opposite: float, e_plus: float, e_minus: float) -> float:
@@ -249,17 +195,3 @@ def peer_failure_lower(l: int, e: float) -> float:
     even l only.
     """
     return lc_failure_lower(l, e)
-
-
-def improvement_bound(tau_lower: float, err_term: float) -> float:
-    """Guaranteed reduction of excess generalization error, tau_lower * err_term.
-
-    tau_lower is an importance-weight lower bound for the instance; err_term
-    is the error mass the treatment removes (1 for a whole-instance claim,
-    or the off-label mass sum_{k != y} P[k] for the per-instance version).
-    """
-    if tau_lower < 0.0 or err_term < 0.0:
-        raise ValueError(
-            f"inputs must be nonnegative, got tau_lower={tau_lower}, err_term={err_term}"
-        )
-    return tau_lower * err_term

@@ -97,6 +97,10 @@ _TAU_REPLICATES = {
     "mc_replicates": Spec("integer", lo=0, required=False),
     "weight_replicates": Spec("integer", lo=1, required=False),
 }
+_TAU_REPLICATE_RULES = {  # one replicate gives no standard error
+    "mc_replicates": ("mc_replicates", ("mc_replicates",), lambda r: r != 1,
+                      lambda r: f"must be 0 or >= 2, got {r}"),
+}
 _NUMBER = Spec()
 _POSITIVE = Spec(lo=0.0, lo_open=True)
 # grid lists: (spec every entry must fit, message when one does not)
@@ -409,7 +413,11 @@ class _Command:
 
 _ONE_SCENARIO = (lambda doc: _check_scenario(doc.get("scenario"), "scenario"), _TRIALS)
 _COMMANDS = {
-    "tau": _Command((_check_prior, {"n": _COUNT}, _check_draw_counts, _TAU_REPLICATES), _tau_rows),
+    "tau": _Command(
+        (_check_prior, {"n": _COUNT}, _check_draw_counts,
+         lambda doc: field_violations(doc, _TAU_REPLICATES, _TAU_REPLICATE_RULES)),
+        _tau_rows,
+    ),
     "weight": _Command((_check_prior, _check_interval, {"replicates": _COUNT}), _weight_rows),
     "simulate": _Command(_ONE_SCENARIO, _scenario_rows(headline_only=True)),
     "bounds": _Command(_ONE_SCENARIO, _scenario_rows(headline_only=False)),

@@ -26,13 +26,11 @@ import numpy as np
 
 __all__ = [
     "PriorSpec",
-    "FrequencySample",
     "TauEstimate",
     "WeightEstimate",
     "TauMcEstimate",
     "build_prior",
     "capped",
-    "sample_frequencies",
     "weight_estimate",
     "tau_exact",
     "tau_monte_carlo",
@@ -95,21 +93,6 @@ class PriorSpec:
             and l <= n / 10
             and self.pi_max() <= _REGIME_PI_MAX + 1e-15
         )
-
-
-@dataclass(frozen=True)
-class FrequencySample:
-    """One realized dataset frequency vector D(x), x = 1..N."""
-
-    d: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.d, dtype=float).ravel()
-        object.__setattr__(self, "d", d)
-        if np.any(d < 0.0):
-            raise ValueError("realized frequencies must be nonnegative")
-        if abs(d.sum() - 1.0) > 1e-12:
-            raise ValueError(f"realized frequencies must sum to 1, got {d.sum()!r}")
 
 
 @dataclass(frozen=True)
@@ -218,13 +201,6 @@ def capped(prior: PriorSpec, cap: float) -> PriorSpec:
     out = np.empty_like(values)
     out[order] = out_sorted
     return PriorSpec(out, generator=f"{prior.generator}+cap({cap:g})")
-
-
-def sample_frequencies(prior: PriorSpec, rng: np.random.Generator) -> FrequencySample:
-    """One realization: each slot draws p_x uniformly from the value set,
-    then D(x) = p_x / sum p_x."""
-    p = prior.values[rng.integers(0, prior.n_values, size=prior.n_values)]
-    return FrequencySample(p / p.sum())
 
 
 def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight_replicates=0):

@@ -1,8 +1,7 @@
-"""Noise transition matrices, noisy-label sampling, and per-instance flip-rate synthesis.
+"""Binary flip rates and per-instance flip-rate synthesis.
 
-Class-order convention, fixed package-wide: index 0 holds label -1 and index 1
-holds label +1 for binary problems; multiclass labels are plain indices
-0..m-1.  All distribution vectors and loss vectors follow this order.
+Class order, fixed package-wide: index 0 holds label -1 and index 1 holds
+label +1.  All distribution vectors and loss vectors follow this order.
 """
 from __future__ import annotations
 
@@ -15,16 +14,11 @@ from .bounds import _deferred_special
 
 __all__ = [
     "BinaryNoiseRates",
-    "TransitionMatrix",
     "InstanceNoiseSynth",
-    "binary_transition",
-    "invert_transition",
-    "sample_noisy_labels",
     "truncated_normal",
     "combine_rate",
     "synth_instance_noise",
     "label_to_index",
-    "index_to_label",
 ]
 
 expit, ndtr, ndtri = _deferred_special(globals(), "expit", "ndtr", "ndtri")
@@ -43,20 +37,11 @@ _SYNTH_FIELDS = {
 }
 
 
-def label_to_index(y: int, m: int = 2) -> int:
-    """Map a label to its class index (binary: -1 -> 0, +1 -> 1)."""
-    if m == 2 and y in (-1, 1):
+def label_to_index(y: int) -> int:
+    """Map a binary label to its class index: -1 -> 0, +1 -> 1."""
+    if y in (-1, 1):
         return 0 if y == -1 else 1
-    if isinstance(y, (int, np.integer)) and 0 <= y < m:
-        return int(y)
-    raise ValueError(f"label {y!r} is not valid for {m} classes")
-
-
-def index_to_label(idx: int) -> int:
-    """Inverse of label_to_index for the binary convention."""
-    if idx not in (0, 1):
-        raise ValueError(f"binary class index must be 0 or 1, got {idx}")
-    return -1 if idx == 0 else 1
+    raise ValueError(f"binary labels are -1 or +1, got {y!r}")
 
 
 @dataclass(frozen=True)
@@ -77,80 +62,6 @@ class BinaryNoiseRates:
     def rate_for(self, y: int) -> float:
         """Flip rate applied to true label y."""
         return self.e_plus if label_to_index(y) == 1 else self.e_minus
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic noise transition; entry (k, k') = P[observed k' | true k]."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"transition matrix must be square, got shape {entries.shape}")
-        if np.any(entries < 0.0):
-            raise ValueError("transition matrix entries must be nonnegative")
-        row_sums = entries.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > 1e-12):
-            raise ValueError(f"transition rows must sum to 1 within 1e-12, got sums {row_sums}")
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-
-def binary_transition(rates: BinaryNoiseRates) -> TransitionMatrix:
-    """Binary transition [[1-e_minus, e_minus], [e_plus, 1-e_plus]], rows ordered (-1, +1)."""
-    e_p, e_m = rates.e_plus, rates.e_minus
-    return TransitionMatrix(np.array([[1.0 - e_m, e_m], [e_p, 1.0 - e_p]]))
-
-
-def invert_transition(t: TransitionMatrix) -> np.ndarray:
-    """Inverse of a transition matrix.
-
-    Binary case uses the closed form
-    (1/(1-e_plus-e_minus)) * [[1-e_plus, -e_minus], [-e_plus, 1-e_minus]],
-    whose scale is the determinant itself, so it needs no verification;
-    larger matrices go through standard inversion and a residual check.  The
-    determinant must stay at least 1e-12 away from zero.  The result is
-    returned as a plain array: its rows still sum to 1 but entries may be
-    negative, so it is not itself a TransitionMatrix.
-    """
-    a = t.entries
-    if t.m == 2:
-        e_m, e_p = float(a[0, 1]), float(a[1, 0])
-        det = 1.0 - e_p - e_m  # the determinant of a 2x2 row-stochastic matrix
-        if abs(det) < 1e-12:
-            raise ValueError(f"transition matrix is singular (det={det:.3e})")
-        return np.array([[1.0 - e_p, -e_m], [-e_p, 1.0 - e_m]]) / det
-    det = float(np.linalg.det(a))
-    if abs(det) < 1e-12:
-        raise ValueError(f"transition matrix is singular (det={det:.3e})")
-    inv = np.linalg.inv(a)
-    residual = np.abs(a @ inv - np.eye(t.m)).max()
-    if residual > 1e-10:
-        raise ValueError(f"inverse failed verification, max |T T^-1 - I| = {residual:.3e}")
-    return inv
-
-
-def sample_noisy_labels(y, l: int, noise, rng: np.random.Generator) -> np.ndarray:
-    """Draw l independent noisy labels from row y of the transition.
-
-    With BinaryNoiseRates, y and the output use the -1/+1 convention; with a
-    TransitionMatrix, y and the output are class indices.
-    """
-    if l < 1:
-        raise ValueError(f"need at least one draw, got l={l}")
-    if isinstance(noise, BinaryNoiseRates):
-        flip = noise.rate_for(y)
-        flipped = rng.random(l) < flip
-        return np.where(flipped, -y, y).astype(np.int64)
-    if isinstance(noise, TransitionMatrix):
-        row = noise.entries[label_to_index(y, noise.m)]
-        return rng.choice(noise.m, size=l, p=row)
-    raise TypeError(f"expected BinaryNoiseRates or TransitionMatrix, got {type(noise)!r}")
 
 
 def truncated_normal(

@@ -8,8 +8,8 @@ the cross-entropy on observed labels with a penalty on labels drawn
 independently of the features; its expectation decomposes into a difference
 of KL divergences and pushes predictions to the simplex boundary.
 
-All binary vectors use the package class order: index 0 = label -1,
-index 1 = label +1.
+Label distributions and loss vectors are binary, in the package class
+order: index 0 = label -1, index 1 = label +1.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memorize import LabelDist, _label_counts, empirical_distribution, memorization_error
-from .noise import BinaryNoiseRates, TransitionMatrix, invert_transition, label_to_index
+from .memorize import LabelDist, _label_counts, memorization_error
+from .noise import BinaryNoiseRates
 
 __all__ = [
     "Comparison",
@@ -41,7 +41,6 @@ __all__ = [
     "peer_loss_pairs_mc",
     "peer_instance_objective",
     "peer_vertex_check",
-    "paradox_gap",
 ]
 
 _TIE_EPS = 1e-12
@@ -62,10 +61,10 @@ class TieRule(enum.Enum):
 
 
 def as_loss_vector(loss) -> np.ndarray:
-    """Validate and return a per-class loss vector l(h(x), y') as an array."""
+    """Validate and return a binary loss vector (l(h(x), -1), l(h(x), +1)) as an array."""
     arr = np.asarray(loss, dtype=float).ravel()
-    if arr.size < 2:
-        raise ValueError("loss vector needs at least two classes")
+    if arr.size != 2:
+        raise ValueError(f"a loss vector has two entries, got {arr.size}")
     if not all(map(math.isfinite, arr.tolist())):
         raise ValueError("loss vector entries must be finite")
     return arr
@@ -111,8 +110,6 @@ def corrected_label(dist: LabelDist, rates: BinaryNoiseRates) -> CorrectedLabel:
     e_plus P[+1] - e_minus P[-1] in general).  raw[+1] > 1 caps to [0, 1];
     raw[+1] < 0 caps to [1, 0].
     """
-    if dist.m != 2:
-        raise ValueError("corrected labels are defined for the binary case")
     p_minus, p_plus = dist.probs.tolist()
     e_p, e_m = rates.e_plus, rates.e_minus
     gap = 1.0 - e_p - e_m
@@ -136,18 +133,12 @@ def _binary_surrogate(loss_minus: float, loss_plus: float, rates: BinaryNoiseRat
     )
 
 
-def lc_loss_vector(loss, noise) -> np.ndarray:
+def lc_loss_vector(loss, rates: BinaryNoiseRates) -> np.ndarray:
     """Surrogate loss T^-1 l whose noisy expectation is the clean loss."""
     arr = as_loss_vector(loss)
-    if isinstance(noise, BinaryNoiseRates):
-        if arr.size != 2:
-            raise ValueError(f"loss vector has {arr.size} classes, transition has 2")
-        return np.array(_binary_surrogate(*arr.tolist(), noise))
-    if not isinstance(noise, TransitionMatrix):
-        raise TypeError(f"expected BinaryNoiseRates or TransitionMatrix, got {type(noise)!r}")
-    if arr.size != noise.m:
-        raise ValueError(f"loss vector has {arr.size} classes, transition has {noise.m}")
-    return invert_transition(noise) @ arr
+    if not isinstance(rates, BinaryNoiseRates):
+        raise TypeError(f"expected BinaryNoiseRates, got {type(rates)!r}")
+    return np.array(_binary_surrogate(*arr.tolist(), rates))
 
 
 def lc_empirical_loss(labels, rates: BinaryNoiseRates, loss) -> float:
@@ -155,26 +146,22 @@ def lc_empirical_loss(labels, rates: BinaryNoiseRates, loss) -> float:
 
     Equal (to float accuracy) to the raw corrected label dotted with the
     uncorrected loss — training on corrected losses and training on
-    (uncapped) corrected labels are the same computation.  Binary rates
-    count the labels directly rather than building a distribution object.
+    (uncapped) corrected labels are the same computation.  The labels are
+    counted directly rather than through a distribution object.
     """
-    arr = as_loss_vector(loss)
-    if arr.size != 2 or not isinstance(rates, BinaryNoiseRates):
-        dist = empirical_distribution(labels, m=arr.size)
-        return float(dist.probs @ lc_loss_vector(arr, rates))
+    surrogate_minus, surrogate_plus = lc_loss_vector(loss, rates).tolist()
     n_minus, n_plus = _label_counts(labels).tolist()
     l = n_minus + n_plus
-    surrogate_minus, surrogate_plus = _binary_surrogate(*arr.tolist(), rates)
     return (n_minus / l) * surrogate_minus + (n_plus / l) * surrogate_plus
 
 
 def smoothed_label(dist: LabelDist, a: float) -> LabelDist:
-    """Convex combination (1 - a) dist + (a/m) ones."""
+    """Convex combination (1 - a) dist + (a/2) ones."""
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"smoothing weight must lie in [0, 1], got {a}")
     if dist.signed:
         raise ValueError("smoothing applies to proper distributions")
-    return LabelDist((1.0 - a) * dist.probs + a / dist.m)
+    return LabelDist((1.0 - a) * dist.probs + a / 2)
 
 
 def compare_ls_lc(dist: LabelDist, y: int, rates: BinaryNoiseRates, a: float) -> Comparison:
@@ -188,8 +175,6 @@ def compare_ls_lc(dist: LabelDist, y: int, rates: BinaryNoiseRates, a: float) ->
     rounding).  Under unequal rates the even split is not a fixed point, so
     the two memorization errors are compared directly.
     """
-    if dist.m != 2:
-        raise ValueError("the comparison is defined for the binary case")
     if not 0.0 < a < 1.0:
         raise ValueError(f"smoothing weight must lie in (0, 1), got {a}")
     p_true = dist.prob_of(y)
@@ -229,8 +214,6 @@ def peer_predict(
     flat and tie_rule decides: CLEAN_PRIOR picks the side whose clean prior
     is larger (falling back to +1 when no prior is given or they are equal).
     """
-    if dist_local.m != 2:
-        raise ValueError("peer prediction is defined for the binary case")
     if not 0.0 <= global_noisy_positive_rate <= 1.0:
         raise ValueError(f"global rate must lie in [0, 1], got {global_noisy_positive_rate}")
     margin = float(dist_local.probs[1]) - global_noisy_positive_rate
@@ -394,8 +377,6 @@ def peer_instance_objective(
     The coefficient of -log q is the decision margin, so the objective is
     monotone in q and flat exactly when the margin vanishes.
     """
-    if dist_local.m != 2:
-        raise ValueError("the peer objective is defined for the binary case")
     if not 0.0 <= global_rate <= 1.0:
         raise ValueError(f"global rate must lie in [0, 1], got {global_rate}")
     q = np.clip(np.asarray(q, dtype=float), q_min, 1.0 - q_min)
@@ -419,15 +400,3 @@ def peer_vertex_check(
     grid = np.linspace(q_min, 1.0 - q_min, grid_points)
     objective = peer_instance_objective(dist_local, global_rate, grid, q_min=q_min)
     return float(grid[int(np.argmin(objective))])
-
-
-def paradox_gap(labels, rates: BinaryNoiseRates, loss, y: int) -> float:
-    """Corrected empirical loss minus the clean loss l(y).
-
-    The unbiasedness argument for corrected losses conditions on the model
-    being independent of the label draws; a memorizing model is not, and
-    this gap is the per-instance discrepancy.  It vanishes exactly when the
-    empirical distribution matches the true noisy posterior of y.
-    """
-    arr = as_loss_vector(loss)
-    return lc_empirical_loss(labels, rates, arr) - float(arr[label_to_index(y, arr.size)])

@@ -395,8 +395,7 @@ class TestTauCommand:
     @pytest.mark.parametrize(
         "overrides, code, message",
         [
-            ({"mc_replicates": 1}, 3,
-             "runtime error: replicates must be >= 2 for a standard error, got 1\n"),
+            ({"mc_replicates": 1}, 2, "mc_replicates: must be 0 or >= 2, got 1\n"),
             ({"l": [2, 101]}, 2, "l: every value must be <= n=100\n"),
             ({"l": 0}, 2, "l: must be a positive integer or nonempty list of them\n"),
             ({"weight_replicates": 0}, 2, "weight_replicates: must be >= 1, got 0\n"),
@@ -695,6 +694,8 @@ class TestFrozenErrors:
              "seed: must be <= 18446744073709551615, got 18446744073709551616\n"),
             ("bounds", _without(_B, "seed"), "seed: seed required\n"),
             ("bounds", {**_B, "workers": 0}, "workers: must be >= 1, got 0\n"),
+            ("simulate", _scenario(y=True), "scenario.y: must be -1 or 1, got True\n"),
+            ("simulate", _scenario(y=1.0), "scenario.y: must be -1 or 1, got 1.0\n"),
         ],
     )
     def test_invalid_config_keeps_exit_2_and_its_messages(self, tmp_path, capsys, command, doc, err):
@@ -736,9 +737,12 @@ class TestFrozenErrors:
             ("tau", {"seed": 1, "n": 100, "l": [2],
                      "prior": {"generator": "explicit", "values": [0.5, 1.5]}},
              "prior.values: all values must be <= 1\n"),
+            ("tau", {"seed": 1, "n": 100, "l": [2], "mc_replicates": 1,
+                     "prior": {"generator": "zipf", "n_values": 50, "exponent": 1.1}},
+             "mc_replicates: must be 0 or >= 2, got 1\n"),
         ],
         ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
-             "weight-prior-above-1", "tau-prior-above-1"],
+             "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate"],
     )
     def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
         assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)

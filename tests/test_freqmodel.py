@@ -17,13 +17,10 @@ from scipy import stats
 
 from noisylab import freqmodel
 from noisylab import (
-    FrequencySample,
     PriorSpec,
     build_prior,
     capped,
-    estimate_tau,
     large_interval,
-    sample_frequencies,
     small_interval,
     tau_exact,
     tau_lower_large,
@@ -31,7 +28,7 @@ from noisylab import (
     tau_monte_carlo,
     weight_estimate,
 )
-from noisylab.freqmodel import estimate_taus
+from noisylab.freqmodel import estimate_tau, estimate_taus
 
 
 def _tau_direct(values: np.ndarray, n: int, l: int) -> float:
@@ -148,40 +145,30 @@ class TestCapped:
 
 
 class TestSampleFrequencies:
+    # one realization draws p_x uniformly from the value set per slot, then
+    # normalizes D(x) = p_x / sum p_x; window masses expose the realized D
     def test_single_distinct_value_gives_uniform_split(self):
+        prior = PriorSpec(np.full(7, 0.3))
         rng = np.random.default_rng(0)
-        sample = sample_frequencies(PriorSpec(np.full(7, 0.3)), rng)
-        np.testing.assert_allclose(sample.d, 1.0 / 7.0, rtol=1e-14)
+        window = (1.0 / 7.0 - 1e-12, 1.0 / 7.0 + 1e-12)
+        masses = freqmodel._realizations(prior, rng, windows=[window], weight_replicates=20)[2][0]
+        np.testing.assert_allclose(masses, 1.0, rtol=1e-14)
+        est = tau_monte_carlo(prior, n=50, l=3, replicates=10, rng=rng)
+        np.testing.assert_allclose(est.value, 1.0 / 7.0, rtol=1e-12)
 
     def test_normalization_forced(self):
-        # two slots realizing (0.3, 0.1) must normalize to (0.75, 0.25);
-        # drive the rng until both values appear once in either order
+        # two slots realizing (0.3, 0.1) in either order must normalize to
+        # (0.75, 0.25); equal draws give (0.5, 0.5) and nothing in the windows
         prior = PriorSpec(np.array([0.3, 0.1]))
         rng = np.random.default_rng(1)
-        seen = False
-        for _ in range(50):
-            s = sample_frequencies(prior, rng)
-            if abs(s.d.max() - 0.75) < 1e-12:
-                np.testing.assert_allclose(sorted(s.d), [0.25, 0.75], rtol=1e-12)
-                seen = True
-                break
-        assert seen
-
-    def test_mean_slot_frequency_is_one_over_n(self):
-        prior = PriorSpec(np.linspace(0.001, 0.05, 25))
-        rng = np.random.default_rng(2)
-        reps = 4000
-        means = np.empty(reps)
-        for i in range(reps):
-            means[i] = sample_frequencies(prior, rng).d.mean()
-        # exchangeability forces E[D(x)] = 1/N exactly
-        np.testing.assert_allclose(means.mean(), 1.0 / 25.0, atol=1e-12)
-
-    def test_sample_validity_contract(self):
-        with pytest.raises(ValueError):
-            FrequencySample(np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            FrequencySample(np.array([-0.1, 1.1]))
+        high, low = freqmodel._realizations(
+            prior, rng, windows=[(0.7, 0.8), (0.2, 0.3)], weight_replicates=50
+        )[2]
+        mixed = high > 0.0
+        assert mixed.any() and not mixed.all()
+        np.testing.assert_allclose(high[mixed], 0.75, rtol=1e-12)
+        np.testing.assert_allclose(low[mixed], 0.25, rtol=1e-12)
+        assert not np.any(low[~mixed])
 
 
 class TestWeightEstimate:

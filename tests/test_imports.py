@@ -3,9 +3,12 @@
 Importing scipy.special costs about as much as the rest of a cold
 `import noisylab.cli`, and only binom_tail, truncated_normal and combine_rate
 use it.  This process loaded it long ago, so every check runs in a fresh
-interpreter that imports the same noisylab sources.
+interpreter that imports the same noisylab sources.  Every function that
+perfbench's tracer wraps must also keep resolving, or `--trace 1` breaks.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -20,6 +23,7 @@ from noisylab.bounds import binom_tail
 from noisylab.noise import combine_rate, truncated_normal
 
 SRC = Path(noisylab.__file__).resolve().parents[1]
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 UNLOADED = "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'"
 
@@ -119,3 +123,26 @@ def test_first_use_loads_it_and_matches_this_process(tmp_path):
     namespace = {"np": np, "binom_tail": binom_tail, "truncated_normal": truncated_normal,
                  "combine_rate": combine_rate}
     assert json.loads(printed) == [eval(call, namespace) for call in FIRST_USE_CALLS]
+
+
+def _tracer_targets() -> tuple:
+    """perfbench's TARGETS, read from its source without importing or running it."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "TARGETS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACER} defines no TARGETS")
+
+
+def test_every_perfbench_trace_target_resolves():
+    targets = _tracer_targets()
+    assert targets
+    missing = []
+    for _, module_name, attr in targets:
+        owner = importlib.import_module(f"noisylab.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

@@ -34,7 +34,7 @@ from noisylab.mcsim import (
     wilson_interval,
 )
 from noisylab.noise import BinaryNoiseRates
-from noisylab.treatments import Comparison, compare_ls_lc, corrected_label
+from noisylab.treatments import Comparison, compare_ls_lc, corrected_label, peer_predict
 
 
 def _label_level_counts(key, l: int, e_y: float, start_trial: int, count: int) -> np.ndarray:
@@ -128,6 +128,8 @@ class TestInstanceScenario:
             ({"p_minus": 0.3}, "p_plus: p_plus + p_minus must equal 1, got 0.8"),
             ({"smoothing_a": 0}, "smoothing_a: must be > 0.0, got 0.0"),
             ({"n": 2}, "n: must be >= l, got n=2, l=4"),
+            ({"y": True}, "y: must be -1 or 1, got True"),
+            ({"y": 1.0}, "y: must be -1 or 1, got 1.0"),
         ],
     )
     def test_raises_the_message_the_cli_reports(self, fields, message):
@@ -440,6 +442,35 @@ class TestOutcomeTables:
             for w in range(11)
         ]
         np.testing.assert_array_equal(table, expected)
+
+    def test_peer_table_agrees_with_peer_predict_on_every_split(self):
+        # peer_predict decides from the local +1 mass against the global noisy
+        # rate; the table must give the same outcome for every wrong count
+        rng = np.random.default_rng(37)
+        scenarios = [_random_scenario(rng) for _ in range(40)]
+        scenarios += [
+            InstanceScenario(l=l, y=y, e_plus=0.15, e_minus=0.3, p_plus=p_plus)
+            for l in (7, 12) for y in (-1, 1) for p_plus in (0.05, 0.9)
+        ]
+        scenarios += [  # symmetric regime at even l: the even split ties
+            InstanceScenario(l=l, y=y, e_plus=e, e_minus=e)
+            for l in (2, 10, 40) for y in (-1, 1) for e in (0.1, 0.3, 0.45)
+        ]
+        assert {s.y for s in scenarios} == {-1, 1}
+        ties = 0
+        for s in scenarios:
+            table = _outcome_table(s, Treatment.PEER_LOSS)
+            for wrong in range(s.l + 1):
+                p_true = (s.l - wrong) / s.l
+                probs = [1 - p_true, p_true] if s.y == 1 else [p_true, 1 - p_true]
+                decision = peer_predict(LabelDist(np.array(probs)), s.noisy_positive_rate)
+                if decision.tie:
+                    want = _TIE
+                else:
+                    want = _SUCCESS if decision.predicted == s.y else _FAILURE
+                assert table[wrong] == want, (s, wrong)
+                ties += want == _TIE
+        assert ties >= 18  # every symmetric even-l scenario reaches its tie
 
 
 class TestEngineMatchesComparators:

@@ -1,9 +1,9 @@
-"""Transition matrices, noisy-label sampling, and flip-rate synthesis.
+"""Binary flip rates, label indexing, the transition inverse, and flip-rate synthesis.
 
-The binary closed-form inverse is cross-checked against generic matrix
-inversion, sampled label frequencies against 3-standard-error binomial
-windows, and the truncated-normal sampler against a quadrature oracle for
-its mean.
+The rate constraints are checked at their edges, the binary closed-form
+inverse of the transition (the columns of lc_loss_vector) against generic
+matrix inversion, and the truncated-normal sampler against a quadrature
+oracle for its mean.
 """
 import math
 
@@ -14,13 +14,9 @@ from scipy import integrate, stats
 from noisylab import (
     BinaryNoiseRates,
     InstanceNoiseSynth,
-    TransitionMatrix,
-    binary_transition,
     combine_rate,
-    index_to_label,
-    invert_transition,
     label_to_index,
-    sample_noisy_labels,
+    lc_loss_vector,
     synth_instance_noise,
     truncated_normal,
 )
@@ -30,17 +26,11 @@ class TestLabelIndexing:
     def test_binary_round_trip(self):
         assert label_to_index(-1) == 0
         assert label_to_index(1) == 1
-        assert index_to_label(0) == -1
-        assert index_to_label(1) == 1
-
-    def test_multiclass_passthrough(self):
-        assert label_to_index(2, m=4) == 2
 
     def test_invalid_labels_rejected(self):
-        with pytest.raises(ValueError):
-            label_to_index(3, m=2)
-        with pytest.raises(ValueError):
-            index_to_label(2)
+        for bad in (0, 2, 3):
+            with pytest.raises(ValueError):
+                label_to_index(bad)
 
 
 class TestBinaryNoiseRates:
@@ -63,100 +53,45 @@ class TestBinaryNoiseRates:
             BinaryNoiseRates(e_plus=1.0, e_minus=0.0)
 
 
-class TestBinaryTransition:
-    def test_zero_noise_is_identity(self):
-        t = binary_transition(BinaryNoiseRates(0.0, 0.0))
-        np.testing.assert_array_equal(t.entries, np.eye(2))
-
-    def test_symmetric_anchor(self):
-        t = binary_transition(BinaryNoiseRates(0.2, 0.2))
-        np.testing.assert_array_equal(t.entries, [[0.8, 0.2], [0.2, 0.8]])
-
-    def test_row_layout_follows_class_order(self):
-        # row 0 is the true -1 class, so its off-diagonal is e_minus
-        t = binary_transition(BinaryNoiseRates(e_plus=0.1, e_minus=0.3))
-        np.testing.assert_allclose(t.entries, [[0.7, 0.3], [0.1, 0.9]], rtol=1e-15)
+def _transition(rates):
+    # T[k, k'] = P[observed k' | true k]; row 0 is the true -1 class
+    e_p, e_m = rates.e_plus, rates.e_minus
+    return np.array([[1.0 - e_m, e_m], [e_p, 1.0 - e_p]])
 
 
-class TestTransitionMatrixValidation:
-    def test_rows_must_be_stochastic(self):
-        with pytest.raises(ValueError):
-            TransitionMatrix(np.array([[0.5, 0.4], [0.2, 0.8]]))
-        with pytest.raises(ValueError):
-            TransitionMatrix(np.array([[1.1, -0.1], [0.2, 0.8]]))
-        with pytest.raises(ValueError):
-            TransitionMatrix(np.ones((2, 3)) / 3.0)
-
-    def test_m_property(self):
-        t = TransitionMatrix(np.eye(3))
-        assert t.m == 3
+def _inverse(rates):
+    # lc_loss_vector(loss) = T^-1 loss, so the unit losses give T^-1's columns
+    return np.column_stack([lc_loss_vector(unit, rates) for unit in np.eye(2)])
 
 
 class TestInvertTransition:
     def test_zero_noise_inverse_is_identity(self):
-        t = binary_transition(BinaryNoiseRates(0.0, 0.0))
-        np.testing.assert_array_equal(invert_transition(t), np.eye(2))
+        np.testing.assert_array_equal(_inverse(BinaryNoiseRates(0.0, 0.0)), np.eye(2))
 
     def test_binary_closed_form_matches_generic_inversion(self):
         rng = np.random.default_rng(17)
         for _ in range(300):
             e_p = float(rng.uniform(0.0, 0.9))
             e_m = float(rng.uniform(0.0, max(1e-9, 0.98 - e_p)))
-            t = binary_transition(BinaryNoiseRates(e_p, e_m))
-            inv = invert_transition(t)
-            np.testing.assert_allclose(inv, np.linalg.inv(t.entries), rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(t.entries @ inv, np.eye(2), atol=1e-10)
+            rates = BinaryNoiseRates(e_p, e_m)
+            loss = rng.uniform(-3.0, 3.0, size=2)
+            t = _transition(rates)
+            want = np.linalg.inv(t) @ loss
+            np.testing.assert_allclose(lc_loss_vector(loss, rates), want, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(t @ _inverse(rates), np.eye(2), atol=1e-10)
 
     def test_inverse_rows_sum_to_one_with_negative_entries(self):
-        inv = invert_transition(binary_transition(BinaryNoiseRates(0.2, 0.2)))
+        inv = _inverse(BinaryNoiseRates(0.2, 0.2))
         np.testing.assert_allclose(inv.sum(axis=1), [1.0, 1.0], atol=1e-12)
         assert inv[0, 1] < 0.0 and inv[1, 0] < 0.0
 
-    def test_three_class_inverse(self):
-        t = TransitionMatrix(
-            np.array([[0.5, 0.25, 0.25], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]])
-        )
-        inv = invert_transition(t)
-        np.testing.assert_allclose(t.entries @ inv, np.eye(3), atol=1e-10)
-
     def test_singular_matrix_rejected(self):
-        t = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            invert_transition(t)
-
-
-class TestSampleNoisyLabels:
-    def test_zero_noise_keeps_the_label(self):
-        rng = np.random.default_rng(0)
-        draws = sample_noisy_labels(1, 5, BinaryNoiseRates(0.0, 0.0), rng)
-        np.testing.assert_array_equal(draws, [1, 1, 1, 1, 1])
-        draws = sample_noisy_labels(-1, 5, BinaryNoiseRates(0.0, 0.0), rng)
-        np.testing.assert_array_equal(draws, [-1, -1, -1, -1, -1])
-
-    def test_flip_fraction_tracks_the_rate(self):
-        rng = np.random.default_rng(1)
-        n = 10**5
-        draws = sample_noisy_labels(1, n, BinaryNoiseRates(0.2, 0.05), rng)
-        flipped = np.count_nonzero(draws == -1) / n
-        se = math.sqrt(0.2 * 0.8 / n)
-        assert abs(flipped - 0.2) <= 3.0 * se
-
-    def test_multiclass_row_frequencies(self):
-        row = np.array([0.5, 0.25, 0.25])
-        t = TransitionMatrix(np.array([row, [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]]))
-        rng = np.random.default_rng(2)
-        n = 10**5
-        draws = sample_noisy_labels(0, n, t, rng)
-        for k in range(3):
-            freq = np.count_nonzero(draws == k) / n
-            se = math.sqrt(row[k] * (1.0 - row[k]) / n)
-            assert abs(freq - row[k]) <= 3.0 * se
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            sample_noisy_labels(1, 0, BinaryNoiseRates(0.1, 0.1), np.random.default_rng(0))
-        with pytest.raises(TypeError):
-            sample_noisy_labels(1, 5, "not noise", np.random.default_rng(0))
+        # det T = 1 - e_plus - e_minus; rates on the singular line never exist
+        for e_p in (0.5, 0.3, 0.9):
+            with pytest.raises(ValueError):
+                BinaryNoiseRates(e_p, 1.0 - e_p)
+        near = BinaryNoiseRates(0.4999, 0.4999)
+        np.testing.assert_allclose(_transition(near) @ _inverse(near), np.eye(2), atol=1e-9)
 
 
 class TestTruncatedNormal:
