@@ -55,7 +55,6 @@ from .noise import (
     InstanceNoiseSynth,
     combine_rate,
     label_to_index,
-    synth_instance_noise,
     truncated_normal,
 )
 from .treatments import (

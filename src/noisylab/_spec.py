@@ -57,6 +57,9 @@ class Spec:
         return None
 
 
+_COUNT = Spec("integer", lo=1)
+
+
 def field_violations(values, fields: dict, rules: dict | None = None, path: str = "") -> list[str]:
     """One message per broken field or cross-field rule, in table order.
 

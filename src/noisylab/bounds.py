@@ -14,8 +14,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "BoundKind",
     "BoundValue",
@@ -55,7 +53,7 @@ def _deferred_special(namespace: dict, *names: str) -> tuple:
     return tuple(stand_in(name) for name in names)
 
 
-gammaln, logsumexp = _deferred_special(globals(), "gammaln", "logsumexp")
+(betainc,) = _deferred_special(globals(), "betainc")
 
 
 class BoundKind(str, enum.Enum):
@@ -112,8 +110,9 @@ def bernoulli_kl(a: float, b: float) -> float:
 def binom_tail(l: int, p: float, k: int) -> float:
     """Exact upper tail P[Bin(l, p) >= k].
 
-    Summed in log space from binomial log-pmf terms (gammaln + logsumexp) so
-    deep tails keep relative accuracy; the result is clipped to [0, 1].
+    The binomial-beta identity P[Bin(l, p) >= k] = I_p(k, l - k + 1)
+    (Abramowitz & Stegun 26.5.24) gives it as one regularized incomplete beta
+    call, accurate to a few ulps in relative terms even in deep tails.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
@@ -123,19 +122,7 @@ def binom_tail(l: int, p: float, k: int) -> float:
         raise ValueError(f"threshold must lie in [0, l], got k={k} with l={l}")
     if k == 0:
         return 1.0
-    if p == 0.0:
-        return 0.0  # k >= 1 here
-    if p == 1.0:
-        return 1.0
-    j = np.arange(k, l + 1)
-    log_terms = (
-        gammaln(l + 1)
-        - gammaln(j + 1)
-        - gammaln(l - j + 1)
-        + j * math.log(p)
-        + (l - j) * math.log1p(-p)
-    )
-    return float(np.clip(np.exp(logsumexp(log_terms)), 0.0, 1.0))
+    return float(betainc(k, l - k + 1, p))
 
 
 def lc_success_lower(l: int, e: float) -> float:

@@ -28,10 +28,16 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._spec import Spec, field_violations
-from .freqmodel import build_prior, estimate_taus, weight_estimate
+from ._spec import _COUNT, Spec, field_violations
+from .freqmodel import (
+    build_prior,
+    estimate_taus,
+    prior_violations,
+    tau_violations,
+    weight_estimate,
+    weight_violations,
+)
 from .mcsim import (
-    _COUNT,
     _RUN_FIELDS,
     _SCENARIO_FIELDS,
     _Z_95,
@@ -87,73 +93,11 @@ _TOP_FIELDS = {
     "workers": replace(_RUN_FIELDS["workers"], required=False),
 }
 _TRIALS = {"trials": _RUN_FIELDS["trials"]}
-_PRIOR_FIELDS = {
-    "uniform": {"n_values": _COUNT},
-    "zipf": {"n_values": _COUNT, "exponent": Spec(lo=0.0, lo_open=True)},
-    "explicit": {},
-}
-_CAP = {"cap": Spec(lo=0.0, hi=1.0, lo_open=True, required=False)}
-_TAU_REPLICATES = {
-    "mc_replicates": Spec("integer", lo=0, required=False),
-    "weight_replicates": Spec("integer", lo=1, required=False),
-}
-_TAU_REPLICATE_RULES = {  # one replicate gives no standard error
-    "mc_replicates": ("mc_replicates", ("mc_replicates",), lambda r: r != 1,
-                      lambda r: f"must be 0 or >= 2, got {r}"),
-}
-_NUMBER = Spec()
-_POSITIVE = Spec(lo=0.0, lo_open=True)
 # grid lists: (spec every entry must fit, message when one does not)
 _GRID_ENTRIES = {
     "l": (_COUNT, "entries must be positive integers"),
     "e": (Spec(lo=0.0, hi=0.5, hi_open=True), "symmetric rates must lie in [0, 0.5)"),
 }
-
-
-def _check_prior(doc: dict) -> list[str]:
-    prior = doc.get("prior")
-    if prior is None:
-        return ["prior: prior required"]
-    if not isinstance(prior, dict):
-        return ["prior: must be an object"]
-    generator = prior.get("generator")
-    if not isinstance(generator, str) or generator not in _PRIOR_FIELDS:
-        return [f"prior.generator: must be one of uniform, zipf, explicit, got {generator!r}"]
-    violations = field_violations(prior, _PRIOR_FIELDS[generator], path="prior")
-    if generator == "explicit":
-        values = prior.get("values")
-        if not isinstance(values, list) or not values:
-            violations.append("prior.values: explicit prior needs a nonempty list of values")
-        elif any(map(_POSITIVE.violation, values)):
-            violations.append("prior.values: all values must be positive numbers")
-        elif not all(v <= 1 for v in values):
-            violations.append("prior.values: all values must be <= 1")
-    return violations + field_violations(prior, _CAP, path="prior")
-
-
-def _check_draw_counts(doc: dict) -> list[str]:
-    ls = doc.get("l")
-    if isinstance(ls, int) and not isinstance(ls, bool):
-        ls = [ls]
-    if not isinstance(ls, list) or not ls or any(map(_COUNT.violation, ls)):
-        return ["l: must be a positive integer or nonempty list of them"]
-    n = doc.get("n")
-    if _COUNT.violation(n) is None and any(v > n for v in ls):
-        return [f"l: every value must be <= n={n}"]
-    return []
-
-
-def _check_interval(doc: dict) -> list[str]:
-    interval = doc.get("interval")
-    if (
-        not isinstance(interval, list)
-        or len(interval) != 2
-        or any(map(_NUMBER.violation, interval))
-    ):
-        return ["interval: must be a [beta1, beta2] pair of numbers"]
-    if not 0.0 <= interval[0] <= interval[1] <= 1.0:
-        return [f"interval: need 0 <= beta1 <= beta2 <= 1, got {interval}"]
-    return []
 
 
 def _check_scenario(doc, path: str) -> list[str]:
@@ -317,8 +261,7 @@ def _tau_rows(doc: dict) -> list[list]:
         n,
         doc["l"] if isinstance(doc["l"], list) else [doc["l"]],
         _command_rng(doc["seed"], "tau"),
-        mc_replicates=doc.get("mc_replicates", 0),
-        weight_replicates=doc.get("weight_replicates", 10**4),
+        **{key: doc[key] for key in ("mc_replicates", "weight_replicates") if key in doc},
     )
     rows = []
     for est in estimates:
@@ -342,8 +285,7 @@ def _tau_rows(doc: dict) -> list[list]:
 def _weight_rows(doc: dict) -> list[list]:
     prior = _build_prior(doc["prior"])
     rng = _command_rng(doc["seed"], "weight")
-    b1, b2 = doc["interval"]
-    est = weight_estimate(prior, (b1, b2), doc["replicates"], rng)
+    est = weight_estimate(prior, doc["interval"], doc["replicates"], rng)
     ci_lo = max(0.0, est.value - _Z_95 * est.stderr)
     ci_hi = min(1.0, est.value + _Z_95 * est.stderr)
     return [
@@ -413,12 +355,8 @@ class _Command:
 
 _ONE_SCENARIO = (lambda doc: _check_scenario(doc.get("scenario"), "scenario"), _TRIALS)
 _COMMANDS = {
-    "tau": _Command(
-        (_check_prior, {"n": _COUNT}, _check_draw_counts,
-         lambda doc: field_violations(doc, _TAU_REPLICATES, _TAU_REPLICATE_RULES)),
-        _tau_rows,
-    ),
-    "weight": _Command((_check_prior, _check_interval, {"replicates": _COUNT}), _weight_rows),
+    "tau": _Command((prior_violations, tau_violations), _tau_rows),
+    "weight": _Command((prior_violations, weight_violations), _weight_rows),
     "simulate": _Command(_ONE_SCENARIO, _scenario_rows(headline_only=True)),
     "bounds": _Command(_ONE_SCENARIO, _scenario_rows(headline_only=False)),
     "sweep": _Command((_TRIALS, _check_scenarios, _check_grid), _sweep_rows),

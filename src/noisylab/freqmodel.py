@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from ._spec import _COUNT, Spec, field_violations, raise_first
 
 __all__ = [
     "PriorSpec",
@@ -128,6 +130,53 @@ class TauEstimate:
     regime_ok: bool = True
 
 
+def _zipf(doc: dict) -> PriorSpec:
+    weights = np.arange(1, doc["n_values"] + 1, dtype=float) ** (-float(doc["exponent"]))
+    return PriorSpec(weights / weights.sum(), generator=f"zipf(s={doc['exponent']:g})")
+
+
+_POSITIVE = Spec(lo=0.0, lo_open=True)
+# Per generator: its prior config's fields and the uncapped prior they build.
+_GENERATORS = {
+    "uniform": ({"n_values": _COUNT},
+                lambda doc: PriorSpec(np.full(doc["n_values"], 1.0 / doc["n_values"]), "uniform")),
+    "zipf": ({"n_values": _COUNT, "exponent": _POSITIVE}, _zipf),
+    "explicit": ({}, lambda doc: PriorSpec(np.asarray(doc["values"], dtype=float))),
+}
+_CAP = {"cap": Spec(lo=0.0, hi=1.0, lo_open=True, required=False)}
+
+
+def _values_violations(values) -> list[str]:
+    if not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0:
+        return ["prior.values: explicit prior needs a nonempty list of values"]
+    if any(map(_POSITIVE.violation, values)):
+        return ["prior.values: all values must be positive numbers"]
+    return [] if all(v <= 1 for v in values) else ["prior.values: all values must be <= 1"]
+
+
+def _cap_violations(values: np.ndarray, cap, path: str = "") -> list[str]:
+    n, total = values.size, float(np.sum(values))
+    feasible = ("cap", ("cap",), lambda c: not n * c < total * (1.0 - 1e-12),
+                lambda c: f"cap {c} is infeasible for {n} values summing to {total}")
+    return field_violations({"cap": cap}, _CAP, {"cap": feasible}, path)
+
+
+def prior_violations(config: dict) -> list[str]:
+    """One message per broken rule of a config's prior; a valid cap is checked against the prior."""
+    doc = config.get("prior")
+    if not isinstance(doc, dict):
+        return ["prior: prior required" if doc is None else "prior: must be an object"]
+    generator = doc.get("generator")
+    if not isinstance(generator, str) or generator not in _GENERATORS:
+        return [f"prior.generator: must be one of {', '.join(_GENERATORS)}, got {generator!r}"]
+    violations = field_violations(doc, _GENERATORS[generator][0], path="prior")
+    if generator == "explicit":
+        violations += _values_violations(doc.get("values"))
+    if violations or doc.get("cap") is None:
+        return violations + field_violations(doc, _CAP, path="prior")
+    return _cap_violations(_GENERATORS[generator][1](doc).values, doc["cap"], path="prior")
+
+
 def build_prior(
     generator: str,
     *,
@@ -139,29 +188,14 @@ def build_prior(
     """Construct a normalized prior.
 
     generator "uniform" needs n; "zipf" needs n and exponent (weights
-    k^-exponent, k = 1..n); "explicit" needs positive values.  A cap, when
-    given, waterfills the normalized prior so no value exceeds it.
+    k^-exponent, k = 1..n); "explicit" needs values in (0, 1]; a cap waterfills
+    the prior below it.  The first prior_violations message is raised.
     """
-    if generator == "uniform":
-        if n is None or n < 1:
-            raise ValueError("uniform prior needs n >= 1")
-        prior = PriorSpec(np.full(n, 1.0 / n), generator="uniform")
-    elif generator == "zipf":
-        if n is None or n < 1:
-            raise ValueError("zipf prior needs n >= 1")
-        if exponent is None or exponent <= 0.0:
-            raise ValueError("zipf prior needs exponent > 0")
-        weights = np.arange(1, n + 1, dtype=float) ** (-float(exponent))
-        prior = PriorSpec(weights / weights.sum(), generator=f"zipf(s={exponent:g})")
-    elif generator == "explicit":
-        if values is None:
-            raise ValueError("explicit prior needs values")
-        prior = PriorSpec(np.asarray(values, dtype=float), generator="explicit")
-    else:
-        raise ValueError(f"unknown prior generator {generator!r}")
-    if cap is not None:
-        prior = capped(prior, cap)
-    return prior
+    doc = {"generator": generator, "n_values": n, "exponent": exponent, "values": values, "cap": cap}
+    doc = {key: value for key, value in doc.items() if value is not None}
+    raise_first(prior_violations({"prior": doc}))
+    prior = _GENERATORS[generator][1](doc)
+    return prior if cap is None else capped(prior, cap)
 
 
 def capped(prior: PriorSpec, cap: float) -> PriorSpec:
@@ -169,15 +203,12 @@ def capped(prior: PriorSpec, cap: float) -> PriorSpec:
 
     Waterfilling: the largest entries are pinned at cap and the remainder
     is scaled by a common factor c solving sum_i min(c * v_i, cap) = total.
-    Feasible only when N * cap >= total.
+    Feasible only when N * cap >= total, to a relative 1e-12 (see _cap_violations).
     """
-    if not 0.0 < cap <= 1.0:
-        raise ValueError(f"cap must lie in (0, 1], got {cap}")
     values = prior.values
+    raise_first(_cap_violations(values, cap))
     n = values.size
-    total = float(values.sum())
-    if n * cap < total * (1.0 - 1e-12):
-        raise ValueError(f"cap {cap} is infeasible for {n} values summing to {total}")
+    total = float(np.sum(values))
     order = np.argsort(values)[::-1]
     sorted_vals = values[order]
     tail_sums = np.concatenate([np.cumsum(sorted_vals[::-1])[::-1], [0.0]])
@@ -242,10 +273,48 @@ def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight
     return lnum, lden, masses
 
 
-def _require_replicates(replicates: int, least: int) -> None:
-    if replicates < least:
-        why = " for a standard error" if least > 1 else ""
-        raise ValueError(f"replicates must be >= {least}{why}, got {replicates}")
+_MC_REPLICATES = Spec("integer", lo=2)  # a standard error needs two replicates
+_WEIGHT_VALUE = {"weight_value": Spec(lo=0.0, hi=1.0)}
+# tau config fields, checked before l; mc_replicates = 0 skips Monte Carlo
+_TAU_FIELDS = {
+    "n": Spec("integer", lo=2),  # the bound windows divide by n - 1
+    "mc_replicates": Spec("integer", lo=0, required=False),
+    "weight_replicates": replace(_COUNT, required=False),
+}
+_TAU_RULES = {
+    "mc_replicates": ("mc_replicates", ("mc_replicates",),
+                      lambda r: r == 0 or _MC_REPLICATES.violation(r) is None,
+                      lambda r: f"must be 0 or >= {_MC_REPLICATES.lo}, got {r}"),
+}
+
+
+def _draw_count_violations(doc: dict) -> list[str]:
+    ls = doc.get("l")
+    if Spec("integer").violation(ls) is None:
+        ls = [ls]
+    if not isinstance(ls, list) or not ls or any(map(_COUNT.violation, ls)):
+        return ["l: must be a positive integer or nonempty list of them"]
+    n = doc.get("n")
+    if Spec("integer").violation(n) is None and any(v > n for v in ls):
+        return [f"l: every value must be <= n={n}"]
+    return []
+
+
+def tau_violations(doc: dict) -> list[str]:
+    """One message per broken rule of a tau config: n, the replicate counts, then l."""
+    return field_violations(doc, _TAU_FIELDS, _TAU_RULES) + _draw_count_violations(doc)
+
+
+def weight_violations(doc: dict) -> list[str]:
+    """One message per broken rule of a weight config: the interval, then replicates."""
+    interval = doc.get("interval")
+    violations = field_violations(doc, {"replicates": _COUNT})
+    if (not isinstance(interval, (list, tuple)) or len(interval) != 2
+            or any(map(Spec().violation, interval))):
+        return ["interval: must be a [beta1, beta2] pair of numbers"] + violations
+    if not 0.0 <= interval[0] <= interval[1] <= 1.0:
+        return [f"interval: need 0 <= beta1 <= beta2 <= 1, got {interval}"] + violations
+    return violations
 
 
 def weight_estimate(prior: PriorSpec, interval: tuple[float, float], replicates: int,
@@ -257,10 +326,8 @@ def weight_estimate(prior: PriorSpec, interval: tuple[float, float], replicates:
     The standard error is the sample standard deviation of the per-replicate
     masses over sqrt(replicates).
     """
+    raise_first(weight_violations({"interval": interval, "replicates": replicates}))
     b1, b2 = float(interval[0]), float(interval[1])
-    if not 0.0 <= b1 <= b2 <= 1.0:
-        raise ValueError(f"need 0 <= b1 <= b2 <= 1, got [{b1}, {b2}]")
-    _require_replicates(replicates, 1)
     masses = _realizations(prior, rng, windows=[(b1, b2)], weight_replicates=replicates)[2][0]
     value = float(masses.mean())
     stderr = float(masses.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
@@ -277,10 +344,7 @@ def tau_exact(prior: PriorSpec, n: int, l: int) -> float:
     common factor cancels exactly, and cancelling it symbolically keeps the
     point-mass identity exact in floating point.
     """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if l > n:
-        raise ValueError(f"l must not exceed n, got l={l}, n={n}")
+    raise_first(_draw_count_violations({"n": n, "l": l}))
     values = prior.values
     first = values[0]
     if np.all(values == first):
@@ -307,9 +371,8 @@ def tau_monte_carlo(
     from the per-replicate (numerator, denominator) pairs rescaled by a
     common shift, which cancels in both.
     """
-    if l < 1 or l > n:
-        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    _require_replicates(replicates, 2)
+    raise_first(_draw_count_violations({"n": n, "l": l})
+                + field_violations({"replicates": replicates}, {"replicates": _MC_REPLICATES}))
     lnum, lden, _ = _realizations(prior, rng, n=n, ls=[l], mc_replicates=replicates)
     return _tau_mc(lnum[0], lden[0])
 
@@ -334,10 +397,8 @@ def tau_lower_large(n: int, l: int, weight_value: float) -> float:
     weight_value is weight(pi, [2/3 (l-1)/(n-1), 4/3 l/n]); asserted when
     n >= 1e3, N >= 1e2, l <= n/10, and pi_max <= 1/20.  Vacuous at l = 1.
     """
-    if not 1 <= l <= n:
-        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    if not 0.0 <= weight_value <= 1.0:
-        raise ValueError(f"weight_value must lie in [0, 1], got {weight_value}")
+    raise_first(_draw_count_violations({"n": n, "l": l})
+                + field_violations({"weight_value": weight_value}, _WEIGHT_VALUE))
     return 0.4 * (l * (l - 1.0)) / (n * (n - 1.0)) * weight_value
 
 
@@ -348,10 +409,8 @@ def tau_lower_small(n: int, l: int, weight_value: float) -> float:
     geometric factor makes the bound less informative as l grows; at l = 1
     it is vacuous (zero) and a warning is issued.
     """
-    if not 1 <= l <= n:
-        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    if not 0.0 <= weight_value <= 1.0:
-        raise ValueError(f"weight_value must lie in [0, 1], got {weight_value}")
+    raise_first(_draw_count_violations({"n": n, "l": l})
+                + field_violations({"weight_value": weight_value}, _WEIGHT_VALUE))
     if l == 1:
         warnings.warn("small-l tau bound is vacuous at l = 1", stacklevel=2)
         return 0.0
@@ -382,12 +441,11 @@ def estimate_taus(prior: PriorSpec, n: int, ls: list[int], rng: np.random.Genera
     mc_replicates rows (mc_replicates = 0 skips it).  The draws do not depend
     on the chunking, so each l's estimate is the same whether it is requested
     alone or with others, and the bound columns do not depend on
-    mc_replicates.
+    mc_replicates.  The first tau_violations message is raised as ValueError.
     """
+    raise_first(tau_violations({"n": n, "l": list(ls), "mc_replicates": mc_replicates,
+                                "weight_replicates": weight_replicates}))
     exact = [tau_exact(prior, n, l) for l in ls]
-    _require_replicates(weight_replicates, 1)
-    if mc_replicates:
-        _require_replicates(mc_replicates, 2)
     windows = {(l, "large"): large_interval(n, l) for l in ls}
     windows.update({(l, "small"): small_interval(n, l) for l in ls if l > 1})
     lnum, lden, masses = _realizations(

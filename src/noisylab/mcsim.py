@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from ._spec import Spec, field_violations, raise_first
+from ._spec import _COUNT, Spec, field_violations, raise_first
 from .bounds import (
     BoundKind,
     BoundValue,
@@ -34,7 +34,7 @@ from .bounds import (
     peer_failure_lower,
     peer_success_lower,
 )
-from .noise import _RATE_FIELDS, _RATE_RULES
+from .noise import _LABEL, _RATE_FIELDS, _RATE_RULES
 from .treatments import _TIE_EPS
 
 __all__ = [
@@ -52,8 +52,9 @@ __all__ = [
 
 # 1: l uniforms per trial, trial i reading ceil(l/4) Philox blocks;
 # 2: one binomial wrong-label count per trial, in fixed-size chunks;
-# 3: freqmodel's tau moments and weight windows share one realization batch
-STREAM_VERSION = 3
+# 3: freqmodel's tau moments and weight windows share one realization batch;
+# 4: exact columns are regularized incomplete beta tails (draws unchanged)
+STREAM_VERSION = 4
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
 _TIE_FUZZ = 1e-9
@@ -75,14 +76,13 @@ _TREATMENT_CODE = {
 }
 
 
-_COUNT = Spec("integer", lo=1)
 _RUN_FIELDS = {"trials": _COUNT, "seed": Spec("integer", lo=0), "workers": _COUNT}
 _OPEN_UNIT = Spec(lo=0.0, hi=1.0, lo_open=True, hi_open=True, required=False)
 # InstanceScenario's fields in dataclass order, which is also the order of
 # their checks and of the scenario columns of the CSV.
 _SCENARIO_FIELDS = {
     "l": _COUNT,
-    "y": Spec(choices=(-1, 1)),
+    **_LABEL,
     **_RATE_FIELDS,
     "p_plus": _OPEN_UNIT,
     "p_minus": replace(_OPEN_UNIT, nullable=True),
@@ -272,7 +272,9 @@ def _outcome_table(scenario: InstanceScenario, treatment: Treatment) -> np.ndarr
     beats the capped corrected one, by compare_ls_lc's rule evaluated on
     every reachable split (see _smoothing_table).  peer_loss:
     the peer decision is correct iff the correct count exceeds l times the
-    global noisy rate of the true label.
+    global noisy rate of the true label.  Every table is block-monotone in
+    wrong-count order: successes, ties, failures, except label_smoothing's,
+    which runs failures, ties, successes (smoothing gains as labels flip).
     """
     l = scenario.l
     if treatment is Treatment.PEER_LOSS:
@@ -371,9 +373,9 @@ class BoundCheck:
     """One event's three routes side by side: MC, exact binomial, closed form.
 
     event names the probability being measured; mc_estimate/ci come from the
-    tally, exact from binom_tail, bound from the matching closed form (None
-    when the scenario degenerates).  ordering_holds records exact >= bound
-    and is None unless bound.regime_ok.
+    tally, exact is the binomial mass of the same outcome-table event, bound
+    comes from the matching closed form (None when the scenario degenerates).
+    ordering_holds records exact >= bound and is None unless bound.regime_ok.
     """
 
     treatment: Treatment
@@ -401,33 +403,26 @@ class BoundReport:
         return tuple(c for c in self.checks if c.treatment is treatment)
 
 
-def _count_threshold(x: float, strict: bool = False) -> int:
-    """Smallest integer count k with k >= x (k > x when strict), snapping near-integer x."""
-    if abs(x - round(x)) <= _TIE_FUZZ:
-        return int(round(x)) + strict
-    return int(math.ceil(x))
+_COUNT_CODES = {"success": _SUCCESS, "failure": _FAILURE, "tie": _TIE}
 
 
-def _tail_or_degenerate(l: int, p: float, k: int) -> float:
-    """P[Bin(l, p) >= k] for any integer k: 0 above l, 1 at or below 0."""
-    if k > l:
+def _table_mass(s: InstanceScenario, table: np.ndarray, counts: tuple[str, ...]) -> float:
+    """Exact probability of the outcomes named by counts: the binomial mass
+    of the wrong counts whose table entry is one of them.
+
+    Every table is block-monotone in wrong-count order (see _outcome_table),
+    so each event set is one tail: P[correct >= l - hi] when it starts at
+    wrong count 0, P[wrong >= lo] when it ends at l; empty gives 0, full 1.
+    """
+    wrong = np.flatnonzero(np.isin(table, [_COUNT_CODES[name] for name in counts]))
+    if wrong.size == 0:
         return 0.0
-    if k <= 0:
-        return 1.0
-    return binom_tail(l, p, k)
-
-
-def _lc_success_count(s: InstanceScenario) -> int:
-    """Fewest correct labels at which loss correction strictly wins; l + 1 when it never does."""
-    threshold = _lc_correct_threshold(s)
-    return s.l + 1 if threshold is None else _count_threshold(threshold, strict=True)
-
-
-def _ls_exact(s: InstanceScenario) -> float:
-    # the LS-vs-LC error gap grows with the wrong count, so the favorable
-    # region is a single upper tail
-    nonfail = np.nonzero(_outcome_table(s, Treatment.LABEL_SMOOTHING) != _FAILURE)[0]
-    return _tail_or_degenerate(s.l, s.e_y, int(nonfail[0])) if nonfail.size else 0.0
+    lo, hi = int(wrong[0]), int(wrong[-1])
+    if hi - lo + 1 != wrong.size or (lo > 0 and hi < s.l):
+        raise RuntimeError(f"event set {wrong.tolist()} is not a tail of 0..{s.l}")
+    if lo == 0:
+        return 1.0 if hi == s.l else binom_tail(s.l, 1.0 - s.e_y, s.l - hi)
+    return binom_tail(s.l, s.e_y, lo)
 
 
 def _rates_equal(s: InstanceScenario) -> bool:
@@ -477,7 +472,8 @@ class _Event:
 
     counts names the tally counts whose sum over trials is the Monte-Carlo
     estimate, with its Wilson interval; () takes the tally's own estimate.
-    exact is the binomial oracle of the same event; bound, when not None,
+    The exact binomial oracle of the same event is the outcome table's mass
+    on those counts (_table_mass), or e_y for (); bound, when not None,
     gives the closed form, and regime whether its ordering is asserted.
     """
 
@@ -485,7 +481,6 @@ class _Event:
     event: str
     headline: bool
     counts: tuple[str, ...]
-    exact: Callable[[InstanceScenario], float]
     bound: Callable[[InstanceScenario], tuple | None] | None = None
     regime: Callable[[InstanceScenario], bool] | None = None
 
@@ -499,22 +494,16 @@ def _even_and(predicate):
 # the mass the l/sqrt term needs), the peer floor for the symmetric regime;
 # the peer success bound holds in every regime.
 _EVENTS = (
-    _Event(Treatment.MEMORIZE, "mean_label_error", True, (), lambda s: s.e_y),
+    _Event(Treatment.MEMORIZE, "mean_label_error", True, ()),
     _Event(Treatment.LOSS_CORRECTION, "strict_success", True, ("success",),
-           lambda s: _tail_or_degenerate(s.l, 1.0 - s.e_y, _lc_success_count(s)),
            _hoeffding_form, _rates_equal),
     _Event(Treatment.LOSS_CORRECTION, "tie_inclusive_failure", False, ("failure", "tie"),
-           lambda s: _tail_or_degenerate(s.l, s.e_y, s.l - _lc_success_count(s) + 1),
            _kl_floor_form, _even_and(_rates_equal)),
-    _Event(Treatment.LABEL_SMOOTHING, "ls_better_or_tie", True, ("success", "tie"), _ls_exact,
+    _Event(Treatment.LABEL_SMOOTHING, "ls_better_or_tie", True, ("success", "tie"),
            _kl_floor_form, _even_and(_rates_equal)),
     _Event(Treatment.PEER_LOSS, "strict_success", True, ("success",),
-           lambda s: _tail_or_degenerate(
-               s.l, 1.0 - s.e_y, _count_threshold(_peer_threshold(s), strict=True)
-           ),
            _peer_success_form, lambda s: True),
     _Event(Treatment.PEER_LOSS, "tie_inclusive_failure", False, ("failure", "tie"),
-           lambda s: _tail_or_degenerate(s.l, s.e_y, _count_threshold(s.l - _peer_threshold(s))),
            _peer_floor_form, _even_and(_peer_symmetric)),
 )
 
@@ -543,9 +532,9 @@ def bound_report(
         if event.counts:
             count = sum(getattr(tally, name) for name in event.counts)
             mc_estimate, ci = count / trials, wilson_interval(count, trials)
+            exact = _table_mass(scenario, _outcome_table(scenario, event.treatment), event.counts)
         else:
-            mc_estimate, ci = tally.estimate, tally.wilson_ci
-        exact = event.exact(scenario)
+            mc_estimate, ci, exact = tally.estimate, tally.wilson_ci, scenario.e_y
         form = event.bound(scenario) if event.bound is not None else None
         bound = None if form is None else BoundValue(*form, regime_ok=event.regime(scenario))
         checks.append(

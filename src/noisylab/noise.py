@@ -17,13 +17,13 @@ __all__ = [
     "InstanceNoiseSynth",
     "truncated_normal",
     "combine_rate",
-    "synth_instance_noise",
     "label_to_index",
 ]
 
 expit, ndtr, ndtri = _deferred_special(globals(), "expit", "ndtr", "ndtri")
 
 _RATE_CEIL = 1.0 - 1e-6
+_LABEL = {"y": Spec(choices=(-1, 1))}  # a bool or a float equal to a label is not one
 
 _RATE = Spec(lo=0.0, hi=1.0, hi_open=True)
 _RATE_FIELDS = {"e_plus": _RATE, "e_minus": _RATE}
@@ -39,9 +39,8 @@ _SYNTH_FIELDS = {
 
 def label_to_index(y: int) -> int:
     """Map a binary label to its class index: -1 -> 0, +1 -> 1."""
-    if y in (-1, 1):
-        return 0 if y == -1 else 1
-    raise ValueError(f"binary labels are -1 or +1, got {y!r}")
+    raise_first(field_violations({"y": y}, _LABEL))
+    return 0 if y == -1 else 1
 
 
 @dataclass(frozen=True)
@@ -115,38 +114,13 @@ def combine_rate(q: float, projection: float) -> float:
     return float(min(max(q * 2.0 * expit(projection), 0.0), _RATE_CEIL))
 
 
-def _synth_parts(feature_vector, epsilon, sigma, rng, w) -> tuple[float, float, float]:
-    """(q, projection, rate) for one instance; q is drawn first, then w when it is None."""
-    feature = np.asarray(feature_vector, dtype=float).ravel()
-    q = truncated_normal(epsilon, sigma, 0.0, 1.0, rng)
-    if w is None:
-        w = rng.standard_normal(feature.size)
-    norm = float(np.linalg.norm(feature))
-    projection = float(feature @ w) / norm if norm > 0.0 else 0.0
-    return q, projection, combine_rate(q, projection)
-
-
-def synth_instance_noise(
-    feature_vector,
-    epsilon: float,
-    sigma: float,
-    rng: np.random.Generator,
-    w: np.ndarray | None = None,
-) -> float:
-    """Per-instance flip rate: q ~ truncated-normal(epsilon, sigma^2, [0,1]),
-    modulated by the feature's standardized projection onto random weights.
-
-    When w is omitted, fresh standard-normal projection weights are drawn;
-    pass a shared w (see InstanceNoiseSynth) to hold the projection fixed
-    across a dataset.
-    """
-    raise_first(field_violations({"epsilon": epsilon}, _SYNTH_FIELDS))
-    return _synth_parts(feature_vector, epsilon, sigma, rng, w)[2]
-
-
 @dataclass(frozen=True)
 class InstanceNoiseSynth:
-    """Instance-noise synthesizer with projection weights fixed once per dataset."""
+    """Instance-noise synthesizer with projection weights w fixed once per dataset.
+
+    Each instance's flip rate is q ~ truncated-normal(epsilon, sigma^2, [0, 1])
+    modulated by the feature's standardized projection onto w (combine_rate).
+    """
 
     epsilon: float
     w: np.ndarray
@@ -169,4 +143,8 @@ class InstanceNoiseSynth:
 
     def draw(self, feature_vector, rng: np.random.Generator) -> tuple[float, float, float]:
         """Sample (q, projection, rate) for one instance, exposing the parts."""
-        return _synth_parts(feature_vector, self.epsilon, self.sigma, rng, self.w)
+        feature = np.asarray(feature_vector, dtype=float).ravel()
+        q = truncated_normal(self.epsilon, self.sigma, 0.0, 1.0, rng)
+        norm = float(np.linalg.norm(feature))
+        projection = float(feature @ self.w) / norm if norm > 0.0 else 0.0
+        return q, projection, combine_rate(q, projection)

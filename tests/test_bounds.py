@@ -1,11 +1,13 @@
 """Closed-form bound checks against exact binomial enumeration.
 
 Every closed form is compared with an independent oracle: binomial tails
-against a direct math.comb enumeration and scipy's survival function, the
+against an exact rational sum, a direct math.comb enumeration and scipy's
+survival function, the
 Hoeffding/anti-concentration expressions against frozen values computed
 once from their defining formulas.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +71,14 @@ class TestBernoulliKl:
             bernoulli_kl(0.5, 1.1)
 
 
+def _rational_tail(l: int, p: float, k: int) -> Fraction:
+    # exact: a float p is a dyadic rational num/den, so every pmf term is an
+    # integer over den**l
+    num, den = Fraction(p).as_integer_ratio()
+    total = sum(math.comb(l, j) * num**j * (den - num) ** (l - j) for j in range(k, l + 1))
+    return Fraction(total, den**l)
+
+
 class TestBinomTail:
     def test_anchor_values(self):
         # frozen from the enumeration oracle
@@ -85,6 +95,18 @@ class TestBinomTail:
             np.testing.assert_allclose(
                 binom_tail(l, p, k), _tail_by_enumeration(l, p, k), rtol=1e-11, atol=1e-300
             )
+
+    def test_matches_the_exact_rational_tail(self):
+        rng = np.random.default_rng(13)
+        cases = [(int(l), float(rng.uniform(0.0, 1.0)), int(rng.integers(1, l + 1)))
+                 for l in rng.integers(1, 201, size=150)]
+        cases += [  # deep lower and upper tails
+            (200, 0.01, 150), (500, 0.01, 200), (1000, 0.5, 900), (1000, 0.999, 10),
+            (60, 0.3, 60), (1000, 0.2, 501),
+        ]
+        for l, p, k in cases:
+            exact = _rational_tail(l, p, k)
+            assert abs(Fraction(binom_tail(l, p, k)) - exact) <= Fraction(1e-13) * exact, (l, p, k)
 
     def test_matches_scipy_survival_function(self):
         rng = np.random.default_rng(11)

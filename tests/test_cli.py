@@ -258,7 +258,7 @@ class TestBoundsCommand:
         assert lc_success[:9] == [
             "10", "1", "0.2", "0.2", "0.5", "0.5", "0.1", "", "loss_correction",
         ]
-        assert lc_success[12] == "0.9672065024000006"
+        assert lc_success[12] == "0.9672065024000001"
         assert lc_success[13] == "0.8347011117784134"
         assert lc_success[14] == "hoeffding_success"
         assert lc_success[15] == "true" and lc_success[16] == "true"
@@ -400,8 +400,8 @@ class TestTauCommand:
             ({"l": 0}, 2, "l: must be a positive integer or nonempty list of them\n"),
             ({"weight_replicates": 0}, 2, "weight_replicates: must be >= 1, got 0\n"),
             ({"mc_replicates": -1}, 2, "mc_replicates: must be >= 0, got -1\n"),
-            ({"prior": {"generator": "zipf", "n_values": 10, "exponent": 1.1, "cap": 0.05}}, 3,
-             "runtime error: cap 0.05 is infeasible for 10 values summing to 1.0\n"),
+            ({"prior": {"generator": "zipf", "n_values": 10, "exponent": 1.1, "cap": 0.05}}, 2,
+             "prior.cap: cap 0.05 is infeasible for 10 values summing to 1.0\n"),
         ],
     )
     def test_invalid_configs_keep_their_exit_codes_and_messages(
@@ -538,7 +538,9 @@ class TestGoldenOutputs:
     # Frozen README examples, plus `simulate` on the `bounds` scenario: exit
     # code, manifest row count, the first and last CSV lines and the SHA-256
     # of the whole file.  These bytes may only change together with the
-    # stream version.
+    # stream version; the bounds/simulate/sweep bytes were re-captured at
+    # version 4, each changed exact cell checked against an exact rational
+    # binomial sum.
     @pytest.mark.parametrize(
         "doc, rows, first, last, digest",
         [
@@ -546,22 +548,22 @@ class TestGoldenOutputs:
              "10,1,0.2,0.2,0.5,0.5,0.1,,memorize,0.200413,0.19962955946943242,"
              "0.20119874222397324,0.2,,,,",
              "10,1,0.2,0.2,0.5,0.5,0.1,,peer_loss,0.03193,0.030858167729230734,"
-             "0.03303779232198276,0.03279349760000003,0.02400959708748615,"
+             "0.03303779232198276,0.03279349760000002,0.02400959708748615,"
              "peer_failure_lower,true,true",
-             "bfd548f35283130a08e4697ff562f5c749285400e30f6b5674f1580142fd8378"),
+             "10ab105fcc8271411e33a777157d865f1037f9c91d2e21783ea67bac67a7f4fc"),
             ({"command": "simulate", "seed": 42, "trials": 100_000, "scenario": _README_SCENARIO}, 4,
              "10,1,0.2,0.2,0.5,0.5,0.1,,memorize,0.200413,0.19962955946943242,"
              "0.20119874222397324,0.2,,,,",
              "10,1,0.2,0.2,0.5,0.5,0.1,,peer_loss,0.96807,0.9669622076780172,"
-             "0.9691418322707693,0.9672065024000006,0.8347011117784136,peer_success,true,true",
-             "abc14adb5515548e709af3508af338ad5cc158cdc969284d6757f27c1a662d93"),
+             "0.9691418322707693,0.9672065024000001,0.8347011117784136,peer_success,true,true",
+             "222a297735557cb386513655288bf73376c366ea7eb06e5bdc7837c878fb8792"),
             ({"command": "sweep", "seed": 42, "trials": 20_000,
               "grid": {"l": [4, 10, 20, 50], "e": [0.1, 0.2, 0.3], "base": {"y": 1}}}, 48,
              "4,1,0.1,0.1,0.5,0.5,0.1,,memorize,0.0985375,0.09649146211217649,"
              "0.10062209107811243,0.1,,,,",
              "50,1,0.3,0.3,0.5,0.5,0.1,,peer_loss,0.99745,0.9966490860306292,"
-             "0.9980598572971522,0.9976304521510114,0.9816843611112658,peer_success,true,true",
-             "9c88b5f19f2998fb5cab4d35685d39f22b36c3a70b209ca77eb739afc9e6eb82"),
+             "0.9980598572971522,0.9976304521510178,0.9816843611112658,peer_success,true,true",
+             "975da890c445eab56caf0059cfb4ccdafd18f1c8fc08c061ba1df7124e2c49d0"),
             ({"command": "noise-synth", "seed": 3, "epsilon": 0.2, "sigma": 0.1, "count": 1000,
               "feature_dim": 8}, 1000,
              "0,0.22289351119992568,0.940472542387562,0.3206078416602905",
@@ -716,7 +718,7 @@ class TestFrozenErrors:
         assert capsys.readouterr().out == out
 
     # Configs that `validate` accepted and a run rejected with exit 3: the
-    # run and `validate` now read the same scenario and prior rules.
+    # run and `validate` now read the same scenario, prior, cap and tau rules.
     @pytest.mark.parametrize(
         "command, doc, err",
         [
@@ -740,9 +742,18 @@ class TestFrozenErrors:
             ("tau", {"seed": 1, "n": 100, "l": [2], "mc_replicates": 1,
                      "prior": {"generator": "zipf", "n_values": 50, "exponent": 1.1}},
              "mc_replicates: must be 0 or >= 2, got 1\n"),
+            ("tau", {"seed": 1, "n": 100, "l": [2],
+                     "prior": {"generator": "uniform", "n_values": 10, "cap": 0.05}},
+             "prior.cap: cap 0.05 is infeasible for 10 values summing to 1.0\n"),
+            ("weight", {**_W, "prior": {"generator": "uniform", "n_values": 10, "cap": 0.05}},
+             "prior.cap: cap 0.05 is infeasible for 10 values summing to 1.0\n"),
+            ("tau", {"seed": 1, "n": 1, "l": 1,
+                     "prior": {"generator": "zipf", "n_values": 50, "exponent": 1.1}},
+             "n: must be >= 2, got 1\n"),
         ],
         ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
-             "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate"],
+             "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate",
+             "tau-infeasible-cap", "weight-infeasible-cap", "tau-one-sample"],
     )
     def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
         assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)

@@ -55,7 +55,7 @@ FIRST_USE_CALLS = (
 
 # After the first call, these module globals are the scipy.special functions
 # themselves, so later calls pay nothing for the deferred import.
-REBOUND = [("bounds", "gammaln"), ("bounds", "logsumexp"),
+REBOUND = [("bounds", "betainc"),
            ("noise", "expit"), ("noise", "ndtr"), ("noise", "ndtri")]
 
 

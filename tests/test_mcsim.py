@@ -427,6 +427,40 @@ class TestOutcomeTables:
             if nonfail.size:
                 assert np.all(table[nonfail[0] :] != _FAILURE)
 
+    def test_every_table_is_block_monotone_in_the_wrong_count(self):
+        # the exact columns integrate each event as one binomial tail, which
+        # needs every table to read successes, ties, failures as the wrong
+        # count grows (label smoothing the other way round: it gains as
+        # labels flip)
+        rng = np.random.default_rng(41)
+        scenarios = [_random_scenario(rng) for _ in range(60)]
+        scenarios += [  # skewed priors and long label runs
+            InstanceScenario(l=int(rng.integers(30, 200)), y=y, e_plus=0.15, e_minus=0.35,
+                             p_plus=p_plus, smoothing_a=0.05)
+            for y in (-1, 1) for p_plus in (0.05, 0.5, 0.95)
+        ]
+        scenarios += [  # e_y = 0, with and without noise on the other label
+            InstanceScenario(l=l, y=y, e_plus=e if y == -1 else 0.0, e_minus=e if y == 1 else 0.0)
+            for l in (1, 6, 9) for y in (-1, 1) for e in (0.0, 0.3)
+        ]
+        scenarios += [  # even l, equal rates, balanced priors: every table ties at l/2
+            InstanceScenario(l=l, y=y, e_plus=e, e_minus=e)
+            for l in (2, 10, 40) for y in (-1, 1) for e in (0.1, 0.3, 0.45)
+        ]
+        assert {s.y for s in scenarios} == {-1, 1}
+        assert any(s.e_y == 0.0 for s in scenarios)
+        forward = np.empty(3, dtype=int)  # rank of each outcome code
+        forward[[_SUCCESS, _TIE, _FAILURE]] = [0, 1, 2]
+        ranks = {t: forward for t in Treatment}
+        ranks[Treatment.LABEL_SMOOTHING] = 2 - forward
+        ties = 0
+        for s in scenarios:
+            for treatment in Treatment:
+                table = _outcome_table(s, treatment)
+                assert np.all(np.diff(ranks[treatment][table]) >= 0), (s, treatment, table)
+                ties += int(np.any(table == _TIE))
+        assert ties >= 4 * 18  # every even-l equal-rate scenario ties in all four tables
+
     def test_peer_table_thresholds_at_the_global_noisy_rate(self):
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2, p_plus=0.5)
         table = _outcome_table(s, Treatment.PEER_LOSS)
@@ -706,6 +740,11 @@ class TestBoundReport:
             denom = report.trials * (s.l if check.treatment is Treatment.MEMORIZE else 1)
             se = np.sqrt(check.exact * (1.0 - check.exact) / denom)
             assert abs(check.mc_estimate - check.exact) <= 4.0 * se
+        # every bound asserted here is a true claim, the Hoeffding success floor
+        # of 1.0 included, so the exact tails must not fall short of it
+        asserted = [c for c in report.checks if c.bound is not None and c.bound.regime_ok]
+        assert len(asserted) == 5
+        assert all(c.ordering_holds for c in asserted)
 
 
 class TestSweep:

@@ -91,6 +91,14 @@ class TestMemorizationError:
         with pytest.raises(ValueError):
             memorization_error(d, 1)
 
+    @pytest.mark.parametrize("y", [True, False, 1.0, -1.0, 0, 2])
+    def test_only_the_two_integer_labels_are_labels(self, y):
+        # a bool or a float equal to a label is rejected, not read as that label
+        d = LabelDist(np.array([0.3, 0.7]))
+        with pytest.raises(ValueError, match=f"y: must be -1 or 1, got {y!r}"):
+            memorization_error(d, y)
+        assert memorization_error(d, np.int64(1)) == memorization_error(d, 1)
+
 
 class TestImpactLowerBound:
     # one instance's excess is at least the large-regime tau floor times the

@@ -6,6 +6,7 @@ matrix inversion, and the truncated-normal sampler against a quadrature
 oracle for its mean.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from noisylab import (
     combine_rate,
     label_to_index,
     lc_loss_vector,
-    synth_instance_noise,
     truncated_normal,
 )
 
@@ -31,6 +31,16 @@ class TestLabelIndexing:
         for bad in (0, 2, 3):
             with pytest.raises(ValueError):
                 label_to_index(bad)
+
+    @pytest.mark.parametrize("y", [True, False, 1.0, -1.0, np.float64(1.0)])
+    def test_bools_and_floats_are_not_labels(self, y):
+        # the scenario y rule: only the integers -1 and 1, Python or numpy
+        message = re.escape(f"y: must be -1 or 1, got {y!r}")
+        with pytest.raises(ValueError, match=message):
+            label_to_index(y)
+        with pytest.raises(ValueError, match=message):
+            BinaryNoiseRates(e_plus=0.1, e_minus=0.3).rate_for(y)
+        assert label_to_index(np.int64(-1)) == 0 and label_to_index(np.int32(1)) == 1
 
 
 class TestBinaryNoiseRates:
@@ -159,9 +169,9 @@ class TestSynthInstanceNoise:
     def test_epsilon_validation(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
-            synth_instance_noise([1.0, 0.0], 1.5, 0.1, rng)
-        with pytest.raises(ValueError):
             InstanceNoiseSynth.sample(1.5, 3, rng)
+        with pytest.raises(ValueError):
+            InstanceNoiseSynth(-0.1, np.ones(3))
 
     def test_rates_lie_in_range(self):
         rng = np.random.default_rng(9)
@@ -180,14 +190,15 @@ class TestSynthInstanceNoise:
         assert rate == combine_rate(q, projection)
 
     def test_draws_keep_their_stream_order(self):
-        # q is drawn before the projection weights when w is omitted; rate and
-        # draw read the same numbers (values frozen from the separate code paths)
+        # each instance draws q only; rate and draw read the same numbers
+        # (values frozen when a q and three fresh weights preceded them)
         feature = np.array([1.0, -2.0, 0.5])
         w = np.array([0.3, 0.1, -0.4])
         rng = np.random.default_rng(21)
-        assert synth_instance_noise(feature, 0.2, 0.1, rng) == 0.43872912855934326
-        assert synth_instance_noise(feature, 0.2, 0.1, rng, w=w) == 0.19100785183852984
+        truncated_normal(0.2, 0.1, 0.0, 1.0, rng)
+        rng.standard_normal(3)
         synth = InstanceNoiseSynth(0.2, w)
+        assert synth.rate(feature, rng) == 0.19100785183852984
         assert synth.rate(feature, rng) == 0.11738389572831202
         assert synth.draw(feature, rng) == (
             0.11970432816096381, -0.04364357804719849, 0.11709258011664507
