@@ -30,7 +30,7 @@ import scipy
 from . import __version__
 from ._spec import _COUNT, Spec, field_violations
 from .freqmodel import (
-    build_prior,
+    _config_prior,
     estimate_taus,
     prior_violations,
     tau_violations,
@@ -217,16 +217,6 @@ def _command_rng(seed: int, command: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, _COMMAND_STREAM[command])))
 
 
-def _build_prior(doc: dict):
-    return build_prior(
-        doc["generator"],
-        n=doc.get("n_values"),
-        exponent=doc.get("exponent"),
-        values=doc.get("values"),
-        cap=doc.get("cap"),
-    )
-
-
 def _build_scenario(doc: dict) -> InstanceScenario:
     return InstanceScenario(**{name: doc[name] for name in _SCENARIO_FIELDS if name in doc})
 
@@ -257,7 +247,7 @@ def _report_rows(report: BoundReport, headline_only: bool) -> list[list]:
 def _tau_rows(doc: dict) -> list[list]:
     n = doc["n"]
     estimates = estimate_taus(
-        _build_prior(doc["prior"]),
+        _config_prior(doc["prior"]),
         n,
         doc["l"] if isinstance(doc["l"], list) else [doc["l"]],
         _command_rng(doc["seed"], "tau"),
@@ -283,7 +273,7 @@ def _tau_rows(doc: dict) -> list[list]:
 
 
 def _weight_rows(doc: dict) -> list[list]:
-    prior = _build_prior(doc["prior"])
+    prior = _config_prior(doc["prior"])
     rng = _command_rng(doc["seed"], "weight")
     est = weight_estimate(prior, doc["interval"], doc["replicates"], rng)
     ci_lo = max(0.0, est.value - _Z_95 * est.stderr)

@@ -44,7 +44,10 @@ __all__ = [
     "estimate_taus",
 ]
 
-_CHUNK_ELEMENTS = 1 << 18  # prior draws per chunk; every chunk temporary holds at most this
+# Prior draws per chunk.  A float64 chunk buffer is then 256 KB, within a
+# core's L2 cache; the buffers are allocated once per batch and reused by
+# every chunk.  The chunk size changes speed only, never the results.
+_CHUNK_ELEMENTS = 1 << 15
 
 # Regime under which the large-l importance-weight bound is asserted.
 _REGIME_MIN_N = 10**3
@@ -79,10 +82,6 @@ class PriorSpec:
     @property
     def n_values(self) -> int:
         return int(self.values.size)
-
-    @property
-    def normalized(self) -> bool:
-        return bool(abs(self.values.sum() - 1.0) <= 1e-9)
 
     def pi_max(self) -> float:
         return float(self.values.max())
@@ -161,9 +160,8 @@ def _cap_violations(values: np.ndarray, cap, path: str = "") -> list[str]:
     return field_violations({"cap": cap}, _CAP, {"cap": feasible}, path)
 
 
-def prior_violations(config: dict) -> list[str]:
-    """One message per broken rule of a config's prior; a valid cap is checked against the prior."""
-    doc = config.get("prior")
+def _prior_field_violations(doc) -> list[str]:
+    """A config prior object's violations, short of checking a valid cap against the prior."""
     if not isinstance(doc, dict):
         return ["prior: prior required" if doc is None else "prior: must be an object"]
     generator = doc.get("generator")
@@ -172,9 +170,29 @@ def prior_violations(config: dict) -> list[str]:
     violations = field_violations(doc, _GENERATORS[generator][0], path="prior")
     if generator == "explicit":
         violations += _values_violations(doc.get("values"))
+    return violations + field_violations(doc, _CAP, path="prior")
+
+
+def prior_violations(config: dict) -> list[str]:
+    """One message per broken rule of a config's prior; a valid cap is checked against the prior."""
+    doc = config.get("prior")
+    violations = _prior_field_violations(doc)
     if violations or doc.get("cap") is None:
-        return violations + field_violations(doc, _CAP, path="prior")
-    return _cap_violations(_GENERATORS[generator][1](doc).values, doc["cap"], path="prior")
+        return violations
+    return _cap_violations(_GENERATORS[doc["generator"]][1](doc).values, doc["cap"], path="prior")
+
+
+def _config_prior(doc: dict) -> PriorSpec:
+    """The prior a config's prior object describes: built once, then capped when it names a cap.
+
+    The first prior_violations message is raised.
+    """
+    raise_first(_prior_field_violations(doc))
+    prior = _GENERATORS[doc["generator"]][1](doc)
+    if doc.get("cap") is None:
+        return prior
+    raise_first(_cap_violations(prior.values, doc["cap"], path="prior"))
+    return capped(prior, doc["cap"])
 
 
 def build_prior(
@@ -185,17 +203,14 @@ def build_prior(
     values=None,
     cap: float | None = None,
 ) -> PriorSpec:
-    """Construct a normalized prior.
+    """Construct a prior.
 
     generator "uniform" needs n; "zipf" needs n and exponent (weights
     k^-exponent, k = 1..n); "explicit" needs values in (0, 1]; a cap waterfills
     the prior below it.  The first prior_violations message is raised.
     """
     doc = {"generator": generator, "n_values": n, "exponent": exponent, "values": values, "cap": cap}
-    doc = {key: value for key, value in doc.items() if value is not None}
-    raise_first(prior_violations({"prior": doc}))
-    prior = _GENERATORS[generator][1](doc)
-    return prior if cap is None else capped(prior, cap)
+    return _config_prior({key: value for key, value in doc.items() if value is not None})
 
 
 def capped(prior: PriorSpec, cap: float) -> PriorSpec:
@@ -244,26 +259,41 @@ def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight
     lden = np.empty_like(lnum)
     masses = np.empty((len(windows), weight_replicates))
     total, step = max(mc_replicates, weight_replicates), max(1, _CHUNK_ELEMENTS // n_values)
+    # one set of buffers for the whole batch, sliced per chunk; a window keeps
+    # p where its mask holds (p * mask equals np.where(mask, p, 0.0): p is finite
+    # and positive), so every sum adds the same numbers in the same order.
+    # take's default mode="raise" would fill a temporary before out; every
+    # index is in range, so "clip" changes nothing but that
+    rows = min(step, total)
+    mc_rows = min(step, mc_replicates) if ls else 0
+    window_rows = min(step, weight_replicates) if windows else 0
+    p_buf, d_buf, scratch = (np.empty((rows, n_values)) for _ in range(3))
+    log_d_buf, log_rest_buf, w_buf = (np.empty((mc_rows, n_values)) for _ in range(3))
+    above, below = (np.empty((window_rows, n_values), dtype=bool) for _ in range(2))
     for start in range(0, total, step):
         idx = rng.integers(0, n_values, size=(min(step, total - start), n_values))
-        p = values[idx]
+        p = np.take(values, idx, out=p_buf[: len(idx)], mode="clip")
         totals = p.sum(axis=1)
-        d = p / totals[:, None]
+        d = np.divide(p, totals[:, None], out=d_buf[: len(idx)])
         k = min(len(idx), weight_replicates - start)
         for j, (b1, b2) in enumerate(windows if k > 0 else ()):
-            selected = np.where((d[:k] >= b1) & (d[:k] <= b2), p[:k], 0.0).sum(axis=1)
+            inside = np.greater_equal(d[:k], b1, out=above[:k])
+            inside &= np.less_equal(d[:k], b2, out=below[:k])
+            selected = np.multiply(p[:k], inside, out=scratch[:k]).sum(axis=1)
             masses[j, start : start + k] = selected / totals[:k]
         k = min(len(idx), mc_replicates - start)
         if k <= 0 or not ls:
             continue
-        log_d = log_values[idx[:k]] - np.log(totals[:k])[:, None]
+        log_d = np.take(log_values, idx[:k], out=log_d_buf[:k], mode="clip")
+        log_d -= np.log(totals[:k])[:, None]
+        log_rest = np.negative(d[:k], out=log_rest_buf[:k])
         with np.errstate(divide="ignore"):
-            log_rest = np.log1p(-d[:k])
-        w = np.empty_like(log_d)
+            np.log1p(log_rest, out=log_rest)
+        w = w_buf[:k]
         for i, l in enumerate(ls):
             np.multiply(log_d, l, out=w)
             if n > l:
-                w += (n - l) * log_rest
+                w += np.multiply(log_rest, n - l, out=scratch[:k])
             top = w.max(axis=1)
             w -= top[:, None]
             np.exp(w, out=w)

@@ -342,8 +342,13 @@ def run_trials(
     raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS))
     if not isinstance(treatment, Treatment):
         treatment = Treatment(treatment)
+    return _tally(scenario, treatment, _outcome_table(scenario, treatment), trials, seed, workers)
+
+
+def _tally(scenario: InstanceScenario, treatment: Treatment, table: np.ndarray, trials: int,
+           seed: int, workers: int) -> TrialTally:
+    """run_trials on validated arguments and the treatment's prebuilt outcome table."""
     key = _stream_key(seed, treatment, scenario)
-    table = _outcome_table(scenario, treatment)
     n_chunks = -(-trials // _CHUNK_TRIALS)
 
     def job(chunk: int) -> tuple[int, int, int, int]:
@@ -525,14 +530,16 @@ def bound_report(
     tie-inclusive failure 1) and the closed forms on both sides are
     omitted as vacuous.
     """
-    tallies = {t: run_trials(scenario, t, trials, seed, workers=workers) for t in Treatment}
+    raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS))
+    tables = {t: _outcome_table(scenario, t) for t in Treatment}
+    tallies = {t: _tally(scenario, t, tables[t], trials, seed, workers) for t in Treatment}
     checks = []
     for event in _EVENTS:
         tally = tallies[event.treatment]
         if event.counts:
             count = sum(getattr(tally, name) for name in event.counts)
             mc_estimate, ci = count / trials, wilson_interval(count, trials)
-            exact = _table_mass(scenario, _outcome_table(scenario, event.treatment), event.counts)
+            exact = _table_mass(scenario, tables[event.treatment], event.counts)
         else:
             mc_estimate, ci, exact = tally.estimate, tally.wilson_ci, scenario.e_y
         form = event.bound(scenario) if event.bound is not None else None

@@ -6,7 +6,8 @@ closed-form enumeration oracle for a two-value prior, and the lower bounds
 against frozen hand-computed constants.  The shared realization batch is
 held to its determinism contract: an estimate does not depend on the other
 l requested with it, on mc_replicates (for the bound columns), or on the
-chunking, and chunks stay within their element budget at N = 1e6.
+chunking; the chunk loop matches a fresh-temporary np.where reference bit
+for bit, and its working set stays a few chunk buffers.
 """
 import math
 import tracemalloc
@@ -42,7 +43,6 @@ class TestPriorSpec:
     def test_values_kept_as_given(self):
         p = PriorSpec(np.array([0.1, 0.2]))
         np.testing.assert_array_equal(p.values, [0.1, 0.2])
-        assert not p.normalized
         assert p.pi_max() == 0.2
         assert p.n_values == 2
 
@@ -79,7 +79,6 @@ class TestBuildPrior:
         p = build_prior("zipf", n=3, exponent=1.0)
         np.testing.assert_allclose(p.values, [6 / 11, 3 / 11, 2 / 11], rtol=1e-12)
         np.testing.assert_allclose(p.values, [0.545455, 0.272727, 0.181818], atol=5e-7)
-        assert p.normalized
 
     def test_zipf_exponent_shapes_the_decay(self):
         p = build_prior("zipf", n=10, exponent=1.5)
@@ -379,6 +378,67 @@ class _DrawRecorder:
         return self.rng.integers(low, high, size=size)
 
 
+def _masked_reference(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight_replicates=0):
+    # the realization reduction written with fresh temporaries and np.where
+    # masks, drawing the whole batch at once
+    values, log_values = prior.values, np.log(prior.values)
+    total = max(mc_replicates, weight_replicates)
+    idx = rng.integers(0, prior.n_values, size=(total, prior.n_values))
+    p = values[idx]
+    totals = p.sum(axis=1)
+    d = p / totals[:, None]
+    k = weight_replicates
+    masses = np.array([
+        np.where((d[:k] >= b1) & (d[:k] <= b2), p[:k], 0.0).sum(axis=1) / totals[:k]
+        for b1, b2 in windows
+    ]).reshape(len(windows), k)
+    k = mc_replicates
+    lnum, lden = np.empty((len(ls), k)), np.empty((len(ls), k))
+    log_d = log_values[idx[:k]] - np.log(totals[:k])[:, None]
+    with np.errstate(divide="ignore"):
+        log_rest = np.log1p(-d[:k])
+    for i, l in enumerate(ls):
+        w = log_d * l
+        if n > l:
+            w += (n - l) * log_rest
+        top = w.max(axis=1)
+        u = np.exp(w - top[:, None])
+        lden[i] = top + np.log(u.sum(axis=1))
+        lnum[i] = top + np.log((u * d[:k]).sum(axis=1))
+    return lnum, lden, masses
+
+
+class TestBitIdentity:
+    # (prior, n, ls, mc_replicates, windows, weight_replicates, rows per chunk or None)
+    ODD = build_prior("zipf", n=199, exponent=1.1, cap=0.05)
+    WINDOWS = [large_interval(2000, 5), small_interval(2000, 5), (0.0, 1.0), (0.5, 1.0)]
+    CASES = {
+        "odd-slot-count": (ODD, 2000, [2, 5, 40], 500, WINDOWS, 500, None),
+        "one-row-per-chunk": (ODD, 2000, [2, 5, 40], 30, WINDOWS, 30, 1),
+        "more-mc-than-weight": (ODD, 2000, [2, 40], 700, WINDOWS, 90, None),
+        "more-weight-than-mc": (ODD, 2000, [2, 40], 90, WINDOWS, 700, 7),
+        "no-mc": (ODD, 2000, (), 0, WINDOWS, 400, None),
+        "n-equals-l": (build_prior("uniform", n=31), 40, [3, 40], 200, WINDOWS, 200, None),
+        "window-0-1": (ODD, 2000, [5], 300, [(0.0, 1.0)], 300, None),
+        "empty-window": (ODD, 2000, [5], 300, [(0.5, 1.0)], 300, 3),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_realizations_match_the_masked_reference(self, monkeypatch, case):
+        prior, n, ls, mc, windows, weight, rows = self.CASES[case]
+        if rows is not None:
+            monkeypatch.setattr(freqmodel, "_CHUNK_ELEMENTS", rows * prior.n_values)
+        kwargs = dict(n=n, ls=ls, mc_replicates=mc, windows=windows, weight_replicates=weight)
+        got = freqmodel._realizations(prior, np.random.default_rng(17), **kwargs)
+        want = _masked_reference(prior, np.random.default_rng(17), **kwargs)
+        assert [a.shape for a in got] == [b.shape for b in want]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        if (0.0, 1.0) in windows:
+            assert np.all(got[2][windows.index((0.0, 1.0))] == 1.0)
+        if (0.5, 1.0) in windows:
+            assert not np.any(got[2][windows.index((0.5, 1.0))])
+
+
 class TestSharedRealizations:
     # an odd slot count, so no chunk of index draws splits evenly into pairs
     PRIOR = build_prior("zipf", n=199, exponent=1.1, cap=0.05)
@@ -432,6 +492,25 @@ class TestSharedRealizations:
         full = freqmodel._CHUNK_ELEMENTS // self.PRIOR.n_values
         assert [rows for rows, _ in rng.sizes] == [full] * (3000 // full) + [3000 % full]
         assert {n_values for _, n_values in rng.sizes} == {self.PRIOR.n_values}
+
+    def test_working_set_is_a_few_chunk_buffers(self):
+        # tau_zipf's shape, cut to 1000 replicates: 32 chunks of 32 realizations
+        prior = build_prior("zipf", n=1000, exponent=1.1, cap=0.05)
+        rng = _DrawRecorder(np.random.default_rng(7))
+        # first calls allocate once-per-process state that is no chunk's working set
+        estimate_taus(prior, 10_000, [2], np.random.default_rng(0), mc_replicates=2,
+                      weight_replicates=2)
+        tracemalloc.start()
+        try:
+            estimate_taus(prior, 10_000, [2, 10, 100], rng,
+                          mc_replicates=1000, weight_replicates=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rng.sizes) >= 30
+        # lnum, lden and six windows' masses, one float per replicate each
+        outputs = 8 * 1000 * (2 * 3 + 6)
+        assert peak < 12 * 8 * freqmodel._CHUNK_ELEMENTS + outputs
 
     def test_a_million_values_stay_within_the_chunk_budget(self):
         prior = build_prior("zipf", n=1_000_000, exponent=1.1, cap=0.05)
