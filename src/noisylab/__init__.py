@@ -63,7 +63,6 @@ from .treatments import (
     PeerDecision,
     PeerLossDecomposition,
     PeerTrainingDecomposition,
-    TieRule,
     as_loss_vector,
     compare_ls_lc,
     corrected_label,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "BoundKind",
@@ -77,7 +77,6 @@ class BoundValue:
 
     kind: BoundKind
     value: float
-    params: dict = field(default_factory=dict)
     regime_ok: bool = True
 
     def __post_init__(self) -> None:

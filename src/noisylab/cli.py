@@ -50,11 +50,12 @@ from .mcsim import (
 )
 from .noise import _SYNTH_FIELDS, InstanceNoiseSynth
 
-__all__ = ["ValidationReport", "validate", "validate_config", "main", "entry"]
+__all__ = ["validate_config", "main", "entry"]
 
 # One fixed layout for all event/estimate tables, led by the scenario fields;
 # the noise-synth command, which emits per-instance draws rather than event
-# estimates, has its own.
+# estimates, has its own.  Row builders return {column: value} mappings and
+# _write_csv orders them by these headers.
 CSV_COLUMNS = (
     *_SCENARIO_FIELDS,
     "treatment",
@@ -75,15 +76,6 @@ _MAX_SEED = 2**64 - 1
 _COMMAND_STREAM = {"tau": 11, "weight": 12, "noise-synth": 13}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 # --------------------------------------------------------------------------
 # config validation
 
@@ -93,11 +85,15 @@ _TOP_FIELDS = {
     "workers": replace(_RUN_FIELDS["workers"], required=False),
 }
 _TRIALS = {"trials": _RUN_FIELDS["trials"]}
+# commands that run no trials still reject an invalid trials value
+_OPTIONAL_TRIALS = {"trials": replace(_RUN_FIELDS["trials"], required=False)}
 # grid lists: (spec every entry must fit, message when one does not)
 _GRID_ENTRIES = {
     "l": (_COUNT, "entries must be positive integers"),
     "e": (Spec(lo=0.0, hi=0.5, hi_open=True), "symmetric rates must lie in [0, 0.5)"),
 }
+# the scenario fields each grid point takes from the grid, never from grid.base
+_GRID_SET = ("l", "e_plus", "e_minus")
 
 
 def _check_scenario(doc, path: str) -> list[str]:
@@ -138,6 +134,8 @@ def _check_grid(doc: dict) -> list[str]:
     base = grid.get("base", {})
     if not isinstance(base, dict):
         return violations + ["grid.base: must be an object"]
+    violations += [f"grid.base.{key}: must not be given, the grid sets it"
+                   for key in _GRID_SET if key in base]
     # the base fields hold at every grid point once they hold at the largest
     # l (the n >= l rule); placeholders stand in for invalid lists
     point = _grid_point(base, max(valid.get("l", [1])), valid.get("e", [0.0])[0])
@@ -173,19 +171,13 @@ def _load(config_path) -> tuple[object, str | None]:
         return None, f"config: malformed JSON ({exc})"
 
 
-def validate(config_path) -> ValidationReport:
-    """Load and check a config file without touching anything else."""
-    doc, error = _load(config_path)
-    return ValidationReport((error,) if error else tuple(validate_config(doc)))
-
-
 # --------------------------------------------------------------------------
 # execution
 
 
 def _fmt(value) -> str:
     """Shortest-round-trip cell text; empty for missing values."""
-    if value is None or value == "":
+    if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -207,8 +199,17 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, columns, rows) -> int:
+    """Write {column: value} rows in header order.
+
+    Absent columns stay empty; a column outside the header raises KeyError.
+    """
+    position = {name: i for i, name in enumerate(columns)}
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    for row in rows:
+        cells = [""] * len(columns)
+        for name, value in row.items():
+            cells[position[name]] = _fmt(value)
+        lines.append(",".join(cells))
     _write_atomic(path, "\n".join(lines) + "\n")
     return len(rows)
 
@@ -221,30 +222,23 @@ def _build_scenario(doc: dict) -> InstanceScenario:
     return InstanceScenario(**{name: doc[name] for name in _SCENARIO_FIELDS if name in doc})
 
 
-def _report_rows(report: BoundReport, headline_only: bool) -> list[list]:
+def _report_rows(report: BoundReport, headline_only: bool) -> list[dict]:
+    scenario = {name: getattr(report.scenario, name) for name in _SCENARIO_FIELDS}
     rows = []
     for check in report.checks:
         if headline_only and not check.headline:
             continue
-        bound = check.bound
-        rows.append(
-            [getattr(report.scenario, name) for name in _SCENARIO_FIELDS]
-            + [
-                check.treatment.value,
-                check.mc_estimate,
-                check.ci[0],
-                check.ci[1],
-                check.exact,
-                bound.value if bound is not None else None,
-                bound.kind.value if bound is not None else None,
-                bound.regime_ok if bound is not None else None,
-                check.ordering_holds,
-            ]
-        )
+        row = {**scenario, "treatment": check.treatment.value, "mc_estimate": check.mc_estimate,
+               "ci_lo": check.ci[0], "ci_hi": check.ci[1], "exact": check.exact,
+               "ordering_holds": check.ordering_holds}
+        if check.bound is not None:
+            row.update(bound=check.bound.value, bound_form=check.bound.kind.value,
+                       regime_ok=check.bound.regime_ok)
+        rows.append(row)
     return rows
 
 
-def _tau_rows(doc: dict) -> list[list]:
+def _tau_rows(doc: dict) -> list[dict]:
     n = doc["n"]
     estimates = estimate_taus(
         _config_prior(doc["prior"]),
@@ -255,37 +249,30 @@ def _tau_rows(doc: dict) -> list[list]:
     )
     rows = []
     for est in estimates:
-        if est.mc is None:
-            mc = ci_lo = ci_hi = None
-        else:
-            mc = est.mc
-            ci_lo = mc - _Z_95 * est.mc_stderr
-            ci_hi = mc + _Z_95 * est.mc_stderr
+        mc = {} if est.mc is None else {
+            "mc_estimate": est.mc, "ci_lo": est.mc - _Z_95 * est.mc_stderr,
+            "ci_hi": est.mc + _Z_95 * est.mc_stderr}
         for form, value, regime in (
             ("tau_lower_large", est.lower_large, est.regime_ok),
             ("tau_lower_small", est.lower_small, est.regime_ok and est.l > 1),
         ):
-            rows.append(
-                [est.l, None, None, None, None, None, None, n, "tau", mc, ci_lo, ci_hi,
-                 est.exact, value, form, regime, (est.exact >= value) if regime else None]
-            )
+            rows.append({"l": est.l, "n": n, "treatment": "tau", **mc, "exact": est.exact,
+                         "bound": value, "bound_form": form, "regime_ok": regime,
+                         "ordering_holds": (est.exact >= value) if regime else None})
     return rows
 
 
-def _weight_rows(doc: dict) -> list[list]:
+def _weight_rows(doc: dict) -> list[dict]:
     prior = _config_prior(doc["prior"])
     rng = _command_rng(doc["seed"], "weight")
     est = weight_estimate(prior, doc["interval"], doc["replicates"], rng)
-    ci_lo = max(0.0, est.value - _Z_95 * est.stderr)
-    ci_hi = min(1.0, est.value + _Z_95 * est.stderr)
-    return [
-        [None, None, None, None, None, None, None, None, "weight",
-         est.value, ci_lo, ci_hi, None, None, None, None, None]
-    ]
+    return [{"treatment": "weight", "mc_estimate": est.value,
+             "ci_lo": max(0.0, est.value - _Z_95 * est.stderr),
+             "ci_hi": min(1.0, est.value + _Z_95 * est.stderr)}]
 
 
-def _scenario_rows(headline_only: bool) -> Callable[[dict], list[list]]:
-    def rows(doc: dict) -> list[list]:
+def _scenario_rows(headline_only: bool) -> Callable[[dict], list[dict]]:
+    def rows(doc: dict) -> list[dict]:
         scenario = _build_scenario(doc["scenario"])
         report = bound_report(scenario, doc["trials"], doc["seed"], workers=doc.get("workers", 1))
         return _report_rows(report, headline_only)
@@ -293,7 +280,7 @@ def _scenario_rows(headline_only: bool) -> Callable[[dict], list[list]]:
     return rows
 
 
-def _sweep_rows(doc: dict) -> list[list]:
+def _sweep_rows(doc: dict) -> list[dict]:
     if doc.get("scenarios") is not None:
         scenarios = [_build_scenario(s) for s in doc["scenarios"]]
     else:
@@ -306,7 +293,7 @@ def _sweep_rows(doc: dict) -> list[list]:
     return rows
 
 
-def _synth_rows(doc: dict) -> list[list]:
+def _synth_rows(doc: dict) -> list[dict]:
     rng = _command_rng(doc["seed"], "noise-synth")
     synth = InstanceNoiseSynth.sample(
         doc["epsilon"], doc["feature_dim"], rng, sigma=doc.get("sigma", 0.1)
@@ -315,7 +302,7 @@ def _synth_rows(doc: dict) -> list[list]:
     for i in range(doc["count"]):
         feature = rng.standard_normal(doc["feature_dim"])
         q, projection, rate = synth.draw(feature, rng)
-        rows.append([i, q, projection, rate])
+        rows.append({"instance": i, "q": q, "projection": projection, "rate": rate})
     return rows
 
 
@@ -339,19 +326,20 @@ class _Command:
     """
 
     checks: tuple
-    rows: Callable[[dict], list[list]]
+    rows: Callable[[dict], list[dict]]
     columns: tuple[str, ...] = CSV_COLUMNS
 
 
 _ONE_SCENARIO = (lambda doc: _check_scenario(doc.get("scenario"), "scenario"), _TRIALS)
 _COMMANDS = {
-    "tau": _Command((prior_violations, tau_violations), _tau_rows),
-    "weight": _Command((prior_violations, weight_violations), _weight_rows),
+    "tau": _Command((prior_violations, tau_violations, _OPTIONAL_TRIALS), _tau_rows),
+    "weight": _Command((prior_violations, weight_violations, _OPTIONAL_TRIALS), _weight_rows),
     "simulate": _Command(_ONE_SCENARIO, _scenario_rows(headline_only=True)),
     "bounds": _Command(_ONE_SCENARIO, _scenario_rows(headline_only=False)),
     "sweep": _Command((_TRIALS, _check_scenarios, _check_grid), _sweep_rows),
     "noise-synth": _Command(
-        ({**_SYNTH_FIELDS, "count": _COUNT, "feature_dim": _COUNT},), _synth_rows, SYNTH_COLUMNS
+        ({**_SYNTH_FIELDS, "count": _COUNT, "feature_dim": _COUNT, **_OPTIONAL_TRIALS},),
+        _synth_rows, SYNTH_COLUMNS,
     ),
 }
 

@@ -19,7 +19,6 @@ Monte-Carlo route reduces one shared, chunked batch (see estimate_taus).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,13 +62,10 @@ class PriorSpec:
     process renormalizes realized draws, so overall scale never affects
     sampling, but it does define the raw moment ratios tau_exact computes.
     Generated families (uniform, zipf) are built summing to one; explicit
-    sets may carry any total.  generator records which constructor built
-    the values ("uniform", "zipf(s=1.1)", "explicit", with a "+cap" suffix
-    after waterfilling).
+    sets may carry any total.
     """
 
     values: np.ndarray
-    generator: str = "explicit"
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float).ravel()
@@ -102,8 +98,6 @@ class WeightEstimate:
 
     value: float
     stderr: float
-    replicates: int
-    interval: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,6 @@ class TauMcEstimate:
 
     value: float
     stderr: float
-    replicates: int
 
 
 @dataclass(frozen=True)
@@ -131,14 +124,14 @@ class TauEstimate:
 
 def _zipf(doc: dict) -> PriorSpec:
     weights = np.arange(1, doc["n_values"] + 1, dtype=float) ** (-float(doc["exponent"]))
-    return PriorSpec(weights / weights.sum(), generator=f"zipf(s={doc['exponent']:g})")
+    return PriorSpec(weights / weights.sum())
 
 
 _POSITIVE = Spec(lo=0.0, lo_open=True)
 # Per generator: its prior config's fields and the uncapped prior they build.
 _GENERATORS = {
     "uniform": ({"n_values": _COUNT},
-                lambda doc: PriorSpec(np.full(doc["n_values"], 1.0 / doc["n_values"]), "uniform")),
+                lambda doc: PriorSpec(np.full(doc["n_values"], 1.0 / doc["n_values"]))),
     "zipf": ({"n_values": _COUNT, "exponent": _POSITIVE}, _zipf),
     "explicit": ({}, lambda doc: PriorSpec(np.asarray(doc["values"], dtype=float))),
 }
@@ -246,7 +239,7 @@ def capped(prior: PriorSpec, cap: float) -> PriorSpec:
         raise RuntimeError("waterfilling failed to find a feasible scale")
     out = np.empty_like(values)
     out[order] = out_sorted
-    return PriorSpec(out, generator=f"{prior.generator}+cap({cap:g})")
+    return PriorSpec(out)
 
 
 def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight_replicates=0):
@@ -361,7 +354,7 @@ def weight_estimate(prior: PriorSpec, interval: tuple[float, float], replicates:
     masses = _realizations(prior, rng, windows=[(b1, b2)], weight_replicates=replicates)[2][0]
     value = float(masses.mean())
     stderr = float(masses.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
-    return WeightEstimate(value=value, stderr=stderr, replicates=replicates, interval=(b1, b2))
+    return WeightEstimate(value=value, stderr=stderr)
 
 
 def tau_exact(prior: PriorSpec, n: int, l: int) -> float:
@@ -418,7 +411,7 @@ def _tau_mc(lnum: np.ndarray, lden: np.ndarray) -> TauMcEstimate:
     # Delta method for a ratio of means over paired replicates.
     resid = num - value * den
     stderr = float(math.sqrt(np.dot(resid, resid) / (replicates - 1) / replicates) / den_mean)
-    return TauMcEstimate(value=value, stderr=stderr, replicates=replicates)
+    return TauMcEstimate(value=value, stderr=stderr)
 
 
 def tau_lower_large(n: int, l: int, weight_value: float) -> float:
@@ -437,13 +430,10 @@ def tau_lower_small(n: int, l: int, weight_value: float) -> float:
 
     weight_value is weight(pi, [0.7 (l-1)/(n-1), 4/3 (l-1)/(n-1)]).  The
     geometric factor makes the bound less informative as l grows; at l = 1
-    it is vacuous (zero) and a warning is issued.
+    it is vacuous (zero).
     """
     raise_first(_draw_count_violations({"n": n, "l": l})
                 + field_violations({"weight_value": weight_value}, _WEIGHT_VALUE))
-    if l == 1:
-        warnings.warn("small-l tau bound is vacuous at l = 1", stacklevel=2)
-        return 0.0
     return 0.4 * ((l - 1.0) / (n - 1.0)) * (1.1 ** -l) * weight_value
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
@@ -175,17 +174,17 @@ class TrialTally:
             raise ValueError("success + failure + tie must equal trials")
 
 
-def wilson_interval(successes: int, total: int, z: float = _Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if total < 1:
         raise ValueError(f"total must be >= 1, got {total}")
     if not 0 <= successes <= total:
         raise ValueError(f"successes must lie in [0, total], got {successes}/{total}")
     p = successes / total
-    z2 = z * z
+    z2 = _Z_95 * _Z_95
     denom = 1.0 + z2 / total
     center = (p + z2 / (2.0 * total)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
+    half = _Z_95 * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
     # the exact endpoints bracket p; min/max only absorb last-ulp rounding
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
@@ -404,9 +403,6 @@ class BoundReport:
     degenerate: bool
     checks: tuple[BoundCheck, ...]
 
-    def for_treatment(self, treatment: Treatment) -> tuple[BoundCheck, ...]:
-        return tuple(c for c in self.checks if c.treatment is treatment)
-
 
 _COUNT_CODES = {"success": _SUCCESS, "failure": _FAILURE, "tie": _TIE}
 
@@ -438,37 +434,29 @@ def _peer_symmetric(s: InstanceScenario) -> bool:
     return abs(s.p_plus - 0.5) <= 1e-12 and _rates_equal(s)
 
 
-# Closed forms: (kind, value, params) for a scenario, or None where the form
-# is omitted (outside its domain, or vacuous when e_y = 0).
+# Closed forms: (kind, value) for a scenario, or None where the form is
+# omitted (outside its domain, or vacuous when e_y = 0).
 def _hoeffding_form(s: InstanceScenario):
     if not 0.0 < s.e_y <= 0.5:
         return None
-    return BoundKind.HOEFFDING_SUCCESS, lc_success_lower(s.l, s.e_y), {"l": s.l, "e": s.e_y}
+    return BoundKind.HOEFFDING_SUCCESS, lc_success_lower(s.l, s.e_y)
 
 
 def _kl_floor_form(s: InstanceScenario):
     if s.e_y == 0.0:
         return None
-    return BoundKind.BINOMIAL_FAILURE_LOWER, lc_failure_lower(s.l, s.e_y), {"l": s.l, "e": s.e_y}
+    return BoundKind.BINOMIAL_FAILURE_LOWER, lc_failure_lower(s.l, s.e_y)
 
 
 def _peer_success_form(s: InstanceScenario):
     p_opposite = s.p_minus if s.y == 1 else s.p_plus
-    params = {"l": s.l, "p_opposite": p_opposite, "e_plus": s.e_plus, "e_minus": s.e_minus}
-    return BoundKind.PEER_SUCCESS, peer_success_lower(s.l, p_opposite, s.e_plus, s.e_minus), params
+    return BoundKind.PEER_SUCCESS, peer_success_lower(s.l, p_opposite, s.e_plus, s.e_minus)
 
 
 def _peer_floor_form(s: InstanceScenario):
     if s.e_y == 0.0:
         return None
-    symmetric = _peer_symmetric(s)
-    if not symmetric:
-        warnings.warn(
-            "peer failure bound outside its symmetric regime: value computed, not asserted",
-            stacklevel=3,
-        )
-    params = {"l": s.l, "e": s.e_y, "symmetric": symmetric}
-    return BoundKind.PEER_FAILURE_LOWER, peer_failure_lower(s.l, s.e_y), params
+    return BoundKind.PEER_FAILURE_LOWER, peer_failure_lower(s.l, s.e_y)
 
 
 @dataclass(frozen=True)

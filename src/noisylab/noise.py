@@ -138,9 +138,6 @@ class InstanceNoiseSynth:
             raise ValueError(f"feature dimension must be >= 1, got {dim}")
         return cls(epsilon=epsilon, w=rng.standard_normal(dim), sigma=sigma)
 
-    def rate(self, feature_vector, rng: np.random.Generator) -> float:
-        return self.draw(feature_vector, rng)[2]
-
     def draw(self, feature_vector, rng: np.random.Generator) -> tuple[float, float, float]:
         """Sample (q, projection, rate) for one instance, exposing the parts."""
         feature = np.asarray(feature_vector, dtype=float).ravel()

@@ -24,7 +24,6 @@ from .noise import BinaryNoiseRates
 
 __all__ = [
     "Comparison",
-    "TieRule",
     "CorrectedLabel",
     "PeerDecision",
     "PeerLossDecomposition",
@@ -50,14 +49,6 @@ class Comparison(enum.Enum):
     LC_BETTER = "LC_better"
     LS_BETTER = "LS_better"
     TIE = "tie"
-
-
-class TieRule(enum.Enum):
-    """What peer_predict does at zero margin."""
-
-    CLEAN_PRIOR = "clean_prior"  # side with the larger clean prior; fallback +1
-    PLUS = "plus"
-    MINUS = "minus"
 
 
 def as_loss_vector(loss) -> np.ndarray:
@@ -202,30 +193,17 @@ class PeerDecision:
             raise ValueError("tie flag must mirror a zero margin")
 
 
-def peer_predict(
-    dist_local: LabelDist,
-    global_noisy_positive_rate: float,
-    tie_rule: TieRule = TieRule.CLEAN_PRIOR,
-    clean_positive_prior: float | None = None,
-) -> PeerDecision:
+def peer_predict(dist_local: LabelDist, global_noisy_positive_rate: float) -> PeerDecision:
     """Predict +1 iff the local noisy positive mass exceeds the global one.
 
     margin = P[+1 | x] - global rate.  At zero margin the objective is
-    flat and tie_rule decides: CLEAN_PRIOR picks the side whose clean prior
-    is larger (falling back to +1 when no prior is given or they are equal).
+    flat; the decision is a tie and predicts +1.
     """
     if not 0.0 <= global_noisy_positive_rate <= 1.0:
         raise ValueError(f"global rate must lie in [0, 1], got {global_noisy_positive_rate}")
     margin = float(dist_local.probs[1]) - global_noisy_positive_rate
-    if abs(margin) > _TIE_EPS:
-        return PeerDecision(predicted=1 if margin > 0 else -1, margin=margin, tie=False)
-    if tie_rule is TieRule.PLUS:
-        predicted = 1
-    elif tie_rule is TieRule.MINUS:
-        predicted = -1
-    else:
-        predicted = -1 if (clean_positive_prior is not None and clean_positive_prior < 0.5) else 1
-    return PeerDecision(predicted=predicted, margin=margin, tie=True)
+    tie = abs(margin) <= _TIE_EPS
+    return PeerDecision(predicted=1 if tie or margin > 0 else -1, margin=margin, tie=tie)
 
 
 def _clamped(predictor: np.ndarray, q_min: float) -> np.ndarray:

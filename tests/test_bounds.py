@@ -252,13 +252,3 @@ class TestBoundValue:
             for value in (-0.1, math.inf, -math.inf, math.nan):
                 with pytest.raises(ValueError):
                     BoundValue(kind=kind, value=value)
-
-    def test_carries_parameters_and_regime(self):
-        b = BoundValue(
-            kind=BoundKind.BINOMIAL_FAILURE_LOWER,
-            value=0.024,
-            params={"l": 10, "e": 0.2},
-            regime_ok=True,
-        )
-        assert b.params["l"] == 10
-        assert b.regime_ok

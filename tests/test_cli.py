@@ -5,21 +5,14 @@ import hashlib
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from noisylab.cli import (
-    CSV_COLUMNS,
-    SYNTH_COLUMNS,
-    ValidationReport,
-    entry,
-    main,
-    validate,
-    validate_config,
-)
+from noisylab.cli import CSV_COLUMNS, SYNTH_COLUMNS, _write_csv, entry, main, validate_config
 from noisylab.mcsim import STREAM_VERSION
 
 
@@ -33,6 +26,16 @@ def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def _main_quietly(argv, capsys) -> int:
+    """main's exit code; the run must print nothing to stderr and raise no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    return code
 
 
 def _bounds_doc(**overrides):
@@ -203,21 +206,6 @@ class TestValidateConfig:
         assert any("seed" in v for v in validate_config(doc))
 
 
-class TestValidateFile:
-    def test_reports_unreadable_and_malformed_files(self, tmp_path):
-        report = validate(tmp_path / "missing.json")
-        assert not report.ok and report.violations[0].startswith("config: unreadable")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        report = validate(bad)
-        assert not report.ok and report.violations[0].startswith("config: malformed JSON")
-
-    def test_ok_on_a_valid_config(self, tmp_path):
-        path = _write_config(tmp_path, {"command": "bounds", **_bounds_doc()})
-        report = validate(path)
-        assert isinstance(report, ValidationReport) and report.ok
-
-
 class TestValidateCommand:
     def test_valid_config_prints_confirmation(self, tmp_path, capsys):
         path = _write_config(tmp_path, {"command": "bounds", **_bounds_doc()})
@@ -234,6 +222,25 @@ class TestValidateCommand:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
         assert "config: unreadable" in capsys.readouterr().err
+
+    def test_malformed_json_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("config: malformed JSON")
+
+
+class TestWriteCsv:
+    def test_cells_follow_the_header_and_absent_columns_are_empty(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert _write_csv(out, SYNTH_COLUMNS, [{"rate": 0.5, "instance": 3}, {}]) == 2
+        assert out.read_text(encoding="utf-8") == "instance,q,projection,rate\n3,,,0.5\n,,,\n"
+
+    def test_a_column_outside_the_header_raises(self, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(KeyError, match="rates"):
+            _write_csv(out, SYNTH_COLUMNS, [{"instance": 0, "rates": 0.5}])
+        assert not out.exists()
 
 
 class TestBoundsCommand:
@@ -449,11 +456,13 @@ class TestWeightCommand:
              ",,,,,,,,weight,0.17502521396051032,0.17409375300803226,0.1759566749129884,,,,,"),
         ],
     )
-    def test_golden_output(self, tmp_path, prior, interval, replicates, row):
+    def test_golden_output(self, tmp_path, capsys, prior, interval, replicates, row):
+        # the first case is the README weight example
         doc = {"command": "weight", "seed": 7, "prior": prior, "interval": interval,
                "replicates": replicates}
         out = tmp_path / "w.csv"
-        assert main(["weight", "--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        argv = ["weight", "--config", str(_write_config(tmp_path, doc)), "--out", str(out)]
+        assert _main_quietly(argv, capsys) == 0
         assert out.read_text(encoding="utf-8") == ",".join(CSV_COLUMNS) + "\n" + row + "\n"
 
 
@@ -509,8 +518,6 @@ class TestSweepCommand:
         assert tuple(header) == CSV_COLUMNS
         assert len(rows) == 4 * 4  # headline row per treatment per grid point
 
-    # the first scenario has unequal rates, so its peer bound warns by design
-    @pytest.mark.filterwarnings("ignore:peer failure bound")
     def test_explicit_scenarios_preserve_order(self, tmp_path):
         config = _write_config(
             tmp_path,
@@ -582,16 +589,46 @@ class TestGoldenOutputs:
         ],
         ids=["bounds", "simulate", "sweep", "noise-synth", "tau"],
     )
-    def test_readme_example_output_is_frozen(self, tmp_path, doc, rows, first, last, digest):
+    def test_readme_example_output_is_frozen(self, tmp_path, capsys, doc, rows, first, last,
+                                             digest):
         out = tmp_path / "out.csv"
         config = _write_config(tmp_path, doc)
-        assert main([doc["command"], "--config", str(config), "--out", str(out)]) == 0
+        assert _main_quietly([doc["command"], "--config", str(config), "--out", str(out)],
+                             capsys) == 0
         data = out.read_bytes()
         lines = data.decode("utf-8").splitlines()
         assert (lines[1], lines[-1]) == (first, last)
         assert hashlib.sha256(data).hexdigest() == digest
         manifest = json.loads(out.with_suffix(".manifest.json").read_text(encoding="utf-8"))
         assert manifest["rows"] == rows == len(lines) - 1
+
+
+class TestQuietRuns:
+    # A bound outside its regime is recorded in the CSV (regime_ok false, a
+    # vacuous 0.0), never printed: successful runs leave stderr empty.
+    def test_unequal_rates_only_flag_their_regimes(self, tmp_path, capsys):
+        config = _write_config(tmp_path, {"seed": 1, "trials": 2000, "scenario": {
+            "l": 3, "y": 1, "e_plus": 0.1, "e_minus": 0.3}})
+        out = tmp_path / "s.csv"
+        assert _main_quietly(["simulate", "--config", str(config), "--out", str(out)], capsys) == 0
+        _, rows = _read_csv(out)
+        assert [(r[8], r[15]) for r in rows] == [
+            ("memorize", ""), ("loss_correction", "false"), ("label_smoothing", "false"),
+            ("peer_loss", "true"),
+        ]
+
+    def test_single_appearance_writes_a_vacuous_small_l_row(self, tmp_path, capsys):
+        config = _write_config(tmp_path, {
+            "seed": 1, "n": 1000, "l": [1, 2], "weight_replicates": 200,
+            "prior": {"generator": "uniform", "n_values": 100}})
+        out = tmp_path / "t.csv"
+        assert _main_quietly(["tau", "--config", str(config), "--out", str(out)], capsys) == 0
+        _, rows = _read_csv(out)
+        assert [(r[0], r[13], r[14], r[15], r[16]) for r in rows[:2]] == [
+            ("1", "0.0", "tau_lower_large", "true", "true"),
+            ("1", "0.0", "tau_lower_small", "false", ""),
+        ]
+        assert [r[15] for r in rows[2:]] == ["true", "true"]
 
 
 _W = {"seed": 1, "replicates": 10, "interval": [0.1, 0.2],
@@ -698,6 +735,14 @@ class TestFrozenErrors:
             ("bounds", {**_B, "workers": 0}, "workers: must be >= 1, got 0\n"),
             ("simulate", _scenario(y=True), "scenario.y: must be -1 or 1, got True\n"),
             ("simulate", _scenario(y=1.0), "scenario.y: must be -1 or 1, got 1.0\n"),
+            # trials is optional where a command runs no trials, but checked on every command
+            ("tau", {"seed": 1, "n": 100, "l": [2], "trials": -5,
+                     "prior": {"generator": "uniform", "n_values": 10}},
+             "trials: must be >= 1, got -5\n"),
+            ("weight", {**_W, "trials": 0}, "trials: must be >= 1, got 0\n"),
+            ("noise-synth", {**_N, "trials": 2.5}, "trials: must be an integer, got 2.5\n"),
+            ("sweep", {"seed": 1, "trials": -5, "scenarios": [_S]},
+             "trials: must be >= 1, got -5\n"),
         ],
     )
     def test_invalid_config_keeps_exit_2_and_its_messages(self, tmp_path, capsys, command, doc, err):
@@ -750,13 +795,33 @@ class TestFrozenErrors:
             ("tau", {"seed": 1, "n": 1, "l": 1,
                      "prior": {"generator": "zipf", "n_values": 50, "exponent": 1.1}},
              "n: must be >= 2, got 1\n"),
+            # the grid sets these fields at every point, so base may not
+            ("sweep", {"seed": 1, "trials": 10,
+                       "grid": {"l": [4], "e": [0.1], "base": {"y": 1, "e_plus": 5, "l": "x"}}},
+             "grid.base.l: must not be given, the grid sets it\n"
+             "grid.base.e_plus: must not be given, the grid sets it\n"),
+            ("sweep", {"seed": 1, "trials": 10, "grid": {"l": [4], "e": [0.1], "base": {"e_minus": 0.1}}},
+             "grid.base.e_minus: must not be given, the grid sets it\n"),
         ],
         ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
              "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate",
-             "tau-infeasible-cap", "weight-infeasible-cap", "tau-one-sample"],
+             "tau-infeasible-cap", "weight-infeasible-cap", "tau-one-sample",
+             "base-l-and-e_plus", "base-e_minus"],
     )
     def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
         assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)
+
+    @pytest.mark.parametrize("command, doc", [
+        ("tau", {"seed": 1, "n": 100, "l": [2], "prior": {"generator": "uniform", "n_values": 10}}),
+        ("weight", _W), ("simulate", _B), ("bounds", _B),
+        ("sweep", {"seed": 1, "trials": 10, "scenarios": [_S]}), ("noise-synth", _N),
+    ])
+    def test_trials_flag_is_checked_on_every_command(self, tmp_path, capsys, command, doc):
+        config = _write_config(tmp_path, doc)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(config), "--out", str(out), "--trials", "-5"]) == 2
+        assert capsys.readouterr().err == "trials: must be >= 1, got -5\n"
+        assert not out.exists()
 
     def test_config_for_another_command_exits_2(self, tmp_path, capsys):
         config = _write_config(tmp_path, {**_B, "command": "explode"})

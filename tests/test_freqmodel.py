@@ -73,7 +73,6 @@ class TestBuildPrior:
     def test_uniform(self):
         p = build_prior("uniform", n=4)
         np.testing.assert_array_equal(p.values, [0.25, 0.25, 0.25, 0.25])
-        assert p.generator == "uniform"
 
     def test_zipf_harmonic_weights(self):
         p = build_prior("zipf", n=3, exponent=1.0)
@@ -92,7 +91,6 @@ class TestBuildPrior:
         p = build_prior("zipf", n=1000, exponent=1.1, cap=0.05)
         assert p.pi_max() <= 0.05 + 1e-12
         np.testing.assert_allclose(p.values.sum(), 1.0, atol=1e-9)
-        assert "+cap" in p.generator
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -318,8 +316,7 @@ class TestTauLowerBounds:
     def test_vacuous_cases(self):
         assert tau_lower_large(100, 1, 1.0) == 0.0
         assert tau_lower_large(100, 7, 0.0) == 0.0
-        with pytest.warns(UserWarning):
-            assert tau_lower_small(100, 1, 1.0) == 0.0
+        assert tau_lower_small(100, 1, 1.0) == 0.0
         assert tau_lower_small(100, 7, 0.0) == 0.0
 
     def test_weight_range_validation(self):
@@ -360,8 +357,10 @@ class TestEstimateTau:
 
     def test_single_appearance_flagged_vacuous(self):
         prior = build_prior("uniform", n=100)
-        with pytest.warns(UserWarning):
-            est = estimate_tau(prior, 1000, 1, np.random.default_rng(13))
+        est = estimate_tau(prior, 1000, 1, np.random.default_rng(13))
+        # the prior sits in the large-l regime, yet both bounds vanish at
+        # l = 1; the CLI writes the small-l row with regime_ok = false
+        assert est.regime_ok
         assert est.lower_large == 0.0
         assert est.lower_small == 0.0
         assert est.exact > 0.0
@@ -527,7 +526,7 @@ class TestSharedRealizations:
         assert rng.sizes == [(1, prior.n_values)] * 128
         # a few realization-sized temporaries at a time, never the batch
         assert peak < 16 * 8 * prior.n_values
-        assert 0.0 < weight.value <= 1.0 and weight.replicates == 64
+        assert 0.0 < weight.value <= 1.0
         for est in taus:
             assert est.exact >= est.lower_large and est.exact >= est.lower_small
             assert math.isfinite(est.mc) and est.mc_stderr > 0.0

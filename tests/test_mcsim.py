@@ -161,10 +161,6 @@ class TestWilsonInterval:
         lo, hi = wilson_interval(25, 25)
         assert hi == 1.0 and 0.0 < lo < 1.0
 
-    def test_zero_z_collapses_to_the_proportion(self):
-        lo, hi = wilson_interval(7, 10, z=0.0)
-        np.testing.assert_allclose([lo, hi], [0.7, 0.7], atol=1e-15)
-
     def test_width_shrinks_with_sample_size(self):
         widths = []
         for total in (10, 100, 1000, 10000):
@@ -570,8 +566,6 @@ class TestBoundReport:
             (Treatment.PEER_LOSS, "strict_success", True),
             (Treatment.PEER_LOSS, "tie_inclusive_failure", False),
         ]
-        assert len(report.for_treatment(Treatment.LOSS_CORRECTION)) == 2
-        assert len(report.for_treatment(Treatment.MEMORIZE)) == 1
 
     def test_symmetric_anchor_values(self):
         report = self._symmetric_report()
@@ -653,10 +647,9 @@ class TestBoundReport:
         assert peer_success.ordering_holds
         assert by_event[(Treatment.PEER_LOSS, "tie_inclusive_failure")].bound is None
 
-    def test_unequal_rates_flag_their_regimes_and_warn(self):
+    def test_unequal_rates_flag_their_regimes(self):
         s = InstanceScenario(l=9, y=1, e_plus=0.1, e_minus=0.5)
-        with pytest.warns(UserWarning, match="peer failure bound"):
-            report = bound_report(s, trials=2000, seed=4)
+        report = bound_report(s, trials=2000, seed=4)
         by_event = {(c.treatment, c.event): c for c in report.checks}
         lc_success = by_event[(Treatment.LOSS_CORRECTION, "strict_success")]
         # the simulated event keeps its exact oracle even off the bound's regime
@@ -670,8 +663,7 @@ class TestBoundReport:
 
     def test_skewed_priors_only_affect_the_peer_regime(self):
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2, p_plus=0.7)
-        with pytest.warns(UserWarning, match="peer failure bound"):
-            report = bound_report(s, trials=2000, seed=4)
+        report = bound_report(s, trials=2000, seed=4)
         by_event = {(c.treatment, c.event): c for c in report.checks}
         assert by_event[(Treatment.LOSS_CORRECTION, "strict_success")].bound.regime_ok
         assert by_event[(Treatment.LOSS_CORRECTION, "tie_inclusive_failure")].bound.regime_ok
@@ -680,11 +672,11 @@ class TestBoundReport:
 
     def test_heavy_noise_drops_the_success_bound(self):
         s = InstanceScenario(l=4, y=1, e_plus=0.6, e_minus=0.3)
-        with pytest.warns(UserWarning, match="peer failure bound"):
-            report = bound_report(s, trials=1000, seed=2)
-        lc_success = report.for_treatment(Treatment.LOSS_CORRECTION)[0]
+        report = bound_report(s, trials=1000, seed=2)
+        by_event = {(c.treatment, c.event): c for c in report.checks}
+        lc_success = by_event[(Treatment.LOSS_CORRECTION, "strict_success")]
         assert lc_success.bound is None and lc_success.ordering_holds is None
-        lc_fail = report.for_treatment(Treatment.LOSS_CORRECTION)[1]
+        lc_fail = by_event[(Treatment.LOSS_CORRECTION, "tie_inclusive_failure")]
         np.testing.assert_allclose(lc_fail.bound.value, lc_failure_lower(4, 0.6), atol=1e-15)
         assert not lc_fail.bound.regime_ok
 
@@ -694,9 +686,7 @@ class TestBoundReport:
         rng = np.random.default_rng(31)
         for _ in range(20):
             s = _random_scenario(rng)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                report = bound_report(s, trials=10, seed=1)
+            report = bound_report(s, trials=10, seed=1)
             pmf = stats.binom.pmf(np.arange(s.l + 1), s.l, s.e_y)
             by_event = {(c.treatment, c.event): c for c in report.checks}
             lc_table = _outcome_table(s, Treatment.LOSS_CORRECTION)
@@ -755,10 +745,8 @@ class TestSweep:
     def test_preserves_input_order_and_substream_isolation(self):
         a = InstanceScenario(l=4, y=1, e_plus=0.2, e_minus=0.2)
         b = InstanceScenario(l=6, y=-1, e_plus=0.1, e_minus=0.3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            reports = sweep([a, b, a], trials=3000, seed=42)
-            solo = bound_report(a, trials=3000, seed=42)
+        reports = sweep([a, b, a], trials=3000, seed=42)
+        solo = bound_report(a, trials=3000, seed=42)
         assert [r.scenario for r in reports] == [a, b, a]
         # the same scenario reproduces its rows alone, inside a sweep, and
         # when repeated within one sweep

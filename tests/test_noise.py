@@ -177,7 +177,7 @@ class TestSynthInstanceNoise:
         rng = np.random.default_rng(9)
         synth = InstanceNoiseSynth.sample(0.2, 8, rng)
         for _ in range(500):
-            rate = synth.rate(rng.standard_normal(8), rng)
+            rate = synth.draw(rng.standard_normal(8), rng)[2]
             assert 0.0 <= rate < 1.0
 
     def test_draw_exposes_consistent_parts(self):
@@ -190,16 +190,16 @@ class TestSynthInstanceNoise:
         assert rate == combine_rate(q, projection)
 
     def test_draws_keep_their_stream_order(self):
-        # each instance draws q only; rate and draw read the same numbers
-        # (values frozen when a q and three fresh weights preceded them)
+        # each instance draws q only (values frozen when a q and three fresh
+        # weights preceded them)
         feature = np.array([1.0, -2.0, 0.5])
         w = np.array([0.3, 0.1, -0.4])
         rng = np.random.default_rng(21)
         truncated_normal(0.2, 0.1, 0.0, 1.0, rng)
         rng.standard_normal(3)
         synth = InstanceNoiseSynth(0.2, w)
-        assert synth.rate(feature, rng) == 0.19100785183852984
-        assert synth.rate(feature, rng) == 0.11738389572831202
+        assert synth.draw(feature, rng)[2] == 0.19100785183852984
+        assert synth.draw(feature, rng)[2] == 0.11738389572831202
         assert synth.draw(feature, rng) == (
             0.11970432816096381, -0.04364357804719849, 0.11709258011664507
         )

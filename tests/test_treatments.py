@@ -15,7 +15,6 @@ from noisylab import (
     Comparison,
     LabelDist,
     PeerDecision,
-    TieRule,
     as_loss_vector,
     compare_ls_lc,
     corrected_label,
@@ -319,13 +318,11 @@ class TestPeerPredict:
         np.testing.assert_allclose(down.margin, -0.1, atol=1e-15)
 
     def test_tie_rules(self):
+        # a zero margin, or one within the tie tolerance, ties and predicts +1
         flat = LabelDist(np.array([0.5, 0.5]))
-        assert peer_predict(flat, 0.5).tie
-        assert peer_predict(flat, 0.5).predicted == 1  # fallback
-        assert peer_predict(flat, 0.5, TieRule.MINUS).predicted == -1
-        assert peer_predict(flat, 0.5, TieRule.PLUS).predicted == 1
-        assert peer_predict(flat, 0.5, clean_positive_prior=0.3).predicted == -1
-        assert peer_predict(flat, 0.5, clean_positive_prior=0.7).predicted == 1
+        for rate in (0.5, 0.5 + 1e-13, 0.5 - 1e-13):
+            decision = peer_predict(flat, rate)
+            assert decision.tie and decision.predicted == 1
 
     def test_decision_invariants(self):
         with pytest.raises(ValueError):
