@@ -165,9 +165,9 @@ def _load(config_path) -> tuple[object, str | None]:
     """The parsed config file, or None and why it could not be read."""
     try:
         return json.loads(Path(config_path).read_text(encoding="utf-8")), None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return None, f"config: unreadable ({exc})"
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         return None, f"config: malformed JSON ({exc})"
 
 
@@ -379,14 +379,14 @@ def main(argv=None) -> int:
         print(error, file=sys.stderr)
         return 2
 
+    # flag overrides, then full validation against the effective document
+    overrides = {key: getattr(args, key) for key in ("seed", "trials", "workers", "out")}
+    doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
     if args.command == "validate":
         violations = validate_config(doc)
         print("\n".join(violations) if violations else "config valid")
         return 2 if violations else 0
-
-    # flag overrides, then full validation against the effective document
-    overrides = {key: getattr(args, key) for key in ("seed", "trials", "workers", "out")}
-    doc = {"command": args.command, **doc, **{k: v for k, v in overrides.items() if v is not None}}
+    doc = {"command": args.command, **doc}
     if doc["command"] != args.command:
         print(
             f"command: config file is for {doc['command']!r}, invoked as {args.command!r}",

@@ -1,17 +1,20 @@
 """Seeded Monte-Carlo engine for per-treatment success/failure/tie rates.
 
 Every outcome tallied here depends on a trial's l noisy labels only through
-its wrong-label count, which is Binomial(l, e_y); each trial therefore draws
-that count directly (numpy's BTPE binomial sampler) rather than its labels.
+its wrong-label count, which is Binomial(l, e_y) under every treatment.  Each
+trial draws that count directly (numpy's BTPE binomial sampler), once; the
+draws reduce to one wrong-count histogram per scenario, and each treatment's
+tally is that histogram summed under its outcome table.
 
-Determinism contract: results are a pure function of (scenario, treatment,
-trials, seed) — independent of worker count.  Trials are cut into fixed
-chunks of _CHUNK_TRIALS; chunk c draws its counts from its own Philox
-counter range, starting at counter [0, 0, 0, c] under a key derived from
-(seed, treatment, scenario fields).  A chunk's counts are therefore a pure
-function of (key, chunk index), whichever worker draws them, and integer
-merges are order-independent.  STREAM_VERSION names this mapping from seeds
-to draws and changes whenever the same seed would draw different numbers.
+Determinism contract: results are a pure function of (scenario, trials,
+seed), shared by the four treatments and independent of worker count.
+Trials are cut into fixed chunks of _CHUNK_TRIALS; chunk c draws its counts
+from its own Philox counter range, starting at counter [0, 0, 0, c] under a
+key derived from (seed, scenario fields).  A chunk's counts are therefore a
+pure function of (key, chunk index), whichever worker draws them, and
+integer merges are order-independent.  STREAM_VERSION names this mapping
+from seeds to draws and changes whenever the same seed would draw different
+numbers.
 """
 from __future__ import annotations
 
@@ -52,8 +55,9 @@ __all__ = [
 # 1: l uniforms per trial, trial i reading ceil(l/4) Philox blocks;
 # 2: one binomial wrong-label count per trial, in fixed-size chunks;
 # 3: freqmodel's tau moments and weight windows share one realization batch;
-# 4: exact columns are regularized incomplete beta tails (draws unchanged)
-STREAM_VERSION = 4
+# 4: exact columns are regularized incomplete beta tails (draws unchanged);
+# 5: one draw per trial shared by all four treatments, keyed by (seed, scenario)
+STREAM_VERSION = 5
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
 _TIE_FUZZ = 1e-9
@@ -65,14 +69,6 @@ class Treatment(enum.Enum):
     LOSS_CORRECTION = "loss_correction"
     LABEL_SMOOTHING = "label_smoothing"
     PEER_LOSS = "peer_loss"
-
-
-_TREATMENT_CODE = {
-    Treatment.MEMORIZE: 1,
-    Treatment.LOSS_CORRECTION: 2,
-    Treatment.LABEL_SMOOTHING: 3,
-    Treatment.PEER_LOSS: 4,
-}
 
 
 _RUN_FIELDS = {"trials": _COUNT, "seed": Spec("integer", lo=0), "workers": _COUNT}
@@ -193,8 +189,8 @@ def _float_bits(x: float) -> int:
     return int(np.float64(x).view(np.uint64))
 
 
-def _stream_key(seed: int, treatment: Treatment, scenario: InstanceScenario) -> np.ndarray:
-    """Philox key for one (seed, treatment, scenario) substream.
+def _stream_key(seed: int, scenario: InstanceScenario) -> np.ndarray:
+    """Philox key for one (seed, scenario) substream, shared by every treatment.
 
     All scenario fields that influence trial draws enter the entropy, so
     distinct settings get independent streams while repeated runs (and the
@@ -202,7 +198,6 @@ def _stream_key(seed: int, treatment: Treatment, scenario: InstanceScenario) -> 
     """
     entropy = (
         int(seed),
-        _TREATMENT_CODE[treatment],
         int(scenario.l),
         0 if scenario.y == -1 else 1,
         _float_bits(scenario.e_plus),
@@ -317,12 +312,43 @@ def _smoothing_table(scenario: InstanceScenario) -> np.ndarray:
     return table
 
 
-def _classify_chunk(wrong: np.ndarray, table: np.ndarray) -> tuple[int, int, int, int]:
-    """(success, failure, tie, wrong labels) of one chunk's wrong-label counts."""
-    outcomes = table[wrong]
-    success = int(np.count_nonzero(outcomes == _SUCCESS))
-    tie = int(np.count_nonzero(outcomes == _TIE))
-    return success, wrong.size - success - tie, tie, int(wrong.sum())
+def _histogram(scenario: InstanceScenario, trials: int, seed: int, workers: int) -> np.ndarray:
+    """Trials per wrong-label count 0..l, from the scenario's stream.
+
+    A chunk's bincount spans only the counts it drew, not all of 0..l;
+    workers only parallelize the fixed chunk schedule.
+    """
+    raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS))
+    key = _stream_key(seed, scenario)
+    n_chunks = -(-trials // _CHUNK_TRIALS)
+
+    def job(chunk: int) -> tuple[int, np.ndarray]:
+        count = min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
+        wrong = _chunk_counts(key, scenario.l, scenario.e_y, chunk, count)
+        lo = int(wrong.min())
+        return lo, np.bincount(wrong - lo)
+
+    if workers == 1 or n_chunks == 1:
+        chunks = [job(c) for c in range(n_chunks)]
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+            chunks = list(pool.map(job, range(n_chunks)))
+    hist = np.zeros(scenario.l + 1, dtype=np.int64)
+    for lo, counts in chunks:
+        hist[lo:lo + counts.size] += counts
+    return hist
+
+
+def _tally(scenario: InstanceScenario, treatment: Treatment, table: np.ndarray,
+           hist: np.ndarray) -> TrialTally:
+    """A treatment's tally: the wrong-count histogram summed under each outcome of its table."""
+    trials = int(hist.sum())
+    success, failure, tie = (int(hist[table == code].sum()) for code in (_SUCCESS, _FAILURE, _TIE))
+    if treatment is Treatment.MEMORIZE:  # the pooled per-label error
+        hits, total = int(hist @ np.arange(scenario.l + 1)), trials * scenario.l
+    else:
+        hits, total = success, trials
+    return TrialTally(trials, success, failure, tie, hits / total, wilson_interval(hits, total))
 
 
 def run_trials(
@@ -332,44 +358,15 @@ def run_trials(
     seed: int,
     workers: int = 1,
 ) -> TrialTally:
-    """Simulate `trials` independent l-label draws and tally outcomes.
+    """Simulate `trials` independent l-label draws and tally one treatment's outcomes.
 
-    The tally is bit-reproducible for fixed (scenario, treatment, trials,
-    seed) and identical for every worker count; workers only parallelize
-    the fixed chunk schedule.
+    The tally is bit-reproducible for fixed (scenario, trials, seed),
+    identical for every worker count, and equal to the same treatment's
+    tally in bound_report: every treatment reads the same draws.
     """
-    raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS))
-    if not isinstance(treatment, Treatment):
-        treatment = Treatment(treatment)
-    return _tally(scenario, treatment, _outcome_table(scenario, treatment), trials, seed, workers)
-
-
-def _tally(scenario: InstanceScenario, treatment: Treatment, table: np.ndarray, trials: int,
-           seed: int, workers: int) -> TrialTally:
-    """run_trials on validated arguments and the treatment's prebuilt outcome table."""
-    key = _stream_key(seed, treatment, scenario)
-    n_chunks = -(-trials // _CHUNK_TRIALS)
-
-    def job(chunk: int) -> tuple[int, int, int, int]:
-        count = min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
-        return _classify_chunk(_chunk_counts(key, scenario.l, scenario.e_y, chunk, count), table)
-
-    if workers == 1 or n_chunks == 1:
-        chunks = [job(c) for c in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-            chunks = list(pool.map(job, range(n_chunks)))
-    success, failure, tie, wrong_labels = map(sum, zip(*chunks))
-    if treatment is Treatment.MEMORIZE:
-        total_labels = trials * scenario.l
-        estimate = wrong_labels / total_labels
-        ci = wilson_interval(wrong_labels, total_labels)
-    else:
-        estimate = success / trials
-        ci = wilson_interval(success, trials)
-    return TrialTally(
-        trials=trials, success=success, failure=failure, tie=tie, estimate=estimate, wilson_ci=ci
-    )
+    treatment = Treatment(treatment)
+    hist = _histogram(scenario, trials, seed, workers)
+    return _tally(scenario, treatment, _outcome_table(scenario, treatment), hist)
 
 
 @dataclass(frozen=True)
@@ -504,7 +501,7 @@ _EVENTS = (
 def bound_report(
     scenario: InstanceScenario, trials: int, seed: int, workers: int = 1
 ) -> BoundReport:
-    """Run all four treatments for a scenario and assemble one check per _EVENTS entry.
+    """Tally all four treatments on one shared draw and assemble one check per _EVENTS entry.
 
     Headline checks (one per treatment) are what sweep rows export; the
     non-headline failure-side checks are additionally exported by the
@@ -518,9 +515,9 @@ def bound_report(
     tie-inclusive failure 1) and the closed forms on both sides are
     omitted as vacuous.
     """
-    raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS))
+    hist = _histogram(scenario, trials, seed, workers)
     tables = {t: _outcome_table(scenario, t) for t in Treatment}
-    tallies = {t: _tally(scenario, t, tables[t], trials, seed, workers) for t in Treatment}
+    tallies = {t: _tally(scenario, t, tables[t], hist) for t in Treatment}
     checks = []
     for event in _EVENTS:
         tally = tallies[event.treatment]
@@ -563,9 +560,10 @@ def sweep(
 ) -> list[BoundReport]:
     """bound_report for each scenario, in input order.
 
-    Substreams are keyed by (seed, treatment, scenario fields), so the same
-    scenario produces the same rows whether simulated alone or inside any
-    sweep; identical scenarios repeated in one sweep repeat their rows.
+    Substreams are keyed by (seed, scenario fields), so the same scenario
+    produces the same rows whether simulated alone or inside any sweep, and
+    identical scenarios repeated in one sweep repeat their rows.  Within a
+    scenario the four treatments' rows come from the same trials.
     """
     scenarios = list(scenarios)
     if not scenarios:

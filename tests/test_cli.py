@@ -229,6 +229,20 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("config: malformed JSON")
 
+    @pytest.mark.parametrize("command", ["validate", "bounds"])
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main([command, "--config", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config: unreadable ('utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("command", ["validate", "bounds"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert main([command, "--config", str(deep), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config: malformed JSON (maximum recursion depth")
+
 
 class TestWriteCsv:
     def test_cells_follow_the_header_and_absent_columns_are_empty(self, tmp_path):
@@ -547,30 +561,31 @@ class TestGoldenOutputs:
     # of the whole file.  These bytes may only change together with the
     # stream version; the bounds/simulate/sweep bytes were re-captured at
     # version 4, each changed exact cell checked against an exact rational
-    # binomial sum.
+    # binomial sum, and at version 5, each changed Monte-Carlo cell checked
+    # to lie within 4 binomial SEs of its row's exact column.
     @pytest.mark.parametrize(
         "doc, rows, first, last, digest",
         [
             ({"command": "bounds", "seed": 42, "trials": 100_000, "scenario": _README_SCENARIO}, 6,
-             "10,1,0.2,0.2,0.5,0.5,0.1,,memorize,0.200413,0.19962955946943242,"
-             "0.20119874222397324,0.2,,,,",
-             "10,1,0.2,0.2,0.5,0.5,0.1,,peer_loss,0.03193,0.030858167729230734,"
-             "0.03303779232198276,0.03279349760000002,0.02400959708748615,"
+             "10,1,0.2,0.2,0.5,0.5,0.1,,memorize,0.200549,0.19976535953218444,"
+             "0.20133494111634842,0.2,,,,",
+             "10,1,0.2,0.2,0.5,0.5,0.1,,peer_loss,0.03375,0.03264853154248,"
+             "0.034887288685003695,0.03279349760000002,0.02400959708748615,"
              "peer_failure_lower,true,true",
-             "10ab105fcc8271411e33a777157d865f1037f9c91d2e21783ea67bac67a7f4fc"),
+             "93c31d3edf8e87bbf9678ba677e197df872eb29bbe63687a73c98cfbee2d1825"),
             ({"command": "simulate", "seed": 42, "trials": 100_000, "scenario": _README_SCENARIO}, 4,
-             "10,1,0.2,0.2,0.5,0.5,0.1,,memorize,0.200413,0.19962955946943242,"
-             "0.20119874222397324,0.2,,,,",
-             "10,1,0.2,0.2,0.5,0.5,0.1,,peer_loss,0.96807,0.9669622076780172,"
-             "0.9691418322707693,0.9672065024000001,0.8347011117784136,peer_success,true,true",
-             "222a297735557cb386513655288bf73376c366ea7eb06e5bdc7837c878fb8792"),
+             "10,1,0.2,0.2,0.5,0.5,0.1,,memorize,0.200549,0.19976535953218444,"
+             "0.20133494111634842,0.2,,,,",
+             "10,1,0.2,0.2,0.5,0.5,0.1,,peer_loss,0.96625,0.9651127113149963,"
+             "0.9673514684575201,0.9672065024000001,0.8347011117784136,peer_success,true,true",
+             "4df941ae218fe92eec0d2e5835bb06ed160abdfccfd4fc1274e90533826d70b9"),
             ({"command": "sweep", "seed": 42, "trials": 20_000,
               "grid": {"l": [4, 10, 20, 50], "e": [0.1, 0.2, 0.3], "base": {"y": 1}}}, 48,
-             "4,1,0.1,0.1,0.5,0.5,0.1,,memorize,0.0985375,0.09649146211217649,"
-             "0.10062209107811243,0.1,,,,",
-             "50,1,0.3,0.3,0.5,0.5,0.1,,peer_loss,0.99745,0.9966490860306292,"
-             "0.9980598572971522,0.9976304521510178,0.9816843611112658,peer_success,true,true",
-             "975da890c445eab56caf0059cfb4ccdafd18f1c8fc08c061ba1df7124e2c49d0"),
+             "4,1,0.1,0.1,0.5,0.5,0.1,,memorize,0.1010125,0.0989434421623406,"
+             "0.10311987334909672,0.1,,,,",
+             "50,1,0.3,0.3,0.5,0.5,0.1,,peer_loss,0.99735,0.996535693976946,"
+             "0.9979732877580466,0.9976304521510178,0.9816843611112658,peer_success,true,true",
+             "2b927f4b988ff8359abe235d1138a5768ec11f36bbd18be6681d97505d5fa6a5"),
             ({"command": "noise-synth", "seed": 3, "epsilon": 0.2, "sigma": 0.1, "count": 1000,
               "feature_dim": 8}, 1000,
              "0,0.22289351119992568,0.940472542387562,0.3206078416602905",
@@ -822,6 +837,25 @@ class TestFrozenErrors:
         assert main([command, "--config", str(config), "--out", str(out), "--trials", "-5"]) == 2
         assert capsys.readouterr().err == "trials: must be >= 1, got -5\n"
         assert not out.exists()
+        # validate reads the same overrides as a run, and still writes nothing
+        checked = _write_config(tmp_path, {"command": command, **doc}, name="checked.json")
+        assert main(["validate", "--config", str(checked), "--out", str(out), "--trials", "-5"]) == 2
+        assert capsys.readouterr().out == "trials: must be >= 1, got -5\n"
+        assert not out.exists()
+
+    def test_validate_applies_every_override(self, tmp_path, capsys):
+        doc = {"command": "tau", "seed": 1, "n": 100, "l": [2],
+               "prior": {"generator": "uniform", "n_values": 10}}
+        config = _write_config(tmp_path, doc)
+        argv = ["validate", "--config", str(config)]
+        assert main([*argv, "--trials", "-5", "--seed", "-3", "--workers", "0"]) == 2
+        assert capsys.readouterr().out == (
+            "seed: must be >= 0, got -3\n"
+            "workers: must be >= 1, got 0\n"
+            "trials: must be >= 1, got -5\n"
+        )
+        assert main([*argv, "--seed", "9", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == "config valid\n"
 
     def test_config_for_another_command_exits_2(self, tmp_path, capsys):
         config = _write_config(tmp_path, {**_B, "command": "explode"})
@@ -829,12 +863,19 @@ class TestFrozenErrors:
         assert capsys.readouterr().err == "command: config file is for 'explode', invoked as 'bounds'\n"
 
 
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_every_readme_config_is_valid():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    blocks = re.findall(r"```json\n(.*?)```", _README.read_text(encoding="utf-8"), flags=re.DOTALL)
     assert len(blocks) >= 5
     for block in blocks:
         assert validate_config(json.loads(block)) == [], block
+
+
+def test_readme_names_the_current_stream_version():
+    versions = re.findall(r"This layout is stream\s+version (\d+)", _README.read_text(encoding="utf-8"))
+    assert versions == [str(STREAM_VERSION)]
 
 
 class TestEntryPoint:

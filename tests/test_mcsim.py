@@ -14,6 +14,7 @@ from noisylab.bounds import (
     peer_failure_lower,
     peer_success_lower,
 )
+from noisylab import mcsim
 from noisylab.memorize import LabelDist
 from noisylab.mcsim import (
     scenario_violations,
@@ -25,6 +26,7 @@ from noisylab.mcsim import (
     Treatment,
     TrialTally,
     _chunk_counts,
+    _histogram,
     _lc_correct_threshold,
     _outcome_table,
     _stream_key,
@@ -216,7 +218,7 @@ class TestDeterminism:
         # a chunk's counts are a pure function of (key, chunk index): redrawing
         # reproduces them, and a partial final chunk reads a prefix of them
         s = InstanceScenario(l=7, y=-1, e_plus=0.15, e_minus=0.3)
-        key = _stream_key(3, Treatment.MEMORIZE, s)
+        key = _stream_key(3, s)
         chunk = [_chunk_counts(key, s.l, s.e_y, c, 1000) for c in range(3)]
         for c in reversed(range(3)):
             np.testing.assert_array_equal(_chunk_counts(key, s.l, s.e_y, c, 1000), chunk[c])
@@ -228,7 +230,7 @@ class TestDeterminism:
         s = InstanceScenario(l=12, y=1, e_plus=0.3, e_minus=0.3)
         trials, seed = 2 * _CHUNK_TRIALS + 99, 5
         tally = run_trials(s, Treatment.MEMORIZE, trials, seed)
-        key = _stream_key(seed, Treatment.MEMORIZE, s)
+        key = _stream_key(seed, s)
         sizes = (_CHUNK_TRIALS, _CHUNK_TRIALS, 99)
         wrong = np.concatenate(
             [_chunk_counts(key, s.l, s.e_y, c, n) for c, n in enumerate(sizes)]
@@ -238,23 +240,60 @@ class TestDeterminism:
 
     def test_distinct_settings_get_distinct_streams(self):
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
-        key = _stream_key(0, Treatment.MEMORIZE, s)
+        key = _stream_key(0, s)
         others = [
-            _stream_key(1, Treatment.MEMORIZE, s),
-            _stream_key(0, Treatment.LOSS_CORRECTION, s),
-            _stream_key(
-                0,
-                Treatment.MEMORIZE,
-                InstanceScenario(l=11, y=1, e_plus=0.2, e_minus=0.2),
-            ),
-            _stream_key(
-                0,
-                Treatment.MEMORIZE,
-                InstanceScenario(l=10, y=-1, e_plus=0.2, e_minus=0.2),
-            ),
+            _stream_key(1, s),
+            _stream_key(0, InstanceScenario(l=11, y=1, e_plus=0.2, e_minus=0.2)),
+            _stream_key(0, InstanceScenario(l=10, y=-1, e_plus=0.2, e_minus=0.2)),
         ]
         for other in others:
             assert not np.array_equal(key, other)
+
+
+class TestSharedDraw:
+    """Every treatment of a scenario reads the same wrong-label counts."""
+
+    def test_symmetric_scenario_gives_the_threshold_treatments_one_tally(self):
+        # balanced priors and equal rates put the memorize, correction and
+        # peer thresholds all at l/2, so on shared draws their tallies agree
+        s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2, p_plus=0.5)
+        report = bound_report(s, trials=20_000, seed=7)
+        counts = {c.treatment: (c.tally.success, c.tally.failure, c.tally.tie)
+                  for c in report.checks}
+        assert counts[Treatment.MEMORIZE][2] > 0  # the even split ties
+        assert (counts[Treatment.MEMORIZE] == counts[Treatment.LOSS_CORRECTION]
+                == counts[Treatment.PEER_LOSS])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bound_report_draws_each_chunk_once(self, monkeypatch, workers):
+        draws = []
+
+        def counting(key, l, e_y, chunk, count):
+            draws.append(chunk)
+            return _chunk_counts(key, l, e_y, chunk, count)
+
+        monkeypatch.setattr(mcsim, "_chunk_counts", counting)
+        s = InstanceScenario(l=6, y=-1, e_plus=0.1, e_minus=0.3)
+        bound_report(s, trials=2 * _CHUNK_TRIALS + 5, seed=3, workers=workers)
+        assert sorted(draws) == [0, 1, 2]
+
+    @pytest.mark.parametrize("s", [
+        InstanceScenario(l=9, y=-1, e_plus=0.1, e_minus=0.5, smoothing_a=0.3),
+        # no trial draws few wrong labels, so the chunk's bincount starts above 0
+        InstanceScenario(l=200, y=1, e_plus=0.3, e_minus=0.2),
+    ])
+    def test_run_trials_equals_the_bound_report_tally(self, s):
+        trials, seed = 5000, 11
+        report = bound_report(s, trials, seed)
+        wrong = _chunk_counts(_stream_key(seed, s), s.l, s.e_y, 0, trials)
+        hist = np.bincount(wrong, minlength=s.l + 1)
+        np.testing.assert_array_equal(_histogram(s, trials, seed, workers=1), hist)
+        for check in report.checks:
+            tally = run_trials(s, check.treatment, trials, seed)
+            assert tally == check.tally
+            table = _outcome_table(s, check.treatment)
+            assert (tally.success, tally.failure, tally.tie) == tuple(
+                int(hist[table == code].sum()) for code in (_SUCCESS, _FAILURE, _TIE))
 
 
 class TestRunTrials:
@@ -331,7 +370,7 @@ class TestRunTrials:
 
     def test_wrong_counts_follow_the_binomial_law(self):
         s = InstanceScenario(l=3, y=1, e_plus=0.4, e_minus=0.2)
-        key = _stream_key(17, Treatment.MEMORIZE, s)
+        key = _stream_key(17, s)
         _assert_binomial_histogram(_chunk_counts(key, 3, 0.4, 0, 100_000), 3, 0.4)
 
     def test_count_and_label_level_samplers_share_the_binomial_law(self):
@@ -339,7 +378,7 @@ class TestRunTrials:
         for l in range(1, 9):
             e_y = float(rng.uniform(0.05, 0.6))
             s = InstanceScenario(l=l, y=1, e_plus=e_y, e_minus=0.3)
-            key = _stream_key(int(rng.integers(1 << 16)), Treatment.MEMORIZE, s)
+            key = _stream_key(int(rng.integers(1 << 16)), s)
             _assert_binomial_histogram(_chunk_counts(key, l, e_y, 0, 50_000), l, e_y)
             _assert_binomial_histogram(_label_level_counts(key, l, e_y, 0, 50_000), l, e_y)
 
@@ -511,7 +550,7 @@ class TestEngineMatchesComparators:
         trials, seed = 50_000, 13
         assert trials <= _CHUNK_TRIALS  # one chunk holds every trial
         tally = run_trials(s, Treatment.LOSS_CORRECTION, trials, seed)
-        key = _stream_key(seed, Treatment.LOSS_CORRECTION, s)
+        key = _stream_key(seed, s)
         wrong = _chunk_counts(key, s.l, s.e_y, 0, trials)
         rates = BinaryNoiseRates(s.e_plus, s.e_minus)
         success = failure = tie = 0
@@ -533,7 +572,7 @@ class TestEngineMatchesComparators:
         trials, seed = 50_000, 13
         assert trials <= _CHUNK_TRIALS
         tally = run_trials(s, Treatment.LABEL_SMOOTHING, trials, seed)
-        key = _stream_key(seed, Treatment.LABEL_SMOOTHING, s)
+        key = _stream_key(seed, s)
         wrong = _chunk_counts(key, s.l, s.e_y, 0, trials)
         rates = BinaryNoiseRates(s.e_plus, s.e_minus)
         buckets = {Comparison.LS_BETTER: 0, Comparison.LC_BETTER: 0, Comparison.TIE: 0}
