@@ -7,12 +7,12 @@ loss correction, label smoothing, peer loss — three ways at once: closed-form
 bounds, exact binomial probabilities, and seeded Monte-Carlo simulation.
 
 A name is exported here only while a CLI command, the acceptance gate, a
-README claim, an oracle test or perfbench's tracer reads it.
+README claim, an oracle test or perfbench's tracer reads it, or another
+export returns it or holds it in a field; tests/test_imports.py checks this.
 """
 from .bounds import (
     BoundKind,
     BoundValue,
-    bernoulli_kl,
     binom_tail,
     lc_failure_lower,
     lc_success_lower,
@@ -27,7 +27,6 @@ from .freqmodel import (
     build_prior,
     capped,
     large_interval,
-    small_interval,
     tau_exact,
     tau_lower_large,
     tau_lower_small,
@@ -48,13 +47,11 @@ from .mcsim import (
     bound_report,
     run_trials,
     sweep,
-    wilson_interval,
 )
 from .noise import (
     BinaryNoiseRates,
     InstanceNoiseSynth,
     combine_rate,
-    label_to_index,
     truncated_normal,
 )
 from .treatments import (
@@ -62,17 +59,12 @@ from .treatments import (
     CorrectedLabel,
     PeerDecision,
     PeerLossDecomposition,
-    PeerTrainingDecomposition,
-    as_loss_vector,
     compare_ls_lc,
     corrected_label,
     lc_empirical_loss,
     lc_loss_vector,
     peer_expected_loss,
-    peer_instance_objective,
-    peer_loss_pairs_mc,
     peer_predict,
-    peer_training_expectation,
     peer_vertex_check,
     smoothed_label,
 )

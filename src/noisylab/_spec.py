@@ -4,7 +4,8 @@ A Spec gives one field's type and range.  field_violations checks a mapping
 against a table of specs and cross-field rules and returns one message per
 violation, led by the field's path.  Dataclasses raise the first message as
 ValueError; the CLI prints every message and exits 2, so a config that
-validates is one the dataclasses accept.
+validates is one the dataclasses accept.  Configs are closed: a key that
+no check reads is reported by unknown_fields.
 """
 from __future__ import annotations
 
@@ -88,6 +89,20 @@ def field_violations(values, fields: dict, rules: dict | None = None, path: str 
             if None not in args and not holds(*args):
                 violations.append(f"{prefix}{reported}: {message(*args)}")
     return violations
+
+
+def unknown_fields(values, known, path: str = "") -> list[str]:
+    """One message per key of values outside known, in the order values gives them."""
+    prefix = f"{path}." if path else ""
+    return [f"{prefix}{key}: unknown field" for key in values if key not in known]
+
+
+def reads(*keys: str):
+    """Mark a config check with the top-level keys it reads, the keys a config may give."""
+    def mark(check):
+        check.keys = keys
+        return check
+    return mark
 
 
 def raise_first(violations: list[str]) -> None:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 __all__ = [
     "BoundKind",
     "BoundValue",
-    "bernoulli_kl",
     "binom_tail",
     "lc_success_lower",
     "lc_failure_lower",
@@ -84,7 +83,7 @@ class BoundValue:
             raise ValueError(f"{self.kind.value} bound must lie in [0, 1], got {self.value}")
 
 
-def bernoulli_kl(a: float, b: float) -> float:
+def _bernoulli_kl(a: float, b: float) -> float:
     """KL(a || b) between Bernoulli(a) and Bernoulli(b), with 0*log 0 = 0.
 
     b in {0, 1} is only admissible when a pins the same point mass;
@@ -149,7 +148,7 @@ def lc_failure_lower(l: int, e: float) -> float:
         raise ValueError(f"l must be >= 1, got {l}")
     if not 0.0 < e < 1.0:
         raise ValueError(f"e must lie in (0, 1), got {e}")
-    return math.exp(-l * bernoulli_kl(0.5, e)) / math.sqrt(2.0 * l)
+    return math.exp(-l * _bernoulli_kl(0.5, e)) / math.sqrt(2.0 * l)
 
 
 def peer_success_lower(l: int, p_opposite: float, e_plus: float, e_minus: float) -> float:

@@ -28,9 +28,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._spec import _COUNT, Spec, field_violations
+from ._spec import _COUNT, Spec, field_violations, reads, unknown_fields
 from .freqmodel import (
     _config_prior,
+    _draw_counts,
     estimate_taus,
     prior_violations,
     tau_violations,
@@ -96,19 +97,19 @@ _GRID_ENTRIES = {
 _GRID_SET = ("l", "e_plus", "e_minus")
 
 
-def _check_scenario(doc, path: str) -> list[str]:
-    if not isinstance(doc, dict):
-        return [f"{path}: must be an object"]
-    return scenario_violations(doc, path)
+@reads("scenario")
+def _check_scenario(doc: dict) -> list[str]:
+    return scenario_violations(doc.get("scenario"), "scenario")
 
 
+@reads("scenarios")
 def _check_scenarios(doc: dict) -> list[str]:
     scenarios = doc.get("scenarios")
     if scenarios is None:
         return [] if doc.get("grid") is not None else ["scenarios: sweep needs scenarios or grid"]
     if not isinstance(scenarios, list) or not scenarios:
         return ["scenarios: must be a nonempty list"]
-    return [v for i, s in enumerate(scenarios) for v in _check_scenario(s, f"scenarios[{i}]")]
+    return [v for i, s in enumerate(scenarios) for v in scenario_violations(s, f"scenarios[{i}]")]
 
 
 def _grid_point(base: dict, l: int, e: float) -> dict:
@@ -116,6 +117,7 @@ def _grid_point(base: dict, l: int, e: float) -> dict:
     return {"y": 1, **base, "l": l, "e_plus": e, "e_minus": e}
 
 
+@reads("grid")
 def _check_grid(doc: dict) -> list[str]:
     grid = doc.get("grid")
     if grid is None:
@@ -131,6 +133,7 @@ def _check_grid(doc: dict) -> list[str]:
             violations.append(f"grid.{key}: {message}")
         else:
             valid[key] = vals
+    violations += unknown_fields(grid, (*_GRID_ENTRIES, "base"), "grid")
     base = grid.get("base", {})
     if not isinstance(base, dict):
         return violations + ["grid.base: must be an object"]
@@ -156,8 +159,10 @@ def validate_config(doc) -> list[str]:
     violations += field_violations(doc, _TOP_FIELDS)
     if "out" in doc and not isinstance(doc["out"], str):
         violations.append("out: must be a string path")
-    for check in spec.checks if spec is not None else ():
-        violations += field_violations(doc, check) if isinstance(check, dict) else check(doc)
+    if spec is not None:
+        for check in spec.checks:
+            violations += field_violations(doc, check) if isinstance(check, dict) else check(doc)
+        violations += unknown_fields(doc, spec.keys)
     return violations
 
 
@@ -243,7 +248,7 @@ def _tau_rows(doc: dict) -> list[dict]:
     estimates = estimate_taus(
         _config_prior(doc["prior"]),
         n,
-        doc["l"] if isinstance(doc["l"], list) else [doc["l"]],
+        _draw_counts(doc["l"]),
         _command_rng(doc["seed"], "tau"),
         **{key: doc[key] for key in ("mc_replicates", "weight_replicates") if key in doc},
     )
@@ -322,15 +327,21 @@ class _Command:
     """A run command: its config checks, its row builder and its CSV columns.
 
     checks run in order; each is a table of top-level fields or a function
-    of the config returning its violations.
+    of the config returning its violations, marked with the keys it reads.
     """
 
     checks: tuple
     rows: Callable[[dict], list[dict]]
     columns: tuple[str, ...] = CSV_COLUMNS
 
+    @property
+    def keys(self) -> set[str]:
+        """The top-level keys a config may give: the shared ones and those its checks read."""
+        return {"command", "out", *_TOP_FIELDS}.union(
+            *(check if isinstance(check, dict) else check.keys for check in self.checks))
 
-_ONE_SCENARIO = (lambda doc: _check_scenario(doc.get("scenario"), "scenario"), _TRIALS)
+
+_ONE_SCENARIO = (_check_scenario, _TRIALS)
 _COMMANDS = {
     "tau": _Command((prior_violations, tau_violations, _OPTIONAL_TRIALS), _tau_rows),
     "weight": _Command((prior_violations, weight_violations, _OPTIONAL_TRIALS), _weight_rows),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._spec import _COUNT, Spec, field_violations, raise_first
+from ._spec import _COUNT, Spec, field_violations, raise_first, reads, unknown_fields
 
 __all__ = [
     "PriorSpec",
@@ -38,7 +38,6 @@ __all__ = [
     "tau_lower_large",
     "tau_lower_small",
     "large_interval",
-    "small_interval",
     "estimate_tau",
     "estimate_taus",
 ]
@@ -160,12 +159,17 @@ def _prior_field_violations(doc) -> list[str]:
     generator = doc.get("generator")
     if not isinstance(generator, str) or generator not in _GENERATORS:
         return [f"prior.generator: must be one of {', '.join(_GENERATORS)}, got {generator!r}"]
-    violations = field_violations(doc, _GENERATORS[generator][0], path="prior")
+    fields = _GENERATORS[generator][0]
+    violations = field_violations(doc, fields, path="prior")
+    known = ("generator", *fields, *_CAP)
     if generator == "explicit":
         violations += _values_violations(doc.get("values"))
-    return violations + field_violations(doc, _CAP, path="prior")
+        known += ("values",)
+    violations += field_violations(doc, _CAP, path="prior")
+    return violations + unknown_fields(doc, known, "prior")
 
 
+@reads("prior")
 def prior_violations(config: dict) -> list[str]:
     """One message per broken rule of a config's prior; a valid cap is checked against the prior."""
     doc = config.get("prior")
@@ -200,7 +204,8 @@ def build_prior(
 
     generator "uniform" needs n; "zipf" needs n and exponent (weights
     k^-exponent, k = 1..n); "explicit" needs values in (0, 1]; a cap waterfills
-    the prior below it.  The first prior_violations message is raised.
+    the prior below it.  The first prior_violations message is raised, so an
+    argument the generator does not read is an unknown field of the prior.
     """
     doc = {"generator": generator, "n_values": n, "exponent": exponent, "values": values, "cap": cap}
     return _config_prior({key: value for key, value in doc.items() if value is not None})
@@ -311,10 +316,13 @@ _TAU_RULES = {
 }
 
 
+def _draw_counts(ls):
+    """A config's l as a list: one integer stands for [l]; other values pass through unchanged."""
+    return [ls] if Spec("integer").violation(ls) is None else ls
+
+
 def _draw_count_violations(doc: dict) -> list[str]:
-    ls = doc.get("l")
-    if Spec("integer").violation(ls) is None:
-        ls = [ls]
+    ls = _draw_counts(doc.get("l"))
     if not isinstance(ls, list) or not ls or any(map(_COUNT.violation, ls)):
         return ["l: must be a positive integer or nonempty list of them"]
     n = doc.get("n")
@@ -323,15 +331,20 @@ def _draw_count_violations(doc: dict) -> list[str]:
     return []
 
 
+@reads(*_TAU_FIELDS, "l")
 def tau_violations(doc: dict) -> list[str]:
     """One message per broken rule of a tau config: n, the replicate counts, then l."""
     return field_violations(doc, _TAU_FIELDS, _TAU_RULES) + _draw_count_violations(doc)
 
 
+_WEIGHT_FIELDS = {"replicates": _MC_REPLICATES}
+
+
+@reads("interval", *_WEIGHT_FIELDS)
 def weight_violations(doc: dict) -> list[str]:
     """One message per broken rule of a weight config: the interval, then replicates."""
     interval = doc.get("interval")
-    violations = field_violations(doc, {"replicates": _COUNT})
+    violations = field_violations(doc, _WEIGHT_FIELDS)
     if (not isinstance(interval, (list, tuple)) or len(interval) != 2
             or any(map(Spec().violation, interval))):
         return ["interval: must be a [beta1, beta2] pair of numbers"] + violations
@@ -352,9 +365,7 @@ def weight_estimate(prior: PriorSpec, interval: tuple[float, float], replicates:
     raise_first(weight_violations({"interval": interval, "replicates": replicates}))
     b1, b2 = float(interval[0]), float(interval[1])
     masses = _realizations(prior, rng, windows=[(b1, b2)], weight_replicates=replicates)[2][0]
-    value = float(masses.mean())
-    stderr = float(masses.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
-    return WeightEstimate(value=value, stderr=stderr)
+    return WeightEstimate(float(masses.mean()), float(masses.std(ddof=1) / math.sqrt(replicates)))
 
 
 def tau_exact(prior: PriorSpec, n: int, l: int) -> float:
@@ -442,7 +453,7 @@ def large_interval(n: int, l: int) -> tuple[float, float]:
     return (2.0 / 3.0) * (l - 1.0) / (n - 1.0), (4.0 / 3.0) * l / n
 
 
-def small_interval(n: int, l: int) -> tuple[float, float]:
+def _small_interval(n: int, l: int) -> tuple[float, float]:
     """Frequency window the small-l bound weighs: [0.7, 4/3] * (l-1)/(n-1)."""
     base = (l - 1.0) / (n - 1.0)
     return 0.7 * base, (4.0 / 3.0) * base
@@ -467,7 +478,7 @@ def estimate_taus(prior: PriorSpec, n: int, ls: list[int], rng: np.random.Genera
                                 "weight_replicates": weight_replicates}))
     exact = [tau_exact(prior, n, l) for l in ls]
     windows = {(l, "large"): large_interval(n, l) for l in ls}
-    windows.update({(l, "small"): small_interval(n, l) for l in ls if l > 1})
+    windows.update({(l, "small"): _small_interval(n, l) for l in ls if l > 1})
     lnum, lden, masses = _realizations(
         prior, rng, n=n, ls=ls if mc_replicates else (), mc_replicates=mc_replicates,
         windows=[(lo, min(hi, 1.0)) for lo, hi in windows.values()],

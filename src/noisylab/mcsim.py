@@ -26,7 +26,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from ._spec import _COUNT, Spec, field_violations, raise_first
+from ._spec import _COUNT, Spec, field_violations, raise_first, unknown_fields
 from .bounds import (
     BoundKind,
     BoundValue,
@@ -46,7 +46,6 @@ __all__ = [
     "TrialTally",
     "BoundCheck",
     "BoundReport",
-    "wilson_interval",
     "run_trials",
     "bound_report",
     "sweep",
@@ -144,10 +143,14 @@ def scenario_violations(doc, path: str = "") -> list[str]:
 
     Absent fields take InstanceScenario's defaults, so the prior-sum rule
     reads p_plus = 0.5 when only p_minus is given; a None p_minus or n means
-    "not given", as it does in the dataclass.  The CLI and the dataclass
-    both check scenarios here.
+    "not given", as it does in the dataclass; a key outside _SCENARIO_FIELDS is
+    an unknown field, and a value that is not a mapping must be an object.
+    The CLI and the dataclass both check scenarios here.
     """
-    return field_violations({**_SCENARIO_DEFAULTS, **doc}, _SCENARIO_FIELDS, _SCENARIO_RULES, path)
+    if not isinstance(doc, dict):
+        return [f"{path}: must be an object"]
+    return (field_violations({**_SCENARIO_DEFAULTS, **doc}, _SCENARIO_FIELDS, _SCENARIO_RULES, path)
+            + unknown_fields(doc, _SCENARIO_FIELDS, path))
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ class TrialTally:
             raise ValueError("success + failure + tie must equal trials")
 
 
-def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+def _wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if total < 1:
         raise ValueError(f"total must be >= 1, got {total}")
@@ -348,7 +351,7 @@ def _tally(scenario: InstanceScenario, treatment: Treatment, table: np.ndarray,
         hits, total = int(hist @ np.arange(scenario.l + 1)), trials * scenario.l
     else:
         hits, total = success, trials
-    return TrialTally(trials, success, failure, tie, hits / total, wilson_interval(hits, total))
+    return TrialTally(trials, success, failure, tie, hits / total, _wilson_interval(hits, total))
 
 
 def run_trials(
@@ -523,7 +526,7 @@ def bound_report(
         tally = tallies[event.treatment]
         if event.counts:
             count = sum(getattr(tally, name) for name in event.counts)
-            mc_estimate, ci = count / trials, wilson_interval(count, trials)
+            mc_estimate, ci = count / trials, _wilson_interval(count, trials)
             exact = _table_mass(scenario, tables[event.treatment], event.counts)
         else:
             mc_estimate, ci, exact = tally.estimate, tally.wilson_ci, scenario.e_y

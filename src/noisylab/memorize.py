@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import label_to_index
+from .noise import _label_to_index
 
 __all__ = ["LabelDist", "empirical_distribution", "memorization_error"]
 
@@ -43,7 +43,7 @@ class LabelDist:
             raise ValueError(f"proper distribution entries must lie in [0, 1], got {probs}")
 
     def prob_of(self, y: int) -> float:
-        return float(self.probs[label_to_index(y)])
+        return float(self.probs[_label_to_index(y)])
 
 
 def _label_counts(labels) -> np.ndarray:

@@ -17,7 +17,6 @@ __all__ = [
     "InstanceNoiseSynth",
     "truncated_normal",
     "combine_rate",
-    "label_to_index",
 ]
 
 expit, ndtr, ndtri = _deferred_special(globals(), "expit", "ndtr", "ndtri")
@@ -37,7 +36,7 @@ _SYNTH_FIELDS = {
 }
 
 
-def label_to_index(y: int) -> int:
+def _label_to_index(y: int) -> int:
     """Map a binary label to its class index: -1 -> 0, +1 -> 1."""
     raise_first(field_violations({"y": y}, _LABEL))
     return 0 if y == -1 else 1
@@ -60,7 +59,7 @@ class BinaryNoiseRates:
 
     def rate_for(self, y: int) -> float:
         """Flip rate applied to true label y."""
-        return self.e_plus if label_to_index(y) == 1 else self.e_minus
+        return self.e_plus if _label_to_index(y) == 1 else self.e_minus
 
 
 def truncated_normal(

@@ -27,8 +27,6 @@ __all__ = [
     "CorrectedLabel",
     "PeerDecision",
     "PeerLossDecomposition",
-    "PeerTrainingDecomposition",
-    "as_loss_vector",
     "corrected_label",
     "lc_loss_vector",
     "lc_empirical_loss",
@@ -36,9 +34,6 @@ __all__ = [
     "compare_ls_lc",
     "peer_predict",
     "peer_expected_loss",
-    "peer_training_expectation",
-    "peer_loss_pairs_mc",
-    "peer_instance_objective",
     "peer_vertex_check",
 ]
 
@@ -51,7 +46,7 @@ class Comparison(enum.Enum):
     TIE = "tie"
 
 
-def as_loss_vector(loss) -> np.ndarray:
+def _as_loss_vector(loss) -> np.ndarray:
     """Validate and return a binary loss vector (l(h(x), -1), l(h(x), +1)) as an array."""
     arr = np.asarray(loss, dtype=float).ravel()
     if arr.size != 2:
@@ -126,7 +121,7 @@ def _binary_surrogate(loss_minus: float, loss_plus: float, rates: BinaryNoiseRat
 
 def lc_loss_vector(loss, rates: BinaryNoiseRates) -> np.ndarray:
     """Surrogate loss T^-1 l whose noisy expectation is the clean loss."""
-    arr = as_loss_vector(loss)
+    arr = _as_loss_vector(loss)
     if not isinstance(rates, BinaryNoiseRates):
         raise TypeError(f"expected BinaryNoiseRates, got {type(rates)!r}")
     return np.array(_binary_surrogate(*arr.tolist(), rates))
@@ -206,30 +201,6 @@ def peer_predict(dist_local: LabelDist, global_noisy_positive_rate: float) -> Pe
     return PeerDecision(predicted=1 if tie or margin > 0 else -1, margin=margin, tie=tie)
 
 
-def _clamped(predictor: np.ndarray, q_min: float) -> np.ndarray:
-    """Shrink rows toward uniform so every entry sits in [q_min, 1-(m-1)q_min]."""
-    m = predictor.shape[1]
-    if not 0.0 < q_min < 1.0 / m:
-        raise ValueError(f"q_min must lie in (0, 1/m), got {q_min}")
-    return (1.0 - m * q_min) * predictor + q_min
-
-
-def _check_joint_predictor(joint, predictor) -> tuple[np.ndarray, np.ndarray]:
-    joint = np.asarray(joint, dtype=float)
-    predictor = np.asarray(predictor, dtype=float)
-    if joint.ndim != 2 or joint.shape != predictor.shape:
-        raise ValueError(
-            f"joint and predictor must be matching 2-d tables, got {joint.shape} vs {predictor.shape}"
-        )
-    if np.any(joint < 0.0) or abs(joint.sum() - 1.0) > 1e-9:
-        raise ValueError("joint must be a proper distribution over X x Y")
-    if np.any(joint.sum(axis=1) <= 0.0):
-        raise ValueError("every feature must carry positive probability")
-    if np.any(predictor < 0.0) or np.any(np.abs(predictor.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("predictor rows must be proper distributions")
-    return joint, predictor
-
-
 @dataclass(frozen=True)
 class PeerLossDecomposition:
     """Expected peer loss under the model's own label draws, with its KL form.
@@ -253,11 +224,24 @@ def peer_expected_loss(joint, predictor, q_min: float = 1e-3) -> PeerLossDecompo
     that weighting the difference of the conditional and marginal CE terms
     equals KL(Q || P) - KL(Q || P_x x P_y~) identically.  Minimizing over Q
     therefore rewards matching the joint while diverging from the
-    independent product — confident predictions.  The complementary
-    data-weighted expectation is peer_training_expectation.
+    independent product — confident predictions.
     """
-    joint, predictor = _check_joint_predictor(joint, predictor)
-    q = _clamped(predictor, q_min)
+    joint = np.asarray(joint, dtype=float)
+    predictor = np.asarray(predictor, dtype=float)
+    if joint.ndim != 2 or joint.shape != predictor.shape:
+        raise ValueError(
+            f"joint and predictor must be matching 2-d tables, got {joint.shape} vs {predictor.shape}"
+        )
+    if np.any(joint < 0.0) or abs(joint.sum() - 1.0) > 1e-9:
+        raise ValueError("joint must be a proper distribution over X x Y")
+    if np.any(joint.sum(axis=1) <= 0.0):
+        raise ValueError("every feature must carry positive probability")
+    if np.any(predictor < 0.0) or np.any(np.abs(predictor.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("predictor rows must be proper distributions")
+    m = predictor.shape[1]
+    if not 0.0 < q_min < 1.0 / m:
+        raise ValueError(f"q_min must lie in (0, 1/m), got {q_min}")
+    q = (1.0 - m * q_min) * predictor + q_min  # rows shrunk toward uniform
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     if np.any(py <= 0.0):
@@ -274,77 +258,7 @@ def peer_expected_loss(joint, predictor, q_min: float = 1e-3) -> PeerLossDecompo
     )
 
 
-@dataclass(frozen=True)
-class PeerTrainingDecomposition:
-    """Expected peer loss under data-drawn labels, with its exact identity.
-
-    value = E_{(x,y~) ~ P}[-log Q(y~|x)] - E_{x ~ P_x, y~ ~ P_y~}[-log Q(y~|x)];
-    exactly kl_joint_vs_model - kl_product_vs_model - mutual_information.
-    """
-
-    value: float
-    kl_joint_vs_model: float
-    kl_product_vs_model: float
-    mutual_information: float
-
-
-def peer_training_expectation(joint, predictor, q_min: float = 1e-3) -> PeerTrainingDecomposition:
-    """Peer loss as a training objective: labels drawn from the data joint.
-
-    The first term is the usual expected CE of the (clamped) predictor; the
-    peer term redraws the feature and label independently from their
-    marginals.  Subtracting, the predictor-independent entropy pieces cancel
-    into the mutual information of the joint, giving the identity recorded
-    on the result type.
-    """
-    joint, predictor = _check_joint_predictor(joint, predictor)
-    q = _clamped(predictor, q_min)
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    product = px[:, None] * py[None, :]
-    log_q = np.log(q)
-    value = float(-(joint * log_q).sum() + (product * log_q).sum())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        joint_terms = np.where(joint > 0.0, joint * np.log(joint / (q * px[:, None])), 0.0)
-        mi_terms = np.where(joint > 0.0, joint * np.log(joint / product), 0.0)
-    kl_joint_vs_model = float(joint_terms.sum())
-    kl_product_vs_model = float((product * np.log(product / (q * px[:, None]))).sum())
-    mutual_information = float(mi_terms.sum())
-    return PeerTrainingDecomposition(
-        value=value,
-        kl_joint_vs_model=kl_joint_vs_model,
-        kl_product_vs_model=kl_product_vs_model,
-        mutual_information=mutual_information,
-    )
-
-
-def peer_loss_pairs_mc(
-    joint, predictor, pairs: int, rng: np.random.Generator, q_min: float = 1e-3
-) -> tuple[float, float]:
-    """Literal pair-sampling estimate of the training peer loss.
-
-    Each of `pairs` draws takes (x_i, y~_i) from the joint for the CE term
-    and independent x_p ~ P_x, y~_p ~ P_y~ for the peer term.  Returns
-    (mean, standard error); the mean converges to
-    peer_training_expectation(...).value.
-    """
-    if pairs < 2:
-        raise ValueError(f"pairs must be >= 2, got {pairs}")
-    joint, predictor = _check_joint_predictor(joint, predictor)
-    log_q = np.log(_clamped(predictor, q_min))
-    n_x, n_y = joint.shape
-    flat = joint.ravel()
-    draws = rng.choice(n_x * n_y, size=pairs, p=flat / flat.sum())
-    xi, yi = np.divmod(draws, n_y)
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    xp = rng.choice(n_x, size=pairs, p=px / px.sum())
-    yp = rng.choice(n_y, size=pairs, p=py / py.sum())
-    samples = -log_q[xi, yi] + log_q[xp, yp]
-    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(pairs))
-
-
-def peer_instance_objective(
+def _peer_instance_objective(
     dist_local: LabelDist, global_rate: float, q, q_min: float = 1e-3
 ) -> np.ndarray:
     """Per-instance expected peer loss at prediction mass q = P[h(x) = +1].
@@ -376,5 +290,5 @@ def peer_vertex_check(
     if grid_points < 3:
         raise ValueError(f"grid needs at least 3 points, got {grid_points}")
     grid = np.linspace(q_min, 1.0 - q_min, grid_points)
-    objective = peer_instance_objective(dist_local, global_rate, grid, q_min=q_min)
+    objective = _peer_instance_objective(dist_local, global_rate, grid, q_min=q_min)
     return float(grid[int(np.argmin(objective))])

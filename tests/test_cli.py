@@ -758,6 +758,8 @@ class TestFrozenErrors:
             ("noise-synth", {**_N, "trials": 2.5}, "trials: must be an integer, got 2.5\n"),
             ("sweep", {"seed": 1, "trials": -5, "scenarios": [_S]},
              "trials: must be >= 1, got -5\n"),
+            # one replicate gives no standard error, as for tau's mc_replicates
+            ("weight", {**_W, "replicates": 1}, "replicates: must be >= 2, got 1\n"),
         ],
     )
     def test_invalid_config_keeps_exit_2_and_its_messages(self, tmp_path, capsys, command, doc, err):
@@ -779,6 +781,7 @@ class TestFrozenErrors:
 
     # Configs that `validate` accepted and a run rejected with exit 3: the
     # run and `validate` now read the same scenario, prior, cap and tau rules.
+    # Then configs that both accepted while ignoring a key no rule reads.
     @pytest.mark.parametrize(
         "command, doc, err",
         [
@@ -817,11 +820,36 @@ class TestFrozenErrors:
              "grid.base.e_plus: must not be given, the grid sets it\n"),
             ("sweep", {"seed": 1, "trials": 10, "grid": {"l": [4], "e": [0.1], "base": {"e_minus": 0.1}}},
              "grid.base.e_minus: must not be given, the grid sets it\n"),
+            ("tau", {"seed": 1, "n": 100, "l": [2], "mc_replicate": 500,
+                     "prior": {"generator": "uniform", "n_values": 10}},
+             "mc_replicate: unknown field\n"),
+            ("sweep", {"seed": 1, "trials": 10, "scenarios": [_S, {**_S, "smoothing": 0.5}]},
+             "scenarios[1].smoothing: unknown field\n"),
+            ("sweep", {"seed": 1, "trials": 10, "scenarios": [_S], "grdi": {"l": [4], "e": [0.1]}},
+             "grdi: unknown field\n"),
+            ("tau", {"seed": 1, "n": 100, "l": [2],
+                     "prior": {"generator": "uniform", "n_values": 10, "exponnent": 1.1}},
+             "prior.exponnent: unknown field\n"),
+            ("simulate", _scenario(smoothing=0.5), "scenario.smoothing: unknown field\n"),
+            ("sweep", {"seed": 1, "trials": 10, "grid": {"l": [4], "e": [0.1], "bsae": {"y": 1}}},
+             "grid.bsae: unknown field\n"),
+            ("sweep", {"seed": 1, "trials": 10,
+                       "grid": {"l": [4], "e": [0.1], "base": {"y": 1, "smoothing": 0.5}}},
+             "grid.base.smoothing: unknown field\n"),
+            ("noise-synth", {**_N, "sigam": 0.2}, "sigam: unknown field\n"),
+            ("weight", {**_W, "prior": {"generator": "zipf", "n_values": 50, "exponent": 1.1,
+                                        "values": [0.5]}},
+             "prior.values: unknown field\n"),
+            ("bounds", {**_B, "worker": 2, "trails": 5},
+             "worker: unknown field\ntrails: unknown field\n"),
         ],
         ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
              "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate",
              "tau-infeasible-cap", "weight-infeasible-cap", "tau-one-sample",
-             "base-l-and-e_plus", "base-e_minus"],
+             "base-l-and-e_plus", "base-e_minus",
+             "unknown-top-tau", "unknown-in-scenarios", "unknown-top-sweep", "unknown-in-prior",
+             "unknown-in-scenario", "unknown-in-grid", "unknown-in-grid-base",
+             "unknown-top-noise-synth", "values-on-zipf", "two-unknown-in-document-order"],
     )
     def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
         assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)

@@ -22,14 +22,13 @@ from noisylab import (
     build_prior,
     capped,
     large_interval,
-    small_interval,
     tau_exact,
     tau_lower_large,
     tau_lower_small,
     tau_monte_carlo,
     weight_estimate,
 )
-from noisylab.freqmodel import estimate_tau, estimate_taus
+from noisylab.freqmodel import _small_interval, estimate_tau, estimate_taus
 
 
 def _tau_direct(values: np.ndarray, n: int, l: int) -> float:
@@ -103,6 +102,11 @@ class TestBuildPrior:
             build_prior("explicit", values=[0.0, 1.0])
         with pytest.raises(ValueError):
             build_prior("pareto", n=10)
+        # the config rule: a prior takes only its generator's fields and cap
+        with pytest.raises(ValueError, match=r"^prior\.exponent: unknown field$"):
+            build_prior("uniform", n=10, exponent=1.1)
+        with pytest.raises(ValueError, match=r"^prior\.values: unknown field$"):
+            build_prior("zipf", n=10, exponent=1.1, values=[0.5])
 
 
 class TestCapped:
@@ -215,6 +219,9 @@ class TestWeightEstimate:
             weight_estimate(prior, (0.6, 0.4), 10, np.random.default_rng(0))
         with pytest.raises(ValueError):
             weight_estimate(prior, (0.0, 1.0), 0, np.random.default_rng(0))
+        # one replicate has no standard error, so no CI
+        with pytest.raises(ValueError, match=r"^replicates: must be >= 2, got 1$"):
+            weight_estimate(prior, (0.0, 1.0), 1, np.random.default_rng(0))
 
 
 class TestTauExact:
@@ -331,7 +338,7 @@ class TestTauLowerBounds:
         lo, hi = large_interval(10_000, 100)
         np.testing.assert_allclose(lo, (2.0 / 3.0) * 99.0 / 9999.0, rtol=1e-14)
         np.testing.assert_allclose(hi, (4.0 / 3.0) * 100.0 / 10_000.0, rtol=1e-14)
-        lo, hi = small_interval(1001, 5)
+        lo, hi = _small_interval(1001, 5)
         np.testing.assert_allclose(lo, 0.7 * 4.0 / 1000.0, rtol=1e-14)
         np.testing.assert_allclose(hi, (4.0 / 3.0) * 4.0 / 1000.0, rtol=1e-14)
 
@@ -410,7 +417,7 @@ def _masked_reference(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), we
 class TestBitIdentity:
     # (prior, n, ls, mc_replicates, windows, weight_replicates, rows per chunk or None)
     ODD = build_prior("zipf", n=199, exponent=1.1, cap=0.05)
-    WINDOWS = [large_interval(2000, 5), small_interval(2000, 5), (0.0, 1.0), (0.5, 1.0)]
+    WINDOWS = [large_interval(2000, 5), _small_interval(2000, 5), (0.0, 1.0), (0.5, 1.0)]
     CASES = {
         "odd-slot-count": (ODD, 2000, [2, 5, 40], 500, WINDOWS, 500, None),
         "one-row-per-chunk": (ODD, 2000, [2, 5, 40], 30, WINDOWS, 30, 1),

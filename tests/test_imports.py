@@ -4,13 +4,18 @@ Importing scipy.special costs about as much as the rest of a cold
 `import noisylab.cli`, and only binom_tail, truncated_normal and combine_rate
 use it.  This process loaded it long ago, so every check runs in a fresh
 interpreter that imports the same noisylab sources.  Every function that
-perfbench's tracer wraps must also keep resolving, or `--trace 1` breaks.
+perfbench's tracer wraps must also keep resolving, or `--trace 1` breaks, and
+every name `noisylab/__init__.py` exports must keep a reader (README, "Library
+quick reference").
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +28,8 @@ from noisylab.bounds import binom_tail
 from noisylab.noise import combine_rate, truncated_normal
 
 SRC = Path(noisylab.__file__).resolve().parents[1]
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 UNLOADED = "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'"
 
@@ -146,3 +152,65 @@ def test_every_perfbench_trace_target_resolves():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+# Exports read only by an oracle test, which checks another route against
+# them, with the test that reads each one.
+ORACLES = {
+    "peer_predict": "tests/test_mcsim.py",  # the peer outcome table, split by split
+    "empirical_distribution": "tests/test_treatments.py",  # lc_empirical_loss's label counts
+}
+
+
+def _exports() -> list[str]:
+    tree = ast.parse((SRC / "noisylab" / "__init__.py").read_text(encoding="utf-8"))
+    return [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names]
+
+
+def _code_names(path: Path) -> set[str]:
+    """Every name a Python file imports, reads or looks up as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _readme_names() -> set[str]:
+    """Every name in the README's code spans and Python examples."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"`([^`\n]+)`", text) + re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+    return set(re.findall(r"\w+", " ".join(code)))
+
+
+def _type_names(exports) -> dict[str, set[str]]:
+    """For each export, the names in its return type or its dataclass field types."""
+    types = {}
+    for name in exports:
+        obj = getattr(noisylab, name)
+        if dataclasses.is_dataclass(obj):
+            hints = [field.type for field in dataclasses.fields(obj)]
+        else:
+            hints = [obj.__annotations__.get("return", "")] if inspect.isfunction(obj) else []
+        types[name] = set(re.findall(r"\w+", " ".join(map(str, hints))))
+    return types
+
+
+def test_every_export_has_a_reader():
+    exports = _exports()
+    readers = (_code_names(SRC / "noisylab" / "cli.py")
+               | _code_names(ROOT / "tests" / "test_acceptance.py")
+               | _readme_names()
+               | {attr.split(".")[0] for _, _, attr in _tracer_targets()})
+    types = _type_names(exports)
+    read = {name for name in exports
+            if name in readers or any(name in types[other] for other in exports if other != name)}
+    assert [name for name in exports if name not in read and name not in ORACLES] == []
+    # an oracle is listed only while it is exported, has no other reader, and its test reads it
+    assert [name for name, test in ORACLES.items()
+            if name not in exports or name in read or name not in _code_names(ROOT / test)] == []

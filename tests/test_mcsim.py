@@ -30,10 +30,10 @@ from noisylab.mcsim import (
     _lc_correct_threshold,
     _outcome_table,
     _stream_key,
+    _wilson_interval,
     bound_report,
     run_trials,
     sweep,
-    wilson_interval,
 )
 from noisylab.noise import BinaryNoiseRates
 from noisylab.treatments import Comparison, compare_ls_lc, corrected_label, peer_predict
@@ -153,30 +153,30 @@ class TestWilsonInterval:
         for _ in range(300):
             total = int(rng.integers(1, 5000))
             successes = int(rng.integers(0, total + 1))
-            lo, hi = wilson_interval(successes, total)
+            lo, hi = _wilson_interval(successes, total)
             p_hat = successes / total
             assert 0.0 <= lo <= p_hat <= hi <= 1.0
 
     def test_degenerate_counts_pin_one_endpoint(self):
-        lo, hi = wilson_interval(0, 25)
+        lo, hi = _wilson_interval(0, 25)
         assert lo == 0.0 and 0.0 < hi < 1.0
-        lo, hi = wilson_interval(25, 25)
+        lo, hi = _wilson_interval(25, 25)
         assert hi == 1.0 and 0.0 < lo < 1.0
 
     def test_width_shrinks_with_sample_size(self):
         widths = []
         for total in (10, 100, 1000, 10000):
-            lo, hi = wilson_interval(int(0.3 * total), total)
+            lo, hi = _wilson_interval(int(0.3 * total), total)
             widths.append(hi - lo)
         assert all(a > b for a, b in zip(widths, widths[1:]))
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
-            wilson_interval(1, 0)
+            _wilson_interval(1, 0)
         with pytest.raises(ValueError):
-            wilson_interval(5, 4)
+            _wilson_interval(5, 4)
         with pytest.raises(ValueError):
-            wilson_interval(-1, 4)
+            _wilson_interval(-1, 4)
 
 
 class TestTrialTally:
@@ -339,7 +339,7 @@ class TestRunTrials:
         assert abs(tally.estimate - 0.35) < 4 * se
         np.testing.assert_allclose(
             tally.wilson_ci,
-            wilson_interval(round(tally.estimate * total), total),
+            _wilson_interval(round(tally.estimate * total), total),
             atol=1e-15,
         )
 
@@ -348,7 +348,7 @@ class TestRunTrials:
         tally = run_trials(s, Treatment.PEER_LOSS, 4000, seed=9)
         np.testing.assert_allclose(tally.estimate, tally.success / 4000, atol=1e-15)
         np.testing.assert_allclose(
-            tally.wilson_ci, wilson_interval(tally.success, 4000), atol=1e-15
+            tally.wilson_ci, _wilson_interval(tally.success, 4000), atol=1e-15
         )
 
     def test_accepts_treatment_by_value_string(self):

@@ -16,31 +16,31 @@ from noisylab import (
     BinaryNoiseRates,
     InstanceNoiseSynth,
     combine_rate,
-    label_to_index,
     lc_loss_vector,
     truncated_normal,
 )
+from noisylab.noise import _label_to_index
 
 
 class TestLabelIndexing:
     def test_binary_round_trip(self):
-        assert label_to_index(-1) == 0
-        assert label_to_index(1) == 1
+        assert _label_to_index(-1) == 0
+        assert _label_to_index(1) == 1
 
     def test_invalid_labels_rejected(self):
         for bad in (0, 2, 3):
             with pytest.raises(ValueError):
-                label_to_index(bad)
+                _label_to_index(bad)
 
     @pytest.mark.parametrize("y", [True, False, 1.0, -1.0, np.float64(1.0)])
     def test_bools_and_floats_are_not_labels(self, y):
         # the scenario y rule: only the integers -1 and 1, Python or numpy
         message = re.escape(f"y: must be -1 or 1, got {y!r}")
         with pytest.raises(ValueError, match=message):
-            label_to_index(y)
+            _label_to_index(y)
         with pytest.raises(ValueError, match=message):
             BinaryNoiseRates(e_plus=0.1, e_minus=0.3).rate_for(y)
-        assert label_to_index(np.int64(-1)) == 0 and label_to_index(np.int32(1)) == 1
+        assert _label_to_index(np.int64(-1)) == 0 and _label_to_index(np.int32(1)) == 1
 
 
 class TestBinaryNoiseRates:

@@ -3,7 +3,7 @@
 The corrected-label algebra is verified by evaluating both routes of each
 identity independently (surrogate-loss route vs corrected-label route,
 expectation route vs KL route), the comparison logic against exhaustive
-case analysis, and the peer objective against a literal sampling estimate.
+case analysis, and the peer objective against its direct formula.
 """
 import math
 
@@ -15,22 +15,19 @@ from noisylab import (
     Comparison,
     LabelDist,
     PeerDecision,
-    as_loss_vector,
     compare_ls_lc,
     corrected_label,
     empirical_distribution,
-    label_to_index,
     lc_empirical_loss,
     lc_loss_vector,
     memorization_error,
     peer_expected_loss,
-    peer_instance_objective,
-    peer_loss_pairs_mc,
     peer_predict,
-    peer_training_expectation,
     peer_vertex_check,
     smoothed_label,
 )
+from noisylab.noise import _label_to_index
+from noisylab.treatments import _as_loss_vector, _peer_instance_objective
 
 SYMM_02 = BinaryNoiseRates(0.2, 0.2)
 
@@ -169,15 +166,15 @@ class TestLcLossVector:
         with pytest.raises(ValueError):
             lc_loss_vector([1.0, 0.0, 2.0], SYMM_02)
         with pytest.raises(ValueError):
-            as_loss_vector([1.0])
+            _as_loss_vector([1.0])
         with pytest.raises(ValueError):
-            as_loss_vector([np.inf, 0.0])
+            _as_loss_vector([np.inf, 0.0])
         with pytest.raises(ValueError):
-            as_loss_vector([0.0, np.nan])
+            _as_loss_vector([0.0, np.nan])
         with pytest.raises(ValueError):
-            as_loss_vector([1.0, -np.inf])
+            _as_loss_vector([1.0, -np.inf])
         with pytest.raises(ValueError):
-            as_loss_vector([0.0, 1.0, 2.0])
+            _as_loss_vector([0.0, 1.0, 2.0])
 
 
 class TestLcEmpiricalLoss:
@@ -383,40 +380,6 @@ class TestPeerExpectedLoss:
             peer_expected_loss(_random_joint(rng, 2), _random_predictor(rng, 2), q_min=0.6)
 
 
-class TestPeerTrainingExpectation:
-    def test_identity_with_mutual_information(self):
-        rng = np.random.default_rng(65)
-        for _ in range(1000):
-            n_x = int(rng.integers(2, 5))
-            joint = _random_joint(rng, n_x)
-            predictor = _random_predictor(rng, n_x)
-            out = peer_training_expectation(joint, predictor)
-            rhs = out.kl_joint_vs_model - out.kl_product_vs_model - out.mutual_information
-            np.testing.assert_allclose(out.value, rhs, atol=1e-10)
-            np.testing.assert_allclose(out.mutual_information, _mutual_information(joint), atol=1e-12)
-
-    def test_independent_joint_drops_the_information_term(self):
-        px = np.array([0.25, 0.75])
-        py = np.array([0.5, 0.5])
-        out = peer_training_expectation(np.outer(px, py), _random_predictor(np.random.default_rng(67), 2))
-        assert out.mutual_information == 0.0
-        np.testing.assert_allclose(out.value, out.kl_joint_vs_model - out.kl_product_vs_model, atol=1e-12)
-
-    def test_literal_sampling_converges_to_the_expectation(self):
-        rng = np.random.default_rng(69)
-        joint = _random_joint(rng, 3)
-        predictor = _random_predictor(rng, 3)
-        want = peer_training_expectation(joint, predictor).value
-        mean, stderr = peer_loss_pairs_mc(joint, predictor, 200_000, rng)
-        assert stderr > 0.0
-        assert abs(mean - want) <= 4.0 * stderr
-
-    def test_pair_count_validation(self):
-        rng = np.random.default_rng(71)
-        with pytest.raises(ValueError):
-            peer_loss_pairs_mc(_random_joint(rng, 2), _random_predictor(rng, 2), 1, rng)
-
-
 class TestPeerObjectiveGeometry:
     def test_boundary_argmin_anchors(self):
         q_min = 1e-3
@@ -427,7 +390,7 @@ class TestPeerObjectiveGeometry:
 
     def test_zero_margin_objective_is_flat(self):
         grid = np.linspace(1e-3, 1.0 - 1e-3, 1001)
-        objective = peer_instance_objective(LabelDist(np.array([0.5, 0.5])), 0.5, grid)
+        objective = _peer_instance_objective(LabelDist(np.array([0.5, 0.5])), 0.5, grid)
         assert np.ptp(objective) <= 1e-12
 
     def test_interior_never_wins_off_the_tie(self):
@@ -446,7 +409,7 @@ class TestPeerObjectiveGeometry:
     def test_objective_value_matches_direct_formula(self):
         dist = LabelDist(np.array([0.3, 0.7]))
         q = 0.25
-        got = peer_instance_objective(dist, 0.5, q)
+        got = _peer_instance_objective(dist, 0.5, q)
         direct = (
             -(0.7 * math.log(q) + 0.3 * math.log(1 - q))
             + (0.5 * math.log(q) + 0.5 * math.log(1 - q))
@@ -462,7 +425,7 @@ def _paradox_gap(labels, rates, loss, y):
     # corrected empirical loss minus the clean loss l(y): the unbiasedness
     # argument assumes a model independent of the draws, which a memorizing
     # model is not, and this is the per-instance discrepancy
-    return lc_empirical_loss(labels, rates, loss) - float(loss[label_to_index(y)])
+    return lc_empirical_loss(labels, rates, loss) - float(loss[_label_to_index(y)])
 
 
 class TestParadoxGap:
