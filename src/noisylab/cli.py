@@ -43,9 +43,7 @@ from .mcsim import (
     _SCENARIO_FIELDS,
     _Z_95,
     STREAM_VERSION,
-    BoundReport,
     InstanceScenario,
-    bound_report,
     scenario_violations,
     sweep,
 )
@@ -122,6 +120,8 @@ def _check_grid(doc: dict) -> list[str]:
     grid = doc.get("grid")
     if grid is None:
         return []
+    if doc.get("scenarios") is not None:  # sweep would run the scenarios and never read grid
+        return ["grid: must not be given together with scenarios"]
     if not isinstance(grid, dict):
         return ["grid: must be an object"]
     violations, valid = [], {}
@@ -223,23 +223,38 @@ def _command_rng(seed: int, command: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, _COMMAND_STREAM[command])))
 
 
-def _build_scenario(doc: dict) -> InstanceScenario:
-    return InstanceScenario(**{name: doc[name] for name in _SCENARIO_FIELDS if name in doc})
+def _scenarios(doc: dict) -> list[InstanceScenario]:
+    """The scenarios a config names: its `scenario`, its `scenarios` list or its `grid` points."""
+    if "scenario" in doc:
+        docs = [doc["scenario"]]
+    elif doc.get("scenarios") is not None:
+        docs = doc["scenarios"]
+    else:
+        grid = doc["grid"]
+        docs = [_grid_point(grid.get("base", {}), l, e) for l in grid["l"] for e in grid["e"]]
+    return [InstanceScenario(**{name: d[name] for name in _SCENARIO_FIELDS if name in d})
+            for d in docs]
 
 
-def _report_rows(report: BoundReport, headline_only: bool) -> list[dict]:
-    scenario = {name: getattr(report.scenario, name) for name in _SCENARIO_FIELDS}
-    rows = []
-    for check in report.checks:
-        if headline_only and not check.headline:
-            continue
-        row = {**scenario, "treatment": check.treatment.value, "mc_estimate": check.mc_estimate,
-               "ci_lo": check.ci[0], "ci_hi": check.ci[1], "exact": check.exact,
-               "ordering_holds": check.ordering_holds}
-        if check.bound is not None:
-            row.update(bound=check.bound.value, bound_form=check.bound.kind.value,
-                       regime_ok=check.bound.regime_ok)
-        rows.append(row)
+def _report_rows(headline_only: bool) -> Callable[[dict], list[dict]]:
+    """The row builder of simulate, bounds and sweep: a row per check of each scenario."""
+    def rows(doc: dict) -> list[dict]:
+        out = []
+        for report in sweep(_scenarios(doc), doc["trials"], doc["seed"], doc.get("workers", 1)):
+            scenario = {name: getattr(report.scenario, name) for name in _SCENARIO_FIELDS}
+            for check in report.checks:
+                if headline_only and not check.headline:
+                    continue
+                row = {**scenario, "treatment": check.treatment.value,
+                       "mc_estimate": check.mc_estimate, "ci_lo": check.ci[0],
+                       "ci_hi": check.ci[1], "exact": check.exact,
+                       "ordering_holds": check.ordering_holds}
+                if check.bound is not None:
+                    row.update(bound=check.bound.value, bound_form=check.bound.kind.value,
+                               regime_ok=check.bound.regime_ok)
+                out.append(row)
+        return out
+
     return rows
 
 
@@ -274,28 +289,6 @@ def _weight_rows(doc: dict) -> list[dict]:
     return [{"treatment": "weight", "mc_estimate": est.value,
              "ci_lo": max(0.0, est.value - _Z_95 * est.stderr),
              "ci_hi": min(1.0, est.value + _Z_95 * est.stderr)}]
-
-
-def _scenario_rows(headline_only: bool) -> Callable[[dict], list[dict]]:
-    def rows(doc: dict) -> list[dict]:
-        scenario = _build_scenario(doc["scenario"])
-        report = bound_report(scenario, doc["trials"], doc["seed"], workers=doc.get("workers", 1))
-        return _report_rows(report, headline_only)
-
-    return rows
-
-
-def _sweep_rows(doc: dict) -> list[dict]:
-    if doc.get("scenarios") is not None:
-        scenarios = [_build_scenario(s) for s in doc["scenarios"]]
-    else:
-        grid = doc["grid"]
-        base = grid.get("base", {})
-        scenarios = [_build_scenario(_grid_point(base, l, e)) for l in grid["l"] for e in grid["e"]]
-    rows = []
-    for report in sweep(scenarios, doc["trials"], doc["seed"], workers=doc.get("workers", 1)):
-        rows.extend(_report_rows(report, headline_only=True))
-    return rows
 
 
 def _synth_rows(doc: dict) -> list[dict]:
@@ -345,9 +338,9 @@ _ONE_SCENARIO = (_check_scenario, _TRIALS)
 _COMMANDS = {
     "tau": _Command((prior_violations, tau_violations, _OPTIONAL_TRIALS), _tau_rows),
     "weight": _Command((prior_violations, weight_violations, _OPTIONAL_TRIALS), _weight_rows),
-    "simulate": _Command(_ONE_SCENARIO, _scenario_rows(headline_only=True)),
-    "bounds": _Command(_ONE_SCENARIO, _scenario_rows(headline_only=False)),
-    "sweep": _Command((_TRIALS, _check_scenarios, _check_grid), _sweep_rows),
+    "simulate": _Command(_ONE_SCENARIO, _report_rows(headline_only=True)),
+    "bounds": _Command(_ONE_SCENARIO, _report_rows(headline_only=False)),
+    "sweep": _Command((_TRIALS, _check_scenarios, _check_grid), _report_rows(headline_only=True)),
     "noise-synth": _Command(
         ({**_SYNTH_FIELDS, "count": _COUNT, "feature_dim": _COUNT, **_OPTIONAL_TRIALS},),
         _synth_rows, SYNTH_COLUMNS,

@@ -1,10 +1,10 @@
 """Seeded Monte-Carlo engine for per-treatment success/failure/tie rates.
 
-Every outcome tallied here depends on a trial's l noisy labels only through
+Every outcome counted here depends on a trial's l noisy labels only through
 its wrong-label count, which is Binomial(l, e_y) under every treatment.  Each
 trial draws that count directly (numpy's BTPE binomial sampler), once; the
-draws reduce to one wrong-count histogram per scenario, and each treatment's
-tally is that histogram summed under its outcome table.
+draws reduce to one wrong-count histogram per scenario, and every event is
+that histogram summed over the wrong counts its outcome table names.
 
 Determinism contract: results are a pure function of (scenario, trials,
 seed), shared by the four treatments and independent of worker count.
@@ -155,18 +155,12 @@ def scenario_violations(doc, path: str = "") -> list[str]:
 
 @dataclass(frozen=True)
 class TrialTally:
-    """Success/failure/tie counts for one (scenario, treatment) run.
-
-    estimate is the headline proportion (success rate; for memorize, the
-    pooled per-label error) and wilson_ci its 95% Wilson interval.
-    """
+    """Success/failure/tie counts for one (scenario, treatment) run."""
 
     trials: int
     success: int
     failure: int
     tie: int
-    estimate: float
-    wilson_ci: tuple[float, float]
 
     def __post_init__(self) -> None:
         if self.success + self.failure + self.tie != self.trials:
@@ -260,7 +254,7 @@ def _outcome_table(scenario: InstanceScenario, treatment: Treatment) -> np.ndarr
 
     Each trial reduces to its wrong-label count, so the success/failure/tie
     decision is a function of that count alone; tabulating it once keeps
-    the Monte-Carlo tally and the exact binomial columns on one rule.
+    the Monte-Carlo counts and the exact binomial columns on one rule.
     memorize: success iff the true label keeps a strict majority.
     loss_correction: the capped corrected label beats memorizing the
     empirical distribution (see _lc_correct_threshold; comparison taken on
@@ -342,18 +336,6 @@ def _histogram(scenario: InstanceScenario, trials: int, seed: int, workers: int)
     return hist
 
 
-def _tally(scenario: InstanceScenario, treatment: Treatment, table: np.ndarray,
-           hist: np.ndarray) -> TrialTally:
-    """A treatment's tally: the wrong-count histogram summed under each outcome of its table."""
-    trials = int(hist.sum())
-    success, failure, tie = (int(hist[table == code].sum()) for code in (_SUCCESS, _FAILURE, _TIE))
-    if treatment is Treatment.MEMORIZE:  # the pooled per-label error
-        hits, total = int(hist @ np.arange(scenario.l + 1)), trials * scenario.l
-    else:
-        hits, total = success, trials
-    return TrialTally(trials, success, failure, tie, hits / total, _wilson_interval(hits, total))
-
-
 def run_trials(
     scenario: InstanceScenario,
     treatment: Treatment,
@@ -361,31 +343,33 @@ def run_trials(
     seed: int,
     workers: int = 1,
 ) -> TrialTally:
-    """Simulate `trials` independent l-label draws and tally one treatment's outcomes.
+    """Simulate `trials` independent l-label draws and count one treatment's outcomes.
 
-    The tally is bit-reproducible for fixed (scenario, trials, seed),
-    identical for every worker count, and equal to the same treatment's
-    tally in bound_report: every treatment reads the same draws.
+    Each count is the wrong-count histogram summed where the treatment's
+    outcome table holds that outcome.  The tally is bit-reproducible for
+    fixed (scenario, trials, seed), identical for every worker count, and
+    read from the same draws as bound_report and every other treatment.
     """
     treatment = Treatment(treatment)
     hist = _histogram(scenario, trials, seed, workers)
-    return _tally(scenario, treatment, _outcome_table(scenario, treatment), hist)
+    table = _outcome_table(scenario, treatment)
+    return TrialTally(trials, *(int(hist[table == c].sum()) for c in (_SUCCESS, _FAILURE, _TIE)))
 
 
 @dataclass(frozen=True)
 class BoundCheck:
     """One event's three routes side by side: MC, exact binomial, closed form.
 
-    event names the probability being measured; mc_estimate/ci come from the
-    tally, exact is the binomial mass of the same outcome-table event, bound
-    comes from the matching closed form (None when the scenario degenerates).
-    ordering_holds records exact >= bound and is None unless bound.regime_ok.
+    mc_estimate (95% Wilson interval ci) is the share of trials whose wrong
+    count lies in the event's range and exact that range's Binomial(l, e_y)
+    mass; for memorize, the pooled per-label error and e_y.  bound is the
+    closed form, None where omitted (out of domain, or vacuous at e_y = 0);
+    ordering_holds is exact >= bound, None unless bound.regime_ok.
     """
 
     treatment: Treatment
     event: str
     headline: bool
-    tally: TrialTally
     mc_estimate: float
     ci: tuple[float, float]
     exact: float
@@ -395,32 +379,32 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All bound-vs-oracle-vs-MC checks for one scenario."""
+    """All bound-vs-oracle-vs-MC checks for one scenario, in _EVENTS order."""
 
     scenario: InstanceScenario
-    trials: int
-    seed: int
-    degenerate: bool
     checks: tuple[BoundCheck, ...]
 
 
-_COUNT_CODES = {"success": _SUCCESS, "failure": _FAILURE, "tie": _TIE}
-
-
-def _table_mass(s: InstanceScenario, table: np.ndarray, counts: tuple[str, ...]) -> float:
-    """Exact probability of the outcomes named by counts: the binomial mass
-    of the wrong counts whose table entry is one of them.
+def _event_tail(s: InstanceScenario, table: np.ndarray, codes: tuple[int, ...]) -> tuple[int, int]:
+    """The wrong counts lo..hi whose table entry is one of codes; (0, -1) when none is.
 
     Every table is block-monotone in wrong-count order (see _outcome_table),
-    so each event set is one tail: P[correct >= l - hi] when it starts at
-    wrong count 0, P[wrong >= lo] when it ends at l; empty gives 0, full 1.
+    so each event's range is a tail of 0..l: it starts at 0 or ends at l.
     """
-    wrong = np.flatnonzero(np.isin(table, [_COUNT_CODES[name] for name in counts]))
+    wrong = np.flatnonzero(np.isin(table, codes))
     if wrong.size == 0:
-        return 0.0
+        return 0, -1
     lo, hi = int(wrong[0]), int(wrong[-1])
     if hi - lo + 1 != wrong.size or (lo > 0 and hi < s.l):
         raise RuntimeError(f"event set {wrong.tolist()} is not a tail of 0..{s.l}")
+    return lo, hi
+
+
+def _tail_mass(s: InstanceScenario, lo: int, hi: int) -> float:
+    """Binomial(l, e_y) mass of the wrong counts lo..hi, a tail of 0..l:
+    P[correct >= l - hi] from 0, P[wrong >= lo] up to l; empty 0, full 1."""
+    if hi < lo:
+        return 0.0
     if lo == 0:
         return 1.0 if hi == s.l else binom_tail(s.l, 1.0 - s.e_y, s.l - hi)
     return binom_tail(s.l, s.e_y, lo)
@@ -463,17 +447,15 @@ def _peer_floor_form(s: InstanceScenario):
 class _Event:
     """One bound_report check.
 
-    counts names the tally counts whose sum over trials is the Monte-Carlo
-    estimate, with its Wilson interval; () takes the tally's own estimate.
-    The exact binomial oracle of the same event is the outcome table's mass
-    on those counts (_table_mass), or e_y for (); bound, when not None,
+    codes are the outcome codes of the treatment's table that make up the
+    event; () is memorize's pooled per-label error.  bound, when not None,
     gives the closed form, and regime whether its ordering is asserted.
     """
 
     treatment: Treatment
     event: str
     headline: bool
-    counts: tuple[str, ...]
+    codes: tuple[int, ...]
     bound: Callable[[InstanceScenario], tuple | None] | None = None
     regime: Callable[[InstanceScenario], bool] | None = None
 
@@ -488,15 +470,15 @@ def _even_and(predicate):
 # the peer success bound holds in every regime.
 _EVENTS = (
     _Event(Treatment.MEMORIZE, "mean_label_error", True, ()),
-    _Event(Treatment.LOSS_CORRECTION, "strict_success", True, ("success",),
+    _Event(Treatment.LOSS_CORRECTION, "strict_success", True, (_SUCCESS,),
            _hoeffding_form, _rates_equal),
-    _Event(Treatment.LOSS_CORRECTION, "tie_inclusive_failure", False, ("failure", "tie"),
+    _Event(Treatment.LOSS_CORRECTION, "tie_inclusive_failure", False, (_FAILURE, _TIE),
            _kl_floor_form, _even_and(_rates_equal)),
-    _Event(Treatment.LABEL_SMOOTHING, "ls_better_or_tie", True, ("success", "tie"),
+    _Event(Treatment.LABEL_SMOOTHING, "ls_better_or_tie", True, (_SUCCESS, _TIE),
            _kl_floor_form, _even_and(_rates_equal)),
-    _Event(Treatment.PEER_LOSS, "strict_success", True, ("success",),
+    _Event(Treatment.PEER_LOSS, "strict_success", True, (_SUCCESS,),
            _peer_success_form, lambda s: True),
-    _Event(Treatment.PEER_LOSS, "tie_inclusive_failure", False, ("failure", "tie"),
+    _Event(Treatment.PEER_LOSS, "tie_inclusive_failure", False, (_FAILURE, _TIE),
            _peer_floor_form, _even_and(_peer_symmetric)),
 )
 
@@ -504,32 +486,33 @@ _EVENTS = (
 def bound_report(
     scenario: InstanceScenario, trials: int, seed: int, workers: int = 1
 ) -> BoundReport:
-    """Tally all four treatments on one shared draw and assemble one check per _EVENTS entry.
+    """One check per _EVENTS entry, every one read from one shared wrong-count histogram.
 
+    Each event's wrong-count range (lo, hi) is found once, from its
+    treatment's outcome table; the Monte-Carlo count is the histogram summed
+    over that range, and exact is the Binomial(l, e_y) mass of the same
+    range.  Memorize's check is the pooled per-label error against e_y.
     Headline checks (one per treatment) are what sweep rows export; the
     non-headline failure-side checks are additionally exported by the
-    bounds command.  Exact columns always describe the simulated event;
-    a closed form outside its regime is computed with regime_ok=False and
-    never asserted.  ordering_holds is exact >= bound (to 1e-12) where the
-    regime holds, else None.  When e_y = 0 the scenario is flagged
-    degenerate: every draw keeps the true label, the corrected label
-    coincides with the empirical one on the only reachable split, so every
-    loss-correction trial ties (strict success has probability 0,
-    tie-inclusive failure 1) and the closed forms on both sides are
-    omitted as vacuous.
+    bounds command.  A closed form outside its regime is computed with
+    regime_ok=False and never asserted.  ordering_holds is exact >= bound
+    (to 1e-12) where the regime holds, else None.  When e_y = 0 every draw
+    keeps the true label and the corrected label coincides with the
+    empirical one on the only reachable split, so every loss-correction
+    trial ties (strict success has probability 0, tie-inclusive failure 1)
+    and the closed forms on both sides are omitted as vacuous.
     """
     hist = _histogram(scenario, trials, seed, workers)
-    tables = {t: _outcome_table(scenario, t) for t in Treatment}
-    tallies = {t: _tally(scenario, t, tables[t], hist) for t in Treatment}
+    tables = {t: _outcome_table(scenario, t) for t in {e.treatment for e in _EVENTS if e.codes}}
     checks = []
     for event in _EVENTS:
-        tally = tallies[event.treatment]
-        if event.counts:
-            count = sum(getattr(tally, name) for name in event.counts)
-            mc_estimate, ci = count / trials, _wilson_interval(count, trials)
-            exact = _table_mass(scenario, tables[event.treatment], event.counts)
+        if event.codes:
+            lo, hi = _event_tail(scenario, tables[event.treatment], event.codes)
+            hits, total = int(hist[lo:hi + 1].sum()), trials
+            exact = _tail_mass(scenario, lo, hi)
         else:
-            mc_estimate, ci, exact = tally.estimate, tally.wilson_ci, scenario.e_y
+            hits, total = int(hist @ np.arange(scenario.l + 1)), trials * scenario.l
+            exact = scenario.e_y
         form = event.bound(scenario) if event.bound is not None else None
         bound = None if form is None else BoundValue(*form, regime_ok=event.regime(scenario))
         checks.append(
@@ -537,9 +520,8 @@ def bound_report(
                 treatment=event.treatment,
                 event=event.event,
                 headline=event.headline,
-                tally=tally,
-                mc_estimate=mc_estimate,
-                ci=ci,
+                mc_estimate=hits / total,
+                ci=_wilson_interval(hits, total),
                 exact=exact,
                 bound=bound,
                 ordering_holds=(
@@ -549,13 +531,7 @@ def bound_report(
                 ),
             )
         )
-    return BoundReport(
-        scenario=scenario,
-        trials=trials,
-        seed=seed,
-        degenerate=scenario.e_y == 0.0,
-        checks=tuple(checks),
-    )
+    return BoundReport(scenario=scenario, checks=tuple(checks))
 
 
 def sweep(

@@ -70,7 +70,6 @@ class CorrectedLabel:
 
     raw: LabelDist
     capped: LabelDist
-    was_capped: bool
 
 
 def _one_hot(index: int) -> LabelDist:
@@ -103,10 +102,10 @@ def corrected_label(dist: LabelDist, rates: BinaryNoiseRates) -> CorrectedLabel:
     raw_minus = ((1.0 - e_p) * p_minus - e_p * p_plus) / gap
     raw = LabelDist(np.array([raw_minus, raw_plus]), signed=True)
     if raw_plus > 1.0:
-        return CorrectedLabel(raw=raw, capped=_ONE_HOT_PLUS, was_capped=True)
+        return CorrectedLabel(raw=raw, capped=_ONE_HOT_PLUS)
     if raw_plus < 0.0:
-        return CorrectedLabel(raw=raw, capped=_ONE_HOT_MINUS, was_capped=True)
-    return CorrectedLabel(raw=raw, capped=LabelDist(raw.probs.copy()), was_capped=False)
+        return CorrectedLabel(raw=raw, capped=_ONE_HOT_MINUS)
+    return CorrectedLabel(raw=raw, capped=LabelDist(raw.probs.copy()))
 
 
 def _binary_surrogate(loss_minus: float, loss_plus: float, rates: BinaryNoiseRates) -> tuple[float, float]:

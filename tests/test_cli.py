@@ -551,6 +551,36 @@ class TestSweepCommand:
         assert [row[0] for row in rows[4:]] == ["4"] * 4
         assert rows[0][1] == "-1" and rows[4][1] == "1"
 
+    # SHA-256 of two wide sweeps, captured at stream version 5 before the
+    # bound checks were rebuilt on one wrong-count range per event: a grid
+    # over small, odd, even and large l with zero and near-half rates, and a
+    # list with unequal and one-sided rates and l = 1e6 whose 70,000 trials
+    # run as two chunks on a two-worker pool.
+    @pytest.mark.parametrize(
+        "doc, rows, digest",
+        [
+            ({"seed": 9, "trials": 3000,
+              "grid": {"l": [*range(1, 13), 16, 20, 33, 64, 100, 257, 1000],
+                       "e": [0, 0.01, 0.1, 0.2, 0.25, 0.3, 0.4, 0.49],
+                       "base": {"y": -1, "p_plus": 0.3, "smoothing_a": 0.35}}}, 608,
+             "38c3cf2344af99b9ff5c3d2708640a1cc19f393c145599efbc1923f7d9b928a3"),
+            ({"seed": 9, "trials": 70_000, "workers": 2, "scenarios": [
+                {"l": 9, "y": -1, "e_plus": 0.1, "e_minus": 0.5, "smoothing_a": 0.3},
+                {"l": 200, "y": 1, "e_plus": 0.3, "e_minus": 0.2},
+                {"l": 7, "y": 1, "e_plus": 0, "e_minus": 0.4, "p_plus": 0.8},
+                {"l": 1_000_000, "y": 1, "e_plus": 0.2, "e_minus": 0.2}]}, 16,
+             "75dd773d9c8afd51d64524a2b521a243008e9d1c75ea9411a0519f6fea3c72e3"),
+        ],
+        ids=["grid", "scenarios"],
+    )
+    def test_wide_sweeps_are_frozen(self, tmp_path, capsys, doc, rows, digest):
+        out = tmp_path / "out.csv"
+        config = _write_config(tmp_path, doc)
+        assert _main_quietly(["sweep", "--config", str(config), "--out", str(out)], capsys) == 0
+        data = out.read_bytes()
+        assert len(data.splitlines()) - 1 == rows
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 _README_SCENARIO = {"l": 10, "y": 1, "e_plus": 0.2, "e_minus": 0.2}
 
@@ -760,6 +790,9 @@ class TestFrozenErrors:
              "trials: must be >= 1, got -5\n"),
             # one replicate gives no standard error, as for tau's mc_replicates
             ("weight", {**_W, "replicates": 1}, "replicates: must be >= 2, got 1\n"),
+            # a grid beside scenarios is reported once, however broken it is
+            ("sweep", {"seed": 1, "trials": 10, "scenarios": [_S], "grid": {"l": [0], "e": "x"}},
+             "grid: must not be given together with scenarios\n"),
         ],
     )
     def test_invalid_config_keeps_exit_2_and_its_messages(self, tmp_path, capsys, command, doc, err):
@@ -842,6 +875,10 @@ class TestFrozenErrors:
              "prior.values: unknown field\n"),
             ("bounds", {**_B, "worker": 2, "trails": 5},
              "worker: unknown field\ntrails: unknown field\n"),
+            # sweep runs the scenarios, so nothing would read the grid
+            ("sweep", {"seed": 1, "trials": 10, "scenarios": [_S],
+                       "grid": {"l": [4], "e": [0.1], "base": {"y": 1}}},
+             "grid: must not be given together with scenarios\n"),
         ],
         ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
              "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate",
@@ -849,7 +886,8 @@ class TestFrozenErrors:
              "base-l-and-e_plus", "base-e_minus",
              "unknown-top-tau", "unknown-in-scenarios", "unknown-top-sweep", "unknown-in-prior",
              "unknown-in-scenario", "unknown-in-grid", "unknown-in-grid-base",
-             "unknown-top-noise-synth", "values-on-zipf", "two-unknown-in-document-order"],
+             "unknown-top-noise-synth", "values-on-zipf", "two-unknown-in-document-order",
+             "scenarios-and-grid"],
     )
     def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
         assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)

@@ -1,8 +1,9 @@
 """Frequency-prior construction, weight estimation, and importance weights.
 
 tau_exact is validated against a direct power-product evaluation (no
-log-space) wherever that route cannot underflow, weight_estimate against a
-closed-form enumeration oracle for a two-value prior, and the lower bounds
+log-space) wherever that route cannot underflow, weight_estimate and the
+normalized-mode tau_monte_carlo and estimate_taus against closed-form
+enumeration oracles for a two-value prior, and the lower bounds
 against frozen hand-computed constants.  The shared realization batch is
 held to its determinism contract: an estimate does not depend on the other
 l requested with it, on mc_replicates (for the bound columns), or on the
@@ -15,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
 from noisylab import freqmodel
 from noisylab import (
@@ -29,6 +31,26 @@ from noisylab import (
     weight_estimate,
 )
 from noisylab.freqmodel import _small_interval, estimate_tau, estimate_taus
+
+
+def _tau_two_values(a: float, k: int, b: float, slots: int, n: int, l: int) -> float:
+    """Exact normalized-mode tau_l for a prior of k values a and slots - k values b.
+
+    A realization depends only on the number m ~ Binomial(slots, k / slots)
+    of slots drawing a, so E[sum_x D^(l+1) (1-D)^(n-l)] and
+    E[sum_x D^l (1-D)^(n-l)] are finite sums over m, taken in log space.
+    """
+    m = np.arange(slots + 1)
+    log_pmf = stats.binom.logpmf(m, slots, k / slots)
+    total = m * a + (slots - m) * b
+    log_num, log_den = [], []
+    for count, value in ((m, a), (slots - m, b)):
+        drawn = count > 0  # a value no slot draws adds no term
+        d = value / total[drawn]
+        log_den.append(log_pmf[drawn] + np.log(count[drawn]) + l * np.log(d)
+                       + (n - l) * np.log1p(-d))
+        log_num.append(log_den[-1] + np.log(d))
+    return float(np.exp(logsumexp(np.concatenate(log_num)) - logsumexp(np.concatenate(log_den))))
 
 
 def _tau_direct(values: np.ndarray, n: int, l: int) -> float:
@@ -292,6 +314,30 @@ class TestTauMonteCarlo:
         est = tau_monte_carlo(prior, n=10_000, l=10, replicates=2000, rng=np.random.default_rng(9))
         assert est.stderr > 0.0
         assert abs(est.value - exact) <= 5.0 * est.stderr
+
+    # (a, k, b, slots, n, l, seed), fixed before the estimates were seen
+    @pytest.mark.parametrize("a, k, b, slots, n, l, seed", [
+        (0.2, 4, 0.05, 16, 40, 3, 21),
+        (0.3, 3, 0.1, 8, 8, 8, 22),  # n = l: no (1-D) factor
+        (0.008, 50, 0.004, 200, 1000, 5, 23),
+        (0.9, 1, 0.025, 5, 20, 2, 24),
+    ])
+    def test_matches_the_exact_two_value_oracle(self, a, k, b, slots, n, l, seed):
+        prior = PriorSpec(np.array([a] * k + [b] * (slots - k)))
+        oracle = _tau_two_values(a, k, b, slots, n, l)
+        est = tau_monte_carlo(prior, n, l, 40_000, np.random.default_rng(seed))
+        assert 0.0 < est.stderr and abs(est.value - oracle) <= 4.0 * est.stderr
+        # at so few slots the raw-mode closed form is no stand-in for the oracle
+        assert abs(tau_exact(prior, n, l) - oracle) > 10.0 * est.stderr
+
+    def test_estimate_taus_matches_the_oracle_for_every_l(self):
+        a, k, b, slots, n = 0.3, 3, 0.1, 8, 8
+        prior = PriorSpec(np.array([a] * k + [b] * (slots - k)))
+        ls = [1, 2, 5, 8]  # up to n = l
+        estimates = estimate_taus(prior, n, ls, np.random.default_rng(25), mc_replicates=40_000)
+        for l, est in zip(ls, estimates):
+            oracle = _tau_two_values(a, k, b, slots, n, l)
+            assert abs(est.mc - oracle) <= 4.0 * est.mc_stderr, (l, est.mc, oracle)
 
     def test_point_mass_replicates_are_constant(self):
         prior = PriorSpec(np.full(64, 0.015625))

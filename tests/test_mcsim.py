@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import xlogy
 
 from noisylab.bounds import (
     BoundKind,
@@ -59,6 +60,17 @@ def _assert_binomial_histogram(wrong: np.ndarray, l: int, e_y: float) -> None:
     freq = np.bincount(wrong, minlength=l + 1) / wrong.size
     se = np.sqrt(pmf * (1 - pmf) / wrong.size)
     np.testing.assert_array_less(np.abs(freq - pmf), 4 * se + 1e-12)
+
+
+def _pooled(observed: np.ndarray, expected: np.ndarray, least: float = 5.0):
+    """Adjacent bins merged left to right until each expects at least `least`;
+    a remainder that expects less joins the last full bin."""
+    cum = np.concatenate([[0.0], np.cumsum(expected)])
+    edges = [0]
+    while (end := int(np.searchsorted(cum, cum[edges[-1]] + least))) < cum.size:
+        edges.append(end)
+    starts = edges[:-1]
+    return np.add.reduceat(observed, starts), np.add.reduceat(expected, starts)
 
 
 def _random_scenario(rng: np.random.Generator) -> InstanceScenario:
@@ -182,23 +194,15 @@ class TestWilsonInterval:
 class TestTrialTally:
     def test_counts_must_add_up(self):
         with pytest.raises(ValueError):
-            TrialTally(
-                trials=10, success=5, failure=4, tie=0, estimate=0.5, wilson_ci=(0, 1)
-            )
+            TrialTally(trials=10, success=5, failure=4, tie=0)
 
 
 class TestDeterminism:
     def test_rerun_is_bit_identical(self):
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
         for t in Treatment:
-            a = run_trials(s, t, 20_000, seed=42)
-            b = run_trials(s, t, 20_000, seed=42)
-            assert (a.success, a.failure, a.tie, a.estimate) == (
-                b.success,
-                b.failure,
-                b.tie,
-                b.estimate,
-            )
+            assert run_trials(s, t, 20_000, seed=42) == run_trials(s, t, 20_000, seed=42)
+        assert bound_report(s, 20_000, seed=42) == bound_report(s, 20_000, seed=42)
 
     def test_worker_count_never_changes_the_tally(self):
         # more than three chunks, the last one partial, so threads actually engage
@@ -235,7 +239,9 @@ class TestDeterminism:
         wrong = np.concatenate(
             [_chunk_counts(key, s.l, s.e_y, c, n) for c, n in enumerate(sizes)]
         )
-        assert tally.estimate == wrong.sum() / (trials * s.l)
+        np.testing.assert_array_equal(
+            _histogram(s, trials, seed, workers=2), np.bincount(wrong, minlength=s.l + 1))
+        assert bound_report(s, trials, seed).checks[0].mc_estimate == wrong.sum() / (trials * s.l)
         assert tally.success == np.count_nonzero(s.l - wrong > s.l / 2)
 
     def test_distinct_settings_get_distinct_streams(self):
@@ -257,12 +263,14 @@ class TestSharedDraw:
         # balanced priors and equal rates put the memorize, correction and
         # peer thresholds all at l/2, so on shared draws their tallies agree
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2, p_plus=0.5)
-        report = bound_report(s, trials=20_000, seed=7)
-        counts = {c.treatment: (c.tally.success, c.tally.failure, c.tally.tie)
-                  for c in report.checks}
-        assert counts[Treatment.MEMORIZE][2] > 0  # the even split ties
-        assert (counts[Treatment.MEMORIZE] == counts[Treatment.LOSS_CORRECTION]
-                == counts[Treatment.PEER_LOSS])
+        memorize, correction, peer = (run_trials(s, t, trials=20_000, seed=7) for t in (
+            Treatment.MEMORIZE, Treatment.LOSS_CORRECTION, Treatment.PEER_LOSS))
+        assert memorize.tie > 0  # the even split ties
+        assert memorize == correction == peer
+        by_event = {(c.treatment, c.event): c for c in bound_report(s, 20_000, seed=7).checks}
+        assert (by_event[(Treatment.LOSS_CORRECTION, "strict_success")].mc_estimate
+                == by_event[(Treatment.PEER_LOSS, "strict_success")].mc_estimate
+                == memorize.success / 20_000)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bound_report_draws_each_chunk_once(self, monkeypatch, workers):
@@ -290,10 +298,16 @@ class TestSharedDraw:
         np.testing.assert_array_equal(_histogram(s, trials, seed, workers=1), hist)
         for check in report.checks:
             tally = run_trials(s, check.treatment, trials, seed)
-            assert tally == check.tally
             table = _outcome_table(s, check.treatment)
             assert (tally.success, tally.failure, tally.tie) == tuple(
                 int(hist[table == code].sum()) for code in (_SUCCESS, _FAILURE, _TIE))
+            # each check's count is the tally's count(s) of the outcomes it names
+            count = {"mean_label_error": None, "strict_success": tally.success,
+                     "tie_inclusive_failure": tally.failure + tally.tie,
+                     "ls_better_or_tie": tally.success + tally.tie}[check.event]
+            if count is not None:
+                assert check.mc_estimate == count / trials
+                assert check.ci == _wilson_interval(count, trials)
 
 
 class TestRunTrials:
@@ -310,7 +324,8 @@ class TestRunTrials:
         lc = run_trials(s, Treatment.LOSS_CORRECTION, 500, seed=0)
         assert lc.tie == 500  # correction is the identity map: every trial ties
         mem = run_trials(s, Treatment.MEMORIZE, 500, seed=0)
-        assert mem.success == 500 and mem.estimate == 0.0
+        assert mem.success == 500
+        assert bound_report(s, 500, seed=0).checks[0].mc_estimate == 0.0
         ls = run_trials(s, Treatment.LABEL_SMOOTHING, 500, seed=0)
         assert ls.failure == 500  # smoothing always gives up mass on the true label
         peer = run_trials(s, Treatment.PEER_LOSS, 500, seed=0)
@@ -320,9 +335,12 @@ class TestRunTrials:
         # strict-majority success for l=10, e=0.2: P[Bin(10, 0.8) >= 6]
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
         tally = run_trials(s, Treatment.LOSS_CORRECTION, 100_000, seed=20240901)
-        assert abs(tally.estimate - 0.9672065024) < 0.005
-        lo, hi = tally.wilson_ci
-        assert lo <= tally.estimate <= hi
+        assert abs(tally.success / tally.trials - 0.9672065024) < 0.005
+        check = bound_report(s, 100_000, seed=20240901).checks[1]
+        assert (check.treatment, check.event) == (Treatment.LOSS_CORRECTION, "strict_success")
+        assert check.mc_estimate == tally.success / tally.trials
+        lo, hi = check.ci
+        assert lo <= check.mc_estimate <= hi
 
     def test_peer_strict_failure_rate_matches_exact_anchor(self):
         # balanced priors put the peer threshold at l/2: strict failure is
@@ -333,23 +351,22 @@ class TestRunTrials:
 
     def test_memorize_estimate_is_the_pooled_flip_rate(self):
         s = InstanceScenario(l=6, y=-1, e_plus=0.1, e_minus=0.35)
-        tally = run_trials(s, Treatment.MEMORIZE, 50_000, seed=3)
+        check = bound_report(s, 50_000, seed=3).checks[0]
+        assert check.treatment is Treatment.MEMORIZE and check.exact == 0.35
         total = 50_000 * 6
         se = np.sqrt(0.35 * 0.65 / total)
-        assert abs(tally.estimate - 0.35) < 4 * se
-        np.testing.assert_allclose(
-            tally.wilson_ci,
-            _wilson_interval(round(tally.estimate * total), total),
-            atol=1e-15,
-        )
+        assert abs(check.mc_estimate - 0.35) < 4 * se
+        flips = int(_histogram(s, 50_000, 3, workers=1) @ np.arange(7))
+        assert check.mc_estimate == flips / total
+        assert check.ci == _wilson_interval(flips, total)
 
     def test_estimate_and_ci_derive_from_the_success_count(self):
         s = InstanceScenario(l=5, y=1, e_plus=0.3, e_minus=0.1)
         tally = run_trials(s, Treatment.PEER_LOSS, 4000, seed=9)
-        np.testing.assert_allclose(tally.estimate, tally.success / 4000, atol=1e-15)
-        np.testing.assert_allclose(
-            tally.wilson_ci, _wilson_interval(tally.success, 4000), atol=1e-15
-        )
+        check = bound_report(s, 4000, seed=9).checks[4]
+        assert (check.treatment, check.event) == (Treatment.PEER_LOSS, "strict_success")
+        assert check.mc_estimate == tally.success / 4000
+        assert check.ci == _wilson_interval(tally.success, 4000)
 
     def test_accepts_treatment_by_value_string(self):
         s = InstanceScenario(l=4, y=1, e_plus=0.2, e_minus=0.2)
@@ -372,6 +389,27 @@ class TestRunTrials:
         s = InstanceScenario(l=3, y=1, e_plus=0.4, e_minus=0.2)
         key = _stream_key(17, s)
         _assert_binomial_histogram(_chunk_counts(key, 3, 0.4, 0, 100_000), 3, 0.4)
+
+    def test_the_whole_histogram_passes_a_g_test_against_the_binomial_pmf(self):
+        # every treatment's counts are sums of this histogram, so one law test
+        # covers all four; the pmf comes from scipy, independent of binom_tail.
+        # Bonferroni: family-wise alpha 1e-3 over every scenario; seeds fixed
+        # in advance
+        ls = (1, 2, 7, 50, 1000, 100_000, 1_000_000)
+        rates = (1e-4, 0.05, 0.3, 0.49)
+        trials, alpha = 200_000, 1e-3 / (len(ls) * len(rates))
+        for i, (l, e) in enumerate((l, e) for l in ls for e in rates):
+            y = 1 if i % 2 else -1
+            s = InstanceScenario(l=l, y=y, e_plus=e if y == 1 else 0.2,
+                                 e_minus=e if y == -1 else 0.2)
+            hist = _histogram(s, trials, seed=1000 + i, workers=1 + i % 2)
+            assert hist.sum() == trials
+            pmf = stats.binom.pmf(np.arange(l + 1), l, e)
+            observed, expected = _pooled(hist, trials * pmf / pmf.sum())
+            assert observed.size >= 2 and expected.min() >= 5.0
+            g = 2.0 * xlogy(observed, observed / expected).sum()
+            p = stats.chi2.sf(g, observed.size - 1)
+            assert p > alpha, (l, e, observed.size, g, p)
 
     def test_count_and_label_level_samplers_share_the_binomial_law(self):
         rng = np.random.default_rng(19)
@@ -595,7 +633,7 @@ class TestBoundReport:
 
     def test_report_layout(self):
         report = self._symmetric_report()
-        assert report.degenerate is False
+        assert report.scenario == InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
         layout = [(c.treatment, c.event, c.headline) for c in report.checks]
         assert layout == [
             (Treatment.MEMORIZE, "mean_label_error", True),
@@ -645,9 +683,9 @@ class TestBoundReport:
     def test_mc_estimates_sit_near_their_exact_columns(self):
         report = self._symmetric_report()
         for check in report.checks:
-            se = np.sqrt(max(check.exact * (1 - check.exact), 1e-12) / report.trials)
+            se = np.sqrt(max(check.exact * (1 - check.exact), 1e-12) / 20_000)
             if check.treatment is Treatment.MEMORIZE:
-                se = np.sqrt(0.2 * 0.8 / (report.trials * 10))
+                se = np.sqrt(0.2 * 0.8 / (20_000 * 10))
             assert abs(check.mc_estimate - check.exact) < 5 * se
 
     def test_odd_draw_counts_leave_failure_bounds_unasserted(self):
@@ -668,7 +706,6 @@ class TestBoundReport:
     def test_noiseless_scenario_degenerates(self):
         s = InstanceScenario(l=10, y=1, e_plus=0.0, e_minus=0.0)
         report = bound_report(s, trials=2000, seed=1)
-        assert report.degenerate is True
         by_event = {(c.treatment, c.event): c for c in report.checks}
         assert by_event[(Treatment.MEMORIZE, "mean_label_error")].exact == 0.0
         lc_success = by_event[(Treatment.LOSS_CORRECTION, "strict_success")]
@@ -757,6 +794,38 @@ class TestBoundReport:
                 atol=1e-10,
             )
 
+    def test_each_check_counts_and_integrates_one_wrong_count_set(self):
+        # the Monte-Carlo count and the exact mass of a check read the same
+        # wrong counts: the outcome-table entries its event names
+        names = {"strict_success": (_SUCCESS,), "tie_inclusive_failure": (_FAILURE, _TIE),
+                 "ls_better_or_tie": (_SUCCESS, _TIE)}
+        rng = np.random.default_rng(43)
+        scenarios = [_random_scenario(rng) for _ in range(30)]
+        scenarios += [  # e_y = 0, with and without noise on the other label, and equal rates
+            InstanceScenario(l=l, y=y, e_plus=e if y == -1 else 0.0, e_minus=e if y == 1 else 0.0)
+            for l in (1, 8) for y in (-1, 1) for e in (0.0, 0.3)
+        ] + [InstanceScenario(l=l, y=1, e_plus=0.3, e_minus=0.3) for l in (2, 40)]
+        trials = 3000
+        for i, s in enumerate(scenarios):
+            seed = 100 + i
+            hist = _histogram(s, trials, seed, workers=1)
+            pmf = stats.binom.pmf(np.arange(s.l + 1), s.l, s.e_y)
+            for check in bound_report(s, trials, seed).checks:
+                if check.treatment is Treatment.MEMORIZE:
+                    flips = int(hist @ np.arange(s.l + 1))
+                    assert check.mc_estimate == flips / (trials * s.l)
+                    assert check.exact == s.e_y
+                    continue
+                wrong = np.isin(_outcome_table(s, check.treatment), names[check.event])
+                assert check.mc_estimate == int(hist[wrong].sum()) / trials, (s, check.event)
+                np.testing.assert_allclose(check.exact, pmf[wrong].sum(), rtol=1e-12, atol=1e-15)
+
+    def test_an_event_that_is_not_a_tail_is_an_error(self, monkeypatch):
+        table = np.array([_SUCCESS, _FAILURE, _SUCCESS, _FAILURE], dtype=np.int8)
+        monkeypatch.setattr(mcsim, "_outcome_table", lambda scenario, treatment: table)
+        s = InstanceScenario(l=3, y=1, e_plus=0.2, e_minus=0.2)
+        with pytest.raises(RuntimeError, match=r"event set \[0, 2\] is not a tail of 0..3"):
+            bound_report(s, trials=10, seed=1)
 
     def test_a_million_labels_per_trial_stay_cheap_and_agree_with_the_oracle(self):
         # one binomial count per trial: l = 1e6 costs what l = 10 does
@@ -766,7 +835,7 @@ class TestBoundReport:
             report = bound_report(s, trials=2000, seed=3)
         assert len(report.checks) == 6
         for check in report.checks:
-            denom = report.trials * (s.l if check.treatment is Treatment.MEMORIZE else 1)
+            denom = 2000 * (s.l if check.treatment is Treatment.MEMORIZE else 1)
             se = np.sqrt(check.exact * (1.0 - check.exact) / denom)
             assert abs(check.mc_estimate - check.exact) <= 4.0 * se
         # every bound asserted here is a true claim, the Hoeffding success floor
@@ -789,10 +858,5 @@ class TestSweep:
         assert [r.scenario for r in reports] == [a, b, a]
         # the same scenario reproduces its rows alone, inside a sweep, and
         # when repeated within one sweep
-        for report in (reports[0], reports[2]):
-            for got, want in zip(report.checks, solo.checks):
-                assert (got.tally.success, got.tally.failure, got.tally.tie) == (
-                    want.tally.success,
-                    want.tally.failure,
-                    want.tally.tie,
-                )
+        assert reports[0] == reports[2] == solo
+        assert reports[1] == bound_report(b, trials=3000, seed=42)

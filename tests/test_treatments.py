@@ -61,6 +61,13 @@ def _mutual_information(joint):
     return float(terms.sum())
 
 
+def _assert_cap_rule(out) -> None:
+    """capped is the one-hot vector on the violated side exactly when raw leaves [0, 1]."""
+    raw = out.raw.probs
+    want = [0.0, 1.0] if raw[1] > 1.0 else [1.0, 0.0] if raw[1] < 0.0 else raw
+    np.testing.assert_array_equal(out.capped.probs, want)
+
+
 class TestCorrectedLabel:
     def test_raw_entries_sum_to_one(self):
         rng = np.random.default_rng(41)
@@ -74,18 +81,18 @@ class TestCorrectedLabel:
         out = corrected_label(empirical_distribution([1, 1, -1]), SYMM_02)
         np.testing.assert_allclose(out.raw.probs, [2.0 / 9.0, 7.0 / 9.0], rtol=1e-12)
         np.testing.assert_allclose(out.raw.probs, [0.22222, 0.77778], atol=5e-6)
-        assert not out.was_capped
+        _assert_cap_rule(out)
 
     def test_cap_direction_follows_the_violated_side(self):
         # all-positive observations push raw[+1] above 1
         high = corrected_label(empirical_distribution([1, 1, 1]), SYMM_02)
         assert high.raw.probs[1] > 1.0
         np.testing.assert_array_equal(high.capped.probs, [0.0, 1.0])
-        assert high.was_capped
+        _assert_cap_rule(high)
         low = corrected_label(empirical_distribution([-1, -1, -1]), SYMM_02)
         assert low.raw.probs[1] < 0.0
         np.testing.assert_array_equal(low.capped.probs, [1.0, 0.0])
-        assert low.was_capped
+        _assert_cap_rule(low)
 
     def test_capped_point_masses_are_shared_and_read_only(self):
         first = corrected_label(empirical_distribution([1, 1, 1]), SYMM_02).capped
@@ -99,7 +106,7 @@ class TestCorrectedLabel:
         # empirical mass (0.2, 0.8) is exactly the noisy posterior of +1
         out = corrected_label(empirical_distribution([1, 1, 1, 1, -1]), SYMM_02)
         np.testing.assert_array_equal(out.raw.probs, [0.0, 1.0])
-        assert not out.was_capped
+        _assert_cap_rule(out)
 
     def test_order_equivalence_under_equal_rates(self):
         # strict majority for +1 <=> correction strictly amplifies it
