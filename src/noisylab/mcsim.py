@@ -4,7 +4,10 @@ Every outcome counted here depends on a trial's l noisy labels only through
 its wrong-label count, which is Binomial(l, e_y) under every treatment.  Each
 trial draws that count directly (numpy's BTPE binomial sampler), once; the
 draws reduce to one wrong-count histogram per scenario, and every event is
-that histogram summed over the wrong counts its outcome table names.
+that histogram summed over the wrong counts its outcome table names.  A
+treatment's outcome table is its reference comparator (treatments.py) run
+on every split 0..l at once, one margin per split, tied within the
+comparators' one tolerance _TIE_EPS.
 
 Determinism contract: results are a pure function of (scenario, trials,
 seed), shared by the four treatments and independent of worker count.
@@ -13,8 +16,8 @@ from its own Philox counter range, starting at counter [0, 0, 0, c] under a
 key derived from (seed, scenario fields).  A chunk's counts are therefore a
 pure function of (key, chunk index), whichever worker draws them, and
 integer merges are order-independent.  STREAM_VERSION names this mapping
-from seeds to draws and changes whenever the same seed would draw different
-numbers.
+from seeds to rows and changes whenever the same seed would draw different
+numbers or classify them differently.
 """
 from __future__ import annotations
 
@@ -55,11 +58,11 @@ __all__ = [
 # 2: one binomial wrong-label count per trial, in fixed-size chunks;
 # 3: freqmodel's tau moments and weight windows share one realization batch;
 # 4: exact columns are regularized incomplete beta tails (draws unchanged);
-# 5: one draw per trial shared by all four treatments, keyed by (seed, scenario)
-STREAM_VERSION = 5
+# 5: one draw per trial shared by all four treatments, keyed by (seed, scenario);
+# 6: every outcome table is its comparator's margin, tied within _TIE_EPS (draws unchanged)
+STREAM_VERSION = 6
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
-_TIE_FUZZ = 1e-9
 _FAILURE, _SUCCESS, _TIE = 0, 1, 2
 
 
@@ -126,11 +129,6 @@ class InstanceScenario:
     def noisy_positive_rate(self) -> float:
         """Population rate of observing +1: p_plus (1 - e_plus) + p_minus e_minus."""
         return self.p_plus * (1.0 - self.e_plus) + self.p_minus * self.e_minus
-
-    def noisy_rate_of(self, y: int) -> float:
-        """Population rate of observing label y."""
-        rate = self.noisy_positive_rate
-        return rate if y == 1 else 1.0 - rate
 
 
 _SCENARIO_DEFAULTS = {
@@ -215,78 +213,27 @@ def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int) -
     return np.random.Generator(bit_gen).binomial(l, e_y, size=count)
 
 
-def _threshold_table(l: int, correct_needed: float) -> np.ndarray:
-    """Outcome per wrong-count for the event correct > correct_needed.
-
-    Counts within 1e-9 of the threshold tie; the fuzz only matters when the
-    threshold is (numerically) an integer.
-    """
-    correct = l - np.arange(l + 1)
-    table = np.full(l + 1, _FAILURE, dtype=np.int8)
-    table[correct > correct_needed + _TIE_FUZZ] = _SUCCESS
-    table[np.abs(correct - correct_needed) <= _TIE_FUZZ] = _TIE
-    return table
+def _margin_codes(margin: np.ndarray) -> np.ndarray:
+    """Outcome codes of a margin: success above _TIE_EPS, failure below -_TIE_EPS, else a tie."""
+    return np.where(margin > _TIE_EPS, _SUCCESS,
+                    np.where(margin < -_TIE_EPS, _FAILURE, _TIE)).astype(np.int8)
 
 
-def _lc_correct_threshold(scenario: InstanceScenario) -> float | None:
-    """Correct-count threshold for the corrected-vs-empirical comparison.
+def _outcome_tables(scenario: InstanceScenario) -> dict[Treatment, np.ndarray]:
+    """Per-wrong-count outcome codes of every treatment, each its comparator's rule.
 
-    raw[y] - empirical[y] has the sign of e_y P[y] - e_other P[-y], so with
-    P[y] = correct/l the corrected label strictly beats the empirical one
-    iff correct > l * e_other / (e_plus + e_minus); equal rates reduce this
-    to the strict-majority event.  None when both rates are zero (the
-    correction is the identity map and every trial ties).
-    """
-    e_sum = scenario.e_plus + scenario.e_minus
-    if e_sum == 0.0:
-        return None
-    e_other = scenario.e_minus if scenario.y == 1 else scenario.e_plus
-    return scenario.l * (e_other / e_sum)
-
-
-def _peer_threshold(s: InstanceScenario) -> float:
-    """Correct-label count the peer decision must exceed: l times the true label's noisy rate."""
-    return s.l * s.noisy_rate_of(s.y)
-
-
-def _outcome_table(scenario: InstanceScenario, treatment: Treatment) -> np.ndarray:
-    """Per-wrong-count outcome codes for one treatment.
-
-    Each trial reduces to its wrong-label count, so the success/failure/tie
-    decision is a function of that count alone; tabulating it once keeps
-    the Monte-Carlo counts and the exact binomial columns on one rule.
-    memorize: success iff the true label keeps a strict majority.
-    loss_correction: the capped corrected label beats memorizing the
-    empirical distribution (see _lc_correct_threshold; comparison taken on
-    the uncapped entries, so an already-perfect split counts as a success
-    rather than a cap-induced tie).  label_smoothing: the smoothed label
-    beats the capped corrected one, by compare_ls_lc's rule evaluated on
-    every reachable split (see _smoothing_table).  peer_loss:
-    the peer decision is correct iff the correct count exceeds l times the
-    global noisy rate of the true label.  Every table is block-monotone in
-    wrong-count order: successes, ties, failures, except label_smoothing's,
-    which runs failures, ties, successes (smoothing gains as labels flip).
-    """
-    l = scenario.l
-    if treatment is Treatment.PEER_LOSS:
-        return _threshold_table(l, _peer_threshold(scenario))
-    if treatment is Treatment.MEMORIZE:
-        return _threshold_table(l, l / 2)
-    if treatment is Treatment.LOSS_CORRECTION:
-        threshold = _lc_correct_threshold(scenario)
-        if threshold is None:
-            return np.full(l + 1, _TIE, dtype=np.int8)
-        return _threshold_table(l, threshold)
-    return _smoothing_table(scenario)
-
-
-def _smoothing_table(scenario: InstanceScenario) -> np.ndarray:
-    """compare_ls_lc over every reachable split at once, LS_BETTER = success.
-
-    Repeats the comparator's float operations elementwise: the raw corrected
-    label, the cap (decided on the +1 entry), then 1 - p on the true label's
-    entry, against 1 - p of the smoothed label.  Its two tie rules carry
-    over: the exact even split under equal rates, and equal error values.
+    A trial's decision is a function of its wrong-label count alone.  Each
+    table repeats its reference comparator's float operations over all
+    l + 1 splits at once, and each margin ties within _TIE_EPS.  memorize:
+    p_true - 1/2.  loss_correction: corrected_label's uncapped raw mass on
+    y minus P[y] (uncapped, so an already-perfect split succeeds rather
+    than ties on the cap; with both rates zero every split ties).
+    peer_loss: peer_predict's margin, local +1 mass minus the global noisy
+    positive rate, signed by y.  label_smoothing: compare_ls_lc, LS_BETTER
+    = success, with its two tie rules (the even split under equal rates,
+    equal error values).  Every table is block-monotone in wrong-count
+    order: successes, ties, failures; label_smoothing's runs the other way
+    (smoothing gains as labels flip).
     """
     l, y, e_plus, e_minus, a = (
         scenario.l, scenario.y, scenario.e_plus, scenario.e_minus, scenario.smoothing_a
@@ -302,11 +249,16 @@ def _smoothing_table(scenario: InstanceScenario) -> np.ndarray:
     )
     err_lc = 1.0 - capped_true
     err_ls = 1.0 - ((1.0 - a) * p_true + a / 2)
-    table = np.where(err_lc < err_ls, _FAILURE, _SUCCESS).astype(np.int8)
-    table[err_lc == err_ls] = _TIE
+    smoothing = np.where(err_lc < err_ls, _FAILURE, _SUCCESS).astype(np.int8)
+    smoothing[err_lc == err_ls] = _TIE
     if e_plus == e_minus:
-        table[np.abs(p_true - 0.5) <= _TIE_EPS] = _TIE
-    return table
+        smoothing[np.abs(p_true - 0.5) <= _TIE_EPS] = _TIE
+    return {
+        Treatment.MEMORIZE: _margin_codes(p_true - 0.5),
+        Treatment.LOSS_CORRECTION: _margin_codes(raw_true - p_true),
+        Treatment.LABEL_SMOOTHING: smoothing,
+        Treatment.PEER_LOSS: _margin_codes((p_plus - scenario.noisy_positive_rate) * y),
+    }
 
 
 def _histogram(scenario: InstanceScenario, trials: int, seed: int, workers: int) -> np.ndarray:
@@ -352,7 +304,7 @@ def run_trials(
     """
     treatment = Treatment(treatment)
     hist = _histogram(scenario, trials, seed, workers)
-    table = _outcome_table(scenario, treatment)
+    table = _outcome_tables(scenario)[treatment]
     return TrialTally(trials, *(int(hist[table == c].sum()) for c in (_SUCCESS, _FAILURE, _TIE)))
 
 
@@ -388,7 +340,7 @@ class BoundReport:
 def _event_tail(s: InstanceScenario, table: np.ndarray, codes: tuple[int, ...]) -> tuple[int, int]:
     """The wrong counts lo..hi whose table entry is one of codes; (0, -1) when none is.
 
-    Every table is block-monotone in wrong-count order (see _outcome_table),
+    Every table is block-monotone in wrong-count order (see _outcome_tables),
     so each event's range is a tail of 0..l: it starts at 0 or ends at l.
     """
     wrong = np.flatnonzero(np.isin(table, codes))
@@ -503,7 +455,7 @@ def bound_report(
     and the closed forms on both sides are omitted as vacuous.
     """
     hist = _histogram(scenario, trials, seed, workers)
-    tables = {t: _outcome_table(scenario, t) for t in {e.treatment for e in _EVENTS if e.codes}}
+    tables = _outcome_tables(scenario)
     checks = []
     for event in _EVENTS:
         if event.codes:

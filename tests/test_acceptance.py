@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from noisylab import mcsim
 from noisylab.cli import main as cli_main
 from noisylab.bounds import (
     binom_tail,
@@ -397,15 +398,24 @@ class TestAcceptance:
             budget=5.0,
         )
 
-    def test_criterion_11_sweep_reruns_are_byte_identical(self, tmp_path):
+    def test_criterion_11_sweep_reruns_are_byte_identical(self, tmp_path, monkeypatch):
         started = time.perf_counter()
         failures = []
+        # three fixed chunks per scenario, so the 3-worker run fills its thread pool
+        trials = 2 * mcsim._CHUNK_TRIALS + 1
+        chunks = set()
+
+        def recorded(key, l, e_y, chunk, count, draw=mcsim._chunk_counts):
+            chunks.add(chunk)
+            return draw(key, l, e_y, chunk, count)
+
+        monkeypatch.setattr(mcsim, "_chunk_counts", recorded)
         config = tmp_path / "sweep.json"
         config.write_text(
             json.dumps(
                 {
                     "seed": 42,
-                    "trials": 20_000,
+                    "trials": trials,
                     "grid": {"l": list(GRID_L), "e": list(GRID_E), "base": {"y": 1}},
                 }
             ),
@@ -425,12 +435,15 @@ class TestAcceptance:
             outputs.append(out.read_bytes() if out.exists() else b"")
         if not (outputs[0] == outputs[1] == outputs[2]):
             failures.append("sweep outputs differ across reruns/worker counts")
+        if chunks != {0, 1, 2}:
+            failures.append(f"each scenario should span chunks 0..2, drew {sorted(chunks)}")
         rows = outputs[0].count(b"\n") - 1
         _finish(
             11,
             failures,
             f"sweep with seed 42 wrote {rows} identical rows across a rerun and a "
-            "worker-count change (byte-compared)",
+            f"worker-count change (byte-compared), {trials} trials in {len(chunks)} chunks "
+            "per scenario",
             started,
             budget=30.0,
         )

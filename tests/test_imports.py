@@ -5,8 +5,8 @@ Importing scipy.special costs about as much as the rest of a cold
 use it.  This process loaded it long ago, so every check runs in a fresh
 interpreter that imports the same noisylab sources.  Every function that
 perfbench's tracer wraps must also keep resolving, or `--trace 1` breaks, and
-every name `noisylab/__init__.py` exports must keep a reader (README, "Library
-quick reference").
+every name `noisylab/__init__.py` exports, and every public method and property
+of an exported class, must keep a reader (README, "Library quick reference").
 """
 
 import ast
@@ -157,7 +157,6 @@ def test_every_perfbench_trace_target_resolves():
 # Exports read only by an oracle test, which checks another route against
 # them, with the test that reads each one.
 ORACLES = {
-    "peer_predict": "tests/test_mcsim.py",  # the peer outcome table, split by split
     "empirical_distribution": "tests/test_treatments.py",  # lc_empirical_loss's label counts
 }
 
@@ -201,12 +200,20 @@ def _type_names(exports) -> dict[str, set[str]]:
     return types
 
 
+def _public_members(exports) -> list[str]:
+    """Each public method and property an exported class defines, as Class.name."""
+    kinds = (property, classmethod, staticmethod)
+    return [f"{name}.{attr}" for name in exports if inspect.isclass(cls := getattr(noisylab, name))
+            for attr, value in vars(cls).items()
+            if not attr.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))]
+
+
 def test_every_export_has_a_reader():
     exports = _exports()
-    readers = (_code_names(SRC / "noisylab" / "cli.py")
-               | _code_names(ROOT / "tests" / "test_acceptance.py")
-               | _readme_names()
-               | {attr.split(".")[0] for _, _, attr in _tracer_targets()})
+    acceptance, readme = _code_names(ROOT / "tests" / "test_acceptance.py"), _readme_names()
+    traced = [attr.split(".") for _, _, attr in _tracer_targets()]
+    readers = (_code_names(SRC / "noisylab" / "cli.py") | acceptance | readme
+               | {parts[0] for parts in traced})
     types = _type_names(exports)
     read = {name for name in exports
             if name in readers or any(name in types[other] for other in exports if other != name)}
@@ -214,3 +221,8 @@ def test_every_export_has_a_reader():
     # an oracle is listed only while it is exported, has no other reader, and its test reads it
     assert [name for name, test in ORACLES.items()
             if name not in exports or name in read or name not in _code_names(ROOT / test)] == []
+    # one level down: each public method and property of an exported class
+    member_readers = (set().union(*map(_code_names, (SRC / "noisylab").glob("*.py")))
+                      | acceptance | readme | {part for parts in traced for part in parts[1:]})
+    members = _public_members(exports)
+    assert members and [m for m in members if m.split(".")[1] not in member_readers] == []

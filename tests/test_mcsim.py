@@ -28,8 +28,7 @@ from noisylab.mcsim import (
     TrialTally,
     _chunk_counts,
     _histogram,
-    _lc_correct_threshold,
-    _outcome_table,
+    _outcome_tables,
     _stream_key,
     _wilson_interval,
     bound_report,
@@ -94,9 +93,9 @@ class TestInstanceScenario:
         assert InstanceScenario(l=10, y=-1, e_plus=0.2, e_minus=0.3).e_y == 0.3
         # P[observe +1] = p+ (1 - e+) + p- e-
         np.testing.assert_allclose(s.noisy_positive_rate, 0.5 * 0.8 + 0.5 * 0.3)
-        np.testing.assert_allclose(
-            s.noisy_rate_of(1) + s.noisy_rate_of(-1), 1.0, atol=1e-15
-        )
+        # a population rate: the same whichever label the instance holds
+        assert InstanceScenario(l=10, y=-1, e_plus=0.2, e_minus=0.3).noisy_positive_rate == (
+            s.noisy_positive_rate)
 
     def test_p_minus_complements_p_plus(self):
         s = InstanceScenario(l=4, y=1, e_plus=0.1, e_minus=0.1, p_plus=0.7)
@@ -298,7 +297,7 @@ class TestSharedDraw:
         np.testing.assert_array_equal(_histogram(s, trials, seed, workers=1), hist)
         for check in report.checks:
             tally = run_trials(s, check.treatment, trials, seed)
-            table = _outcome_table(s, check.treatment)
+            table = _outcome_tables(s)[check.treatment]
             assert (tally.success, tally.failure, tally.tie) == tuple(
                 int(hist[table == code].sum()) for code in (_SUCCESS, _FAILURE, _TIE))
             # each check's count is the tally's count(s) of the outcomes it names
@@ -424,7 +423,7 @@ class TestRunTrials:
 class TestOutcomeTables:
     def test_memorize_table_is_the_strict_majority_rule(self):
         s = InstanceScenario(l=4, y=1, e_plus=0.2, e_minus=0.2)
-        table = _outcome_table(s, Treatment.MEMORIZE)
+        table = _outcome_tables(s)[Treatment.MEMORIZE]
         np.testing.assert_array_equal(
             table, [_SUCCESS, _SUCCESS, _TIE, _FAILURE, _FAILURE]
         )
@@ -433,32 +432,35 @@ class TestOutcomeTables:
         for l in (4, 5, 10):
             s = InstanceScenario(l=l, y=1, e_plus=0.2, e_minus=0.2)
             np.testing.assert_array_equal(
-                _outcome_table(s, Treatment.LOSS_CORRECTION),
-                _outcome_table(s, Treatment.MEMORIZE),
+                _outcome_tables(s)[Treatment.LOSS_CORRECTION],
+                _outcome_tables(s)[Treatment.MEMORIZE],
             )
 
     def test_unequal_rates_shift_the_correction_threshold(self):
-        # threshold = l * e_other / (e+ + e-) = 9 * 0.5 / 0.6 = 7.5 correct labels
+        # the corrected label beats the empirical one iff correct > l * e_other / (e+ + e-):
+        # 9 * 0.5 / 0.6 = 7.5 correct labels
         s = InstanceScenario(l=9, y=1, e_plus=0.1, e_minus=0.5)
-        np.testing.assert_allclose(_lc_correct_threshold(s), 7.5)
-        table = _outcome_table(s, Treatment.LOSS_CORRECTION)
+        table = _outcome_tables(s)[Treatment.LOSS_CORRECTION]
         expected = [_SUCCESS if 9 - w > 7.5 else _FAILURE for w in range(10)]
         np.testing.assert_array_equal(table, expected)
-        # flipping the true label swaps which rate drives the threshold
+        # flipping the true label swaps which rate drives the threshold: 9 * 0.1 / 0.6 = 1.5
         s_neg = InstanceScenario(l=9, y=-1, e_plus=0.1, e_minus=0.5)
-        np.testing.assert_allclose(_lc_correct_threshold(s_neg), 9 * 0.1 / 0.6)
+        table = _outcome_tables(s_neg)[Treatment.LOSS_CORRECTION]
+        expected = [_SUCCESS if 9 - w > 1.5 else _FAILURE for w in range(10)]
+        np.testing.assert_array_equal(table, expected)
 
     def test_noiseless_correction_always_ties(self):
-        s = InstanceScenario(l=6, y=1, e_plus=0.0, e_minus=0.0)
-        assert _lc_correct_threshold(s) is None
-        np.testing.assert_array_equal(
-            _outcome_table(s, Treatment.LOSS_CORRECTION), np.full(7, _TIE)
-        )
+        # both rates zero: the correction is the identity map, on every split
+        for y in (-1, 1):
+            s = InstanceScenario(l=6, y=y, e_plus=0.0, e_minus=0.0)
+            np.testing.assert_array_equal(
+                _outcome_tables(s)[Treatment.LOSS_CORRECTION], np.full(7, _TIE)
+            )
 
     def test_one_sided_noise_makes_the_reachable_split_a_tie(self):
         # e_y = 0 keeps every label correct; the threshold lands exactly on l
         s = InstanceScenario(l=5, y=1, e_plus=0.0, e_minus=0.3)
-        table = _outcome_table(s, Treatment.LOSS_CORRECTION)
+        table = _outcome_tables(s)[Treatment.LOSS_CORRECTION]
         assert table[0] == _TIE
 
     def test_smoothing_table_delegates_to_the_comparator(self):
@@ -484,7 +486,7 @@ class TestOutcomeTables:
         assert any(s.e_plus != s.e_minus for s in scenarios)
         for s in scenarios:
             rates = BinaryNoiseRates(s.e_plus, s.e_minus)
-            table = _outcome_table(s, Treatment.LABEL_SMOOTHING)
+            table = _outcome_tables(s)[Treatment.LABEL_SMOOTHING]
             for wrong in range(s.l + 1):
                 p_true = (s.l - wrong) / s.l
                 probs = [1 - p_true, p_true] if s.y == 1 else [p_true, 1 - p_true]
@@ -495,7 +497,7 @@ class TestOutcomeTables:
         rng = np.random.default_rng(23)
         for _ in range(40):
             s = _random_scenario(rng)
-            table = _outcome_table(s, Treatment.LABEL_SMOOTHING)
+            table = _outcome_tables(s)[Treatment.LABEL_SMOOTHING]
             nonfail = np.nonzero(table != _FAILURE)[0]
             if nonfail.size:
                 assert np.all(table[nonfail[0] :] != _FAILURE)
@@ -529,25 +531,22 @@ class TestOutcomeTables:
         ties = 0
         for s in scenarios:
             for treatment in Treatment:
-                table = _outcome_table(s, treatment)
+                table = _outcome_tables(s)[treatment]
                 assert np.all(np.diff(ranks[treatment][table]) >= 0), (s, treatment, table)
                 ties += int(np.any(table == _TIE))
         assert ties >= 4 * 18  # every even-l equal-rate scenario ties in all four tables
 
     def test_peer_table_thresholds_at_the_global_noisy_rate(self):
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2, p_plus=0.5)
-        table = _outcome_table(s, Treatment.PEER_LOSS)
+        table = _outcome_tables(s)[Treatment.PEER_LOSS]
         # threshold = 10 * 0.5 = 5 correct labels: wrong = 5 ties
         np.testing.assert_array_equal(table[:5], np.full(5, _SUCCESS))
         assert table[5] == _TIE
         np.testing.assert_array_equal(table[6:], np.full(5, _FAILURE))
         skewed = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2, p_plus=0.9)
-        rate = skewed.noisy_rate_of(1)  # 0.9*0.8 + 0.1*0.2 = 0.74
-        table = _outcome_table(skewed, Treatment.PEER_LOSS)
-        expected = [
-            _SUCCESS if 10 - w > 10 * rate + 1e-9 else (_TIE if abs(10 - w - 10 * rate) <= 1e-9 else _FAILURE)
-            for w in range(11)
-        ]
+        rate = skewed.noisy_positive_rate  # 0.9*0.8 + 0.1*0.2 = 0.74
+        table = _outcome_tables(skewed)[Treatment.PEER_LOSS]
+        expected = [_SUCCESS if 10 - w > 10 * rate else _FAILURE for w in range(11)]
         np.testing.assert_array_equal(table, expected)
 
     def test_peer_table_agrees_with_peer_predict_on_every_split(self):
@@ -563,10 +562,16 @@ class TestOutcomeTables:
             InstanceScenario(l=l, y=y, e_plus=e, e_minus=e)
             for l in (2, 10, 40) for y in (-1, 1) for e in (0.1, 0.3, 0.45)
         ]
+        scenarios += [  # near-ties at the even split: global-rate margins of
+            # +-6e-12 (outside the tie band), +-6e-13 and +-6e-15 (inside it)
+            InstanceScenario(l=l, y=y, e_plus=0.2, e_minus=0.2, p_plus=0.5 + d)
+            for l, offset in ((10, 1e-11), (10_000, 1e-12), (10_000, 1e-14))
+            for d in (offset, -offset) for y in (-1, 1)
+        ]
         assert {s.y for s in scenarios} == {-1, 1}
         ties = 0
         for s in scenarios:
-            table = _outcome_table(s, Treatment.PEER_LOSS)
+            table = _outcome_tables(s)[Treatment.PEER_LOSS]
             for wrong in range(s.l + 1):
                 p_true = (s.l - wrong) / s.l
                 probs = [1 - p_true, p_true] if s.y == 1 else [p_true, 1 - p_true]
@@ -577,7 +582,36 @@ class TestOutcomeTables:
                     want = _SUCCESS if decision.predicted == s.y else _FAILURE
                 assert table[wrong] == want, (s, wrong)
                 ties += want == _TIE
-        assert ties >= 18  # every symmetric even-l scenario reaches its tie
+        assert ties >= 18 + 8  # every symmetric even-l scenario reaches its tie
+
+    def test_correction_table_agrees_with_corrected_label_on_every_split(self):
+        # success iff corrected_label's uncapped mass on the true label beats
+        # the empirical mass, by more than the comparators' tie tolerance
+        rng = np.random.default_rng(47)
+        scenarios = [_random_scenario(rng) for _ in range(40)]
+        scenarios += [  # e_y = 0, with and without noise on the other label
+            InstanceScenario(l=l, y=y, e_plus=e if y == -1 else 0.0, e_minus=e if y == 1 else 0.0)
+            for l in (1, 6) for y in (-1, 1) for e in (0.0, 0.3)
+        ]
+        # near-tie: e_other puts the count threshold l * e_other / (e+ + e-)
+        # 3e-10 above 6 of 10 correct labels, a margin of -3.0e-11 there
+        e_other = 0.2 * (6 + 3e-10) / (4 - 3e-10)
+        scenarios += [
+            InstanceScenario(l=10, y=y, e_plus=0.2 if y == 1 else e_other,
+                             e_minus=e_other if y == 1 else 0.2)
+            for y in (-1, 1)
+        ]
+        assert {s.y for s in scenarios} == {-1, 1}
+        for s in scenarios:
+            rates = BinaryNoiseRates(s.e_plus, s.e_minus)
+            table = _outcome_tables(s)[Treatment.LOSS_CORRECTION]
+            for wrong in range(s.l + 1):
+                p_true = (s.l - wrong) / s.l
+                probs = [1 - p_true, p_true] if s.y == 1 else [p_true, 1 - p_true]
+                raw = corrected_label(LabelDist(np.array(probs)), rates).raw.prob_of(s.y)
+                margin = raw - p_true
+                want = _SUCCESS if margin > 1e-12 else _FAILURE if margin < -1e-12 else _TIE
+                assert table[wrong] == want, (s, wrong, margin)
 
 
 class TestEngineMatchesComparators:
@@ -765,7 +799,7 @@ class TestBoundReport:
             report = bound_report(s, trials=10, seed=1)
             pmf = stats.binom.pmf(np.arange(s.l + 1), s.l, s.e_y)
             by_event = {(c.treatment, c.event): c for c in report.checks}
-            lc_table = _outcome_table(s, Treatment.LOSS_CORRECTION)
+            lc_table = _outcome_tables(s)[Treatment.LOSS_CORRECTION]
             np.testing.assert_allclose(
                 by_event[(Treatment.LOSS_CORRECTION, "strict_success")].exact,
                 pmf[lc_table == _SUCCESS].sum(),
@@ -776,13 +810,13 @@ class TestBoundReport:
                 pmf[lc_table != _SUCCESS].sum(),
                 atol=1e-10,
             )
-            ls_table = _outcome_table(s, Treatment.LABEL_SMOOTHING)
+            ls_table = _outcome_tables(s)[Treatment.LABEL_SMOOTHING]
             np.testing.assert_allclose(
                 by_event[(Treatment.LABEL_SMOOTHING, "ls_better_or_tie")].exact,
                 pmf[ls_table != _FAILURE].sum(),
                 atol=1e-10,
             )
-            peer_table = _outcome_table(s, Treatment.PEER_LOSS)
+            peer_table = _outcome_tables(s)[Treatment.PEER_LOSS]
             np.testing.assert_allclose(
                 by_event[(Treatment.PEER_LOSS, "strict_success")].exact,
                 pmf[peer_table == _SUCCESS].sum(),
@@ -816,13 +850,14 @@ class TestBoundReport:
                     assert check.mc_estimate == flips / (trials * s.l)
                     assert check.exact == s.e_y
                     continue
-                wrong = np.isin(_outcome_table(s, check.treatment), names[check.event])
+                wrong = np.isin(_outcome_tables(s)[check.treatment], names[check.event])
                 assert check.mc_estimate == int(hist[wrong].sum()) / trials, (s, check.event)
                 np.testing.assert_allclose(check.exact, pmf[wrong].sum(), rtol=1e-12, atol=1e-15)
 
     def test_an_event_that_is_not_a_tail_is_an_error(self, monkeypatch):
         table = np.array([_SUCCESS, _FAILURE, _SUCCESS, _FAILURE], dtype=np.int8)
-        monkeypatch.setattr(mcsim, "_outcome_table", lambda scenario, treatment: table)
+        monkeypatch.setattr(mcsim, "_outcome_tables",
+                            lambda scenario: dict.fromkeys(Treatment, table))
         s = InstanceScenario(l=3, y=1, e_plus=0.2, e_minus=0.2)
         with pytest.raises(RuntimeError, match=r"event set \[0, 2\] is not a tail of 0..3"):
             bound_report(s, trials=10, seed=1)
