@@ -223,24 +223,25 @@ def _outcome_tables(scenario: InstanceScenario) -> dict[Treatment, np.ndarray]:
     """Per-wrong-count outcome codes of every treatment, each its comparator's rule.
 
     A trial's decision is a function of its wrong-label count alone.  Each
-    table repeats its reference comparator's float operations over all
-    l + 1 splits at once, and each margin ties within _TIE_EPS.  memorize:
-    p_true - 1/2.  loss_correction: corrected_label's uncapped raw mass on
-    y minus P[y] (uncapped, so an already-perfect split succeeds rather
-    than ties on the cap; with both rates zero every split ties).
-    peer_loss: peer_predict's margin, local +1 mass minus the global noisy
-    positive rate, signed by y.  label_smoothing: compare_ls_lc, LS_BETTER
-    = success, with its two tie rules (the even split under equal rates,
-    equal error values).  Every table is block-monotone in wrong-count
-    order: successes, ties, failures; label_smoothing's runs the other way
-    (smoothing gains as labels flip).
+    table evaluates its reference comparator's rule on all l + 1 splits at
+    once, and each margin ties within _TIE_EPS.  memorize: p_true - 1/2.
+    loss_correction: corrected_label's uncapped raw mass on y minus P[y],
+    (e_plus + e_minus) / gap times P[y] - e_other / (e_plus + e_minus) with
+    e_other the other label's rate; the table reads this scale-free factor,
+    so tiny rates keep their decided splits (equal rates give memorize's
+    margin exactly), and both rates zero tie every split.  peer_loss:
+    peer_predict's margin, local +1 mass minus the global noisy positive
+    rate, signed by y.  label_smoothing: compare_ls_lc's float operations,
+    LS_BETTER = success, with its two tie rules (the even split under equal
+    rates, equal error values).  Every table is block-monotone in
+    wrong-count order: successes, ties, failures; label_smoothing's runs
+    the other way (smoothing gains as labels flip).
     """
     l, y, e_plus, e_minus, a = (
         scenario.l, scenario.y, scenario.e_plus, scenario.e_minus, scenario.smoothing_a
     )
     p_true = (l - np.arange(l + 1)) / l
-    p_other = 1.0 - p_true
-    p_plus, p_minus = (p_true, p_other) if y == 1 else (p_other, p_true)
+    p_plus, p_minus = (p_true, 1.0 - p_true) if y == 1 else (1.0 - p_true, p_true)
     gap = 1.0 - e_plus - e_minus
     raw_plus = ((1.0 - e_minus) * p_plus - e_minus * p_minus) / gap
     raw_true = raw_plus if y == 1 else ((1.0 - e_plus) * p_minus - e_plus * p_plus) / gap
@@ -251,11 +252,13 @@ def _outcome_tables(scenario: InstanceScenario) -> dict[Treatment, np.ndarray]:
     err_ls = 1.0 - ((1.0 - a) * p_true + a / 2)
     smoothing = np.where(err_lc < err_ls, _FAILURE, _SUCCESS).astype(np.int8)
     smoothing[err_lc == err_ls] = _TIE
+    noise, e_other = e_plus + e_minus, (e_minus if y == 1 else e_plus)
+    correction = p_true - e_other / noise if noise > 0.0 else np.zeros(l + 1)
     if e_plus == e_minus:
         smoothing[np.abs(p_true - 0.5) <= _TIE_EPS] = _TIE
     return {
         Treatment.MEMORIZE: _margin_codes(p_true - 0.5),
-        Treatment.LOSS_CORRECTION: _margin_codes(raw_true - p_true),
+        Treatment.LOSS_CORRECTION: _margin_codes(correction),
         Treatment.LABEL_SMOOTHING: smoothing,
         Treatment.PEER_LOSS: _margin_codes((p_plus - scenario.noisy_positive_rate) * y),
     }

@@ -169,8 +169,12 @@ def _exports() -> list[str]:
 
 def _code_names(path: Path) -> set[str]:
     """Every name a Python file imports, reads or looks up as an attribute."""
+    return _tree_names(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def _tree_names(tree: ast.AST) -> set[str]:
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -180,11 +184,16 @@ def _code_names(path: Path) -> set[str]:
     return names
 
 
+def _readme_code() -> tuple[list[str], list[str]]:
+    """The README's code spans and its Python examples."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"`([^`\n]+)`", text), re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+
+
 def _readme_names() -> set[str]:
     """Every name in the README's code spans and Python examples."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    code = re.findall(r"`([^`\n]+)`", text) + re.findall(r"```python\n(.*?)```", text, re.DOTALL)
-    return set(re.findall(r"\w+", " ".join(code)))
+    spans, examples = _readme_code()
+    return set(re.findall(r"\w+", " ".join(spans + examples)))
 
 
 def _type_names(exports) -> dict[str, set[str]]:
@@ -200,6 +209,30 @@ def _type_names(exports) -> dict[str, set[str]]:
     return types
 
 
+def _member_reads(tree: ast.AST, attrs_of: dict[str, set[str]]) -> set[str]:
+    """Class.attr for each class the code names or defines and each attribute it reads.
+
+    A read counts only beside its class, and only when no other exported
+    class has an attribute of that name: a name two classes share says
+    nothing about which one is read.
+    """
+    names = _tree_names(tree) | {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return {f"{cls}.{attr}" for cls in attrs_of if cls in names
+            for attr in read - set().union(*(attrs_of[other] for other in attrs_of if other != cls))}
+
+
+def _class_attrs(exports) -> dict[str, set[str]]:
+    """Each exported class's public attribute names: fields, methods and properties."""
+    attrs = {}
+    for name in exports:
+        cls = getattr(noisylab, name)
+        if inspect.isclass(cls):
+            fields = {field.name for field in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+            attrs[name] = fields | {attr for attr in dir(cls) if not attr.startswith("_")}
+    return attrs
+
+
 def _public_members(exports) -> list[str]:
     """Each public method and property an exported class defines, as Class.name."""
     kinds = (property, classmethod, staticmethod)
@@ -210,10 +243,10 @@ def _public_members(exports) -> list[str]:
 
 def test_every_export_has_a_reader():
     exports = _exports()
-    acceptance, readme = _code_names(ROOT / "tests" / "test_acceptance.py"), _readme_names()
-    traced = [attr.split(".") for _, _, attr in _tracer_targets()]
-    readers = (_code_names(SRC / "noisylab" / "cli.py") | acceptance | readme
-               | {parts[0] for parts in traced})
+    readers = (_code_names(SRC / "noisylab" / "cli.py")
+               | _code_names(ROOT / "tests" / "test_acceptance.py")
+               | _readme_names()
+               | {attr.split(".")[0] for _, _, attr in _tracer_targets()})
     types = _type_names(exports)
     read = {name for name in exports
             if name in readers or any(name in types[other] for other in exports if other != name)}
@@ -221,8 +254,28 @@ def test_every_export_has_a_reader():
     # an oracle is listed only while it is exported, has no other reader, and its test reads it
     assert [name for name, test in ORACLES.items()
             if name not in exports or name in read or name not in _code_names(ROOT / test)] == []
-    # one level down: each public method and property of an exported class
-    member_readers = (set().union(*map(_code_names, (SRC / "noisylab").glob("*.py")))
-                      | acceptance | readme | {part for parts in traced for part in parts[1:]})
-    members = _public_members(exports)
-    assert members and [m for m in members if m.split(".")[1] not in member_readers] == []
+
+
+# Members read only under a name that another exported class also has, with
+# the module that reads each one.
+SHARED_NAMES = {
+    "PriorSpec.regime_ok": "src/noisylab/freqmodel.py",  # TauEstimate.regime_ok is a field
+}
+
+
+def test_every_public_member_of_an_exported_class_has_a_reader():
+    # read beside its class in a module, the acceptance test or a README
+    # Python example, or named as Class.attr in a README code span or the tracer
+    exports = _exports()
+    members, attrs_of = _public_members(exports), _class_attrs(exports)
+    spans, examples = _readme_code()
+    paths = [*(SRC / "noisylab").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    trees += map(ast.parse, examples)
+    readers = (set().union(*(_member_reads(tree, attrs_of) for tree in trees))
+               | set(re.findall(r"(?=\b(\w+\.\w+))", " ".join(spans)))
+               | {".".join(attr.split(".")[-2:]) for _, _, attr in _tracer_targets()})
+    assert members and [m for m in members if m not in readers and m not in SHARED_NAMES] == []
+    # a shared name is listed only while it is a member with no other reader, and its module reads it
+    assert [m for m, path in SHARED_NAMES.items() if m not in members or m in readers
+            or m.split(".")[1] not in _code_names(ROOT / path)] == []

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo engine and its bound-vs-oracle reports."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -429,8 +430,10 @@ class TestOutcomeTables:
         )
 
     def test_equal_rates_reduce_correction_to_the_majority_rule(self):
-        for l in (4, 5, 10):
-            s = InstanceScenario(l=l, y=1, e_plus=0.2, e_minus=0.2)
+        # tiny rates included: the corrected mass then moves off P[y] by less
+        # than the tie tolerance, yet the decision is still the majority's
+        for l, y, e in itertools.product((1, 4, 5, 10, 101), (-1, 1), (0.2, 1e-13)):
+            s = InstanceScenario(l=l, y=y, e_plus=e, e_minus=e)
             np.testing.assert_array_equal(
                 _outcome_tables(s)[Treatment.LOSS_CORRECTION],
                 _outcome_tables(s)[Treatment.MEMORIZE],
@@ -586,12 +589,18 @@ class TestOutcomeTables:
 
     def test_correction_table_agrees_with_corrected_label_on_every_split(self):
         # success iff corrected_label's uncapped mass on the true label beats
-        # the empirical mass, by more than the comparators' tie tolerance
+        # the empirical mass.  That gain is (e+ + e-) / gap times a margin in
+        # label mass, which ties within the comparators' tolerance, so tiny
+        # rates shrink the gain but not the decision
         rng = np.random.default_rng(47)
         scenarios = [_random_scenario(rng) for _ in range(40)]
         scenarios += [  # e_y = 0, with and without noise on the other label
             InstanceScenario(l=l, y=y, e_plus=e if y == -1 else 0.0, e_minus=e if y == 1 else 0.0)
             for l in (1, 6) for y in (-1, 1) for e in (0.0, 0.3)
+        ]
+        scenarios += [  # tiny rates, equal and unequal: gains far inside 1e-12
+            InstanceScenario(l=l, y=y, e_plus=1e-13, e_minus=e_minus)
+            for l in (2, 9, 40) for y in (-1, 1) for e_minus in (1e-13, 3e-13)
         ]
         # near-tie: e_other puts the count threshold l * e_other / (e+ + e-)
         # 3e-10 above 6 of 10 correct labels, a margin of -3.0e-11 there
@@ -602,16 +611,20 @@ class TestOutcomeTables:
             for y in (-1, 1)
         ]
         assert {s.y for s in scenarios} == {-1, 1}
+        decided = 0
         for s in scenarios:
             rates = BinaryNoiseRates(s.e_plus, s.e_minus)
+            noise = s.e_plus + s.e_minus
             table = _outcome_tables(s)[Treatment.LOSS_CORRECTION]
             for wrong in range(s.l + 1):
                 p_true = (s.l - wrong) / s.l
                 probs = [1 - p_true, p_true] if s.y == 1 else [p_true, 1 - p_true]
                 raw = corrected_label(LabelDist(np.array(probs)), rates).raw.prob_of(s.y)
-                margin = raw - p_true
+                margin = (raw - p_true) * (1 - noise) / noise if noise else 0.0
                 want = _SUCCESS if margin > 1e-12 else _FAILURE if margin < -1e-12 else _TIE
                 assert table[wrong] == want, (s, wrong, margin)
+                decided += noise < 1e-12 and want != _TIE
+        assert decided > 100  # the tiny-rate splits keep their decisions
 
 
 class TestEngineMatchesComparators:
@@ -630,7 +643,8 @@ class TestEngineMatchesComparators:
             count = int(np.count_nonzero(wrong == w))
             p_true = (s.l - w) / s.l
             dist = LabelDist(np.array([1 - p_true, p_true]))
-            margin = corrected_label(dist, rates).raw.probs[1] - p_true
+            gain = corrected_label(dist, rates).raw.probs[1] - p_true
+            margin = gain * (1 - s.e_plus - s.e_minus) / (s.e_plus + s.e_minus)
             if margin > 1e-12:
                 success += count
             elif margin < -1e-12:
@@ -756,6 +770,17 @@ class TestBoundReport:
         )
         assert peer_success.ordering_holds
         assert by_event[(Treatment.PEER_LOSS, "tie_inclusive_failure")].bound is None
+
+    def test_tiny_equal_rates_keep_the_correction_bound(self):
+        # the corrected label moves off the empirical one by ~1e-13 here, yet
+        # loss correction still decides every split as memorize does
+        for l, y in itertools.product((4, 10, 11), (-1, 1)):
+            s = InstanceScenario(l=l, y=y, e_plus=1e-13, e_minus=1e-13)
+            by_event = {(c.treatment, c.event): c for c in bound_report(s, 2000, 5).checks}
+            lc_success = by_event[(Treatment.LOSS_CORRECTION, "strict_success")]
+            assert lc_success.bound.regime_ok and lc_success.ordering_holds
+            assert lc_success.mc_estimate == 1.0 and lc_success.exact > 0.999
+            assert all(c.ordering_holds is not False for c in by_event.values())
 
     def test_unequal_rates_flag_their_regimes(self):
         s = InstanceScenario(l=9, y=1, e_plus=0.1, e_minus=0.5)
