@@ -15,14 +15,18 @@ Trials are cut into fixed chunks of _CHUNK_TRIALS; chunk c draws its counts
 from its own Philox counter range, starting at counter [0, 0, 0, c] under a
 key derived from (seed, scenario fields).  A chunk's counts are therefore a
 pure function of (key, chunk index), whichever worker draws them, and
-integer merges are order-independent.  STREAM_VERSION names this mapping
-from seeds to rows and changes whenever the same seed would draw different
-numbers or classify them differently.
+integer merges are order-independent.  A sweep lists every (scenario, chunk)
+job of its batch, once per distinct key, and `workers` threads run that one
+schedule; each job draws its chunk in pieces of _PIECE_TRIALS, which set
+memory only.  STREAM_VERSION names this mapping from seeds to rows and
+changes whenever the same seed would draw different numbers or classify
+them differently.
 """
 from __future__ import annotations
 
 import enum
 import math
+import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
@@ -60,9 +64,11 @@ __all__ = [
 # 4: exact columns are regularized incomplete beta tails (draws unchanged);
 # 5: one draw per trial shared by all four treatments, keyed by (seed, scenario);
 # 6: every outcome table is its comparator's margin, tied within _TIE_EPS (draws unchanged)
-STREAM_VERSION = 6
+# 7: equal rates read the loss-correction margin's scale-free tie rule (draws unchanged)
+STREAM_VERSION = 7
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
+_PIECE_TRIALS = 1 << 13  # trials drawn and bincounted at a time (64 KB); sets memory only
 _FAILURE, _SUCCESS, _TIE = 0, 1, 2
 
 
@@ -203,14 +209,15 @@ def _stream_key(seed: int, scenario: InstanceScenario) -> np.ndarray:
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
-def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int) -> np.ndarray:
-    """Wrong-label counts of the first `count` trials of chunk `chunk`.
+def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int):
+    """Wrong-label counts of chunk `chunk`'s first `count` trials, in pieces of _PIECE_TRIALS.
 
-    The chunk's generator starts at its own counter range, so the counts
-    depend only on (key, chunk index) and never on which worker asks.
+    The counts depend only on (key, chunk index), never on which worker asks, and
+    numpy's binomial reads its bit stream in order: the pieces are one size=count call's.
     """
-    bit_gen = np.random.Philox(key=key, counter=[0, 0, 0, chunk])
-    return np.random.Generator(bit_gen).binomial(l, e_y, size=count)
+    rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk]))
+    for start in range(0, count, _PIECE_TRIALS):
+        yield rng.binomial(l, e_y, size=min(_PIECE_TRIALS, count - start))
 
 
 def _margin_codes(margin: np.ndarray) -> np.ndarray:
@@ -264,40 +271,52 @@ def _outcome_tables(scenario: InstanceScenario) -> dict[Treatment, np.ndarray]:
     }
 
 
-def _histogram(scenario: InstanceScenario, trials: int, seed: int, workers: int) -> np.ndarray:
-    """Trials per wrong-label count 0..l, from the scenario's stream.
+def _merge(hist: tuple[int, np.ndarray], lo: int, counts: np.ndarray) -> tuple[int, np.ndarray]:
+    """hist, a (lo, counts) span of wrong counts, widened to cover another span and added to."""
+    base, total = hist
+    start, stop = min(base, lo), max(base + total.size, lo + counts.size)
+    if stop - start > total.size:
+        total = np.concatenate((np.zeros(base - start, np.int64), total,
+                                np.zeros(stop - base - total.size, np.int64)))
+    total[lo - start:lo - start + counts.size] += counts
+    return start, total
 
-    A chunk's bincount spans only the counts it drew, not all of 0..l;
-    workers only parallelize the fixed chunk schedule.
+
+def _histograms(scenarios, trials: int, seed: int, workers: int) -> list[tuple[int, np.ndarray]]:
+    """Each scenario's wrong-count histogram as a span (lo, counts): counts[i] trials
+    drew lo + i wrong labels, and none drew a count outside the span.
+
+    One job per (distinct key, chunk) of the batch, run by `workers` threads; each
+    piece's bincount, offset by its own minimum, merges into its span as it arrives.
+    Repeated scenarios share their key, hence one draw and one span.
     """
     raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS))
-    key = _stream_key(seed, scenario)
-    n_chunks = -(-trials // _CHUNK_TRIALS)
+    keys = [_stream_key(seed, s) for s in scenarios]
+    distinct = {key.tobytes(): (key, s) for key, s in zip(keys, scenarios)}
+    jobs = [(k, c) for k in distinct for c in range(-(-trials // _CHUNK_TRIALS))]
+    spans, lock = dict.fromkeys(distinct), threading.Lock()
 
-    def job(chunk: int) -> tuple[int, np.ndarray]:
-        count = min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
-        wrong = _chunk_counts(key, scenario.l, scenario.e_y, chunk, count)
-        lo = int(wrong.min())
-        return lo, np.bincount(wrong - lo)
+    def job(task: tuple[bytes, int]) -> None:
+        k, chunk = task
+        (key, s), count = distinct[k], min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
+        for wrong in _chunk_counts(key, s.l, s.e_y, chunk, count):
+            lo = int(wrong.min())
+            wrong -= lo
+            counts = np.bincount(wrong)
+            with lock:
+                spans[k] = (lo, counts) if spans[k] is None else _merge(spans[k], lo, counts)
 
-    if workers == 1 or n_chunks == 1:
-        chunks = [job(c) for c in range(n_chunks)]
+    if workers == 1 or len(jobs) == 1:
+        for task in jobs:
+            job(task)
     else:
-        with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-            chunks = list(pool.map(job, range(n_chunks)))
-    hist = np.zeros(scenario.l + 1, dtype=np.int64)
-    for lo, counts in chunks:
-        hist[lo:lo + counts.size] += counts
-    return hist
+        with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            list(pool.map(job, jobs))
+    return [spans[key.tobytes()] for key in keys]
 
 
-def run_trials(
-    scenario: InstanceScenario,
-    treatment: Treatment,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> TrialTally:
+def run_trials(scenario: InstanceScenario, treatment: Treatment, trials: int, seed: int,
+               workers: int = 1) -> TrialTally:
     """Simulate `trials` independent l-label draws and count one treatment's outcomes.
 
     Each count is the wrong-count histogram summed where the treatment's
@@ -306,9 +325,9 @@ def run_trials(
     read from the same draws as bound_report and every other treatment.
     """
     treatment = Treatment(treatment)
-    hist = _histogram(scenario, trials, seed, workers)
-    table = _outcome_tables(scenario)[treatment]
-    return TrialTally(trials, *(int(hist[table == c].sum()) for c in (_SUCCESS, _FAILURE, _TIE)))
+    lo, counts = _histograms([scenario], trials, seed, workers)[0]
+    table = _outcome_tables(scenario)[treatment][lo:lo + counts.size]
+    return TrialTally(trials, *(int(counts[table == c].sum()) for c in (_SUCCESS, _FAILURE, _TIE)))
 
 
 @dataclass(frozen=True)
@@ -366,7 +385,8 @@ def _tail_mass(s: InstanceScenario, lo: int, hi: int) -> float:
 
 
 def _rates_equal(s: InstanceScenario) -> bool:
-    return abs(s.e_plus - s.e_minus) <= 1e-12
+    """The loss-correction margin's tie rule at the even split, scale-free: both zero are equal."""
+    return abs(s.e_plus - s.e_minus) <= 2.0 * _TIE_EPS * (s.e_plus + s.e_minus)
 
 
 def _peer_symmetric(s: InstanceScenario) -> bool:
@@ -438,68 +458,58 @@ _EVENTS = (
 )
 
 
-def bound_report(
-    scenario: InstanceScenario, trials: int, seed: int, workers: int = 1
-) -> BoundReport:
+def bound_report(scenario: InstanceScenario, trials: int, seed: int,
+                 workers: int = 1) -> BoundReport:
     """One check per _EVENTS entry, every one read from one shared wrong-count histogram.
 
-    Each event's wrong-count range (lo, hi) is found once, from its
-    treatment's outcome table; the Monte-Carlo count is the histogram summed
-    over that range, and exact is the Binomial(l, e_y) mass of the same
-    range.  Memorize's check is the pooled per-label error against e_y.
-    Headline checks (one per treatment) are what sweep rows export; the
-    non-headline failure-side checks are additionally exported by the
-    bounds command.  A closed form outside its regime is computed with
-    regime_ok=False and never asserted.  ordering_holds is exact >= bound
-    (to 1e-12) where the regime holds, else None.  When e_y = 0 every draw
-    keeps the true label and the corrected label coincides with the
-    empirical one on the only reachable split, so every loss-correction
-    trial ties (strict success has probability 0, tie-inclusive failure 1)
-    and the closed forms on both sides are omitted as vacuous.
+    The one-scenario sweep.  Each event's wrong-count range (lo, hi) is found
+    once, from its treatment's outcome table; the Monte-Carlo count is the
+    histogram summed over that range, and exact is the Binomial(l, e_y) mass
+    of the same range.  Memorize's check is the pooled per-label error
+    against e_y.  Headline checks (one per treatment) are what sweep rows
+    export; the bounds command also exports the failure-side checks.  A
+    closed form outside its regime is computed with regime_ok=False and never
+    asserted; ordering_holds is exact >= bound (to 1e-12) where the regime
+    holds, else None.  When e_y = 0 every draw keeps the true label and the
+    corrected label coincides with the empirical one on the only reachable
+    split, so every loss-correction trial ties (strict success has
+    probability 0, tie-inclusive failure 1) and both closed forms are omitted.
     """
-    hist = _histogram(scenario, trials, seed, workers)
+    return sweep([scenario], trials, seed, workers)[0]
+
+
+def _report(scenario: InstanceScenario, base: int, counts: np.ndarray, trials: int) -> BoundReport:
+    """bound_report's checks, from the scenario's histogram span (base, counts); see _histograms."""
     tables = _outcome_tables(scenario)
     checks = []
     for event in _EVENTS:
         if event.codes:
             lo, hi = _event_tail(scenario, tables[event.treatment], event.codes)
-            hits, total = int(hist[lo:hi + 1].sum()), trials
+            hits, total = int(counts[max(lo - base, 0):max(hi + 1 - base, 0)].sum()), trials
             exact = _tail_mass(scenario, lo, hi)
         else:
-            hits, total = int(hist @ np.arange(scenario.l + 1)), trials * scenario.l
+            hits, total = int(counts @ np.arange(base, base + counts.size)), trials * scenario.l
             exact = scenario.e_y
         form = event.bound(scenario) if event.bound is not None else None
         bound = None if form is None else BoundValue(*form, regime_ok=event.regime(scenario))
-        checks.append(
-            BoundCheck(
-                treatment=event.treatment,
-                event=event.event,
-                headline=event.headline,
-                mc_estimate=hits / total,
-                ci=_wilson_interval(hits, total),
-                exact=exact,
-                bound=bound,
-                ordering_holds=(
-                    bool(exact >= bound.value - 1e-12)
-                    if bound is not None and bound.regime_ok
-                    else None
-                ),
-            )
-        )
+        holds = None if bound is None or not bound.regime_ok else bool(exact >= bound.value - 1e-12)
+        checks.append(BoundCheck(event.treatment, event.event, event.headline, hits / total,
+                                 _wilson_interval(hits, total), exact, bound, holds))
     return BoundReport(scenario=scenario, checks=tuple(checks))
 
 
-def sweep(
-    scenarios, trials: int, seed: int, workers: int = 1
-) -> list[BoundReport]:
-    """bound_report for each scenario, in input order.
+def sweep(scenarios, trials: int, seed: int, workers: int = 1) -> list[BoundReport]:
+    """bound_report for each scenario, in input order, from one draw schedule.
 
-    Substreams are keyed by (seed, scenario fields), so the same scenario
-    produces the same rows whether simulated alone or inside any sweep, and
-    identical scenarios repeated in one sweep repeat their rows.  Within a
-    scenario the four treatments' rows come from the same trials.
+    Every (scenario, chunk) of the batch is one job for the `workers`
+    threads.  Substreams are keyed by (seed, scenario fields), so the same
+    scenario produces the same rows whether simulated alone or inside any
+    sweep, at any worker count, and identical scenarios repeated in one
+    sweep share one draw and repeat their rows.  Within a scenario the four
+    treatments' rows come from the same trials.
     """
     scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("sweep needs at least one scenario")
-    return [bound_report(s, trials, seed, workers=workers) for s in scenarios]
+    hists = _histograms(scenarios, trials, seed, workers)
+    return [_report(s, *hist, trials) for s, hist in zip(scenarios, hists)]

@@ -6,6 +6,7 @@ with ``-s`` to see the lines for passing checks) and then asserts, so a red
 line always carries its failure list.
 """
 
+import hashlib
 import json
 import time
 
@@ -437,13 +438,32 @@ class TestAcceptance:
             failures.append("sweep outputs differ across reruns/worker counts")
         if chunks != {0, 1, 2}:
             failures.append(f"each scenario should span chunks 0..2, drew {sorted(chunks)}")
+        # 20 one-chunk scenarios: the threads share out the sweep's (scenario, chunk) jobs
+        chunks.clear()
+        config.write_text(
+            json.dumps({"seed": 42, "trials": 5000, "grid": {
+                "l": [4, 10, 20, 50, 100], "e": [0.1, 0.2, 0.3, 0.4], "base": {"y": 1}}}),
+            encoding="utf-8",
+        )
+        digests = set()
+        for workers in (1, 2, 4):
+            out = tmp_path / f"grid-{workers}.csv"
+            code = cli_main(["sweep", "--config", str(config), "--out", str(out),
+                             "--workers", str(workers)])
+            if code != 0:
+                failures.append(f"one-chunk grid at {workers} workers exited {code}")
+            digests.add(hashlib.sha256(out.read_bytes() if out.exists() else b"").hexdigest())
+        if len(digests) != 1:
+            failures.append(f"one-chunk grid CSVs differ across 1, 2 and 4 workers: {digests}")
+        if chunks != {0}:
+            failures.append(f"one-chunk grid should draw chunk 0 only, drew {sorted(chunks)}")
         rows = outputs[0].count(b"\n") - 1
         _finish(
             11,
             failures,
             f"sweep with seed 42 wrote {rows} identical rows across a rerun and a "
-            f"worker-count change (byte-compared), {trials} trials in {len(chunks)} chunks "
-            "per scenario",
+            f"worker-count change (byte-compared), {trials} trials in 3 chunks "
+            "per scenario; a 20-scenario one-chunk grid has one SHA-256 at 1, 2 and 4 workers",
             started,
             budget=30.0,
         )

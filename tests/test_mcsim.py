@@ -1,6 +1,8 @@
 """Tests for the Monte-Carlo engine and its bound-vs-oracle reports."""
 
 import itertools
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -21,6 +23,7 @@ from noisylab.memorize import LabelDist
 from noisylab.mcsim import (
     scenario_violations,
     _CHUNK_TRIALS,
+    _PIECE_TRIALS,
     _FAILURE,
     _SUCCESS,
     _TIE,
@@ -28,7 +31,7 @@ from noisylab.mcsim import (
     Treatment,
     TrialTally,
     _chunk_counts,
-    _histogram,
+    _histograms,
     _outcome_tables,
     _stream_key,
     _wilson_interval,
@@ -52,6 +55,19 @@ def _label_level_counts(key, l: int, e_y: float, start_trial: int, count: int) -
     bit_gen.advance(start_trial * blocks_per_trial)
     uniforms = np.random.Generator(bit_gen).random((count, 4 * blocks_per_trial))
     return (uniforms[:, :l] < e_y).sum(axis=1)
+
+
+def _drawn(key, l: int, e_y: float, chunk: int, count: int) -> np.ndarray:
+    """A chunk's wrong counts as one array: its pieces, in order."""
+    return np.concatenate(list(_chunk_counts(key, l, e_y, chunk, count)))
+
+
+def _dense(s: InstanceScenario, trials: int, seed: int, workers: int = 1) -> np.ndarray:
+    """The scenario's histogram span from _histograms, laid out over 0..l."""
+    (lo, counts), = _histograms([s], trials, seed, workers)
+    hist = np.zeros(s.l + 1, dtype=np.int64)
+    hist[lo:lo + counts.size] = counts
+    return hist
 
 
 def _assert_binomial_histogram(wrong: np.ndarray, l: int, e_y: float) -> None:
@@ -223,10 +239,10 @@ class TestDeterminism:
         # reproduces them, and a partial final chunk reads a prefix of them
         s = InstanceScenario(l=7, y=-1, e_plus=0.15, e_minus=0.3)
         key = _stream_key(3, s)
-        chunk = [_chunk_counts(key, s.l, s.e_y, c, 1000) for c in range(3)]
+        chunk = [_drawn(key, s.l, s.e_y, c, 1000) for c in range(3)]
         for c in reversed(range(3)):
-            np.testing.assert_array_equal(_chunk_counts(key, s.l, s.e_y, c, 1000), chunk[c])
-            np.testing.assert_array_equal(_chunk_counts(key, s.l, s.e_y, c, 137), chunk[c][:137])
+            np.testing.assert_array_equal(_drawn(key, s.l, s.e_y, c, 1000), chunk[c])
+            np.testing.assert_array_equal(_drawn(key, s.l, s.e_y, c, 137), chunk[c][:137])
         assert not np.array_equal(chunk[0], chunk[1])
         assert not np.array_equal(chunk[1], chunk[2])
 
@@ -237,12 +253,50 @@ class TestDeterminism:
         key = _stream_key(seed, s)
         sizes = (_CHUNK_TRIALS, _CHUNK_TRIALS, 99)
         wrong = np.concatenate(
-            [_chunk_counts(key, s.l, s.e_y, c, n) for c, n in enumerate(sizes)]
+            [_drawn(key, s.l, s.e_y, c, n) for c, n in enumerate(sizes)]
         )
         np.testing.assert_array_equal(
-            _histogram(s, trials, seed, workers=2), np.bincount(wrong, minlength=s.l + 1))
+            _dense(s, trials, seed, workers=2), np.bincount(wrong, minlength=s.l + 1))
         assert bound_report(s, trials, seed).checks[0].mc_estimate == wrong.sum() / (trials * s.l)
         assert tally.success == np.count_nonzero(s.l - wrong > s.l / 2)
+
+    def test_a_chunk_drawn_in_pieces_is_one_binomial_call(self):
+        # numpy's binomial reads its bit stream in order, in both of its
+        # branches (inversion for l * e < 30, BTPE above, p > 1/2 mirrored), so
+        # the pieces of a chunk are one size=count call on the chunk's generator
+        count = 2 * _PIECE_TRIALS + 123  # not a multiple of the piece size
+        key = _stream_key(8, InstanceScenario(l=3, y=1, e_plus=0.2, e_minus=0.2))
+        for l, e_y in ((1, 0.3), (3, 1e-4), (7, 0.49), (200, 0.1), (10, 0.7), (1000, 0.3),
+                       (1_000_000, 0.2)):
+            for chunk in (0, 5):
+                pieces = list(_chunk_counts(key, l, e_y, chunk, count))
+                assert [p.size for p in pieces] == [_PIECE_TRIALS, _PIECE_TRIALS, 123]
+                rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk]))
+                whole = rng.binomial(l, e_y, size=count)
+                np.testing.assert_array_equal(np.concatenate(pieces), whole, err_msg=str((l, e_y)))
+
+    def test_concurrent_merges_lose_no_trials(self, monkeypatch):
+        # more threads than cores, a short switch interval and thousands of
+        # small pieces interleave the merges into shared spans; a lost update
+        # would drop trials, and the piece size must not change the spans
+        scenarios = [InstanceScenario(l=l, y=1, e_plus=0.3, e_minus=0.3)
+                     for l in (1, 3, 8, 60, 300)]
+        trials = 2 * _CHUNK_TRIALS + 5
+        serial, threaded = _histograms(scenarios, trials, 9, workers=1), []
+        monkeypatch.setattr(mcsim, "_PIECE_TRIALS", 97)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: threaded.append(_histograms(scenarios, trials, 9, workers=8)))
+            worker.start()
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for (lo, counts), (serial_lo, serial_counts) in zip(threaded[0], serial, strict=True):
+            assert counts.sum() == trials and lo == serial_lo
+            np.testing.assert_array_equal(counts, serial_counts)
 
     def test_distinct_settings_get_distinct_streams(self):
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
@@ -277,13 +331,22 @@ class TestSharedDraw:
         draws = []
 
         def counting(key, l, e_y, chunk, count):
-            draws.append(chunk)
+            draws.append((key.tobytes(), chunk))
             return _chunk_counts(key, l, e_y, chunk, count)
 
         monkeypatch.setattr(mcsim, "_chunk_counts", counting)
         s = InstanceScenario(l=6, y=-1, e_plus=0.1, e_minus=0.3)
-        bound_report(s, trials=2 * _CHUNK_TRIALS + 5, seed=3, workers=workers)
-        assert sorted(draws) == [0, 1, 2]
+        trials = 2 * _CHUNK_TRIALS + 5
+        bound_report(s, trials=trials, seed=3, workers=workers)
+        key = _stream_key(3, s).tobytes()
+        assert sorted(draws) == [(key, 0), (key, 1), (key, 2)]
+        # a sweep draws each (key, chunk) of its batch once; a repeated
+        # scenario shares its key, hence its draws
+        others = [InstanceScenario(l=l, y=1, e_plus=0.2, e_minus=0.2) for l in (1, 5, 9)]
+        draws.clear()
+        sweep([s, *others, s], trials=trials, seed=3, workers=workers)
+        keys = [_stream_key(3, x).tobytes() for x in (s, *others)]
+        assert sorted(draws) == sorted((k, c) for k in keys for c in range(3))
 
     @pytest.mark.parametrize("s", [
         InstanceScenario(l=9, y=-1, e_plus=0.1, e_minus=0.5, smoothing_a=0.3),
@@ -293,9 +356,9 @@ class TestSharedDraw:
     def test_run_trials_equals_the_bound_report_tally(self, s):
         trials, seed = 5000, 11
         report = bound_report(s, trials, seed)
-        wrong = _chunk_counts(_stream_key(seed, s), s.l, s.e_y, 0, trials)
+        wrong = _drawn(_stream_key(seed, s), s.l, s.e_y, 0, trials)
         hist = np.bincount(wrong, minlength=s.l + 1)
-        np.testing.assert_array_equal(_histogram(s, trials, seed, workers=1), hist)
+        np.testing.assert_array_equal(_dense(s, trials, seed, workers=1), hist)
         for check in report.checks:
             tally = run_trials(s, check.treatment, trials, seed)
             table = _outcome_tables(s)[check.treatment]
@@ -356,7 +419,7 @@ class TestRunTrials:
         total = 50_000 * 6
         se = np.sqrt(0.35 * 0.65 / total)
         assert abs(check.mc_estimate - 0.35) < 4 * se
-        flips = int(_histogram(s, 50_000, 3, workers=1) @ np.arange(7))
+        flips = int(_dense(s, 50_000, 3, workers=1) @ np.arange(7))
         assert check.mc_estimate == flips / total
         assert check.ci == _wilson_interval(flips, total)
 
@@ -388,7 +451,7 @@ class TestRunTrials:
     def test_wrong_counts_follow_the_binomial_law(self):
         s = InstanceScenario(l=3, y=1, e_plus=0.4, e_minus=0.2)
         key = _stream_key(17, s)
-        _assert_binomial_histogram(_chunk_counts(key, 3, 0.4, 0, 100_000), 3, 0.4)
+        _assert_binomial_histogram(_drawn(key, 3, 0.4, 0, 100_000), 3, 0.4)
 
     def test_the_whole_histogram_passes_a_g_test_against_the_binomial_pmf(self):
         # every treatment's counts are sums of this histogram, so one law test
@@ -402,7 +465,7 @@ class TestRunTrials:
             y = 1 if i % 2 else -1
             s = InstanceScenario(l=l, y=y, e_plus=e if y == 1 else 0.2,
                                  e_minus=e if y == -1 else 0.2)
-            hist = _histogram(s, trials, seed=1000 + i, workers=1 + i % 2)
+            hist = _dense(s, trials, seed=1000 + i, workers=1 + i % 2)
             assert hist.sum() == trials
             pmf = stats.binom.pmf(np.arange(l + 1), l, e)
             observed, expected = _pooled(hist, trials * pmf / pmf.sum())
@@ -417,7 +480,7 @@ class TestRunTrials:
             e_y = float(rng.uniform(0.05, 0.6))
             s = InstanceScenario(l=l, y=1, e_plus=e_y, e_minus=0.3)
             key = _stream_key(int(rng.integers(1 << 16)), s)
-            _assert_binomial_histogram(_chunk_counts(key, l, e_y, 0, 50_000), l, e_y)
+            _assert_binomial_histogram(_drawn(key, l, e_y, 0, 50_000), l, e_y)
             _assert_binomial_histogram(_label_level_counts(key, l, e_y, 0, 50_000), l, e_y)
 
 
@@ -636,7 +699,7 @@ class TestEngineMatchesComparators:
         assert trials <= _CHUNK_TRIALS  # one chunk holds every trial
         tally = run_trials(s, Treatment.LOSS_CORRECTION, trials, seed)
         key = _stream_key(seed, s)
-        wrong = _chunk_counts(key, s.l, s.e_y, 0, trials)
+        wrong = _drawn(key, s.l, s.e_y, 0, trials)
         rates = BinaryNoiseRates(s.e_plus, s.e_minus)
         success = failure = tie = 0
         for w in np.bincount(wrong, minlength=s.l + 1).nonzero()[0]:
@@ -659,7 +722,7 @@ class TestEngineMatchesComparators:
         assert trials <= _CHUNK_TRIALS
         tally = run_trials(s, Treatment.LABEL_SMOOTHING, trials, seed)
         key = _stream_key(seed, s)
-        wrong = _chunk_counts(key, s.l, s.e_y, 0, trials)
+        wrong = _drawn(key, s.l, s.e_y, 0, trials)
         rates = BinaryNoiseRates(s.e_plus, s.e_minus)
         buckets = {Comparison.LS_BETTER: 0, Comparison.LC_BETTER: 0, Comparison.TIE: 0}
         for w in np.bincount(wrong, minlength=s.l + 1).nonzero()[0]:
@@ -782,6 +845,22 @@ class TestBoundReport:
             assert lc_success.mc_estimate == 1.0 and lc_success.exact > 0.999
             assert all(c.ordering_holds is not False for c in by_event.values())
 
+    def test_tiny_unequal_rates_are_off_the_equal_rate_regime(self):
+        # e_minus = 5 e_plus puts loss correction's threshold at 5/6 of the
+        # labels, not 1/2, although the rates lie within 1e-12 of each other;
+        # equal rates are equal at any scale
+        equal_rate = [(Treatment.LOSS_CORRECTION, "strict_success"),
+                      (Treatment.LOSS_CORRECTION, "tie_inclusive_failure"),
+                      (Treatment.LABEL_SMOOTHING, "ls_better_or_tie"),
+                      (Treatment.PEER_LOSS, "tie_inclusive_failure")]
+        for e_minus, equal in ((5e-13, False), (1e-13, True)):
+            s = InstanceScenario(l=6, y=1, e_plus=1e-13, e_minus=e_minus)
+            by_event = {(c.treatment, c.event): c for c in bound_report(s, 2000, 5).checks}
+            for key in equal_rate:
+                check = by_event[key]
+                assert check.bound.regime_ok is equal, (e_minus, key)
+                assert (check.ordering_holds is None) is not equal, (e_minus, key)
+
     def test_unequal_rates_flag_their_regimes(self):
         s = InstanceScenario(l=9, y=1, e_plus=0.1, e_minus=0.5)
         report = bound_report(s, trials=2000, seed=4)
@@ -867,7 +946,7 @@ class TestBoundReport:
         trials = 3000
         for i, s in enumerate(scenarios):
             seed = 100 + i
-            hist = _histogram(s, trials, seed, workers=1)
+            hist = _dense(s, trials, seed, workers=1)
             pmf = stats.binom.pmf(np.arange(s.l + 1), s.l, s.e_y)
             for check in bound_report(s, trials, seed).checks:
                 if check.treatment is Treatment.MEMORIZE:
@@ -909,6 +988,16 @@ class TestSweep:
     def test_rejects_an_empty_scenario_list(self):
         with pytest.raises(ValueError):
             sweep([], trials=10, seed=0)
+
+    @pytest.mark.parametrize("trials", [3000, _CHUNK_TRIALS + 7])  # one chunk each, two each
+    def test_reports_are_schedule_invariant(self, trials):
+        scenarios = [InstanceScenario(l=l, y=y, e_plus=e, e_minus=0.2) for l, y, e in (
+            (1, 1, 0.3), (4, -1, 0.1), (7, 1, 0.45), (10, 1, 0.2), (50, -1, 0.05),
+            (200, 1, 0.3), (1000, -1, 0.4))]
+        scenarios.insert(3, scenarios[1])  # a repeated scenario
+        solo = [bound_report(s, trials, seed=11) for s in scenarios]
+        for workers in (1, 2, 3):
+            assert sweep(scenarios, trials, seed=11, workers=workers) == solo, workers
 
     def test_preserves_input_order_and_substream_isolation(self):
         a = InstanceScenario(l=4, y=1, e_plus=0.2, e_minus=0.2)
