@@ -20,10 +20,9 @@ from .bounds import (
     peer_success_lower,
 )
 from .freqmodel import (
+    McEstimate,
     PriorSpec,
     TauEstimate,
-    TauMcEstimate,
-    WeightEstimate,
     build_prior,
     capped,
     large_interval,

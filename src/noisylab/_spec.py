@@ -9,6 +9,7 @@ no check reads is reported by unknown_fields.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,12 @@ class Spec:
     """One field's type and range.
 
     kind is "integer" (Python or numpy integers) or "number" (Python or
-    numpy integers and floats); booleans are neither.  choices, when given,
-    replaces the type and range check: only those integers fit, so a bool
-    or a float equal to one does not.  lo and hi are inclusive unless
-    lo_open / hi_open.  A field that is not required may be absent; given
-    as None it is reported as missing unless it is nullable, where None
-    means "not given".
+    numpy integers and floats); booleans are neither, and a number must be
+    finite as a float.  choices, when given, replaces the type and range
+    check: only those integers fit, so a bool or a float equal to one does
+    not.  lo and hi are inclusive unless lo_open / hi_open.  A field that
+    is not required may be absent; given as None it is reported as missing
+    unless it is nullable, where None means "not given".
     """
 
     kind: str = "number"
@@ -49,12 +50,18 @@ class Spec:
             noun = "an integer" if self.kind == "integer" else "a number"
             return f"must be {noun}, got {value!r}"
         if self.kind == "number":
-            value = float(value)
-        # written so that NaN fails every bound
+            try:
+                value = float(value)
+            except OverflowError:
+                return f"must be a finite number, got {value!r}"
+        # written so that NaN fails every bound; bounds first, so that a bounded
+        # field reports inf or NaN as out of its range
         if self.lo is not None and not (value > self.lo if self.lo_open else value >= self.lo):
             return f"must be {'>' if self.lo_open else '>='} {self.lo}, got {value}"
         if self.hi is not None and not (value < self.hi if self.hi_open else value <= self.hi):
             return f"must be {'<' if self.hi_open else '<='} {self.hi}, got {value}"
+        if self.kind == "number" and not math.isfinite(value):
+            return f"must be a finite number, got {value}"
         return None
 
 

@@ -28,8 +28,7 @@ from ._spec import _COUNT, Spec, field_violations, raise_first, reads, unknown_f
 __all__ = [
     "PriorSpec",
     "TauEstimate",
-    "WeightEstimate",
-    "TauMcEstimate",
+    "McEstimate",
     "build_prior",
     "capped",
     "weight_estimate",
@@ -92,16 +91,8 @@ class PriorSpec:
 
 
 @dataclass(frozen=True)
-class WeightEstimate:
-    """Monte-Carlo estimate of weight(pi, [b1, b2]) with its standard error."""
-
-    value: float
-    stderr: float
-
-
-@dataclass(frozen=True)
-class TauMcEstimate:
-    """Normalized-mode Monte-Carlo tau with a delta-method standard error."""
+class McEstimate:
+    """A Monte-Carlo estimate with its standard error: a weight, or a normalized-mode tau."""
 
     value: float
     stderr: float
@@ -354,7 +345,7 @@ def weight_violations(doc: dict) -> list[str]:
 
 
 def weight_estimate(prior: PriorSpec, interval: tuple[float, float], replicates: int,
-                    rng: np.random.Generator) -> WeightEstimate:
+                    rng: np.random.Generator) -> McEstimate:
     """Monte-Carlo weight(pi, [b1, b2]) = E[sum_x D(x) 1(D(x) in [b1, b2])].
 
     Per replicate the captured mass is (sum of selected p_x) / (sum of all
@@ -365,7 +356,7 @@ def weight_estimate(prior: PriorSpec, interval: tuple[float, float], replicates:
     raise_first(weight_violations({"interval": interval, "replicates": replicates}))
     b1, b2 = float(interval[0]), float(interval[1])
     masses = _realizations(prior, rng, windows=[(b1, b2)], weight_replicates=replicates)[2][0]
-    return WeightEstimate(float(masses.mean()), float(masses.std(ddof=1) / math.sqrt(replicates)))
+    return McEstimate(float(masses.mean()), float(masses.std(ddof=1) / math.sqrt(replicates)))
 
 
 def tau_exact(prior: PriorSpec, n: int, l: int) -> float:
@@ -396,7 +387,7 @@ def tau_exact(prior: PriorSpec, n: int, l: int) -> float:
 
 def tau_monte_carlo(
     prior: PriorSpec, n: int, l: int, replicates: int, rng: np.random.Generator
-) -> TauMcEstimate:
+) -> McEstimate:
     """Normalized-mode tau_l: sample whole frequency realizations, normalize,
     and form the ratio-of-means estimator over all slots.
 
@@ -411,7 +402,7 @@ def tau_monte_carlo(
     return _tau_mc(lnum[0], lden[0])
 
 
-def _tau_mc(lnum: np.ndarray, lden: np.ndarray) -> TauMcEstimate:
+def _tau_mc(lnum: np.ndarray, lden: np.ndarray) -> McEstimate:
     replicates = lnum.size
     shift = float(np.max(lden))
     num = np.exp(lnum - shift)
@@ -422,7 +413,7 @@ def _tau_mc(lnum: np.ndarray, lden: np.ndarray) -> TauMcEstimate:
     # Delta method for a ratio of means over paired replicates.
     resid = num - value * den
     stderr = float(math.sqrt(np.dot(resid, resid) / (replicates - 1) / replicates) / den_mean)
-    return TauMcEstimate(value=value, stderr=stderr)
+    return McEstimate(value=value, stderr=stderr)
 
 
 def tau_lower_large(n: int, l: int, weight_value: float) -> float:

@@ -14,21 +14,21 @@ seed), shared by the four treatments and independent of worker count.
 Trials are cut into fixed chunks of _CHUNK_TRIALS; chunk c draws its counts
 from its own Philox counter range, starting at counter [0, 0, 0, c] under a
 key derived from (seed, scenario fields).  A chunk's counts are therefore a
-pure function of (key, chunk index), whichever worker draws them, and
-integer merges are order-independent.  A sweep lists every (scenario, chunk)
-job of its batch, once per distinct key, and `workers` threads run that one
-schedule; each job draws its chunk in pieces of _PIECE_TRIALS, which set
-memory only.  STREAM_VERSION names this mapping from seeds to rows and
-changes whenever the same seed would draw different numbers or classify
-them differently.
+pure function of (key, chunk index), whichever worker draws them.  A sweep
+lists every (scenario, chunk) job of its batch, once per distinct key; up to
+`workers` threads, at most one per CPU, run the jobs, and the calling thread
+alone merges the span each returns.  STREAM_VERSION names this mapping from
+seeds to rows and changes whenever the same seed would draw different
+numbers or classify them differently.
 """
 from __future__ import annotations
 
 import enum
 import math
-import threading
+import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -68,7 +68,6 @@ __all__ = [
 STREAM_VERSION = 7
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
-_PIECE_TRIALS = 1 << 13  # trials drawn and bincounted at a time (64 KB); sets memory only
 _FAILURE, _SUCCESS, _TIE = 0, 1, 2
 
 
@@ -209,15 +208,10 @@ def _stream_key(seed: int, scenario: InstanceScenario) -> np.ndarray:
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
-def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int):
-    """Wrong-label counts of chunk `chunk`'s first `count` trials, in pieces of _PIECE_TRIALS.
-
-    The counts depend only on (key, chunk index), never on which worker asks, and
-    numpy's binomial reads its bit stream in order: the pieces are one size=count call's.
-    """
+def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int) -> np.ndarray:
+    """Chunk `chunk`'s first `count` wrong-label counts: a pure function of (key, chunk)."""
     rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk]))
-    for start in range(0, count, _PIECE_TRIALS):
-        yield rng.binomial(l, e_y, size=min(_PIECE_TRIALS, count - start))
+    return rng.binomial(l, e_y, size=count)
 
 
 def _margin_codes(margin: np.ndarray) -> np.ndarray:
@@ -286,32 +280,28 @@ def _histograms(scenarios, trials: int, seed: int, workers: int) -> list[tuple[i
     """Each scenario's wrong-count histogram as a span (lo, counts): counts[i] trials
     drew lo + i wrong labels, and none drew a count outside the span.
 
-    One job per (distinct key, chunk) of the batch, run by `workers` threads; each
-    piece's bincount, offset by its own minimum, merges into its span as it arrives.
-    Repeated scenarios share their key, hence one draw and one span.
+    Each (distinct key, chunk) job of the batch returns its chunk's bincount as a
+    span; up to `workers` threads, at most one per CPU, run the jobs, and only the
+    calling thread merges, in job order.  Repeated scenarios share one key and draw.
     """
     raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS))
     keys = [_stream_key(seed, s) for s in scenarios]
     distinct = {key.tobytes(): (key, s) for key, s in zip(keys, scenarios)}
     jobs = [(k, c) for k in distinct for c in range(-(-trials // _CHUNK_TRIALS))]
-    spans, lock = dict.fromkeys(distinct), threading.Lock()
 
-    def job(task: tuple[bytes, int]) -> None:
+    def job(task: tuple[bytes, int]) -> tuple[int, np.ndarray]:
         k, chunk = task
         (key, s), count = distinct[k], min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
-        for wrong in _chunk_counts(key, s.l, s.e_y, chunk, count):
-            lo = int(wrong.min())
-            wrong -= lo
-            counts = np.bincount(wrong)
-            with lock:
-                spans[k] = (lo, counts) if spans[k] is None else _merge(spans[k], lo, counts)
+        wrong = _chunk_counts(key, s.l, s.e_y, chunk, count)
+        lo = int(wrong.min())
+        wrong -= lo
+        return lo, np.bincount(wrong)
 
-    if workers == 1 or len(jobs) == 1:
-        for task in jobs:
-            job(task)
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            list(pool.map(job, jobs))
+    spans = dict.fromkeys(distinct)
+    threads = min(workers, len(jobs), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for (k, _), (lo, counts) in zip(jobs, (pool.map if pool else map)(job, jobs)):
+            spans[k] = (lo, counts) if spans[k] is None else _merge(spans[k], lo, counts)
     return [spans[key.tobytes()] for key in keys]
 
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import re
 import sys
 import warnings
@@ -879,6 +880,20 @@ class TestFrozenErrors:
             ("sweep", {"seed": 1, "trials": 10, "scenarios": [_S],
                        "grid": {"l": [4], "e": [0.1], "base": {"y": 1}}},
              "grid: must not be given together with scenarios\n"),
+            # a number must be finite as a float: an integer too large for
+            # one, or an infinity that no bound of its field rejects
+            ("bounds", _scenario(e_plus=10**400),
+             f"scenario.e_plus: must be a finite number, got {10**400}\n"),
+            ("weight", {**_W, "interval": [0.1, 10**400]},
+             "interval: must be a [beta1, beta2] pair of numbers\n"),
+            ("tau", {"seed": 1, "n": 100, "l": [2],
+                     "prior": {"generator": "zipf", "n_values": 50, "exponent": math.inf,
+                               "cap": 0.05}},
+             "prior.exponent: must be a finite number, got inf\n"),
+            ("tau", {"seed": 1, "n": 100, "l": [2],
+                     "prior": {"generator": "zipf", "n_values": 50, "exponent": math.inf}},
+             "prior.exponent: must be a finite number, got inf\n"),
+            ("noise-synth", {**_N, "sigma": math.inf}, "sigma: must be a finite number, got inf\n"),
         ],
         ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
              "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate",
@@ -887,7 +902,8 @@ class TestFrozenErrors:
              "unknown-top-tau", "unknown-in-scenarios", "unknown-top-sweep", "unknown-in-prior",
              "unknown-in-scenario", "unknown-in-grid", "unknown-in-grid-base",
              "unknown-top-noise-synth", "values-on-zipf", "two-unknown-in-document-order",
-             "scenarios-and-grid"],
+             "scenarios-and-grid", "overflowing-e_plus", "overflowing-interval",
+             "infinite-exponent-with-cap", "infinite-exponent", "infinite-sigma"],
     )
     def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
         assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)

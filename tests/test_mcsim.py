@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo engine and its bound-vs-oracle reports."""
 
 import itertools
+import os
 import sys
 import threading
 import warnings
@@ -23,7 +24,6 @@ from noisylab.memorize import LabelDist
 from noisylab.mcsim import (
     scenario_violations,
     _CHUNK_TRIALS,
-    _PIECE_TRIALS,
     _FAILURE,
     _SUCCESS,
     _TIE,
@@ -55,11 +55,6 @@ def _label_level_counts(key, l: int, e_y: float, start_trial: int, count: int) -
     bit_gen.advance(start_trial * blocks_per_trial)
     uniforms = np.random.Generator(bit_gen).random((count, 4 * blocks_per_trial))
     return (uniforms[:, :l] < e_y).sum(axis=1)
-
-
-def _drawn(key, l: int, e_y: float, chunk: int, count: int) -> np.ndarray:
-    """A chunk's wrong counts as one array: its pieces, in order."""
-    return np.concatenate(list(_chunk_counts(key, l, e_y, chunk, count)))
 
 
 def _dense(s: InstanceScenario, trials: int, seed: int, workers: int = 1) -> np.ndarray:
@@ -220,8 +215,10 @@ class TestDeterminism:
             assert run_trials(s, t, 20_000, seed=42) == run_trials(s, t, 20_000, seed=42)
         assert bound_report(s, 20_000, seed=42) == bound_report(s, 20_000, seed=42)
 
-    def test_worker_count_never_changes_the_tally(self):
-        # more than three chunks, the last one partial, so threads actually engage
+    def test_worker_count_never_changes_the_tally(self, monkeypatch):
+        # more than three chunks, the last one partial, and CPUs to spare, so
+        # threads actually engage
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
         trials = 3 * _CHUNK_TRIALS + 1234
         for t in Treatment:
@@ -239,10 +236,10 @@ class TestDeterminism:
         # reproduces them, and a partial final chunk reads a prefix of them
         s = InstanceScenario(l=7, y=-1, e_plus=0.15, e_minus=0.3)
         key = _stream_key(3, s)
-        chunk = [_drawn(key, s.l, s.e_y, c, 1000) for c in range(3)]
+        chunk = [_chunk_counts(key, s.l, s.e_y, c, 1000) for c in range(3)]
         for c in reversed(range(3)):
-            np.testing.assert_array_equal(_drawn(key, s.l, s.e_y, c, 1000), chunk[c])
-            np.testing.assert_array_equal(_drawn(key, s.l, s.e_y, c, 137), chunk[c][:137])
+            np.testing.assert_array_equal(_chunk_counts(key, s.l, s.e_y, c, 1000), chunk[c])
+            np.testing.assert_array_equal(_chunk_counts(key, s.l, s.e_y, c, 137), chunk[c][:137])
         assert not np.array_equal(chunk[0], chunk[1])
         assert not np.array_equal(chunk[1], chunk[2])
 
@@ -253,37 +250,21 @@ class TestDeterminism:
         key = _stream_key(seed, s)
         sizes = (_CHUNK_TRIALS, _CHUNK_TRIALS, 99)
         wrong = np.concatenate(
-            [_drawn(key, s.l, s.e_y, c, n) for c, n in enumerate(sizes)]
+            [_chunk_counts(key, s.l, s.e_y, c, n) for c, n in enumerate(sizes)]
         )
         np.testing.assert_array_equal(
             _dense(s, trials, seed, workers=2), np.bincount(wrong, minlength=s.l + 1))
         assert bound_report(s, trials, seed).checks[0].mc_estimate == wrong.sum() / (trials * s.l)
         assert tally.success == np.count_nonzero(s.l - wrong > s.l / 2)
 
-    def test_a_chunk_drawn_in_pieces_is_one_binomial_call(self):
-        # numpy's binomial reads its bit stream in order, in both of its
-        # branches (inversion for l * e < 30, BTPE above, p > 1/2 mirrored), so
-        # the pieces of a chunk are one size=count call on the chunk's generator
-        count = 2 * _PIECE_TRIALS + 123  # not a multiple of the piece size
-        key = _stream_key(8, InstanceScenario(l=3, y=1, e_plus=0.2, e_minus=0.2))
-        for l, e_y in ((1, 0.3), (3, 1e-4), (7, 0.49), (200, 0.1), (10, 0.7), (1000, 0.3),
-                       (1_000_000, 0.2)):
-            for chunk in (0, 5):
-                pieces = list(_chunk_counts(key, l, e_y, chunk, count))
-                assert [p.size for p in pieces] == [_PIECE_TRIALS, _PIECE_TRIALS, 123]
-                rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk]))
-                whole = rng.binomial(l, e_y, size=count)
-                np.testing.assert_array_equal(np.concatenate(pieces), whole, err_msg=str((l, e_y)))
-
-    def test_concurrent_merges_lose_no_trials(self, monkeypatch):
-        # more threads than cores, a short switch interval and thousands of
-        # small pieces interleave the merges into shared spans; a lost update
-        # would drop trials, and the piece size must not change the spans
+    def test_threaded_schedule_equals_the_serial_one(self, monkeypatch):
+        # eight threads and a short switch interval finish the jobs out of
+        # order; the calling thread's merges must still give the serial spans
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         scenarios = [InstanceScenario(l=l, y=1, e_plus=0.3, e_minus=0.3)
                      for l in (1, 3, 8, 60, 300)]
         trials = 2 * _CHUNK_TRIALS + 5
         serial, threaded = _histograms(scenarios, trials, 9, workers=1), []
-        monkeypatch.setattr(mcsim, "_PIECE_TRIALS", 97)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -296,6 +277,24 @@ class TestDeterminism:
             sys.setswitchinterval(interval)
         for (lo, counts), (serial_lo, serial_counts) in zip(threaded[0], serial, strict=True):
             assert counts.sum() == trials and lo == serial_lo
+            np.testing.assert_array_equal(counts, serial_counts)
+
+    def test_the_pool_has_at_most_one_thread_per_cpu(self, monkeypatch):
+        # 40 one-chunk jobs at workers=64 would otherwise ask for 40 threads
+        scenarios = [InstanceScenario(l=l, y=1, e_plus=0.2, e_minus=0.2) for l in range(1, 41)]
+        serial = _histograms(scenarios, 1000, 4, workers=1)
+        sizes, executor = [], mcsim.ThreadPoolExecutor
+
+        def recording(max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            return executor(max_workers, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mcsim, "ThreadPoolExecutor", recording)
+        threaded = _histograms(scenarios, 1000, 4, workers=64)
+        assert sizes == [2]
+        for (lo, counts), (serial_lo, serial_counts) in zip(threaded, serial, strict=True):
+            assert lo == serial_lo
             np.testing.assert_array_equal(counts, serial_counts)
 
     def test_distinct_settings_get_distinct_streams(self):
@@ -356,7 +355,7 @@ class TestSharedDraw:
     def test_run_trials_equals_the_bound_report_tally(self, s):
         trials, seed = 5000, 11
         report = bound_report(s, trials, seed)
-        wrong = _drawn(_stream_key(seed, s), s.l, s.e_y, 0, trials)
+        wrong = _chunk_counts(_stream_key(seed, s), s.l, s.e_y, 0, trials)
         hist = np.bincount(wrong, minlength=s.l + 1)
         np.testing.assert_array_equal(_dense(s, trials, seed, workers=1), hist)
         for check in report.checks:
@@ -451,7 +450,7 @@ class TestRunTrials:
     def test_wrong_counts_follow_the_binomial_law(self):
         s = InstanceScenario(l=3, y=1, e_plus=0.4, e_minus=0.2)
         key = _stream_key(17, s)
-        _assert_binomial_histogram(_drawn(key, 3, 0.4, 0, 100_000), 3, 0.4)
+        _assert_binomial_histogram(_chunk_counts(key, 3, 0.4, 0, 100_000), 3, 0.4)
 
     def test_the_whole_histogram_passes_a_g_test_against_the_binomial_pmf(self):
         # every treatment's counts are sums of this histogram, so one law test
@@ -480,7 +479,7 @@ class TestRunTrials:
             e_y = float(rng.uniform(0.05, 0.6))
             s = InstanceScenario(l=l, y=1, e_plus=e_y, e_minus=0.3)
             key = _stream_key(int(rng.integers(1 << 16)), s)
-            _assert_binomial_histogram(_drawn(key, l, e_y, 0, 50_000), l, e_y)
+            _assert_binomial_histogram(_chunk_counts(key, l, e_y, 0, 50_000), l, e_y)
             _assert_binomial_histogram(_label_level_counts(key, l, e_y, 0, 50_000), l, e_y)
 
 
@@ -699,7 +698,7 @@ class TestEngineMatchesComparators:
         assert trials <= _CHUNK_TRIALS  # one chunk holds every trial
         tally = run_trials(s, Treatment.LOSS_CORRECTION, trials, seed)
         key = _stream_key(seed, s)
-        wrong = _drawn(key, s.l, s.e_y, 0, trials)
+        wrong = _chunk_counts(key, s.l, s.e_y, 0, trials)
         rates = BinaryNoiseRates(s.e_plus, s.e_minus)
         success = failure = tie = 0
         for w in np.bincount(wrong, minlength=s.l + 1).nonzero()[0]:
@@ -722,7 +721,7 @@ class TestEngineMatchesComparators:
         assert trials <= _CHUNK_TRIALS
         tally = run_trials(s, Treatment.LABEL_SMOOTHING, trials, seed)
         key = _stream_key(seed, s)
-        wrong = _drawn(key, s.l, s.e_y, 0, trials)
+        wrong = _chunk_counts(key, s.l, s.e_y, 0, trials)
         rates = BinaryNoiseRates(s.e_plus, s.e_minus)
         buckets = {Comparison.LS_BETTER: 0, Comparison.LC_BETTER: 0, Comparison.TIE: 0}
         for w in np.bincount(wrong, minlength=s.l + 1).nonzero()[0]:
@@ -990,7 +989,8 @@ class TestSweep:
             sweep([], trials=10, seed=0)
 
     @pytest.mark.parametrize("trials", [3000, _CHUNK_TRIALS + 7])  # one chunk each, two each
-    def test_reports_are_schedule_invariant(self, trials):
+    def test_reports_are_schedule_invariant(self, monkeypatch, trials):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # so workers 2 and 3 run threads
         scenarios = [InstanceScenario(l=l, y=y, e_plus=e, e_minus=0.2) for l, y, e in (
             (1, 1, 0.3), (4, -1, 0.1), (7, 1, 0.45), (10, 1, 0.2), (50, -1, 0.05),
             (200, 1, 0.3), (1000, -1, 0.4))]
