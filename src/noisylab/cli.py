@@ -88,7 +88,7 @@ _TRIALS = {"trials": _RUN_FIELDS["trials"]}
 _OPTIONAL_TRIALS = {"trials": replace(_RUN_FIELDS["trials"], required=False)}
 # grid lists: (spec every entry must fit, message when one does not)
 _GRID_ENTRIES = {
-    "l": (_COUNT, "entries must be positive integers"),
+    "l": (_SCENARIO_FIELDS["l"], f"entries must be integers in 1..{_SCENARIO_FIELDS['l'].hi}"),
     "e": (Spec(lo=0.0, hi=0.5, hi_open=True), "symmetric rates must lie in [0, 0.5)"),
 }
 # the scenario fields each grid point takes from the grid, never from grid.base

@@ -1,25 +1,23 @@
 """Seeded Monte-Carlo engine for per-treatment success/failure/tie rates.
 
 Every outcome counted here depends on a trial's l noisy labels only through
-its wrong-label count, which is Binomial(l, e_y) under every treatment.  Each
-trial draws that count directly (numpy's BTPE binomial sampler), once; the
-draws reduce to one wrong-count histogram per scenario, and every event is
-that histogram summed over the wrong counts its outcome table names.  A
-treatment's outcome table is its reference comparator (treatments.py) run
-on every split 0..l at once, one margin per split, tied within the
-comparators' one tolerance _TIE_EPS.
+its wrong-label count, Binomial(l, e_y) under every treatment, so each trial
+draws that count directly, once, and the draws reduce to one wrong-count
+histogram per scenario.  Each treatment's rule (_codes, its comparator in
+treatments.py) runs in blocks as the count grows: a leading block, ties, a
+trailing block.  Two cuts per treatment, bisected over the rule, fix every
+outcome, and every event is the histogram summed between two cuts.
 
 Determinism contract: results are a pure function of (scenario, trials,
 seed), shared by the four treatments and independent of worker count.
 Trials are cut into fixed chunks of _CHUNK_TRIALS; chunk c draws its counts
-from its own Philox counter range, starting at counter [0, 0, 0, c] under a
-key derived from (seed, scenario fields).  A chunk's counts are therefore a
-pure function of (key, chunk index), whichever worker draws them.  A sweep
-lists every (scenario, chunk) job of its batch, once per distinct key; up to
-`workers` threads, at most one per CPU, run the jobs, and the calling thread
-alone merges the span each returns.  STREAM_VERSION names this mapping from
-seeds to rows and changes whenever the same seed would draw different
-numbers or classify them differently.
+from its own Philox counter range [0, 0, 0, c] under a key derived from
+(seed, scenario fields), so they are a pure function of (key, chunk),
+whichever worker draws them.  A sweep runs every (distinct key, chunk) job
+of its batch on up to `workers` threads, at most one per CPU, and the
+calling thread alone merges the spans they return, in job order.
+STREAM_VERSION names this mapping from seeds to rows and changes whenever
+the same seed would draw different numbers or classify them differently.
 """
 from __future__ import annotations
 
@@ -30,6 +28,7 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -68,7 +67,7 @@ __all__ = [
 STREAM_VERSION = 7
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
-_FAILURE, _SUCCESS, _TIE = 0, 1, 2
+_SUCCESS, _TIE, _FAILURE = 0, 1, 2
 
 
 class Treatment(enum.Enum):
@@ -83,7 +82,7 @@ _OPEN_UNIT = Spec(lo=0.0, hi=1.0, lo_open=True, hi_open=True, required=False)
 # InstanceScenario's fields in dataclass order, which is also the order of
 # their checks and of the scenario columns of the CSV.
 _SCENARIO_FIELDS = {
-    "l": _COUNT,
+    "l": replace(_COUNT, hi=2**53),  # so that p_true = (l - w) / l is exact
     **_LABEL,
     **_RATE_FIELDS,
     "p_plus": _OPEN_UNIT,
@@ -136,9 +135,8 @@ class InstanceScenario:
         return self.p_plus * (1.0 - self.e_plus) + self.p_minus * self.e_minus
 
 
-_SCENARIO_DEFAULTS = {
-    f.name: f.default for f in fields(InstanceScenario) if f.default is not MISSING
-}
+_SCENARIO_DEFAULTS = {f.name: f.default for f in fields(InstanceScenario)
+                      if f.default is not MISSING}
 
 
 def scenario_violations(doc, path: str = "") -> list[str]:
@@ -185,10 +183,6 @@ def _wilson_interval(successes: int, total: int) -> tuple[float, float]:
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
-def _float_bits(x: float) -> int:
-    return int(np.float64(x).view(np.uint64))
-
-
 def _stream_key(seed: int, scenario: InstanceScenario) -> np.ndarray:
     """Philox key for one (seed, scenario) substream, shared by every treatment.
 
@@ -196,15 +190,9 @@ def _stream_key(seed: int, scenario: InstanceScenario) -> np.ndarray:
     distinct settings get independent streams while repeated runs (and the
     same scenario inside a sweep) reproduce bit-identically.
     """
-    entropy = (
-        int(seed),
-        int(scenario.l),
-        0 if scenario.y == -1 else 1,
-        _float_bits(scenario.e_plus),
-        _float_bits(scenario.e_minus),
-        _float_bits(scenario.p_plus),
-        _float_bits(scenario.smoothing_a),
-    )
+    floats = (scenario.e_plus, scenario.e_minus, scenario.p_plus, scenario.smoothing_a)
+    entropy = (int(seed), int(scenario.l), 0 if scenario.y == -1 else 1,
+               *(int(np.float64(x).view(np.uint64)) for x in floats))
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
@@ -214,55 +202,78 @@ def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int) -
     return rng.binomial(l, e_y, size=count)
 
 
-def _margin_codes(margin: np.ndarray) -> np.ndarray:
-    """Outcome codes of a margin: success above _TIE_EPS, failure below -_TIE_EPS, else a tie."""
-    return np.where(margin > _TIE_EPS, _SUCCESS,
-                    np.where(margin < -_TIE_EPS, _FAILURE, _TIE)).astype(np.int8)
+def _params(scenarios) -> tuple[np.ndarray, ...]:
+    """The fields _codes reads, each a (k, 1) column over k scenarios: l, y, e_plus,
+    e_minus, smoothing_a and the noisy positive rate."""
+    rows = [(s.l, s.y, s.e_plus, s.e_minus, s.smoothing_a, s.noisy_positive_rate)
+            for s in scenarios]
+    return tuple(np.array(column)[:, None] for column in zip(*rows))
 
 
-def _outcome_tables(scenario: InstanceScenario) -> dict[Treatment, np.ndarray]:
-    """Per-wrong-count outcome codes of every treatment, each its comparator's rule.
+def _codes(params: tuple[np.ndarray, ...], w: np.ndarray) -> np.ndarray:
+    """Every treatment's outcome code at wrong counts w (broadcast against (k, 1)), shape
+    (4, k, m) in Treatment order: its comparator's rule at l - w correct labels.
 
-    A trial's decision is a function of its wrong-label count alone.  Each
-    table evaluates its reference comparator's rule on all l + 1 splits at
-    once, and each margin ties within _TIE_EPS.  memorize: p_true - 1/2.
-    loss_correction: corrected_label's uncapped raw mass on y minus P[y],
-    (e_plus + e_minus) / gap times P[y] - e_other / (e_plus + e_minus) with
-    e_other the other label's rate; the table reads this scale-free factor,
-    so tiny rates keep their decided splits (equal rates give memorize's
-    margin exactly), and both rates zero tie every split.  peer_loss:
-    peer_predict's margin, local +1 mass minus the global noisy positive
-    rate, signed by y.  label_smoothing: compare_ls_lc's float operations,
-    LS_BETTER = success, with its two tie rules (the even split under equal
-    rates, equal error values).  Every table is block-monotone in
-    wrong-count order: successes, ties, failures; label_smoothing's runs
-    the other way (smoothing gains as labels flip).
+    Each rule repeats its comparator's float operations, and each margin ties
+    within _TIE_EPS.  memorize: p_true - 1/2.  loss_correction: corrected_label's
+    raw gain on y is (e_plus + e_minus) / gap times P[y] - e_other / (e_plus +
+    e_minus), e_other the other label's rate; the rule reads this scale-free
+    factor, so tiny rates keep their decisions, and both rates zero tie.
+    peer_loss: peer_predict's margin, signed by y.  label_smoothing:
+    compare_ls_lc, LS_BETTER = success, with both its tie rules.
     """
-    l, y, e_plus, e_minus, a = (
-        scenario.l, scenario.y, scenario.e_plus, scenario.e_minus, scenario.smoothing_a
-    )
-    p_true = (l - np.arange(l + 1)) / l
-    p_plus, p_minus = (p_true, 1.0 - p_true) if y == 1 else (1.0 - p_true, p_true)
+    l, y, e_plus, e_minus, a, rate = params
+    positive = y == 1
+    p_true = (l - w) / l
+    p_plus = np.where(positive, p_true, 1.0 - p_true)
+    p_minus = np.where(positive, 1.0 - p_true, p_true)
     gap = 1.0 - e_plus - e_minus
     raw_plus = ((1.0 - e_minus) * p_plus - e_minus * p_minus) / gap
-    raw_true = raw_plus if y == 1 else ((1.0 - e_plus) * p_minus - e_plus * p_plus) / gap
-    capped_true = np.where(
-        raw_plus > 1.0, float(y == 1), np.where(raw_plus < 0.0, float(y == -1), raw_true)
-    )
+    raw_true = np.where(positive, raw_plus, ((1.0 - e_plus) * p_minus - e_plus * p_plus) / gap)
+    capped_true = np.where(raw_plus > 1.0, positive, np.where(raw_plus < 0.0, ~positive, raw_true))
     err_lc = 1.0 - capped_true
     err_ls = 1.0 - ((1.0 - a) * p_true + a / 2)
-    smoothing = np.where(err_lc < err_ls, _FAILURE, _SUCCESS).astype(np.int8)
-    smoothing[err_lc == err_ls] = _TIE
-    noise, e_other = e_plus + e_minus, (e_minus if y == 1 else e_plus)
-    correction = p_true - e_other / noise if noise > 0.0 else np.zeros(l + 1)
-    if e_plus == e_minus:
-        smoothing[np.abs(p_true - 0.5) <= _TIE_EPS] = _TIE
-    return {
-        Treatment.MEMORIZE: _margin_codes(p_true - 0.5),
-        Treatment.LOSS_CORRECTION: _margin_codes(correction),
-        Treatment.LABEL_SMOOTHING: smoothing,
-        Treatment.PEER_LOSS: _margin_codes((p_plus - scenario.noisy_positive_rate) * y),
-    }
+    tied = (err_lc == err_ls) | ((e_plus == e_minus) & (np.abs(p_true - 0.5) <= _TIE_EPS))
+    smoothing = np.where(tied, _TIE, np.where(err_lc < err_ls, _FAILURE, _SUCCESS))
+    noise, e_other = e_plus + e_minus, np.where(positive, e_minus, e_plus)
+    correction = np.where(noise > 0.0, p_true - e_other / np.where(noise > 0.0, noise, 1.0), 0.0)
+    margins = np.stack([p_true - 0.5, correction, (p_plus - rate) * y])
+    codes = np.where(margins > _TIE_EPS, _SUCCESS, np.where(margins < -_TIE_EPS, _FAILURE, _TIE))
+    return np.stack([codes[0], codes[1], smoothing, codes[2]])
+
+
+# Each treatment's leading code.  Every rule runs in blocks as the wrong count
+# grows, of rank |code - lead| 0, 1 (ties) and 2; label smoothing leads with
+# failures, since it gains as labels flip.
+_TREATMENTS = tuple(Treatment)
+_LEADS = np.array([_SUCCESS, _SUCCESS, _FAILURE, _SUCCESS])
+# The bisection's eight searches per scenario: treatment t's cut j is column 2t + j.
+_SEARCH_TREATMENT, _SEARCH_CUT = np.repeat(np.arange(4), 2), np.tile([0, 1], 4)
+
+
+def _edges(params: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Every treatment's block edges for k scenarios, shape (k, 4, 4): 0, two cuts, l + 1;
+    the wrong counts of rank r lie in edges r..edges r+1 - 1.
+
+    Cut j is the first wrong count in 0..l + 1 whose code ranks past j.  One
+    bisection finds all 8k cuts, each step one _codes call at every midpoint.
+    """
+    l = params[0]
+    lo, hi = np.zeros((l.size, 8), np.int64), np.repeat(l + 1, 8, axis=1)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        codes = _codes(params, mid)[_SEARCH_TREATMENT, :, np.arange(8)].T
+        past = np.abs(codes - _LEADS[_SEARCH_TREATMENT]) > _SEARCH_CUT
+        hi = np.where(past, mid, hi)
+        lo = np.where(past, lo, np.minimum(mid + 1, hi))  # a finished search stays put
+    ends = np.broadcast_to(l[:, :, None], (l.size, 4, 1))
+    return np.concatenate((np.zeros_like(ends), lo.reshape(-1, 4, 2), ends + 1), axis=2)
+
+
+def _below(base: int, counts: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Trials of the span (base, counts) whose wrong count lies below each edge."""
+    cumulative = np.concatenate(([0], np.cumsum(counts)))
+    return cumulative[np.clip(edges - base, 0, counts.size)]
 
 
 def _merge(hist: tuple[int, np.ndarray], lo: int, counts: np.ndarray) -> tuple[int, np.ndarray]:
@@ -281,27 +292,30 @@ def _histograms(scenarios, trials: int, seed: int, workers: int) -> list[tuple[i
     drew lo + i wrong labels, and none drew a count outside the span.
 
     Each (distinct key, chunk) job of the batch returns its chunk's bincount as a
-    span; up to `workers` threads, at most one per CPU, run the jobs, and only the
-    calling thread merges, in job order.  Repeated scenarios share one key and draw.
+    span; up to `workers` threads, at most one per CPU, run the jobs, taken from a
+    generator two per thread at a time, and only the calling thread merges, in job
+    order.  Repeated scenarios share one key and draw.
     """
     raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS))
     keys = [_stream_key(seed, s) for s in scenarios]
     distinct = {key.tobytes(): (key, s) for key, s in zip(keys, scenarios)}
-    jobs = [(k, c) for k in distinct for c in range(-(-trials // _CHUNK_TRIALS))]
+    chunks = -(-trials // _CHUNK_TRIALS)
+    jobs = ((k, c) for k in distinct for c in range(chunks))
 
-    def job(task: tuple[bytes, int]) -> tuple[int, np.ndarray]:
+    def job(task: tuple[bytes, int]) -> tuple[bytes, tuple[int, np.ndarray]]:
         k, chunk = task
         (key, s), count = distinct[k], min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
         wrong = _chunk_counts(key, s.l, s.e_y, chunk, count)
         lo = int(wrong.min())
         wrong -= lo
-        return lo, np.bincount(wrong)
+        return k, (lo, np.bincount(wrong))
 
     spans = dict.fromkeys(distinct)
-    threads = min(workers, len(jobs), os.cpu_count() or 1)
+    threads = min(workers, len(distinct) * chunks, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for (k, _), (lo, counts) in zip(jobs, (pool.map if pool else map)(job, jobs)):
-            spans[k] = (lo, counts) if spans[k] is None else _merge(spans[k], lo, counts)
+        while batch := list(islice(jobs, 2 * threads)):
+            for k, (lo, counts) in (pool.map if pool else map)(job, batch):
+                spans[k] = (lo, counts) if spans[k] is None else _merge(spans[k], lo, counts)
     return [spans[key.tobytes()] for key in keys]
 
 
@@ -309,15 +323,16 @@ def run_trials(scenario: InstanceScenario, treatment: Treatment, trials: int, se
                workers: int = 1) -> TrialTally:
     """Simulate `trials` independent l-label draws and count one treatment's outcomes.
 
-    Each count is the wrong-count histogram summed where the treatment's
-    outcome table holds that outcome.  The tally is bit-reproducible for
-    fixed (scenario, trials, seed), identical for every worker count, and
-    read from the same draws as bound_report and every other treatment.
+    Each count is the wrong-count histogram summed between the treatment's
+    block edges.  The tally is bit-reproducible for fixed (scenario, trials,
+    seed), identical for every worker count, and read from the same draws as
+    bound_report and every other treatment.
     """
-    treatment = Treatment(treatment)
-    lo, counts = _histograms([scenario], trials, seed, workers)[0]
-    table = _outcome_tables(scenario)[treatment][lo:lo + counts.size]
-    return TrialTally(trials, *(int(counts[table == c].sum()) for c in (_SUCCESS, _FAILURE, _TIE)))
+    t = _TREATMENTS.index(Treatment(treatment))
+    (base, counts), = _histograms([scenario], trials, seed, workers)
+    below = _below(base, counts, _edges(_params([scenario]))[0, t])
+    ranks = np.abs(np.array([_SUCCESS, _FAILURE, _TIE]) - _LEADS[t])
+    return TrialTally(trials, *(int(below[r + 1] - below[r]) for r in ranks))
 
 
 @dataclass(frozen=True)
@@ -349,21 +364,6 @@ class BoundReport:
     checks: tuple[BoundCheck, ...]
 
 
-def _event_tail(s: InstanceScenario, table: np.ndarray, codes: tuple[int, ...]) -> tuple[int, int]:
-    """The wrong counts lo..hi whose table entry is one of codes; (0, -1) when none is.
-
-    Every table is block-monotone in wrong-count order (see _outcome_tables),
-    so each event's range is a tail of 0..l: it starts at 0 or ends at l.
-    """
-    wrong = np.flatnonzero(np.isin(table, codes))
-    if wrong.size == 0:
-        return 0, -1
-    lo, hi = int(wrong[0]), int(wrong[-1])
-    if hi - lo + 1 != wrong.size or (lo > 0 and hi < s.l):
-        raise RuntimeError(f"event set {wrong.tolist()} is not a tail of 0..{s.l}")
-    return lo, hi
-
-
 def _tail_mass(s: InstanceScenario, lo: int, hi: int) -> float:
     """Binomial(l, e_y) mass of the wrong counts lo..hi, a tail of 0..l:
     P[correct >= l - hi] from 0, P[wrong >= lo] up to l; empty 0, full 1."""
@@ -386,15 +386,13 @@ def _peer_symmetric(s: InstanceScenario) -> bool:
 # Closed forms: (kind, value) for a scenario, or None where the form is
 # omitted (outside its domain, or vacuous when e_y = 0).
 def _hoeffding_form(s: InstanceScenario):
-    if not 0.0 < s.e_y <= 0.5:
-        return None
-    return BoundKind.HOEFFDING_SUCCESS, lc_success_lower(s.l, s.e_y)
+    if 0.0 < s.e_y <= 0.5:
+        return BoundKind.HOEFFDING_SUCCESS, lc_success_lower(s.l, s.e_y)
 
 
 def _kl_floor_form(s: InstanceScenario):
-    if s.e_y == 0.0:
-        return None
-    return BoundKind.BINOMIAL_FAILURE_LOWER, lc_failure_lower(s.l, s.e_y)
+    if s.e_y > 0.0:
+        return BoundKind.BINOMIAL_FAILURE_LOWER, lc_failure_lower(s.l, s.e_y)
 
 
 def _peer_success_form(s: InstanceScenario):
@@ -403,24 +401,24 @@ def _peer_success_form(s: InstanceScenario):
 
 
 def _peer_floor_form(s: InstanceScenario):
-    if s.e_y == 0.0:
-        return None
-    return BoundKind.PEER_FAILURE_LOWER, peer_failure_lower(s.l, s.e_y)
+    if s.e_y > 0.0:
+        return BoundKind.PEER_FAILURE_LOWER, peer_failure_lower(s.l, s.e_y)
 
 
 @dataclass(frozen=True)
 class _Event:
     """One bound_report check.
 
-    codes are the outcome codes of the treatment's table that make up the
-    event; () is memorize's pooled per-label error.  bound, when not None,
-    gives the closed form, and regime whether its ordering is asserted.
+    block (start, stop) names the event's wrong counts, the treatment's edges
+    start..stop - 1 (see _edges); None is memorize's pooled per-label error.
+    bound, when not None, gives the closed form, and regime whether its
+    ordering is asserted.
     """
 
     treatment: Treatment
     event: str
     headline: bool
-    codes: tuple[int, ...]
+    block: tuple[int, int] | None
     bound: Callable[[InstanceScenario], tuple | None] | None = None
     regime: Callable[[InstanceScenario], bool] | None = None
 
@@ -429,21 +427,24 @@ def _even_and(predicate):
     return lambda s: s.l % 2 == 0 and predicate(s)
 
 
+# Event ranges as edge pairs: a treatment's leading block, or every count past
+# it; smoothing leads with failures, so its better-or-tie lies past them.
+_LEAD, _PAST_LEAD = (0, 1), (1, 3)
 # The checks in report order.  The loss-correction and smoothing bounds are
 # stated for equal rates, failure floors for even l (where the tie carries
 # the mass the l/sqrt term needs), the peer floor for the symmetric regime;
 # the peer success bound holds in every regime.
 _EVENTS = (
-    _Event(Treatment.MEMORIZE, "mean_label_error", True, ()),
-    _Event(Treatment.LOSS_CORRECTION, "strict_success", True, (_SUCCESS,),
+    _Event(Treatment.MEMORIZE, "mean_label_error", True, None),
+    _Event(Treatment.LOSS_CORRECTION, "strict_success", True, _LEAD,
            _hoeffding_form, _rates_equal),
-    _Event(Treatment.LOSS_CORRECTION, "tie_inclusive_failure", False, (_FAILURE, _TIE),
+    _Event(Treatment.LOSS_CORRECTION, "tie_inclusive_failure", False, _PAST_LEAD,
            _kl_floor_form, _even_and(_rates_equal)),
-    _Event(Treatment.LABEL_SMOOTHING, "ls_better_or_tie", True, (_SUCCESS, _TIE),
+    _Event(Treatment.LABEL_SMOOTHING, "ls_better_or_tie", True, _PAST_LEAD,
            _kl_floor_form, _even_and(_rates_equal)),
-    _Event(Treatment.PEER_LOSS, "strict_success", True, (_SUCCESS,),
+    _Event(Treatment.PEER_LOSS, "strict_success", True, _LEAD,
            _peer_success_form, lambda s: True),
-    _Event(Treatment.PEER_LOSS, "tie_inclusive_failure", False, (_FAILURE, _TIE),
+    _Event(Treatment.PEER_LOSS, "tie_inclusive_failure", False, _PAST_LEAD,
            _peer_floor_form, _even_and(_peer_symmetric)),
 )
 
@@ -452,31 +453,28 @@ def bound_report(scenario: InstanceScenario, trials: int, seed: int,
                  workers: int = 1) -> BoundReport:
     """One check per _EVENTS entry, every one read from one shared wrong-count histogram.
 
-    The one-scenario sweep.  Each event's wrong-count range (lo, hi) is found
-    once, from its treatment's outcome table; the Monte-Carlo count is the
-    histogram summed over that range, and exact is the Binomial(l, e_y) mass
-    of the same range.  Memorize's check is the pooled per-label error
-    against e_y.  Headline checks (one per treatment) are what sweep rows
-    export; the bounds command also exports the failure-side checks.  A
-    closed form outside its regime is computed with regime_ok=False and never
-    asserted; ordering_holds is exact >= bound (to 1e-12) where the regime
-    holds, else None.  When e_y = 0 every draw keeps the true label and the
-    corrected label coincides with the empirical one on the only reachable
-    split, so every loss-correction trial ties (strict success has
-    probability 0, tie-inclusive failure 1) and both closed forms are omitted.
+    The one-scenario sweep.  Each event's wrong counts lie between two of its
+    treatment's block edges; the Monte-Carlo count is the histogram summed
+    there, and exact the Binomial(l, e_y) mass there.  Memorize's check is the
+    pooled per-label error against e_y.  Headline checks (one per treatment)
+    are what sweep rows export.  A closed form outside its regime is computed
+    with regime_ok=False and never asserted.  When e_y = 0 every
+    loss-correction trial ties, and both its closed forms are omitted.
     """
     return sweep([scenario], trials, seed, workers)[0]
 
 
-def _report(scenario: InstanceScenario, base: int, counts: np.ndarray, trials: int) -> BoundReport:
-    """bound_report's checks, from the scenario's histogram span (base, counts); see _histograms."""
-    tables = _outcome_tables(scenario)
+def _report(scenario: InstanceScenario, base: int, counts: np.ndarray, trials: int,
+            edges: np.ndarray) -> BoundReport:
+    """bound_report's checks, from the scenario's histogram span (base, counts) and its
+    block edges (see _histograms and _edges)."""
+    below = _below(base, counts, edges)
     checks = []
     for event in _EVENTS:
-        if event.codes:
-            lo, hi = _event_tail(scenario, tables[event.treatment], event.codes)
-            hits, total = int(counts[max(lo - base, 0):max(hi + 1 - base, 0)].sum()), trials
-            exact = _tail_mass(scenario, lo, hi)
+        if event.block is not None:
+            t, (start, stop) = _TREATMENTS.index(event.treatment), event.block
+            hits, total = int(below[t, stop] - below[t, start]), trials
+            exact = _tail_mass(scenario, int(edges[t, start]), int(edges[t, stop]) - 1)
         else:
             hits, total = int(counts @ np.arange(base, base + counts.size)), trials * scenario.l
             exact = scenario.e_y
@@ -502,4 +500,5 @@ def sweep(scenarios, trials: int, seed: int, workers: int = 1) -> list[BoundRepo
     if not scenarios:
         raise ValueError("sweep needs at least one scenario")
     hists = _histograms(scenarios, trials, seed, workers)
-    return [_report(s, *hist, trials) for s, hist in zip(scenarios, hists)]
+    edges = _edges(_params(scenarios))
+    return [_report(s, *hist, trials, e) for s, hist, e in zip(scenarios, hists, edges)]

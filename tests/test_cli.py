@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -552,11 +553,13 @@ class TestSweepCommand:
         assert [row[0] for row in rows[4:]] == ["4"] * 4
         assert rows[0][1] == "-1" and rows[4][1] == "1"
 
-    # SHA-256 of two wide sweeps, captured at stream version 5 before the
-    # bound checks were rebuilt on one wrong-count range per event: a grid
-    # over small, odd, even and large l with zero and near-half rates, and a
-    # list with unequal and one-sided rates and l = 1e6 whose 70,000 trials
-    # run as two chunks on a two-worker pool.
+    # SHA-256 of three wide sweeps.  Two were captured at stream version 5
+    # before the bound checks were rebuilt on one wrong-count range per event:
+    # a grid over small, odd, even and large l with zero and near-half rates,
+    # and a list with unequal and one-sided rates and l = 1e6 whose 70,000
+    # trials run as two chunks on a two-worker pool.  The third, the
+    # 5,000-scenario grid, was captured at stream version 7 from the engine
+    # that built a full outcome table per treatment, at workers 1 and 2.
     @pytest.mark.parametrize(
         "doc, rows, digest",
         [
@@ -571,8 +574,12 @@ class TestSweepCommand:
                 {"l": 7, "y": 1, "e_plus": 0, "e_minus": 0.4, "p_plus": 0.8},
                 {"l": 1_000_000, "y": 1, "e_plus": 0.2, "e_minus": 0.2}]}, 16,
              "75dd773d9c8afd51d64524a2b521a243008e9d1c75ea9411a0519f6fea3c72e3"),
+            ({"seed": 7, "trials": 2000, "workers": 2,
+              "grid": {"l": list(range(1, 101)), "e": [(2 * i + 1) / 200 for i in range(50)],
+                       "base": {"y": 1, "p_plus": 0.3}}}, 20_000,
+             "8b143efe32860f6d1b9b7a99136972ebda61ebaf8fd49e465dce4c90182da27c"),
         ],
-        ids=["grid", "scenarios"],
+        ids=["grid", "scenarios", "grid-5000"],
     )
     def test_wide_sweeps_are_frozen(self, tmp_path, capsys, doc, rows, digest):
         out = tmp_path / "out.csv"
@@ -584,6 +591,27 @@ class TestSweepCommand:
 
 
 _README_SCENARIO = {"l": 10, "y": 1, "e_plus": 0.2, "e_minus": 0.2}
+
+
+def test_bounds_at_a_billion_labels_runs_in_flat_memory(tmp_path, capsys):
+    # the report reads cuts, never an (l + 1)-entry table; a small run first
+    # loads every lazily imported module, so the trace sees only the run
+    def bounds(l):
+        doc = {"command": "bounds", "seed": 5, "trials": 2000,
+               "scenario": {"l": l, "y": 1, "e_plus": 0.2, "e_minus": 0.2}}
+        out = tmp_path / f"l{l}.csv"
+        argv = ["bounds", "--config", str(_write_config(tmp_path, doc)), "--out", str(out)]
+        assert _main_quietly(argv, capsys) == 0
+        return _read_csv(out)[1]
+
+    bounds(10)
+    tracemalloc.start()
+    try:
+        rows = bounds(10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 6 and peak < 16 * 2**20, peak
 
 
 class TestGoldenOutputs:
@@ -756,7 +784,7 @@ class TestFrozenErrors:
             ("sweep", {"seed": 1, "trials": 10, "scenarios": []},
              "scenarios: must be a nonempty list\n"),
             ("sweep", {"seed": 1, "trials": 10, "grid": {"l": [0, 4], "e": [0.1]}},
-             "grid.l: entries must be positive integers\n"),
+             "grid.l: entries must be integers in 1..9007199254740992\n"),
             ("sweep", {"seed": 1, "trials": 10, "grid": {"e": [0.1]}},
              "grid.l: must be a nonempty list\n"),
             ("sweep", {"seed": 1, "trials": 10, "grid": {"l": [4], "e": [0.6]}},
@@ -894,6 +922,15 @@ class TestFrozenErrors:
                      "prior": {"generator": "zipf", "n_values": 50, "exponent": math.inf}},
              "prior.exponent: must be a finite number, got inf\n"),
             ("noise-synth", {**_N, "sigma": math.inf}, "sigma: must be a finite number, got inf\n"),
+            # up to 2**53 labels, where (l - w) / l is exact
+            ("bounds", _scenario(l=10**400),
+             f"scenario.l: must be <= 9007199254740992, got {10**400}\n"),
+            ("simulate", _scenario(l=2**53 + 1),
+             "scenario.l: must be <= 9007199254740992, got 9007199254740993\n"),
+            ("sweep", {"seed": 1, "trials": 10, "scenarios": [_S, {**_S, "l": 10**400}]},
+             f"scenarios[1].l: must be <= 9007199254740992, got {10**400}\n"),
+            ("sweep", {"seed": 1, "trials": 10, "grid": {"l": [4, 2**53 + 1], "e": [0.1]}},
+             "grid.l: entries must be integers in 1..9007199254740992\n"),
         ],
         ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
              "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate",
@@ -903,7 +940,8 @@ class TestFrozenErrors:
              "unknown-in-scenario", "unknown-in-grid", "unknown-in-grid-base",
              "unknown-top-noise-synth", "values-on-zipf", "two-unknown-in-document-order",
              "scenarios-and-grid", "overflowing-e_plus", "overflowing-interval",
-             "infinite-exponent-with-cap", "infinite-exponent", "infinite-sigma"],
+             "infinite-exponent-with-cap", "infinite-exponent", "infinite-sigma",
+             "overflowing-l", "l-past-2**53", "l-past-2**53-in-scenarios", "grid-l-past-2**53"],
     )
     def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
         assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)

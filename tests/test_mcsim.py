@@ -4,6 +4,8 @@ import itertools
 import os
 import sys
 import threading
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,8 +33,10 @@ from noisylab.mcsim import (
     Treatment,
     TrialTally,
     _chunk_counts,
+    _codes,
+    _edges,
     _histograms,
-    _outcome_tables,
+    _params,
     _stream_key,
     _wilson_interval,
     bound_report,
@@ -55,6 +59,11 @@ def _label_level_counts(key, l: int, e_y: float, start_trial: int, count: int) -
     bit_gen.advance(start_trial * blocks_per_trial)
     uniforms = np.random.Generator(bit_gen).random((count, 4 * blocks_per_trial))
     return (uniforms[:, :l] < e_y).sum(axis=1)
+
+
+def _table(s: InstanceScenario, treatment: Treatment) -> np.ndarray:
+    """The treatment's outcome code at every wrong count 0..l, from the engine's rule."""
+    return _codes(_params([s]), np.arange(s.l + 1))[list(Treatment).index(treatment), 0]
 
 
 def _dense(s: InstanceScenario, trials: int, seed: int, workers: int = 1) -> np.ndarray:
@@ -297,6 +306,30 @@ class TestDeterminism:
             assert lo == serial_lo
             np.testing.assert_array_equal(counts, serial_counts)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_schedule_holds_a_few_jobs_whatever_the_trial_count(self, monkeypatch, workers):
+        # 10**15 trials are 1.5e10 chunk jobs: they are taken lazily, a few at a
+        # time, so a draw that fails on the fourth job ends the run at once
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        calls = itertools.count()
+
+        def failing(key, l, e_y, chunk, count):
+            if next(calls) >= 3:
+                raise RuntimeError("draw failed")
+            return np.zeros(count, np.int64)
+
+        monkeypatch.setattr(mcsim, "_chunk_counts", failing)
+        s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="draw failed"):
+                _histograms([s], 10**15, 1, workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert next(calls) <= 3 + 2 * workers  # the failing job and at most one window more
+
     def test_distinct_settings_get_distinct_streams(self):
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
         key = _stream_key(0, s)
@@ -360,7 +393,7 @@ class TestSharedDraw:
         np.testing.assert_array_equal(_dense(s, trials, seed, workers=1), hist)
         for check in report.checks:
             tally = run_trials(s, check.treatment, trials, seed)
-            table = _outcome_tables(s)[check.treatment]
+            table = _table(s, check.treatment)
             assert (tally.success, tally.failure, tally.tie) == tuple(
                 int(hist[table == code].sum()) for code in (_SUCCESS, _FAILURE, _TIE))
             # each check's count is the tally's count(s) of the outcomes it names
@@ -486,7 +519,7 @@ class TestRunTrials:
 class TestOutcomeTables:
     def test_memorize_table_is_the_strict_majority_rule(self):
         s = InstanceScenario(l=4, y=1, e_plus=0.2, e_minus=0.2)
-        table = _outcome_tables(s)[Treatment.MEMORIZE]
+        table = _table(s, Treatment.MEMORIZE)
         np.testing.assert_array_equal(
             table, [_SUCCESS, _SUCCESS, _TIE, _FAILURE, _FAILURE]
         )
@@ -497,20 +530,20 @@ class TestOutcomeTables:
         for l, y, e in itertools.product((1, 4, 5, 10, 101), (-1, 1), (0.2, 1e-13)):
             s = InstanceScenario(l=l, y=y, e_plus=e, e_minus=e)
             np.testing.assert_array_equal(
-                _outcome_tables(s)[Treatment.LOSS_CORRECTION],
-                _outcome_tables(s)[Treatment.MEMORIZE],
+                _table(s, Treatment.LOSS_CORRECTION),
+                _table(s, Treatment.MEMORIZE),
             )
 
     def test_unequal_rates_shift_the_correction_threshold(self):
         # the corrected label beats the empirical one iff correct > l * e_other / (e+ + e-):
         # 9 * 0.5 / 0.6 = 7.5 correct labels
         s = InstanceScenario(l=9, y=1, e_plus=0.1, e_minus=0.5)
-        table = _outcome_tables(s)[Treatment.LOSS_CORRECTION]
+        table = _table(s, Treatment.LOSS_CORRECTION)
         expected = [_SUCCESS if 9 - w > 7.5 else _FAILURE for w in range(10)]
         np.testing.assert_array_equal(table, expected)
         # flipping the true label swaps which rate drives the threshold: 9 * 0.1 / 0.6 = 1.5
         s_neg = InstanceScenario(l=9, y=-1, e_plus=0.1, e_minus=0.5)
-        table = _outcome_tables(s_neg)[Treatment.LOSS_CORRECTION]
+        table = _table(s_neg, Treatment.LOSS_CORRECTION)
         expected = [_SUCCESS if 9 - w > 1.5 else _FAILURE for w in range(10)]
         np.testing.assert_array_equal(table, expected)
 
@@ -519,13 +552,13 @@ class TestOutcomeTables:
         for y in (-1, 1):
             s = InstanceScenario(l=6, y=y, e_plus=0.0, e_minus=0.0)
             np.testing.assert_array_equal(
-                _outcome_tables(s)[Treatment.LOSS_CORRECTION], np.full(7, _TIE)
+                _table(s, Treatment.LOSS_CORRECTION), np.full(7, _TIE)
             )
 
     def test_one_sided_noise_makes_the_reachable_split_a_tie(self):
         # e_y = 0 keeps every label correct; the threshold lands exactly on l
         s = InstanceScenario(l=5, y=1, e_plus=0.0, e_minus=0.3)
-        table = _outcome_tables(s)[Treatment.LOSS_CORRECTION]
+        table = _table(s, Treatment.LOSS_CORRECTION)
         assert table[0] == _TIE
 
     def test_smoothing_table_delegates_to_the_comparator(self):
@@ -551,7 +584,7 @@ class TestOutcomeTables:
         assert any(s.e_plus != s.e_minus for s in scenarios)
         for s in scenarios:
             rates = BinaryNoiseRates(s.e_plus, s.e_minus)
-            table = _outcome_tables(s)[Treatment.LABEL_SMOOTHING]
+            table = _table(s, Treatment.LABEL_SMOOTHING)
             for wrong in range(s.l + 1):
                 p_true = (s.l - wrong) / s.l
                 probs = [1 - p_true, p_true] if s.y == 1 else [p_true, 1 - p_true]
@@ -562,7 +595,7 @@ class TestOutcomeTables:
         rng = np.random.default_rng(23)
         for _ in range(40):
             s = _random_scenario(rng)
-            table = _outcome_tables(s)[Treatment.LABEL_SMOOTHING]
+            table = _table(s, Treatment.LABEL_SMOOTHING)
             nonfail = np.nonzero(table != _FAILURE)[0]
             if nonfail.size:
                 assert np.all(table[nonfail[0] :] != _FAILURE)
@@ -596,21 +629,21 @@ class TestOutcomeTables:
         ties = 0
         for s in scenarios:
             for treatment in Treatment:
-                table = _outcome_tables(s)[treatment]
+                table = _table(s, treatment)
                 assert np.all(np.diff(ranks[treatment][table]) >= 0), (s, treatment, table)
                 ties += int(np.any(table == _TIE))
         assert ties >= 4 * 18  # every even-l equal-rate scenario ties in all four tables
 
     def test_peer_table_thresholds_at_the_global_noisy_rate(self):
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2, p_plus=0.5)
-        table = _outcome_tables(s)[Treatment.PEER_LOSS]
+        table = _table(s, Treatment.PEER_LOSS)
         # threshold = 10 * 0.5 = 5 correct labels: wrong = 5 ties
         np.testing.assert_array_equal(table[:5], np.full(5, _SUCCESS))
         assert table[5] == _TIE
         np.testing.assert_array_equal(table[6:], np.full(5, _FAILURE))
         skewed = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2, p_plus=0.9)
         rate = skewed.noisy_positive_rate  # 0.9*0.8 + 0.1*0.2 = 0.74
-        table = _outcome_tables(skewed)[Treatment.PEER_LOSS]
+        table = _table(skewed, Treatment.PEER_LOSS)
         expected = [_SUCCESS if 10 - w > 10 * rate else _FAILURE for w in range(11)]
         np.testing.assert_array_equal(table, expected)
 
@@ -636,7 +669,7 @@ class TestOutcomeTables:
         assert {s.y for s in scenarios} == {-1, 1}
         ties = 0
         for s in scenarios:
-            table = _outcome_tables(s)[Treatment.PEER_LOSS]
+            table = _table(s, Treatment.PEER_LOSS)
             for wrong in range(s.l + 1):
                 p_true = (s.l - wrong) / s.l
                 probs = [1 - p_true, p_true] if s.y == 1 else [p_true, 1 - p_true]
@@ -677,7 +710,7 @@ class TestOutcomeTables:
         for s in scenarios:
             rates = BinaryNoiseRates(s.e_plus, s.e_minus)
             noise = s.e_plus + s.e_minus
-            table = _outcome_tables(s)[Treatment.LOSS_CORRECTION]
+            table = _table(s, Treatment.LOSS_CORRECTION)
             for wrong in range(s.l + 1):
                 p_true = (s.l - wrong) / s.l
                 probs = [1 - p_true, p_true] if s.y == 1 else [p_true, 1 - p_true]
@@ -687,6 +720,71 @@ class TestOutcomeTables:
                 assert table[wrong] == want, (s, wrong, margin)
                 decided += noise < 1e-12 and want != _TIE
         assert decided > 100  # the tiny-rate splits keep their decisions
+
+
+def _grid_scenarios() -> list[InstanceScenario]:
+    """The 5,000-scenario grid: l = 1..100 by 50 symmetric rates 0.005..0.495, p_plus 0.3."""
+    rates = [(2 * i + 1) / 200 for i in range(50)]
+    return [InstanceScenario(l=l, y=1, e_plus=e, e_minus=e, p_plus=0.3)
+            for l in range(1, 101) for e in rates]
+
+
+def _random_scenarios(seed: int, count: int, rate) -> list[InstanceScenario]:
+    """count scenarios with l < 300, both labels, rates drawn by rate(rng) (every
+    fourth pair made equal, at the smaller rate, so that even splits tie) and
+    free priors and smoothing."""
+    rng = np.random.default_rng(seed)
+    scenarios = []
+    for i in range(count):
+        e_plus, e_minus = rate(rng)
+        if i % 4 == 0:
+            e_plus = e_minus = min(e_plus, e_minus)
+        scenarios.append(InstanceScenario(
+            l=int(rng.integers(1, 300)), y=int(rng.choice([-1, 1])), e_plus=e_plus,
+            e_minus=e_minus, p_plus=float(rng.uniform(0.01, 0.99)),
+            smoothing_a=float(rng.uniform(0.01, 0.99))))
+    return scenarios
+
+
+def _moderate_rates(rng):
+    e_plus = float(rng.uniform(0.0, 0.9))
+    return e_plus, float(rng.uniform(0.0, 0.99 - e_plus))
+
+
+def _tiny_rates(rng):
+    return tuple(float(x) for x in 10.0 ** rng.uniform(-16, -8, size=2))
+
+
+class TestCuts:
+    """Two bisected cuts per treatment stand for its whole outcome table."""
+
+    @pytest.mark.parametrize("scenarios", [
+        _grid_scenarios,
+        lambda: _random_scenarios(53, 3000, _moderate_rates),
+        lambda: _random_scenarios(59, 3000, _tiny_rates),
+    ], ids=["grid", "random", "tiny-rates"])
+    def test_every_table_runs_in_blocks_with_the_bisected_edges(self, scenarios):
+        # each table reads its leading code, then ties, then the third code as
+        # the wrong count grows (label smoothing leads with failures), and
+        # the cuts the engine bisects are exactly where those blocks end
+        scenarios = scenarios()
+        params = _params(scenarios)
+        l = params[0]
+        w = np.arange(l.max() + 1)
+        codes = _codes(params, w)
+        lead = np.array([_FAILURE if t is Treatment.LABEL_SMOOTHING else _SUCCESS
+                         for t in Treatment])[:, None, None]
+        rank = np.where(codes == lead, 0, np.where(codes == _TIE, 1, 2))
+        inside = w <= l
+        rank[:, ~inside] = 2  # past l, as if the trailing block went on
+        backward = np.argwhere(np.diff(rank, axis=2) < 0)
+        assert backward.size == 0, [(scenarios[i], list(Treatment)[t]) for t, i, _ in backward[:5]]
+        edges = _edges(params)
+        for r in range(3):  # the wrong counts of rank r lie in edges r..edges r+1 - 1
+            np.testing.assert_array_equal(edges[:, :, r + 1] - edges[:, :, r],
+                                          ((rank == r) & inside).sum(axis=2).T)
+        np.testing.assert_array_equal(edges[:, :, 0], 0)
+        assert (rank == 1).any(axis=(0, 2)).sum() >= len(scenarios) // 100  # ties are reached
 
 
 class TestEngineMatchesComparators:
@@ -902,7 +1000,7 @@ class TestBoundReport:
             report = bound_report(s, trials=10, seed=1)
             pmf = stats.binom.pmf(np.arange(s.l + 1), s.l, s.e_y)
             by_event = {(c.treatment, c.event): c for c in report.checks}
-            lc_table = _outcome_tables(s)[Treatment.LOSS_CORRECTION]
+            lc_table = _table(s, Treatment.LOSS_CORRECTION)
             np.testing.assert_allclose(
                 by_event[(Treatment.LOSS_CORRECTION, "strict_success")].exact,
                 pmf[lc_table == _SUCCESS].sum(),
@@ -913,13 +1011,13 @@ class TestBoundReport:
                 pmf[lc_table != _SUCCESS].sum(),
                 atol=1e-10,
             )
-            ls_table = _outcome_tables(s)[Treatment.LABEL_SMOOTHING]
+            ls_table = _table(s, Treatment.LABEL_SMOOTHING)
             np.testing.assert_allclose(
                 by_event[(Treatment.LABEL_SMOOTHING, "ls_better_or_tie")].exact,
                 pmf[ls_table != _FAILURE].sum(),
                 atol=1e-10,
             )
-            peer_table = _outcome_tables(s)[Treatment.PEER_LOSS]
+            peer_table = _table(s, Treatment.PEER_LOSS)
             np.testing.assert_allclose(
                 by_event[(Treatment.PEER_LOSS, "strict_success")].exact,
                 pmf[peer_table == _SUCCESS].sum(),
@@ -953,17 +1051,24 @@ class TestBoundReport:
                     assert check.mc_estimate == flips / (trials * s.l)
                     assert check.exact == s.e_y
                     continue
-                wrong = np.isin(_outcome_tables(s)[check.treatment], names[check.event])
+                wrong = np.isin(_table(s, check.treatment), names[check.event])
                 assert check.mc_estimate == int(hist[wrong].sum()) / trials, (s, check.event)
                 np.testing.assert_allclose(check.exact, pmf[wrong].sum(), rtol=1e-12, atol=1e-15)
 
-    def test_an_event_that_is_not_a_tail_is_an_error(self, monkeypatch):
-        table = np.array([_SUCCESS, _FAILURE, _SUCCESS, _FAILURE], dtype=np.int8)
-        monkeypatch.setattr(mcsim, "_outcome_tables",
-                            lambda scenario: dict.fromkeys(Treatment, table))
-        s = InstanceScenario(l=3, y=1, e_plus=0.2, e_minus=0.2)
-        with pytest.raises(RuntimeError, match=r"event set \[0, 2\] is not a tail of 0..3"):
-            bound_report(s, trials=10, seed=1)
+    def test_ten_million_labels_report_in_flat_memory(self):
+        # no (l + 1)-entry table: the report reads a few cuts and one span
+        s = InstanceScenario(l=10**7, y=1, e_plus=0.2, e_minus=0.2)
+        bound_report(InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2), 2000, seed=3)
+        started = time.perf_counter()
+        report = bound_report(s, trials=2000, seed=3)
+        elapsed = time.perf_counter() - started
+        tracemalloc.start()
+        try:
+            assert bound_report(s, trials=2000, seed=3) == report
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20 and elapsed < 0.3, (peak, elapsed)
 
     def test_a_million_labels_per_trial_stay_cheap_and_agree_with_the_oracle(self):
         # one binomial count per trial: l = 1e6 costs what l = 10 does
