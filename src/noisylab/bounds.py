@@ -6,7 +6,8 @@ empirical event rates.  Success events are strict-majority events; failure
 bounds are stated for the tie-inclusive complement (wrong >= l/2) and are
 only asserted as true lower bounds at even l, where the tie carries the
 mass the l/sqrt term needs.  Odd-l values are still computed for reporting
-but carry regime_ok=False.
+but carry regime_ok=False.  The exact tails use scipy.special, which
+_special imports on first use.
 """
 from __future__ import annotations
 
@@ -25,34 +26,14 @@ __all__ = [
 ]
 
 
-def _deferred_special(namespace: dict, *names: str) -> tuple:
-    """Stand-ins for scipy.special functions that import it on their first call.
+def _special():
+    """scipy.special, imported on first call: validate, tau and weight never load it.
 
-    Importing scipy.special takes about half of a cold `import noisylab.cli`,
-    and only binom_tail, truncated_normal and combine_rate need it, so
-    commands that never call them (validate, tau, weight) never load it.  The
-    first call of any stand-in rebinds every name in `namespace` (the calling
-    module's globals) to the scipy.special function, so later calls go
-    straight to it.
+    It costs about half of a cold `import noisylab.cli`; later calls only look it up.
     """
+    import scipy.special
 
-    def bind() -> None:
-        import scipy.special
-
-        namespace.update({name: getattr(scipy.special, name) for name in names})
-
-    def stand_in(name: str):
-        def first_call(*args, **kwargs):
-            bind()
-            return namespace[name](*args, **kwargs)
-
-        first_call.__name__ = first_call.__qualname__ = name
-        return first_call
-
-    return tuple(stand_in(name) for name in names)
-
-
-(betainc,) = _deferred_special(globals(), "betainc")
+    return scipy.special
 
 
 class BoundKind(str, enum.Enum):
@@ -120,7 +101,7 @@ def binom_tail(l: int, p: float, k: int) -> float:
         raise ValueError(f"threshold must lie in [0, l], got k={k} with l={l}")
     if k == 0:
         return 1.0
-    return float(betainc(k, l - k + 1, p))
+    return float(_special().betainc(k, l - k + 1, p))
 
 
 def lc_success_lower(l: int, e: float) -> float:

@@ -73,6 +73,9 @@ _MAX_SEED = 2**64 - 1
 
 # Distinct substream tags for commands that draw outside the trial engine.
 _COMMAND_STREAM = {"tau": 11, "weight": 12, "noise-synth": 13}
+# noise-synth rows per draw: each chunk draws its features, then its q, so
+# this size fixes the draw order and changing it bumps STREAM_VERSION
+_CHUNK_ROWS = 1 << 12
 
 
 # --------------------------------------------------------------------------
@@ -296,12 +299,11 @@ def _synth_rows(doc: dict) -> list[dict]:
     synth = InstanceNoiseSynth.sample(
         doc["epsilon"], doc["feature_dim"], rng, sigma=doc.get("sigma", 0.1)
     )
-    rows = []
-    for i in range(doc["count"]):
-        feature = rng.standard_normal(doc["feature_dim"])
-        q, projection, rate = synth.draw(feature, rng)
-        rows.append({"instance": i, "q": q, "projection": projection, "rate": rate})
-    return rows
+    table = np.empty((doc["count"], 3))  # a count no array can hold fails here, before any draw
+    for start in range(0, len(table), _CHUNK_ROWS):
+        features = rng.standard_normal((min(_CHUNK_ROWS, len(table) - start), doc["feature_dim"]))
+        table[start : start + len(features)] = np.column_stack(synth.draw_rows(features, rng))
+    return [dict(zip(SYNTH_COLUMNS, (i, *row))) for i, row in enumerate(table.tolist())]
 
 
 def _env() -> dict:

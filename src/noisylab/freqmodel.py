@@ -296,7 +296,7 @@ _MC_REPLICATES = Spec("integer", lo=2)  # a standard error needs two replicates
 _WEIGHT_VALUE = {"weight_value": Spec(lo=0.0, hi=1.0)}
 # tau config fields, checked before l; mc_replicates = 0 skips Monte Carlo
 _TAU_FIELDS = {
-    "n": Spec("integer", lo=2),  # the bound windows divide by n - 1
+    "n": Spec("integer", lo=2, hi=2**53),  # used as a float; the windows divide by n - 1
     "mc_replicates": Spec("integer", lo=0, required=False),
     "weight_replicates": replace(_COUNT, required=False),
 }

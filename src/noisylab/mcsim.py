@@ -64,7 +64,8 @@ __all__ = [
 # 5: one draw per trial shared by all four treatments, keyed by (seed, scenario);
 # 6: every outcome table is its comparator's margin, tied within _TIE_EPS (draws unchanged)
 # 7: equal rates read the loss-correction margin's scale-free tie rule (draws unchanged)
-STREAM_VERSION = 7
+# 8: noise-synth draws chunks of rows, each chunk's features before its q (others unchanged)
+STREAM_VERSION = 8
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
 _SUCCESS, _TIE, _FAILURE = 0, 1, 2

@@ -2,6 +2,8 @@
 
 Class order, fixed package-wide: index 0 holds label -1 and index 1 holds
 label +1.  All distribution vectors and loss vectors follow this order.
+Synthesis has one batched path, InstanceNoiseSynth.draw_rows; draw runs it
+on one row.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._spec import Spec, field_violations, raise_first
-from .bounds import _deferred_special
+from .bounds import _special
 
 __all__ = [
     "BinaryNoiseRates",
@@ -18,8 +20,6 @@ __all__ = [
     "truncated_normal",
     "combine_rate",
 ]
-
-expit, ndtr, ndtri = _deferred_special(globals(), "expit", "ndtr", "ndtri")
 
 _RATE_CEIL = 1.0 - 1e-6
 _LABEL = {"y": Spec(choices=(-1, 1))}  # a bool or a float equal to a label is not one
@@ -81,15 +81,16 @@ def truncated_normal(
         raise ValueError(f"sd must be positive, got {sd}")
     if not low < high:
         raise ValueError(f"need low < high, got [{low}, {high}]")
-    lo_cdf = float(ndtr((low - mean) / sd))
-    hi_cdf = float(ndtr((high - mean) / sd))
+    special = _special()
+    lo_cdf = float(special.ndtr((low - mean) / sd))
+    hi_cdf = float(special.ndtr((high - mean) / sd))
     accept_mass = hi_cdf - lo_cdf
     if accept_mass <= 0.0:
         raise ValueError("truncation window carries no mass")
     n = 1 if size is None else int(size)
     if accept_mass < 0.5:
         u = rng.uniform(lo_cdf, hi_cdf, size=n)
-        out = mean + sd * ndtri(u)
+        out = mean + sd * special.ndtri(u)
         out = np.clip(out, low, high)
     else:
         out = np.empty(n)
@@ -103,14 +104,15 @@ def truncated_normal(
     return float(out[0]) if size is None else out
 
 
-def combine_rate(q: float, projection: float) -> float:
+def combine_rate(q, projection):
     """Default combiner turning (q, feature projection) into a flip rate.
 
     rate = clamp(q * 2*logistic(z), 0, 1 - 1e-6) with z the standardized
-    projection.  The doubled logistic averages to one under a symmetric
-    projection, so across instances the mean rate tracks q's mean.
+    projection, elementwise for arrays.  The doubled logistic averages to one
+    under a symmetric projection, so across instances the mean rate tracks
+    q's mean.
     """
-    return float(min(max(q * 2.0 * expit(projection), 0.0), _RATE_CEIL))
+    return np.clip(q * 2.0 * _special().expit(projection), 0.0, _RATE_CEIL)
 
 
 @dataclass(frozen=True)
@@ -137,10 +139,22 @@ class InstanceNoiseSynth:
             raise ValueError(f"feature dimension must be >= 1, got {dim}")
         return cls(epsilon=epsilon, w=rng.standard_normal(dim), sigma=sigma)
 
-    def draw(self, feature_vector, rng: np.random.Generator) -> tuple[float, float, float]:
-        """Sample (q, projection, rate) for one instance, exposing the parts."""
-        feature = np.asarray(feature_vector, dtype=float).ravel()
-        q = truncated_normal(self.epsilon, self.sigma, 0.0, 1.0, rng)
-        norm = float(np.linalg.norm(feature))
-        projection = float(feature @ self.w) / norm if norm > 0.0 else 0.0
+    def draw_rows(self, features, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        """Sample (q, projection, rate) arrays for a block of feature rows, all q in one draw.
+
+        Each projection is summed along its row, not by BLAS, whose rounding of a
+        row depends on the rows around it; a zero row projects to 0.0.
+        """
+        features = np.asarray(features, dtype=float)
+        if features.ndim != 2 or features.shape[1] != self.w.size:
+            raise ValueError(f"features must be rows of {self.w.size} values, got {features.shape}")
+        q = truncated_normal(self.epsilon, self.sigma, 0.0, 1.0, rng, size=len(features))
+        norms = np.linalg.norm(features, axis=1)
+        projection = np.divide((features * self.w).sum(axis=1), norms,
+                               out=np.zeros(len(norms)), where=norms > 0.0)
         return q, projection, combine_rate(q, projection)
+
+    def draw(self, feature_vector, rng: np.random.Generator) -> tuple[float, float, float]:
+        """Sample (q, projection, rate) for one instance: draw_rows on one row."""
+        rows = self.draw_rows(np.reshape(feature_vector, (1, -1)), rng)
+        return tuple(float(part[0]) for part in rows)

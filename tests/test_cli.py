@@ -4,7 +4,9 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -14,8 +16,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import noisylab
 from noisylab.cli import CSV_COLUMNS, SYNTH_COLUMNS, _write_csv, entry, main, validate_config
 from noisylab.mcsim import STREAM_VERSION
+
+_SRC = Path(noisylab.__file__).resolve().parents[1]
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -512,6 +517,24 @@ class TestNoiseSynthCommand:
         assert main(["noise-synth", "--config", str(config), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_a_count_no_table_can_hold_fails_at_once(self, tmp_path):
+        # the run gets its own interpreter and a timeout, so a loop over the
+        # count fails this test instead of hanging the suite
+        config = _write_config(
+            tmp_path, {"seed": 1, "epsilon": 0.2, "count": 10**400, "feature_dim": 3}
+        )
+        out = tmp_path / "synth.csv"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run(
+            [sys.executable, "-m", "noisylab", "noise-synth", "--config", str(config),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith("runtime error: ")
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_grid_runs_are_byte_identical_across_workers(self, tmp_path):
@@ -647,9 +670,9 @@ class TestGoldenOutputs:
              "2b927f4b988ff8359abe235d1138a5768ec11f36bbd18be6681d97505d5fa6a5"),
             ({"command": "noise-synth", "seed": 3, "epsilon": 0.2, "sigma": 0.1, "count": 1000,
               "feature_dim": 8}, 1000,
-             "0,0.22289351119992568,0.940472542387562,0.3206078416602905",
-             "999,0.33134629544113803,0.8777467457629607,0.4680962740401424",
-             "c6273dff03aae91bf2c1477d9af4e44ca44eefe58e9d2b578f0f82b60429713b"),
+             "0,0.09612828084475421,0.9404725423875622,0.13826997689720621",
+             "999,0.2896287288379088,0.8716661615613933,0.408429957630114",
+             "ef553aec8247e19672927abe3ceb324e3e15361f68a871e4bdd5d447b084707e"),
             ({"command": "tau", "seed": 7,
               "prior": {"generator": "zipf", "n_values": 1000, "exponent": 1.1, "cap": 0.05},
               "n": 10000, "l": [2, 10, 100], "mc_replicates": 10000}, 6,
@@ -931,6 +954,10 @@ class TestFrozenErrors:
              f"scenarios[1].l: must be <= 9007199254740992, got {10**400}\n"),
             ("sweep", {"seed": 1, "trials": 10, "grid": {"l": [4, 2**53 + 1], "e": [0.1]}},
              "grid.l: entries must be integers in 1..9007199254740992\n"),
+            # n is only used as a float, so it is capped where l is
+            ("tau", {"seed": 1, "n": 10**400, "l": [2],
+                     "prior": {"generator": "uniform", "n_values": 10}},
+             f"n: must be <= 9007199254740992, got {10**400}\n"),
         ],
         ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
              "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate",
@@ -941,7 +968,8 @@ class TestFrozenErrors:
              "unknown-top-noise-synth", "values-on-zipf", "two-unknown-in-document-order",
              "scenarios-and-grid", "overflowing-e_plus", "overflowing-interval",
              "infinite-exponent-with-cap", "infinite-exponent", "infinite-sigma",
-             "overflowing-l", "l-past-2**53", "l-past-2**53-in-scenarios", "grid-l-past-2**53"],
+             "overflowing-l", "l-past-2**53", "l-past-2**53-in-scenarios", "grid-l-past-2**53",
+             "overflowing-n"],
     )
     def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
         assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)

@@ -205,6 +205,32 @@ class TestSynthInstanceNoise:
         )
         assert rng.random() == 0.11240308334734228
 
+    def test_draw_is_draw_rows_on_one_row(self):
+        synth = InstanceNoiseSynth.sample(0.2, 4, np.random.default_rng(14))
+        feature = np.array([1.0, -2.0, 0.5, 0.0])
+        rng, rng_copy = np.random.default_rng(15), np.random.default_rng(15)
+        for _ in range(3):
+            q, projection, rate = synth.draw_rows(feature[None], rng_copy)
+            assert synth.draw(feature, rng) == (q[0], projection[0], rate[0])
+
+    def test_a_zero_row_in_a_block_projects_to_zero(self):
+        rng = np.random.default_rng(16)
+        synth = InstanceNoiseSynth.sample(0.3, 3, rng)
+        features = rng.standard_normal((50, 3))
+        features[17] = 0.0
+        q, projection, rate = synth.draw_rows(features, rng)
+        assert projection[17] == 0.0
+        assert rate[17] == q[17]
+        # a row projects as it does alone, whatever block holds it
+        assert projection.tolist() == [synth.draw(row, rng)[1] for row in features]
+
+    def test_rows_must_match_the_weights(self):
+        rng = np.random.default_rng(17)
+        synth = InstanceNoiseSynth.sample(0.2, 3, rng)
+        for features in (np.ones((4, 1)), np.ones(3), np.ones((2, 4))):
+            with pytest.raises(ValueError, match="features must be rows of 3 values"):
+                synth.draw_rows(features, rng)
+
     def test_zero_feature_vector_neutral_projection(self):
         rng = np.random.default_rng(11)
         synth = InstanceNoiseSynth.sample(0.3, 3, rng)
