@@ -16,8 +16,12 @@ from its own Philox counter range [0, 0, 0, c] under a key derived from
 whichever worker draws them.  A sweep runs every (distinct key, chunk) job
 of its batch on up to `workers` threads, at most one per CPU, and the
 calling thread alone merges the spans they return, in job order.
-STREAM_VERSION names this mapping from seeds to rows and changes whenever
-the same seed would draw different numbers or classify them differently.
+A chunk's counts are the integers Generator.binomial(l, e_y) draws from
+its stream: where numpy inverts (p l <= 30, p = min(e_y, 1 - e_y)) they are
+looked up in numpy's own inversion table, and elsewhere (BTPE, which takes a
+varying number of uniforms per draw) numpy draws them.  STREAM_VERSION
+names this mapping from seeds to rows and changes whenever the same seed
+would draw different numbers or classify them differently.
 """
 from __future__ import annotations
 
@@ -68,6 +72,8 @@ __all__ = [
 STREAM_VERSION = 8
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
+_BLOCK, _GUIDE = 4096, 256  # uniforms per inversion block; guide bins, a power of 2
+_CUT_SLACK = 1e-12  # far above the walk's rounding: under 87 steps, 2 * 87 * 2**-53 = 2e-14
 _SUCCESS, _TIE, _FAILURE = 0, 1, 2
 
 
@@ -78,7 +84,8 @@ class Treatment(enum.Enum):
     PEER_LOSS = "peer_loss"
 
 
-_RUN_FIELDS = {"trials": _COUNT, "seed": Spec("integer", lo=0), "workers": _COUNT}
+# trials: counts are int64, and the Wilson interval divides them as floats
+_RUN_FIELDS = {"trials": replace(_COUNT, hi=2**53), "seed": Spec("integer", lo=0), "workers": _COUNT}
 _OPEN_UNIT = Spec(lo=0.0, hi=1.0, lo_open=True, hi_open=True, required=False)
 # InstanceScenario's fields in dataclass order, which is also the order of
 # their checks and of the scenario columns of the CSV.
@@ -197,10 +204,68 @@ def _stream_key(seed: int, scenario: InstanceScenario) -> np.ndarray:
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
+def _inversion_table(n: int, p: float) -> list[float]:
+    """numpy's random_binomial_inversion probabilities px_0..px_bound, by its own operations."""
+    q = 1.0 - p
+    px = [math.exp(n * math.log1p(-p))]
+    for x in range(1, int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1))) + 1):
+        px.append((n - x + 1) * p * px[-1] / (x * q))
+    return px
+
+
+def _walk(u: float, px: list[float]) -> int | None:
+    """numpy's scalar inversion loop from one uniform; None past bound, where numpy draws again."""
+    x = 0
+    while u > px[x]:
+        u, x = u - px[x], x + 1
+        if x == len(px):
+            return None
+    return x
+
+
+def _inverse(px: list[float]) -> Callable[[np.ndarray], np.ndarray | None]:
+    """_walk as a vectorized function of uniforms u, None if any walk passes bound: the
+    count of cuts cumsum(px) - _CUT_SLACK below u.  A guide table gives the count below
+    u's 1/_GUIDE bin, two passes step it on, searchsorted places the few left, and a u
+    within _CUT_SLACK of a cut, or past the last, takes _walk itself."""
+    cuts = np.cumsum(px)
+    lo = np.append(cuts - _CUT_SLACK, np.inf)
+    hi = np.concatenate(([-np.inf], cuts + _CUT_SLACK))  # hi[x]: cut x - 1, raised
+    guide = lo.searchsorted(np.arange(_GUIDE) / _GUIDE)
+
+    def invert(u: np.ndarray) -> np.ndarray | None:
+        x = guide[(u * _GUIDE).astype(np.intp)]
+        x += u > lo[x]
+        x += u > lo[x]
+        rest = np.flatnonzero(u > lo[x])
+        x[rest] = lo.searchsorted(u[rest])
+        for i in np.flatnonzero((u <= hi[x]) | (x == len(px))):
+            if (walked := _walk(u[i], px)) is None:
+                return None
+            x[i] = walked
+        return x
+    return invert
+
+
 def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int) -> np.ndarray:
-    """Chunk `chunk`'s first `count` wrong-label counts: a pure function of (key, chunk)."""
-    rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk]))
-    return rng.binomial(l, e_y, size=count)
+    """Chunk `chunk`'s first `count` wrong-label counts: a pure function of (key, chunk),
+    Generator.binomial(l, e_y)'s integers.  Inverted chunks read _BLOCK uniforms at a
+    time; a walk past the table's bound draws again, so numpy draws that chunk."""
+    def generator():
+        return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk]))
+    p, flip = min(e_y, 1.0 - e_y), e_y > 0.5
+    if p == 0.0:
+        return np.zeros(count, np.int64)
+    if p * l > 30.0:
+        return generator().binomial(l, e_y, size=count)
+    invert, stream = _inverse(_inversion_table(l, p)), generator()
+    wrong, block = np.empty(count, np.int64), np.empty(_BLOCK)
+    for start in range(0, count, _BLOCK):
+        x = invert(stream.random(out=block[:count - start]))
+        if x is None:
+            return generator().binomial(l, e_y, size=count)
+        wrong[start:start + x.size] = x
+    return l - wrong if flip else wrong
 
 
 def _params(scenarios) -> tuple[np.ndarray, ...]:

@@ -958,6 +958,13 @@ class TestFrozenErrors:
             ("tau", {"seed": 1, "n": 10**400, "l": [2],
                      "prior": {"generator": "uniform", "n_values": 10}},
              f"n: must be <= 9007199254740992, got {10**400}\n"),
+            # trials are int64 counts that the Wilson interval divides as floats
+            ("sweep", {"seed": 1, "trials": 10**400, "scenarios": [_S]},
+             f"trials: must be <= 9007199254740992, got {10**400}\n"),
+            ("bounds", {**_B, "trials": 2**53 + 1},
+             "trials: must be <= 9007199254740992, got 9007199254740993\n"),
+            ("noise-synth", {**_N, "trials": 10**400},
+             f"trials: must be <= 9007199254740992, got {10**400}\n"),
         ],
         ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
              "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate",
@@ -969,7 +976,8 @@ class TestFrozenErrors:
              "scenarios-and-grid", "overflowing-e_plus", "overflowing-interval",
              "infinite-exponent-with-cap", "infinite-exponent", "infinite-sigma",
              "overflowing-l", "l-past-2**53", "l-past-2**53-in-scenarios", "grid-l-past-2**53",
-             "overflowing-n"],
+             "overflowing-n", "overflowing-trials", "trials-past-2**53",
+             "overflowing-trials-unread"],
     )
     def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
         assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)
@@ -989,6 +997,18 @@ class TestFrozenErrors:
         checked = _write_config(tmp_path, {"command": command, **doc}, name="checked.json")
         assert main(["validate", "--config", str(checked), "--out", str(out), "--trials", "-5"]) == 2
         assert capsys.readouterr().out == "trials: must be >= 1, got -5\n"
+        assert not out.exists()
+
+    def test_trials_flag_past_2_53_exits_2(self, tmp_path, capsys):
+        doc = {"seed": 1, "trials": 10, "scenarios": [_S]}
+        config = _write_config(tmp_path, doc)
+        checked = _write_config(tmp_path, {"command": "sweep", **doc}, name="checked.json")
+        out, err = tmp_path / "o.csv", f"trials: must be <= 9007199254740992, got {10**400}\n"
+        flag = ["--trials", str(10**400)]
+        assert main(["sweep", "--config", str(config), "--out", str(out), *flag]) == 2
+        assert capsys.readouterr().err == err
+        assert main(["validate", "--config", str(checked), *flag]) == 2
+        assert capsys.readouterr().out == err
         assert not out.exists()
 
     def test_validate_applies_every_override(self, tmp_path, capsys):

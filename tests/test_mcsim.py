@@ -25,7 +25,10 @@ from noisylab import mcsim
 from noisylab.memorize import LabelDist
 from noisylab.mcsim import (
     scenario_violations,
+    _BLOCK,
     _CHUNK_TRIALS,
+    _CUT_SLACK,
+    _GUIDE,
     _FAILURE,
     _SUCCESS,
     _TIE,
@@ -36,8 +39,11 @@ from noisylab.mcsim import (
     _codes,
     _edges,
     _histograms,
+    _inverse,
+    _inversion_table,
     _params,
     _stream_key,
+    _walk,
     _wilson_interval,
     bound_report,
     run_trials,
@@ -342,6 +348,117 @@ class TestDeterminism:
             assert not np.array_equal(key, other)
 
 
+def _numpy_counts(key, l, e_y, chunk, count) -> np.ndarray:
+    """Test-only oracle: Generator.binomial on chunk `chunk`'s own Philox stream."""
+    rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk]))
+    return rng.binomial(l, e_y, size=count)
+
+
+def _oracle_pairs() -> list[tuple[int, float]]:
+    """(l, e_y) pairs for the equality oracle, drawn from seed 18, fixed before its first run.
+
+    With p = min(e_y, 1 - e_y): every fifth pair has p = 30 / l, every fifth lies in
+    numpy's BTPE regime (p l > 30), and the rest invert with p log-uniform down to
+    1e-16.  l alternates between 1..399 and log-uniform up to 2**53, and every third
+    rate is flipped to 1 - p.
+    """
+    rng = np.random.default_rng(18)
+    pairs = [(1, 0.3), (1, 0.5), (1, 0.7), (1, 1e-16), (1, 1.0 - 1e-16), (60, 0.5),
+             (2**53, 1e-16), (2**53, 30.0 / 2**53), (10**9, 3e-8), (200, 0.1)]
+    for i in range(200):
+        l = int(rng.integers(1, 400)) if i % 2 else int(2 ** rng.uniform(0, 53))
+        top = min(0.5, 30.0 / l)
+        p = (top if i % 5 == 3 else float(rng.uniform(top, 0.5)) if i % 5 == 4
+             else 10 ** rng.uniform(-16, np.log10(top)))
+        pairs.append((l, 1.0 - p if i % 3 == 0 and p < 0.5 else p))
+    return pairs
+
+
+class TestInversionDraws:
+    """Where numpy inverts, _chunk_counts reads its inversion table instead of
+    calling Generator.binomial; the integers must be the same, bit for bit."""
+
+    def test_every_chunk_equals_generator_binomial(self):
+        sizes = (1, _BLOCK - 1, _BLOCK + 1, _CHUNK_TRIALS)
+        pairs = _oracle_pairs()
+        assert len(pairs) >= 200
+        assert sum(min(e, 1.0 - e) * l <= 30.0 for l, e in pairs) >= 150  # numpy inverts
+        assert any(e > 0.5 for _, e in pairs) and any(e * l == 30.0 for l, e in pairs)
+        for i, (l, e_y) in enumerate(pairs):
+            key = np.array([i, 2 * i + 1], np.uint64)
+            chunk, count = i % 7, sizes[i % 4]
+            got = _chunk_counts(key, l, e_y, chunk, count)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, _numpy_counts(key, l, e_y, chunk, count),
+                                          err_msg=f"l={l}, e_y={e_y!r}")
+
+    @pytest.mark.parametrize("l", [60, 61, 100, 997, 10**6, 2**53])
+    def test_the_regime_follows_numpys_own_float_test(self, monkeypatch, l):
+        # p l == 30 still inverts; the next float above 30 / l leaves it to
+        # Generator.binomial exactly when numpy's own p * l exceeds 30
+        tables = []
+        monkeypatch.setattr(mcsim, "_inversion_table",
+                            lambda n, p, table=_inversion_table: tables.append(p) or table(n, p))
+        key = np.array([5, l], np.uint64)
+        for p in (30.0 / l, np.nextafter(30.0 / l, 1.0)):
+            for e_y in (p, 1.0 - p):
+                tables.clear()
+                np.testing.assert_array_equal(_chunk_counts(key, l, e_y, 1, 5000),
+                                              _numpy_counts(key, l, e_y, 1, 5000))
+                assert bool(tables) == (min(e_y, 1.0 - e_y) * l <= 30.0)
+
+    @pytest.mark.parametrize("l, p", [(200, 0.1), (1, 0.3), (60, 0.5), (7, 1e-16),
+                                      (10**9, 3e-8), (2**53, 3e-15), (40, 0.01)])
+    def test_the_lookup_is_the_scalar_walk_at_every_cut(self, l, p):
+        px = _inversion_table(l, p)
+        cuts = np.cumsum(px)
+        edges = np.concatenate((cuts, cuts - _CUT_SLACK, cuts + _CUT_SLACK,
+                                np.arange(_GUIDE) / _GUIDE))
+        u = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                            np.random.default_rng(l).random(10_000)))
+        u = u[(u >= 0.0) & (u < 1.0)]
+        walked = [_walk(x, px) for x in u]
+        inside = np.array([w is not None for w in walked])
+        np.testing.assert_array_equal(_inverse(px)(u[inside]),
+                                      [w for w in walked if w is not None])
+        if not inside.all():
+            assert _inverse(px)(u) is None
+
+    @pytest.mark.parametrize("l, e_y, keep", [(200, 0.1, 2), (200, 0.1, 36), (200, 0.95, 4)])
+    def test_a_walk_past_bound_leaves_the_chunk_to_numpy(self, monkeypatch, l, e_y, keep):
+        # a cut-short table sends walks past its bound, where numpy would draw
+        # a second uniform: the chunk is redrawn whole by Generator.binomial
+        passed = []
+
+        def walk(u, px, walk=_walk):
+            passed.append(walk(u, px) is None)
+            return walk(u, px)
+
+        monkeypatch.setattr(mcsim, "_inversion_table",
+                            lambda n, p, table=_inversion_table: table(n, p)[:keep])
+        monkeypatch.setattr(mcsim, "_walk", walk)
+        key = np.array([3, keep], np.uint64)
+        got = _chunk_counts(key, l, e_y, 2, _CHUNK_TRIALS)
+        assert any(passed)
+        np.testing.assert_array_equal(got, _numpy_counts(key, l, e_y, 2, _CHUNK_TRIALS))
+
+    def test_a_zero_rate_draws_nothing(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("drew at e_y = 0")
+
+        monkeypatch.setattr(np.random, "Generator", no_generator)
+        got = _chunk_counts(np.array([1, 2], np.uint64), 50, 0.0, 0, 100)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.zeros(100, np.int64))
+
+    def test_one_label_draws_zeros_and_ones(self):
+        key = np.array([8, 9], np.uint64)
+        for e_y in (1e-16, 0.3, 0.5, 0.7, 1.0 - 1e-16):
+            got = _chunk_counts(key, 1, e_y, 0, 10_000)
+            np.testing.assert_array_equal(got, _numpy_counts(key, 1, e_y, 0, 10_000))
+            assert set(np.unique(got)) <= {0, 1}
+
+
 class TestSharedDraw:
     """Every treatment of a scenario reads the same wrong-label counts."""
 
@@ -477,6 +594,8 @@ class TestRunTrials:
             run_trials(s, Treatment.MEMORIZE, 100, seed=-1)
         with pytest.raises(ValueError):
             run_trials(s, Treatment.MEMORIZE, 100, seed=1, workers=0)
+        with pytest.raises(ValueError, match="trials: must be <= 9007199254740992"):
+            run_trials(s, Treatment.MEMORIZE, 2**53 + 1, seed=1)
         with pytest.raises(ValueError):
             run_trials(s, "fix_everything", 100, seed=1)
 
