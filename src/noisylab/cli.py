@@ -344,7 +344,9 @@ _COMMANDS = {
     "bounds": _Command(_ONE_SCENARIO, _report_rows(headline_only=False)),
     "sweep": _Command((_TRIALS, _check_scenarios, _check_grid), _report_rows(headline_only=True)),
     "noise-synth": _Command(
-        ({**_SYNTH_FIELDS, "count": _COUNT, "feature_dim": _COUNT, **_OPTIONAL_TRIALS},),
+        # two chunks of features take 64 KiB per feature: 1 GiB at the ceiling
+        ({**_SYNTH_FIELDS, "count": _COUNT, "feature_dim": replace(_COUNT, hi=2**14),
+          **_OPTIONAL_TRIALS},),
         _synth_rows, SYNTH_COLUMNS,
     ),
 }

@@ -118,11 +118,12 @@ def _zipf(doc: dict) -> PriorSpec:
 
 
 _POSITIVE = Spec(lo=0.0, lo_open=True)
-# Per generator: its prior config's fields and the uncapped prior they build.
-_GENERATORS = {
-    "uniform": ({"n_values": _COUNT},
-                lambda doc: PriorSpec(np.full(doc["n_values"], 1.0 / doc["n_values"]))),
-    "zipf": ({"n_values": _COUNT, "exponent": _POSITIVE}, _zipf),
+# Per generator: its prior config's fields and the uncapped prior they build.  A tau
+# run holds about 82 B per value, so n_values stops at 2**23, about 0.64 GiB.
+_GENERATORS = {"uniform": ({"n_values": replace(_COUNT, hi=2**23)},
+                           lambda doc: PriorSpec(np.full(doc["n_values"], 1.0 / doc["n_values"])))}
+_GENERATORS |= {
+    "zipf": ({**_GENERATORS["uniform"][0], "exponent": _POSITIVE}, _zipf),
     "explicit": ({}, lambda doc: PriorSpec(np.asarray(doc["values"], dtype=float))),
 }
 _CAP = {"cap": Spec(lo=0.0, hi=1.0, lo_open=True, required=False)}
@@ -292,13 +293,16 @@ def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight
     return lnum, lden, masses
 
 
-_MC_REPLICATES = Spec("integer", lo=2)  # a standard error needs two replicates
+# A standard error needs two replicates.  Every replicate count stops at 2**24: a tau
+# run holds 16 B per Monte-Carlo replicate per l and 32 B more while it reduces them,
+# 16 B per weight replicate per l, and a weight run 10 B per replicate.
+_MC_REPLICATES = Spec("integer", lo=2, hi=2**24)
 _WEIGHT_VALUE = {"weight_value": Spec(lo=0.0, hi=1.0)}
 # tau config fields, checked before l; mc_replicates = 0 skips Monte Carlo
 _TAU_FIELDS = {
     "n": Spec("integer", lo=2, hi=2**53),  # used as a float; the windows divide by n - 1
-    "mc_replicates": Spec("integer", lo=0, required=False),
-    "weight_replicates": replace(_COUNT, required=False),
+    "mc_replicates": replace(_MC_REPLICATES, lo=0, required=False),
+    "weight_replicates": replace(_MC_REPLICATES, lo=1, required=False),
 }
 _TAU_RULES = {
     "mc_replicates": ("mc_replicates", ("mc_replicates",),

@@ -2,11 +2,13 @@
 
 Every outcome counted here depends on a trial's l noisy labels only through
 its wrong-label count, Binomial(l, e_y) under every treatment, so each trial
-draws that count directly, once, and the draws reduce to one wrong-count
-histogram per scenario.  Each treatment's rule (_codes, its comparator in
-treatments.py) runs in blocks as the count grows: a leading block, ties, a
-trailing block.  Two cuts per treatment, bisected over the rule, fix every
-outcome, and every event is the histogram summed between two cuts.
+draws that count directly, once.  Each treatment's rule (_codes, its
+comparator in treatments.py) runs in blocks as the count grows: a leading
+block, ties, a trailing block.  Two cuts per treatment, bisected over the
+rule before any draw, fix every outcome, so the draws reduce to each
+scenario's trials below each cut, and every event is the trials below one
+cut less those below another.  The memorize check reads one more number,
+the exact wrong-label total.
 
 Determinism contract: results are a pure function of (scenario, trials,
 seed), shared by the four treatments and independent of worker count.
@@ -15,7 +17,7 @@ from its own Philox counter range [0, 0, 0, c] under a key derived from
 (seed, scenario fields), so they are a pure function of (key, chunk),
 whichever worker draws them.  A sweep runs every (distinct key, chunk) job
 of its batch on up to `workers` threads, at most one per CPU, and the
-calling thread alone merges the spans they return, in job order.
+calling thread alone adds the counts they return, in job order.
 A chunk's counts are the integers Generator.binomial(l, e_y) draws from
 its stream: where numpy inverts (p l <= 30, p = min(e_y, 1 - e_y)) they are
 looked up in numpy's own inversion table, and elsewhere (BTPE, which takes a
@@ -336,69 +338,61 @@ def _edges(params: tuple[np.ndarray, ...]) -> np.ndarray:
     return np.concatenate((np.zeros_like(ends), lo.reshape(-1, 4, 2), ends + 1), axis=2)
 
 
-def _below(base: int, counts: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Trials of the span (base, counts) whose wrong count lies below each edge."""
-    cumulative = np.concatenate(([0], np.cumsum(counts)))
-    return cumulative[np.clip(edges - base, 0, counts.size)]
+def _cut_counts(scenarios, trials: int, seed: int,
+                workers: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Each scenario's block edges (see _edges), its trials whose wrong count lies below
+    each edge, both (4, 4), and its exact wrong-label total.
 
-
-def _merge(hist: tuple[int, np.ndarray], lo: int, counts: np.ndarray) -> tuple[int, np.ndarray]:
-    """hist, a (lo, counts) span of wrong counts, widened to cover another span and added to."""
-    base, total = hist
-    start, stop = min(base, lo), max(base + total.size, lo + counts.size)
-    if stop - start > total.size:
-        total = np.concatenate((np.zeros(base - start, np.int64), total,
-                                np.zeros(stop - base - total.size, np.int64)))
-    total[lo - start:lo - start + counts.size] += counts
-    return start, total
-
-
-def _histograms(scenarios, trials: int, seed: int, workers: int) -> list[tuple[int, np.ndarray]]:
-    """Each scenario's wrong-count histogram as a span (lo, counts): counts[i] trials
-    drew lo + i wrong labels, and none drew a count outside the span.
-
-    Each (distinct key, chunk) job of the batch returns its chunk's bincount as a
-    span; up to `workers` threads, at most one per CPU, run the jobs, taken from a
-    generator two per thread at a time, and only the calling thread merges, in job
-    order.  Repeated scenarios share one key and draw.
+    Each (distinct key, chunk) job of the batch counts its chunk below the key's
+    distinct edges and sums its wrong labels; up to `workers` threads, at most one
+    per CPU, run the jobs, taken from a generator two per thread at a time, and
+    only the calling thread adds their counts, as Python ints, in job order.
+    Repeated scenarios share one key and draw.
     """
     raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS))
+    edges = _edges(_params(scenarios))
     keys = [_stream_key(seed, s) for s in scenarios]
-    distinct = {key.tobytes(): (key, s) for key, s in zip(keys, scenarios)}
+    distinct = {}
+    for key, s, e in zip(keys, scenarios, edges):  # a repeat's p_minus may move its edges
+        k = key.tobytes()
+        distinct[k] = (key, s, np.union1d(distinct[k][2], e) if k in distinct else np.unique(e))
     chunks = -(-trials // _CHUNK_TRIALS)
     jobs = ((k, c) for k in distinct for c in range(chunks))
 
-    def job(task: tuple[bytes, int]) -> tuple[bytes, tuple[int, np.ndarray]]:
+    def job(task: tuple[bytes, int]) -> tuple[bytes, list[int], int]:
         k, chunk = task
-        (key, s), count = distinct[k], min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
+        (key, s, cuts), count = distinct[k], min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
         wrong = _chunk_counts(key, s.l, s.e_y, chunk, count)
-        lo = int(wrong.min())
-        wrong -= lo
-        return k, (lo, np.bincount(wrong))
+        # cuts run from 0 to l + 1: no count lies below the first, every count below the last
+        below = [0, *(int(np.count_nonzero(wrong < c)) for c in cuts[1:-1]), count]
+        # the high and low 32-bit halves each sum below 2**48 over a chunk, so both are exact
+        return k, below, (int((wrong >> 32).sum()) << 32) + int((wrong & 0xFFFFFFFF).sum())
 
-    spans = dict.fromkeys(distinct)
+    below = {k: [0] * cuts.size for k, (_, _, cuts) in distinct.items()}
+    total = dict.fromkeys(distinct, 0)
     threads = min(workers, len(distinct) * chunks, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         while batch := list(islice(jobs, 2 * threads)):
-            for k, (lo, counts) in (pool.map if pool else map)(job, batch):
-                spans[k] = (lo, counts) if spans[k] is None else _merge(spans[k], lo, counts)
-    return [spans[key.tobytes()] for key in keys]
+            for k, counts, wrong in (pool.map if pool else map)(job, batch):
+                below[k] = [a + b for a, b in zip(below[k], counts)]
+                total[k] += wrong
+    return [(e, np.array(below[k])[distinct[k][2].searchsorted(e)], total[k])
+            for k, e in zip((key.tobytes() for key in keys), edges)]
 
 
 def run_trials(scenario: InstanceScenario, treatment: Treatment, trials: int, seed: int,
                workers: int = 1) -> TrialTally:
     """Simulate `trials` independent l-label draws and count one treatment's outcomes.
 
-    Each count is the wrong-count histogram summed between the treatment's
-    block edges.  The tally is bit-reproducible for fixed (scenario, trials,
-    seed), identical for every worker count, and read from the same draws as
-    bound_report and every other treatment.
+    Each count is the trials below one of the treatment's block edges less
+    those below the edge before it.  The tally is bit-reproducible for fixed
+    (scenario, trials, seed), identical for every worker count, and read from
+    the same draws as bound_report and every other treatment.
     """
     t = _TREATMENTS.index(Treatment(treatment))
-    (base, counts), = _histograms([scenario], trials, seed, workers)
-    below = _below(base, counts, _edges(_params([scenario]))[0, t])
+    (_, below, _), = _cut_counts([scenario], trials, seed, workers)
     ranks = np.abs(np.array([_SUCCESS, _FAILURE, _TIE]) - _LEADS[t])
-    return TrialTally(trials, *(int(below[r + 1] - below[r]) for r in ranks))
+    return TrialTally(trials, *(int(below[t, r + 1] - below[t, r]) for r in ranks))
 
 
 @dataclass(frozen=True)
@@ -517,24 +511,24 @@ _EVENTS = (
 
 def bound_report(scenario: InstanceScenario, trials: int, seed: int,
                  workers: int = 1) -> BoundReport:
-    """One check per _EVENTS entry, every one read from one shared wrong-count histogram.
+    """One check per _EVENTS entry, every one read from one shared set of draws.
 
     The one-scenario sweep.  Each event's wrong counts lie between two of its
-    treatment's block edges; the Monte-Carlo count is the histogram summed
-    there, and exact the Binomial(l, e_y) mass there.  Memorize's check is the
-    pooled per-label error against e_y.  Headline checks (one per treatment)
-    are what sweep rows export.  A closed form outside its regime is computed
-    with regime_ok=False and never asserted.  When e_y = 0 every
-    loss-correction trial ties, and both its closed forms are omitted.
+    treatment's block edges; the Monte-Carlo count is the trials between
+    them, and exact the Binomial(l, e_y) mass there.  Memorize's check is the
+    pooled per-label error, the exact wrong-label total over trials * l,
+    against e_y.  Headline checks (one per treatment) are what sweep rows
+    export.  A closed form outside its regime is computed with
+    regime_ok=False and never asserted.  When e_y = 0 every loss-correction
+    trial ties, and both its closed forms are omitted.
     """
     return sweep([scenario], trials, seed, workers)[0]
 
 
-def _report(scenario: InstanceScenario, base: int, counts: np.ndarray, trials: int,
-            edges: np.ndarray) -> BoundReport:
-    """bound_report's checks, from the scenario's histogram span (base, counts) and its
-    block edges (see _histograms and _edges)."""
-    below = _below(base, counts, edges)
+def _report(scenario: InstanceScenario, edges: np.ndarray, below: np.ndarray, wrong: int,
+            trials: int) -> BoundReport:
+    """bound_report's checks, from the scenario's block edges, its trials below each edge
+    and its wrong-label total (see _cut_counts)."""
     checks = []
     for event in _EVENTS:
         if event.block is not None:
@@ -542,7 +536,7 @@ def _report(scenario: InstanceScenario, base: int, counts: np.ndarray, trials: i
             hits, total = int(below[t, stop] - below[t, start]), trials
             exact = _tail_mass(scenario, int(edges[t, start]), int(edges[t, stop]) - 1)
         else:
-            hits, total = int(counts @ np.arange(base, base + counts.size)), trials * scenario.l
+            hits, total = wrong, trials * scenario.l
             exact = scenario.e_y
         form = event.bound(scenario) if event.bound is not None else None
         bound = None if form is None else BoundValue(*form, regime_ok=event.regime(scenario))
@@ -565,6 +559,5 @@ def sweep(scenarios, trials: int, seed: int, workers: int = 1) -> list[BoundRepo
     scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("sweep needs at least one scenario")
-    hists = _histograms(scenarios, trials, seed, workers)
-    edges = _edges(_params(scenarios))
-    return [_report(s, *hist, trials, e) for s, hist, e in zip(scenarios, hists, edges)]
+    counts = _cut_counts(scenarios, trials, seed, workers)
+    return [_report(s, *c, trials) for s, c in zip(scenarios, counts)]

@@ -965,6 +965,20 @@ class TestFrozenErrors:
              "trials: must be <= 9007199254740992, got 9007199254740993\n"),
             ("noise-synth", {**_N, "trials": 10**400},
              f"trials: must be <= 9007199254740992, got {10**400}\n"),
+            # each field that sizes an array has a ceiling near 1 GiB of it
+            ("tau", {"seed": 1, "n": 100, "l": [2],
+                     "prior": {"generator": "zipf", "n_values": 10**400, "exponent": 1.1}},
+             f"prior.n_values: must be <= 8388608, got {10**400}\n"),
+            ("tau", {"seed": 1, "n": 100, "l": [2], "mc_replicates": 10**400,
+                     "prior": {"generator": "uniform", "n_values": 10}},
+             f"mc_replicates: must be <= 16777216, got {10**400}\n"),
+            ("tau", {"seed": 1, "n": 100, "l": [2], "weight_replicates": 10**400,
+                     "prior": {"generator": "uniform", "n_values": 10}},
+             f"weight_replicates: must be <= 16777216, got {10**400}\n"),
+            ("weight", {**_W, "replicates": 10**400},
+             f"replicates: must be <= 16777216, got {10**400}\n"),
+            ("noise-synth", {**_N, "feature_dim": 10**400},
+             f"feature_dim: must be <= 16384, got {10**400}\n"),
         ],
         ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
              "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate",
@@ -977,7 +991,8 @@ class TestFrozenErrors:
              "infinite-exponent-with-cap", "infinite-exponent", "infinite-sigma",
              "overflowing-l", "l-past-2**53", "l-past-2**53-in-scenarios", "grid-l-past-2**53",
              "overflowing-n", "overflowing-trials", "trials-past-2**53",
-             "overflowing-trials-unread"],
+             "overflowing-trials-unread", "overflowing-n_values", "overflowing-mc_replicates",
+             "overflowing-weight_replicates", "overflowing-replicates", "overflowing-feature_dim"],
     )
     def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
         assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)

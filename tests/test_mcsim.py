@@ -37,8 +37,8 @@ from noisylab.mcsim import (
     TrialTally,
     _chunk_counts,
     _codes,
+    _cut_counts,
     _edges,
-    _histograms,
     _inverse,
     _inversion_table,
     _params,
@@ -72,12 +72,22 @@ def _table(s: InstanceScenario, treatment: Treatment) -> np.ndarray:
     return _codes(_params([s]), np.arange(s.l + 1))[list(Treatment).index(treatment), 0]
 
 
-def _dense(s: InstanceScenario, trials: int, seed: int, workers: int = 1) -> np.ndarray:
-    """The scenario's histogram span from _histograms, laid out over 0..l."""
-    (lo, counts), = _histograms([s], trials, seed, workers)
-    hist = np.zeros(s.l + 1, dtype=np.int64)
-    hist[lo:lo + counts.size] = counts
+def _dense(s: InstanceScenario, trials: int, seed: int) -> np.ndarray:
+    """The scenario's wrong-count histogram over 0..l, rebuilt from its chunks' draws."""
+    key, hist = _stream_key(seed, s), np.zeros(s.l + 1, dtype=np.int64)
+    for chunk in range(-(-trials // _CHUNK_TRIALS)):
+        count = min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
+        hist += np.bincount(_chunk_counts(key, s.l, s.e_y, chunk, count), minlength=s.l + 1)
     return hist
+
+
+def _assert_same_counts(counts, expected) -> None:
+    """Two _cut_counts results agree: every scenario's edges, below array and total."""
+    for (edges, below, total), (want_edges, want_below, want_total) in zip(
+            counts, expected, strict=True):
+        np.testing.assert_array_equal(edges, want_edges)
+        np.testing.assert_array_equal(below, want_below)
+        assert total == want_total
 
 
 def _assert_binomial_histogram(wrong: np.ndarray, l: int, e_y: float) -> None:
@@ -267,37 +277,38 @@ class TestDeterminism:
         wrong = np.concatenate(
             [_chunk_counts(key, s.l, s.e_y, c, n) for c, n in enumerate(sizes)]
         )
-        np.testing.assert_array_equal(
-            _dense(s, trials, seed, workers=2), np.bincount(wrong, minlength=s.l + 1))
+        for workers in (1, 2):
+            (edges, below, total), = _cut_counts([s], trials, seed, workers)
+            np.testing.assert_array_equal(below, (wrong < edges[..., None]).sum(axis=-1))
+            assert total == wrong.sum()
         assert bound_report(s, trials, seed).checks[0].mc_estimate == wrong.sum() / (trials * s.l)
         assert tally.success == np.count_nonzero(s.l - wrong > s.l / 2)
 
     def test_threaded_schedule_equals_the_serial_one(self, monkeypatch):
         # eight threads and a short switch interval finish the jobs out of
-        # order; the calling thread's merges must still give the serial spans
+        # order; the calling thread's sums must still give the serial counts
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         scenarios = [InstanceScenario(l=l, y=1, e_plus=0.3, e_minus=0.3)
                      for l in (1, 3, 8, 60, 300)]
         trials = 2 * _CHUNK_TRIALS + 5
-        serial, threaded = _histograms(scenarios, trials, 9, workers=1), []
+        serial, threaded = _cut_counts(scenarios, trials, 9, workers=1), []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             worker = threading.Thread(
-                target=lambda: threaded.append(_histograms(scenarios, trials, 9, workers=8)))
+                target=lambda: threaded.append(_cut_counts(scenarios, trials, 9, workers=8)))
             worker.start()
             worker.join(timeout=120)
             assert not worker.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        for (lo, counts), (serial_lo, serial_counts) in zip(threaded[0], serial, strict=True):
-            assert counts.sum() == trials and lo == serial_lo
-            np.testing.assert_array_equal(counts, serial_counts)
+        assert all((below[:, -1] == trials).all() for _, below, _ in serial)
+        _assert_same_counts(threaded[0], serial)
 
     def test_the_pool_has_at_most_one_thread_per_cpu(self, monkeypatch):
         # 40 one-chunk jobs at workers=64 would otherwise ask for 40 threads
         scenarios = [InstanceScenario(l=l, y=1, e_plus=0.2, e_minus=0.2) for l in range(1, 41)]
-        serial = _histograms(scenarios, 1000, 4, workers=1)
+        serial = _cut_counts(scenarios, 1000, 4, workers=1)
         sizes, executor = [], mcsim.ThreadPoolExecutor
 
         def recording(max_workers=None, **kwargs):
@@ -306,11 +317,9 @@ class TestDeterminism:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(mcsim, "ThreadPoolExecutor", recording)
-        threaded = _histograms(scenarios, 1000, 4, workers=64)
+        threaded = _cut_counts(scenarios, 1000, 4, workers=64)
         assert sizes == [2]
-        for (lo, counts), (serial_lo, serial_counts) in zip(threaded, serial, strict=True):
-            assert lo == serial_lo
-            np.testing.assert_array_equal(counts, serial_counts)
+        _assert_same_counts(threaded, serial)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_schedule_holds_a_few_jobs_whatever_the_trial_count(self, monkeypatch, workers):
@@ -329,7 +338,7 @@ class TestDeterminism:
         tracemalloc.start()
         try:
             with pytest.raises(RuntimeError, match="draw failed"):
-                _histograms([s], 10**15, 1, workers)
+                _cut_counts([s], 10**15, 1, workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -499,7 +508,7 @@ class TestSharedDraw:
 
     @pytest.mark.parametrize("s", [
         InstanceScenario(l=9, y=-1, e_plus=0.1, e_minus=0.5, smoothing_a=0.3),
-        # no trial draws few wrong labels, so the chunk's bincount starts above 0
+        # no trial draws few wrong labels, so the lowest cuts count no trials
         InstanceScenario(l=200, y=1, e_plus=0.3, e_minus=0.2),
     ])
     def test_run_trials_equals_the_bound_report_tally(self, s):
@@ -507,7 +516,6 @@ class TestSharedDraw:
         report = bound_report(s, trials, seed)
         wrong = _chunk_counts(_stream_key(seed, s), s.l, s.e_y, 0, trials)
         hist = np.bincount(wrong, minlength=s.l + 1)
-        np.testing.assert_array_equal(_dense(s, trials, seed, workers=1), hist)
         for check in report.checks:
             tally = run_trials(s, check.treatment, trials, seed)
             table = _table(s, check.treatment)
@@ -568,7 +576,7 @@ class TestRunTrials:
         total = 50_000 * 6
         se = np.sqrt(0.35 * 0.65 / total)
         assert abs(check.mc_estimate - 0.35) < 4 * se
-        flips = int(_dense(s, 50_000, 3, workers=1) @ np.arange(7))
+        flips = int(_dense(s, 50_000, 3) @ np.arange(7))
         assert check.mc_estimate == flips / total
         assert check.ci == _wilson_interval(flips, total)
 
@@ -616,7 +624,7 @@ class TestRunTrials:
             y = 1 if i % 2 else -1
             s = InstanceScenario(l=l, y=y, e_plus=e if y == 1 else 0.2,
                                  e_minus=e if y == -1 else 0.2)
-            hist = _dense(s, trials, seed=1000 + i, workers=1 + i % 2)
+            hist = _dense(s, trials, seed=1000 + i)
             assert hist.sum() == trials
             pmf = stats.binom.pmf(np.arange(l + 1), l, e)
             observed, expected = _pooled(hist, trials * pmf / pmf.sum())
@@ -1162,7 +1170,7 @@ class TestBoundReport:
         trials = 3000
         for i, s in enumerate(scenarios):
             seed = 100 + i
-            hist = _dense(s, trials, seed, workers=1)
+            hist = _dense(s, trials, seed)
             pmf = stats.binom.pmf(np.arange(s.l + 1), s.l, s.e_y)
             for check in bound_report(s, trials, seed).checks:
                 if check.treatment is Treatment.MEMORIZE:
@@ -1175,7 +1183,7 @@ class TestBoundReport:
                 np.testing.assert_allclose(check.exact, pmf[wrong].sum(), rtol=1e-12, atol=1e-15)
 
     def test_ten_million_labels_report_in_flat_memory(self):
-        # no (l + 1)-entry table: the report reads a few cuts and one span
+        # no (l + 1)-entry table: the report reads a few cuts and their counts
         s = InstanceScenario(l=10**7, y=1, e_plus=0.2, e_minus=0.2)
         bound_report(InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2), 2000, seed=3)
         started = time.perf_counter()
@@ -1188,6 +1196,40 @@ class TestBoundReport:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20 and elapsed < 0.3, (peak, elapsed)
+
+    def test_the_largest_l_reports_in_flat_memory(self):
+        # each job holds its chunk and its counts below a few cuts, however
+        # widely the wrong counts spread (sigma is about 4.3e7 here)
+        s = InstanceScenario(l=2**53, y=1, e_plus=0.3, e_minus=0.3)
+        bound_report(InstanceScenario(l=10, y=1, e_plus=0.3, e_minus=0.3), 2000, seed=3)
+        tracemalloc.start()
+        try:
+            report = bound_report(s, trials=2000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
+        assert abs(report.checks[0].mc_estimate - 0.3) < 1e-6
+
+    def test_the_wrong_label_total_is_exact_at_every_count(self, monkeypatch):
+        # 4,096 draws of 2**52 wrong labels sum to 2**64, which int64 wraps to 0
+        s = InstanceScenario(l=2**53, y=1, e_plus=0.3, e_minus=0.3)
+        monkeypatch.setattr(mcsim, "_chunk_counts",
+                            lambda key, l, e_y, chunk, count: np.full(count, 2**52, np.int64))
+        check = bound_report(s, trials=4096, seed=1).checks[0]
+        assert check.treatment is Treatment.MEMORIZE and check.mc_estimate == 0.5
+        assert check.ci == _wilson_interval(4096 * 2**52, 4096 * 2**53)
+        # draws of 0 and l alternate, over a full chunk and a partial one
+        monkeypatch.setattr(mcsim, "_chunk_counts",
+                            lambda key, l, e_y, chunk, count: np.resize(np.array([0, l]), count))
+        trials = _CHUNK_TRIALS + 3
+        zeros = _CHUNK_TRIALS // 2 + 2
+        (edges, below, total), = _cut_counts([s], trials, 1, workers=2)
+        assert total == (trials - zeros) * s.l
+        np.testing.assert_array_equal(
+            below, np.where(edges == 0, 0, np.where(edges <= s.l, zeros, trials)))
+        check = bound_report(s, trials, seed=1, workers=2).checks[0]
+        assert check.mc_estimate == (trials - zeros) / trials
 
     def test_a_million_labels_per_trial_stay_cheap_and_agree_with_the_oracle(self):
         # one binomial count per trial: l = 1e6 costs what l = 10 does
@@ -1222,6 +1264,18 @@ class TestSweep:
         solo = [bound_report(s, trials, seed=11) for s in scenarios]
         for workers in (1, 2, 3):
             assert sweep(scenarios, trials, seed=11, workers=workers) == solo, workers
+
+    def test_a_repeat_whose_p_minus_moves_an_edge_shares_the_draw(self):
+        # p_minus enters no stream key, but within its 1e-9 tolerance it can
+        # move a peer edge: the shared draw is counted below both edge sets
+        a = InstanceScenario(l=8, y=1, e_plus=0.25, e_minus=0.25, p_plus=0.75)
+        b = InstanceScenario(l=8, y=1, e_plus=0.25, e_minus=0.25, p_plus=0.75,
+                             p_minus=0.25 - 1e-10)
+        assert (_stream_key(1, a) == _stream_key(1, b)).all()
+        edges_a, edges_b = _edges(_params([a, b]))
+        assert 3 in edges_a and 3 not in edges_b  # a's peer edge 3 is no edge of b
+        for pair in ([a, b], [b, a]):
+            assert sweep(pair, 3000, seed=1) == [bound_report(s, 3000, seed=1) for s in pair]
 
     def test_preserves_input_order_and_substream_isolation(self):
         a = InstanceScenario(l=4, y=1, e_plus=0.2, e_minus=0.2)
