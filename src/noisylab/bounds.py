@@ -64,28 +64,6 @@ class BoundValue:
             raise ValueError(f"{self.kind.value} bound must lie in [0, 1], got {self.value}")
 
 
-def _bernoulli_kl(a: float, b: float) -> float:
-    """KL(a || b) between Bernoulli(a) and Bernoulli(b), with 0*log 0 = 0.
-
-    b in {0, 1} is only admissible when a pins the same point mass;
-    otherwise the divergence is infinite and we refuse rather than return inf.
-    """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"a must lie in [0, 1], got {a}")
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"b must lie in [0, 1], got {b}")
-    if b == 0.0 and a != 0.0:
-        raise ValueError("KL(a || 0) diverges for a > 0")
-    if b == 1.0 and a != 1.0:
-        raise ValueError("KL(a || 1) diverges for a < 1")
-    out = 0.0
-    if a > 0.0:
-        out += a * math.log(a / b)
-    if a < 1.0:
-        out += (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
-    return out
-
-
 def binom_tail(l: int, p: float, k: int) -> float:
     """Exact upper tail P[Bin(l, p) >= k].
 
@@ -129,7 +107,8 @@ def lc_failure_lower(l: int, e: float) -> float:
         raise ValueError(f"l must be >= 1, got {l}")
     if not 0.0 < e < 1.0:
         raise ValueError(f"e must lie in (0, 1), got {e}")
-    return math.exp(-l * _bernoulli_kl(0.5, e)) / math.sqrt(2.0 * l)
+    kl = 0.5 * math.log(0.5 / e) + 0.5 * math.log(0.5 / (1.0 - e))
+    return math.exp(-l * kl) / math.sqrt(2.0 * l)
 
 
 def peer_success_lower(l: int, p_opposite: float, e_plus: float, e_minus: float) -> float:

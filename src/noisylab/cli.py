@@ -299,7 +299,7 @@ def _synth_rows(doc: dict) -> list[dict]:
     synth = InstanceNoiseSynth.sample(
         doc["epsilon"], doc["feature_dim"], rng, sigma=doc.get("sigma", 0.1)
     )
-    table = np.empty((doc["count"], 3))  # a count no array can hold fails here, before any draw
+    table = np.empty((doc["count"], 3))
     for start in range(0, len(table), _CHUNK_ROWS):
         features = rng.standard_normal((min(_CHUNK_ROWS, len(table) - start), doc["feature_dim"]))
         table[start : start + len(features)] = np.column_stack(synth.draw_rows(features, rng))
@@ -344,8 +344,10 @@ _COMMANDS = {
     "bounds": _Command(_ONE_SCENARIO, _report_rows(headline_only=False)),
     "sweep": _Command((_TRIALS, _check_scenarios, _check_grid), _report_rows(headline_only=True)),
     "noise-synth": _Command(
-        # two chunks of features take 64 KiB per feature: 1 GiB at the ceiling
-        ({**_SYNTH_FIELDS, "count": _COUNT, "feature_dim": replace(_COUNT, hi=2**14),
+        # the rows, held until the write, take about 544 B each: 0.53 GiB at the count
+        # ceiling; two chunks of features take 64 KiB per feature: 1 GiB at the ceiling
+        ({**_SYNTH_FIELDS, "count": replace(_COUNT, hi=2**20),
+          "feature_dim": replace(_COUNT, hi=2**14),
           **_OPTIONAL_TRIALS},),
         _synth_rows, SYNTH_COLUMNS,
     ),

@@ -216,23 +216,16 @@ def capped(prior: PriorSpec, cap: float) -> PriorSpec:
     total = float(np.sum(values))
     order = np.argsort(values)[::-1]
     sorted_vals = values[order]
-    tail_sums = np.concatenate([np.cumsum(sorted_vals[::-1])[::-1], [0.0]])
-    out_sorted = None
-    for k in range(n + 1):
-        # k largest entries pinned at cap, the rest scaled by c
-        budget = total - k * cap
-        if budget < -1e-15:
-            break
-        if k == n:
-            out_sorted = np.full(n, cap)
-            break
-        c = budget / tail_sums[k]
-        if c * sorted_vals[k] <= cap * (1.0 + 1e-12) and (
-            k == 0 or c * sorted_vals[k - 1] >= cap * (1.0 - 1e-12)
-        ):
-            out_sorted = np.minimum(c * sorted_vals, cap)
-            break
-    if out_sorted is None:
+    tail_sums = np.cumsum(sorted_vals[::-1])[::-1]
+    # the first k whose scale fits: k largest entries pinned at cap, the rest scaled by c
+    c = (total - np.arange(n) * cap) / tail_sums
+    fits = c * sorted_vals <= cap * (1.0 + 1e-12)
+    fits[1:] &= c[1:] * sorted_vals[:-1] >= cap * (1.0 - 1e-12)
+    if fits.any():
+        out_sorted = np.minimum(c[fits.argmax()] * sorted_vals, cap)
+    elif total - n * cap >= -1e-15:
+        out_sorted = np.full(n, cap)
+    else:
         raise RuntimeError("waterfilling failed to find a feasible scale")
     out = np.empty_like(values)
     out[order] = out_sorted
@@ -382,9 +375,7 @@ def tau_exact(prior: PriorSpec, n: int, l: int) -> float:
     if n > l:  # the n == l edge stays free of 0 * log(0)
         with np.errstate(divide="ignore"):
             w = w + (n - l) * np.log1p(-values)
-    top = float(np.max(w))
-    if not math.isfinite(top):
-        raise ValueError("tau is undefined: every prior value has zero moment weight")
+    top = float(np.max(w))  # finite: the values differ and none exceeds 1, so one is below 1
     u = np.exp(w - top)
     return float(np.dot(values, u) / np.sum(u))
 

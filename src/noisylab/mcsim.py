@@ -15,7 +15,7 @@ seed), shared by the four treatments and independent of worker count.
 Trials are cut into fixed chunks of _CHUNK_TRIALS; chunk c draws its counts
 from its own Philox counter range [0, 0, 0, c] under a key derived from
 (seed, scenario fields), so they are a pure function of (key, chunk),
-whichever worker draws them.  A sweep runs every (distinct key, chunk) job
+whichever worker draws them.  A sweep runs every (scenario, chunk) job
 of its batch on up to `workers` threads, at most one per CPU, and the
 calling thread alone adds the counts they return, in job order.
 A chunk's counts are the integers Generator.binomial(l, e_y) draws from
@@ -343,41 +343,38 @@ def _cut_counts(scenarios, trials: int, seed: int,
     """Each scenario's block edges (see _edges), its trials whose wrong count lies below
     each edge, both (4, 4), and its exact wrong-label total.
 
-    Each (distinct key, chunk) job of the batch counts its chunk below the key's
+    Each (scenario, chunk) job of the batch counts its chunk below the scenario's
     distinct edges and sums its wrong labels; up to `workers` threads, at most one
     per CPU, run the jobs, taken from a generator two per thread at a time, and
     only the calling thread adds their counts, as Python ints, in job order.
-    Repeated scenarios share one key and draw.
+    A repeated scenario draws again, from the same stream.
     """
     raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS))
     edges = _edges(_params(scenarios))
+    cuts = [np.unique(e) for e in edges]
     keys = [_stream_key(seed, s) for s in scenarios]
-    distinct = {}
-    for key, s, e in zip(keys, scenarios, edges):  # a repeat's p_minus may move its edges
-        k = key.tobytes()
-        distinct[k] = (key, s, np.union1d(distinct[k][2], e) if k in distinct else np.unique(e))
     chunks = -(-trials // _CHUNK_TRIALS)
-    jobs = ((k, c) for k in distinct for c in range(chunks))
+    jobs = ((i, c) for i in range(len(scenarios)) for c in range(chunks))
 
-    def job(task: tuple[bytes, int]) -> tuple[bytes, list[int], int]:
-        k, chunk = task
-        (key, s, cuts), count = distinct[k], min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
-        wrong = _chunk_counts(key, s.l, s.e_y, chunk, count)
+    def job(task: tuple[int, int]) -> tuple[int, list[int], int]:
+        i, chunk = task
+        s, count = scenarios[i], min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
+        wrong = _chunk_counts(keys[i], s.l, s.e_y, chunk, count)
         # cuts run from 0 to l + 1: no count lies below the first, every count below the last
-        below = [0, *(int(np.count_nonzero(wrong < c)) for c in cuts[1:-1]), count]
+        below = [0, *(int(np.count_nonzero(wrong < c)) for c in cuts[i][1:-1]), count]
         # the high and low 32-bit halves each sum below 2**48 over a chunk, so both are exact
-        return k, below, (int((wrong >> 32).sum()) << 32) + int((wrong & 0xFFFFFFFF).sum())
+        return i, below, (int((wrong >> 32).sum()) << 32) + int((wrong & 0xFFFFFFFF).sum())
 
-    below = {k: [0] * cuts.size for k, (_, _, cuts) in distinct.items()}
-    total = dict.fromkeys(distinct, 0)
-    threads = min(workers, len(distinct) * chunks, os.cpu_count() or 1)
+    below = [[0] * c.size for c in cuts]
+    total = [0] * len(scenarios)
+    threads = min(workers, len(scenarios) * chunks, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         while batch := list(islice(jobs, 2 * threads)):
-            for k, counts, wrong in (pool.map if pool else map)(job, batch):
-                below[k] = [a + b for a, b in zip(below[k], counts)]
-                total[k] += wrong
-    return [(e, np.array(below[k])[distinct[k][2].searchsorted(e)], total[k])
-            for k, e in zip((key.tobytes() for key in keys), edges)]
+            for i, counts, wrong in (pool.map if pool else map)(job, batch):
+                below[i] = [a + b for a, b in zip(below[i], counts)]
+                total[i] += wrong
+    return [(e, np.array(b)[c.searchsorted(e)], t)
+            for e, b, c, t in zip(edges, below, cuts, total)]
 
 
 def run_trials(scenario: InstanceScenario, treatment: Treatment, trials: int, seed: int,
@@ -552,9 +549,9 @@ def sweep(scenarios, trials: int, seed: int, workers: int = 1) -> list[BoundRepo
     Every (scenario, chunk) of the batch is one job for the `workers`
     threads.  Substreams are keyed by (seed, scenario fields), so the same
     scenario produces the same rows whether simulated alone or inside any
-    sweep, at any worker count, and identical scenarios repeated in one
-    sweep share one draw and repeat their rows.  Within a scenario the four
-    treatments' rows come from the same trials.
+    sweep, at any worker count; a scenario repeated in one sweep is drawn
+    again, from the same stream, and repeats its rows.  Within a scenario
+    the four treatments' rows come from the same trials.
     """
     scenarios = list(scenarios)
     if not scenarios:

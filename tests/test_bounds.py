@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from noisylab import (
     BoundKind,
@@ -22,7 +22,6 @@ from noisylab import (
     peer_failure_lower,
     peer_success_lower,
 )
-from noisylab.bounds import _bernoulli_kl
 
 
 def _tail_by_enumeration(l: int, p: float, k: int) -> float:
@@ -33,42 +32,31 @@ def _tail_by_enumeration(l: int, p: float, k: int) -> float:
 
 
 class TestBernoulliKl:
+    """KL(1/2 || e), the one divergence lc_failure_lower reads, through its l = 1 value."""
+
+    @staticmethod
+    def _kl(e: float) -> float:
+        # lc_failure_lower(1, e) = exp(-KL(1/2 || e)) / sqrt(2)
+        return -math.log(lc_failure_lower(1, e) * math.sqrt(2.0))
+
     def test_anchor_half_vs_fifth(self):
-        np.testing.assert_allclose(_bernoulli_kl(0.5, 0.2), 0.22314355131420976, rtol=1e-14)
+        np.testing.assert_allclose(self._kl(0.2), 0.22314355131420976, rtol=1e-14)
         # same number from the defining formula, written out independently
         direct = 0.5 * math.log(0.5 / 0.2) + 0.5 * math.log(0.5 / 0.8)
-        np.testing.assert_allclose(_bernoulli_kl(0.5, 0.2), direct, rtol=1e-15)
+        np.testing.assert_allclose(self._kl(0.2), direct, rtol=1e-14)
 
     def test_identity_is_zero(self):
-        for a in (0.0, 0.3, 0.5, 0.9, 1.0):
-            assert _bernoulli_kl(a, a) == 0.0
+        # KL(1/2 || 1/2) = 0 exactly, so the floor is 1/sqrt(2l) exactly
+        for l in (1, 2, 7, 100, 2**53):
+            assert lc_failure_lower(l, 0.5) == 1.0 / math.sqrt(2.0 * l)
 
     def test_nonnegative_everywhere(self):
+        # KL >= 0, so no rate lifts the floor past 1/sqrt(2l)
         rng = np.random.default_rng(42)
         for _ in range(2000):
-            a = float(rng.uniform(0.0, 1.0))
-            b = float(rng.uniform(1e-9, 1.0 - 1e-9))
-            assert _bernoulli_kl(a, b) >= 0.0
-
-    def test_point_mass_edges(self):
-        # a = 0 keeps only the (1-a) term; a = 1 only the a term
-        np.testing.assert_allclose(_bernoulli_kl(0.0, 0.3), -math.log1p(-0.3), rtol=1e-15)
-        np.testing.assert_allclose(_bernoulli_kl(1.0, 0.3), -math.log(0.3), rtol=1e-15)
-
-    def test_divergent_reference_rejected(self):
-        with pytest.raises(ValueError):
-            _bernoulli_kl(0.5, 0.0)
-        with pytest.raises(ValueError):
-            _bernoulli_kl(0.5, 1.0)
-        # matching point masses are fine
-        assert _bernoulli_kl(0.0, 0.0) == 0.0
-        assert _bernoulli_kl(1.0, 1.0) == 0.0
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            _bernoulli_kl(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            _bernoulli_kl(0.5, 1.1)
+            l = int(rng.integers(1, 400))
+            e = float(rng.uniform(1e-9, 1.0 - 1e-9))
+            assert lc_failure_lower(l, e) <= 1.0 / math.sqrt(2.0 * l)
 
 
 def _rational_tail(l: int, p: float, k: int) -> Fraction:
@@ -184,8 +172,11 @@ class TestFailureLowerBound:
         for _ in range(300):
             l = int(rng.integers(1, 200))
             e = float(rng.uniform(0.01, 0.99))
-            direct = math.exp(-l * _bernoulli_kl(0.5, e)) / math.sqrt(2.0 * l)
-            np.testing.assert_allclose(lc_failure_lower(l, e), direct, rtol=1e-14)
+            # KL(1/2 || e) from scipy's elementwise x log(x / y), an independent route
+            kl = special.rel_entr(0.5, e) + special.rel_entr(0.5, 1.0 - e)
+            direct = math.exp(-l * kl) / math.sqrt(2.0 * l)
+            # KL's absolute rounding error, below 1e-16, grows l-fold through the exponential
+            np.testing.assert_allclose(lc_failure_lower(l, e), direct, rtol=1e-15 * l)
 
     def test_floors_tie_inclusive_tail_at_even_l(self):
         for l in (4, 10, 20, 50, 100):

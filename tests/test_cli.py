@@ -531,8 +531,8 @@ class TestNoiseSynthCommand:
              "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=60, check=False,
         )
-        assert result.returncode == 3
-        assert result.stderr.startswith("runtime error: ")
+        assert result.returncode == 2
+        assert result.stderr == f"count: must be <= 1048576, got {10**400}\n"
         assert not out.exists()
 
 
@@ -979,6 +979,14 @@ class TestFrozenErrors:
              f"replicates: must be <= 16777216, got {10**400}\n"),
             ("noise-synth", {**_N, "feature_dim": 10**400},
              f"feature_dim: must be <= 16384, got {10**400}\n"),
+            # messages no other case reaches
+            ("weight", _without(_W, "prior"), "prior: prior required\n"),
+            ("weight", {**_W, "prior": None}, "prior: prior required\n"),
+            ("weight", {**_W, "prior": 5}, "prior: must be an object\n"),
+            ("weight", {**_W, "prior": {"generator": "explicit", "values": []}},
+             "prior.values: explicit prior needs a nonempty list of values\n"),
+            # the rows are held until the write, about 544 B each
+            ("noise-synth", {**_N, "count": 2**20 + 1}, "count: must be <= 1048576, got 1048577\n"),
         ],
         ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
              "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate",
@@ -992,10 +1000,20 @@ class TestFrozenErrors:
              "overflowing-l", "l-past-2**53", "l-past-2**53-in-scenarios", "grid-l-past-2**53",
              "overflowing-n", "overflowing-trials", "trials-past-2**53",
              "overflowing-trials-unread", "overflowing-n_values", "overflowing-mc_replicates",
-             "overflowing-weight_replicates", "overflowing-replicates", "overflowing-feature_dim"],
+             "overflowing-weight_replicates", "overflowing-replicates", "overflowing-feature_dim",
+             "prior-absent", "prior-null", "prior-not-an-object", "explicit-values-empty",
+             "count-past-2**20"],
     )
     def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
         assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)
+
+    @pytest.mark.parametrize("command", ["weight", "validate"])
+    def test_a_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, command):
+        config = _write_config(tmp_path, [1, 2])
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "config: must be a JSON object\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, doc", [
         ("tau", {"seed": 1, "n": 100, "l": [2], "prior": {"generator": "uniform", "n_values": 10}}),

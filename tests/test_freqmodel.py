@@ -134,13 +134,19 @@ class TestBuildPrior:
 class TestCapped:
     def test_total_preserved_and_cap_respected(self):
         rng = np.random.default_rng(21)
-        for _ in range(200):
+        for i in range(500):
             n = int(rng.integers(2, 50))
             raw = rng.uniform(0.01, 1.0, size=n)
-            raw = raw / raw.sum()  # normalized input
-            cap = float(rng.uniform(1.5 / n, 0.9))
+            if i < 200:  # normalized input, caps well inside feasibility
+                raw = raw / raw.sum()
+                cap = float(rng.uniform(1.5 / n, 0.9))
+            else:  # skewed input of any total, caps from the feasibility edge up
+                raw = raw ** float(rng.uniform(1.0, 8.0))
+                cap = min(1.0, float(raw.sum()) / n * float(rng.uniform(1.0, 1.5)))
             out = capped(PriorSpec(raw), cap)
-            assert out.values.max() <= cap * (1.0 + 1e-12)
+            assert (out.values <= cap).all()
+            # ties may order either way, so compare values in the input's rank order
+            assert (np.diff(out.values[np.argsort(raw, kind="stable")]) >= 0).all()
             np.testing.assert_allclose(out.values.sum(), raw.sum(), rtol=1e-12)
 
     def test_rank_order_preserved(self):
@@ -159,6 +165,13 @@ class TestCapped:
         raw = np.array([0.2, 0.3, 0.5])
         out = capped(PriorSpec(raw), 0.5)
         np.testing.assert_allclose(out.values, raw, rtol=1e-12)
+
+    def test_a_cap_just_inside_feasibility_pins_every_entry(self):
+        # n * cap falls 5e-13 short of the total, within the 1e-12 feasibility
+        # tolerance, and no scale fits: every entry sits at the cap
+        cap = (1 - 5e-13) / 3
+        out = capped(PriorSpec(np.array([0.5, 0.3, 0.2])), cap).values
+        assert (out == cap).all()
 
     def test_infeasible_cap_rejected(self):
         with pytest.raises(ValueError):

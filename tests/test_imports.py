@@ -249,6 +249,12 @@ def test_every_export_has_a_reader():
             if name not in exports or name in read or name not in _code_names(ROOT / test)] == []
 
 
+def test_the_readme_states_the_export_count():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"`noisylab/__init__\.py`\s+exports\s+(\d+)\s+names", text)
+    assert stated == [str(len(_exports()))]
+
+
 # Members read only under a name that another exported class also has, with
 # the module that reads each one.
 SHARED_NAMES = {

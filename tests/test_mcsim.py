@@ -468,6 +468,18 @@ class TestInversionDraws:
             assert set(np.unique(got)) <= {0, 1}
 
 
+def _record_draws(monkeypatch) -> list[tuple[bytes, int]]:
+    """Make mcsim's draws also append each (key bytes, chunk) they draw to the list returned."""
+    draws = []
+
+    def counting(key, l, e_y, chunk, count):
+        draws.append((key.tobytes(), chunk))
+        return _chunk_counts(key, l, e_y, chunk, count)
+
+    monkeypatch.setattr(mcsim, "_chunk_counts", counting)
+    return draws
+
+
 class TestSharedDraw:
     """Every treatment of a scenario reads the same wrong-label counts."""
 
@@ -486,25 +498,20 @@ class TestSharedDraw:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bound_report_draws_each_chunk_once(self, monkeypatch, workers):
-        draws = []
-
-        def counting(key, l, e_y, chunk, count):
-            draws.append((key.tobytes(), chunk))
-            return _chunk_counts(key, l, e_y, chunk, count)
-
-        monkeypatch.setattr(mcsim, "_chunk_counts", counting)
+        draws = _record_draws(monkeypatch)
         s = InstanceScenario(l=6, y=-1, e_plus=0.1, e_minus=0.3)
         trials = 2 * _CHUNK_TRIALS + 5
         bound_report(s, trials=trials, seed=3, workers=workers)
         key = _stream_key(3, s).tobytes()
         assert sorted(draws) == [(key, 0), (key, 1), (key, 2)]
-        # a sweep draws each (key, chunk) of its batch once; a repeated
-        # scenario shares its key, hence its draws
+        # a sweep draws each (scenario, chunk) of its batch once; a repeated
+        # scenario draws its chunks again, from its own key, and repeats its rows
         others = [InstanceScenario(l=l, y=1, e_plus=0.2, e_minus=0.2) for l in (1, 5, 9)]
         draws.clear()
-        sweep([s, *others, s], trials=trials, seed=3, workers=workers)
-        keys = [_stream_key(3, x).tobytes() for x in (s, *others)]
+        reports = sweep([s, *others, s], trials=trials, seed=3, workers=workers)
+        keys = [_stream_key(3, x).tobytes() for x in (s, *others, s)]
         assert sorted(draws) == sorted((k, c) for k in keys for c in range(3))
+        assert reports[0] == reports[-1] == bound_report(s, trials=trials, seed=3)
 
     @pytest.mark.parametrize("s", [
         InstanceScenario(l=9, y=-1, e_plus=0.1, e_minus=0.5, smoothing_a=0.3),
@@ -1265,17 +1272,22 @@ class TestSweep:
         for workers in (1, 2, 3):
             assert sweep(scenarios, trials, seed=11, workers=workers) == solo, workers
 
-    def test_a_repeat_whose_p_minus_moves_an_edge_shares_the_draw(self):
+    def test_a_repeat_whose_p_minus_moves_an_edge_shares_the_draw(self, monkeypatch):
         # p_minus enters no stream key, but within its 1e-9 tolerance it can
-        # move a peer edge: the shared draw is counted below both edge sets
+        # move a peer edge: each scenario draws the shared stream itself and
+        # counts it below its own edges, as it does alone
         a = InstanceScenario(l=8, y=1, e_plus=0.25, e_minus=0.25, p_plus=0.75)
         b = InstanceScenario(l=8, y=1, e_plus=0.25, e_minus=0.25, p_plus=0.75,
                              p_minus=0.25 - 1e-10)
         assert (_stream_key(1, a) == _stream_key(1, b)).all()
         edges_a, edges_b = _edges(_params([a, b]))
         assert 3 in edges_a and 3 not in edges_b  # a's peer edge 3 is no edge of b
+        solo = {s: bound_report(s, 3000, seed=1) for s in (a, b)}
+        draws = _record_draws(monkeypatch)
         for pair in ([a, b], [b, a]):
-            assert sweep(pair, 3000, seed=1) == [bound_report(s, 3000, seed=1) for s in pair]
+            draws.clear()
+            assert sweep(pair, 3000, seed=1) == [solo[s] for s in pair]
+            assert draws == [(_stream_key(1, a).tobytes(), 0)] * 2
 
     def test_preserves_input_order_and_substream_isolation(self):
         a = InstanceScenario(l=4, y=1, e_plus=0.2, e_minus=0.2)
