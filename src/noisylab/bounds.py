@@ -15,6 +15,11 @@ import enum
 import math
 from dataclasses import dataclass
 
+from ._spec import _TYPES
+
+# _spec's integer types, read inline (a plain int first) since _report calls these often
+_INTEGER = _TYPES["integer"]
+
 __all__ = [
     "BoundKind",
     "BoundValue",
@@ -71,12 +76,12 @@ def binom_tail(l: int, p: float, k: int) -> float:
     (Abramowitz & Stegun 26.5.24) gives it as one regularized incomplete beta
     call, accurate to a few ulps in relative terms even in deep tails.
     """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if not 0 <= k <= l:
-        raise ValueError(f"threshold must lie in [0, l], got k={k} with l={l}")
+    if type(l) is not int and (isinstance(l, bool) or not isinstance(l, _INTEGER)) or l < 1:
+        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    if isinstance(p, bool) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    if type(k) is not int and (isinstance(k, bool) or not isinstance(k, _INTEGER)) or not 0 <= k <= l:
+        raise ValueError(f"threshold must be an integer in [0, l], got k={k!r} with l={l}")
     if k == 0:
         return 1.0
     return float(_special().betainc(k, l - k + 1, p))
@@ -89,10 +94,10 @@ def lc_success_lower(l: int, e: float) -> float:
     label when each flips independently with rate e <= 1/2.  At e = 1/2 the
     bound is vacuously 0.
     """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if not 0.0 <= e <= 0.5:
-        raise ValueError(f"e must lie in [0, 1/2], got {e}")
+    if type(l) is not int and (isinstance(l, bool) or not isinstance(l, _INTEGER)) or l < 1:
+        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    if isinstance(e, bool) or not 0.0 <= e <= 0.5:
+        raise ValueError(f"e must lie in [0, 1/2], got {e!r}")
     return -math.expm1(-2.0 * l * (0.5 - e) ** 2)
 
 
@@ -103,10 +108,10 @@ def lc_failure_lower(l: int, e: float) -> float:
     P[Bin(l, e) >= l/2]; asserted only at even l, where the tie point k=l/2
     is part of the event.  Requires e in (0, 1).
     """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if not 0.0 < e < 1.0:
-        raise ValueError(f"e must lie in (0, 1), got {e}")
+    if type(l) is not int and (isinstance(l, bool) or not isinstance(l, _INTEGER)) or l < 1:
+        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    if isinstance(e, bool) or not 0.0 < e < 1.0:
+        raise ValueError(f"e must lie in (0, 1), got {e!r}")
     kl = 0.5 * math.log(0.5 / e) + 0.5 * math.log(0.5 / (1.0 - e))
     return math.exp(-l * kl) / math.sqrt(2.0 * l)
 
@@ -121,14 +126,14 @@ def peer_success_lower(l: int, p_opposite: float, e_plus: float, e_minus: float)
     arXiv 1910.03231).  The bound weakens as the margin shrinks and is
     vacuously 0 at l = 0.
     """
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-    if not 0.0 < p_opposite < 1.0:
-        raise ValueError(f"p_opposite must lie in (0, 1), got {p_opposite}")
-    gap = 1.0 - e_plus - e_minus
-    if gap <= 0.0:
-        raise ValueError("e_plus + e_minus must be < 1")
-    return -math.expm1(-2.0 * l * (p_opposite * gap) ** 2)
+    if type(l) is not int and (isinstance(l, bool) or not isinstance(l, _INTEGER)) or l < 0:
+        raise ValueError(f"l must be an integer >= 0, got {l!r}")
+    if isinstance(p_opposite, bool) or not 0.0 < p_opposite < 1.0:
+        raise ValueError(f"p_opposite must lie in (0, 1), got {p_opposite!r}")
+    if (isinstance(e_plus, bool) or isinstance(e_minus, bool)
+            or not (0.0 <= e_plus < 1.0 and 0.0 <= e_minus < 1.0 and e_plus + e_minus < 1.0)):
+        raise ValueError(f"e_plus, e_minus must lie in [0, 1) and sum below 1, got {e_plus!r}, {e_minus!r}")
+    return -math.expm1(-2.0 * l * (p_opposite * (1.0 - e_plus - e_minus)) ** 2)
 
 
 def peer_failure_lower(l: int, e: float) -> float:

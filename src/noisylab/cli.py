@@ -44,6 +44,7 @@ from .mcsim import (
     _Z_95,
     STREAM_VERSION,
     InstanceScenario,
+    batch_violations,
     scenario_violations,
     sweep,
 )
@@ -100,7 +101,7 @@ _GRID_SET = ("l", "e_plus", "e_minus")
 
 @reads("scenario")
 def _check_scenario(doc: dict) -> list[str]:
-    return scenario_violations(doc.get("scenario"), "scenario")
+    return scenario_violations(doc.get("scenario"), "scenario") + batch_violations(1, doc.get("trials"))
 
 
 @reads("scenarios")
@@ -110,7 +111,9 @@ def _check_scenarios(doc: dict) -> list[str]:
         return [] if doc.get("grid") is not None else ["scenarios: sweep needs scenarios or grid"]
     if not isinstance(scenarios, list) or not scenarios:
         return ["scenarios: must be a nonempty list"]
-    return [v for i, s in enumerate(scenarios) for v in scenario_violations(s, f"scenarios[{i}]")]
+    # a batch past a ceiling is reported alone, before its entries are checked one by one
+    return batch_violations(len(scenarios), doc.get("trials")) or [
+        v for i, s in enumerate(scenarios) for v in scenario_violations(s, f"scenarios[{i}]")]
 
 
 def _grid_point(base: dict, l: int, e: float) -> dict:
@@ -145,7 +148,8 @@ def _check_grid(doc: dict) -> list[str]:
     # the base fields hold at every grid point once they hold at the largest
     # l (the n >= l rule); placeholders stand in for invalid lists
     point = _grid_point(base, max(valid.get("l", [1])), valid.get("e", [0.0])[0])
-    return violations + scenario_violations(point, "grid.base")
+    size = batch_violations(len(valid.get("l", ())) * len(valid.get("e", ())), doc.get("trials"), "grid")
+    return violations + scenario_violations(point, "grid.base") + size
 
 
 def validate_config(doc) -> list[str]:

@@ -297,6 +297,8 @@ _TAU_FIELDS = {
     "mc_replicates": replace(_MC_REPLICATES, lo=0, required=False),
     "weight_replicates": replace(_MC_REPLICATES, lo=1, required=False),
 }
+# tau_exact and tau_monte_carlo read no n - 1, so they take n = 1 too
+_N_AND_REPLICATES = {"n": replace(_TAU_FIELDS["n"], lo=1), "replicates": replace(_MC_REPLICATES, required=False)}
 _TAU_RULES = {
     "mc_replicates": ("mc_replicates", ("mc_replicates",),
                       lambda r: r == 0 or _MC_REPLICATES.violation(r) is None,
@@ -366,7 +368,7 @@ def tau_exact(prior: PriorSpec, n: int, l: int) -> float:
     common factor cancels exactly, and cancelling it symbolically keeps the
     point-mass identity exact in floating point.
     """
-    raise_first(_draw_count_violations({"n": n, "l": l}))
+    raise_first(field_violations({"n": n}, _N_AND_REPLICATES) + _draw_count_violations({"n": n, "l": l}))
     values = prior.values
     first = values[0]
     if np.all(values == first):
@@ -391,8 +393,8 @@ def tau_monte_carlo(
     from the per-replicate (numerator, denominator) pairs rescaled by a
     common shift, which cancels in both.
     """
-    raise_first(_draw_count_violations({"n": n, "l": l})
-                + field_violations({"replicates": replicates}, {"replicates": _MC_REPLICATES}))
+    raise_first(field_violations({"n": n, "replicates": replicates}, _N_AND_REPLICATES)
+                + _draw_count_violations({"n": n, "l": l}))
     lnum, lden, _ = _realizations(prior, rng, n=n, ls=[l], mc_replicates=replicates)
     return _tau_mc(lnum[0], lden[0])
 
@@ -417,7 +419,7 @@ def tau_lower_large(n: int, l: int, weight_value: float) -> float:
     weight_value is weight(pi, [2/3 (l-1)/(n-1), 4/3 l/n]); asserted when
     n >= 1e3, N >= 1e2, l <= n/10, and pi_max <= 1/20.  Vacuous at l = 1.
     """
-    raise_first(_draw_count_violations({"n": n, "l": l})
+    raise_first(tau_violations({"n": n, "l": l})
                 + field_violations({"weight_value": weight_value}, _WEIGHT_VALUE))
     return 0.4 * (l * (l - 1.0)) / (n * (n - 1.0)) * weight_value
 
@@ -429,13 +431,14 @@ def tau_lower_small(n: int, l: int, weight_value: float) -> float:
     geometric factor makes the bound less informative as l grows; at l = 1
     it is vacuous (zero).
     """
-    raise_first(_draw_count_violations({"n": n, "l": l})
+    raise_first(tau_violations({"n": n, "l": l})
                 + field_violations({"weight_value": weight_value}, _WEIGHT_VALUE))
     return 0.4 * ((l - 1.0) / (n - 1.0)) * (1.1 ** -l) * weight_value
 
 
 def large_interval(n: int, l: int) -> tuple[float, float]:
     """Frequency window the large-regime bound weighs: [2/3 (l-1)/(n-1), 4/3 l/n]."""
+    raise_first(tau_violations({"n": n, "l": l}))
     return (2.0 / 3.0) * (l - 1.0) / (n - 1.0), (4.0 / 3.0) * l / n
 
 

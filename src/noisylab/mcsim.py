@@ -63,20 +63,15 @@ __all__ = [
     "sweep",
 ]
 
-# 1: l uniforms per trial, trial i reading ceil(l/4) Philox blocks;
-# 2: one binomial wrong-label count per trial, in fixed-size chunks;
-# 3: freqmodel's tau moments and weight windows share one realization batch;
-# 4: exact columns are regularized incomplete beta tails (draws unchanged);
-# 5: one draw per trial shared by all four treatments, keyed by (seed, scenario);
-# 6: every outcome table is its comparator's margin, tied within _TIE_EPS (draws unchanged)
-# 7: equal rates read the loss-correction margin's scale-free tie rule (draws unchanged)
-# 8: noise-synth draws chunks of rows, each chunk's features before its q (others unchanged)
-STREAM_VERSION = 8
+STREAM_VERSION = 9  # the README's Determinism section says what each version changed
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
 _BLOCK, _GUIDE = 4096, 256  # uniforms per inversion block; guide bins, a power of 2
 _CUT_SLACK = 1e-12  # far above the walk's rounding: under 87 steps, 2 * 87 * 2**-53 = 2e-14
 _SUCCESS, _TIE, _FAILURE = 0, 1, 2
+# A batch holds about 4.5 KiB per scenario until the write, so 2**17 scenarios stay under 1 GiB;
+# a draw takes 40-96 ns with numpy's BTPE (one thread, 2-vCPU VM), so 2**40 take about a day.
+_MAX_SCENARIOS, _MAX_DRAWS = 2**17, 2**40
 
 
 class Treatment(enum.Enum):
@@ -191,6 +186,15 @@ def _wilson_interval(successes: int, total: int) -> tuple[float, float]:
     half = _Z_95 * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
     # the exact endpoints bracket p; min/max only absorb last-ulp rounding
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
+
+
+def batch_violations(count: int, trials, path: str = "scenarios") -> list[str]:
+    """At most _MAX_SCENARIOS scenarios, then (once trials fits its field) _MAX_DRAWS draws."""
+    if count > _MAX_SCENARIOS:
+        return [f"{path}: scenario count must be <= {_MAX_SCENARIOS}, got {count}"]
+    if _RUN_FIELDS["trials"].violation(trials) is None and count * trials > _MAX_DRAWS:
+        return [f"trials: scenarios x trials must be <= {_MAX_DRAWS}, got {count} x {trials}"]
+    return []
 
 
 def _stream_key(seed: int, scenario: InstanceScenario) -> np.ndarray:
@@ -349,7 +353,8 @@ def _cut_counts(scenarios, trials: int, seed: int,
     only the calling thread adds their counts, as Python ints, in job order.
     A repeated scenario draws again, from the same stream.
     """
-    raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS))
+    raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS)
+                + batch_violations(len(scenarios), trials))
     edges = _edges(_params(scenarios))
     cuts = [np.unique(e) for e in edges]
     keys = [_stream_key(seed, s) for s in scenarios]

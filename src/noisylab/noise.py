@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spec import Spec, field_violations, raise_first
+from ._spec import _COUNT, Spec, field_violations, raise_first
 from .bounds import _special
 
 __all__ = [
@@ -30,10 +30,13 @@ _RATE_RULES = {  # see BinaryNoiseRates for why the sum stays below 1
     "e_minus": ("e_plus", ("e_plus", "e_minus"), lambda a, b: a + b < 1.0,
                 lambda a, b: f"e_plus + e_minus must be < 1, got {a + b}"),
 }
+# q's window [0, 1] spans 1 / sigma standard deviations, so its uniforms span about
+# 0.4 / sigma next to 0.5, where doubles lie 2**-53 apart: 3.6e9 > 2**31 distinct q at 1e6
 _SYNTH_FIELDS = {
     "epsilon": Spec(lo=0.0, hi=1.0),
-    "sigma": Spec(lo=0.0, lo_open=True, required=False),
+    "sigma": Spec(lo=0.0, lo_open=True, hi=1e6, required=False),
 }
+_NORMAL = {"mean": Spec(), "sd": Spec(lo=0.0, lo_open=True), "size": Spec("integer", lo=0, nullable=True)}
 
 
 def _label_to_index(y: int) -> int:
@@ -62,45 +65,22 @@ class BinaryNoiseRates:
         return self.e_plus if _label_to_index(y) == 1 else self.e_minus
 
 
-def truncated_normal(
-    mean: float,
-    sd: float,
-    low: float,
-    high: float,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Sample a normal(mean, sd^2) conditioned on [low, high].
+def truncated_normal(mean: float, sd: float, low: float, high: float, rng: np.random.Generator,
+                     size: int | None = None):
+    """Sample a normal(mean, sd^2) conditioned on [low, high], by the inverse CDF.
 
-    Rejection sampling from the untruncated normal, which accepts nearly
-    always for the default sigma=0.1 band; when the window captures less
-    than half the mass the sampler switches to inverse-CDF so extreme means
-    stay cheap and exact.  Both paths consume the generator deterministically.
+    Each draw reads one uniform u between the normal CDF at the two window ends,
+    which may be infinite, and returns mean + sd * ndtri(u), clipped into the
+    window against rounding.  An empty window, or one whose mass rounds to zero, raises.
     """
-    if sd <= 0.0:
-        raise ValueError(f"sd must be positive, got {sd}")
-    if not low < high:
-        raise ValueError(f"need low < high, got [{low}, {high}]")
+    raise_first(field_violations({"mean": mean, "sd": sd, "size": size}, _NORMAL))
     special = _special()
     lo_cdf = float(special.ndtr((low - mean) / sd))
     hi_cdf = float(special.ndtr((high - mean) / sd))
-    accept_mass = hi_cdf - lo_cdf
-    if accept_mass <= 0.0:
-        raise ValueError("truncation window carries no mass")
-    n = 1 if size is None else int(size)
-    if accept_mass < 0.5:
-        u = rng.uniform(lo_cdf, hi_cdf, size=n)
-        out = mean + sd * special.ndtri(u)
-        out = np.clip(out, low, high)
-    else:
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            want = n - filled
-            draw = mean + sd * rng.standard_normal(want)
-            ok = draw[(draw >= low) & (draw <= high)]
-            out[filled : filled + ok.size] = ok
-            filled += ok.size
+    if not hi_cdf > lo_cdf:  # so also when low >= high, or either is NaN
+        raise ValueError(f"truncation window [{low}, {high}] carries no mass")
+    u = rng.uniform(lo_cdf, hi_cdf, size=1 if size is None else size)
+    out = np.clip(mean + sd * special.ndtri(u), low, high)
     return float(out[0]) if size is None else out
 
 
@@ -135,8 +115,7 @@ class InstanceNoiseSynth:
     def sample(
         cls, epsilon: float, dim: int, rng: np.random.Generator, sigma: float = 0.1
     ) -> "InstanceNoiseSynth":
-        if dim < 1:
-            raise ValueError(f"feature dimension must be >= 1, got {dim}")
+        raise_first(field_violations({"dim": dim}, {"dim": _COUNT}))
         return cls(epsilon=epsilon, w=rng.standard_normal(dim), sigma=sigma)
 
     def draw_rows(self, features, rng: np.random.Generator) -> tuple[np.ndarray, ...]:

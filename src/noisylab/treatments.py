@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._spec import Spec, field_violations, raise_first
 from .memorize import LabelDist, _label_counts, memorization_error
-from .noise import BinaryNoiseRates
+from .noise import _LABEL, BinaryNoiseRates
 
 __all__ = [
     "Comparison",
@@ -38,6 +39,11 @@ __all__ = [
 ]
 
 _TIE_EPS = 1e-12
+# the comparators' scalar arguments, each checked where it is given
+_UNIT = Spec(lo=0.0, hi=1.0, required=False)
+_ARGUMENTS = {"a": _UNIT, "global_noisy_positive_rate": _UNIT, "global_rate": _UNIT,
+              "predicted": replace(_LABEL["y"], required=False), "grid_points": Spec("integer", lo=3, required=False),
+              "q_min": Spec(lo=0.0, hi=0.5, lo_open=True, hi_open=True, required=False)}
 
 
 class Comparison(enum.Enum):
@@ -142,8 +148,7 @@ def lc_empirical_loss(labels, rates: BinaryNoiseRates, loss) -> float:
 
 def smoothed_label(dist: LabelDist, a: float) -> LabelDist:
     """Convex combination (1 - a) dist + (a/2) ones."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"smoothing weight must lie in [0, 1], got {a}")
+    raise_first(field_violations({"a": a}, _ARGUMENTS))
     if dist.signed:
         raise ValueError("smoothing applies to proper distributions")
     return LabelDist((1.0 - a) * dist.probs + a / 2)
@@ -181,8 +186,7 @@ class PeerDecision:
     tie: bool
 
     def __post_init__(self) -> None:
-        if self.predicted not in (-1, 1):
-            raise ValueError(f"predicted label must be -1 or +1, got {self.predicted}")
+        raise_first(field_violations({"predicted": self.predicted}, _ARGUMENTS))
         if self.tie != (abs(self.margin) <= _TIE_EPS):
             raise ValueError("tie flag must mirror a zero margin")
 
@@ -193,8 +197,7 @@ def peer_predict(dist_local: LabelDist, global_noisy_positive_rate: float) -> Pe
     margin = P[+1 | x] - global rate.  At zero margin the objective is
     flat; the decision is a tie and predicts +1.
     """
-    if not 0.0 <= global_noisy_positive_rate <= 1.0:
-        raise ValueError(f"global rate must lie in [0, 1], got {global_noisy_positive_rate}")
+    raise_first(field_violations({"global_noisy_positive_rate": global_noisy_positive_rate}, _ARGUMENTS))
     margin = float(dist_local.probs[1]) - global_noisy_positive_rate
     tie = abs(margin) <= _TIE_EPS
     return PeerDecision(predicted=1 if tie or margin > 0 else -1, margin=margin, tie=tie)
@@ -268,8 +271,6 @@ def _peer_instance_objective(
     The coefficient of -log q is the decision margin, so the objective is
     monotone in q and flat exactly when the margin vanishes.
     """
-    if not 0.0 <= global_rate <= 1.0:
-        raise ValueError(f"global rate must lie in [0, 1], got {global_rate}")
     q = np.clip(np.asarray(q, dtype=float), q_min, 1.0 - q_min)
     p = float(dist_local.probs[1])
     ce_local = -(p * np.log(q) + (1.0 - p) * np.log1p(-q))
@@ -286,8 +287,8 @@ def peer_vertex_check(
     sits at a grid boundary; a zero margin leaves it flat (the returned
     point is then the first grid entry).
     """
-    if grid_points < 3:
-        raise ValueError(f"grid needs at least 3 points, got {grid_points}")
+    raise_first(field_violations({"global_rate": global_rate, "grid_points": grid_points,
+                                  "q_min": q_min}, _ARGUMENTS))
     grid = np.linspace(q_min, 1.0 - q_min, grid_points)
     objective = _peer_instance_objective(dist_local, global_rate, grid, q_min=q_min)
     return float(grid[int(np.argmin(objective))])

@@ -196,6 +196,16 @@ class TestValidateConfig:
         }
         assert any(v.startswith("scenarios[1].") for v in validate_config(doc))
 
+    def test_batch_ceilings_admit_their_edges(self):
+        # validated, never run: each config draws 2**40 counts or holds 2**17 scenarios
+        grid = {"l": list(range(1, 1025)), "e": [i / 256 for i in range(128)]}
+        assert validate_config({"command": "sweep", "seed": 1, "trials": 2**23, "grid": grid}) == []
+        scenario = {"l": 4, "y": 1, "e_plus": 0.1, "e_minus": 0.1}
+        doc = {"command": "bounds", "seed": 1, "trials": 2**40, "scenario": scenario}
+        assert validate_config(doc) == []
+        doc = {"command": "sweep", "seed": 1, "trials": 2**23, "scenarios": [scenario] * 2**17}
+        assert validate_config(doc) == []
+
     def test_noise_synth_checks(self):
         doc = {"command": "noise-synth", "seed": 1, "count": 5, "feature_dim": 3}
         assert "epsilon: epsilon required" in validate_config(doc)
@@ -670,9 +680,9 @@ class TestGoldenOutputs:
              "2b927f4b988ff8359abe235d1138a5768ec11f36bbd18be6681d97505d5fa6a5"),
             ({"command": "noise-synth", "seed": 3, "epsilon": 0.2, "sigma": 0.1, "count": 1000,
               "feature_dim": 8}, 1000,
-             "0,0.09612828084475421,0.9404725423875622,0.13826997689720621",
-             "999,0.2896287288379088,0.8716661615613933,0.408429957630114",
-             "ef553aec8247e19672927abe3ceb324e3e15361f68a871e4bdd5d447b084707e"),
+             "0,0.160808818950157,0.9404725423875622,0.23130582889560336",
+             "999,0.16105161199854998,0.8716661615613933,0.2271124944295228",
+             "f0c54e2c9055ff37bfa805adaaa1fb1e567abb8fddf08faab09b25109e0a9872"),
             ({"command": "tau", "seed": 7,
               "prior": {"generator": "zipf", "n_values": 1000, "exponent": 1.1, "cap": 0.05},
               "n": 10000, "l": [2, 10, 100], "mc_replicates": 10000}, 6,
@@ -944,7 +954,8 @@ class TestFrozenErrors:
             ("tau", {"seed": 1, "n": 100, "l": [2],
                      "prior": {"generator": "zipf", "n_values": 50, "exponent": math.inf}},
              "prior.exponent: must be a finite number, got inf\n"),
-            ("noise-synth", {**_N, "sigma": math.inf}, "sigma: must be a finite number, got inf\n"),
+            # sigma's ceiling, which the sampler needs, reports an infinity as out of range
+            ("noise-synth", {**_N, "sigma": math.inf}, "sigma: must be <= 1000000.0, got inf\n"),
             # up to 2**53 labels, where (l - w) / l is exact
             ("bounds", _scenario(l=10**400),
              f"scenario.l: must be <= 9007199254740992, got {10**400}\n"),
@@ -987,6 +998,22 @@ class TestFrozenErrors:
              "prior.values: explicit prior needs a nonempty list of values\n"),
             # the rows are held until the write, about 544 B each
             ("noise-synth", {**_N, "count": 2**20 + 1}, "count: must be <= 1048576, got 1048577\n"),
+            # below 1e6, q's window keeps more than 2**31 distinct uniforms
+            ("noise-synth", {**_N, "sigma": 1e300}, "sigma: must be <= 1000000.0, got 1e+300\n"),
+            # at most 2**40 draws, scenarios x trials: about a day on one thread
+            ("sweep", {"seed": 1, "trials": 2**53, "scenarios": [_S]},
+             "trials: scenarios x trials must be <= 1099511627776, got 1 x 9007199254740992\n"),
+            ("bounds", {**_B, "trials": 2**40 + 1},
+             "trials: scenarios x trials must be <= 1099511627776, got 1 x 1099511627777\n"),
+            ("sweep", {"seed": 1, "trials": 2**24, "grid": {"l": list(range(1, 1025)),
+                                                          "e": [i / 256 for i in range(128)]}},
+             "trials: scenarios x trials must be <= 1099511627776, got 131072 x 16777216\n"),
+            # at most 2**17 scenarios, about 4.5 KiB each until the write
+            ("sweep", {"seed": 1, "trials": 10, "grid": {"l": list(range(1, 10_001)),
+                                                        "e": [i / 2000 for i in range(1000)]}},
+             "grid: scenario count must be <= 131072, got 10000000\n"),
+            ("sweep", {"seed": 1, "trials": 10, "scenarios": [_S] * (2**17 + 1)},
+             "scenarios: scenario count must be <= 131072, got 131073\n"),
         ],
         ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
              "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate",
@@ -1002,7 +1029,8 @@ class TestFrozenErrors:
              "overflowing-trials-unread", "overflowing-n_values", "overflowing-mc_replicates",
              "overflowing-weight_replicates", "overflowing-replicates", "overflowing-feature_dim",
              "prior-absent", "prior-null", "prior-not-an-object", "explicit-values-empty",
-             "count-past-2**20"],
+             "count-past-2**20", "sigma-past-1e6", "work-past-2**40", "work-past-2**40-bounds",
+             "work-past-2**40-grid", "grid-past-2**17", "scenarios-past-2**17"],
     )
     def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
         assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)

@@ -51,8 +51,8 @@ CONFIGS = {
                     "count": 10, "feature_dim": 8},
 }
 
-# Both truncated_normal branches: a window holding most of the mass samples
-# by rejection, one holding less than half of it by the inverse CDF.
+# truncated_normal on a window holding most of the mass and on one holding
+# little of it.
 FIRST_USE_CALLS = (
     "binom_tail(10, 0.8, 6)",
     "truncated_normal(0.2, 0.1, 0.0, 1.0, np.random.default_rng(5))",
@@ -278,3 +278,91 @@ def test_every_public_member_of_an_exported_class_has_a_reader():
     # a shared name is listed only while it is a member with no other reader, and its module reads it
     assert [m for m, path in SHARED_NAMES.items() if m not in members or m in readers
             or m.split(".")[1] not in _code_names(ROOT / path)] == []
+
+
+# Every exported entry point with a scalar numeric argument that has a range
+# rule, as (callable, valid keyword arguments, the arguments probed).  The
+# window ends of truncated_normal are not probed: they may be infinite.
+PROBE = """
+import json, sys
+import numpy as np
+from noisylab import *
+dist, rates = LabelDist(np.array([0.3, 0.7])), BinaryNoiseRates(0.1, 0.2)
+prior, scenario = PriorSpec(np.array([0.1, 0.2, 0.3, 0.4])), InstanceScenario(4, 1, 0.1, 0.1)
+rng, joint = np.random.default_rng(0), np.array([[0.2, 0.3], [0.4, 0.1]])
+run = {"trials": 10, "seed": 1, "workers": 1}
+CALLS = [
+    (binom_tail, {"l": 10, "p": 0.5, "k": 3}, "l p k"),
+    (lc_success_lower, {"l": 10, "e": 0.2}, "l e"),
+    (lc_failure_lower, {"l": 10, "e": 0.2}, "l e"),
+    (peer_success_lower, {"l": 4, "p_opposite": 0.5, "e_plus": 0.2, "e_minus": 0.1},
+     "l p_opposite e_plus e_minus"),
+    (peer_failure_lower, {"l": 10, "e": 0.2}, "l e"),
+    (truncated_normal, {"mean": 0.2, "sd": 0.1, "low": 0.0, "high": 1.0, "rng": rng, "size": 3},
+     "mean sd size"),
+    (BinaryNoiseRates, {"e_plus": 0.1, "e_minus": 0.2}, "e_plus e_minus"),
+    (InstanceNoiseSynth, {"epsilon": 0.2, "w": np.ones(3), "sigma": 0.1}, "epsilon sigma"),
+    (InstanceNoiseSynth.sample, {"epsilon": 0.2, "dim": 3, "rng": rng, "sigma": 0.1},
+     "epsilon dim sigma"),
+    (InstanceScenario, {"l": 4, "y": 1, "e_plus": 0.1, "e_minus": 0.2, "p_plus": 0.4,
+                        "p_minus": 0.6, "smoothing_a": 0.1, "n": 5},
+     "l y e_plus e_minus p_plus p_minus smoothing_a n"),
+    (run_trials, {"scenario": scenario, "treatment": Treatment.PEER_LOSS, **run}, "trials seed workers"),
+    (bound_report, {"scenario": scenario, **run}, "trials seed workers"),
+    (sweep, {"scenarios": [scenario], **run}, "trials seed workers"),
+    (memorization_error, {"dist": dist, "y": 1}, "y"),
+    (smoothed_label, {"dist": dist, "a": 0.1}, "a"),
+    (compare_ls_lc, {"dist": dist, "y": 1, "rates": rates, "a": 0.1}, "y a"),
+    (PeerDecision, {"predicted": 1, "margin": 0.5, "tie": False}, "predicted"),
+    (peer_predict, {"dist_local": dist, "global_noisy_positive_rate": 0.5},
+     "global_noisy_positive_rate"),
+    (peer_vertex_check, {"dist_local": dist, "global_rate": 0.5, "grid_points": 11, "q_min": 0.01},
+     "global_rate grid_points q_min"),
+    (peer_expected_loss, {"joint": joint, "predictor": joint * 2, "q_min": 0.01}, "q_min"),
+    (build_prior, {"generator": "zipf", "n": 50, "exponent": 1.1, "cap": 0.05}, "n exponent cap"),
+    (capped, {"prior": prior, "cap": 0.35}, "cap"),
+    (tau_exact, {"prior": prior, "n": 100, "l": 3}, "n l"),
+    (tau_monte_carlo, {"prior": prior, "n": 100, "l": 3, "replicates": 10, "rng": rng},
+     "n l replicates"),
+    (weight_estimate, {"prior": prior, "interval": (0.1, 0.5), "replicates": 10, "rng": rng},
+     "replicates"),
+    (tau_lower_large, {"n": 1000, "l": 3, "weight_value": 0.5}, "n l weight_value"),
+    (tau_lower_small, {"n": 1000, "l": 3, "weight_value": 0.5}, "n l weight_value"),
+    (large_interval, {"n": 1000, "l": 3}, "n l"),
+]
+INTEGERS = {"l", "k", "size", "dim", "y", "n", "trials", "seed", "workers", "predicted",
+            "grid_points", "replicates"}
+for call, kwargs, probed in CALLS:
+    name = call.__qualname__
+    print(json.dumps([name, "valid"]), flush=True)
+    call(**kwargs)
+    for arg in probed.split():
+        for bad in (True, float("nan"), float("inf"), -float("inf")) + (2.5,) * (arg in INTEGERS):
+            label = f"{name}({arg}={bad!r})"
+            print(json.dumps([label, "called"]), flush=True)
+            try:
+                call(**{**kwargs, arg: bad})
+                outcome = "returned"
+            except Exception as exc:
+                outcome = type(exc).__name__
+            print(json.dumps([label, outcome]), flush=True)
+"""
+
+
+def test_every_scalar_argument_rejects_bools_nan_infinities_and_fractions(tmp_path):
+    # in a fresh interpreter with a timeout, since a call that loops forever must fail the test
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    try:
+        result = subprocess.run([sys.executable, "-c", PROBE], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=60, check=False)
+        stdout, hung = result.stdout, None
+        assert result.returncode == 0, result.stderr
+    except subprocess.TimeoutExpired as exc:  # its output is bytes, whatever `text` says
+        stdout, hung = exc.stdout.decode() if isinstance(exc.stdout, bytes) else exc.stdout or "", True
+    outcomes = dict(json.loads(line) for line in stdout.splitlines())
+    if hung:  # the last call printed never returned
+        outcomes[json.loads(stdout.splitlines()[-1])[0]] = "timed out"
+    assert {label: outcome for label, outcome in outcomes.items()
+            if outcome not in ("ValueError", "valid")} == {}
+    assert len(outcomes) == 337  # 28 valid calls and 309 probes

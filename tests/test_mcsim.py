@@ -323,8 +323,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_schedule_holds_a_few_jobs_whatever_the_trial_count(self, monkeypatch, workers):
-        # 10**15 trials are 1.5e10 chunk jobs: they are taken lazily, a few at a
-        # time, so a draw that fails on the fourth job ends the run at once
+        # 2**40 trials, the most one scenario may draw, are 2**24 chunk jobs: they are
+        # taken lazily, a few at a time, so a draw that fails on the fourth job ends the run at once
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         calls = itertools.count()
 
@@ -338,7 +338,7 @@ class TestDeterminism:
         tracemalloc.start()
         try:
             with pytest.raises(RuntimeError, match="draw failed"):
-                _cut_counts([s], 10**15, 1, workers)
+                _cut_counts([s], 2**40, 1, workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1260,6 +1260,25 @@ class TestSweep:
     def test_rejects_an_empty_scenario_list(self):
         with pytest.raises(ValueError):
             sweep([], trials=10, seed=0)
+
+    def test_a_batch_past_its_ceilings_raises_before_any_work(self, monkeypatch):
+        # the CLI's messages, raised before the edges or a draw
+        def never(*args):
+            raise AssertionError("a batch past its ceilings did work")
+
+        monkeypatch.setattr(mcsim, "_edges", never)
+        monkeypatch.setattr(mcsim, "_chunk_counts", never)
+        s = InstanceScenario(l=4, y=1, e_plus=0.2, e_minus=0.2)
+        with pytest.raises(ValueError, match=r"^scenarios: scenario count must be <= 131072, "
+                                             r"got 131073$"):
+            sweep([s] * (2**17 + 1), trials=10, seed=0)
+        with pytest.raises(ValueError, match=r"^trials: scenarios x trials must be <= "
+                                             r"1099511627776, got 1 x 1099511627777$"):
+            bound_report(s, 2**40 + 1, seed=0)
+        with pytest.raises(ValueError, match=r"got 4 x 274877906945$"):
+            sweep([s] * 4, trials=2**38 + 1, seed=0)
+        with pytest.raises(ValueError, match=r"^trials: must be <= 9007199254740992"):
+            run_trials(s, Treatment.MEMORIZE, 2**53 + 1, seed=0)  # the field's own ceiling first
 
     @pytest.mark.parametrize("trials", [3000, _CHUNK_TRIALS + 7])  # one chunk each, two each
     def test_reports_are_schedule_invariant(self, monkeypatch, trials):

@@ -127,7 +127,7 @@ class TestTruncatedNormal:
         assert draws.min() >= 0.0 and draws.max() <= 1.0
 
     def test_low_acceptance_path_still_correct(self):
-        # window mass ~2e-2 forces the inverse-CDF branch
+        # a window holding about 2e-2 of the mass, far in the tail
         mean, sd = -0.2, 0.1
         rng = np.random.default_rng(6)
         draws = truncated_normal(mean, sd, 0.0, 1.0, rng, size=20_000)
@@ -139,6 +139,13 @@ class TestTruncatedNormal:
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - oracle) <= 4.0 * se
 
+    @pytest.mark.parametrize("mean, sd", [(0.2, 0.1), (-0.2, 0.1), (0.5, 3.0), (3.0, 0.5)])
+    def test_every_window_reads_one_uniform_per_draw(self, mean, sd):
+        rng, same = np.random.default_rng(8), np.random.default_rng(8)
+        truncated_normal(mean, sd, 0.0, 1.0, rng, size=1000)
+        same.random(1000)
+        assert rng.random() == same.random()
+
     def test_window_validation(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):
@@ -147,6 +154,21 @@ class TestTruncatedNormal:
             truncated_normal(0.2, 0.1, 1.0, 0.0, rng)
         with pytest.raises(ValueError):
             truncated_normal(-100.0, 0.1, 0.0, 1.0, rng)
+
+
+class TestSigmaCeiling:
+    def test_q_at_the_ceiling_is_uniform_on_the_window(self):
+        # at sigma = 1e6 the window [0, 1] spans 1e-6 standard deviations, and
+        # more than 2**31 distinct uniforms still resolve it; seeds fixed in advance
+        for seed, epsilon in ((10, 0.0), (11, 0.5), (12, 1.0)):
+            synth = InstanceNoiseSynth(epsilon, np.ones(3), sigma=1e6)
+            q = synth.draw_rows(np.ones((10_000, 3)), np.random.default_rng(seed))[0]
+            assert 0.0 <= q.min() and q.max() <= 1.0 and np.unique(q).size == q.size
+            assert stats.kstest(q, "uniform").pvalue > 1e-3
+
+    def test_sigma_past_the_ceiling_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^sigma: must be <= 1000000.0, got 2000000.0$"):
+            InstanceNoiseSynth(0.2, np.ones(3), sigma=2e6)
 
 
 class TestCombineRate:
@@ -198,10 +220,10 @@ class TestSynthInstanceNoise:
         truncated_normal(0.2, 0.1, 0.0, 1.0, rng)
         rng.standard_normal(3)
         synth = InstanceNoiseSynth(0.2, w)
-        assert synth.draw(feature, rng)[2] == 0.19100785183852984
-        assert synth.draw(feature, rng)[2] == 0.11738389572831202
+        assert synth.draw(feature, rng)[2] == 0.23046900549657903
+        assert synth.draw(feature, rng)[2] == 0.3991195162458768
         assert synth.draw(feature, rng) == (
-            0.11970432816096381, -0.04364357804719849, 0.11709258011664507
+            0.18402088065339356, -0.04364357804719849, 0.18000585310556722
         )
         assert rng.random() == 0.11240308334734228
 
