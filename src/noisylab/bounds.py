@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from ._spec import _TYPES
 
-# _spec's integer types, read inline (a plain int first) since _report calls these often
+# _spec's integer types, read inline (a plain int first): sweep runs the closed forms per scenario
 _INTEGER = _TYPES["integer"]
 
 __all__ = [

@@ -42,7 +42,7 @@ from ._spec import _COUNT, Spec, field_violations, raise_first, unknown_fields
 from .bounds import (
     BoundKind,
     BoundValue,
-    binom_tail,
+    _special,
     lc_failure_lower,
     lc_success_lower,
     peer_failure_lower,
@@ -173,19 +173,25 @@ class TrialTally:
             raise ValueError("success + failure + tie must equal trials")
 
 
-def _wilson_interval(successes: int, total: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
-    if total < 1:
-        raise ValueError(f"total must be >= 1, got {total}")
-    if not 0 <= successes <= total:
-        raise ValueError(f"successes must lie in [0, total], got {successes}/{total}")
-    p = successes / total
+def _wilson_interval(share, total) -> tuple[np.ndarray, np.ndarray]:
+    """95% Wilson score intervals (lo, hi) for binomial proportions, elementwise.
+
+    share is each count over its total, rounded once (an int / int division
+    where counts pass 2**53), and total each total as a float, which the
+    formula reads as Python's float / int does.
+    """
+    share, total = np.asarray(share, float), np.asarray(total, float)
+    if (bad := total[~(total >= 1.0)]).size:
+        raise ValueError(f"total must be >= 1, got {bad[0]}")
+    if (bad := share[~((share >= 0.0) & (share <= 1.0))]).size:
+        raise ValueError(f"share must lie in [0, 1], got {bad[0]}")
     z2 = _Z_95 * _Z_95
     denom = 1.0 + z2 / total
-    center = (p + z2 / (2.0 * total)) / denom
-    half = _Z_95 * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
-    # the exact endpoints bracket p; min/max only absorb last-ulp rounding
-    return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
+    center = (share + z2 / (2.0 * total)) / denom
+    half = _Z_95 * np.sqrt(share * (1.0 - share) / total + z2 / (4.0 * total * total)) / denom
+    # the exact endpoints bracket the share; min/max only absorb last-ulp rounding
+    return (np.maximum(0.0, np.minimum(center - half, share)),
+            np.minimum(1.0, np.maximum(center + half, share)))
 
 
 def batch_violations(count: int, trials, path: str = "scenarios") -> list[str]:
@@ -343,9 +349,9 @@ def _edges(params: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _cut_counts(scenarios, trials: int, seed: int,
-                workers: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Each scenario's block edges (see _edges), its trials whose wrong count lies below
-    each edge, both (4, 4), and its exact wrong-label total.
+                workers: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The batch's block edges (see _edges) and each scenario's trials whose wrong count
+    lies below each edge, both (k, 4, 4), and each scenario's exact wrong-label total.
 
     Each (scenario, chunk) job of the batch counts its chunk below the scenario's
     distinct edges and sums its wrong labels; up to `workers` threads, at most one
@@ -378,8 +384,8 @@ def _cut_counts(scenarios, trials: int, seed: int,
             for i, counts, wrong in (pool.map if pool else map)(job, batch):
                 below[i] = [a + b for a, b in zip(below[i], counts)]
                 total[i] += wrong
-    return [(e, np.array(b)[c.searchsorted(e)], t)
-            for e, b, c, t in zip(edges, below, cuts, total)]
+    return edges, np.array([np.array(b)[c.searchsorted(e)]
+                            for e, b, c in zip(edges, below, cuts)]), total
 
 
 def run_trials(scenario: InstanceScenario, treatment: Treatment, trials: int, seed: int,
@@ -392,7 +398,7 @@ def run_trials(scenario: InstanceScenario, treatment: Treatment, trials: int, se
     the same draws as bound_report and every other treatment.
     """
     t = _TREATMENTS.index(Treatment(treatment))
-    (_, below, _), = _cut_counts([scenario], trials, seed, workers)
+    below = _cut_counts([scenario], trials, seed, workers)[1][0]
     ranks = np.abs(np.array([_SUCCESS, _FAILURE, _TIE]) - _LEADS[t])
     return TrialTally(trials, *(int(below[t, r + 1] - below[t, r]) for r in ranks))
 
@@ -426,126 +432,103 @@ class BoundReport:
     checks: tuple[BoundCheck, ...]
 
 
-def _tail_mass(s: InstanceScenario, lo: int, hi: int) -> float:
-    """Binomial(l, e_y) mass of the wrong counts lo..hi, a tail of 0..l:
-    P[correct >= l - hi] from 0, P[wrong >= lo] up to l; empty 0, full 1."""
-    if hi < lo:
-        return 0.0
-    if lo == 0:
-        return 1.0 if hi == s.l else binom_tail(s.l, 1.0 - s.e_y, s.l - hi)
-    return binom_tail(s.l, s.e_y, lo)
-
-
-def _rates_equal(s: InstanceScenario) -> bool:
-    """The loss-correction margin's tie rule at the even split, scale-free: both zero are equal."""
-    return abs(s.e_plus - s.e_minus) <= 2.0 * _TIE_EPS * (s.e_plus + s.e_minus)
-
-
-def _peer_symmetric(s: InstanceScenario) -> bool:
-    return abs(s.p_plus - 0.5) <= 1e-12 and _rates_equal(s)
-
-
-# Closed forms: (kind, value) for a scenario, or None where the form is
-# omitted (outside its domain, or vacuous when e_y = 0).
-def _hoeffding_form(s: InstanceScenario):
-    if 0.0 < s.e_y <= 0.5:
-        return BoundKind.HOEFFDING_SUCCESS, lc_success_lower(s.l, s.e_y)
-
-
-def _kl_floor_form(s: InstanceScenario):
-    if s.e_y > 0.0:
-        return BoundKind.BINOMIAL_FAILURE_LOWER, lc_failure_lower(s.l, s.e_y)
-
-
-def _peer_success_form(s: InstanceScenario):
-    p_opposite = s.p_minus if s.y == 1 else s.p_plus
-    return BoundKind.PEER_SUCCESS, peer_success_lower(s.l, p_opposite, s.e_plus, s.e_minus)
-
-
-def _peer_floor_form(s: InstanceScenario):
-    if s.e_y > 0.0:
-        return BoundKind.PEER_FAILURE_LOWER, peer_failure_lower(s.l, s.e_y)
-
-
-@dataclass(frozen=True)
-class _Event:
-    """One bound_report check.
-
-    block (start, stop) names the event's wrong counts, the treatment's edges
-    start..stop - 1 (see _edges); None is memorize's pooled per-label error.
-    bound, when not None, gives the closed form, and regime whether its
-    ordering is asserted.
-    """
-
-    treatment: Treatment
-    event: str
-    headline: bool
-    block: tuple[int, int] | None
-    bound: Callable[[InstanceScenario], tuple | None] | None = None
-    regime: Callable[[InstanceScenario], bool] | None = None
-
-
-def _even_and(predicate):
-    return lambda s: s.l % 2 == 0 and predicate(s)
-
-
-# Event ranges as edge pairs: a treatment's leading block, or every count past
-# it; smoothing leads with failures, so its better-or-tie lies past them.
-_LEAD, _PAST_LEAD = (0, 1), (1, 3)
-# The checks in report order.  The loss-correction and smoothing bounds are
-# stated for equal rates, failure floors for even l (where the tie carries
-# the mass the l/sqrt term needs), the peer floor for the symmetric regime;
-# the peer success bound holds in every regime.
+# The checks in report order, one row each: treatment, event, headline, the
+# event's wrong counts as a pair (start, stop) of its treatment's edges, edges
+# start..stop - 1 (see _edges), the closed form, and the regime its ordering
+# needs, as flags (equal rates, even l, p_plus = 1/2).  Memorize's check comes
+# first and has no range: it is the pooled per-label error against e_y.  A
+# range is the treatment's leading block (0, 1) or every count past it (1, 3);
+# smoothing leads with failures, so its better-or-tie lies past them.  The
+# loss-correction and smoothing bounds are stated for equal rates, failure
+# floors for even l (where the tie carries the mass the l/sqrt term needs),
+# the peer floor for the symmetric regime; the peer success bound holds in
+# every regime.
 _EVENTS = (
-    _Event(Treatment.MEMORIZE, "mean_label_error", True, None),
-    _Event(Treatment.LOSS_CORRECTION, "strict_success", True, _LEAD,
-           _hoeffding_form, _rates_equal),
-    _Event(Treatment.LOSS_CORRECTION, "tie_inclusive_failure", False, _PAST_LEAD,
-           _kl_floor_form, _even_and(_rates_equal)),
-    _Event(Treatment.LABEL_SMOOTHING, "ls_better_or_tie", True, _PAST_LEAD,
-           _kl_floor_form, _even_and(_rates_equal)),
-    _Event(Treatment.PEER_LOSS, "strict_success", True, _LEAD,
-           _peer_success_form, lambda s: True),
-    _Event(Treatment.PEER_LOSS, "tie_inclusive_failure", False, _PAST_LEAD,
-           _peer_floor_form, _even_and(_peer_symmetric)),
+    (Treatment.MEMORIZE, "mean_label_error", True, None, None, (0, 0, 0)),
+    (Treatment.LOSS_CORRECTION, "strict_success", True, (0, 1),
+     BoundKind.HOEFFDING_SUCCESS, (1, 0, 0)),
+    (Treatment.LOSS_CORRECTION, "tie_inclusive_failure", False, (1, 3),
+     BoundKind.BINOMIAL_FAILURE_LOWER, (1, 1, 0)),
+    (Treatment.LABEL_SMOOTHING, "ls_better_or_tie", True, (1, 3),
+     BoundKind.BINOMIAL_FAILURE_LOWER, (1, 1, 0)),
+    (Treatment.PEER_LOSS, "strict_success", True, (0, 1),
+     BoundKind.PEER_SUCCESS, (0, 0, 0)),
+    (Treatment.PEER_LOSS, "tie_inclusive_failure", False, (1, 3),
+     BoundKind.PEER_FAILURE_LOWER, (1, 1, 1)),
 )
+# The table's columns as arrays over its six events, memorize's range empty.
+_EVENT_TREATMENT = np.array([_TREATMENTS.index(event[0]) for event in _EVENTS])
+_EVENT_START, _EVENT_STOP = np.array([event[3] or (0, 0) for event in _EVENTS]).T
+_EVENT_NEEDS = np.array([event[5] for event in _EVENTS], bool)
 
 
 def bound_report(scenario: InstanceScenario, trials: int, seed: int,
                  workers: int = 1) -> BoundReport:
-    """One check per _EVENTS entry, every one read from one shared set of draws.
+    """One check per _EVENTS row, every one read from one shared set of draws.
 
-    The one-scenario sweep.  Each event's wrong counts lie between two of its
-    treatment's block edges; the Monte-Carlo count is the trials between
-    them, and exact the Binomial(l, e_y) mass there.  Memorize's check is the
-    pooled per-label error, the exact wrong-label total over trials * l,
-    against e_y.  Headline checks (one per treatment) are what sweep rows
-    export.  A closed form outside its regime is computed with
-    regime_ok=False and never asserted.  When e_y = 0 every loss-correction
-    trial ties, and both its closed forms are omitted.
+    The one-scenario sweep.  The Monte-Carlo count of an event is the trials
+    whose wrong count lies in its range, and exact the Binomial(l, e_y) mass
+    there; memorize's count is the exact wrong-label total over trials * l.
+    Headline checks (one per treatment) are what sweep rows export.  A closed
+    form outside its regime is computed with regime_ok=False and never
+    asserted.  When e_y = 0 every loss-correction trial ties, and both its
+    closed forms are omitted.
     """
     return sweep([scenario], trials, seed, workers)[0]
 
 
-def _report(scenario: InstanceScenario, edges: np.ndarray, below: np.ndarray, wrong: int,
-            trials: int) -> BoundReport:
-    """bound_report's checks, from the scenario's block edges, its trials below each edge
-    and its wrong-label total (see _cut_counts)."""
-    checks = []
-    for event in _EVENTS:
-        if event.block is not None:
-            t, (start, stop) = _TREATMENTS.index(event.treatment), event.block
-            hits, total = int(below[t, stop] - below[t, start]), trials
-            exact = _tail_mass(scenario, int(edges[t, start]), int(edges[t, stop]) - 1)
-        else:
-            hits, total = wrong, trials * scenario.l
-            exact = scenario.e_y
-        form = event.bound(scenario) if event.bound is not None else None
-        bound = None if form is None else BoundValue(*form, regime_ok=event.regime(scenario))
-        holds = None if bound is None or not bound.regime_ok else bool(exact >= bound.value - 1e-12)
-        checks.append(BoundCheck(event.treatment, event.event, event.headline, hits / total,
-                                 _wilson_interval(hits, total), exact, bound, holds))
-    return BoundReport(scenario=scenario, checks=tuple(checks))
+def _reports(scenarios, edges, below, wrong, trials: int) -> list[BoundReport]:
+    """bound_report for k scenarios from their _cut_counts: each _EVENTS column is
+    a (k, 6) array over the batch, then each scenario's row becomes its report.
+
+    exact is one betainc call over every event's range lo..hi, a tail of 0..l:
+    P[correct >= l - hi] from 0, P[wrong >= lo] up to l, 0 when empty and 1 when
+    full.  Memorize's counts reach trials * l, about 2**106, so its share is an
+    int / int division, rounded once; its float total, l * float(trials), is the
+    exact product rounded once, as Python's float / int rounds it.  The closed
+    forms stay scalar math calls, one set per scenario: numpy's exp, expm1 and
+    log differ from math's in the last bit.
+    """
+    l, e_y, e_plus, e_minus, p_plus = (np.array(column)[:, None] for column in zip(
+        *((s.l, float(s.e_y), float(s.e_plus), float(s.e_minus), s.p_plus) for s in scenarios)))
+    t, start, stop = _EVENT_TREATMENT, _EVENT_START, _EVENT_STOP
+    lo, end = edges[:, t, start], edges[:, t, stop]  # each event's range is lo..end - 1
+    share = (below[:, t, stop] - below[:, t, start]) / trials
+    total = np.full(share.shape, float(trials))
+    share[:, 0] = [w / (trials * s.l) for s, w in zip(scenarios, wrong)]
+    total[:, :1] = l * float(trials)
+    ci = _wilson_interval(share, total)
+    upper = lo > 0
+    k = np.where(upper, lo, l + 1 - end)  # the tail's threshold, 0 when the range is full
+    tail = (lo < end) & (k > 0)
+    tails = _special().betainc(np.where(tail, k, 1), np.where(tail, l + 1 - k, 1),
+                               np.where(upper, e_y, 1.0 - e_y))
+    masses = np.where(tail, tails, np.where(lo < end, 1.0, 0.0))
+    equal = np.abs(e_plus - e_minus) <= 2.0 * _TIE_EPS * (e_plus + e_minus)  # both zero too
+    regime = (np.hstack((equal, l % 2 == 0, np.abs(p_plus - 0.5) <= 1e-12))[:, None, :]
+              | ~_EVENT_NEEDS).all(axis=2)
+    reports = []
+    for s, *columns in zip(scenarios, share.tolist(), ci[0].tolist(), ci[1].tolist(),
+                           masses.tolist(), regime.tolist()):
+        e, checks = s.e_y, []
+        # None where a form is omitted: outside its domain, or vacuous at e_y = 0
+        forms = {
+            BoundKind.HOEFFDING_SUCCESS: lc_success_lower(s.l, e) if 0.0 < e <= 0.5 else None,
+            BoundKind.BINOMIAL_FAILURE_LOWER: lc_failure_lower(s.l, e) if e > 0.0 else None,
+            BoundKind.PEER_SUCCESS: peer_success_lower(
+                s.l, s.p_minus if s.y == 1 else s.p_plus, s.e_plus, s.e_minus),
+            BoundKind.PEER_FAILURE_LOWER: peer_failure_lower(s.l, e) if e > 0.0 else None,
+        }
+        for (treatment, event, headline, pair, kind, _), mc, ci_lo, ci_hi, mass, ok in zip(
+                _EVENTS, *columns):
+            exact = e if pair is None else mass
+            value = forms.get(kind)
+            bound = None if value is None else BoundValue(kind, value, regime_ok=ok)
+            holds = None if value is None or not ok else exact >= value - 1e-12
+            checks.append(BoundCheck(treatment, event, headline, mc, (ci_lo, ci_hi), exact,
+                                     bound, holds))
+        reports.append(BoundReport(scenario=s, checks=tuple(checks)))
+    return reports
 
 
 def sweep(scenarios, trials: int, seed: int, workers: int = 1) -> list[BoundReport]:
@@ -561,5 +544,4 @@ def sweep(scenarios, trials: int, seed: int, workers: int = 1) -> list[BoundRepo
     scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("sweep needs at least one scenario")
-    counts = _cut_counts(scenarios, trials, seed, workers)
-    return [_report(s, *c, trials) for s, c in zip(scenarios, counts)]
+    return _reports(scenarios, *_cut_counts(scenarios, trials, seed, workers), trials)

@@ -234,6 +234,9 @@ def peer_expected_loss(joint, predictor, q_min: float = 1e-3) -> PeerLossDecompo
         raise ValueError(
             f"joint and predictor must be matching 2-d tables, got {joint.shape} vs {predictor.shape}"
         )
+    for name, table in (("joint", joint), ("predictor", predictor)):
+        if not np.isfinite(table).all():
+            raise ValueError(f"{name} entries must be finite")
     if np.any(joint < 0.0) or abs(joint.sum() - 1.0) > 1e-9:
         raise ValueError("joint must be a proper distribution over X x Y")
     if np.any(joint.sum(axis=1) <= 0.0):

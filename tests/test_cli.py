@@ -586,13 +586,15 @@ class TestSweepCommand:
         assert [row[0] for row in rows[4:]] == ["4"] * 4
         assert rows[0][1] == "-1" and rows[4][1] == "1"
 
-    # SHA-256 of three wide sweeps.  Two were captured at stream version 5
+    # SHA-256 of four wide sweeps.  Two were captured at stream version 5
     # before the bound checks were rebuilt on one wrong-count range per event:
     # a grid over small, odd, even and large l with zero and near-half rates,
     # and a list with unequal and one-sided rates and l = 1e6 whose 70,000
     # trials run as two chunks on a two-worker pool.  The third, the
     # 5,000-scenario grid, was captured at stream version 7 from the engine
-    # that built a full outcome table per treatment, at workers 1 and 2.
+    # that built a full outcome table per treatment, at workers 1 and 2.  The
+    # fourth is the benchmark's sweep_large_l config at seed 1, captured at
+    # stream version 9.
     @pytest.mark.parametrize(
         "doc, rows, digest",
         [
@@ -611,8 +613,11 @@ class TestSweepCommand:
               "grid": {"l": list(range(1, 101)), "e": [(2 * i + 1) / 200 for i in range(50)],
                        "base": {"y": 1, "p_plus": 0.3}}}, 20_000,
              "8b143efe32860f6d1b9b7a99136972ebda61ebaf8fd49e465dce4c90182da27c"),
+            ({"seed": 1, "trials": 50_000, "workers": 2,
+              "grid": {"l": [200, 1000], "e": [0.1, 0.3], "base": {"y": 1}}}, 16,
+             "3a1b941a5a071996051268b9d4bef17fe2b37650e79fb0da2e5d8cff7b8d50d5"),
         ],
-        ids=["grid", "scenarios", "grid-5000"],
+        ids=["grid", "scenarios", "grid-5000", "sweep-large-l"],
     )
     def test_wide_sweeps_are_frozen(self, tmp_path, capsys, doc, rows, digest):
         out = tmp_path / "out.csv"

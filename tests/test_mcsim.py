@@ -1,11 +1,13 @@
 """Tests for the Monte-Carlo engine and its bound-vs-oracle reports."""
 
 import itertools
+import math
 import os
 import sys
 import threading
 import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -81,13 +83,28 @@ def _dense(s: InstanceScenario, trials: int, seed: int) -> np.ndarray:
     return hist
 
 
+def _wilson(successes: int, total: int) -> tuple[float, float]:
+    """Test-only oracle: the 95% Wilson interval on Python numbers, one count at a time.
+
+    successes / total is an int / int division, and every other step reads
+    total through Python's float / int, so counts past 2**53 round as Python
+    rounds them.
+    """
+    p = successes / total
+    z = 1.959963984540054
+    z2 = z * z
+    denom = 1.0 + z2 / total
+    center = (p + z2 / (2.0 * total)) / denom
+    half = z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
+    return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
+
+
 def _assert_same_counts(counts, expected) -> None:
-    """Two _cut_counts results agree: every scenario's edges, below array and total."""
-    for (edges, below, total), (want_edges, want_below, want_total) in zip(
-            counts, expected, strict=True):
-        np.testing.assert_array_equal(edges, want_edges)
-        np.testing.assert_array_equal(below, want_below)
-        assert total == want_total
+    """Two _cut_counts results agree: the batch's edges and below arrays, and every total."""
+    (edges, below, totals), (want_edges, want_below, want_totals) = counts, expected
+    np.testing.assert_array_equal(edges, want_edges)
+    np.testing.assert_array_equal(below, want_below)
+    assert totals == want_totals
 
 
 def _assert_binomial_histogram(wrong: np.ndarray, l: int, e_y: float) -> None:
@@ -196,35 +213,43 @@ class TestInstanceScenario:
 
 
 class TestWilsonInterval:
+    @staticmethod
+    def _random_counts(seed: int, size: int = 300) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        total = rng.integers(1, 5000, size)
+        return rng.integers(0, total + 1), total
+
     def test_brackets_the_point_estimate(self):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            total = int(rng.integers(1, 5000))
-            successes = int(rng.integers(0, total + 1))
-            lo, hi = _wilson_interval(successes, total)
-            p_hat = successes / total
-            assert 0.0 <= lo <= p_hat <= hi <= 1.0
+        successes, total = self._random_counts(5)
+        p_hat = successes / total
+        lo, hi = _wilson_interval(p_hat, total)
+        assert ((0.0 <= lo) & (lo <= p_hat) & (p_hat <= hi) & (hi <= 1.0)).all()
+
+    def test_equals_the_formula_on_python_floats(self):
+        successes, total = self._random_counts(6)
+        lo, hi = _wilson_interval(successes / total, total)
+        assert list(zip(lo.tolist(), hi.tolist())) == [
+            _wilson(s, t) for s, t in zip(successes.tolist(), total.tolist())]
 
     def test_degenerate_counts_pin_one_endpoint(self):
-        lo, hi = _wilson_interval(0, 25)
-        assert lo == 0.0 and 0.0 < hi < 1.0
-        lo, hi = _wilson_interval(25, 25)
-        assert hi == 1.0 and 0.0 < lo < 1.0
+        (lo0, lo1), (hi0, hi1) = _wilson_interval([0.0, 1.0], [25, 25])
+        assert lo0 == 0.0 and 0.0 < hi0 < 1.0
+        assert hi1 == 1.0 and 0.0 < lo1 < 1.0
 
     def test_width_shrinks_with_sample_size(self):
-        widths = []
-        for total in (10, 100, 1000, 10000):
-            lo, hi = _wilson_interval(int(0.3 * total), total)
-            widths.append(hi - lo)
-        assert all(a > b for a, b in zip(widths, widths[1:]))
+        lo, hi = _wilson_interval(0.3, np.array([10, 100, 1000, 10000]))
+        assert (np.diff(hi - lo) < 0).all()
 
     def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            _wilson_interval(1, 0)
-        with pytest.raises(ValueError):
-            _wilson_interval(5, 4)
-        with pytest.raises(ValueError):
-            _wilson_interval(-1, 4)
+        for share, total, message in [
+            (0.5, 0, "total must be >= 1, got 0.0"),
+            ([0.5, 0.5], [4, np.nan], "total must be >= 1, got nan"),
+            (1.25, 4, r"share must lie in \[0, 1\], got 1.25"),
+            (-0.25, 4, r"share must lie in \[0, 1\], got -0.25"),
+            ([0.5, np.nan], 4, r"share must lie in \[0, 1\], got nan"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                _wilson_interval(share, total)
 
 
 class TestTrialTally:
@@ -278,7 +303,7 @@ class TestDeterminism:
             [_chunk_counts(key, s.l, s.e_y, c, n) for c, n in enumerate(sizes)]
         )
         for workers in (1, 2):
-            (edges, below, total), = _cut_counts([s], trials, seed, workers)
+            (edges,), (below,), (total,) = _cut_counts([s], trials, seed, workers)
             np.testing.assert_array_equal(below, (wrong < edges[..., None]).sum(axis=-1))
             assert total == wrong.sum()
         assert bound_report(s, trials, seed).checks[0].mc_estimate == wrong.sum() / (trials * s.l)
@@ -302,7 +327,7 @@ class TestDeterminism:
             assert not worker.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert all((below[:, -1] == trials).all() for _, below, _ in serial)
+        assert (serial[1][..., -1] == trials).all()
         _assert_same_counts(threaded[0], serial)
 
     def test_the_pool_has_at_most_one_thread_per_cpu(self, monkeypatch):
@@ -534,7 +559,7 @@ class TestSharedDraw:
                      "ls_better_or_tie": tally.success + tally.tie}[check.event]
             if count is not None:
                 assert check.mc_estimate == count / trials
-                assert check.ci == _wilson_interval(count, trials)
+                assert check.ci == _wilson(count, trials)
 
 
 class TestRunTrials:
@@ -585,7 +610,7 @@ class TestRunTrials:
         assert abs(check.mc_estimate - 0.35) < 4 * se
         flips = int(_dense(s, 50_000, 3) @ np.arange(7))
         assert check.mc_estimate == flips / total
-        assert check.ci == _wilson_interval(flips, total)
+        assert check.ci == _wilson(flips, total)
 
     def test_estimate_and_ci_derive_from_the_success_count(self):
         s = InstanceScenario(l=5, y=1, e_plus=0.3, e_minus=0.1)
@@ -593,7 +618,7 @@ class TestRunTrials:
         check = bound_report(s, 4000, seed=9).checks[4]
         assert (check.treatment, check.event) == (Treatment.PEER_LOSS, "strict_success")
         assert check.mc_estimate == tally.success / 4000
-        assert check.ci == _wilson_interval(tally.success, 4000)
+        assert check.ci == _wilson(tally.success, 4000)
 
     def test_accepts_treatment_by_value_string(self):
         s = InstanceScenario(l=4, y=1, e_plus=0.2, e_minus=0.2)
@@ -1225,13 +1250,13 @@ class TestBoundReport:
                             lambda key, l, e_y, chunk, count: np.full(count, 2**52, np.int64))
         check = bound_report(s, trials=4096, seed=1).checks[0]
         assert check.treatment is Treatment.MEMORIZE and check.mc_estimate == 0.5
-        assert check.ci == _wilson_interval(4096 * 2**52, 4096 * 2**53)
+        assert check.ci == _wilson(4096 * 2**52, 4096 * 2**53)
         # draws of 0 and l alternate, over a full chunk and a partial one
         monkeypatch.setattr(mcsim, "_chunk_counts",
                             lambda key, l, e_y, chunk, count: np.resize(np.array([0, l]), count))
         trials = _CHUNK_TRIALS + 3
         zeros = _CHUNK_TRIALS // 2 + 2
-        (edges, below, total), = _cut_counts([s], trials, 1, workers=2)
+        (edges,), (below,), (total,) = _cut_counts([s], trials, 1, workers=2)
         assert total == (trials - zeros) * s.l
         np.testing.assert_array_equal(
             below, np.where(edges == 0, 0, np.where(edges <= s.l, zeros, trials)))
@@ -1261,6 +1286,59 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([], trials=10, seed=0)
 
+    # each block event's treatment index and its pair of that treatment's edges
+    _RANGES = {("loss_correction", "strict_success"): (1, 0, 1),
+               ("loss_correction", "tie_inclusive_failure"): (1, 1, 3),
+               ("label_smoothing", "ls_better_or_tie"): (2, 1, 3),
+               ("peer_loss", "strict_success"): (3, 0, 1),
+               ("peer_loss", "tie_inclusive_failure"): (3, 1, 3)}
+
+    def test_batched_columns_equal_scalar_oracles(self, monkeypatch):
+        # one batch over the README grid, unequal and one-sided rates, tiny and
+        # zero rates, y = -1 and the smallest and largest l: every check's exact
+        # is binom_tail on its range, every ci the Wilson formula on Python
+        # numbers, and memorize's exact the scenario's own e_y object
+        scenarios = [InstanceScenario(l=l, y=1, e_plus=e, e_minus=e)
+                     for l in (4, 10, 20, 50) for e in (0.1, 0.2, 0.3)]
+        scenarios += [InstanceScenario(l=l, y=y, e_plus=ep, e_minus=em, p_plus=pp)
+                      for l, y, ep, em, pp in (
+                          (9, -1, 0.1, 0.5, 0.5), (7, 1, 0, 0.4, 0.8), (200, 1, 0.3, 0.2, 0.3),
+                          (30, 1, 1e-16, 1e-16, 0.5), (30, -1, 1e-8, 1e-12, 0.5),
+                          (1000, 1, 1e-12, 1e-10, 0.4), (8, 1, 0, 0, 0.5), (5, -1, 0.0, 0.0, 0.5),
+                          (1, 1, 0.2, 0.2, 0.5), (2, -1, 0.3, 0.3, 0.5),
+                          (10**9, 1, 0.2, 0.2, 0.5), (2**53, -1, 0.1, 0.25, 0.5))]
+        trials, seed = 3000, 4
+        betainc, calls = mcsim._special().betainc, []
+
+        def counted(*args):
+            calls.append(args)
+            return betainc(*args)
+
+        monkeypatch.setattr(mcsim, "_special", lambda: types.SimpleNamespace(betainc=counted))
+        reports = sweep(scenarios, trials, seed, workers=2)
+        assert len(calls) == 1  # one incomplete-beta call for the whole batch
+        edges = _edges(_params(scenarios))
+        _, belows, wrongs = _cut_counts(scenarios, trials, seed, workers=1)
+        for s, report, e, below, wrong in zip(scenarios, reports, edges, belows, wrongs,
+                                               strict=True):
+            memorize, *blocks = report.checks
+            assert memorize.exact is s.e_y
+            assert memorize.mc_estimate == wrong / (trials * s.l)
+            assert memorize.ci == _wilson(wrong, trials * s.l)
+            for check in blocks:
+                t, start, stop = self._RANGES[check.treatment.value, check.event]
+                lo, hi = int(e[t, start]), int(e[t, stop]) - 1
+                if hi < lo:
+                    exact = 0.0
+                elif lo == 0:
+                    exact = 1.0 if hi == s.l else binom_tail(s.l, 1.0 - s.e_y, s.l - hi)
+                else:
+                    exact = binom_tail(s.l, s.e_y, lo)
+                assert check.exact == exact, (s, check)
+                hits = int(below[t, stop] - below[t, start])
+                assert check.mc_estimate == hits / trials
+                assert check.ci == _wilson(hits, trials)
+
     def test_a_batch_past_its_ceilings_raises_before_any_work(self, monkeypatch):
         # the CLI's messages, raised before the edges or a draw
         def never(*args):
@@ -1285,7 +1363,11 @@ class TestSweep:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # so workers 2 and 3 run threads
         scenarios = [InstanceScenario(l=l, y=y, e_plus=e, e_minus=0.2) for l, y, e in (
             (1, 1, 0.3), (4, -1, 0.1), (7, 1, 0.45), (10, 1, 0.2), (50, -1, 0.05),
-            (200, 1, 0.3), (1000, -1, 0.4))]
+            (200, 1, 0.3), (1000, -1, 0.4),
+            # a zero rate, an integer zero, a tiny rate and a billion labels: with
+            # the rest, each reaches every branch of exact (empty and full ranges,
+            # lower and upper tails)
+            (5, 1, 0.0), (6, 1, 0), (12, 1, 1e-12), (10**9, 1, 0.3))]
         scenarios.insert(3, scenarios[1])  # a repeated scenario
         solo = [bound_report(s, trials, seed=11) for s in scenarios]
         for workers in (1, 2, 3):

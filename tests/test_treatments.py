@@ -385,6 +385,12 @@ class TestPeerExpectedLoss:
             peer_expected_loss(_random_joint(rng, 2), np.array([[0.9, 0.2], [0.5, 0.5]]))
         with pytest.raises(ValueError):
             peer_expected_loss(_random_joint(rng, 2), _random_predictor(rng, 2), q_min=0.6)
+        # NaN passes the sign and sum checks, so each table is checked finite first
+        nan = float("nan")
+        with pytest.raises(ValueError, match="^joint entries must be finite$"):
+            peer_expected_loss([[0.2, nan], [0.4, 0.1]], np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="^predictor entries must be finite$"):
+            peer_expected_loss([[0.2, 0.3], [0.4, 0.1]], [[0.5, 0.5], [nan, 0.5]])
 
 
 class TestPeerObjectiveGeometry:
