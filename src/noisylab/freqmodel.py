@@ -56,9 +56,10 @@ _REGIME_PI_MAX = 1.0 / 20.0
 class PriorSpec:
     """An instance-frequency prior: a set of candidate frequency values.
 
-    Values lie in (0, 1] and are stored exactly as given — the generative
-    process renormalizes realized draws, so overall scale never affects
-    sampling, but it does define the raw moment ratios tau_exact computes.
+    Values lie in (0, 1] and are stored exactly as given, in a read-only
+    copy — the generative process renormalizes realized draws, so overall
+    scale never affects sampling, but it does define the raw moment ratios
+    tau_exact computes.
     Generated families (uniform, zipf) are built summing to one; explicit
     sets may carry any total.
     """
@@ -66,11 +67,9 @@ class PriorSpec:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float).ravel()
-        if values.size == 0:
-            raise ValueError("prior needs at least one value")
-        if np.any(values <= 0.0) or not np.all(np.isfinite(values)) or np.any(values > 1.0):
-            raise ValueError("prior values must lie in (0, 1]")
+        values = np.array(self.values, dtype=float).ravel()
+        values.flags.writeable = False
+        raise_first(_array_violations(values))
         object.__setattr__(self, "values", values)
 
     @property
@@ -112,19 +111,27 @@ class TauEstimate:
     regime_ok: bool = True
 
 
-def _zipf(doc: dict) -> PriorSpec:
+def _array_violations(values: np.ndarray) -> list[str]:
+    """Why an array, as built in doubles, cannot be a prior's values."""
+    if values.size == 0:
+        return ["prior needs at least one value"]
+    bad = values[~((values > 0.0) & (values <= 1.0))]  # NaN too
+    return [f"prior values must lie in (0, 1], got {bad[0]}"] if bad.size else []
+
+
+def _zipf(doc: dict) -> np.ndarray:
     weights = np.arange(1, doc["n_values"] + 1, dtype=float) ** (-float(doc["exponent"]))
-    return PriorSpec(weights / weights.sum())
+    return weights / weights.sum()
 
 
 _POSITIVE = Spec(lo=0.0, lo_open=True)
-# Per generator: its prior config's fields and the uncapped prior they build.  A tau
+# Per generator: its prior config's fields and the uncapped values they build.  A tau
 # run holds about 82 B per value, so n_values stops at 2**23, about 0.64 GiB.
 _GENERATORS = {"uniform": ({"n_values": replace(_COUNT, hi=2**23)},
-                           lambda doc: PriorSpec(np.full(doc["n_values"], 1.0 / doc["n_values"])))}
+                           lambda doc: np.full(doc["n_values"], 1.0 / doc["n_values"]))}
 _GENERATORS |= {
     "zipf": ({**_GENERATORS["uniform"][0], "exponent": _POSITIVE}, _zipf),
-    "explicit": ({}, lambda doc: PriorSpec(np.asarray(doc["values"], dtype=float))),
+    "explicit": ({}, lambda doc: np.asarray(doc["values"], dtype=float)),
 }
 _CAP = {"cap": Spec(lo=0.0, hi=1.0, lo_open=True, required=False)}
 
@@ -137,15 +144,8 @@ def _values_violations(values) -> list[str]:
     return [] if all(v <= 1 for v in values) else ["prior.values: all values must be <= 1"]
 
 
-def _cap_violations(values: np.ndarray, cap, path: str = "") -> list[str]:
-    n, total = values.size, float(np.sum(values))
-    feasible = ("cap", ("cap",), lambda c: not n * c < total * (1.0 - 1e-12),
-                lambda c: f"cap {c} is infeasible for {n} values summing to {total}")
-    return field_violations({"cap": cap}, _CAP, {"cap": feasible}, path)
-
-
 def _prior_field_violations(doc) -> list[str]:
-    """A config prior object's violations, short of checking a valid cap against the prior."""
+    """A config prior object's violations, short of checking the values it builds."""
     if not isinstance(doc, dict):
         return ["prior: prior required" if doc is None else "prior: must be an object"]
     generator = doc.get("generator")
@@ -161,27 +161,31 @@ def _prior_field_violations(doc) -> list[str]:
     return violations + unknown_fields(doc, known, "prior")
 
 
+def _config_values(doc) -> tuple[np.ndarray | None, list[str]]:
+    """The values of the prior a config's prior object describes, built once and then
+    capped when it names a cap, or None and one message per broken rule: its fields,
+    the values they build, then the cap."""
+    violations = _prior_field_violations(doc)
+    if violations:
+        return None, violations
+    values = _GENERATORS[doc["generator"]][1](doc)
+    violations = _array_violations(values)
+    if violations or doc.get("cap") is None:
+        return (None if violations else values), violations
+    return _waterfilled(values, doc["cap"], path="prior")
+
+
 @reads("prior")
 def prior_violations(config: dict) -> list[str]:
-    """One message per broken rule of a config's prior; a valid cap is checked against the prior."""
-    doc = config.get("prior")
-    violations = _prior_field_violations(doc)
-    if violations or doc.get("cap") is None:
-        return violations
-    return _cap_violations(_GENERATORS[doc["generator"]][1](doc).values, doc["cap"], path="prior")
+    """One message per broken rule of a config's prior, read off the prior it builds."""
+    return _config_values(config.get("prior"))[1]
 
 
 def _config_prior(doc: dict) -> PriorSpec:
-    """The prior a config's prior object describes: built once, then capped when it names a cap.
-
-    The first prior_violations message is raised.
-    """
-    raise_first(_prior_field_violations(doc))
-    prior = _GENERATORS[doc["generator"]][1](doc)
-    if doc.get("cap") is None:
-        return prior
-    raise_first(_cap_violations(prior.values, doc["cap"], path="prior"))
-    return capped(prior, doc["cap"])
+    """The prior a config's prior object describes; the first prior_violations message is raised."""
+    values, violations = _config_values(doc)
+    raise_first(violations)
+    return PriorSpec(values)
 
 
 def build_prior(
@@ -203,22 +207,21 @@ def build_prior(
     return _config_prior({key: value for key, value in doc.items() if value is not None})
 
 
-def capped(prior: PriorSpec, cap: float) -> PriorSpec:
-    """Rescale a prior so no value exceeds cap while the total is preserved.
-
-    Waterfilling: the largest entries are pinned at cap and the remainder
-    is scaled by a common factor c solving sum_i min(c * v_i, cap) = total.
-    Feasible only when N * cap >= total, to a relative 1e-12 (see _cap_violations).
-    """
-    values = prior.values
-    raise_first(_cap_violations(values, cap))
-    n = values.size
-    total = float(np.sum(values))
+def _waterfilled(values: np.ndarray, cap, path: str = "") -> tuple[np.ndarray | None, list[str]]:
+    """values waterfilled below cap (see capped), or None and one message per broken cap rule."""
+    n, total = values.size, float(np.sum(values))
+    feasible = ("cap", ("cap",), lambda c: not n * c < total * (1.0 - 1e-12),
+                lambda c: f"cap {c} is infeasible for {n} values summing to {total}")
+    violations = field_violations({"cap": cap}, _CAP, {"cap": feasible}, path)
+    if violations:
+        return None, violations
     order = np.argsort(values)[::-1]
     sorted_vals = values[order]
     tail_sums = np.cumsum(sorted_vals[::-1])[::-1]
-    # the first k whose scale fits: k largest entries pinned at cap, the rest scaled by c
-    c = (total - np.arange(n) * cap) / tail_sums
+    # the first k whose scale fits: k largest entries pinned at cap, the rest scaled by c;
+    # a scale that overflows, as past a subnormal tail, never fits
+    with np.errstate(over="ignore"):
+        c = (total - np.arange(n) * cap) / tail_sums
     fits = c * sorted_vals <= cap * (1.0 + 1e-12)
     fits[1:] &= c[1:] * sorted_vals[:-1] >= cap * (1.0 - 1e-12)
     if fits.any():
@@ -226,10 +229,24 @@ def capped(prior: PriorSpec, cap: float) -> PriorSpec:
     elif total - n * cap >= -1e-15:
         out_sorted = np.full(n, cap)
     else:
-        raise RuntimeError("waterfilling failed to find a feasible scale")
+        where = f"{path}.cap" if path else "cap"
+        return None, [f"{where}: no waterfilling scale as a double keeps these values below {cap}"]
     out = np.empty_like(values)
     out[order] = out_sorted
-    return PriorSpec(out)
+    return out, []
+
+
+def capped(prior: PriorSpec, cap: float) -> PriorSpec:
+    """Rescale a prior so no value exceeds cap while the total is preserved.
+
+    Waterfilling: the largest entries are pinned at cap and the remainder
+    is scaled by a common factor c solving sum_i min(c * v_i, cap) = total.
+    Feasible only when N * cap >= total, to a relative 1e-12, and when a
+    scale c fits as a double; otherwise the first violation is raised.
+    """
+    values, violations = _waterfilled(prior.values, cap)
+    raise_first(violations)
+    return PriorSpec(values)
 
 
 def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight_replicates=0):

@@ -97,6 +97,9 @@ _SCENARIO_FIELDS = {
 }
 _SCENARIO_RULES = {
     **_RATE_RULES,
+    # p_minus defaults to 1 - p_plus, which rounds to 1 at p_plus <= 2**-54
+    "p_plus": ("p_plus", ("p_plus",), lambda p: 1.0 - p < 1.0,
+               lambda p: f"must be > 2**-54, so that 1 - p_plus < 1, got {p}"),
     "p_minus": ("p_plus", ("p_plus", "p_minus"), lambda a, b: abs(a + b - 1.0) <= 1e-9,
                 lambda a, b: f"p_plus + p_minus must equal 1, got {a + b}"),
     "n": ("n", ("n", "l"), lambda n, l: n >= l, lambda n, l: f"must be >= l, got n={n}, l={l}"),
@@ -435,26 +438,27 @@ class BoundReport:
 # The checks in report order, one row each: treatment, event, headline, the
 # event's wrong counts as a pair (start, stop) of its treatment's edges, edges
 # start..stop - 1 (see _edges), the closed form, and the regime its ordering
-# needs, as flags (equal rates, even l, p_plus = 1/2).  Memorize's check comes
-# first and has no range: it is the pooled per-label error against e_y.  A
-# range is the treatment's leading block (0, 1) or every count past it (1, 3);
-# smoothing leads with failures, so its better-or-tie lies past them.  The
-# loss-correction and smoothing bounds are stated for equal rates, failure
-# floors for even l (where the tie carries the mass the l/sqrt term needs),
-# the peer floor for the symmetric regime; the peer success bound holds in
-# every regime.
+# needs, as flags (equal rates, even l, p_plus = 1/2, a peer margin above
+# _TIE_EPS).  Memorize's check comes first and has no range: it is the pooled
+# per-label error against e_y.  A range is the treatment's leading block
+# (0, 1) or every count past it (1, 3); smoothing leads with failures, so its
+# better-or-tie lies past them.  The loss-correction and smoothing bounds are
+# stated for equal rates, failure floors for even l (where the tie carries the
+# mass the l/sqrt term needs), the peer floor for the symmetric regime.  The
+# peer success bound holds wherever its margin lies above the band in which
+# the engine ties every margin.
 _EVENTS = (
-    (Treatment.MEMORIZE, "mean_label_error", True, None, None, (0, 0, 0)),
+    (Treatment.MEMORIZE, "mean_label_error", True, None, None, (0, 0, 0, 0)),
     (Treatment.LOSS_CORRECTION, "strict_success", True, (0, 1),
-     BoundKind.HOEFFDING_SUCCESS, (1, 0, 0)),
+     BoundKind.HOEFFDING_SUCCESS, (1, 0, 0, 0)),
     (Treatment.LOSS_CORRECTION, "tie_inclusive_failure", False, (1, 3),
-     BoundKind.BINOMIAL_FAILURE_LOWER, (1, 1, 0)),
+     BoundKind.BINOMIAL_FAILURE_LOWER, (1, 1, 0, 0)),
     (Treatment.LABEL_SMOOTHING, "ls_better_or_tie", True, (1, 3),
-     BoundKind.BINOMIAL_FAILURE_LOWER, (1, 1, 0)),
+     BoundKind.BINOMIAL_FAILURE_LOWER, (1, 1, 0, 0)),
     (Treatment.PEER_LOSS, "strict_success", True, (0, 1),
-     BoundKind.PEER_SUCCESS, (0, 0, 0)),
+     BoundKind.PEER_SUCCESS, (0, 0, 0, 1)),
     (Treatment.PEER_LOSS, "tie_inclusive_failure", False, (1, 3),
-     BoundKind.PEER_FAILURE_LOWER, (1, 1, 1)),
+     BoundKind.PEER_FAILURE_LOWER, (1, 1, 1, 0)),
 )
 # The table's columns as arrays over its six events, memorize's range empty.
 _EVENT_TREATMENT = np.array([_TREATMENTS.index(event[0]) for event in _EVENTS])
@@ -505,7 +509,10 @@ def _reports(scenarios, edges, below, wrong, trials: int) -> list[BoundReport]:
                                np.where(upper, e_y, 1.0 - e_y))
     masses = np.where(tail, tails, np.where(lo < end, 1.0, 0.0))
     equal = np.abs(e_plus - e_minus) <= 2.0 * _TIE_EPS * (e_plus + e_minus)  # both zero too
-    regime = (np.hstack((equal, l % 2 == 0, np.abs(p_plus - 0.5) <= 1e-12))[:, None, :]
+    # the peer success bound's margin, p_opposite (1 - e_plus - e_minus), is peer loss's
+    # margin at the expected wrong count, which the engine reads as it reads a trial's
+    margin = _codes(_params(scenarios), e_y * l)[_TREATMENTS.index(Treatment.PEER_LOSS)] == _SUCCESS
+    regime = (np.hstack((equal, l % 2 == 0, np.abs(p_plus - 0.5) <= 1e-12, margin))[:, None, :]
               | ~_EVENT_NEEDS).all(axis=2)
     reports = []
     for s, *columns in zip(scenarios, share.tolist(), ci[0].tolist(), ci[1].tolist(),

@@ -23,14 +23,16 @@ class LabelDist:
     """A distribution over the two labels, index 0 = label -1, index 1 = label +1.
 
     signed=True admits entries outside [0, 1] while keeping the sum-to-one
-    constraint; pre-cap corrected labels live there.
+    constraint; pre-cap corrected labels live there.  probs is a read-only
+    copy of the given entries, so editing those later leaves it unchanged.
     """
 
     probs: np.ndarray
     signed: bool = False
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float).ravel()
+        probs = np.array(self.probs, dtype=float).ravel()
+        probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         if probs.size != 2:
             raise ValueError(f"a label distribution has two entries, got {probs.size}")

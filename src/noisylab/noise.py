@@ -101,6 +101,7 @@ class InstanceNoiseSynth:
 
     Each instance's flip rate is q ~ truncated-normal(epsilon, sigma^2, [0, 1])
     modulated by the feature's standardized projection onto w (combine_rate).
+    w is a read-only copy of the given weights.
     """
 
     epsilon: float
@@ -109,7 +110,9 @@ class InstanceNoiseSynth:
 
     def __post_init__(self) -> None:
         raise_first(field_violations(vars(self), _SYNTH_FIELDS))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float).ravel())
+        w = np.array(self.w, dtype=float).ravel()
+        w.flags.writeable = False
+        object.__setattr__(self, "w", w)
 
     @classmethod
     def sample(

@@ -68,26 +68,13 @@ class CorrectedLabel:
 
     raw = (T^-1)^T applied to the empirical distribution; its entries sum
     to one but may exit [0, 1].  capped is raw when already proper and
-    otherwise the one-hot vector on the side the violation points to; the
-    two one-hot vectors are shared, read-only objects.
+    otherwise the one-hot vector on the side the violation points to.
     Algebraic identities (the empirical-loss equivalence, unbiasedness)
     hold for raw only; memorization-style error comparisons use capped.
     """
 
     raw: LabelDist
     capped: LabelDist
-
-
-def _one_hot(index: int) -> LabelDist:
-    """A shared read-only point mass; LabelDist is frozen, so callers can share it."""
-    probs = np.zeros(2)
-    probs[index] = 1.0
-    probs.flags.writeable = False
-    return LabelDist(probs)
-
-
-_ONE_HOT_MINUS = _one_hot(0)
-_ONE_HOT_PLUS = _one_hot(1)
 
 
 def corrected_label(dist: LabelDist, rates: BinaryNoiseRates) -> CorrectedLabel:
@@ -106,30 +93,20 @@ def corrected_label(dist: LabelDist, rates: BinaryNoiseRates) -> CorrectedLabel:
     gap = 1.0 - e_p - e_m
     raw_plus = ((1.0 - e_m) * p_plus - e_m * p_minus) / gap
     raw_minus = ((1.0 - e_p) * p_minus - e_p * p_plus) / gap
-    raw = LabelDist(np.array([raw_minus, raw_plus]), signed=True)
-    if raw_plus > 1.0:
-        return CorrectedLabel(raw=raw, capped=_ONE_HOT_PLUS)
-    if raw_plus < 0.0:
-        return CorrectedLabel(raw=raw, capped=_ONE_HOT_MINUS)
-    return CorrectedLabel(raw=raw, capped=LabelDist(raw.probs.copy()))
-
-
-def _binary_surrogate(loss_minus: float, loss_plus: float, rates: BinaryNoiseRates) -> tuple[float, float]:
-    """Closed-form T^-1 l for binary rates, as (l_LC(-1), l_LC(+1))."""
-    e_p, e_m = rates.e_plus, rates.e_minus
-    gap = 1.0 - e_p - e_m
-    return (
-        ((1.0 - e_p) * loss_minus - e_m * loss_plus) / gap,
-        ((1.0 - e_m) * loss_plus - e_p * loss_minus) / gap,
-    )
+    raw = (raw_minus, raw_plus)
+    capped = (0.0, 1.0) if raw_plus > 1.0 else (1.0, 0.0) if raw_plus < 0.0 else raw
+    return CorrectedLabel(raw=LabelDist(raw, signed=True), capped=LabelDist(capped))
 
 
 def lc_loss_vector(loss, rates: BinaryNoiseRates) -> np.ndarray:
-    """Surrogate loss T^-1 l whose noisy expectation is the clean loss."""
-    arr = _as_loss_vector(loss)
+    """Surrogate loss T^-1 l whose noisy expectation is the clean loss, in closed form."""
+    loss_minus, loss_plus = _as_loss_vector(loss).tolist()
     if not isinstance(rates, BinaryNoiseRates):
         raise TypeError(f"expected BinaryNoiseRates, got {type(rates)!r}")
-    return np.array(_binary_surrogate(*arr.tolist(), rates))
+    e_p, e_m = rates.e_plus, rates.e_minus
+    gap = 1.0 - e_p - e_m
+    return np.array([((1.0 - e_p) * loss_minus - e_m * loss_plus) / gap,
+                     ((1.0 - e_m) * loss_plus - e_p * loss_minus) / gap])
 
 
 def lc_empirical_loss(labels, rates: BinaryNoiseRates, loss) -> float:

@@ -1,10 +1,12 @@
 """Tests for the batch CLI: config validation, runs, CSV/manifest output."""
 
+import copy
 import csv
 import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -1019,6 +1021,25 @@ class TestFrozenErrors:
              "grid: scenario count must be <= 131072, got 10000000\n"),
             ("sweep", {"seed": 1, "trials": 10, "scenarios": [_S] * (2**17 + 1)},
              "scenarios: scenario count must be <= 131072, got 131073\n"),
+            # the values a prior builds are checked as built: 3**-1000 rounds to 0
+            ("tau", {"seed": 1, "n": 100, "l": [2],
+                     "prior": {"generator": "zipf", "n_values": 50, "exponent": 1000, "cap": 0.05}},
+             "prior values must lie in (0, 1], got 0.0\n"),
+            ("tau", {"seed": 1, "n": 100, "l": [2],
+                     "prior": {"generator": "zipf", "n_values": 50, "exponent": 1000}},
+             "prior values must lie in (0, 1], got 0.0\n"),
+            ("weight", {**_W, "prior": {"generator": "zipf", "n_values": 50, "exponent": 1000}},
+             "prior values must lie in (0, 1], got 0.0\n"),
+            # so is the cap: the scale 0.025 / 1e-310 overflows
+            ("tau", {"seed": 1, "n": 100, "l": [2],
+                     "prior": {"generator": "explicit", "values": [0.9, 1e-310, 0.125], "cap": 0.5}},
+             "prior.cap: no waterfilling scale as a double keeps these values below 0.5\n"),
+            # p_minus = 1 - p_plus rounds to 1 below 2**-54, and the peer bound reads it
+            ("simulate", _scenario(p_plus=1e-17),
+             "scenario.p_plus: must be > 2**-54, so that 1 - p_plus < 1, got 1e-17\n"),
+            ("sweep", {"seed": 1, "trials": 10,
+                       "grid": {"l": [4], "e": [0.1], "base": {"p_plus": 1e-17}}},
+             "grid.base.p_plus: must be > 2**-54, so that 1 - p_plus < 1, got 1e-17\n"),
         ],
         ids=["base-y", "base-p_plus", "base-smoothing_a", "base-n", "p_minus-alone",
              "weight-prior-above-1", "tau-prior-above-1", "tau-one-mc-replicate",
@@ -1035,7 +1056,9 @@ class TestFrozenErrors:
              "overflowing-weight_replicates", "overflowing-replicates", "overflowing-feature_dim",
              "prior-absent", "prior-null", "prior-not-an-object", "explicit-values-empty",
              "count-past-2**20", "sigma-past-1e6", "work-past-2**40", "work-past-2**40-bounds",
-             "work-past-2**40-grid", "grid-past-2**17", "scenarios-past-2**17"],
+             "work-past-2**40-grid", "grid-past-2**17", "scenarios-past-2**17",
+             "zipf-underflow-with-cap", "zipf-underflow", "zipf-underflow-weight",
+             "cap-scale-overflow", "p_plus-past-2**-54", "base-p_plus-past-2**-54"],
     )
     def test_run_and_validate_reject_alike(self, tmp_path, capsys, command, doc, err):
         assert _run(tmp_path, capsys, command, doc) == (2, err, 2, err)
@@ -1095,6 +1118,61 @@ class TestFrozenErrors:
         config = _write_config(tmp_path, {**_B, "command": "explode"})
         assert main(["bounds", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err == "command: config file is for 'explode', invoked as 'bounds'\n"
+
+
+# Values a mutation sets, fixed before the first run: edges of the fields'
+# ranges and values that once made `validate` and a run disagree.  A value
+# that finds a disagreement is a defect to mend, never one to drop from here.
+_POOL = (1e-17, 1e-310, 1000, 0, -1, 0.5, 2**53 + 1, None, [], 1, 0.05, 190, 2.5, True, "x",
+         [0.5, 0.5], {})
+# the configs mutated: the file's own, each optional field given at its default
+_OPTIONAL = {"p_plus": 0.5, "smoothing_a": 0.1, "n": 10}
+_MUTATED = (
+    ("weight", {**_W, "prior": {**_W["prior"], "cap": 0.5}}),
+    ("simulate", {**_B, "workers": 1, "scenario": {**_S, **_OPTIONAL}}),
+    ("bounds", {**_B, "scenario": {**_S, **_OPTIONAL}}),
+    ("noise-synth", {**_N, "sigma": 0.1}),
+    ("tau", {"seed": 1, "n": 100, "l": [2, 10], "mc_replicates": 20, "weight_replicates": 20,
+             "prior": {"generator": "zipf", "n_values": 50, "exponent": 1.1, "cap": 0.05}}),
+    ("sweep", {"seed": 1, "trials": 10,
+               "grid": {"l": [4, 10], "e": [0.1], "base": {"y": 1, **_OPTIONAL}}}),
+)
+
+
+def _paths(doc, path=()):
+    """Every key and index path into a config, objects and lists included."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, (*path, key))
+
+
+def test_validate_and_the_run_agree_on_mutated_configs(tmp_path, capsys):
+    # 300 seeded mutations, one value each: no exception escapes main, a config
+    # `validate` accepts runs, and one it rejects fails the run with its text
+    rng = random.Random(23)
+    config, checked, out = tmp_path / "config.json", tmp_path / "checked.json", tmp_path / "o.csv"
+    for case in range(300):
+        command, doc = _MUTATED[case % len(_MUTATED)]
+        doc = copy.deepcopy(doc)
+        *parents, key = rng.choice(list(_paths(doc)))
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = copy.deepcopy(rng.choice(_POOL))
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        checked.write_text(json.dumps({"command": command, **doc}), encoding="utf-8")
+        try:
+            validate_code = main(["validate", "--config", str(checked)])
+            said = capsys.readouterr().out
+            code = main([command, "--config", str(config), "--out", str(out)])
+        except Exception as exc:  # noqa: BLE001 - name the config that raised
+            pytest.fail(f"{command} {doc}: {exc!r}")
+        err = capsys.readouterr().err
+        if validate_code == 0:
+            assert code == 0, (command, doc, err)
+        else:
+            assert (validate_code, code, err) == (2, 2, said), (command, doc)
 
 
 _README = Path(__file__).resolve().parent.parent / "README.md"

@@ -10,6 +10,7 @@ l requested with it, on mc_replicates (for the bound columns), or on the
 chunking; the chunk loop matches a fresh-temporary np.where reference bit
 for bit, and its working set stays a few chunk buffers.
 """
+import hashlib
 import math
 import tracemalloc
 
@@ -178,6 +179,17 @@ class TestCapped:
             capped(PriorSpec(np.array([0.5, 0.5])), 0.3)
         with pytest.raises(ValueError):
             capped(PriorSpec(np.array([0.5, 0.5])), 0.0)
+
+    def test_subnormal_values_keep_their_waterfilling(self):
+        # zipf's weights at exponent 190 reach subnormals, and some scales overflow
+        out = build_prior("zipf", n=50, exponent=190, cap=0.05).values
+        digest = "dbb04aa456d9d6abf9f2fbc7e1aae22e8c035b674c67099cc8a279895702a5e6"
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+    def test_a_scale_past_the_largest_double_is_rejected(self):
+        # the third entry would need the scale 0.025 / 1e-310
+        with pytest.raises(ValueError, match=r"^cap: no waterfilling scale as a double"):
+            capped(PriorSpec(np.array([0.9, 1e-310, 0.125])), 0.5)
 
 
 class TestSampleFrequencies:

@@ -154,6 +154,7 @@ class TestInstanceScenario:
     def test_p_minus_complements_p_plus(self):
         s = InstanceScenario(l=4, y=1, e_plus=0.1, e_minus=0.1, p_plus=0.7)
         np.testing.assert_allclose(s.p_minus, 0.3)
+        assert InstanceScenario(l=4, y=1, e_plus=0.1, e_minus=0.1, p_plus=2**-53).p_minus < 1.0
 
     def test_rejects_invalid_settings(self):
         with pytest.raises(ValueError):
@@ -197,6 +198,10 @@ class TestInstanceScenario:
             ({"n": 2}, "n: must be >= l, got n=2, l=4"),
             ({"y": True}, "y: must be -1 or 1, got True"),
             ({"y": 1.0}, "y: must be -1 or 1, got 1.0"),
+            # p_minus = 1 - p_plus would round to 1, whichever label the instance holds
+            ({"p_plus": 1e-17}, "p_plus: must be > 2**-54, so that 1 - p_plus < 1, got 1e-17"),
+            ({"y": -1, "p_plus": 2**-54},
+             "p_plus: must be > 2**-54, so that 1 - p_plus < 1, got 5.551115123125783e-17"),
         ],
     )
     def test_raises_the_message_the_cli_reports(self, fields, message):
@@ -1116,6 +1121,21 @@ class TestBoundReport:
                 check = by_event[key]
                 assert check.bound.regime_ok is equal, (e_minus, key)
                 assert (check.ordering_holds is None) is not equal, (e_minus, key)
+
+    def test_a_peer_margin_in_the_tie_band_is_off_the_success_regime(self):
+        # no label flips here, and the engine ties every margin within _TIE_EPS,
+        # so at a margin of about 1e-12 no trial succeeds; a margin just above
+        # the band keeps its regime and its ordering
+        for y, p_opposite, regime in ((1, 1e-11, False), (-1, 1e-11, False),
+                                      (1, 1e-10, True), (-1, 1e-10, True)):
+            s = InstanceScenario(l=10**13, y=y, e_plus=0.0 if y == 1 else 0.9,
+                                 e_minus=0.9 if y == 1 else 0.0,
+                                 p_plus=1.0 - p_opposite if y == 1 else p_opposite)
+            check = {(c.treatment, c.event): c for c in bound_report(s, 100, 1).checks}[
+                (Treatment.PEER_LOSS, "strict_success")]
+            assert check.exact == float(regime) and check.bound.value > 1e-12, (y, p_opposite)
+            assert check.bound.regime_ok is regime
+            assert check.ordering_holds is (True if regime else None)
 
     def test_unequal_rates_flag_their_regimes(self):
         s = InstanceScenario(l=9, y=1, e_plus=0.1, e_minus=0.5)

@@ -7,7 +7,14 @@ tau_lower_large times memorization_error, to frozen hand-computed products.
 import numpy as np
 import pytest
 
-from noisylab import LabelDist, empirical_distribution, memorization_error, tau_lower_large
+from noisylab import (
+    InstanceNoiseSynth,
+    LabelDist,
+    PriorSpec,
+    empirical_distribution,
+    memorization_error,
+    tau_lower_large,
+)
 from noisylab.memorize import _label_counts
 
 
@@ -33,6 +40,21 @@ class TestLabelDist:
         d = LabelDist(np.array([0.3, 0.7]))
         assert d.prob_of(-1) == 0.3
         assert d.prob_of(1) == 0.7
+
+
+@pytest.mark.parametrize("build, field, edit", [
+    (LabelDist, "probs", [5.0, -4.0]),
+    (PriorSpec, "values", [0.0, 2.0]),
+    (lambda w: InstanceNoiseSynth(0.2, w), "w", [np.nan, np.inf]),
+], ids=["LabelDist", "PriorSpec", "InstanceNoiseSynth"])
+def test_frozen_objects_own_a_read_only_copy_of_their_array(build, field, edit):
+    given = np.array([0.3, 0.7])
+    held = build(given)
+    given[:] = edit
+    np.testing.assert_array_equal(getattr(held, field), [0.3, 0.7])
+    with pytest.raises(ValueError):
+        getattr(held, field)[0] = 0.5
+    np.testing.assert_array_equal(getattr(held, field), [0.3, 0.7])
 
 
 class TestEmpiricalDistribution:
