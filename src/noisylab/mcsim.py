@@ -18,10 +18,12 @@ from its own Philox counter range [0, 0, 0, c] under a key derived from
 whichever worker draws them.  A sweep runs every (scenario, chunk) job
 of its batch on up to `workers` threads, at most one per CPU, and the
 calling thread alone adds the counts they return, in job order.
-A chunk's counts are the integers Generator.binomial(l, e_y) draws from
-its stream: where numpy inverts (p l <= 30, p = min(e_y, 1 - e_y)) they are
-looked up in numpy's own inversion table, and elsewhere (BTPE, which takes a
-varying number of uniforms per draw) numpy draws them.  STREAM_VERSION
+With p = min(e_y, 1 - e_y), a chunk whose inversion table starts at a normal
+double, l * -log1p(-p) <= 700, looks one uniform per count up in numpy's
+inversion table for (l, p): Generator.binomial(l, e_y)'s integers where numpy
+inverts (p l <= 30), its inversion walk where numpy runs BTPE.  Past that,
+Generator.binomial (BTPE, which takes a varying number of uniforms per draw)
+draws the chunk.  STREAM_VERSION
 names this mapping from seeds to rows and changes whenever the same seed
 would draw different numbers or classify them differently.
 """
@@ -30,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 import os
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields, replace
@@ -63,11 +64,11 @@ __all__ = [
     "sweep",
 ]
 
-STREAM_VERSION = 9  # the README's Determinism section says what each version changed
+STREAM_VERSION = 10  # the README's Determinism section says what each version changed
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
-_BLOCK, _GUIDE = 4096, 256  # uniforms per inversion block; guide bins, a power of 2
-_CUT_SLACK = 1e-12  # far above the walk's rounding: under 87 steps, 2 * 87 * 2**-53 = 2e-14
+_GUIDE = 256  # guide bins of an inversion lookup, a power of 2
+_CUT_SLACK = 1e-12  # far above the walk's rounding: under 965 steps, 2 * 965 * 2**-53 = 2.1e-13
 _SUCCESS, _TIE, _FAILURE = 0, 1, 2
 # A batch holds about 4.5 KiB per scenario until the write, so 2**17 scenarios stay under 1 GiB;
 # a draw takes 40-96 ns with numpy's BTPE (one thread, 2-vCPU VM), so 2**40 take about a day.
@@ -238,49 +239,41 @@ def _walk(u: float, px: list[float]) -> int | None:
     return x
 
 
-def _inverse(px: list[float]) -> Callable[[np.ndarray], np.ndarray | None]:
-    """_walk as a vectorized function of uniforms u, None if any walk passes bound: the
-    count of cuts cumsum(px) - _CUT_SLACK below u.  A guide table gives the count below
-    u's 1/_GUIDE bin, two passes step it on, searchsorted places the few left, and a u
+def _inverse(px: list[float], u: np.ndarray) -> np.ndarray | None:
+    """_walk over an array of uniforms u, None if any walk passes bound: the count of
+    cuts cumsum(px) - _CUT_SLACK below u.  A guide table gives the count below u's
+    1/_GUIDE bin, two passes step it on, searchsorted places the few left, and a u
     within _CUT_SLACK of a cut, or past the last, takes _walk itself."""
     cuts = np.cumsum(px)
     lo = np.append(cuts - _CUT_SLACK, np.inf)
     hi = np.concatenate(([-np.inf], cuts + _CUT_SLACK))  # hi[x]: cut x - 1, raised
-    guide = lo.searchsorted(np.arange(_GUIDE) / _GUIDE)
-
-    def invert(u: np.ndarray) -> np.ndarray | None:
-        x = guide[(u * _GUIDE).astype(np.intp)]
-        x += u > lo[x]
-        x += u > lo[x]
-        rest = np.flatnonzero(u > lo[x])
-        x[rest] = lo.searchsorted(u[rest])
-        for i in np.flatnonzero((u <= hi[x]) | (x == len(px))):
-            if (walked := _walk(u[i], px)) is None:
-                return None
-            x[i] = walked
-        return x
-    return invert
+    x = lo.searchsorted(np.arange(_GUIDE) / _GUIDE)[(u * _GUIDE).astype(np.intp)]
+    x += u > lo[x]
+    x += u > lo[x]
+    rest = np.flatnonzero(u > lo[x])
+    x[rest] = lo.searchsorted(u[rest])
+    for i in np.flatnonzero((u <= hi[x]) | (x == len(px))):
+        if (walked := _walk(u[i], px)) is None:
+            return None
+        x[i] = walked
+    return x
 
 
 def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int) -> np.ndarray:
-    """Chunk `chunk`'s first `count` wrong-label counts: a pure function of (key, chunk),
-    Generator.binomial(l, e_y)'s integers.  Inverted chunks read _BLOCK uniforms at a
-    time; a walk past the table's bound draws again, so numpy draws that chunk."""
+    """Chunk `chunk`'s first `count` wrong-label counts: a pure function of (key, chunk).
+    Inside the regime (the table's first term exp(l log1p(-p)) normal, so p l <= 700 and
+    at most ~965 entries) its uniforms invert in one call.  Past it, or if a walk passes
+    the table's bound, where an inversion draws again, Generator.binomial draws it."""
     def generator():
         return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk]))
     p, flip = min(e_y, 1.0 - e_y), e_y > 0.5
     if p == 0.0:
         return np.zeros(count, np.int64)
-    if p * l > 30.0:
-        return generator().binomial(l, e_y, size=count)
-    invert, stream = _inverse(_inversion_table(l, p)), generator()
-    wrong, block = np.empty(count, np.int64), np.empty(_BLOCK)
-    for start in range(0, count, _BLOCK):
-        x = invert(stream.random(out=block[:count - start]))
-        if x is None:
-            return generator().binomial(l, e_y, size=count)
-        wrong[start:start + x.size] = x
-    return l - wrong if flip else wrong
+    if l * -math.log1p(-p) <= 700.0:
+        wrong = _inverse(_inversion_table(l, p), generator().random(count))
+        if wrong is not None:
+            return l - wrong if flip else wrong
+    return generator().binomial(l, e_y, size=count)
 
 
 def _params(scenarios) -> tuple[np.ndarray, ...]:

@@ -588,15 +588,13 @@ class TestSweepCommand:
         assert [row[0] for row in rows[4:]] == ["4"] * 4
         assert rows[0][1] == "-1" and rows[4][1] == "1"
 
-    # SHA-256 of four wide sweeps.  Two were captured at stream version 5
-    # before the bound checks were rebuilt on one wrong-count range per event:
-    # a grid over small, odd, even and large l with zero and near-half rates,
-    # and a list with unequal and one-sided rates and l = 1e6 whose 70,000
-    # trials run as two chunks on a two-worker pool.  The third, the
-    # 5,000-scenario grid, was captured at stream version 7 from the engine
-    # that built a full outcome table per treatment, at workers 1 and 2.  The
-    # fourth is the benchmark's sweep_large_l config at seed 1, captured at
-    # stream version 9.
+    # SHA-256 of four wide sweeps: a grid over small, odd, even and large l with
+    # zero and near-half rates; a list with unequal and one-sided rates and
+    # l = 1e6 whose 70,000 trials run as two chunks on a two-worker pool; the
+    # 5,000-scenario grid; and the benchmark's sweep_large_l config at seed 1.
+    # All four were re-captured at stream version 10, where chunks with
+    # 30 < p l and l * -log1p(-p) <= 700 became the inversion walk; only rows
+    # of such scenarios changed, and only their Monte-Carlo cells.
     @pytest.mark.parametrize(
         "doc, rows, digest",
         [
@@ -604,20 +602,20 @@ class TestSweepCommand:
               "grid": {"l": [*range(1, 13), 16, 20, 33, 64, 100, 257, 1000],
                        "e": [0, 0.01, 0.1, 0.2, 0.25, 0.3, 0.4, 0.49],
                        "base": {"y": -1, "p_plus": 0.3, "smoothing_a": 0.35}}}, 608,
-             "38c3cf2344af99b9ff5c3d2708640a1cc19f393c145599efbc1923f7d9b928a3"),
+             "d24a17a872e8e8cfd9c202a1e11846a5ced9845a598cc79c3eb317ac7e36486e"),
             ({"seed": 9, "trials": 70_000, "workers": 2, "scenarios": [
                 {"l": 9, "y": -1, "e_plus": 0.1, "e_minus": 0.5, "smoothing_a": 0.3},
                 {"l": 200, "y": 1, "e_plus": 0.3, "e_minus": 0.2},
                 {"l": 7, "y": 1, "e_plus": 0, "e_minus": 0.4, "p_plus": 0.8},
                 {"l": 1_000_000, "y": 1, "e_plus": 0.2, "e_minus": 0.2}]}, 16,
-             "75dd773d9c8afd51d64524a2b521a243008e9d1c75ea9411a0519f6fea3c72e3"),
+             "f2a97248520b4ea868bec1343d526aea38345eed3378f9504ac0aa4782c56ba6"),
             ({"seed": 7, "trials": 2000, "workers": 2,
               "grid": {"l": list(range(1, 101)), "e": [(2 * i + 1) / 200 for i in range(50)],
                        "base": {"y": 1, "p_plus": 0.3}}}, 20_000,
-             "8b143efe32860f6d1b9b7a99136972ebda61ebaf8fd49e465dce4c90182da27c"),
+             "71b5e9339708e680cd2a6ea4591dcc9720d7acce10692535ceabe74b5c339a23"),
             ({"seed": 1, "trials": 50_000, "workers": 2,
               "grid": {"l": [200, 1000], "e": [0.1, 0.3], "base": {"y": 1}}}, 16,
-             "3a1b941a5a071996051268b9d4bef17fe2b37650e79fb0da2e5d8cff7b8d50d5"),
+             "826908c6b40030aa26a6b08321bcf719b442066d0ba6396caa64aba9821eac69"),
         ],
         ids=["grid", "scenarios", "grid-5000", "sweep-large-l"],
     )

@@ -27,7 +27,6 @@ from noisylab import mcsim
 from noisylab.memorize import LabelDist
 from noisylab.mcsim import (
     scenario_violations,
-    _BLOCK,
     _CHUNK_TRIALS,
     _CUT_SLACK,
     _GUIDE,
@@ -124,6 +123,17 @@ def _pooled(observed: np.ndarray, expected: np.ndarray, least: float = 5.0):
         edges.append(end)
     starts = edges[:-1]
     return np.add.reduceat(observed, starts), np.add.reduceat(expected, starts)
+
+
+def _g_test(hist: np.ndarray, l: int, e_y: float) -> tuple[int, float, float]:
+    """A G-test of a wrong-count histogram over 0..l against scipy's Binomial(l, e_y) pmf,
+    bins pooled to expect at least 5: the bin count, G and its p-value."""
+    trials = hist.sum()
+    pmf = stats.binom.pmf(np.arange(l + 1), l, e_y)
+    observed, expected = _pooled(hist, trials * pmf / pmf.sum())
+    assert observed.size >= 2 and expected.min() >= 5.0
+    g = 2.0 * xlogy(observed, observed / expected).sum()
+    return observed.size, g, stats.chi2.sf(g, observed.size - 1)
 
 
 def _random_scenario(rng: np.random.Generator) -> InstanceScenario:
@@ -393,6 +403,24 @@ def _numpy_counts(key, l, e_y, chunk, count) -> np.ndarray:
     return rng.binomial(l, e_y, size=count)
 
 
+def _walked_counts(key, l, e_y, chunk, count) -> np.ndarray:
+    """Test-only oracle: _walk of each of chunk `chunk`'s own Generator.random uniforms
+    in the inversion table of (l, p), p = min(e_y, 1 - e_y), flipped when e_y > 1/2; a
+    walk past the table's bound leaves the chunk to Generator.binomial."""
+    px = _inversion_table(l, min(e_y, 1.0 - e_y))
+    rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk]))
+    walked = [_walk(u, px) for u in rng.random(count).tolist()]
+    if None in walked:
+        return _numpy_counts(key, l, e_y, chunk, count)
+    wrong = np.array(walked, np.int64)
+    return l - wrong if e_y > 0.5 else wrong
+
+
+def _inverted(l: int, e_y: float) -> bool:
+    """The inverted regime: the table's first term exp(l log1p(-p)) is at least e**-700."""
+    return l * -math.log1p(-min(e_y, 1.0 - e_y)) <= 700.0
+
+
 def _oracle_pairs() -> list[tuple[int, float]]:
     """(l, e_y) pairs for the equality oracle, drawn from seed 18, fixed before its first run.
 
@@ -413,41 +441,63 @@ def _oracle_pairs() -> list[tuple[int, float]]:
     return pairs
 
 
+def _regime_edge(l: int, flip: bool) -> tuple[float, float]:
+    """The last rate e_y (above 1/2 if flip) inside the inverted regime, stepping by
+    floats toward 1/2, and the next float past it."""
+    e_y = -math.expm1(-700.0 / l)
+    e_y, half = (1.0 - e_y, 0.0) if flip else (e_y, 1.0)  # nextafter toward half nears 1/2
+    while not _inverted(l, e_y):
+        e_y = float(np.nextafter(e_y, 1.0 - half))
+    while _inverted(l, past := float(np.nextafter(e_y, half))):
+        e_y = past
+    return e_y, past
+
+
 class TestInversionDraws:
-    """Where numpy inverts, _chunk_counts reads its inversion table instead of
-    calling Generator.binomial; the integers must be the same, bit for bit."""
+    """Inside the regime, _chunk_counts reads an inversion table instead of calling
+    Generator.binomial: where numpy inverts (p l <= 30) the integers must be numpy's,
+    bit for bit, and past that the scalar walk's of the chunk's own uniforms."""
 
     def test_every_chunk_equals_generator_binomial(self):
-        sizes = (1, _BLOCK - 1, _BLOCK + 1, _CHUNK_TRIALS)
+        # Generator.binomial's integers wherever numpy inverts and past the regime;
+        # the scalar walk's in between, where numpy would run BTPE
+        sizes = (1, 1000, 4097, _CHUNK_TRIALS)
         pairs = _oracle_pairs()
         assert len(pairs) >= 200
         assert sum(min(e, 1.0 - e) * l <= 30.0 for l, e in pairs) >= 150  # numpy inverts
         assert any(e > 0.5 for _, e in pairs) and any(e * l == 30.0 for l, e in pairs)
+        walked = [min(e, 1.0 - e) * l > 30.0 and _inverted(l, e) for l, e in pairs]
+        assert sum(walked) >= 20 and sum(not _inverted(l, e) for l, e in pairs) >= 10
         for i, (l, e_y) in enumerate(pairs):
             key = np.array([i, 2 * i + 1], np.uint64)
             chunk, count = i % 7, sizes[i % 4]
             got = _chunk_counts(key, l, e_y, chunk, count)
             assert got.dtype == np.int64
-            np.testing.assert_array_equal(got, _numpy_counts(key, l, e_y, chunk, count),
+            oracle = _walked_counts if walked[i] else _numpy_counts
+            np.testing.assert_array_equal(got, oracle(key, l, e_y, chunk, count),
                                           err_msg=f"l={l}, e_y={e_y!r}")
 
-    @pytest.mark.parametrize("l", [60, 61, 100, 997, 10**6, 2**53])
-    def test_the_regime_follows_numpys_own_float_test(self, monkeypatch, l):
-        # p l == 30 still inverts; the next float above 30 / l leaves it to
-        # Generator.binomial exactly when numpy's own p * l exceeds 30
+    @pytest.mark.parametrize("l", [1010, 1011, 2000, 4096, 10**6, 2**53])
+    def test_the_regime_ends_at_a_normal_first_term(self, monkeypatch, l):
+        # l * -log1p(-p) == 700 still inverts, its first term e**-700 a normal double;
+        # the next float past it, on either side of 1/2, leaves the chunk to
+        # Generator.binomial, and no table is built for it
         tables = []
         monkeypatch.setattr(mcsim, "_inversion_table",
                             lambda n, p, table=_inversion_table: tables.append(p) or table(n, p))
         key = np.array([5, l], np.uint64)
-        for p in (30.0 / l, np.nextafter(30.0 / l, 1.0)):
-            for e_y in (p, 1.0 - p):
+        assert l * -math.log1p(-_regime_edge(l, flip=False)[0]) == 700.0
+        for flip in (False, True):
+            inside, past = _regime_edge(l, flip)
+            for e_y, oracle in ((inside, _walked_counts), (past, _numpy_counts)):
                 tables.clear()
-                np.testing.assert_array_equal(_chunk_counts(key, l, e_y, 1, 5000),
-                                              _numpy_counts(key, l, e_y, 1, 5000))
-                assert bool(tables) == (min(e_y, 1.0 - e_y) * l <= 30.0)
+                np.testing.assert_array_equal(_chunk_counts(key, l, e_y, 1, 1000),
+                                              oracle(key, l, e_y, 1, 1000))
+                assert len(tables) == (e_y == inside)
 
     @pytest.mark.parametrize("l, p", [(200, 0.1), (1, 0.3), (60, 0.5), (7, 1e-16),
-                                      (10**9, 3e-8), (2**53, 3e-15), (40, 0.01)])
+                                      (10**9, 3e-8), (2**53, 3e-15), (40, 0.01),
+                                      (1009, 0.5), (699_000, 1e-3)])  # the widest tables
     def test_the_lookup_is_the_scalar_walk_at_every_cut(self, l, p):
         px = _inversion_table(l, p)
         cuts = np.cumsum(px)
@@ -458,15 +508,17 @@ class TestInversionDraws:
         u = u[(u >= 0.0) & (u < 1.0)]
         walked = [_walk(x, px) for x in u]
         inside = np.array([w is not None for w in walked])
-        np.testing.assert_array_equal(_inverse(px)(u[inside]),
+        np.testing.assert_array_equal(_inverse(px, u[inside]),
                                       [w for w in walked if w is not None])
         if not inside.all():
-            assert _inverse(px)(u) is None
+            assert _inverse(px, u) is None
 
-    @pytest.mark.parametrize("l, e_y, keep", [(200, 0.1, 2), (200, 0.1, 36), (200, 0.95, 4)])
+    @pytest.mark.parametrize("l, e_y, keep", [(200, 0.1, 2), (200, 0.1, 36), (200, 0.95, 4),
+                                              (1000, 0.3, 300)])
     def test_a_walk_past_bound_leaves_the_chunk_to_numpy(self, monkeypatch, l, e_y, keep):
-        # a cut-short table sends walks past its bound, where numpy would draw
-        # a second uniform: the chunk is redrawn whole by Generator.binomial
+        # a cut-short table sends walks past its bound, where an inversion would draw
+        # a second uniform: the chunk is redrawn whole by Generator.binomial, on
+        # either side of p l = 30
         passed = []
 
         def walk(u, px, walk=_walk):
@@ -663,12 +715,20 @@ class TestRunTrials:
                                  e_minus=e if y == -1 else 0.2)
             hist = _dense(s, trials, seed=1000 + i)
             assert hist.sum() == trials
-            pmf = stats.binom.pmf(np.arange(l + 1), l, e)
-            observed, expected = _pooled(hist, trials * pmf / pmf.sum())
-            assert observed.size >= 2 and expected.min() >= 5.0
-            g = 2.0 * xlogy(observed, observed / expected).sum()
-            p = stats.chi2.sf(g, observed.size - 1)
-            assert p > alpha, (l, e, observed.size, g, p)
+            bins, g, p = _g_test(hist, l, e)
+            assert p > alpha, (l, e, bins, g, p)
+
+    @pytest.mark.parametrize("l, e_y, seed", [(1009, 0.5, 24_001), (699_000, 1e-3, 24_002),
+                                              (1010, 0.5, 24_003)])
+    def test_the_widest_tables_and_btpe_past_them_pass_a_g_test(self, l, e_y, seed):
+        # the two widest inverted tables, about 665 and 965 entries, and numpy's BTPE
+        # just past the regime; Bonferroni over the three, seeds fixed in advance
+        assert _inverted(l, e_y) == (l != 1010)
+        s = InstanceScenario(l=l, y=1, e_plus=e_y, e_minus=0.2)
+        hist = _dense(s, 200_000, seed)
+        assert hist.sum() == 200_000
+        bins, g, p = _g_test(hist, l, e_y)
+        assert p > 1e-3 / 3, (bins, g, p)
 
     def test_count_and_label_level_samplers_share_the_binomial_law(self):
         rng = np.random.default_rng(19)
