@@ -6,9 +6,11 @@ weight for generalization, and compares three treatments of noisy labels —
 loss correction, label smoothing, peer loss — three ways at once: closed-form
 bounds, exact binomial probabilities, and seeded Monte-Carlo simulation.
 
-A name is exported here only while a CLI command, the acceptance gate, a
-README claim, an oracle test or perfbench's tracer reads it, or another
-export returns it or holds it in a field; tests/test_imports.py checks this.
+These imports are the one list of public names: no module but cli defines
+__all__.  A name is exported here only while a CLI command, the acceptance
+gate, a README claim, an oracle test or perfbench's tracer reads it, or
+another export returns it or holds it in a field; tests/test_imports.py
+checks this.
 """
 from .bounds import (
     BoundKind,
@@ -24,7 +26,6 @@ from .freqmodel import (
     PriorSpec,
     TauEstimate,
     build_prior,
-    capped,
     large_interval,
     tau_exact,
     tau_lower_large,

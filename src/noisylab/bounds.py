@@ -20,16 +20,6 @@ from ._spec import _TYPES
 # _spec's integer types, read inline (a plain int first): sweep runs the closed forms per scenario
 _INTEGER = _TYPES["integer"]
 
-__all__ = [
-    "BoundKind",
-    "BoundValue",
-    "binom_tail",
-    "lc_success_lower",
-    "lc_failure_lower",
-    "peer_success_lower",
-    "peer_failure_lower",
-]
-
 
 def _special():
     """scipy.special, imported on first call: validate, tau and weight never load it.

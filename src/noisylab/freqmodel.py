@@ -25,22 +25,6 @@ import numpy as np
 
 from ._spec import _COUNT, Spec, field_violations, raise_first, reads, unknown_fields
 
-__all__ = [
-    "PriorSpec",
-    "TauEstimate",
-    "McEstimate",
-    "build_prior",
-    "capped",
-    "weight_estimate",
-    "tau_exact",
-    "tau_monte_carlo",
-    "tau_lower_large",
-    "tau_lower_small",
-    "large_interval",
-    "estimate_tau",
-    "estimate_taus",
-]
-
 # Prior draws per chunk.  A float64 chunk buffer is then 256 KB, within a
 # core's L2 cache; the buffers are allocated once per batch and reused by
 # every chunk.  The chunk size changes speed only, never the results.
@@ -102,7 +86,6 @@ class TauEstimate:
     """Importance weight of l-appearance instances, all routes side by side."""
 
     l: int
-    n: int
     exact: float
     lower_large: float
     lower_small: float
@@ -172,7 +155,7 @@ def _config_values(doc) -> tuple[np.ndarray | None, list[str]]:
     violations = _array_violations(values)
     if violations or doc.get("cap") is None:
         return (None if violations else values), violations
-    return _waterfilled(values, doc["cap"], path="prior")
+    return _waterfilled(values, doc["cap"])
 
 
 @reads("prior")
@@ -199,20 +182,27 @@ def build_prior(
     """Construct a prior.
 
     generator "uniform" needs n; "zipf" needs n and exponent (weights
-    k^-exponent, k = 1..n); "explicit" needs values in (0, 1]; a cap waterfills
-    the prior below it.  The first prior_violations message is raised, so an
-    argument the generator does not read is an unknown field of the prior.
+    k^-exponent, k = 1..n); "explicit" needs values in (0, 1].  The first
+    prior_violations message is raised, so an argument the generator does not
+    read is an unknown field of the prior.
+
+    A cap waterfills the built values below it while their total is
+    preserved: the largest entries are pinned at cap and the rest are scaled
+    by a common factor c solving sum_i min(c * v_i, cap) = total.  The cap is
+    feasible only when N * cap reaches the total, to a relative 1e-12, and a
+    scale c that overflows a double is rejected.  To cap an existing prior,
+    build_prior("explicit", values=prior.values, cap=c).
     """
     doc = {"generator": generator, "n_values": n, "exponent": exponent, "values": values, "cap": cap}
     return _config_prior({key: value for key, value in doc.items() if value is not None})
 
 
-def _waterfilled(values: np.ndarray, cap, path: str = "") -> tuple[np.ndarray | None, list[str]]:
-    """values waterfilled below cap (see capped), or None and one message per broken cap rule."""
+def _waterfilled(values: np.ndarray, cap) -> tuple[np.ndarray | None, list[str]]:
+    """values waterfilled below cap (see build_prior), or None and one message per broken cap rule."""
     n, total = values.size, float(np.sum(values))
     feasible = ("cap", ("cap",), lambda c: not n * c < total * (1.0 - 1e-12),
                 lambda c: f"cap {c} is infeasible for {n} values summing to {total}")
-    violations = field_violations({"cap": cap}, _CAP, {"cap": feasible}, path)
+    violations = field_violations({"cap": cap}, _CAP, {"cap": feasible}, "prior")
     if violations:
         return None, violations
     order = np.argsort(values)[::-1]
@@ -229,24 +219,10 @@ def _waterfilled(values: np.ndarray, cap, path: str = "") -> tuple[np.ndarray | 
     elif total - n * cap >= -1e-15:
         out_sorted = np.full(n, cap)
     else:
-        where = f"{path}.cap" if path else "cap"
-        return None, [f"{where}: no waterfilling scale as a double keeps these values below {cap}"]
+        return None, [f"prior.cap: no waterfilling scale as a double keeps these values below {cap}"]
     out = np.empty_like(values)
     out[order] = out_sorted
     return out, []
-
-
-def capped(prior: PriorSpec, cap: float) -> PriorSpec:
-    """Rescale a prior so no value exceeds cap while the total is preserved.
-
-    Waterfilling: the largest entries are pinned at cap and the remainder
-    is scaled by a common factor c solving sum_i min(c * v_i, cap) = total.
-    Feasible only when N * cap >= total, to a relative 1e-12, and when a
-    scale c fits as a double; otherwise the first violation is raised.
-    """
-    values, violations = _waterfilled(prior.values, cap)
-    raise_first(violations)
-    return PriorSpec(values)
 
 
 def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight_replicates=0):
@@ -495,7 +471,7 @@ def estimate_taus(prior: PriorSpec, n: int, ls: list[int], rng: np.random.Genera
     for i, l in enumerate(ls):
         mc = _tau_mc(lnum[i], lden[i]) if mc_replicates else None
         small = tau_lower_small(n, l, weight.get((l, "small"), 0.0))
-        out.append(TauEstimate(l, n, exact[i], tau_lower_large(n, l, weight[l, "large"]), small,
+        out.append(TauEstimate(l, exact[i], tau_lower_large(n, l, weight[l, "large"]), small,
                                mc.value if mc else None, mc.stderr if mc else None,
                                prior.regime_ok(n, l)))
     return out

@@ -52,18 +52,6 @@ from .bounds import (
 from .noise import _LABEL, _RATE_FIELDS, _RATE_RULES
 from .treatments import _TIE_EPS
 
-__all__ = [
-    "STREAM_VERSION",
-    "Treatment",
-    "InstanceScenario",
-    "TrialTally",
-    "BoundCheck",
-    "BoundReport",
-    "run_trials",
-    "bound_report",
-    "sweep",
-]
-
 STREAM_VERSION = 10  # the README's Determinism section says what each version changed
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
@@ -407,7 +395,7 @@ class BoundCheck:
     count lies in the event's range and exact that range's Binomial(l, e_y)
     mass; for memorize, the pooled per-label error and e_y.  bound is the
     closed form, None where omitted (out of domain, or vacuous at e_y = 0);
-    ordering_holds is exact >= bound, None unless bound.regime_ok.
+    ordering_holds is exact >= bound - 1e-12, None unless bound.regime_ok.
     """
 
     treatment: Treatment

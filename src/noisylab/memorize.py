@@ -15,8 +15,6 @@ import numpy as np
 
 from .noise import _label_to_index
 
-__all__ = ["LabelDist", "empirical_distribution", "memorization_error"]
-
 
 @dataclass(frozen=True)
 class LabelDist:

@@ -14,13 +14,6 @@ import numpy as np
 from ._spec import _COUNT, Spec, field_violations, raise_first
 from .bounds import _special
 
-__all__ = [
-    "BinaryNoiseRates",
-    "InstanceNoiseSynth",
-    "truncated_normal",
-    "combine_rate",
-]
-
 _RATE_CEIL = 1.0 - 1e-6
 _LABEL = {"y": Spec(choices=(-1, 1))}  # a bool or a float equal to a label is not one
 

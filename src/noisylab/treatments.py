@@ -23,21 +23,6 @@ from ._spec import Spec, field_violations, raise_first
 from .memorize import LabelDist, _label_counts, memorization_error
 from .noise import _LABEL, BinaryNoiseRates
 
-__all__ = [
-    "Comparison",
-    "CorrectedLabel",
-    "PeerDecision",
-    "PeerLossDecomposition",
-    "corrected_label",
-    "lc_loss_vector",
-    "lc_empirical_loss",
-    "smoothed_label",
-    "compare_ls_lc",
-    "peer_predict",
-    "peer_expected_loss",
-    "peer_vertex_check",
-]
-
 _TIE_EPS = 1e-12
 # the comparators' scalar arguments, each checked where it is given
 _UNIT = Spec(lo=0.0, hi=1.0, required=False)

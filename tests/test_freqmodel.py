@@ -23,7 +23,6 @@ from noisylab import freqmodel
 from noisylab import (
     PriorSpec,
     build_prior,
-    capped,
     large_interval,
     tau_exact,
     tau_lower_large,
@@ -144,7 +143,7 @@ class TestCapped:
             else:  # skewed input of any total, caps from the feasibility edge up
                 raw = raw ** float(rng.uniform(1.0, 8.0))
                 cap = min(1.0, float(raw.sum()) / n * float(rng.uniform(1.0, 1.5)))
-            out = capped(PriorSpec(raw), cap)
+            out = build_prior("explicit", values=raw, cap=cap)
             assert (out.values <= cap).all()
             # ties may order either way, so compare values in the input's rank order
             assert (np.diff(out.values[np.argsort(raw, kind="stable")]) >= 0).all()
@@ -152,33 +151,33 @@ class TestCapped:
 
     def test_rank_order_preserved(self):
         raw = np.array([0.5, 0.25, 0.15, 0.1])
-        out = capped(PriorSpec(raw), 0.3).values
+        out = build_prior("explicit", values=raw, cap=0.3).values
         assert np.all(np.argsort(raw) == np.argsort(out))
 
     def test_unpinned_entries_share_a_common_scale(self):
         raw = np.array([0.5, 0.25, 0.15, 0.1])
-        out = capped(PriorSpec(raw), 0.3).values
+        out = build_prior("explicit", values=raw, cap=0.3).values
         free = out < 0.3 - 1e-12
         ratios = out[free] / raw[free]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
 
     def test_noop_when_already_under_cap(self):
         raw = np.array([0.2, 0.3, 0.5])
-        out = capped(PriorSpec(raw), 0.5)
+        out = build_prior("explicit", values=raw, cap=0.5)
         np.testing.assert_allclose(out.values, raw, rtol=1e-12)
 
     def test_a_cap_just_inside_feasibility_pins_every_entry(self):
         # n * cap falls 5e-13 short of the total, within the 1e-12 feasibility
         # tolerance, and no scale fits: every entry sits at the cap
         cap = (1 - 5e-13) / 3
-        out = capped(PriorSpec(np.array([0.5, 0.3, 0.2])), cap).values
+        out = build_prior("explicit", values=np.array([0.5, 0.3, 0.2]), cap=cap).values
         assert (out == cap).all()
 
     def test_infeasible_cap_rejected(self):
         with pytest.raises(ValueError):
-            capped(PriorSpec(np.array([0.5, 0.5])), 0.3)
+            build_prior("explicit", values=np.array([0.5, 0.5]), cap=0.3)
         with pytest.raises(ValueError):
-            capped(PriorSpec(np.array([0.5, 0.5])), 0.0)
+            build_prior("explicit", values=np.array([0.5, 0.5]), cap=0.0)
 
     def test_subnormal_values_keep_their_waterfilling(self):
         # zipf's weights at exponent 190 reach subnormals, and some scales overflow
@@ -188,8 +187,8 @@ class TestCapped:
 
     def test_a_scale_past_the_largest_double_is_rejected(self):
         # the third entry would need the scale 0.025 / 1e-310
-        with pytest.raises(ValueError, match=r"^cap: no waterfilling scale as a double"):
-            capped(PriorSpec(np.array([0.9, 1e-310, 0.125])), 0.5)
+        with pytest.raises(ValueError, match=r"^prior\.cap: no waterfilling scale as a double"):
+            build_prior("explicit", values=np.array([0.9, 1e-310, 0.125]), cap=0.5)
 
 
 class TestSampleFrequencies:

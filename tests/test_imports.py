@@ -6,8 +6,10 @@ use it, each importing it on first use through bounds._special.  This process
 loaded it long ago, so every check runs in a fresh interpreter that imports
 the same noisylab sources.  Every function that
 perfbench's tracer wraps must also keep resolving, or `--trace 1` breaks, and
-every name `noisylab/__init__.py` exports, and every public method and property
-of an exported class, must keep a reader (README, "Library quick reference").
+every name `noisylab/__init__.py` exports, every public method and property
+of an exported class and every field of an exported dataclass must keep a
+reader (README, "Library quick reference"); no module but `cli` defines
+`__all__`.
 """
 
 import ast
@@ -189,6 +191,13 @@ def _readme_names() -> set[str]:
     return set(re.findall(r"\w+", " ".join(spans + examples)))
 
 
+def _reader_trees() -> list[ast.AST]:
+    """The modules, the acceptance test and the README's Python examples, parsed."""
+    paths = [*(SRC / "noisylab").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    return [*(ast.parse(path.read_text(encoding="utf-8")) for path in paths),
+            *map(ast.parse, _readme_code()[1])]
+
+
 def _type_names(exports) -> dict[str, set[str]]:
     """For each export, the names in its return type or its dataclass field types."""
     types = {}
@@ -249,6 +258,12 @@ def test_every_export_has_a_reader():
             if name not in exports or name in read or name not in _code_names(ROOT / test)] == []
 
 
+def test_the_public_surface_is_stated_once():
+    # __init__.py's imports are the list; cli, which it does not re-export, keeps its own
+    modules = sorted((SRC / "noisylab").glob("*.py"))
+    assert [path.stem for path in modules if "__all__" in _code_names(path)] == ["cli"]
+
+
 def test_the_readme_states_the_export_count():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     stated = re.findall(r"`noisylab/__init__\.py`\s+exports\s+(\d+)\s+names", text)
@@ -267,17 +282,37 @@ def test_every_public_member_of_an_exported_class_has_a_reader():
     # Python example, or named as Class.attr in a README code span or the tracer
     exports = _exports()
     members, attrs_of = _public_members(exports), _class_attrs(exports)
-    spans, examples = _readme_code()
-    paths = [*(SRC / "noisylab").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
-    trees += map(ast.parse, examples)
-    readers = (set().union(*(_member_reads(tree, attrs_of) for tree in trees))
-               | set(re.findall(r"(?=\b(\w+\.\w+))", " ".join(spans)))
+    readers = (set().union(*(_member_reads(tree, attrs_of) for tree in _reader_trees()))
+               | set(re.findall(r"(?=\b(\w+\.\w+))", " ".join(_readme_code()[0])))
                | {".".join(attr.split(".")[-2:]) for _, _, attr in _tracer_targets()})
     assert members and [m for m in members if m not in readers and m not in SHARED_NAMES] == []
     # a shared name is listed only while it is a member with no other reader, and its module reads it
     assert [m for m, path in SHARED_NAMES.items() if m not in members or m in readers
             or m.split(".")[1] not in _code_names(ROOT / path)] == []
+
+
+# Fields read by name rather than as attributes: each class with the module
+# that holds its name list and reads the fields through getattr over it.
+NAME_LIST_READS = {
+    "InstanceScenario": ("cli", "_SCENARIO_FIELDS"),  # the CSV builder's scenario columns
+}
+
+
+def test_every_field_of_an_exported_dataclass_has_a_reader():
+    # read as an attribute in a module, the acceptance test, a README Python
+    # example or a README code span
+    exports = _exports()
+    read = {node.attr for tree in _reader_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read |= set(re.findall(r"\.(\w+)", " ".join(_readme_code()[0])))
+    by_name = {}
+    for cls, (module, names) in NAME_LIST_READS.items():
+        assert {"getattr", names} <= _code_names(SRC / "noisylab" / f"{module}.py")
+        by_name[cls] = set(getattr(importlib.import_module(f"noisylab.{module}"), names))
+    fields = [(name, field.name) for name in exports
+              if dataclasses.is_dataclass(cls := getattr(noisylab, name)) for field in dataclasses.fields(cls)]
+    assert fields and [f"{cls}.{field}" for cls, field in fields
+                       if field not in read and field not in by_name.get(cls, ())] == []
 
 
 # Every exported entry point with a scalar numeric argument that has a range
@@ -320,7 +355,6 @@ CALLS = [
      "global_rate grid_points q_min"),
     (peer_expected_loss, {"joint": joint, "predictor": joint * 2, "q_min": 0.01}, "q_min"),
     (build_prior, {"generator": "zipf", "n": 50, "exponent": 1.1, "cap": 0.05}, "n exponent cap"),
-    (capped, {"prior": prior, "cap": 0.35}, "cap"),
     (tau_exact, {"prior": prior, "n": 100, "l": 3}, "n l"),
     (tau_monte_carlo, {"prior": prior, "n": 100, "l": 3, "replicates": 10, "rng": rng},
      "n l replicates"),
@@ -365,4 +399,4 @@ def test_every_scalar_argument_rejects_bools_nan_infinities_and_fractions(tmp_pa
         outcomes[json.loads(stdout.splitlines()[-1])[0]] = "timed out"
     assert {label: outcome for label, outcome in outcomes.items()
             if outcome not in ("ValueError", "valid")} == {}
-    assert len(outcomes) == 337  # 28 valid calls and 309 probes
+    assert len(outcomes) == 332  # 27 valid calls and 305 probes
