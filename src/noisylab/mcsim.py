@@ -15,13 +15,16 @@ seed), shared by the four treatments and independent of worker count.
 Trials are cut into fixed chunks of _CHUNK_TRIALS; chunk c draws its counts
 from its own Philox counter range [0, 0, 0, c] under a key derived from
 (seed, scenario fields), so they are a pure function of (key, chunk),
-whichever worker draws them.  A sweep runs every (scenario, chunk) job
-of its batch on up to `workers` threads, at most one per CPU, and the
-calling thread alone adds the counts they return, in job order.
+whichever thread draws them.  A sweep cuts the (scenario, chunk) jobs of
+its batch into one contiguous range per thread, the calling thread's and
+up to `workers` - 1 helpers', at most one thread per CPU and helpers only
+for chunks of _THREAD_FLOOR draws or more; each thread tallies its range
+as Python ints, exact in any order.
 With p = min(e_y, 1 - e_y), a chunk whose inversion table starts at a normal
 double, l * -log1p(-p) <= 700, looks one uniform per count up in numpy's
-inversion table for (l, p): Generator.binomial(l, e_y)'s integers where numpy
-inverts (p l <= 30), its inversion walk where numpy runs BTPE.  Past that,
+inversion table for (l, p), one gather each from a guide sized to the chunk:
+Generator.binomial(l, e_y)'s integers where numpy inverts (p l <= 30), its
+inversion walk where numpy runs BTPE.  Past that,
 Generator.binomial (BTPE, which takes a varying number of uniforms per draw)
 draws the chunk.  STREAM_VERSION
 names this mapping from seeds to rows and changes whenever the same seed
@@ -30,12 +33,12 @@ would draw different numbers or classify them differently.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields, replace
-from itertools import islice
 
 import numpy as np
 
@@ -55,7 +58,9 @@ from .treatments import _TIE_EPS
 STREAM_VERSION = 10  # the README's Determinism section says what each version changed
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
-_GUIDE = 256  # guide bins of an inversion lookup, a power of 2
+# helpers start at chunks of this many draws: on 2 vCPUs 16,000 ran slower on 2 threads, 32,000 even
+_THREAD_FLOOR = 1 << 15
+_GUIDE = 256  # bins of the smallest inversion guide, a power of 2; the largest has 16 times as many
 _CUT_SLACK = 1e-12  # far above the walk's rounding: under 965 steps, 2 * 965 * 2**-53 = 2.1e-13
 _SUCCESS, _TIE, _FAILURE = 0, 1, 2
 # A batch holds about 4.5 KiB per scenario until the write, so 2**17 scenarios stay under 1 GiB;
@@ -208,16 +213,17 @@ def _stream_key(seed: int, scenario: InstanceScenario) -> np.ndarray:
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
-def _inversion_table(n: int, p: float) -> list[float]:
+@functools.lru_cache(maxsize=16)  # a thread draws one scenario's chunks in a row
+def _inversion_table(n: int, p: float) -> tuple[float, ...]:
     """numpy's random_binomial_inversion probabilities px_0..px_bound, by its own operations."""
     q = 1.0 - p
     px = [math.exp(n * math.log1p(-p))]
     for x in range(1, int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1))) + 1):
         px.append((n - x + 1) * p * px[-1] / (x * q))
-    return px
+    return tuple(px)
 
 
-def _walk(u: float, px: list[float]) -> int | None:
+def _walk(u: float, px: tuple[float, ...]) -> int | None:
     """numpy's scalar inversion loop from one uniform; None past bound, where numpy draws again."""
     x = 0
     while u > px[x]:
@@ -227,20 +233,34 @@ def _walk(u: float, px: list[float]) -> int | None:
     return x
 
 
-def _inverse(px: list[float], u: np.ndarray) -> np.ndarray | None:
+def _inverse(px: tuple[float, ...], u: np.ndarray) -> np.ndarray | None:
     """_walk over an array of uniforms u, None if any walk passes bound: the count of
-    cuts cumsum(px) - _CUT_SLACK below u.  A guide table gives the count below u's
-    1/_GUIDE bin, two passes step it on, searchsorted places the few left, and a u
-    within _CUT_SLACK of a cut, or past the last, takes _walk itself."""
+    cuts cumsum(px) - _CUT_SLACK below u.
+
+    A guide of g bins, g the power of 2 just above u.size / 8 clipped to _GUIDE..16
+    _GUIDE, holds for each bin [b/g, (b+1)/g) the count every u in it shares, or -1
+    where a cut's band cut -+ _CUT_SLACK touches the bin or the count may pass the
+    table.  So each u takes one gather; only the u in marked bins are placed by
+    searchsorted, and of those, a u within _CUT_SLACK above a cut, or past the last,
+    takes _walk itself.
+    """
     cuts = np.cumsum(px)
-    lo = np.append(cuts - _CUT_SLACK, np.inf)
+    lo = cuts - _CUT_SLACK
     hi = np.concatenate(([-np.inf], cuts + _CUT_SLACK))  # hi[x]: cut x - 1, raised
-    x = lo.searchsorted(np.arange(_GUIDE) / _GUIDE)[(u * _GUIDE).astype(np.intp)]
-    x += u > lo[x]
-    x += u > lo[x]
-    rest = np.flatnonzero(u > lo[x])
-    x[rest] = lo.searchsorted(u[rest])
-    for i in np.flatnonzero((u <= hi[x]) | (x == len(px))):
+    g = min(16 * _GUIDE, max(_GUIDE, 1 << (u.size // 8).bit_length()))
+    # v's bin is v * g truncated, exact for a power of 2 (and 0 for the v > -1/g below 0);
+    # a band lies in the bins of its two ends, and a bin clear of every band counts the
+    # bands below it
+    first, last = (lo * g).astype(np.intp), (hi[1:] * g).astype(np.intp)
+    guide = np.bincount(last, minlength=g + 1).cumsum()
+    guide[first] = guide[last] = -1
+    guide[first[-1]:] = -1  # from the last band on, a count may pass the table
+    x = np.empty(u.size, np.intp)
+    np.multiply(u, g, out=x, casting="unsafe")  # each u's bin
+    guide.take(x, out=x, mode="clip")  # in place: take reads each index before it writes it
+    rest = np.flatnonzero(x < 0)
+    x[rest] = placed = lo.searchsorted(u[rest])
+    for i in rest[(u[rest] <= hi[placed]) | (placed == len(px))]:
         if (walked := _walk(u[i], px)) is None:
             return None
         x[i] = walked
@@ -338,10 +358,13 @@ def _cut_counts(scenarios, trials: int, seed: int,
     lies below each edge, both (k, 4, 4), and each scenario's exact wrong-label total.
 
     Each (scenario, chunk) job of the batch counts its chunk below the scenario's
-    distinct edges and sums its wrong labels; up to `workers` threads, at most one
-    per CPU, run the jobs, taken from a generator two per thread at a time, and
-    only the calling thread adds their counts, as Python ints, in job order.
-    A repeated scenario draws again, from the same stream.
+    distinct edges and sums its wrong labels.  The jobs are cut into one contiguous
+    range per thread: the calling thread draws the first, and min(workers, CPUs,
+    jobs) - 1 helper threads the others, but only where a chunk holds at least
+    _THREAD_FLOOR draws.  Each thread tallies its own range as Python ints, and the
+    calling thread adds the tallies, which are exact in any order.  A job that raises
+    stops every thread before its next job.  A repeated scenario draws again, from
+    the same stream.
     """
     raise_first(field_violations({"trials": trials, "seed": seed, "workers": workers}, _RUN_FIELDS)
                 + batch_violations(len(scenarios), trials))
@@ -349,27 +372,50 @@ def _cut_counts(scenarios, trials: int, seed: int,
     cuts = [np.unique(e) for e in edges]
     keys = [_stream_key(seed, s) for s in scenarios]
     chunks = -(-trials // _CHUNK_TRIALS)
-    jobs = ((i, c) for i in range(len(scenarios)) for c in range(chunks))
+    jobs = len(scenarios) * chunks
+    threads = (min(workers, os.cpu_count() or 1, jobs)
+               if min(trials, _CHUNK_TRIALS) >= _THREAD_FLOOR else 1)
+    failed = threading.Event()
 
-    def job(task: tuple[int, int]) -> tuple[int, list[int], int]:
-        i, chunk = task
+    def job(n: int) -> tuple[int, list[int]]:
+        i, chunk = divmod(n, chunks)
         s, count = scenarios[i], min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
         wrong = _chunk_counts(keys[i], s.l, s.e_y, chunk, count)
+        # a chunk's sum is exact in int64 while l * count < 2**63; past that, the high and
+        # low 32-bit halves of its counts each sum below 2**48
+        total = (int(wrong.sum()) if s.l * count < 2**63 else
+                 (int((wrong >> 32).sum()) << 32) + int((wrong & 0xFFFFFFFF).sum()))
         # cuts run from 0 to l + 1: no count lies below the first, every count below the last
-        below = [0, *(int(np.count_nonzero(wrong < c)) for c in cuts[i][1:-1]), count]
-        # the high and low 32-bit halves each sum below 2**48 over a chunk, so both are exact
-        return i, below, (int((wrong >> 32).sum()) << 32) + int((wrong & 0xFFFFFFFF).sum())
+        return i, [0, *(int(np.count_nonzero(wrong < c)) for c in cuts[i][1:-1]), count, total]
 
-    below = [[0] * c.size for c in cuts]
-    total = [0] * len(scenarios)
-    threads = min(workers, len(scenarios) * chunks, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        while batch := list(islice(jobs, 2 * threads)):
-            for i, counts, wrong in (pool.map if pool else map)(job, batch):
-                below[i] = [a + b for a, b in zip(below[i], counts)]
-                total[i] += wrong
-    return edges, np.array([np.array(b)[c.searchsorted(e)]
-                            for e, b, c in zip(edges, below, cuts)]), total
+    def add(into: dict[int, list[int]], i: int, counts: list[int]) -> None:
+        into[i] = [a + b for a, b in zip(into.get(i, [0] * len(counts)), counts)]
+
+    def tally(part: range) -> dict[int, list[int]]:
+        """Each scenario's counts over the jobs of `part`: below each distinct edge,
+        then the wrong-label total."""
+        sums = {}
+        try:
+            for n in part:
+                if failed.is_set():
+                    break
+                add(sums, *job(n))
+        except BaseException:
+            failed.set()
+            raise
+        return sums
+
+    parts = [range(t * jobs // threads, (t + 1) * jobs // threads) for t in range(threads)]
+    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
+        helpers = [pool.submit(tally, part) for part in parts[1:]]
+        tallies = [tally(parts[0]), *(helper.result() for helper in helpers)]
+    below = {}
+    for sums in tallies:
+        for i, counts in sums.items():
+            add(below, i, counts)
+    total = [below[i].pop() for i in range(len(scenarios))]
+    return edges, np.array([np.array(below[i])[c.searchsorted(e)]
+                            for i, (e, c) in enumerate(zip(edges, cuts))]), total
 
 
 def run_trials(scenario: InstanceScenario, treatment: Treatment, trials: int, seed: int,

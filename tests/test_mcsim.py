@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo engine and its bound-vs-oracle reports."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -32,6 +33,7 @@ from noisylab.mcsim import (
     _GUIDE,
     _FAILURE,
     _SUCCESS,
+    _THREAD_FLOOR,
     _TIE,
     InstanceScenario,
     Treatment,
@@ -346,44 +348,83 @@ class TestDeterminism:
         _assert_same_counts(threaded[0], serial)
 
     def test_the_pool_has_at_most_one_thread_per_cpu(self, monkeypatch):
-        # 40 one-chunk jobs at workers=64 would otherwise ask for 40 threads
+        # 40 one-chunk jobs at workers=64: the calling thread draws, and with it at most
+        # one helper per other CPU; below _THREAD_FLOOR draws a chunk, no helper starts
         scenarios = [InstanceScenario(l=l, y=1, e_plus=0.2, e_minus=0.2) for l in range(1, 41)]
-        serial = _cut_counts(scenarios, 1000, 4, workers=1)
-        sizes, executor = [], mcsim.ThreadPoolExecutor
+        drawn_on = []
 
-        def recording(max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            return executor(max_workers, **kwargs)
+        def recorded(key, l, e_y, chunk, count, draw=_chunk_counts):
+            drawn_on.append(threading.get_ident())
+            return draw(key, l, e_y, chunk, count)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(mcsim, "ThreadPoolExecutor", recording)
-        threaded = _cut_counts(scenarios, 1000, 4, workers=64)
-        assert sizes == [2]
-        _assert_same_counts(threaded, serial)
+        monkeypatch.setattr(mcsim, "_chunk_counts", recorded)
+        for cpus, workers, trials, threads in ((2, 64, _THREAD_FLOOR, 2), (8, 3, _THREAD_FLOOR, 3),
+                                               (8, 64, _THREAD_FLOOR - 1, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            serial = _cut_counts(scenarios, trials, 4, workers=1)
+            drawn_on.clear()
+            _assert_same_counts(_cut_counts(scenarios, trials, 4, workers), serial)
+            caller = threading.get_ident()
+            helpers = set(drawn_on) - {caller}
+            assert len(drawn_on) == 40 and caller in drawn_on
+            # a finished helper's id may be reused by the next, so count at most
+            assert 0 < len(helpers) < threads if threads > 1 else not helpers
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_schedule_holds_a_few_jobs_whatever_the_trial_count(self, monkeypatch, workers):
-        # 2**40 trials, the most one scenario may draw, are 2**24 chunk jobs: they are
-        # taken lazily, a few at a time, so a draw that fails on the fourth job ends the run at once
+        # 2**40 trials, the most one scenario may draw, are 2**24 chunk jobs, enumerated
+        # lazily; a draw that fails on its thread's fourth job, the calling thread's or a
+        # helper's, stops every thread before its next job.  The other thread's job waits
+        # for the failure, so that thread draws no job past it.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        calls = itertools.count()
-
-        def failing(key, l, e_y, chunk, count):
-            if next(calls) >= 3:
-                raise RuntimeError("draw failed")
-            return np.zeros(count, np.int64)
-
-        monkeypatch.setattr(mcsim, "_chunk_counts", failing)
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
-        tracemalloc.start()
-        try:
-            with pytest.raises(RuntimeError, match="draw failed"):
-                _cut_counts([s], 2**40, 1, workers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
-        assert next(calls) <= 3 + 2 * workers  # the failing job and at most one window more
+        for on_caller in (True, False)[:workers]:
+            calls, raised = [], threading.Event()
+
+            def failing(key, l, e_y, chunk, count):
+                caller = threading.current_thread() is threading.main_thread()
+                calls.append(caller)
+                if caller is on_caller:
+                    if calls.count(caller) > 3:
+                        raised.set()
+                        raise RuntimeError("draw failed")
+                else:
+                    assert raised.wait(timeout=60)
+                    time.sleep(0.05)  # time for the failing thread to stop the others
+                return np.zeros(count, np.int64)
+
+            monkeypatch.setattr(mcsim, "_chunk_counts", failing)
+            tracemalloc.start()
+            try:
+                with pytest.raises(RuntimeError, match="draw failed"):
+                    _cut_counts([s], 2**40, 1, workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+            assert calls.count(on_caller) == 4
+            assert calls.count(not on_caller) <= workers - 1
+
+    def test_thread_tallies_stay_flat_in_the_thread_count(self, monkeypatch):
+        # each thread tallies only the scenarios its contiguous range of jobs reaches, so
+        # 16 threads over 1,024 scenarios hold about what one thread holds (a tally of
+        # every scenario on every thread would add about 2 MiB)
+        zeros = np.zeros(_THREAD_FLOOR, np.int64)
+        monkeypatch.setattr(mcsim, "_chunk_counts",
+                            lambda key, l, e_y, chunk, count: zeros[:count])
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        scenarios = [InstanceScenario(l=l, y=1, e_plus=e, e_minus=e)
+                     for l in range(1, 65) for e in np.linspace(0.01, 0.49, 16).tolist()]
+        _cut_counts(scenarios, _THREAD_FLOOR, 3, workers=16)
+        peaks = []
+        for workers in (1, 16):
+            tracemalloc.start()
+            try:
+                _cut_counts(scenarios, _THREAD_FLOOR, 3, workers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20, peaks
 
     def test_distinct_settings_get_distinct_streams(self):
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
@@ -512,6 +553,54 @@ class TestInversionDraws:
                                       [w for w in walked if w is not None])
         if not inside.all():
             assert _inverse(px, u) is None
+
+    @pytest.mark.parametrize("px", [
+        _inversion_table(200, 0.1)[:1], _inversion_table(1, 0.3), _inversion_table(699_000, 1e-3),
+        (0.25, 0.25, 0.25, 0.25), (0.5, 0.5 - 2**-13), _inversion_table(1000, 0.3),
+    ], ids=["1-entry", "2-entries", "widest", "cuts-on-bin-edges", "last-cut-near-1", "l1000"])
+    def test_every_guide_size_is_the_scalar_walk_at_bin_edges_and_cuts(self, px):
+        # a guide has a power of 2 bins from _GUIDE to 16 _GUIDE, set by the uniform count,
+        # so every bin edge of every guide is some b / (16 _GUIDE).  Uniforms on those
+        # edges and a float either side, and on every cut and its band's ends, in calls
+        # of 1 to 65,536 uniforms (64 cuts, first and last among them, of a wider table);
+        # the first cut of the tables at l = 1000 and 699,000 lies below _CUT_SLACK
+        cuts = np.cumsum(px)[np.unique(np.linspace(0, len(px) - 1, 64).astype(int))]
+        u = np.concatenate((np.arange(16 * _GUIDE) / (16 * _GUIDE), cuts,
+                            cuts - _CUT_SLACK, cuts + _CUT_SLACK))
+        u = np.concatenate((u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)))
+        u = u[(u >= 0.0) & (u < 1.0)]
+        walked = np.array([_walk(x, px) for x in u.tolist()], object)
+        inside, past = np.flatnonzero(walked != None), u[walked == None]  # noqa: E711
+        assert (cuts[0] < _CUT_SLACK) == (len(px) > 100)
+        rng = np.random.default_rng(len(px))
+        for count in (1, 2000, 4096, 8192, 16_384, 50_000, _CHUNK_TRIALS):
+            # calls of `count` uniforms, padded with uniforms already used; 300 calls at most
+            picks = np.concatenate((inside, rng.choice(inside, -inside.size % count)))
+            rows = picks.reshape(-1, count)
+            for row in rows[rng.permutation(len(rows))[:300]]:
+                np.testing.assert_array_equal(_inverse(px, u[row]), walked[row].astype(np.int64))
+            if past.size:
+                row = u[picks[:count]]
+                row[-1] = past[0]
+                assert _inverse(px, row) is None
+
+    @pytest.mark.parametrize("count", [1, 2000, 4096, 8192, 16_384, 50_000, _CHUNK_TRIALS])
+    def test_every_guide_size_draws_numpy_s_integers_or_the_walk_s(self, count):
+        for l, e_y, oracle in ((1, 0.3, _numpy_counts), (200, 0.1, _numpy_counts),
+                               (40, 0.7, _numpy_counts), (100, 0.45, _walked_counts)):
+            key = np.array([l, count], np.uint64)
+            np.testing.assert_array_equal(_chunk_counts(key, l, e_y, 3, count),
+                                          oracle(key, l, e_y, 3, count))
+
+    def test_a_scenario_builds_its_table_once(self):
+        # tables are cached by (l, p), as tuples that no caller can change, so the 31
+        # chunks of a 2,000,000-trial scenario build one table between them
+        s = InstanceScenario(l=1000, y=1, e_plus=0.3, e_minus=0.3)
+        _inversion_table.cache_clear()
+        _cut_counts([s], 2_000_000, 5, workers=1)
+        info = _inversion_table.cache_info()
+        assert (info.misses, info.hits) == (1, 30)
+        assert isinstance(_inversion_table(1000, 0.3), tuple)
 
     @pytest.mark.parametrize("l, e_y, keep", [(200, 0.1, 2), (200, 0.1, 36), (200, 0.95, 4),
                                               (1000, 0.3, 300)])
@@ -1009,6 +1098,43 @@ class TestCuts:
                                           ((rank == r) & inside).sum(axis=2).T)
         np.testing.assert_array_equal(edges[:, :, 0], 0)
         assert (rank == 1).any(axis=(0, 2)).sum() >= len(scenarios) // 100  # ties are reached
+
+    def test_from_2_to_the_40_to_2_to_the_50_the_blocks_hold_around_every_cut(self):
+        # no (l + 1)-entry table fits, so each table is read 64 counts either side of
+        # every cut, at 64 random counts, at 0 and at l: every code read must carry the
+        # rank the bisected edges give its count
+        rng = np.random.default_rng(71)
+        scenarios = [dataclasses.replace(s, l=int(2 ** rng.uniform(40, 50)))
+                     for s in _random_scenarios(73, 2000, _moderate_rates)]
+        params = _params(scenarios)
+        l, edges = params[0], _edges(params)
+        cuts = edges[:, :, 1:3].reshape(len(scenarios), -1)
+        w = np.clip(np.hstack(((cuts[:, :, None] + np.arange(-64, 65)).reshape(len(scenarios), -1),
+                               (rng.random((len(scenarios), 64)) * (l + 1)).astype(np.int64),
+                               np.zeros_like(l), l)), 0, l)
+        codes = _codes(params, w)
+        lead = np.array([_FAILURE if t is Treatment.LABEL_SMOOTHING else _SUCCESS
+                         for t in Treatment])[:, None, None]
+        rank = np.where(codes == lead, 0, np.where(codes == _TIE, 1, 2))
+        past = edges.transpose(1, 0, 2)[:, :, 1:3, None] <= w[None, :, None, :]
+        bad = np.argwhere((rank != past.sum(axis=2)).any(axis=2))
+        assert bad.size == 0, [(scenarios[i], list(Treatment)[t]) for t, i in bad[:5]]
+
+    def test_the_edges_past_2_to_the_52_are_pinned(self):
+        # past l ~ 2**52 label smoothing's table is not in blocks: at l = 2**53 its codes
+        # from w = 6461686421879400 read failure seven times, then tie, success, tie,
+        # success, so the bisected cuts depend on the search path.  Pinned, so that a
+        # new search changes the stream version.
+        s = InstanceScenario(l=2**53, y=1, e_plus=0.3, e_minus=0.1)
+        w = np.arange(6461686421879400, 6461686421879411)
+        smoothing = list(Treatment).index(Treatment.LABEL_SMOOTHING)
+        assert _codes(_params([s]), w)[smoothing, 0].tolist() == [_FAILURE] * 7 + [
+            _TIE, _SUCCESS, _TIE, _SUCCESS]
+        assert _edges(_params([s]))[0].tolist() == [
+            [0, 4503599627361489, 4503599627379504, 2**53 + 1],
+            [0, 6755399441046737, 6755399441064752, 2**53 + 1],
+            [0, 6461686421879407, 6461686421879410, 2**53 + 1],
+            [0, 5404319552835589, 5404319552853603, 2**53 + 1]]
 
 
 class TestEngineMatchesComparators:
