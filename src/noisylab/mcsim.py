@@ -247,6 +247,8 @@ def _inverse(px: tuple[float, ...], u: np.ndarray) -> np.ndarray | None:
     cuts = np.cumsum(px)
     lo = cuts - _CUT_SLACK
     hi = np.concatenate(([-np.inf], cuts + _CUT_SLACK))  # hi[x]: cut x - 1, raised
+    # sized, not fixed: 4,096 bins made a 200-draw lookup 14 % slower, 256 bins a
+    # 50,000-draw lookup 1.9 times slower
     g = min(16 * _GUIDE, max(_GUIDE, 1 << (u.size // 8).bit_length()))
     # v's bin is v * g truncated, exact for a power of 2 (and 0 for the v > -1/g below 0);
     # a band lies in the bins of its two ends, and a bin clear of every band counts the
@@ -255,9 +257,7 @@ def _inverse(px: tuple[float, ...], u: np.ndarray) -> np.ndarray | None:
     guide = np.bincount(last, minlength=g + 1).cumsum()
     guide[first] = guide[last] = -1
     guide[first[-1]:] = -1  # from the last band on, a count may pass the table
-    x = np.empty(u.size, np.intp)
-    np.multiply(u, g, out=x, casting="unsafe")  # each u's bin
-    guide.take(x, out=x, mode="clip")  # in place: take reads each index before it writes it
+    x = guide[(u * g).astype(np.intp)]
     rest = np.flatnonzero(x < 0)
     x[rest] = placed = lo.searchsorted(u[rest])
     for i in rest[(u[rest] <= hi[placed]) | (placed == len(px))]:
@@ -381,15 +381,13 @@ def _cut_counts(scenarios, trials: int, seed: int,
         i, chunk = divmod(n, chunks)
         s, count = scenarios[i], min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
         wrong = _chunk_counts(keys[i], s.l, s.e_y, chunk, count)
-        # a chunk's sum is exact in int64 while l * count < 2**63; past that, the high and
-        # low 32-bit halves of its counts each sum below 2**48
-        total = (int(wrong.sum()) if s.l * count < 2**63 else
-                 (int((wrong >> 32).sum()) << 32) + int((wrong & 0xFFFFFFFF).sum()))
+        # the high and low 32-bit halves each sum below 2**48 over a chunk, so both are exact
+        total = (int((wrong >> 32).sum()) << 32) + int((wrong & 0xFFFFFFFF).sum())
         # cuts run from 0 to l + 1: no count lies below the first, every count below the last
         return i, [0, *(int(np.count_nonzero(wrong < c)) for c in cuts[i][1:-1]), count, total]
 
     def add(into: dict[int, list[int]], i: int, counts: list[int]) -> None:
-        into[i] = [a + b for a, b in zip(into.get(i, [0] * len(counts)), counts)]
+        into[i] = [a + b for a, b in zip(into[i], counts)] if i in into else counts
 
     def tally(part: range) -> dict[int, list[int]]:
         """Each scenario's counts over the jobs of `part`: below each distinct edge,

@@ -375,22 +375,24 @@ class TestDeterminism:
         # 2**40 trials, the most one scenario may draw, are 2**24 chunk jobs, enumerated
         # lazily; a draw that fails on its thread's fourth job, the calling thread's or a
         # helper's, stops every thread before its next job.  The other thread's job waits
-        # for the failure, so that thread draws no job past it.
+        # until the failing thread has set the run's stop event, so that thread draws no
+        # job past it.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        stops = []  # each run's stop event, the one Event _cut_counts makes
+        monkeypatch.setattr(mcsim, "threading", types.SimpleNamespace(
+            Event=lambda: stops.append(threading.Event()) or stops[-1]))
         s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
         for on_caller in (True, False)[:workers]:
-            calls, raised = [], threading.Event()
+            calls = []
 
             def failing(key, l, e_y, chunk, count):
                 caller = threading.current_thread() is threading.main_thread()
                 calls.append(caller)
                 if caller is on_caller:
                     if calls.count(caller) > 3:
-                        raised.set()
                         raise RuntimeError("draw failed")
                 else:
-                    assert raised.wait(timeout=60)
-                    time.sleep(0.05)  # time for the failing thread to stop the others
+                    assert stops[-1].wait(timeout=60)
                 return np.zeros(count, np.int64)
 
             monkeypatch.setattr(mcsim, "_chunk_counts", failing)
@@ -408,19 +410,20 @@ class TestDeterminism:
     def test_thread_tallies_stay_flat_in_the_thread_count(self, monkeypatch):
         # each thread tallies only the scenarios its contiguous range of jobs reaches, so
         # 16 threads over 1,024 scenarios hold about what one thread holds (a tally of
-        # every scenario on every thread would add about 2 MiB)
-        zeros = np.zeros(_THREAD_FLOOR, np.int64)
+        # every scenario on every thread would add about 2 MiB).  The floor is lowered so
+        # that 16-draw chunks start helpers, and what each running job holds is negligible
+        monkeypatch.setattr(mcsim, "_THREAD_FLOOR", 16)
         monkeypatch.setattr(mcsim, "_chunk_counts",
-                            lambda key, l, e_y, chunk, count: zeros[:count])
+                            lambda key, l, e_y, chunk, count: np.zeros(count, np.int64))
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
         scenarios = [InstanceScenario(l=l, y=1, e_plus=e, e_minus=e)
                      for l in range(1, 65) for e in np.linspace(0.01, 0.49, 16).tolist()]
-        _cut_counts(scenarios, _THREAD_FLOOR, 3, workers=16)
+        _cut_counts(scenarios, 16, 3, workers=16)
         peaks = []
         for workers in (1, 16):
             tracemalloc.start()
             try:
-                _cut_counts(scenarios, _THREAD_FLOOR, 3, workers)
+                _cut_counts(scenarios, 16, 3, workers)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1566,7 +1569,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("trials", [3000, _CHUNK_TRIALS + 7])  # one chunk each, two each
     def test_reports_are_schedule_invariant(self, monkeypatch, trials):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # so workers 2 and 3 run threads
+        # so workers 2 and 3 could run threads; only the _CHUNK_TRIALS + 7 case, whose
+        # chunks pass _THREAD_FLOOR, starts helpers
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         scenarios = [InstanceScenario(l=l, y=y, e_plus=e, e_minus=0.2) for l, y, e in (
             (1, 1, 0.3), (4, -1, 0.1), (7, 1, 0.45), (10, 1, 0.2), (50, -1, 0.05),
             (200, 1, 0.3), (1000, -1, 0.4),
