@@ -17,8 +17,14 @@ from dataclasses import dataclass
 
 from ._spec import _TYPES
 
-# _spec's integer types, read inline (a plain int first): sweep runs the closed forms per scenario
+# _spec's integer types, tested after a plain int: sweep runs the closed forms per scenario
 _INTEGER = _TYPES["integer"]
+
+
+def _check_l(l, lo: int = 1) -> None:
+    """Raise unless the draw count l is an integer >= lo."""
+    if type(l) is not int and (isinstance(l, bool) or not isinstance(l, _INTEGER)) or l < lo:
+        raise ValueError(f"l must be an integer >= {lo}, got {l!r}")
 
 
 def _special():
@@ -66,8 +72,7 @@ def binom_tail(l: int, p: float, k: int) -> float:
     (Abramowitz & Stegun 26.5.24) gives it as one regularized incomplete beta
     call, accurate to a few ulps in relative terms even in deep tails.
     """
-    if type(l) is not int and (isinstance(l, bool) or not isinstance(l, _INTEGER)) or l < 1:
-        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    _check_l(l)
     if isinstance(p, bool) or not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     if type(k) is not int and (isinstance(k, bool) or not isinstance(k, _INTEGER)) or not 0 <= k <= l:
@@ -84,8 +89,7 @@ def lc_success_lower(l: int, e: float) -> float:
     label when each flips independently with rate e <= 1/2.  At e = 1/2 the
     bound is vacuously 0.
     """
-    if type(l) is not int and (isinstance(l, bool) or not isinstance(l, _INTEGER)) or l < 1:
-        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    _check_l(l)
     if isinstance(e, bool) or not 0.0 <= e <= 0.5:
         raise ValueError(f"e must lie in [0, 1/2], got {e!r}")
     return -math.expm1(-2.0 * l * (0.5 - e) ** 2)
@@ -98,8 +102,7 @@ def lc_failure_lower(l: int, e: float) -> float:
     P[Bin(l, e) >= l/2]; asserted only at even l, where the tie point k=l/2
     is part of the event.  Requires e in (0, 1).
     """
-    if type(l) is not int and (isinstance(l, bool) or not isinstance(l, _INTEGER)) or l < 1:
-        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    _check_l(l)
     if isinstance(e, bool) or not 0.0 < e < 1.0:
         raise ValueError(f"e must lie in (0, 1), got {e!r}")
     kl = 0.5 * math.log(0.5 / e) + 0.5 * math.log(0.5 / (1.0 - e))
@@ -116,8 +119,7 @@ def peer_success_lower(l: int, p_opposite: float, e_plus: float, e_minus: float)
     arXiv 1910.03231).  The bound weakens as the margin shrinks and is
     vacuously 0 at l = 0.
     """
-    if type(l) is not int and (isinstance(l, bool) or not isinstance(l, _INTEGER)) or l < 0:
-        raise ValueError(f"l must be an integer >= 0, got {l!r}")
+    _check_l(l, 0)
     if isinstance(p_opposite, bool) or not 0.0 < p_opposite < 1.0:
         raise ValueError(f"p_opposite must lie in (0, 1), got {p_opposite!r}")
     if (isinstance(e_plus, bool) or isinstance(e_minus, bool)

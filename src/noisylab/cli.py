@@ -1,14 +1,16 @@
 """Batch command-line front end: config in, CSV + JSON manifest out.
 
 Commands (one per config file): tau, weight, simulate, bounds, sweep,
-noise-synth, plus validate (schema/range check only, writes nothing).
-Configs are JSON objects; a mandatory integer seed makes every run
-reproducible, and the manifest written next to the CSV echoes the effective
-configuration (flag overrides applied) together with tool version, random
-stream version, the environment (Python, numpy and scipy versions, platform,
-CPU count), wall time and its split into computing the rows and writing the
-CSV.  Both files are written atomically: a partial file never appears under
-the output name.
+noise-synth, plus validate (parse only, writes nothing).  A config is parsed
+once: the parse returns every violation together with the run inputs it
+built (the prior, the l list, the scenarios), and a run hands those inputs
+to its row builder.  Configs are JSON objects; a mandatory integer seed
+makes every run reproducible, and the manifest written next to the CSV
+echoes the effective configuration (flag overrides applied) together with
+tool version, random stream version, the environment (Python, numpy and
+scipy versions, platform, CPU count), wall time and its split into
+computing the rows and writing the CSV.  Both files are written atomically:
+a partial file never appears under the output name.
 
 Exit codes: 0 success, 2 invalid config, 3 runtime failure.
 """
@@ -29,15 +31,7 @@ import scipy
 
 from . import __version__
 from ._spec import _COUNT, Spec, field_violations, reads, unknown_fields
-from .freqmodel import (
-    _config_prior,
-    _draw_counts,
-    estimate_taus,
-    prior_violations,
-    tau_violations,
-    weight_estimate,
-    weight_violations,
-)
+from .freqmodel import PriorSpec, estimate_taus, parse_prior, parse_tau, weight_estimate, weight_violations
 from .mcsim import (
     _RUN_FIELDS,
     _SCENARIO_FIELDS,
@@ -80,7 +74,7 @@ _CHUNK_ROWS = 1 << 12
 
 
 # --------------------------------------------------------------------------
-# config validation
+# config parse
 
 
 _TOP_FIELDS = {
@@ -99,21 +93,37 @@ _GRID_ENTRIES = {
 _GRID_SET = ("l", "e_plus", "e_minus")
 
 
+def _scenario(entry, path: str) -> tuple[InstanceScenario | None, list[str]]:
+    """The scenario a config entry describes, or None and its messages: the build checks
+    the entry, and only an entry it rejects is checked again, for every message in order."""
+    try:
+        return InstanceScenario(**entry), []
+    except (TypeError, ValueError):
+        violations = scenario_violations(entry, path)
+        if not violations:
+            raise
+        return None, violations
+
+
 @reads("scenario")
-def _check_scenario(doc: dict) -> list[str]:
-    return scenario_violations(doc.get("scenario"), "scenario") + batch_violations(1, doc.get("trials"))
+def _parse_scenario(doc: dict) -> tuple[list | None, list[str]]:
+    scenario, violations = _scenario(doc.get("scenario"), "scenario")
+    return [scenario], violations + batch_violations(1, doc.get("trials"))
 
 
 @reads("scenarios")
-def _check_scenarios(doc: dict) -> list[str]:
+def _parse_scenarios(doc: dict) -> tuple[list | None, list[str]]:
     scenarios = doc.get("scenarios")
     if scenarios is None:
-        return [] if doc.get("grid") is not None else ["scenarios: sweep needs scenarios or grid"]
+        return None, [] if doc.get("grid") is not None else ["scenarios: sweep needs scenarios or grid"]
     if not isinstance(scenarios, list) or not scenarios:
-        return ["scenarios: must be a nonempty list"]
+        return None, ["scenarios: must be a nonempty list"]
     # a batch past a ceiling is reported alone, before its entries are checked one by one
-    return batch_violations(len(scenarios), doc.get("trials")) or [
-        v for i, s in enumerate(scenarios) for v in scenario_violations(s, f"scenarios[{i}]")]
+    violations = batch_violations(len(scenarios), doc.get("trials"))
+    if violations:
+        return None, violations
+    built = [_scenario(s, f"scenarios[{i}]") for i, s in enumerate(scenarios)]
+    return [s for s, _ in built], [v for _, found in built for v in found]
 
 
 def _grid_point(base: dict, l: int, e: float) -> dict:
@@ -122,14 +132,14 @@ def _grid_point(base: dict, l: int, e: float) -> dict:
 
 
 @reads("grid")
-def _check_grid(doc: dict) -> list[str]:
+def _parse_grid(doc: dict) -> tuple[list | None, list[str]]:
     grid = doc.get("grid")
     if grid is None:
-        return []
+        return None, []
     if doc.get("scenarios") is not None:  # sweep would run the scenarios and never read grid
-        return ["grid: must not be given together with scenarios"]
+        return None, ["grid: must not be given together with scenarios"]
     if not isinstance(grid, dict):
-        return ["grid: must be an object"]
+        return None, ["grid: must be an object"]
     violations, valid = [], {}
     for key, (spec, message) in _GRID_ENTRIES.items():
         vals = grid.get(key)
@@ -142,21 +152,26 @@ def _check_grid(doc: dict) -> list[str]:
     violations += unknown_fields(grid, (*_GRID_ENTRIES, "base"), "grid")
     base = grid.get("base", {})
     if not isinstance(base, dict):
-        return violations + ["grid.base: must be an object"]
+        return None, violations + ["grid.base: must be an object"]
     violations += [f"grid.base.{key}: must not be given, the grid sets it"
                    for key in _GRID_SET if key in base]
     # the base fields hold at every grid point once they hold at the largest
     # l (the n >= l rule); placeholders stand in for invalid lists
     point = _grid_point(base, max(valid.get("l", [1])), valid.get("e", [0.0])[0])
     size = batch_violations(len(valid.get("l", ())) * len(valid.get("e", ())), doc.get("trials"), "grid")
-    return violations + scenario_violations(point, "grid.base") + size
+    violations += scenario_violations(point, "grid.base") + size
+    if violations:
+        return None, violations
+    return [InstanceScenario(**_grid_point(base, l, e)) for l in grid["l"] for e in grid["e"]], []
 
 
-def validate_config(doc) -> list[str]:
-    """Full schema and range check; returns one message per violation."""
+def _parse(doc) -> tuple[list, list[str]]:
+    """A config's run inputs, in the order its row builder takes them, and one message per
+    violation; the inputs are complete only when there are no messages."""
     if not isinstance(doc, dict):
-        return ["config: must be a JSON object"]
+        return [], ["config: must be a JSON object"]
     violations: list[str] = []
+    inputs: list = []
     command = doc.get("command")
     spec = _COMMANDS.get(command) if isinstance(command, str) else None
     if command is None:
@@ -167,10 +182,19 @@ def validate_config(doc) -> list[str]:
     if "out" in doc and not isinstance(doc["out"], str):
         violations.append("out: must be a string path")
     if spec is not None:
-        for check in spec.checks:
-            violations += field_violations(doc, check) if isinstance(check, dict) else check(doc)
+        for step in spec.steps:
+            found = field_violations(doc, step) if isinstance(step, dict) else step(doc)
+            if isinstance(found, tuple):
+                built, found = found
+                inputs += [] if built is None else [built]
+            violations += found
         violations += unknown_fields(doc, spec.keys)
-    return violations
+    return inputs, violations
+
+
+def validate_config(doc) -> list[str]:
+    """Full schema and range check; returns one message per violation."""
+    return _parse(doc)[1]
 
 
 def _load(config_path) -> tuple[object, str | None]:
@@ -230,24 +254,11 @@ def _command_rng(seed: int, command: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, _COMMAND_STREAM[command])))
 
 
-def _scenarios(doc: dict) -> list[InstanceScenario]:
-    """The scenarios a config names: its `scenario`, its `scenarios` list or its `grid` points."""
-    if "scenario" in doc:
-        docs = [doc["scenario"]]
-    elif doc.get("scenarios") is not None:
-        docs = doc["scenarios"]
-    else:
-        grid = doc["grid"]
-        docs = [_grid_point(grid.get("base", {}), l, e) for l in grid["l"] for e in grid["e"]]
-    return [InstanceScenario(**{name: d[name] for name in _SCENARIO_FIELDS if name in d})
-            for d in docs]
-
-
-def _report_rows(headline_only: bool) -> Callable[[dict], list[dict]]:
+def _report_rows(headline_only: bool) -> Callable[..., list[dict]]:
     """The row builder of simulate, bounds and sweep: a row per check of each scenario."""
-    def rows(doc: dict) -> list[dict]:
+    def rows(doc: dict, scenarios: list[InstanceScenario]) -> list[dict]:
         out = []
-        for report in sweep(_scenarios(doc), doc["trials"], doc["seed"], doc.get("workers", 1)):
+        for report in sweep(scenarios, doc["trials"], doc["seed"], doc.get("workers", 1)):
             scenario = {name: getattr(report.scenario, name) for name in _SCENARIO_FIELDS}
             for check in report.checks:
                 if headline_only and not check.headline:
@@ -265,15 +276,10 @@ def _report_rows(headline_only: bool) -> Callable[[dict], list[dict]]:
     return rows
 
 
-def _tau_rows(doc: dict) -> list[dict]:
+def _tau_rows(doc: dict, prior: PriorSpec, ls: list[int]) -> list[dict]:
     n = doc["n"]
-    estimates = estimate_taus(
-        _config_prior(doc["prior"]),
-        n,
-        _draw_counts(doc["l"]),
-        _command_rng(doc["seed"], "tau"),
-        **{key: doc[key] for key in ("mc_replicates", "weight_replicates") if key in doc},
-    )
+    estimates = estimate_taus(prior, n, ls, _command_rng(doc["seed"], "tau"), **{
+        key: doc[key] for key in ("mc_replicates", "weight_replicates") if key in doc})
     rows = []
     for est in estimates:
         mc = {} if est.mc is None else {
@@ -289,8 +295,7 @@ def _tau_rows(doc: dict) -> list[dict]:
     return rows
 
 
-def _weight_rows(doc: dict) -> list[dict]:
-    prior = _config_prior(doc["prior"])
+def _weight_rows(doc: dict, prior: PriorSpec) -> list[dict]:
     rng = _command_rng(doc["seed"], "weight")
     est = weight_estimate(prior, doc["interval"], doc["replicates"], rng)
     return [{"treatment": "weight", "mc_estimate": est.value,
@@ -323,30 +328,32 @@ def _env() -> dict:
 
 @dataclass(frozen=True)
 class _Command:
-    """A run command: its config checks, its row builder and its CSV columns.
+    """A run command: its config parse, its row builder and its CSV columns.
 
-    checks run in order; each is a table of top-level fields or a function
-    of the config returning its violations, marked with the keys it reads.
+    steps parse the config in order.  Each is a table of top-level fields, or
+    a function of the config, marked with the keys it reads, that returns its
+    messages, or the run input it built (None when its keys are absent) and
+    its messages.  rows takes the config and those inputs, in step order.
     """
 
-    checks: tuple
-    rows: Callable[[dict], list[dict]]
+    steps: tuple
+    rows: Callable[..., list[dict]]
     columns: tuple[str, ...] = CSV_COLUMNS
 
     @property
     def keys(self) -> set[str]:
-        """The top-level keys a config may give: the shared ones and those its checks read."""
+        """The top-level keys a config may give: the shared ones and those its steps read."""
         return {"command", "out", *_TOP_FIELDS}.union(
-            *(check if isinstance(check, dict) else check.keys for check in self.checks))
+            *(step if isinstance(step, dict) else step.keys for step in self.steps))
 
 
-_ONE_SCENARIO = (_check_scenario, _TRIALS)
+_ONE_SCENARIO = (_parse_scenario, _TRIALS)
 _COMMANDS = {
-    "tau": _Command((prior_violations, tau_violations, _OPTIONAL_TRIALS), _tau_rows),
-    "weight": _Command((prior_violations, weight_violations, _OPTIONAL_TRIALS), _weight_rows),
+    "tau": _Command((parse_prior, parse_tau, _OPTIONAL_TRIALS), _tau_rows),
+    "weight": _Command((parse_prior, weight_violations, _OPTIONAL_TRIALS), _weight_rows),
     "simulate": _Command(_ONE_SCENARIO, _report_rows(headline_only=True)),
     "bounds": _Command(_ONE_SCENARIO, _report_rows(headline_only=False)),
-    "sweep": _Command((_TRIALS, _check_scenarios, _check_grid), _report_rows(headline_only=True)),
+    "sweep": _Command((_TRIALS, _parse_scenarios, _parse_grid), _report_rows(headline_only=True)),
     "noise-synth": _Command(
         # the rows, held until the write, take about 544 B each: 0.53 GiB at the count
         # ceiling; two chunks of features take 64 KiB per feature: 1 GiB at the ceiling
@@ -358,11 +365,11 @@ _COMMANDS = {
 }
 
 
-def _execute(command: str, doc: dict, out_path: Path) -> dict:
-    """Run a validated config; returns manifest fields describing the output."""
+def _execute(command: str, doc: dict, inputs: list, out_path: Path) -> dict:
+    """Run a config with the inputs its parse built; returns manifest fields describing the output."""
     spec = _COMMANDS[command]
     started = time.perf_counter()
-    rows = spec.rows(doc)
+    rows = spec.rows(doc, *inputs)
     computed = time.perf_counter()
     count = _write_csv(out_path, spec.columns, rows)
     written = time.perf_counter()
@@ -393,7 +400,7 @@ def main(argv=None) -> int:
         print(error, file=sys.stderr)
         return 2
 
-    # flag overrides, then full validation against the effective document
+    # flag overrides, then one parse of the effective document
     overrides = {key: getattr(args, key) for key in ("seed", "trials", "workers", "out")}
     doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
     if args.command == "validate":
@@ -407,7 +414,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    violations = validate_config(doc)
+    inputs, violations = _parse(doc)
     if violations:
         print("\n".join(violations), file=sys.stderr)
         return 2
@@ -415,7 +422,7 @@ def main(argv=None) -> int:
     out_path = Path(doc.get("out", f"{args.command}.csv"))
     manifest_path = out_path.with_suffix(".manifest.json")
     try:
-        result = _execute(args.command, doc, out_path)
+        result = _execute(args.command, doc, inputs, out_path)
         manifest = {
             "tool": "noisylab",
             "version": __version__,

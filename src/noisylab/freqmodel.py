@@ -117,6 +117,8 @@ _GENERATORS |= {
     "explicit": ({}, lambda doc: np.asarray(doc["values"], dtype=float)),
 }
 _CAP = {"cap": Spec(lo=0.0, hi=1.0, lo_open=True, required=False)}
+# relative slack of the cap rules, so that a sum's rounding cannot reject a cap or scale that fits
+_FILL_TOL = 1e-12
 
 
 def _values_violations(values) -> list[str]:
@@ -127,48 +129,31 @@ def _values_violations(values) -> list[str]:
     return [] if all(v <= 1 for v in values) else ["prior.values: all values must be <= 1"]
 
 
-def _prior_field_violations(doc) -> list[str]:
-    """A config prior object's violations, short of checking the values it builds."""
+@reads("prior")
+def parse_prior(config: dict) -> tuple[PriorSpec | None, list[str]]:
+    """The prior a config's prior object describes, built once and then capped when it
+    names a cap, or None and one message per broken rule: its fields, the values they
+    build, then the cap."""
+    doc = config.get("prior")
     if not isinstance(doc, dict):
-        return ["prior: prior required" if doc is None else "prior: must be an object"]
+        return None, ["prior: prior required" if doc is None else "prior: must be an object"]
     generator = doc.get("generator")
     if not isinstance(generator, str) or generator not in _GENERATORS:
-        return [f"prior.generator: must be one of {', '.join(_GENERATORS)}, got {generator!r}"]
-    fields = _GENERATORS[generator][0]
+        return None, [f"prior.generator: must be one of {', '.join(_GENERATORS)}, got {generator!r}"]
+    fields, build = _GENERATORS[generator]
     violations = field_violations(doc, fields, path="prior")
     known = ("generator", *fields, *_CAP)
     if generator == "explicit":
         violations += _values_violations(doc.get("values"))
         known += ("values",)
-    violations += field_violations(doc, _CAP, path="prior")
-    return violations + unknown_fields(doc, known, "prior")
-
-
-def _config_values(doc) -> tuple[np.ndarray | None, list[str]]:
-    """The values of the prior a config's prior object describes, built once and then
-    capped when it names a cap, or None and one message per broken rule: its fields,
-    the values they build, then the cap."""
-    violations = _prior_field_violations(doc)
+    violations += field_violations(doc, _CAP, path="prior") + unknown_fields(doc, known, "prior")
     if violations:
         return None, violations
-    values = _GENERATORS[doc["generator"]][1](doc)
+    values = build(doc)
     violations = _array_violations(values)
-    if violations or doc.get("cap") is None:
-        return (None if violations else values), violations
-    return _waterfilled(values, doc["cap"])
-
-
-@reads("prior")
-def prior_violations(config: dict) -> list[str]:
-    """One message per broken rule of a config's prior, read off the prior it builds."""
-    return _config_values(config.get("prior"))[1]
-
-
-def _config_prior(doc: dict) -> PriorSpec:
-    """The prior a config's prior object describes; the first prior_violations message is raised."""
-    values, violations = _config_values(doc)
-    raise_first(violations)
-    return PriorSpec(values)
+    if not violations and doc.get("cap") is not None:
+        values, violations = _waterfilled(values, doc["cap"])
+    return (None if violations else PriorSpec(values)), violations
 
 
 def build_prior(
@@ -183,28 +168,28 @@ def build_prior(
 
     generator "uniform" needs n; "zipf" needs n and exponent (weights
     k^-exponent, k = 1..n); "explicit" needs values in (0, 1].  The first
-    prior_violations message is raised, so an argument the generator does not
-    read is an unknown field of the prior.
+    parse_prior message is raised, so an argument the generator does not read
+    is an unknown field of the prior.
 
     A cap waterfills the built values below it while their total is
     preserved: the largest entries are pinned at cap and the rest are scaled
     by a common factor c solving sum_i min(c * v_i, cap) = total.  The cap is
-    feasible only when N * cap reaches the total, to a relative 1e-12, and a
-    scale c that overflows a double is rejected.  To cap an existing prior,
+    feasible only when N * cap reaches the total, to a relative _FILL_TOL, and
+    a scale c that overflows a double is rejected.  To cap an existing prior,
     build_prior("explicit", values=prior.values, cap=c).
     """
     doc = {"generator": generator, "n_values": n, "exponent": exponent, "values": values, "cap": cap}
-    return _config_prior({key: value for key, value in doc.items() if value is not None})
+    prior, violations = parse_prior({"prior": {k: v for k, v in doc.items() if v is not None}})
+    raise_first(violations)
+    return prior
 
 
 def _waterfilled(values: np.ndarray, cap) -> tuple[np.ndarray | None, list[str]]:
-    """values waterfilled below cap (see build_prior), or None and one message per broken cap rule."""
+    """values waterfilled below a cap that fits _CAP (see build_prior), or None and why the
+    cap cannot be met."""
     n, total = values.size, float(np.sum(values))
-    feasible = ("cap", ("cap",), lambda c: not n * c < total * (1.0 - 1e-12),
-                lambda c: f"cap {c} is infeasible for {n} values summing to {total}")
-    violations = field_violations({"cap": cap}, _CAP, {"cap": feasible}, "prior")
-    if violations:
-        return None, violations
+    if n * cap < total * (1.0 - _FILL_TOL):
+        return None, [f"prior.cap: cap {cap} is infeasible for {n} values summing to {total}"]
     order = np.argsort(values)[::-1]
     sorted_vals = values[order]
     tail_sums = np.cumsum(sorted_vals[::-1])[::-1]
@@ -212,8 +197,8 @@ def _waterfilled(values: np.ndarray, cap) -> tuple[np.ndarray | None, list[str]]
     # a scale that overflows, as past a subnormal tail, never fits
     with np.errstate(over="ignore"):
         c = (total - np.arange(n) * cap) / tail_sums
-    fits = c * sorted_vals <= cap * (1.0 + 1e-12)
-    fits[1:] &= c[1:] * sorted_vals[:-1] >= cap * (1.0 - 1e-12)
+    fits = c * sorted_vals <= cap * (1.0 + _FILL_TOL)
+    fits[1:] &= c[1:] * sorted_vals[:-1] >= cap * (1.0 - _FILL_TOL)
     if fits.any():
         out_sorted = np.minimum(c[fits.argmax()] * sorted_vals, cap)
     elif total - n * cap >= -1e-15:
@@ -299,25 +284,24 @@ _TAU_RULES = {
 }
 
 
-def _draw_counts(ls):
-    """A config's l as a list: one integer stands for [l]; other values pass through unchanged."""
-    return [ls] if Spec("integer").violation(ls) is None else ls
-
-
-def _draw_count_violations(doc: dict) -> list[str]:
-    ls = _draw_counts(doc.get("l"))
+def _draw_counts(doc: dict) -> tuple[list | None, list[str]]:
+    """A config's l as a list, one integer standing for [l], or None and why it is not one."""
+    ls = doc.get("l")
+    ls = [ls] if Spec("integer").violation(ls) is None else ls
     if not isinstance(ls, list) or not ls or any(map(_COUNT.violation, ls)):
-        return ["l: must be a positive integer or nonempty list of them"]
+        return None, ["l: must be a positive integer or nonempty list of them"]
     n = doc.get("n")
     if Spec("integer").violation(n) is None and any(v > n for v in ls):
-        return [f"l: every value must be <= n={n}"]
-    return []
+        return None, [f"l: every value must be <= n={n}"]
+    return ls, []
 
 
 @reads(*_TAU_FIELDS, "l")
-def tau_violations(doc: dict) -> list[str]:
-    """One message per broken rule of a tau config: n, the replicate counts, then l."""
-    return field_violations(doc, _TAU_FIELDS, _TAU_RULES) + _draw_count_violations(doc)
+def parse_tau(doc: dict) -> tuple[list | None, list[str]]:
+    """A tau config's l as a list, or None, and one message per broken rule: n, the
+    replicate counts, then l."""
+    ls, violations = _draw_counts(doc)
+    return ls, field_violations(doc, _TAU_FIELDS, _TAU_RULES) + violations
 
 
 _WEIGHT_FIELDS = {"replicates": _MC_REPLICATES}
@@ -361,7 +345,7 @@ def tau_exact(prior: PriorSpec, n: int, l: int) -> float:
     common factor cancels exactly, and cancelling it symbolically keeps the
     point-mass identity exact in floating point.
     """
-    raise_first(field_violations({"n": n}, _N_AND_REPLICATES) + _draw_count_violations({"n": n, "l": l}))
+    raise_first(field_violations({"n": n}, _N_AND_REPLICATES) + _draw_counts({"n": n, "l": l})[1])
     values = prior.values
     first = values[0]
     if np.all(values == first):
@@ -387,7 +371,7 @@ def tau_monte_carlo(
     common shift, which cancels in both.
     """
     raise_first(field_violations({"n": n, "replicates": replicates}, _N_AND_REPLICATES)
-                + _draw_count_violations({"n": n, "l": l}))
+                + _draw_counts({"n": n, "l": l})[1])
     lnum, lden, _ = _realizations(prior, rng, n=n, ls=[l], mc_replicates=replicates)
     return _tau_mc(lnum[0], lden[0])
 
@@ -412,7 +396,7 @@ def tau_lower_large(n: int, l: int, weight_value: float) -> float:
     weight_value is weight(pi, [2/3 (l-1)/(n-1), 4/3 l/n]); asserted when
     n >= 1e3, N >= 1e2, l <= n/10, and pi_max <= 1/20.  Vacuous at l = 1.
     """
-    raise_first(tau_violations({"n": n, "l": l})
+    raise_first(parse_tau({"n": n, "l": l})[1]
                 + field_violations({"weight_value": weight_value}, _WEIGHT_VALUE))
     return 0.4 * (l * (l - 1.0)) / (n * (n - 1.0)) * weight_value
 
@@ -424,14 +408,14 @@ def tau_lower_small(n: int, l: int, weight_value: float) -> float:
     geometric factor makes the bound less informative as l grows; at l = 1
     it is vacuous (zero).
     """
-    raise_first(tau_violations({"n": n, "l": l})
+    raise_first(parse_tau({"n": n, "l": l})[1]
                 + field_violations({"weight_value": weight_value}, _WEIGHT_VALUE))
     return 0.4 * ((l - 1.0) / (n - 1.0)) * (1.1 ** -l) * weight_value
 
 
 def large_interval(n: int, l: int) -> tuple[float, float]:
     """Frequency window the large-regime bound weighs: [2/3 (l-1)/(n-1), 4/3 l/n]."""
-    raise_first(tau_violations({"n": n, "l": l}))
+    raise_first(parse_tau({"n": n, "l": l})[1])
     return (2.0 / 3.0) * (l - 1.0) / (n - 1.0), (4.0 / 3.0) * l / n
 
 
@@ -454,10 +438,10 @@ def estimate_taus(prior: PriorSpec, n: int, ls: list[int], rng: np.random.Genera
     mc_replicates rows (mc_replicates = 0 skips it).  The draws do not depend
     on the chunking, so each l's estimate is the same whether it is requested
     alone or with others, and the bound columns do not depend on
-    mc_replicates.  The first tau_violations message is raised as ValueError.
+    mc_replicates.  The first parse_tau message is raised as ValueError.
     """
-    raise_first(tau_violations({"n": n, "l": list(ls), "mc_replicates": mc_replicates,
-                                "weight_replicates": weight_replicates}))
+    raise_first(parse_tau({"n": n, "l": list(ls), "mc_replicates": mc_replicates,
+                           "weight_replicates": weight_replicates})[1])
     exact = [tau_exact(prior, n, l) for l in ls]
     windows = {(l, "large"): large_interval(n, l) for l in ls}
     windows.update({(l, "small"): _small_interval(n, l) for l in ls if l > 1})

@@ -19,8 +19,9 @@ import pytest
 from scipy.special import expit
 
 import noisylab
+from noisylab import cli, freqmodel, mcsim
 from noisylab.cli import CSV_COLUMNS, SYNTH_COLUMNS, _write_csv, entry, main, validate_config
-from noisylab.mcsim import STREAM_VERSION
+from noisylab.mcsim import STREAM_VERSION, InstanceScenario, scenario_violations
 
 _SRC = Path(noisylab.__file__).resolve().parents[1]
 
@@ -1171,6 +1172,66 @@ def test_validate_and_the_run_agree_on_mutated_configs(tmp_path, capsys):
             assert code == 0, (command, doc, err)
         else:
             assert (validate_code, code, err) == (2, 2, said), (command, doc)
+
+
+def test_a_scenario_builds_exactly_when_it_has_no_violations():
+    # the parse checks a scenario entry by building it, and asks scenario_violations
+    # for messages only when the build raises, so the two must agree on every entry:
+    # 3,000 seeded mutations of a full entry, each setting one to three keys (unknown
+    # ones among them) to a _POOL value or deleting them, and every _POOL value that
+    # is not an object as a whole entry
+    rng = random.Random(31)
+    full = {**_S, **_OPTIONAL, "p_minus": 0.5}
+    keys = (*full, "e", "smoothing")
+    entries = [value for value in _POOL if not isinstance(value, dict)]
+    for _ in range(3000):
+        entry = copy.deepcopy(full)
+        for key in rng.sample(keys, rng.randint(1, 3)):
+            if rng.random() < 0.2:
+                entry.pop(key, None)
+            else:
+                entry[key] = copy.deepcopy(rng.choice(_POOL))
+        entries.append(entry)
+    built = 0
+    for entry in entries:
+        try:
+            InstanceScenario(**entry)
+        except (TypeError, ValueError):
+            assert scenario_violations(entry) != [], entry
+        else:
+            built += 1
+            assert scenario_violations(entry) == [], entry
+    # both outcomes are common, so the agreement is tested both ways
+    assert 100 < built < len(entries) - 100
+
+
+def _counted(monkeypatch, owner, name, *more_owners) -> list:
+    """Wrap owner.name (and the same function bound in more_owners) to count its calls."""
+    calls, original = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (owner, *more_owners):
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_sweep_checks_each_scenario_entry_once(tmp_path, capsys, monkeypatch):
+    calls = _counted(monkeypatch, mcsim, "scenario_violations", cli)
+    doc = {"seed": 1, "trials": 10, "scenarios": [{**_S, "l": 1 + i % 20} for i in range(1000)]}
+    assert _main_quietly(["sweep", "--config", str(_write_config(tmp_path, doc)),
+                          "--out", str(tmp_path / "o.csv")], capsys) == 0
+    assert len(calls) == 1000
+
+
+@pytest.mark.parametrize("command, doc", [_MUTATED[0], _MUTATED[4]], ids=["weight", "tau"])
+def test_a_capped_prior_is_waterfilled_once(tmp_path, capsys, monkeypatch, command, doc):
+    calls = _counted(monkeypatch, freqmodel, "_waterfilled")
+    assert _main_quietly([command, "--config", str(_write_config(tmp_path, doc)),
+                          "--out", str(tmp_path / "o.csv")], capsys) == 0
+    assert len(calls) == 1
 
 
 _README = Path(__file__).resolve().parent.parent / "README.md"
