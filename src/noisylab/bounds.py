@@ -38,12 +38,14 @@ def _special():
 
 
 class BoundKind(str, enum.Enum):
-    """Which closed form produced a BoundValue."""
+    """Which closed form produced a BoundValue: a treatment's (see _FORMS) or a tau_l floor."""
 
     HOEFFDING_SUCCESS = "hoeffding_success"
     BINOMIAL_FAILURE_LOWER = "binomial_failure_lower"
     PEER_SUCCESS = "peer_success"
     PEER_FAILURE_LOWER = "peer_failure_lower"
+    TAU_LOWER_LARGE = "tau_lower_large"
+    TAU_LOWER_SMALL = "tau_lower_small"
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,19 @@ class BoundValue:
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:  # NaN fails too
             raise ValueError(f"{self.kind.value} bound must lie in [0, 1], got {self.value}")
+
+
+_ORDER_SLACK = 1e-12  # a bound met with equality may round a few ulps above an exact tail
+
+
+def ordering_holds(exact: float, bound: BoundValue | None) -> bool | None:
+    """exact >= bound - _ORDER_SLACK; None unless the bound exists and its regime holds."""
+    return None if bound is None or not bound.regime_ok else exact >= bound.value - _ORDER_SLACK
+
+
+def _open_unit(e):
+    """Whether flip rates e lie in (0, 1), elementwise for arrays; NaN does not."""
+    return (0.0 < e) & (e < 1.0)
 
 
 def binom_tail(l: int, p: float, k: int) -> float:
@@ -103,7 +118,7 @@ def lc_failure_lower(l: int, e: float) -> float:
     is part of the event.  Requires e in (0, 1).
     """
     _check_l(l)
-    if isinstance(e, bool) or not 0.0 < e < 1.0:
+    if isinstance(e, bool) or not _open_unit(e):
         raise ValueError(f"e must lie in (0, 1), got {e!r}")
     kl = 0.5 * math.log(0.5 / e) + 0.5 * math.log(0.5 / (1.0 - e))
     return math.exp(-l * kl) / math.sqrt(2.0 * l)
@@ -137,3 +152,19 @@ def peer_failure_lower(l: int, e: float) -> float:
     even l only.
     """
     return lc_failure_lower(l, e)
+
+
+# A scenario report's closed forms, by kind: the e_y it is given at, as an elementwise test,
+# its function's domain but for Hoeffding's e_y = 0, where every loss-correction trial ties;
+# the regime its ordering needs, as flags: equal rates, even l, p_plus = 1/2 and a positive
+# peer margin; and the form, called with (l, e_y, p_opposite, e_plus, e_minus).
+_FORMS = {
+    BoundKind.HOEFFDING_SUCCESS: (lambda e: (0.0 < e) & (e <= 0.5), (1, 0, 0, 0),
+                                  lambda l, e, p, a, b: lc_success_lower(l, e)),
+    BoundKind.BINOMIAL_FAILURE_LOWER: (_open_unit, (1, 1, 0, 0),
+                                       lambda l, e, p, a, b: lc_failure_lower(l, e)),
+    BoundKind.PEER_SUCCESS: (lambda e: (0.0 <= e) & (e < 1.0), (0, 0, 0, 1),
+                             lambda l, e, p, a, b: peer_success_lower(l, p, a, b)),
+    BoundKind.PEER_FAILURE_LOWER: (_open_unit, (1, 1, 1, 0),
+                                   lambda l, e, p, a, b: peer_failure_lower(l, e)),
+}

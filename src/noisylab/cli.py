@@ -31,6 +31,7 @@ import scipy
 
 from . import __version__
 from ._spec import _COUNT, Spec, field_violations, reads, unknown_fields
+from .bounds import BoundValue, ordering_holds
 from .freqmodel import PriorSpec, estimate_taus, parse_prior, parse_tau, weight_estimate, weight_violations
 from .mcsim import (
     _RUN_FIELDS,
@@ -263,17 +264,20 @@ def _report_rows(headline_only: bool) -> Callable[..., list[dict]]:
             for check in report.checks:
                 if headline_only and not check.headline:
                     continue
-                row = {**scenario, "treatment": check.treatment.value,
-                       "mc_estimate": check.mc_estimate, "ci_lo": check.ci[0],
-                       "ci_hi": check.ci[1], "exact": check.exact,
-                       "ordering_holds": check.ordering_holds}
-                if check.bound is not None:
-                    row.update(bound=check.bound.value, bound_form=check.bound.kind.value,
-                               regime_ok=check.bound.regime_ok)
-                out.append(row)
+                out.append({**scenario, "treatment": check.treatment.value,
+                            "mc_estimate": check.mc_estimate, "ci_lo": check.ci[0],
+                            "ci_hi": check.ci[1], **_bound_cells(check.exact, check.bound)})
         return out
 
     return rows
+
+
+def _bound_cells(exact: float, bound: BoundValue | None) -> dict:
+    """A row's exact value, its bound's value, form and regime, and their ordering."""
+    cells = {"exact": exact, "ordering_holds": ordering_holds(exact, bound)}
+    if bound is not None:
+        cells.update(bound=bound.value, bound_form=bound.kind.value, regime_ok=bound.regime_ok)
+    return cells
 
 
 def _tau_rows(doc: dict, prior: PriorSpec, ls: list[int]) -> list[dict]:
@@ -285,13 +289,8 @@ def _tau_rows(doc: dict, prior: PriorSpec, ls: list[int]) -> list[dict]:
         mc = {} if est.mc is None else {
             "mc_estimate": est.mc, "ci_lo": est.mc - _Z_95 * est.mc_stderr,
             "ci_hi": est.mc + _Z_95 * est.mc_stderr}
-        for form, value, regime in (
-            ("tau_lower_large", est.lower_large, est.regime_ok),
-            ("tau_lower_small", est.lower_small, est.regime_ok and est.l > 1),
-        ):
-            rows.append({"l": est.l, "n": n, "treatment": "tau", **mc, "exact": est.exact,
-                         "bound": value, "bound_form": form, "regime_ok": regime,
-                         "ordering_holds": (est.exact >= value) if regime else None})
+        rows += [{"l": est.l, "n": n, "treatment": "tau", **mc, **_bound_cells(est.exact, bound)}
+                 for bound in est.bounds]
     return rows
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._spec import _COUNT, Spec, field_violations, raise_first, reads, unknown_fields
+from .bounds import BoundKind, BoundValue
 
 # Prior draws per chunk.  A float64 chunk buffer is then 256 KB, within a
 # core's L2 cache; the buffers are allocated once per batch and reused by
@@ -34,6 +35,7 @@ _CHUNK_ELEMENTS = 1 << 15
 _REGIME_MIN_N = 10**3
 _REGIME_MIN_VALUES = 10**2
 _REGIME_PI_MAX = 1.0 / 20.0
+_PI_MAX_TOL = 1e-15  # a prior built to pi_max = 1/20, as weights over their sum, may round above it
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class PriorSpec:
             n >= _REGIME_MIN_N
             and self.n_values >= _REGIME_MIN_VALUES
             and l <= n / 10
-            and self.pi_max() <= _REGIME_PI_MAX + 1e-15
+            and self.pi_max() <= _REGIME_PI_MAX + _PI_MAX_TOL
         )
 
 
@@ -92,6 +94,12 @@ class TauEstimate:
     mc: float | None = None
     mc_stderr: float | None = None
     regime_ok: bool = True
+
+    @property
+    def bounds(self) -> tuple[BoundValue, BoundValue]:
+        """Both lower bounds, asserted where regime_ok holds; the small-l one, vacuous at l = 1, past it."""
+        return (BoundValue(BoundKind.TAU_LOWER_LARGE, self.lower_large, self.regime_ok),
+                BoundValue(BoundKind.TAU_LOWER_SMALL, self.lower_small, self.regime_ok and self.l > 1))
 
 
 def _array_violations(values: np.ndarray) -> list[str]:
@@ -190,7 +198,7 @@ def _waterfilled(values: np.ndarray, cap) -> tuple[np.ndarray | None, list[str]]
     n, total = values.size, float(np.sum(values))
     if n * cap < total * (1.0 - _FILL_TOL):
         return None, [f"prior.cap: cap {cap} is infeasible for {n} values summing to {total}"]
-    order = np.argsort(values)[::-1]
+    order = np.argsort(-values, kind="stable")  # linear on descending zipf and uniform values
     sorted_vals = values[order]
     tail_sums = np.cumsum(sorted_vals[::-1])[::-1]
     # the first k whose scale fits: k largest entries pinned at cap, the rest scaled by c;

@@ -43,15 +43,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from ._spec import _COUNT, Spec, field_violations, raise_first, unknown_fields
-from .bounds import (
-    BoundKind,
-    BoundValue,
-    _special,
-    lc_failure_lower,
-    lc_success_lower,
-    peer_failure_lower,
-    peer_success_lower,
-)
+from .bounds import _FORMS, BoundKind, BoundValue, _special, ordering_holds
 from .noise import _LABEL, _RATE_FIELDS, _RATE_RULES
 from .treatments import _TIE_EPS
 
@@ -63,6 +55,7 @@ _THREAD_FLOOR = 1 << 15
 _GUIDE = 256  # bins of the smallest inversion guide, a power of 2; the largest has 16 times as many
 _CUT_SLACK = 1e-12  # far above the walk's rounding: under 965 steps, 2 * 965 * 2**-53 = 2.1e-13
 _SUCCESS, _TIE, _FAILURE = 0, 1, 2
+_HALF_TOL = 1e-12  # p_plus is 1/2 for the peer floor within a few ulps: a computed p_plus may round off it
 # A batch holds about 4.5 KiB per scenario until the write, so 2**17 scenarios stay under 1 GiB;
 # a draw takes 40-96 ns with numpy's BTPE (one thread, 2-vCPU VM), so 2**40 take about a day.
 _MAX_SCENARIOS, _MAX_DRAWS = 2**17, 2**40
@@ -438,8 +431,8 @@ class BoundCheck:
     mc_estimate (95% Wilson interval ci) is the share of trials whose wrong
     count lies in the event's range and exact that range's Binomial(l, e_y)
     mass; for memorize, the pooled per-label error and e_y.  bound is the
-    closed form, None where omitted (out of domain, or vacuous at e_y = 0);
-    ordering_holds is exact >= bound - 1e-12, None unless bound.regime_ok.
+    closed form, None where bounds._FORMS omits it at e_y;
+    ordering_holds is bounds.ordering_holds(exact, bound).
     """
 
     treatment: Treatment
@@ -462,46 +455,33 @@ class BoundReport:
 
 # The checks in report order, one row each: treatment, event, headline, the
 # event's wrong counts as a pair (start, stop) of its treatment's edges, edges
-# start..stop - 1 (see _edges), the closed form, and the regime its ordering
-# needs, as flags (equal rates, even l, p_plus = 1/2, a peer margin above
-# _TIE_EPS).  Memorize's check comes first and has no range: it is the pooled
-# per-label error against e_y.  A range is the treatment's leading block
-# (0, 1) or every count past it (1, 3); smoothing leads with failures, so its
-# better-or-tie lies past them.  The loss-correction and smoothing bounds are
-# stated for equal rates, failure floors for even l (where the tie carries the
-# mass the l/sqrt term needs), the peer floor for the symmetric regime.  The
-# peer success bound holds wherever its margin lies above the band in which
-# the engine ties every margin.
+# start..stop - 1 (see _edges), and the closed form (see bounds._FORMS).
+# Memorize's check comes first and has no range: it is the pooled per-label
+# error against e_y.  A range is the treatment's leading block (0, 1) or every
+# count past it (1, 3); smoothing leads with failures, so its better-or-tie
+# lies past them.
 _EVENTS = (
-    (Treatment.MEMORIZE, "mean_label_error", True, None, None, (0, 0, 0, 0)),
-    (Treatment.LOSS_CORRECTION, "strict_success", True, (0, 1),
-     BoundKind.HOEFFDING_SUCCESS, (1, 0, 0, 0)),
-    (Treatment.LOSS_CORRECTION, "tie_inclusive_failure", False, (1, 3),
-     BoundKind.BINOMIAL_FAILURE_LOWER, (1, 1, 0, 0)),
-    (Treatment.LABEL_SMOOTHING, "ls_better_or_tie", True, (1, 3),
-     BoundKind.BINOMIAL_FAILURE_LOWER, (1, 1, 0, 0)),
-    (Treatment.PEER_LOSS, "strict_success", True, (0, 1),
-     BoundKind.PEER_SUCCESS, (0, 0, 0, 1)),
-    (Treatment.PEER_LOSS, "tie_inclusive_failure", False, (1, 3),
-     BoundKind.PEER_FAILURE_LOWER, (1, 1, 1, 0)),
+    (Treatment.MEMORIZE, "mean_label_error", True, None, None),
+    (Treatment.LOSS_CORRECTION, "strict_success", True, (0, 1), BoundKind.HOEFFDING_SUCCESS),
+    (Treatment.LOSS_CORRECTION, "tie_inclusive_failure", False, (1, 3), BoundKind.BINOMIAL_FAILURE_LOWER),
+    (Treatment.LABEL_SMOOTHING, "ls_better_or_tie", True, (1, 3), BoundKind.BINOMIAL_FAILURE_LOWER),
+    (Treatment.PEER_LOSS, "strict_success", True, (0, 1), BoundKind.PEER_SUCCESS),
+    (Treatment.PEER_LOSS, "tie_inclusive_failure", False, (1, 3), BoundKind.PEER_FAILURE_LOWER),
 )
-# The table's columns as arrays over its six events, memorize's range empty.
+# The table's columns as arrays over its six events (memorize's range empty); the forms' regimes.
 _EVENT_TREATMENT = np.array([_TREATMENTS.index(event[0]) for event in _EVENTS])
 _EVENT_START, _EVENT_STOP = np.array([event[3] or (0, 0) for event in _EVENTS]).T
-_EVENT_NEEDS = np.array([event[5] for event in _EVENTS], bool)
+_FORM_NEEDS = np.array([needs for _, needs, _ in _FORMS.values()], bool)
 
 
 def bound_report(scenario: InstanceScenario, trials: int, seed: int,
                  workers: int = 1) -> BoundReport:
     """One check per _EVENTS row, every one read from one shared set of draws.
 
-    The one-scenario sweep.  The Monte-Carlo count of an event is the trials
-    whose wrong count lies in its range, and exact the Binomial(l, e_y) mass
-    there; memorize's count is the exact wrong-label total over trials * l.
-    Headline checks (one per treatment) are what sweep rows export.  A closed
-    form outside its regime is computed with regime_ok=False and never
-    asserted.  When e_y = 0 every loss-correction trial ties, and both its
-    closed forms are omitted.
+    The one-scenario sweep (see BoundCheck for each route).  Headline checks
+    (one per treatment) are what sweep rows export.  A closed form is given
+    where bounds._FORMS gives it, and outside its regime it carries
+    regime_ok=False and is never asserted.
     """
     return sweep([scenario], trials, seed, workers)[0]
 
@@ -534,31 +514,23 @@ def _reports(scenarios, edges, below, wrong, trials: int) -> list[BoundReport]:
                                np.where(upper, e_y, 1.0 - e_y))
     masses = np.where(tail, tails, np.where(lo < end, 1.0, 0.0))
     equal = np.abs(e_plus - e_minus) <= 2.0 * _TIE_EPS * (e_plus + e_minus)  # both zero too
-    # the peer success bound's margin, p_opposite (1 - e_plus - e_minus), is peer loss's
-    # margin at the expected wrong count, which the engine reads as it reads a trial's
+    # the peer success bound's margin, p_opposite (1 - e_plus - e_minus), is peer loss's margin
+    # at the expected wrong count, read as a trial's: positive only above the tie band _TIE_EPS
     margin = _codes(_params(scenarios), e_y * l)[_TREATMENTS.index(Treatment.PEER_LOSS)] == _SUCCESS
-    regime = (np.hstack((equal, l % 2 == 0, np.abs(p_plus - 0.5) <= 1e-12, margin))[:, None, :]
-              | ~_EVENT_NEEDS).all(axis=2)
+    regime = (np.hstack((equal, l % 2 == 0, np.abs(p_plus - 0.5) <= _HALF_TOL, margin))[:, None, :]
+              | ~_FORM_NEEDS).all(axis=2)
+    given = np.hstack([test(e_y) for test, _, _ in _FORMS.values()])
     reports = []
-    for s, *columns in zip(scenarios, share.tolist(), ci[0].tolist(), ci[1].tolist(),
-                           masses.tolist(), regime.tolist()):
-        e, checks = s.e_y, []
-        # None where a form is omitted: outside its domain, or vacuous at e_y = 0
-        forms = {
-            BoundKind.HOEFFDING_SUCCESS: lc_success_lower(s.l, e) if 0.0 < e <= 0.5 else None,
-            BoundKind.BINOMIAL_FAILURE_LOWER: lc_failure_lower(s.l, e) if e > 0.0 else None,
-            BoundKind.PEER_SUCCESS: peer_success_lower(
-                s.l, s.p_minus if s.y == 1 else s.p_plus, s.e_plus, s.e_minus),
-            BoundKind.PEER_FAILURE_LOWER: peer_failure_lower(s.l, e) if e > 0.0 else None,
-        }
-        for (treatment, event, headline, pair, kind, _), mc, ci_lo, ci_hi, mass, ok in zip(
-                _EVENTS, *columns):
-            exact = e if pair is None else mass
-            value = forms.get(kind)
-            bound = None if value is None else BoundValue(kind, value, regime_ok=ok)
-            holds = None if value is None or not ok else exact >= value - 1e-12
+    for s, gives, oks, *columns in zip(scenarios, given.tolist(), regime.tolist(), share.tolist(),
+                                       ci[0].tolist(), ci[1].tolist(), masses.tolist()):
+        args = (s.l, s.e_y, s.p_minus if s.y == 1 else s.p_plus, s.e_plus, s.e_minus)
+        bounds = {kind: BoundValue(kind, form(*args), ok)
+                  for (kind, (_, _, form)), on, ok in zip(_FORMS.items(), gives, oks) if on}
+        checks = []
+        for (treatment, event, headline, pair, kind), mc, ci_lo, ci_hi, mass in zip(_EVENTS, *columns):
+            exact, bound = (args[1] if pair is None else mass), bounds.get(kind)
             checks.append(BoundCheck(treatment, event, headline, mc, (ci_lo, ci_hi), exact,
-                                     bound, holds))
+                                     bound, ordering_holds(exact, bound)))
         reports.append(BoundReport(scenario=s, checks=tuple(checks)))
     return reports
 

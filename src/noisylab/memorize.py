@@ -15,6 +15,8 @@ import numpy as np
 
 from .noise import _label_to_index
 
+_TOL = 1e-12  # far above the rounding of the treatments' label algebra, e.g. (1 - a) p + a / 2
+
 
 @dataclass(frozen=True)
 class LabelDist:
@@ -37,9 +39,9 @@ class LabelDist:
         lo, hi = probs.tolist()
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("label distribution entries must be finite")
-        if abs(lo + hi - 1.0) > 1e-12:
+        if abs(lo + hi - 1.0) > _TOL:
             raise ValueError(f"label distribution must sum to 1, got {probs.sum()!r}")
-        if not self.signed and not (-1e-12 <= lo <= 1.0 + 1e-12 and -1e-12 <= hi <= 1.0 + 1e-12):
+        if not self.signed and not (-_TOL <= lo <= 1.0 + _TOL and -_TOL <= hi <= 1.0 + _TOL):
             raise ValueError(f"proper distribution entries must lie in [0, 1], got {probs}")
 
     def prob_of(self, y: int) -> float:

@@ -19,7 +19,7 @@ import pytest
 from scipy.special import expit
 
 import noisylab
-from noisylab import cli, freqmodel, mcsim
+from noisylab import bounds, cli, freqmodel, mcsim
 from noisylab.cli import CSV_COLUMNS, SYNTH_COLUMNS, _write_csv, entry, main, validate_config
 from noisylab.mcsim import STREAM_VERSION, InstanceScenario, scenario_violations
 
@@ -742,6 +742,31 @@ class TestQuietRuns:
             ("1", "0.0", "tau_lower_small", "false", ""),
         ]
         assert [r[15] for r in rows[2:]] == ["true", "true"]
+
+
+class TestOneOrderingRule:
+    # Every row's ordering_holds is exact >= bound - 1e-12: a gap of 1e-13 below
+    # the bound lies inside that slack and one of 1e-11 outside it, on a tau row
+    # and on a treatment row alike.
+    @pytest.mark.parametrize("gap, holds", [(1e-13, "true"), (1e-11, "false")])
+    def test_rows_just_below_their_bounds_get_the_same_ordering(self, tmp_path, capsys,
+                                                                 monkeypatch, gap, holds):
+        est = freqmodel.TauEstimate(l=2, exact=1e-3, lower_large=1e-3 + gap, lower_small=1e-3 + gap)
+        monkeypatch.setattr(cli, "estimate_taus", lambda *args, **kwargs: [est])
+        config = _write_config(tmp_path, {"seed": 1, "n": 100, "l": [2],
+                                          "prior": {"generator": "uniform", "n_values": 10}})
+        out = tmp_path / "tau.csv"
+        assert _main_quietly(["tau", "--config", str(config), "--out", str(out)], capsys) == 0
+        assert [(r[15], r[16]) for r in _read_csv(out)[1]] == [("true", holds)] * 2
+
+        scenario = {"l": 10, "y": 1, "e_plus": 0.2, "e_minus": 0.2}
+        exact = mcsim.bound_report(InstanceScenario(**scenario), 1000, 1).checks[1].exact
+        kind = bounds.BoundKind.HOEFFDING_SUCCESS
+        monkeypatch.setitem(bounds._FORMS, kind, (*bounds._FORMS[kind][:2], lambda *_: exact + gap))
+        config = _write_config(tmp_path, {"seed": 1, "trials": 1000, "scenario": scenario})
+        assert _main_quietly(["bounds", "--config", str(config), "--out", str(out)], capsys) == 0
+        row = next(r for r in _read_csv(out)[1] if r[14] == kind.value)
+        assert (float(row[12]), row[15], row[16]) == (exact, "true", holds)
 
 
 _W = {"seed": 1, "replicates": 10, "interval": [0.1, 0.2],

@@ -13,6 +13,7 @@ for bit, and its working set stays a few chunk buffers.
 import hashlib
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -189,6 +190,22 @@ class TestCapped:
         # the third entry would need the scale 0.025 / 1e-310
         with pytest.raises(ValueError, match=r"^prior\.cap: no waterfilling scale as a double"):
             build_prior("explicit", values=np.array([0.9, 1e-310, 0.125]), cap=0.5)
+
+    @pytest.mark.parametrize("values, cap", [
+        (np.full(1000, 1.0 / 1000), 1e-3),
+        (np.full(1000, 1.0 / 1000), 2e-3),
+        (freqmodel._zipf({"n_values": 4096, "exponent": 1.1}), 1e-3),
+        (np.array([0.3, 0.1, 0.3, 0.05, 0.1, 0.3, 0.02, 0.1]), 0.2),
+        (np.random.default_rng(8).choice([0.01, 0.02, 0.05, 0.1], size=500), 0.06),
+    ], ids=["uniform-at-cap", "uniform-below-cap", "zipf", "explicit-ties", "explicit-many-ties"])
+    def test_ties_come_out_as_under_the_reversed_sort(self, monkeypatch, values, cap):
+        # the waterfill sorts -values stably, which orders ties by index; the reference
+        # order np.argsort(values)[::-1] puts them the other way round, and equal
+        # values must still come out bit for bit equal
+        out, _ = freqmodel._waterfilled(values, cap)
+        reference = dict(vars(np), argsort=lambda *_, **__: np.argsort(values)[::-1])
+        monkeypatch.setattr(freqmodel, "np", types.SimpleNamespace(**reference))
+        assert out.tobytes() == freqmodel._waterfilled(values, cap)[0].tobytes()
 
 
 class TestSampleFrequencies:

@@ -17,6 +17,7 @@ from scipy import stats
 from scipy.special import xlogy
 
 from noisylab.bounds import (
+    _FORMS,
     BoundKind,
     binom_tail,
     lc_failure_lower,
@@ -1348,6 +1349,26 @@ class TestBoundReport:
         assert by_event[(Treatment.LOSS_CORRECTION, "tie_inclusive_failure")].bound.regime_ok
         peer_fail = by_event[(Treatment.PEER_LOSS, "tie_inclusive_failure")]
         assert not peer_fail.bound.regime_ok and peer_fail.ordering_holds is None
+
+    @pytest.mark.parametrize("y, e_plus, e_minus, omitted", [
+        (1, 0.0, 0.2, {"hoeffding_success", "binomial_failure_lower", "peer_failure_lower"}),
+        (-1, 0.3, 0.0, {"hoeffding_success", "binomial_failure_lower", "peer_failure_lower"}),
+        (1, 0.5, 0.2, set()),
+        (-1, 0.2, 0.5, set()),
+        (1, 0.7, 0.2, {"hoeffding_success"}),
+        (-1, 0.1, 0.6, {"hoeffding_success"}),
+        (1, 0.2, 0.2, set()),
+    ])
+    def test_a_report_omits_exactly_the_forms_its_table_domain_excludes(self, y, e_plus, e_minus,
+                                                                       omitted):
+        e_y = e_plus if y == 1 else e_minus
+        assert {kind.value for kind, (test, _, _) in _FORMS.items() if not test(e_y)} == omitted
+        report = bound_report(InstanceScenario(l=6, y=y, e_plus=e_plus, e_minus=e_minus), 500, 3)
+        for check, (*_, kind) in zip(report.checks, mcsim._EVENTS, strict=True):
+            if kind is None or kind.value in omitted:
+                assert check.bound is None and check.ordering_holds is None, check
+            else:
+                assert check.bound.kind is kind, check
 
     def test_heavy_noise_drops_the_success_bound(self):
         s = InstanceScenario(l=4, y=1, e_plus=0.6, e_minus=0.3)
