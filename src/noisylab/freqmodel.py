@@ -226,6 +226,8 @@ def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight
     values, log_values, n_values = prior.values, np.log(prior.values), prior.n_values
     lnum = np.empty((len(ls), mc_replicates))
     lden = np.empty_like(lnum)
+    if n_values == 1:  # D = 1 in every realization: each moment is log 1 = 0, as at n == l,
+        lnum[:], lden[:], ls = 0.0, 0.0, ()  # so tau is the point mass 1, as tau_exact gives
     masses = np.empty((len(windows), weight_replicates))
     total, step = max(mc_replicates, weight_replicates), max(1, _CHUNK_ELEMENTS // n_values)
     # one set of buffers for the whole batch, sliced per chunk; a window keeps

@@ -15,18 +15,22 @@ seed), shared by the four treatments and independent of worker count.
 Trials are cut into fixed chunks of _CHUNK_TRIALS; chunk c draws its counts
 from its own Philox counter range [0, 0, 0, c] under a key derived from
 (seed, scenario fields), so they are a pure function of (key, chunk),
-whichever thread draws them.  A sweep cuts the (scenario, chunk) jobs of
+whichever thread draws them.  A chunk is drawn and tallied in blocks of at
+most _BLOCK counts, read in order from that one range, so a thread holds one
+block, not its chunk, and the blocks are the draws the whole chunk would be.
+Each thread re-keys one Philox bit generator to each chunk's range in turn.
+A sweep cuts the (scenario, chunk) jobs of
 its batch into one contiguous range per thread, the calling thread's and
 up to `workers` - 1 helpers', at most one thread per CPU and helpers only
 for chunks of _THREAD_FLOOR draws or more; each thread tallies its range
 as Python ints, exact in any order.
 With p = min(e_y, 1 - e_y), a chunk whose inversion table starts at a normal
-double, l * -log1p(-p) <= 700, looks one uniform per count up in numpy's
-inversion table for (l, p), one gather each from a guide sized to the chunk:
-Generator.binomial(l, e_y)'s integers where numpy inverts (p l <= 30), its
-inversion walk where numpy runs BTPE.  Past that,
+double, l * -log1p(-p) <= 700, looks one Philox word per count up in numpy's
+inversion table for (l, p), one gather each from a guide the chunk builds
+once: Generator.binomial(l, e_y)'s integers where numpy inverts (p l <= 30),
+its inversion walk where numpy runs BTPE.  Past that,
 Generator.binomial (BTPE, which takes a varying number of uniforms per draw)
-draws the chunk.  STREAM_VERSION
+draws the chunk, block by block from one generator.  STREAM_VERSION
 names this mapping from seeds to rows and changes whenever the same seed
 would draw different numbers or classify them differently.
 """
@@ -37,6 +41,7 @@ import functools
 import math
 import os
 import threading
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -50,11 +55,17 @@ from .treatments import _TIE_EPS
 STREAM_VERSION = 10  # the README's Determinism section says what each version changed
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
+# counts per block of a chunk: a block's int64 arrays are 128 KiB, small enough that malloc
+# hands them back to the next block instead of mapping fresh pages for each
+_BLOCK = 1 << 14
+_EDGE_BLOCK = 512  # scenarios per bisection block: each (4, k, 8) float64 _codes temporary is 128 KiB
 # helpers start at chunks of this many draws: on 2 vCPUs 16,000 ran slower on 2 threads, 32,000 even
 _THREAD_FLOOR = 1 << 15
 _GUIDE = 256  # bins of the smallest inversion guide, a power of 2; the largest has 16 times as many
 _CUT_SLACK = 1e-12  # far above the walk's rounding: under 965 steps, 2 * 965 * 2**-53 = 2.1e-13
 _SUCCESS, _TIE, _FAILURE = 0, 1, 2
+# p_plus and p_minus, each rounded on its own as a config writes them, may sum off 1 by far more than an ulp
+_PRIOR_SUM_TOL = 1e-9
 _HALF_TOL = 1e-12  # p_plus is 1/2 for the peer floor within a few ulps: a computed p_plus may round off it
 # A batch holds about 4.5 KiB per scenario until the write, so 2**17 scenarios stay under 1 GiB;
 # a draw takes 40-96 ns with numpy's BTPE (one thread, 2-vCPU VM), so 2**40 take about a day.
@@ -87,7 +98,7 @@ _SCENARIO_RULES = {
     # p_minus defaults to 1 - p_plus, which rounds to 1 at p_plus <= 2**-54
     "p_plus": ("p_plus", ("p_plus",), lambda p: 1.0 - p < 1.0,
                lambda p: f"must be > 2**-54, so that 1 - p_plus < 1, got {p}"),
-    "p_minus": ("p_plus", ("p_plus", "p_minus"), lambda a, b: abs(a + b - 1.0) <= 1e-9,
+    "p_minus": ("p_plus", ("p_plus", "p_minus"), lambda a, b: abs(a + b - 1.0) <= _PRIOR_SUM_TOL,
                 lambda a, b: f"p_plus + p_minus must equal 1, got {a + b}"),
     "n": ("n", ("n", "l"), lambda n, l: n >= l, lambda n, l: f"must be >= l, got n={n}, l={l}"),
 }
@@ -226,14 +237,16 @@ def _walk(u: float, px: tuple[float, ...]) -> int | None:
     return x
 
 
-def _inverse(px: tuple[float, ...], u: np.ndarray) -> np.ndarray | None:
-    """_walk over an array of uniforms u, None if any walk passes bound: the count of
-    cuts cumsum(px) - _CUT_SLACK below u.
+def _inverse(px: tuple[float, ...], count: int) -> Callable[[np.ndarray], np.ndarray | None]:
+    """_walk for a chunk of `count` draws, built once: a function of a block of raw Philox
+    words, None if any walk passes bound, else the count of cuts cumsum(px) - _CUT_SLACK
+    below each word's uniform u = (word >> 11) 2**-53, Generator.random's double.
 
-    A guide of g bins, g the power of 2 just above u.size / 8 clipped to _GUIDE..16
-    _GUIDE, holds for each bin [b/g, (b+1)/g) the count every u in it shares, or -1
-    where a cut's band cut -+ _CUT_SLACK touches the bin or the count may pass the
-    table.  So each u takes one gather; only the u in marked bins are placed by
+    A guide of g = 2**b bins, g the power of 2 just above count / 8 clipped to
+    _GUIDE..16 _GUIDE, holds for each bin [i/g, (i+1)/g) the count every u in it
+    shares, or -1 where a cut's band cut -+ _CUT_SLACK touches the bin or the count may
+    pass the table.  A word's bin is word >> (64 - b), the top b of u's 53 bits, so each
+    word takes one gather; only the words in marked bins become doubles, placed by
     searchsorted, and of those, a u within _CUT_SLACK above a cut, or past the last,
     takes _walk itself.
     """
@@ -242,7 +255,7 @@ def _inverse(px: tuple[float, ...], u: np.ndarray) -> np.ndarray | None:
     hi = np.concatenate(([-np.inf], cuts + _CUT_SLACK))  # hi[x]: cut x - 1, raised
     # sized, not fixed: 4,096 bins made a 200-draw lookup 14 % slower, 256 bins a
     # 50,000-draw lookup 1.9 times slower
-    g = min(16 * _GUIDE, max(_GUIDE, 1 << (u.size // 8).bit_length()))
+    g = min(16 * _GUIDE, max(_GUIDE, 1 << (count // 8).bit_length()))
     # v's bin is v * g truncated, exact for a power of 2 (and 0 for the v > -1/g below 0);
     # a band lies in the bins of its two ends, and a bin clear of every band counts the
     # bands below it
@@ -250,31 +263,60 @@ def _inverse(px: tuple[float, ...], u: np.ndarray) -> np.ndarray | None:
     guide = np.bincount(last, minlength=g + 1).cumsum()
     guide[first] = guide[last] = -1
     guide[first[-1]:] = -1  # from the last band on, a count may pass the table
-    x = guide[(u * g).astype(np.intp)]
-    rest = np.flatnonzero(x < 0)
-    x[rest] = placed = lo.searchsorted(u[rest])
-    for i in rest[(u[rest] <= hi[placed]) | (placed == len(px))]:
-        if (walked := _walk(u[i], px)) is None:
-            return None
-        x[i] = walked
-    return x
+    shift = 65 - g.bit_length()
+
+    def invert(words: np.ndarray) -> np.ndarray | None:
+        x = guide[(words >> shift).view(np.intp)]
+        rest = np.flatnonzero(x < 0)
+        u = (words[rest] >> 11) * 2.0**-53
+        x[rest] = placed = lo.searchsorted(u)
+        walks = (u <= hi[placed]) | (placed == len(px))
+        for i, v in zip(rest[walks].tolist(), u[walks].tolist()):
+            if (walked := _walk(v, px)) is None:
+                return None
+            x[i] = walked
+        return x
+    return invert
 
 
-def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int) -> np.ndarray:
-    """Chunk `chunk`'s first `count` wrong-label counts: a pure function of (key, chunk).
+def _rekeyed(bits: np.random.Philox, key: np.ndarray, chunk: int) -> np.random.Philox:
+    """bits set to the state np.random.Philox(key=key, counter=[0, 0, 0, chunk]) starts in,
+    the start of chunk `chunk`'s counter range.  That constructor also draws a seed from
+    OS entropy, which the key overrides: 9.1 us against 2.4 us on a 2-vCPU VM (numpy 2.4.6)."""
+    bits.state = {"bit_generator": "Philox",
+                  "state": {"counter": np.array([0, 0, 0, chunk], np.uint64), "key": key},
+                  "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return bits
+
+
+def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int,
+                  bits: np.random.Philox) -> Iterator[np.ndarray | None]:
+    """Chunk `chunk`'s first `count` wrong-label counts, a pure function of (key, chunk),
+    yielded in order in blocks of at most _BLOCK; a None voids every block before it.
+    bits, the calling thread's, is re-keyed to the chunk's Philox range and drawn from
+    until the last block.
+
     Inside the regime (the table's first term exp(l log1p(-p)) normal, so p l <= 700 and
-    at most ~965 entries) its uniforms invert in one call.  Past it, or if a walk passes
-    the table's bound, where an inversion draws again, Generator.binomial draws it."""
-    def generator():
-        return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk]))
+    at most ~965 entries) each block inverts the next words of that range.  Past it, or
+    once a walk passes the table's bound, where an inversion draws again (the blocks so
+    far are then void), Generator.binomial draws the chunk from its start, a block per
+    call on one generator, which draws what one call for the chunk draws."""
+    sizes = [min(_BLOCK, count - start) for start in range(0, count, _BLOCK)]
     p, flip = min(e_y, 1.0 - e_y), e_y > 0.5
     if p == 0.0:
-        return np.zeros(count, np.int64)
+        yield from (np.zeros(n, np.int64) for n in sizes)
+        return
     if l * -math.log1p(-p) <= 700.0:
-        wrong = _inverse(_inversion_table(l, p), generator().random(count))
-        if wrong is not None:
-            return l - wrong if flip else wrong
-    return generator().binomial(l, e_y, size=count)
+        invert, words = _inverse(_inversion_table(l, p), count), _rekeyed(bits, key, chunk).random_raw
+        for n in sizes:
+            if (wrong := invert(words(n))) is None:
+                yield None
+                break
+            yield l - wrong if flip else wrong
+        else:
+            return
+    rng = np.random.Generator(_rekeyed(bits, key, chunk))
+    yield from (rng.binomial(l, e_y, size=n) for n in sizes)
 
 
 def _params(scenarios) -> tuple[np.ndarray, ...]:
@@ -331,9 +373,13 @@ def _edges(params: tuple[np.ndarray, ...]) -> np.ndarray:
     the wrong counts of rank r lie in edges r..edges r+1 - 1.
 
     Cut j is the first wrong count in 0..l + 1 whose code ranks past j.  One
-    bisection finds all 8k cuts, each step one _codes call at every midpoint.
+    bisection finds all 8k cuts, each step one _codes call at every midpoint, over
+    blocks of _EDGE_BLOCK scenarios, whose edges do not depend on one another.
     """
     l = params[0]
+    if l.size > _EDGE_BLOCK:
+        return np.concatenate([_edges(tuple(column[start:start + _EDGE_BLOCK] for column in params))
+                               for start in range(0, l.size, _EDGE_BLOCK)])
     lo, hi = np.zeros((l.size, 8), np.int64), np.repeat(l + 1, 8, axis=1)
     while (lo < hi).any():
         mid = (lo + hi) // 2
@@ -351,7 +397,8 @@ def _cut_counts(scenarios, trials: int, seed: int,
     lies below each edge, both (k, 4, 4), and each scenario's exact wrong-label total.
 
     Each (scenario, chunk) job of the batch counts its chunk below the scenario's
-    distinct edges and sums its wrong labels.  The jobs are cut into one contiguous
+    distinct edges and sums its wrong labels, block by block as _chunk_counts yields
+    them, on its thread's one Philox.  The jobs are cut into one contiguous
     range per thread: the calling thread draws the first, and min(workers, CPUs,
     jobs) - 1 helper threads the others, but only where a chunk holds at least
     _THREAD_FLOOR draws.  Each thread tallies its own range as Python ints, and the
@@ -370,14 +417,20 @@ def _cut_counts(scenarios, trials: int, seed: int,
                if min(trials, _CHUNK_TRIALS) >= _THREAD_FLOOR else 1)
     failed = threading.Event()
 
-    def job(n: int) -> tuple[int, list[int]]:
+    def job(n: int, bits: np.random.Philox) -> tuple[int, list[int]]:
         i, chunk = divmod(n, chunks)
         s, count = scenarios[i], min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
-        wrong = _chunk_counts(keys[i], s.l, s.e_y, chunk, count)
-        # the high and low 32-bit halves each sum below 2**48 over a chunk, so both are exact
-        total = (int((wrong >> 32).sum()) << 32) + int((wrong & 0xFFFFFFFF).sum())
         # cuts run from 0 to l + 1: no count lies below the first, every count below the last
-        return i, [0, *(int(np.count_nonzero(wrong < c)) for c in cuts[i][1:-1]), count, total]
+        inner = cuts[i][1:-1].tolist()
+        below, total = [0] * len(inner), 0
+        for wrong in _chunk_counts(keys[i], s.l, s.e_y, chunk, count, bits):
+            if wrong is None:  # the blocks so far are void: the chunk is drawn again
+                below, total = [0] * len(inner), 0
+                continue
+            below = [b + int(np.count_nonzero(wrong < c)) for b, c in zip(below, inner)]
+            # the high and low 32-bit halves each sum below 2**46 over a block, so both are exact
+            total += (int((wrong >> 32).sum()) << 32) + int((wrong & 0xFFFFFFFF).sum())
+        return i, [0, *below, count, total]
 
     def add(into: dict[int, list[int]], i: int, counts: list[int]) -> None:
         into[i] = [a + b for a, b in zip(into[i], counts)] if i in into else counts
@@ -385,12 +438,12 @@ def _cut_counts(scenarios, trials: int, seed: int,
     def tally(part: range) -> dict[int, list[int]]:
         """Each scenario's counts over the jobs of `part`: below each distinct edge,
         then the wrong-label total."""
-        sums = {}
+        sums, bits = {}, np.random.Philox(0)  # the thread's bit generator, re-keyed per chunk
         try:
             for n in part:
                 if failed.is_set():
                     break
-                add(sums, *job(n))
+                add(sums, *job(n, bits))
         except BaseException:
             failed.set()
             raise

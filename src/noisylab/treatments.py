@@ -24,6 +24,9 @@ from .memorize import LabelDist, _label_counts, memorization_error
 from .noise import _LABEL, BinaryNoiseRates
 
 _TIE_EPS = 1e-12
+# a caller's joint or predictor table, its entries rounded on their own, may sum off 1 by
+# far more than an ulp; looser than _TIE_EPS, since no decision reads the sum
+_SUM_TOL = 1e-9
 # the comparators' scalar arguments, each checked where it is given
 _UNIT = Spec(lo=0.0, hi=1.0, required=False)
 _ARGUMENTS = {"a": _UNIT, "global_noisy_positive_rate": _UNIT, "global_rate": _UNIT,
@@ -199,11 +202,11 @@ def peer_expected_loss(joint, predictor, q_min: float = 1e-3) -> PeerLossDecompo
     for name, table in (("joint", joint), ("predictor", predictor)):
         if not np.isfinite(table).all():
             raise ValueError(f"{name} entries must be finite")
-    if np.any(joint < 0.0) or abs(joint.sum() - 1.0) > 1e-9:
+    if np.any(joint < 0.0) or abs(joint.sum() - 1.0) > _SUM_TOL:
         raise ValueError("joint must be a proper distribution over X x Y")
     if np.any(joint.sum(axis=1) <= 0.0):
         raise ValueError("every feature must carry positive probability")
-    if np.any(predictor < 0.0) or np.any(np.abs(predictor.sum(axis=1) - 1.0) > 1e-9):
+    if np.any(predictor < 0.0) or np.any(np.abs(predictor.sum(axis=1) - 1.0) > _SUM_TOL):
         raise ValueError("predictor rows must be proper distributions")
     m = predictor.shape[1]
     if not 0.0 < q_min < 1.0 / m:

@@ -406,9 +406,9 @@ class TestAcceptance:
         trials = 2 * mcsim._CHUNK_TRIALS + 1
         chunks = set()
 
-        def recorded(key, l, e_y, chunk, count, draw=mcsim._chunk_counts):
+        def recorded(key, l, e_y, chunk, count, bits, draw=mcsim._chunk_counts):
             chunks.add(chunk)
-            return draw(key, l, e_y, chunk, count)
+            return draw(key, l, e_y, chunk, count, bits)
 
         monkeypatch.setattr(mcsim, "_chunk_counts", recorded)
         config = tmp_path / "sweep.json"

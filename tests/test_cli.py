@@ -743,6 +743,20 @@ class TestQuietRuns:
         ]
         assert [r[15] for r in rows[2:]] == ["true", "true"]
 
+    @pytest.mark.parametrize("n, bounds", [(100, ("0.0", "0.0")), (2, ("0.4", "0.3305785123966942"))])
+    def test_a_one_value_prior_writes_the_point_mass(self, tmp_path, capsys, n, bounds):
+        # D = 1 in every realization, so the Monte-Carlo tau is 1.0 with stderr 0 and its
+        # interval 1.0 to 1.0, at n > l as at n == l, and tau_exact gives 1.0 too
+        config = _write_config(tmp_path, {
+            "command": "tau", "seed": 1, "n": n, "l": [2], "mc_replicates": 5,
+            "prior": {"generator": "uniform", "n_values": 1}})
+        out = tmp_path / "t.csv"
+        assert _main_quietly(["tau", "--config", str(config), "--out", str(out)], capsys) == 0
+        _, rows = _read_csv(out)
+        assert rows == [["2", "", "", "", "", "", "", str(n), "tau", "1.0", "1.0", "1.0", "1.0",
+                         bound, form, "false", ""]
+                        for bound, form in zip(bounds, ("tau_lower_large", "tau_lower_small"))]
+
 
 class TestOneOrderingRule:
     # Every row's ordering_holds is exact >= bound - 1e-12: a gap of 1e-13 below

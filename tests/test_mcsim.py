@@ -29,6 +29,7 @@ from noisylab import mcsim
 from noisylab.memorize import LabelDist
 from noisylab.mcsim import (
     scenario_violations,
+    _BLOCK,
     _CHUNK_TRIALS,
     _CUT_SLACK,
     _GUIDE,
@@ -71,6 +72,38 @@ def _label_level_counts(key, l: int, e_y: float, start_trial: int, count: int) -
     return (uniforms[:, :l] < e_y).sum(axis=1)
 
 
+def _drawn(key, l: int, e_y: float, chunk: int, count: int) -> np.ndarray:
+    """Chunk `chunk`'s first `count` wrong-label counts as one array: the blocks
+    _chunk_counts yields after its last void (None), joined in order."""
+    blocks = []
+    for block in _chunk_counts(key, l, e_y, chunk, count, np.random.Philox(0)):
+        blocks = [] if block is None else [*blocks, block]
+    return np.concatenate(blocks)
+
+
+def _in_blocks(draw):
+    """A stand-in for _chunk_counts from `draw`, which returns a chunk's counts as one
+    array: it yields them in blocks of _BLOCK, as _chunk_counts does."""
+    def blocks(key, l, e_y, chunk, count, bits):
+        wrong = draw(key, l, e_y, chunk, count)
+        yield from (wrong[start:start + _BLOCK] for start in range(0, count, _BLOCK))
+    return blocks
+
+
+def _grid(u) -> np.ndarray:
+    """Test-only: the doubles k 2**-53 in [0, 1), the only ones Generator.random draws, at
+    and either side of each u's floor on that grid, sorted."""
+    k = np.floor(np.asarray(u) * 2.0**53)
+    k = np.unique(np.concatenate((k - 1, k, k + 1)))
+    return k[(k >= 0) & (k < 2**53)] * 2.0**-53
+
+
+def _words(u: np.ndarray, rng) -> np.ndarray:
+    """Test-only: raw Philox words whose Generator.random doubles are u, doubles on the
+    2**-53 grid; their low 11 bits, which the double drops, are random."""
+    return ((u * 2.0**53).astype(np.uint64) << 11) | rng.integers(0, 2**11, u.shape, np.uint64)
+
+
 def _table(s: InstanceScenario, treatment: Treatment) -> np.ndarray:
     """The treatment's outcome code at every wrong count 0..l, from the engine's rule."""
     return _codes(_params([s]), np.arange(s.l + 1))[list(Treatment).index(treatment), 0]
@@ -81,7 +114,7 @@ def _dense(s: InstanceScenario, trials: int, seed: int) -> np.ndarray:
     key, hist = _stream_key(seed, s), np.zeros(s.l + 1, dtype=np.int64)
     for chunk in range(-(-trials // _CHUNK_TRIALS)):
         count = min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
-        hist += np.bincount(_chunk_counts(key, s.l, s.e_y, chunk, count), minlength=s.l + 1)
+        hist += np.bincount(_drawn(key, s.l, s.e_y, chunk, count), minlength=s.l + 1)
     return hist
 
 
@@ -304,10 +337,10 @@ class TestDeterminism:
         # reproduces them, and a partial final chunk reads a prefix of them
         s = InstanceScenario(l=7, y=-1, e_plus=0.15, e_minus=0.3)
         key = _stream_key(3, s)
-        chunk = [_chunk_counts(key, s.l, s.e_y, c, 1000) for c in range(3)]
+        chunk = [_drawn(key, s.l, s.e_y, c, 1000) for c in range(3)]
         for c in reversed(range(3)):
-            np.testing.assert_array_equal(_chunk_counts(key, s.l, s.e_y, c, 1000), chunk[c])
-            np.testing.assert_array_equal(_chunk_counts(key, s.l, s.e_y, c, 137), chunk[c][:137])
+            np.testing.assert_array_equal(_drawn(key, s.l, s.e_y, c, 1000), chunk[c])
+            np.testing.assert_array_equal(_drawn(key, s.l, s.e_y, c, 137), chunk[c][:137])
         assert not np.array_equal(chunk[0], chunk[1])
         assert not np.array_equal(chunk[1], chunk[2])
 
@@ -318,7 +351,7 @@ class TestDeterminism:
         key = _stream_key(seed, s)
         sizes = (_CHUNK_TRIALS, _CHUNK_TRIALS, 99)
         wrong = np.concatenate(
-            [_chunk_counts(key, s.l, s.e_y, c, n) for c, n in enumerate(sizes)]
+            [_drawn(key, s.l, s.e_y, c, n) for c, n in enumerate(sizes)]
         )
         for workers in (1, 2):
             (edges,), (below,), (total,) = _cut_counts([s], trials, seed, workers)
@@ -354,9 +387,9 @@ class TestDeterminism:
         scenarios = [InstanceScenario(l=l, y=1, e_plus=0.2, e_minus=0.2) for l in range(1, 41)]
         drawn_on = []
 
-        def recorded(key, l, e_y, chunk, count, draw=_chunk_counts):
+        def recorded(key, l, e_y, chunk, count, bits, draw=_chunk_counts):
             drawn_on.append(threading.get_ident())
-            return draw(key, l, e_y, chunk, count)
+            return draw(key, l, e_y, chunk, count, bits)
 
         monkeypatch.setattr(mcsim, "_chunk_counts", recorded)
         for cpus, workers, trials, threads in ((2, 64, _THREAD_FLOOR, 2), (8, 3, _THREAD_FLOOR, 3),
@@ -396,7 +429,7 @@ class TestDeterminism:
                     assert stops[-1].wait(timeout=60)
                 return np.zeros(count, np.int64)
 
-            monkeypatch.setattr(mcsim, "_chunk_counts", failing)
+            monkeypatch.setattr(mcsim, "_chunk_counts", _in_blocks(failing))
             tracemalloc.start()
             try:
                 with pytest.raises(RuntimeError, match="draw failed"):
@@ -414,8 +447,8 @@ class TestDeterminism:
         # every scenario on every thread would add about 2 MiB).  The floor is lowered so
         # that 16-draw chunks start helpers, and what each running job holds is negligible
         monkeypatch.setattr(mcsim, "_THREAD_FLOOR", 16)
-        monkeypatch.setattr(mcsim, "_chunk_counts",
-                            lambda key, l, e_y, chunk, count: np.zeros(count, np.int64))
+        monkeypatch.setattr(mcsim, "_chunk_counts", _in_blocks(
+            lambda key, l, e_y, chunk, count: np.zeros(count, np.int64)))
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
         scenarios = [InstanceScenario(l=l, y=1, e_plus=e, e_minus=e)
                      for l in range(1, 65) for e in np.linspace(0.01, 0.49, 16).tolist()]
@@ -516,7 +549,7 @@ class TestInversionDraws:
         for i, (l, e_y) in enumerate(pairs):
             key = np.array([i, 2 * i + 1], np.uint64)
             chunk, count = i % 7, sizes[i % 4]
-            got = _chunk_counts(key, l, e_y, chunk, count)
+            got = _drawn(key, l, e_y, chunk, count)
             assert got.dtype == np.int64
             oracle = _walked_counts if walked[i] else _numpy_counts
             np.testing.assert_array_equal(got, oracle(key, l, e_y, chunk, count),
@@ -536,7 +569,7 @@ class TestInversionDraws:
             inside, past = _regime_edge(l, flip)
             for e_y, oracle in ((inside, _walked_counts), (past, _numpy_counts)):
                 tables.clear()
-                np.testing.assert_array_equal(_chunk_counts(key, l, e_y, 1, 1000),
+                np.testing.assert_array_equal(_drawn(key, l, e_y, 1, 1000),
                                               oracle(key, l, e_y, 1, 1000))
                 assert len(tables) == (e_y == inside)
 
@@ -544,56 +577,59 @@ class TestInversionDraws:
                                       (10**9, 3e-8), (2**53, 3e-15), (40, 0.01),
                                       (1009, 0.5), (699_000, 1e-3)])  # the widest tables
     def test_the_lookup_is_the_scalar_walk_at_every_cut(self, l, p):
+        # a uniform is a word's top 53 bits, so the lookup sees only the doubles k 2**-53:
+        # those at and either side of every edge, and of 10,000 drawn uniforms
         px = _inversion_table(l, p)
         cuts = np.cumsum(px)
         edges = np.concatenate((cuts, cuts - _CUT_SLACK, cuts + _CUT_SLACK,
                                 np.arange(_GUIDE) / _GUIDE))
-        u = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
-                            np.random.default_rng(l).random(10_000)))
-        u = u[(u >= 0.0) & (u < 1.0)]
-        walked = [_walk(x, px) for x in u]
+        rng = np.random.default_rng(l)
+        u = _grid(np.concatenate((edges, rng.random(10_000))))
+        walked = [_walk(x, px) for x in u.tolist()]
         inside = np.array([w is not None for w in walked])
-        np.testing.assert_array_equal(_inverse(px, u[inside]),
+        invert = _inverse(px, u.size)
+        np.testing.assert_array_equal(invert(_words(u[inside], rng)),
                                       [w for w in walked if w is not None])
         if not inside.all():
-            assert _inverse(px, u) is None
+            assert invert(_words(u, rng)) is None
 
     @pytest.mark.parametrize("px", [
         _inversion_table(200, 0.1)[:1], _inversion_table(1, 0.3), _inversion_table(699_000, 1e-3),
         (0.25, 0.25, 0.25, 0.25), (0.5, 0.5 - 2**-13), _inversion_table(1000, 0.3),
     ], ids=["1-entry", "2-entries", "widest", "cuts-on-bin-edges", "last-cut-near-1", "l1000"])
     def test_every_guide_size_is_the_scalar_walk_at_bin_edges_and_cuts(self, px):
-        # a guide has a power of 2 bins from _GUIDE to 16 _GUIDE, set by the uniform count,
-        # so every bin edge of every guide is some b / (16 _GUIDE).  Uniforms on those
-        # edges and a float either side, and on every cut and its band's ends, in calls
-        # of 1 to 65,536 uniforms (64 cuts, first and last among them, of a wider table);
-        # the first cut of the tables at l = 1000 and 699,000 lies below _CUT_SLACK
+        # a guide has a power of 2 bins from _GUIDE to 16 _GUIDE, set by the chunk's count,
+        # so every bin edge of every guide is some b / (16 _GUIDE).  Uniforms (the doubles
+        # k 2**-53 a word gives) on those edges and either side, and at every cut and its
+        # band's ends, in guides for chunks of 1 to 65,536 draws, each call as many words
+        # (64 cuts, first and last among them, of a wider table); the first cut of the
+        # tables at l = 1000 and 699,000 lies below _CUT_SLACK
         cuts = np.cumsum(px)[np.unique(np.linspace(0, len(px) - 1, 64).astype(int))]
-        u = np.concatenate((np.arange(16 * _GUIDE) / (16 * _GUIDE), cuts,
-                            cuts - _CUT_SLACK, cuts + _CUT_SLACK))
-        u = np.concatenate((u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)))
-        u = u[(u >= 0.0) & (u < 1.0)]
+        u = _grid(np.concatenate((np.arange(16 * _GUIDE) / (16 * _GUIDE), cuts,
+                                  cuts - _CUT_SLACK, cuts + _CUT_SLACK)))
         walked = np.array([_walk(x, px) for x in u.tolist()], object)
         inside, past = np.flatnonzero(walked != None), u[walked == None]  # noqa: E711
         assert (cuts[0] < _CUT_SLACK) == (len(px) > 100)
         rng = np.random.default_rng(len(px))
         for count in (1, 2000, 4096, 8192, 16_384, 50_000, _CHUNK_TRIALS):
             # calls of `count` uniforms, padded with uniforms already used; 300 calls at most
+            invert = _inverse(px, count)
             picks = np.concatenate((inside, rng.choice(inside, -inside.size % count)))
             rows = picks.reshape(-1, count)
             for row in rows[rng.permutation(len(rows))[:300]]:
-                np.testing.assert_array_equal(_inverse(px, u[row]), walked[row].astype(np.int64))
+                np.testing.assert_array_equal(invert(_words(u[row], rng)),
+                                              walked[row].astype(np.int64))
             if past.size:
                 row = u[picks[:count]]
                 row[-1] = past[0]
-                assert _inverse(px, row) is None
+                assert invert(_words(row, rng)) is None
 
     @pytest.mark.parametrize("count", [1, 2000, 4096, 8192, 16_384, 50_000, _CHUNK_TRIALS])
     def test_every_guide_size_draws_numpy_s_integers_or_the_walk_s(self, count):
         for l, e_y, oracle in ((1, 0.3, _numpy_counts), (200, 0.1, _numpy_counts),
                                (40, 0.7, _numpy_counts), (100, 0.45, _walked_counts)):
             key = np.array([l, count], np.uint64)
-            np.testing.assert_array_equal(_chunk_counts(key, l, e_y, 3, count),
+            np.testing.assert_array_equal(_drawn(key, l, e_y, 3, count),
                                           oracle(key, l, e_y, 3, count))
 
     def test_a_scenario_builds_its_table_once(self):
@@ -622,7 +658,7 @@ class TestInversionDraws:
                             lambda n, p, table=_inversion_table: table(n, p)[:keep])
         monkeypatch.setattr(mcsim, "_walk", walk)
         key = np.array([3, keep], np.uint64)
-        got = _chunk_counts(key, l, e_y, 2, _CHUNK_TRIALS)
+        got = _drawn(key, l, e_y, 2, _CHUNK_TRIALS)
         assert any(passed)
         np.testing.assert_array_equal(got, _numpy_counts(key, l, e_y, 2, _CHUNK_TRIALS))
 
@@ -631,25 +667,117 @@ class TestInversionDraws:
             raise AssertionError("drew at e_y = 0")
 
         monkeypatch.setattr(np.random, "Generator", no_generator)
-        got = _chunk_counts(np.array([1, 2], np.uint64), 50, 0.0, 0, 100)
+        got = _drawn(np.array([1, 2], np.uint64), 50, 0.0, 0, 100)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, np.zeros(100, np.int64))
 
     def test_one_label_draws_zeros_and_ones(self):
         key = np.array([8, 9], np.uint64)
         for e_y in (1e-16, 0.3, 0.5, 0.7, 1.0 - 1e-16):
-            got = _chunk_counts(key, 1, e_y, 0, 10_000)
+            got = _drawn(key, 1, e_y, 0, 10_000)
             np.testing.assert_array_equal(got, _numpy_counts(key, 1, e_y, 0, 10_000))
             assert set(np.unique(got)) <= {0, 1}
+
+
+class TestBlocks:
+    """A chunk is drawn in blocks of at most _BLOCK counts, read in order from its one
+    Philox range: joined, they are the chunk's draws, and a job tallies each block as
+    it comes, so it holds one block, not its chunk."""
+
+    @pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5,
+                                       _CHUNK_TRIALS])
+    def test_the_blocks_join_into_the_chunk_s_draws(self, count):
+        # numpy's integers where it inverts (p l <= 30) and past the regime, the walk's in
+        # between, each on either side of 1/2, and zeros at a zero rate; one bit generator
+        # draws every chunk, each under its own key, as a new Philox for each would
+        def zeros(key, l, e_y, chunk, count):
+            return np.zeros(count, np.int64)
+
+        sizes = [_BLOCK] * (count // _BLOCK) + [count % _BLOCK] * (count % _BLOCK > 0)
+        bits = np.random.Philox(0)
+        for l, e_y, oracle in ((200, 0.1, _numpy_counts), (200, 0.95, _numpy_counts),
+                               (100, 0.45, _walked_counts), (100, 0.55, _walked_counts),
+                               (2000, 0.4, _numpy_counts), (2000, 0.6, _numpy_counts),
+                               (50, 0.0, zeros)):
+            key = np.array([l, count], np.uint64)
+            blocks = list(_chunk_counts(key, l, e_y, 4, count, bits))
+            assert [block.size for block in blocks] == sizes
+            assert all(block.dtype == np.int64 for block in blocks)
+            np.testing.assert_array_equal(np.concatenate(blocks), oracle(key, l, e_y, 4, count),
+                                          err_msg=f"l={l}, e_y={e_y!r}")
+
+    def test_a_word_s_double_and_guide_bin_are_generator_random_s(self):
+        # the lookup reads raw words: (word >> 11) 2**-53 is Generator.random's double, and
+        # word >> (64 - b) its bin in every guide of 2**b bins
+        key = np.array([11, 12], np.uint64)
+        words = np.random.Philox(key=key, counter=[0, 0, 0, 5]).random_raw(100_000)
+        u = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, 5])).random(100_000)
+        np.testing.assert_array_equal((words >> 11) * 2.0**-53, u)
+        for b in range(_GUIDE.bit_length() - 1, _GUIDE.bit_length() + 4):  # _GUIDE..16 _GUIDE
+            np.testing.assert_array_equal(words >> (64 - b), np.floor(u * 2.0**b))
+
+    @pytest.mark.parametrize("l, e_y, keep, past", [(1000, 0.3, 357, 43_674),
+                                                    (200, 0.95, 24, 32_636)])
+    def test_a_walk_past_bound_in_a_later_block_voids_the_blocks_before_it(
+            self, monkeypatch, l, e_y, keep, past):
+        # a cut-short table whose first walk past its bound is draw `past`, in the third or
+        # the second block: the blocks before it are yielded, then a void, then the
+        # chunk again from its start, by Generator.binomial
+        monkeypatch.setattr(mcsim, "_inversion_table",
+                            lambda n, p, table=_inversion_table: table(n, p)[:keep])
+        key = np.array([3, 17], np.uint64)
+        px = mcsim._inversion_table(l, min(e_y, 1.0 - e_y))
+        u = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, 2])).random(past + 1)
+        assert _walk(u[past], px) is None and (u[:past] < np.cumsum(px)[-1] - _CUT_SLACK).all()
+        blocks = list(_chunk_counts(key, l, e_y, 2, _CHUNK_TRIALS, np.random.Philox(key=key)))
+        void = [block is None for block in blocks].index(True)
+        assert void == past // _BLOCK and sum(block is None for block in blocks) == 1
+        np.testing.assert_array_equal(np.concatenate(blocks[:void]),
+                                      _walked_counts(key, l, e_y, 2, void * _BLOCK))
+        np.testing.assert_array_equal(np.concatenate(blocks[void + 1:]),
+                                      _numpy_counts(key, l, e_y, 2, _CHUNK_TRIALS))
+        assert _drawn(key, l, e_y, 2, _CHUNK_TRIALS).size == _CHUNK_TRIALS
+
+    def test_a_job_tallies_only_the_blocks_after_a_void(self, monkeypatch):
+        s = InstanceScenario(l=50, y=1, e_plus=0.3, e_minus=0.3)
+        trials = 2 * _CHUNK_TRIALS + 7
+        expected = _cut_counts([s], trials, 5, workers=1)
+
+        def voided(key, l, e_y, chunk, count, bits, draw=_chunk_counts):
+            yield np.full(_BLOCK, l, np.int64)
+            yield None
+            yield from draw(key, l, e_y, chunk, count, bits)
+
+        monkeypatch.setattr(mcsim, "_chunk_counts", voided)
+        _assert_same_counts(_cut_counts([s], trials, 5, workers=1), expected)
+
+    @pytest.mark.parametrize("s", [
+        InstanceScenario(l=1000, y=1, e_plus=0.3, e_minus=0.3),  # inverted, walked
+        InstanceScenario(l=200, y=1, e_plus=0.1, e_minus=0.1),  # inverted, numpy's integers
+        InstanceScenario(l=1000, y=1, e_plus=0.7, e_minus=0.2),  # inverted and flipped
+        InstanceScenario(l=2000, y=1, e_plus=0.4, e_minus=0.4),  # BTPE
+        InstanceScenario(l=50, y=1, e_plus=0.0, e_minus=0.4),  # a zero rate
+    ])
+    def test_a_full_chunk_is_tallied_in_under_a_mebibyte(self, s):
+        # allocator-independent: a whole chunk's temporaries, six arrays of 64 Ki counts,
+        # came to about 1.6 MiB; a block's are a quarter of that
+        _cut_counts([s], _CHUNK_TRIALS, 1, workers=1)  # the table is built and cached
+        tracemalloc.start()
+        try:
+            _cut_counts([s], _CHUNK_TRIALS, 1, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
 def _record_draws(monkeypatch) -> list[tuple[bytes, int]]:
     """Make mcsim's draws also append each (key bytes, chunk) they draw to the list returned."""
     draws = []
 
-    def counting(key, l, e_y, chunk, count):
+    def counting(key, l, e_y, chunk, count, bits):
         draws.append((key.tobytes(), chunk))
-        return _chunk_counts(key, l, e_y, chunk, count)
+        return _chunk_counts(key, l, e_y, chunk, count, bits)
 
     monkeypatch.setattr(mcsim, "_chunk_counts", counting)
     return draws
@@ -696,7 +824,7 @@ class TestSharedDraw:
     def test_run_trials_equals_the_bound_report_tally(self, s):
         trials, seed = 5000, 11
         report = bound_report(s, trials, seed)
-        wrong = _chunk_counts(_stream_key(seed, s), s.l, s.e_y, 0, trials)
+        wrong = _drawn(_stream_key(seed, s), s.l, s.e_y, 0, trials)
         hist = np.bincount(wrong, minlength=s.l + 1)
         for check in report.checks:
             tally = run_trials(s, check.treatment, trials, seed)
@@ -792,7 +920,7 @@ class TestRunTrials:
     def test_wrong_counts_follow_the_binomial_law(self):
         s = InstanceScenario(l=3, y=1, e_plus=0.4, e_minus=0.2)
         key = _stream_key(17, s)
-        _assert_binomial_histogram(_chunk_counts(key, 3, 0.4, 0, 100_000), 3, 0.4)
+        _assert_binomial_histogram(_drawn(key, 3, 0.4, 0, 100_000), 3, 0.4)
 
     def test_the_whole_histogram_passes_a_g_test_against_the_binomial_pmf(self):
         # every treatment's counts are sums of this histogram, so one law test
@@ -829,7 +957,7 @@ class TestRunTrials:
             e_y = float(rng.uniform(0.05, 0.6))
             s = InstanceScenario(l=l, y=1, e_plus=e_y, e_minus=0.3)
             key = _stream_key(int(rng.integers(1 << 16)), s)
-            _assert_binomial_histogram(_chunk_counts(key, l, e_y, 0, 50_000), l, e_y)
+            _assert_binomial_histogram(_drawn(key, l, e_y, 0, 50_000), l, e_y)
             _assert_binomial_histogram(_label_level_counts(key, l, e_y, 0, 50_000), l, e_y)
 
 
@@ -1124,6 +1252,20 @@ class TestCuts:
         bad = np.argwhere((rank != past.sum(axis=2)).any(axis=2))
         assert bad.size == 0, [(scenarios[i], list(Treatment)[t]) for t, i in bad[:5]]
 
+    @pytest.mark.parametrize("block", [7, 256, 512, 1024])
+    def test_the_edges_do_not_depend_on_the_scenario_block(self, monkeypatch, block):
+        # a finished search stays put, so a scenario's edges are its own bisection's in
+        # any block of scenarios; l runs up to 2**53, where label smoothing's cuts depend
+        # on the search path
+        rng = np.random.default_rng(79)
+        scenarios = [dataclasses.replace(s, l=int(2 ** rng.uniform(0, 53)))
+                     for s in _random_scenarios(83, 1500, _moderate_rates)]
+        params = _params(scenarios)
+        monkeypatch.setattr(mcsim, "_EDGE_BLOCK", len(scenarios))
+        whole = _edges(params)
+        monkeypatch.setattr(mcsim, "_EDGE_BLOCK", block)
+        np.testing.assert_array_equal(_edges(params), whole)
+
     def test_the_edges_past_2_to_the_52_are_pinned(self):
         # past l ~ 2**52 label smoothing's table is not in blocks: at l = 2**53 its codes
         # from w = 6461686421879400 read failure seven times, then tie, success, tie,
@@ -1150,7 +1292,7 @@ class TestEngineMatchesComparators:
         assert trials <= _CHUNK_TRIALS  # one chunk holds every trial
         tally = run_trials(s, Treatment.LOSS_CORRECTION, trials, seed)
         key = _stream_key(seed, s)
-        wrong = _chunk_counts(key, s.l, s.e_y, 0, trials)
+        wrong = _drawn(key, s.l, s.e_y, 0, trials)
         rates = BinaryNoiseRates(s.e_plus, s.e_minus)
         success = failure = tie = 0
         for w in np.bincount(wrong, minlength=s.l + 1).nonzero()[0]:
@@ -1173,7 +1315,7 @@ class TestEngineMatchesComparators:
         assert trials <= _CHUNK_TRIALS
         tally = run_trials(s, Treatment.LABEL_SMOOTHING, trials, seed)
         key = _stream_key(seed, s)
-        wrong = _chunk_counts(key, s.l, s.e_y, 0, trials)
+        wrong = _drawn(key, s.l, s.e_y, 0, trials)
         rates = BinaryNoiseRates(s.e_plus, s.e_minus)
         buckets = {Comparison.LS_BETTER: 0, Comparison.LC_BETTER: 0, Comparison.TIE: 0}
         for w in np.bincount(wrong, minlength=s.l + 1).nonzero()[0]:
@@ -1476,14 +1618,14 @@ class TestBoundReport:
     def test_the_wrong_label_total_is_exact_at_every_count(self, monkeypatch):
         # 4,096 draws of 2**52 wrong labels sum to 2**64, which int64 wraps to 0
         s = InstanceScenario(l=2**53, y=1, e_plus=0.3, e_minus=0.3)
-        monkeypatch.setattr(mcsim, "_chunk_counts",
-                            lambda key, l, e_y, chunk, count: np.full(count, 2**52, np.int64))
+        monkeypatch.setattr(mcsim, "_chunk_counts", _in_blocks(
+            lambda key, l, e_y, chunk, count: np.full(count, 2**52, np.int64)))
         check = bound_report(s, trials=4096, seed=1).checks[0]
         assert check.treatment is Treatment.MEMORIZE and check.mc_estimate == 0.5
         assert check.ci == _wilson(4096 * 2**52, 4096 * 2**53)
         # draws of 0 and l alternate, over a full chunk and a partial one
-        monkeypatch.setattr(mcsim, "_chunk_counts",
-                            lambda key, l, e_y, chunk, count: np.resize(np.array([0, l]), count))
+        monkeypatch.setattr(mcsim, "_chunk_counts", _in_blocks(
+            lambda key, l, e_y, chunk, count: np.resize(np.array([0, l]), count)))
         trials = _CHUNK_TRIALS + 3
         zeros = _CHUNK_TRIALS // 2 + 2
         (edges,), (below,), (total,) = _cut_counts([s], trials, 1, workers=2)
