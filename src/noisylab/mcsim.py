@@ -19,11 +19,12 @@ whichever thread draws them.  A chunk is drawn and tallied in blocks of at
 most _BLOCK counts, read in order from that one range, so a thread holds one
 block, not its chunk, and the blocks are the draws the whole chunk would be.
 Each thread re-keys one Philox bit generator to each chunk's range in turn.
-A sweep cuts the (scenario, chunk) jobs of
-its batch into one contiguous range per thread, the calling thread's and
-up to `workers` - 1 helpers', at most one thread per CPU and helpers only
-for chunks of _THREAD_FLOOR draws or more; each thread tallies its range
-as Python ints, exact in any order.
+The calling thread draws every inverted chunk of a batch; up to `workers` - 1
+helpers, at most one thread per CPU, draw BTPE chunks of _THREAD_FLOOR draws
+or more, which numpy draws in long calls that release the GIL, while a helper
+drawing an inverted block's short calls mostly waits for it.  Each thread
+tallies its contiguous range of (scenario, chunk) jobs as Python ints, exact
+in any order.
 With p = min(e_y, 1 - e_y), a chunk whose inversion table starts at a normal
 double, l * -log1p(-p) <= 700, looks one Philox word per count up in numpy's
 inversion table for (l, p), one gather each from a guide the chunk builds
@@ -59,7 +60,8 @@ _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter 
 # hands them back to the next block instead of mapping fresh pages for each
 _BLOCK = 1 << 14
 _EDGE_BLOCK = 512  # scenarios per bisection block: each (4, k, 8) float64 _codes temporary is 128 KiB
-# helpers start at chunks of this many draws: on 2 vCPUs 16,000 ran slower on 2 threads, 32,000 even
+# helpers start for BTPE chunks of this many draws, measured before inverted chunks stayed on the
+# calling thread: on 2 vCPUs 16,000-draw chunks ran slower on 2 threads, 32,000 even
 _THREAD_FLOOR = 1 << 15
 _GUIDE = 256  # bins of the smallest inversion guide, a power of 2; the largest has 16 times as many
 _CUT_SLACK = 1e-12  # far above the walk's rounding: under 965 steps, 2 * 965 * 2**-53 = 2.1e-13
@@ -289,6 +291,12 @@ def _rekeyed(bits: np.random.Philox, key: np.ndarray, chunk: int) -> np.random.P
     return bits
 
 
+def _inverts(l: int, p: float) -> bool:
+    """Whether chunks of (l, p), p = min(e_y, 1 - e_y), invert: the first term of the
+    table, exp(l log1p(-p)), is a normal double.  A zero rate inverts."""
+    return l * -math.log1p(-p) <= 700.0
+
+
 def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int,
                   bits: np.random.Philox) -> Iterator[np.ndarray | None]:
     """Chunk `chunk`'s first `count` wrong-label counts, a pure function of (key, chunk),
@@ -306,7 +314,7 @@ def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int,
     if p == 0.0:
         yield from (np.zeros(n, np.int64) for n in sizes)
         return
-    if l * -math.log1p(-p) <= 700.0:
+    if _inverts(l, p):
         invert, words = _inverse(_inversion_table(l, p), count), _rekeyed(bits, key, chunk).random_raw
         for n in sizes:
             if (wrong := invert(words(n))) is None:
@@ -398,11 +406,14 @@ def _cut_counts(scenarios, trials: int, seed: int,
 
     Each (scenario, chunk) job of the batch counts its chunk below the scenario's
     distinct edges and sums its wrong labels, block by block as _chunk_counts yields
-    them, on its thread's one Philox.  The jobs are cut into one contiguous
-    range per thread: the calling thread draws the first, and min(workers, CPUs,
-    jobs) - 1 helper threads the others, but only where a chunk holds at least
-    _THREAD_FLOOR draws.  Each thread tallies its own range as Python ints, and the
-    calling thread adds the tallies, which are exact in any order.  A job that raises
+    them, on its thread's one Philox.  The jobs of inverted scenarios come first, then
+    the BTPE ones, in batch order, cut into one contiguous range per thread.  The
+    calling thread draws every inverted job and the first BTPE ones, as many as make
+    its estimated cost an equal share.  Helper threads share the rest, one fewer than
+    min(workers, CPUs, BTPE jobs, plus one if any job inverts), but only where a chunk
+    holds at least _THREAD_FLOOR draws, so a batch with no BTPE job starts none.  Each
+    thread tallies its own range as Python ints, and the calling thread adds the
+    tallies, which are exact in any order.  A job that raises
     stops every thread before its next job.  A repeated scenario draws again, from
     the same stream.
     """
@@ -412,13 +423,21 @@ def _cut_counts(scenarios, trials: int, seed: int,
     cuts = [np.unique(e) for e in edges]
     keys = [_stream_key(seed, s) for s in scenarios]
     chunks = -(-trials // _CHUNK_TRIALS)
-    jobs = len(scenarios) * chunks
-    threads = (min(workers, os.cpu_count() or 1, jobs)
+    inverts = [_inverts(s.l, min(s.e_y, 1.0 - s.e_y)) for s in scenarios]
+    order = sorted(range(len(scenarios)), key=inverts.__getitem__, reverse=True)  # stable
+    inverted, btpe = sum(inverts) * chunks, (len(scenarios) - sum(inverts)) * chunks
+    threads = (min(workers, os.cpu_count() or 1, btpe + (inverted > 0))
                if min(trials, _CHUNK_TRIALS) >= _THREAD_FLOOR else 1)
+    # an inverted draw costs about 1/5 of a BTPE one: the caller's first BTPE jobs top its
+    # cost, in fifths of a BTPE job, up to an equal share
+    mine = inverted + max(0, ((inverted + 5 * btpe) // threads - inverted) // 5)
+    rest = range(mine, inverted + btpe)
+    parts = [range(mine), *(rest[t * len(rest) // (threads - 1):(t + 1) * len(rest) // (threads - 1)]
+                            for t in range(threads - 1))]
     failed = threading.Event()
 
     def job(n: int, bits: np.random.Philox) -> tuple[int, list[int]]:
-        i, chunk = divmod(n, chunks)
+        i, chunk = order[n // chunks], n % chunks
         s, count = scenarios[i], min(_CHUNK_TRIALS, trials - chunk * _CHUNK_TRIALS)
         # cuts run from 0 to l + 1: no count lies below the first, every count below the last
         inner = cuts[i][1:-1].tolist()
@@ -449,7 +468,6 @@ def _cut_counts(scenarios, trials: int, seed: int,
             raise
         return sums
 
-    parts = [range(t * jobs // threads, (t + 1) * jobs // threads) for t in range(threads)]
     with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
         helpers = [pool.submit(tally, part) for part in parts[1:]]
         tallies = [tally(parts[0]), *(helper.result() for helper in helpers)]
@@ -591,8 +609,8 @@ def _reports(scenarios, edges, below, wrong, trials: int) -> list[BoundReport]:
 def sweep(scenarios, trials: int, seed: int, workers: int = 1) -> list[BoundReport]:
     """bound_report for each scenario, in input order, from one draw schedule.
 
-    Every (scenario, chunk) of the batch is one job for the `workers`
-    threads.  Substreams are keyed by (seed, scenario fields), so the same
+    Every (scenario, chunk) of the batch is one job of one schedule (see
+    _cut_counts).  Substreams are keyed by (seed, scenario fields), so the same
     scenario produces the same rows whether simulated alone or inside any
     sweep, at any worker count; a scenario repeated in one sweep is drawn
     again, from the same stream, and repeats its rows.  Within a scenario

@@ -438,7 +438,8 @@ class TestAcceptance:
             failures.append("sweep outputs differ across reruns/worker counts")
         if chunks != {0, 1, 2}:
             failures.append(f"each scenario should span chunks 0..2, drew {sorted(chunks)}")
-        # 20 one-chunk scenarios: the threads share out the sweep's (scenario, chunk) jobs
+        # 20 one-chunk scenarios of 5,000 trials, below _THREAD_FLOOR draws a chunk, so the
+        # calling thread draws them all at every worker count
         chunks.clear()
         config.write_text(
             json.dumps({"seed": 42, "trials": 5000, "grid": {

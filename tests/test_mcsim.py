@@ -318,9 +318,10 @@ class TestDeterminism:
 
     def test_worker_count_never_changes_the_tally(self, monkeypatch):
         # more than three chunks, the last one partial, and CPUs to spare, so
-        # threads actually engage
+        # threads actually engage: helpers draw only BTPE chunks, and here
+        # l * -log1p(-p) = 1,347, past the inversion regime, with wrong counts near l / 2
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
+        s = InstanceScenario(l=2000, y=1, e_plus=0.49, e_minus=0.49)
         trials = 3 * _CHUNK_TRIALS + 1234
         for t in Treatment:
             base = run_trials(s, t, trials, seed=7, workers=1)
@@ -362,10 +363,11 @@ class TestDeterminism:
 
     def test_threaded_schedule_equals_the_serial_one(self, monkeypatch):
         # eight threads and a short switch interval finish the jobs out of
-        # order; the calling thread's sums must still give the serial counts
+        # order; the calling thread's sums must still give the serial counts.  The
+        # calling thread draws the inverted scenarios, helpers the BTPE ones (l >= 2000)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         scenarios = [InstanceScenario(l=l, y=1, e_plus=0.3, e_minus=0.3)
-                     for l in (1, 3, 8, 60, 300)]
+                     for l in (1, 3, 8, 60, 300, 2000, 10**4)]
         trials = 2 * _CHUNK_TRIALS + 5
         serial, threaded = _cut_counts(scenarios, trials, 9, workers=1), []
         interval = sys.getswitchinterval()
@@ -382,23 +384,18 @@ class TestDeterminism:
         _assert_same_counts(threaded[0], serial)
 
     def test_the_pool_has_at_most_one_thread_per_cpu(self, monkeypatch):
-        # 40 one-chunk jobs at workers=64: the calling thread draws, and with it at most
-        # one helper per other CPU; below _THREAD_FLOOR draws a chunk, no helper starts
-        scenarios = [InstanceScenario(l=l, y=1, e_plus=0.2, e_minus=0.2) for l in range(1, 41)]
-        drawn_on = []
-
-        def recorded(key, l, e_y, chunk, count, bits, draw=_chunk_counts):
-            drawn_on.append(threading.get_ident())
-            return draw(key, l, e_y, chunk, count, bits)
-
-        monkeypatch.setattr(mcsim, "_chunk_counts", recorded)
+        # 40 one-chunk BTPE jobs at workers=64: the calling thread draws, and with it at
+        # most one helper per other CPU; below _THREAD_FLOOR draws a chunk, no helper starts
+        scenarios = [InstanceScenario(l=l, y=1, e_plus=0.3, e_minus=0.3)
+                     for l in range(10**4, 10**4 + 40)]
+        drawn = _record_threads(monkeypatch)
         for cpus, workers, trials, threads in ((2, 64, _THREAD_FLOOR, 2), (8, 3, _THREAD_FLOOR, 3),
                                                (8, 64, _THREAD_FLOOR - 1, 1)):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             serial = _cut_counts(scenarios, trials, 4, workers=1)
-            drawn_on.clear()
+            drawn.clear()
             _assert_same_counts(_cut_counts(scenarios, trials, 4, workers), serial)
-            caller = threading.get_ident()
+            caller, drawn_on = threading.get_ident(), [thread for thread, *_ in drawn]
             helpers = set(drawn_on) - {caller}
             assert len(drawn_on) == 40 and caller in drawn_on
             # a finished helper's id may be reused by the next, so count at most
@@ -410,12 +407,12 @@ class TestDeterminism:
         # lazily; a draw that fails on its thread's fourth job, the calling thread's or a
         # helper's, stops every thread before its next job.  The other thread's job waits
         # until the failing thread has set the run's stop event, so that thread draws no
-        # job past it.
+        # job past it.  The scenario runs BTPE, whose chunks helpers may draw.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         stops = []  # each run's stop event, the one Event _cut_counts makes
         monkeypatch.setattr(mcsim, "threading", types.SimpleNamespace(
             Event=lambda: stops.append(threading.Event()) or stops[-1]))
-        s = InstanceScenario(l=10, y=1, e_plus=0.2, e_minus=0.2)
+        s = InstanceScenario(l=10**4, y=1, e_plus=0.3, e_minus=0.3)
         for on_caller in (True, False)[:workers]:
             calls = []
 
@@ -445,13 +442,14 @@ class TestDeterminism:
         # each thread tallies only the scenarios its contiguous range of jobs reaches, so
         # 16 threads over 1,024 scenarios hold about what one thread holds (a tally of
         # every scenario on every thread would add about 2 MiB).  The floor is lowered so
-        # that 16-draw chunks start helpers, and what each running job holds is negligible
+        # that 16-draw chunks start helpers, every scenario runs BTPE so that helpers take
+        # its chunks, and what each running job holds is negligible
         monkeypatch.setattr(mcsim, "_THREAD_FLOOR", 16)
         monkeypatch.setattr(mcsim, "_chunk_counts", _in_blocks(
             lambda key, l, e_y, chunk, count: np.zeros(count, np.int64)))
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
         scenarios = [InstanceScenario(l=l, y=1, e_plus=e, e_minus=e)
-                     for l in range(1, 65) for e in np.linspace(0.01, 0.49, 16).tolist()]
+                     for l in range(10**4, 10**4 + 64) for e in np.linspace(0.1, 0.49, 16).tolist()]
         _cut_counts(scenarios, 16, 3, workers=16)
         peaks = []
         for workers in (1, 16):
@@ -473,6 +471,88 @@ class TestDeterminism:
         ]
         for other in others:
             assert not np.array_equal(key, other)
+
+
+def _record_threads(monkeypatch, draw=_chunk_counts) -> list[tuple[int, int, float, int]]:
+    """Make mcsim's draws, `draw`'s, also append each (thread id, l, e_y, chunk) they draw
+    to the list returned."""
+    drawn = []
+
+    def recorded(key, l, e_y, chunk, count, bits):
+        drawn.append((threading.get_ident(), l, e_y, chunk))
+        return draw(key, l, e_y, chunk, count, bits)
+
+    monkeypatch.setattr(mcsim, "_chunk_counts", recorded)
+    return drawn
+
+
+class TestSchedule:
+    """The calling thread draws every inverted and zero-rate chunk; helpers draw only
+    BTPE chunks, a share that evens out each thread's estimated cost."""
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_inverted_and_zero_rate_chunks_stay_on_the_calling_thread(self, monkeypatch, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        # inverted at l = 200 and 1000, zero rates at l = 10**4 and 3, BTPE at l = 10**4 and 2000
+        scenarios = [InstanceScenario(l=l, y=y, e_plus=e, e_minus=e) for l, y, e in (
+            (200, 1, 0.1), (10**4, 1, 0.3), (1000, -1, 0.3), (10**4, 1, 0.0), (2000, 1, 0.49),
+            (3, -1, 0))]
+        drawn = _record_threads(monkeypatch)
+        _cut_counts(scenarios, 2 * _CHUNK_TRIALS, 6, workers)
+        caller = threading.get_ident()
+        assert len(drawn) == 12
+        for thread, l, e_y, _ in drawn:
+            if e_y == 0.0 or _inverted(l, e_y):
+                assert thread == caller, (l, e_y)
+        assert {(l, e_y) for thread, l, e_y, _ in drawn if thread != caller} == {
+            (10**4, 0.3), (2000, 0.49)}
+
+    def test_the_benchmark_sweep_starts_no_helper(self, monkeypatch):
+        # sweep_large_l's shape: four inverted scenarios at 50,000 trials and workers 2,
+        # chunks past _THREAD_FLOOR
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        scenarios = [InstanceScenario(l=l, y=1, e_plus=e, e_minus=e)
+                     for l in (200, 1000) for e in (0.1, 0.3)]
+        drawn = _record_threads(monkeypatch)
+        _cut_counts(scenarios, 50_000, 3, workers=2)
+        assert [thread for thread, *_ in drawn] == [threading.get_ident()] * 4
+
+    def test_btpe_chunks_of_a_mixed_batch_reach_helpers_with_the_serial_counts(self, monkeypatch):
+        # one inverted scenario and three BTPE ones
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        scenarios = [InstanceScenario(l=l, y=1, e_plus=e, e_minus=e)
+                     for l, e in ((500, 0.2), (10**4, 0.3), (5000, 0.1), (3000, 0.45))]
+        trials = _CHUNK_TRIALS + 9
+        serial = _cut_counts(scenarios, trials, 8, workers=1)
+        drawn = _record_threads(monkeypatch)
+        for workers in (2, 4):
+            drawn.clear()
+            _assert_same_counts(_cut_counts(scenarios, trials, 8, workers), serial)
+            helpers = {(l, e_y) for thread, l, e_y, _ in drawn if thread != threading.get_ident()}
+            assert helpers and not any(_inverted(l, e_y) for l, e_y in helpers), workers
+
+    @pytest.mark.parametrize("inverted, btpe, mine", [
+        (20, 1, 0),  # 20 inverted draws cost 4 BTPE ones, past an equal share of 2.5
+        (11, 2, 0),  # 2.2 past 2.1
+        (5, 9, 4),   # 1 and 4 make the share of 5
+        (0, 4, 2),   # no inversion job: the first half of the BTPE jobs
+    ])
+    def test_the_caller_takes_the_first_btpe_jobs_up_to_an_equal_share(self, monkeypatch, inverted,
+                                                                      btpe, mine):
+        # one chunk per scenario, an inverted draw costing 1/5 of a BTPE one; the BTPE
+        # scenarios come first in the batch, the caller's inverted ones still before them
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        btpe_ls = list(range(10**4 + btpe, 10**4, -1))
+        scenarios = ([InstanceScenario(l=l, y=1, e_plus=0.3, e_minus=0.3) for l in btpe_ls]
+                     + [InstanceScenario(l=l, y=1, e_plus=0.2, e_minus=0.2)
+                        for l in range(1, inverted + 1)])
+        drawn = _record_threads(monkeypatch, _in_blocks(
+            lambda key, l, e_y, chunk, count: np.zeros(count, np.int64)))
+        _cut_counts(scenarios, _THREAD_FLOOR, 2, workers=2)
+        caller = threading.get_ident()
+        assert len(drawn) == inverted + btpe
+        assert sorted(l for thread, l, *_ in drawn if thread == caller) == sorted(
+            [*range(1, inverted + 1), *btpe_ls[:mine]])
 
 
 def _numpy_counts(key, l, e_y, chunk, count) -> np.ndarray:
