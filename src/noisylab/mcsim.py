@@ -26,12 +26,12 @@ drawing an inverted block's short calls mostly waits for it.  Each thread
 tallies its contiguous range of (scenario, chunk) jobs as Python ints, exact
 in any order.
 With p = min(e_y, 1 - e_y), a chunk whose inversion table starts at a normal
-double, l * -log1p(-p) <= 700, looks one Philox word per count up in numpy's
+double, l * -log1p(-p) <= 700, looks one Philox word per count up in the
 inversion table for (l, p), one gather each from a guide the chunk builds
-once: Generator.binomial(l, e_y)'s integers where numpy inverts (p l <= 30),
-its inversion walk where numpy runs BTPE.  Past that,
-Generator.binomial (BTPE, which takes a varying number of uniforms per draw)
-draws the chunk, block by block from one generator.  STREAM_VERSION
+once: the count is the number of the table's cuts at or below the word's
+uniform, at most the table's last entry.  Past that, Generator.binomial
+(BTPE, which takes a varying number of uniforms per draw) draws the chunk,
+block by block from one generator.  STREAM_VERSION
 names this mapping from seeds to rows and changes whenever the same seed
 would draw different numbers or classify them differently.
 """
@@ -53,7 +53,7 @@ from .bounds import _FORMS, BoundKind, BoundValue, _special, ordering_holds
 from .noise import _LABEL, _RATE_FIELDS, _RATE_RULES
 from .treatments import _TIE_EPS
 
-STREAM_VERSION = 10  # the README's Determinism section says what each version changed
+STREAM_VERSION = 11  # the README's Determinism section says what each version changed
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
 # counts per block of a chunk: a block's int64 arrays are 128 KiB, small enough that malloc
@@ -64,7 +64,6 @@ _EDGE_BLOCK = 512  # scenarios per bisection block: each (4, k, 8) float64 _code
 # calling thread: on 2 vCPUs 16,000-draw chunks ran slower on 2 threads, 32,000 even
 _THREAD_FLOOR = 1 << 15
 _GUIDE = 256  # bins of the smallest inversion guide, a power of 2; the largest has 16 times as many
-_CUT_SLACK = 1e-12  # far above the walk's rounding: under 965 steps, 2 * 965 * 2**-53 = 2.1e-13
 _SUCCESS, _TIE, _FAILURE = 0, 1, 2
 # p_plus and p_minus, each rounded on its own as a config writes them, may sum off 1 by far more than an ulp
 _PRIOR_SUM_TOL = 1e-9
@@ -221,7 +220,8 @@ def _stream_key(seed: int, scenario: InstanceScenario) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)  # a thread draws one scenario's chunks in a row
 def _inversion_table(n: int, p: float) -> tuple[float, ...]:
-    """numpy's random_binomial_inversion probabilities px_0..px_bound, by its own operations."""
+    """Binomial(n, p)'s inversion probabilities px_0..px_bound, bound = min(n, n p + 10
+    sqrt(n p q + 1)), by numpy's inversion recurrence: these operations define the stream."""
     q = 1.0 - p
     px = [math.exp(n * math.log1p(-p))]
     for x in range(1, int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1))) + 1):
@@ -229,54 +229,32 @@ def _inversion_table(n: int, p: float) -> tuple[float, ...]:
     return tuple(px)
 
 
-def _walk(u: float, px: tuple[float, ...]) -> int | None:
-    """numpy's scalar inversion loop from one uniform; None past bound, where numpy draws again."""
-    x = 0
-    while u > px[x]:
-        u, x = u - px[x], x + 1
-        if x == len(px):
-            return None
-    return x
-
-
-def _inverse(px: tuple[float, ...], count: int) -> Callable[[np.ndarray], np.ndarray | None]:
-    """_walk for a chunk of `count` draws, built once: a function of a block of raw Philox
-    words, None if any walk passes bound, else the count of cuts cumsum(px) - _CUT_SLACK
-    below each word's uniform u = (word >> 11) 2**-53, Generator.random's double.
+def _inverse(px: tuple[float, ...], count: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The inversion for a chunk of `count` draws, built once: a function of a block of raw
+    Philox words, each word's count the number of cuts cumsum(px) at or below its uniform
+    u = (word >> 11) 2**-53, Generator.random's double, capped at len(px) - 1.
 
     A guide of g = 2**b bins, g the power of 2 just above count / 8 clipped to
     _GUIDE..16 _GUIDE, holds for each bin [i/g, (i+1)/g) the count every u in it
-    shares, or -1 where a cut's band cut -+ _CUT_SLACK touches the bin or the count may
-    pass the table.  A word's bin is word >> (64 - b), the top b of u's 53 bits, so each
-    word takes one gather; only the words in marked bins become doubles, placed by
-    searchsorted, and of those, a u within _CUT_SLACK above a cut, or past the last,
-    takes _walk itself.
+    shares, or -1 where a cut falls in the bin.  A word's bin is word >> (64 - b), the
+    top b of u's 53 bits, so each word takes one gather; only the words in marked bins
+    become doubles, placed by searchsorted.
     """
-    cuts = np.cumsum(px)
-    lo = cuts - _CUT_SLACK
-    hi = np.concatenate(([-np.inf], cuts + _CUT_SLACK))  # hi[x]: cut x - 1, raised
+    cuts, top = np.cumsum(px), len(px) - 1
     # sized, not fixed: 4,096 bins made a 200-draw lookup 14 % slower, 256 bins a
     # 50,000-draw lookup 1.9 times slower
     g = min(16 * _GUIDE, max(_GUIDE, 1 << (count // 8).bit_length()))
-    # v's bin is v * g truncated, exact for a power of 2 (and 0 for the v > -1/g below 0);
-    # a band lies in the bins of its two ends, and a bin clear of every band counts the
-    # bands below it
-    first, last = (lo * g).astype(np.intp), (hi[1:] * g).astype(np.intp)
-    guide = np.bincount(last, minlength=g + 1).cumsum()
-    guide[first] = guide[last] = -1
-    guide[first[-1]:] = -1  # from the last band on, a count may pass the table
+    # a cut's bin is cut * g truncated, exact for a power of 2 (g for a last cut rounded
+    # up to 1 or past it); a bin with no cut in it counts the cuts below it
+    bins = (cuts * g).astype(np.intp)
+    guide = np.minimum(np.bincount(bins, minlength=g + 1).cumsum(), top)
+    guide[bins] = -1
     shift = 65 - g.bit_length()
 
-    def invert(words: np.ndarray) -> np.ndarray | None:
+    def invert(words: np.ndarray) -> np.ndarray:
         x = guide[(words >> shift).view(np.intp)]
         rest = np.flatnonzero(x < 0)
-        u = (words[rest] >> 11) * 2.0**-53
-        x[rest] = placed = lo.searchsorted(u)
-        walks = (u <= hi[placed]) | (placed == len(px))
-        for i, v in zip(rest[walks].tolist(), u[walks].tolist()):
-            if (walked := _walk(v, px)) is None:
-                return None
-            x[i] = walked
+        x[rest] = np.minimum(cuts.searchsorted((words[rest] >> 11) * 2.0**-53, "right"), top)
         return x
     return invert
 
@@ -298,33 +276,25 @@ def _inverts(l: int, p: float) -> bool:
 
 
 def _chunk_counts(key: np.ndarray, l: int, e_y: float, chunk: int, count: int,
-                  bits: np.random.Philox) -> Iterator[np.ndarray | None]:
+                  bits: np.random.Philox) -> Iterator[np.ndarray]:
     """Chunk `chunk`'s first `count` wrong-label counts, a pure function of (key, chunk),
-    yielded in order in blocks of at most _BLOCK; a None voids every block before it.
-    bits, the calling thread's, is re-keyed to the chunk's Philox range and drawn from
-    until the last block.
+    yielded in order in blocks of at most _BLOCK.  bits, the calling thread's, is re-keyed
+    to the chunk's Philox range and drawn from until the last block.
 
     Inside the regime (the table's first term exp(l log1p(-p)) normal, so p l <= 700 and
-    at most ~965 entries) each block inverts the next words of that range.  Past it, or
-    once a walk passes the table's bound, where an inversion draws again (the blocks so
-    far are then void), Generator.binomial draws the chunk from its start, a block per
-    call on one generator, which draws what one call for the chunk draws."""
+    at most ~965 entries) each block inverts the next words of that range.  Past it,
+    Generator.binomial draws the chunk, a block per call on one generator, which draws
+    what one call for the chunk draws."""
     sizes = [min(_BLOCK, count - start) for start in range(0, count, _BLOCK)]
-    p, flip = min(e_y, 1.0 - e_y), e_y > 0.5
+    p = min(e_y, 1.0 - e_y)
     if p == 0.0:
         yield from (np.zeros(n, np.int64) for n in sizes)
-        return
-    if _inverts(l, p):
+    elif _inverts(l, p):
         invert, words = _inverse(_inversion_table(l, p), count), _rekeyed(bits, key, chunk).random_raw
-        for n in sizes:
-            if (wrong := invert(words(n))) is None:
-                yield None
-                break
-            yield l - wrong if flip else wrong
-        else:
-            return
-    rng = np.random.Generator(_rekeyed(bits, key, chunk))
-    yield from (rng.binomial(l, e_y, size=n) for n in sizes)
+        yield from (l - invert(words(n)) if e_y > 0.5 else invert(words(n)) for n in sizes)
+    else:
+        rng = np.random.Generator(_rekeyed(bits, key, chunk))
+        yield from (rng.binomial(l, e_y, size=n) for n in sizes)
 
 
 def _params(scenarios) -> tuple[np.ndarray, ...]:
@@ -443,9 +413,6 @@ def _cut_counts(scenarios, trials: int, seed: int,
         inner = cuts[i][1:-1].tolist()
         below, total = [0] * len(inner), 0
         for wrong in _chunk_counts(keys[i], s.l, s.e_y, chunk, count, bits):
-            if wrong is None:  # the blocks so far are void: the chunk is drawn again
-                below, total = [0] * len(inner), 0
-                continue
             below = [b + int(np.count_nonzero(wrong < c)) for b, c in zip(below, inner)]
             # the high and low 32-bit halves each sum below 2**46 over a block, so both are exact
             total += (int((wrong >> 32).sum()) << 32) + int((wrong & 0xFFFFFFFF).sum())

@@ -31,7 +31,6 @@ from noisylab.mcsim import (
     scenario_violations,
     _BLOCK,
     _CHUNK_TRIALS,
-    _CUT_SLACK,
     _GUIDE,
     _FAILURE,
     _SUCCESS,
@@ -48,7 +47,6 @@ from noisylab.mcsim import (
     _inversion_table,
     _params,
     _stream_key,
-    _walk,
     _wilson_interval,
     bound_report,
     run_trials,
@@ -74,11 +72,8 @@ def _label_level_counts(key, l: int, e_y: float, start_trial: int, count: int) -
 
 def _drawn(key, l: int, e_y: float, chunk: int, count: int) -> np.ndarray:
     """Chunk `chunk`'s first `count` wrong-label counts as one array: the blocks
-    _chunk_counts yields after its last void (None), joined in order."""
-    blocks = []
-    for block in _chunk_counts(key, l, e_y, chunk, count, np.random.Philox(0)):
-        blocks = [] if block is None else [*blocks, block]
-    return np.concatenate(blocks)
+    _chunk_counts yields, joined in order."""
+    return np.concatenate(list(_chunk_counts(key, l, e_y, chunk, count, np.random.Philox(0))))
 
 
 def _in_blocks(draw):
@@ -561,17 +556,43 @@ def _numpy_counts(key, l, e_y, chunk, count) -> np.ndarray:
     return rng.binomial(l, e_y, size=count)
 
 
+def _looked_up(u, px) -> np.ndarray:
+    """Test-only oracle: each uniform's inverted count, the number of cuts cumsum(px) at or
+    below it, at most len(px) - 1."""
+    return np.minimum(np.cumsum(px).searchsorted(u, "right"), len(px) - 1)
+
+
+def _walk(u: float, cuts: list[float]) -> int:
+    """Test-only: _looked_up of one uniform, walked one cut at a time."""
+    x = 0
+    while x < len(cuts) - 1 and u >= cuts[x]:
+        x += 1
+    return x
+
+
 def _walked_counts(key, l, e_y, chunk, count) -> np.ndarray:
-    """Test-only oracle: _walk of each of chunk `chunk`'s own Generator.random uniforms
-    in the inversion table of (l, p), p = min(e_y, 1 - e_y), flipped when e_y > 1/2; a
-    walk past the table's bound leaves the chunk to Generator.binomial."""
-    px = _inversion_table(l, min(e_y, 1.0 - e_y))
+    """Test-only oracle: _looked_up of each of chunk `chunk`'s own Generator.random uniforms
+    in the inversion table of (l, p), p = min(e_y, 1 - e_y), flipped when e_y > 1/2."""
     rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk]))
-    walked = [_walk(u, px) for u in rng.random(count).tolist()]
-    if None in walked:
-        return _numpy_counts(key, l, e_y, chunk, count)
-    wrong = np.array(walked, np.int64)
+    wrong = _looked_up(rng.random(count), _inversion_table(l, min(e_y, 1.0 - e_y)))
     return l - wrong if e_y > 0.5 else wrong
+
+
+def _philox_words(key, counter, n: int) -> list[int]:
+    """Test-only oracle: Philox4x64-10's first n words from (key, counter), from the round
+    function of Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2, 3"; the
+    256-bit counter, counter[0] its low word, steps by 1 before each block of 4 words."""
+    mask = 2**64 - 1
+    c, words = sum(int(w) << (64 * i) for i, w in enumerate(counter)), []
+    while len(words) < n:
+        c = (c + 1) % 2**256
+        x, (k0, k1) = [(c >> (64 * i)) & mask for i in range(4)], (int(k) for k in key)
+        for _ in range(10):
+            p0, p1 = 0xD2E7470EE14C6C93 * x[0], 0xCA5A826395121157 * x[2]
+            x = [(p1 >> 64) ^ x[1] ^ k0, p1 & mask, (p0 >> 64) ^ x[3] ^ k1, p0 & mask]
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & mask, (k1 + 0xBB67AE8584CAA73B) & mask
+        words += x
+    return words[:n]
 
 
 def _inverted(l: int, e_y: float) -> bool:
@@ -613,12 +634,13 @@ def _regime_edge(l: int, flip: bool) -> tuple[float, float]:
 
 class TestInversionDraws:
     """Inside the regime, _chunk_counts reads an inversion table instead of calling
-    Generator.binomial: where numpy inverts (p l <= 30) the integers must be numpy's,
-    bit for bit, and past that the scalar walk's of the chunk's own uniforms."""
+    Generator.binomial: each count is the number of the table's cuts at or below the
+    uniform, at most its last entry (_looked_up, walked by _walk), which where numpy
+    inverts (p l <= 30) are numpy's integers, bit for bit."""
 
     def test_every_chunk_equals_generator_binomial(self):
         # Generator.binomial's integers wherever numpy inverts and past the regime;
-        # the scalar walk's in between, where numpy would run BTPE
+        # the table's counts in between, where numpy would run BTPE
         sizes = (1, 1000, 4097, _CHUNK_TRIALS)
         pairs = _oracle_pairs()
         assert len(pairs) >= 200
@@ -658,51 +680,47 @@ class TestInversionDraws:
                                       (1009, 0.5), (699_000, 1e-3)])  # the widest tables
     def test_the_lookup_is_the_scalar_walk_at_every_cut(self, l, p):
         # a uniform is a word's top 53 bits, so the lookup sees only the doubles k 2**-53:
-        # those at and either side of every edge, and of 10,000 drawn uniforms
+        # those at and either side of every cut, of points 1e-12 either side of it, of
+        # every bin edge and of 10,000 drawn uniforms
         px = _inversion_table(l, p)
         cuts = np.cumsum(px)
-        edges = np.concatenate((cuts, cuts - _CUT_SLACK, cuts + _CUT_SLACK,
-                                np.arange(_GUIDE) / _GUIDE))
+        edges = np.concatenate((cuts, cuts - 1e-12, cuts + 1e-12, np.arange(_GUIDE) / _GUIDE))
         rng = np.random.default_rng(l)
         u = _grid(np.concatenate((edges, rng.random(10_000))))
-        walked = [_walk(x, px) for x in u.tolist()]
-        inside = np.array([w is not None for w in walked])
-        invert = _inverse(px, u.size)
-        np.testing.assert_array_equal(invert(_words(u[inside], rng)),
-                                      [w for w in walked if w is not None])
-        if not inside.all():
-            assert invert(_words(u, rng)) is None
+        looked_up = _looked_up(u, px)
+        np.testing.assert_array_equal(looked_up, [_walk(x, cuts.tolist()) for x in u.tolist()])
+        np.testing.assert_array_equal(_inverse(px, u.size)(_words(u, rng)), looked_up)
 
     @pytest.mark.parametrize("px", [
         _inversion_table(200, 0.1)[:1], _inversion_table(1, 0.3), _inversion_table(699_000, 1e-3),
         (0.25, 0.25, 0.25, 0.25), (0.5, 0.5 - 2**-13), _inversion_table(1000, 0.3),
-    ], ids=["1-entry", "2-entries", "widest", "cuts-on-bin-edges", "last-cut-near-1", "l1000"])
+        (0.3, 0.3, 0.1),
+    ], ids=["1-entry", "2-entries", "widest", "cuts-on-bin-edges", "last-cut-near-1", "l1000",
+            "cuts-end-at-0.7"])
     def test_every_guide_size_is_the_scalar_walk_at_bin_edges_and_cuts(self, px):
         # a guide has a power of 2 bins from _GUIDE to 16 _GUIDE, set by the chunk's count,
         # so every bin edge of every guide is some b / (16 _GUIDE).  Uniforms (the doubles
-        # k 2**-53 a word gives) on those edges and either side, and at every cut and its
-        # band's ends, in guides for chunks of 1 to 65,536 draws, each call as many words
-        # (64 cuts, first and last among them, of a wider table); the first cut of the
-        # tables at l = 1000 and 699,000 lies below _CUT_SLACK
-        cuts = np.cumsum(px)[np.unique(np.linspace(0, len(px) - 1, 64).astype(int))]
+        # k 2**-53 a word gives) on those edges and either side, and at every cut, 1e-12
+        # either side of it and a float either side of those, in guides for chunks of 1 to
+        # 65,536 draws, each call as many words (64 cuts, first and last among them, of a
+        # wider table); the first cut of the tables at l = 1000 and 699,000 lies in bin 0.
+        # Real tables end within 1e-12 of 1; the last one ends at 0.7, so whole bins of
+        # every guide lie past its last cut, and a u there takes the last entry
+        table = np.cumsum(px)
+        cuts = table[np.unique(np.linspace(0, len(px) - 1, 64).astype(int))]
         u = _grid(np.concatenate((np.arange(16 * _GUIDE) / (16 * _GUIDE), cuts,
-                                  cuts - _CUT_SLACK, cuts + _CUT_SLACK)))
-        walked = np.array([_walk(x, px) for x in u.tolist()], object)
-        inside, past = np.flatnonzero(walked != None), u[walked == None]  # noqa: E711
-        assert (cuts[0] < _CUT_SLACK) == (len(px) > 100)
+                                  cuts - 1e-12, cuts + 1e-12)))
+        looked_up = _looked_up(u, px)
+        np.testing.assert_array_equal(looked_up, [_walk(x, table.tolist()) for x in u.tolist()])
+        assert (cuts[0] < 1e-12) == (len(px) > 100)
         rng = np.random.default_rng(len(px))
         for count in (1, 2000, 4096, 8192, 16_384, 50_000, _CHUNK_TRIALS):
             # calls of `count` uniforms, padded with uniforms already used; 300 calls at most
             invert = _inverse(px, count)
-            picks = np.concatenate((inside, rng.choice(inside, -inside.size % count)))
+            picks = np.concatenate((np.arange(u.size), rng.choice(u.size, -u.size % count)))
             rows = picks.reshape(-1, count)
             for row in rows[rng.permutation(len(rows))[:300]]:
-                np.testing.assert_array_equal(invert(_words(u[row], rng)),
-                                              walked[row].astype(np.int64))
-            if past.size:
-                row = u[picks[:count]]
-                row[-1] = past[0]
-                assert invert(_words(row, rng)) is None
+                np.testing.assert_array_equal(invert(_words(u[row], rng)), looked_up[row])
 
     @pytest.mark.parametrize("count", [1, 2000, 4096, 8192, 16_384, 50_000, _CHUNK_TRIALS])
     def test_every_guide_size_draws_numpy_s_integers_or_the_walk_s(self, count):
@@ -723,24 +741,22 @@ class TestInversionDraws:
         assert isinstance(_inversion_table(1000, 0.3), tuple)
 
     @pytest.mark.parametrize("l, e_y, keep", [(200, 0.1, 2), (200, 0.1, 36), (200, 0.95, 4),
-                                              (1000, 0.3, 300)])
-    def test_a_walk_past_bound_leaves_the_chunk_to_numpy(self, monkeypatch, l, e_y, keep):
-        # a cut-short table sends walks past its bound, where an inversion would draw
-        # a second uniform: the chunk is redrawn whole by Generator.binomial, on
-        # either side of p l = 30
-        passed = []
-
-        def walk(u, px, walk=_walk):
-            passed.append(walk(u, px) is None)
-            return walk(u, px)
-
+                                              (200, 0.95, 24), (1000, 0.3, 300), (1000, 0.3, 357)])
+    def test_words_past_the_last_cut_take_the_last_entry(self, monkeypatch, l, e_y, keep):
+        # a cut-short table ends well below 1, so some of a chunk's words land past its last
+        # cut, on either side of p l = 30 and of 1/2: every block is still an array, and each
+        # such word counts the last entry, keep - 1 (l less that where e_y > 1/2)
         monkeypatch.setattr(mcsim, "_inversion_table",
                             lambda n, p, table=_inversion_table: table(n, p)[:keep])
-        monkeypatch.setattr(mcsim, "_walk", walk)
         key = np.array([3, keep], np.uint64)
-        got = _drawn(key, l, e_y, 2, _CHUNK_TRIALS)
-        assert any(passed)
-        np.testing.assert_array_equal(got, _numpy_counts(key, l, e_y, 2, _CHUNK_TRIALS))
+        blocks = list(_chunk_counts(key, l, e_y, 2, _CHUNK_TRIALS, np.random.Philox(0)))
+        assert all(isinstance(block, np.ndarray) and block.dtype == np.int64 for block in blocks)
+        px = mcsim._inversion_table(l, min(e_y, 1.0 - e_y))
+        u = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, 2])).random(_CHUNK_TRIALS)
+        past = u >= np.cumsum(px)[-1]
+        assert past.any()
+        wrong = np.where(past, keep - 1, _looked_up(u, px))
+        np.testing.assert_array_equal(np.concatenate(blocks), l - wrong if e_y > 0.5 else wrong)
 
     def test_a_zero_rate_draws_nothing(self, monkeypatch):
         def no_generator(*args, **kwargs):
@@ -796,41 +812,6 @@ class TestBlocks:
         for b in range(_GUIDE.bit_length() - 1, _GUIDE.bit_length() + 4):  # _GUIDE..16 _GUIDE
             np.testing.assert_array_equal(words >> (64 - b), np.floor(u * 2.0**b))
 
-    @pytest.mark.parametrize("l, e_y, keep, past", [(1000, 0.3, 357, 43_674),
-                                                    (200, 0.95, 24, 32_636)])
-    def test_a_walk_past_bound_in_a_later_block_voids_the_blocks_before_it(
-            self, monkeypatch, l, e_y, keep, past):
-        # a cut-short table whose first walk past its bound is draw `past`, in the third or
-        # the second block: the blocks before it are yielded, then a void, then the
-        # chunk again from its start, by Generator.binomial
-        monkeypatch.setattr(mcsim, "_inversion_table",
-                            lambda n, p, table=_inversion_table: table(n, p)[:keep])
-        key = np.array([3, 17], np.uint64)
-        px = mcsim._inversion_table(l, min(e_y, 1.0 - e_y))
-        u = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, 2])).random(past + 1)
-        assert _walk(u[past], px) is None and (u[:past] < np.cumsum(px)[-1] - _CUT_SLACK).all()
-        blocks = list(_chunk_counts(key, l, e_y, 2, _CHUNK_TRIALS, np.random.Philox(key=key)))
-        void = [block is None for block in blocks].index(True)
-        assert void == past // _BLOCK and sum(block is None for block in blocks) == 1
-        np.testing.assert_array_equal(np.concatenate(blocks[:void]),
-                                      _walked_counts(key, l, e_y, 2, void * _BLOCK))
-        np.testing.assert_array_equal(np.concatenate(blocks[void + 1:]),
-                                      _numpy_counts(key, l, e_y, 2, _CHUNK_TRIALS))
-        assert _drawn(key, l, e_y, 2, _CHUNK_TRIALS).size == _CHUNK_TRIALS
-
-    def test_a_job_tallies_only_the_blocks_after_a_void(self, monkeypatch):
-        s = InstanceScenario(l=50, y=1, e_plus=0.3, e_minus=0.3)
-        trials = 2 * _CHUNK_TRIALS + 7
-        expected = _cut_counts([s], trials, 5, workers=1)
-
-        def voided(key, l, e_y, chunk, count, bits, draw=_chunk_counts):
-            yield np.full(_BLOCK, l, np.int64)
-            yield None
-            yield from draw(key, l, e_y, chunk, count, bits)
-
-        monkeypatch.setattr(mcsim, "_chunk_counts", voided)
-        _assert_same_counts(_cut_counts([s], trials, 5, workers=1), expected)
-
     @pytest.mark.parametrize("s", [
         InstanceScenario(l=1000, y=1, e_plus=0.3, e_minus=0.3),  # inverted, walked
         InstanceScenario(l=200, y=1, e_plus=0.1, e_minus=0.1),  # inverted, numpy's integers
@@ -849,6 +830,26 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
+
+
+class TestStream:
+    """Inside the regime a chunk's counts depend on Philox and the table alone: checked
+    against a Philox written from its round function, not numpy's."""
+
+    @pytest.mark.parametrize("key, chunk", [((1, 2), 0), ((0xDEADBEEF, 2**64 - 1), 2**40),
+                                            ((2**64 - 1, 5), 7)])
+    def test_random_raw_is_philox4x64_10(self, key, chunk):
+        bits = np.random.Philox(key=np.array(key, np.uint64), counter=[0, 0, 0, chunk])
+        assert bits.random_raw(9).tolist() == _philox_words(key, [0, 0, 0, chunk], 9)
+
+    @pytest.mark.parametrize("l, e_y", [(1000, 0.7), (200, 0.1)])
+    def test_an_inverted_chunk_is_the_lookup_of_its_philox_words(self, l, e_y):
+        # two blocks, flipped past p l = 30 and numpy's own inversion below it
+        key, count = (2**64 - 1, 5), _BLOCK + 5
+        u = [(w >> 11) * 2.0**-53 for w in _philox_words(key, [0, 0, 0, 7], count)]
+        wrong = _looked_up(u, _inversion_table(l, min(e_y, 1.0 - e_y)))
+        np.testing.assert_array_equal(_drawn(np.array(key, np.uint64), l, e_y, 7, count),
+                                      l - wrong if e_y > 0.5 else wrong)
 
 
 def _record_draws(monkeypatch) -> list[tuple[bytes, int]]:
