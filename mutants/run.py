@@ -1,4 +1,4 @@
-"""Mutant gate: small wrong edits of the engine that the named tests must catch.
+"""Mutant gate: small wrong edits of the library's rules that the named tests must catch.
 
 Each row of MUTANTS is one mutant: the file under src/, the exact text it replaces,
 the new text, a one-line reason, and the pytest node ids expected to kill it.  For
@@ -29,12 +29,22 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MCSIM = "noisylab/mcsim.py"
+MCSIM, BOUNDS, FREQ = "noisylab/mcsim.py", "noisylab/bounds.py", "noisylab/freqmodel.py"
+TREAT, MEMO = "noisylab/treatments.py", "noisylab/memorize.py"
 _DRAWS = "tests/test_mcsim.py::TestInversionDraws::"
 _CUT = _DRAWS + "test_the_lookup_is_the_scalar_walk_at_every_cut"
 _GUIDES = _DRAWS + "test_every_guide_size_is_the_scalar_walk_at_bin_edges_and_cuts"
 _JOIN = "tests/test_mcsim.py::TestBlocks::test_the_blocks_join_into_the_chunk_s_draws"
 _TOTAL = "tests/test_mcsim.py::TestBoundReport::test_the_wrong_label_total_is_exact_at_every_count"
+_REPORT = "tests/test_mcsim.py::TestBoundReport::"
+_OMITS = _REPORT + "test_a_report_omits_exactly_the_forms_its_table_domain_excludes"
+_NOISELESS = _REPORT + "test_noiseless_scenario_degenerates"
+_ANCHOR = _REPORT + "test_symmetric_anchor_values"
+_SHARED = "tests/test_mcsim.py::TestSharedDraw::test_symmetric_scenario_gives_the_threshold_treatments_one_tally"
+_TABLES = "tests/test_mcsim.py::TestOutcomeTables::"
+_WORKERS = "tests/test_mcsim.py::TestDeterminism::test_worker_count_never_changes_the_tally"
+_SCHEDULE = "tests/test_mcsim.py::TestSchedule::"
+_PEER_CHECKS = "tests/test_treatments.py::TestPeerExpectedLoss::test_input_validation"
 
 # (file under src/, old text, new text, reason, killing node ids)
 MUTANTS = [
@@ -76,6 +86,115 @@ MUTANTS = [
     (MCSIM, "total += (int((wrong >> 32).sum()) << 32)", "total += (int((wrong >> 32).sum()) << 31)",
      "the 32-bit halves' shift: high halves of a total weigh half",
      [_TOTAL]),
+    (MCSIM, "for start in range(0, l.size, _EDGE_BLOCK)])",
+     "for start in reversed(range(0, l.size, _EDGE_BLOCK))])",
+     "blocked edges joined in reverse: scenarios past the first block take another's edges",
+     ["tests/test_mcsim.py::TestCuts::test_the_edges_do_not_depend_on_the_scenario_block",
+      "tests/test_mcsim.py::TestCuts::test_every_table_runs_in_blocks_with_the_bisected_edges"]),
+    (FREQ, "if n_values == 1:", "if n_values == 0:",
+     "the one-value check disabled: a point-mass prior's moments take -inf - -inf",
+     ["tests/test_cli.py::TestQuietRuns::test_a_one_value_prior_writes_the_point_mass"]),
+    # bounds._FORMS: each form's e_y domain
+    (BOUNDS, "(lambda e: (0.0 < e) & (e <= 0.5), (1, 0, 0, 0)",
+     "(lambda e: (0.0 <= e) & (e <= 0.5), (1, 0, 0, 0)",
+     "Hoeffding given at e_y = 0, where every loss-correction trial ties",
+     [_NOISELESS, _OMITS]),
+    (BOUNDS, "(lambda e: (0.0 < e) & (e <= 0.5), (1, 0, 0, 0)",
+     "(lambda e: (0.0 < e) & (e < 0.5), (1, 0, 0, 0)",
+     "Hoeffding omitted at e_y = 1/2, where it is vacuously 0",
+     [_OMITS]),
+    (BOUNDS, "(_open_unit, (1, 1, 0, 0),", "(lambda e: (0.0 <= e) & (e < 1.0), (1, 1, 0, 0),",
+     "the loss-correction failure floor given at e_y = 0, outside its function's domain",
+     [_OMITS, _NOISELESS]),
+    (BOUNDS, "(lambda e: (0.0 <= e) & (e < 1.0), (0, 0, 0, 1),",
+     "(lambda e: (0.0 < e) & (e < 1.0), (0, 0, 0, 1),",
+     "the peer success bound omitted at e_y = 0",
+     [_NOISELESS, _OMITS]),
+    (BOUNDS, "(_open_unit, (1, 1, 1, 0),", "(lambda e: (0.0 <= e) & (e < 1.0), (1, 1, 1, 0),",
+     "the peer failure floor given at e_y = 0, outside its function's domain",
+     [_OMITS, _NOISELESS]),
+    # mcsim._codes: each tie rule
+    (MCSIM, "tied = (err_lc == err_ls) | ((e_plus == e_minus) & (np.abs(p_true - 0.5) <= _TIE_EPS))",
+     "tied = (e_plus == e_minus) & (np.abs(p_true - 0.5) <= _TIE_EPS)",
+     "label smoothing no longer ties on equal errors",
+     ["tests/test_mcsim.py::TestCuts::test_the_edges_past_2_to_the_52_are_pinned"]),
+    (MCSIM, "tied = (err_lc == err_ls) | ((e_plus == e_minus) & (np.abs(p_true - 0.5) <= _TIE_EPS))",
+     "tied = err_lc == err_ls",
+     "label smoothing no longer ties within _TIE_EPS of an even split under equal rates",
+     [_TABLES + "test_equal_rates_tie_near_an_even_split_as_the_comparator_does"]),
+    (MCSIM, "np.where(margins > _TIE_EPS, _SUCCESS,", "np.where(margins > 0.0, _SUCCESS,",
+     "a margin in the tie band's upper half succeeds",
+     [_TABLES + "test_peer_table_agrees_with_peer_predict_on_every_split"]),
+    (MCSIM, "np.where(margins < -_TIE_EPS, _FAILURE, _TIE)", "np.where(margins < 0.0, _FAILURE, _TIE)",
+     "a margin in the tie band's lower half fails",
+     [_TABLES + "test_peer_table_agrees_with_peer_predict_on_every_split"]),
+    (MCSIM, "p_true - e_other / np.where(noise > 0.0, noise, 1.0), 0.0)",
+     "p_true - e_other / np.where(noise > 0.0, noise, 1.0), p_true - 0.5)",
+     "loss correction with both rates zero follows the majority instead of tying",
+     [_TABLES + "test_noiseless_correction_always_ties"]),
+    # mcsim._EVENTS: each event's range of blocks
+    (MCSIM, '"strict_success", True, (0, 1), BoundKind.HOEFFDING_SUCCESS',
+     '"strict_success", True, (0, 2), BoundKind.HOEFFDING_SUCCESS',
+     "loss correction's strict success counts its ties",
+     [_SHARED, _ANCHOR]),
+    (MCSIM, '"tie_inclusive_failure", False, (1, 3), BoundKind.BINOMIAL_FAILURE_LOWER',
+     '"tie_inclusive_failure", False, (2, 3), BoundKind.BINOMIAL_FAILURE_LOWER',
+     "loss correction's tie-inclusive failure drops its ties",
+     [_ANCHOR]),
+    (MCSIM, '"ls_better_or_tie", True, (1, 3)', '"ls_better_or_tie", True, (2, 3)',
+     "label smoothing's better-or-tie drops its ties",
+     [_ANCHOR]),
+    (MCSIM, '"strict_success", True, (0, 1), BoundKind.PEER_SUCCESS',
+     '"strict_success", True, (0, 2), BoundKind.PEER_SUCCESS',
+     "peer loss's strict success counts its ties",
+     [_SHARED, _ANCHOR]),
+    (MCSIM, '"tie_inclusive_failure", False, (1, 3), BoundKind.PEER_FAILURE_LOWER',
+     '"tie_inclusive_failure", False, (2, 3), BoundKind.PEER_FAILURE_LOWER',
+     "peer loss's tie-inclusive failure drops its ties",
+     [_ANCHOR]),
+    (BOUNDS, "exact >= bound.value - _ORDER_SLACK", "exact >= bound.value + _ORDER_SLACK",
+     "the ordering slack's sign flipped: a bound met with equality fails",
+     [_REPORT + "test_tiny_equal_rates_keep_the_correction_bound"]),
+    (MCSIM, "_Z_95 = 1.959963984540054", "_Z_95 = 1.96",
+     "the Wilson z rounded to 1.96",
+     ["tests/test_mcsim.py::TestWilsonInterval::test_equals_the_formula_on_python_floats"]),
+    # mcsim._cut_counts: the thread split's bounds
+    (MCSIM, "mine = inverted + max(0, ((inverted + 5 * btpe) // threads - inverted) // 5)",
+     "mine = inverted + ((inverted + 5 * btpe) // threads - inverted) // 5",
+     "the caller's share may fall below its inverted jobs, which then reach helpers",
+     [_SCHEDULE + "test_inverted_and_zero_rate_chunks_stay_on_the_calling_thread"]),
+    (MCSIM, "rest = range(mine, inverted + btpe)", "rest = range(mine + 1, inverted + btpe)",
+     "the helpers' jobs start one past the caller's last: a job is never drawn",
+     [_WORKERS]),
+    (MCSIM, "(t + 1) * len(rest) // (threads - 1)]", "(t + 1) * len(rest) // (threads - 1) + 1]",
+     "each helper's range ends one past its share: the next helper's first job is drawn twice",
+     [_WORKERS]),
+    (MCSIM, "btpe + (inverted > 0))", "btpe)",
+     "the thread count ignores the caller's inverted jobs: one BTPE job starts no helper",
+     ["tests/test_mcsim.py::TestDeterminism::test_tallies_reassemble_from_their_chunks",
+      _SCHEDULE + "test_btpe_chunks_of_a_mixed_batch_reach_helpers_with_the_serial_counts"]),
+    # the treatments' argument rules, each stated once
+    (TREAT, "if joint.shape[1:] != (2,) or", "if joint.ndim != 2 or",
+     "peer_expected_loss takes tables of any width",
+     [_PEER_CHECKS]),
+    (TREAT, '    raise_first(field_violations({"q_min": q_min}, _ARGUMENTS))\n    joint',
+     "    joint",
+     "peer_expected_loss no longer checks q_min",
+     [_PEER_CHECKS]),
+    (TREAT, '{"a": _OPEN_UNIT}', "_ARGUMENTS",
+     "compare_ls_lc takes a in smoothed_label's closed [0, 1]",
+     ["tests/test_treatments.py::TestCompareLsLc::test_parameter_validation"]),
+    (MEMO, "if not all(map(math.isfinite, arr.tolist())):",
+     "if not all(map(math.isfinite, arr.tolist()[:1])):",
+     "the finite-pair check reads only the first entry",
+     ["tests/test_treatments.py::TestLcLossVector::test_input_validation",
+      "tests/test_memorize.py"]),
+    (MEMO, "if raw.dtype == bool:", "if raw.dtype == object:",
+     "bool label arrays count True as +1",
+     ["tests/test_memorize.py::TestEmpiricalDistribution::test_bool_labels_rejected_as_a_scalar_label_is"]),
+    (FREQ, "elif n * cap <= total * (1.0 + _FILL_TOL):", "elif total - n * cap >= -1e-15:",
+     "the all-at-cap test back on an absolute 1e-15 slack",
+     ["tests/test_freqmodel.py::TestCapped::test_a_cap_an_ulp_past_the_total_pins_every_entry"]),
 ]
 
 

@@ -66,6 +66,7 @@ class Spec:
 
 
 _COUNT = Spec("integer", lo=1)
+_OPEN_UNIT = Spec(lo=0.0, hi=1.0, lo_open=True, hi_open=True, required=False)
 
 
 def field_violations(values, fields: dict, rules: dict | None = None, path: str = "") -> list[str]:

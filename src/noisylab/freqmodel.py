@@ -209,7 +209,7 @@ def _waterfilled(values: np.ndarray, cap) -> tuple[np.ndarray | None, list[str]]
     fits[1:] &= c[1:] * sorted_vals[:-1] >= cap * (1.0 - _FILL_TOL)
     if fits.any():
         out_sorted = np.minimum(c[fits.argmax()] * sorted_vals, cap)
-    elif total - n * cap >= -1e-15:
+    elif n * cap <= total * (1.0 + _FILL_TOL):  # every value at the cap keeps the total
         out_sorted = np.full(n, cap)
     else:
         return None, [f"prior.cap: no waterfilling scale as a double keeps these values below {cap}"]

@@ -48,7 +48,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from ._spec import _COUNT, Spec, field_violations, raise_first, unknown_fields
+from ._spec import _COUNT, _OPEN_UNIT, Spec, field_violations, raise_first, unknown_fields
 from .bounds import _FORMS, BoundKind, BoundValue, _special, ordering_holds
 from .noise import _LABEL, _RATE_FIELDS, _RATE_RULES
 from .treatments import _TIE_EPS
@@ -60,8 +60,9 @@ _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter 
 # hands them back to the next block instead of mapping fresh pages for each
 _BLOCK = 1 << 14
 _EDGE_BLOCK = 512  # scenarios per bisection block: each (4, k, 8) float64 _codes temporary is 128 KiB
-# helpers start for BTPE chunks of this many draws, measured before inverted chunks stayed on the
-# calling thread: on 2 vCPUs 16,000-draw chunks ran slower on 2 threads, 32,000 even
+# helpers start for BTPE chunks of this many draws.  On 2 vCPUs, 2 threads with no floor ran 40 BTPE
+# scenarios 0.98-1.65x as fast as 1 at 10,000-draw chunks and 1.09-1.82x at 30,000 (three paired
+# sets), so below the floor a gain depends on the session; past it, 1.88-1.92x at 60,000
 _THREAD_FLOOR = 1 << 15
 _GUIDE = 256  # bins of the smallest inversion guide, a power of 2; the largest has 16 times as many
 _SUCCESS, _TIE, _FAILURE = 0, 1, 2
@@ -82,7 +83,6 @@ class Treatment(enum.Enum):
 
 # trials: counts are int64, and the Wilson interval divides them as floats
 _RUN_FIELDS = {"trials": replace(_COUNT, hi=2**53), "seed": Spec("integer", lo=0), "workers": _COUNT}
-_OPEN_UNIT = Spec(lo=0.0, hi=1.0, lo_open=True, hi_open=True, required=False)
 # InstanceScenario's fields in dataclass order, which is also the order of
 # their checks and of the scenario columns of the CSV.
 _SCENARIO_FIELDS = {

@@ -18,6 +18,16 @@ from .noise import _label_to_index
 _TOL = 1e-12  # far above the rounding of the treatments' label algebra, e.g. (1 - a) p + a / 2
 
 
+def _finite_pair(values, what: str) -> np.ndarray:
+    """A copy of values as a flat float array, or ValueError unless it holds two finite entries."""
+    arr = np.array(values, dtype=float).ravel()
+    if arr.size != 2:
+        raise ValueError(f"a {what} has two entries, got {arr.size}")
+    if not all(map(math.isfinite, arr.tolist())):
+        raise ValueError(f"{what} entries must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class LabelDist:
     """A distribution over the two labels, index 0 = label -1, index 1 = label +1.
@@ -31,14 +41,10 @@ class LabelDist:
     signed: bool = False
 
     def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=float).ravel()
+        probs = _finite_pair(self.probs, "label distribution")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        if probs.size != 2:
-            raise ValueError(f"a label distribution has two entries, got {probs.size}")
         lo, hi = probs.tolist()
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("label distribution entries must be finite")
         if abs(lo + hi - 1.0) > _TOL:
             raise ValueError(f"label distribution must sum to 1, got {probs.sum()!r}")
         if not self.signed and not (-_TOL <= lo <= 1.0 + _TOL and -_TOL <= hi <= 1.0 + _TOL):
@@ -51,12 +57,14 @@ class LabelDist:
 def _label_counts(labels) -> np.ndarray:
     """Counts of the observed -1 and +1 labels, in class-index order.
 
-    Integral floats such as 1.0 count as labels; other values are rejected,
-    never truncated.
+    Integral floats such as 1.0 count as labels; a bool array, as a bool label,
+    and other values are rejected, never truncated.
     """
     raw = np.asarray(labels).ravel()
     if raw.size == 0:
         raise ValueError("need at least one label")
+    if raw.dtype == bool:
+        raise ValueError("labels must be -1 or +1, got bools")
     arr = raw.astype(np.int64, copy=False)
     if arr is not raw and not np.array_equal(arr, raw):
         raise ValueError("labels must be integer-valued")

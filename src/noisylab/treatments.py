@@ -14,13 +14,12 @@ order: index 0 = label -1, index 1 = label +1.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._spec import Spec, field_violations, raise_first
-from .memorize import LabelDist, _label_counts, memorization_error
+from ._spec import _OPEN_UNIT, Spec, field_violations, raise_first
+from .memorize import LabelDist, _finite_pair, _label_counts, memorization_error
 from .noise import _LABEL, BinaryNoiseRates
 
 _TIE_EPS = 1e-12
@@ -31,23 +30,13 @@ _SUM_TOL = 1e-9
 _UNIT = Spec(lo=0.0, hi=1.0, required=False)
 _ARGUMENTS = {"a": _UNIT, "global_noisy_positive_rate": _UNIT, "global_rate": _UNIT,
               "predicted": replace(_LABEL["y"], required=False), "grid_points": Spec("integer", lo=3, required=False),
-              "q_min": Spec(lo=0.0, hi=0.5, lo_open=True, hi_open=True, required=False)}
+              "q_min": replace(_OPEN_UNIT, hi=0.5)}
 
 
 class Comparison(enum.Enum):
     LC_BETTER = "LC_better"
     LS_BETTER = "LS_better"
     TIE = "tie"
-
-
-def _as_loss_vector(loss) -> np.ndarray:
-    """Validate and return a binary loss vector (l(h(x), -1), l(h(x), +1)) as an array."""
-    arr = np.asarray(loss, dtype=float).ravel()
-    if arr.size != 2:
-        raise ValueError(f"a loss vector has two entries, got {arr.size}")
-    if not all(map(math.isfinite, arr.tolist())):
-        raise ValueError("loss vector entries must be finite")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -87,8 +76,8 @@ def corrected_label(dist: LabelDist, rates: BinaryNoiseRates) -> CorrectedLabel:
 
 
 def lc_loss_vector(loss, rates: BinaryNoiseRates) -> np.ndarray:
-    """Surrogate loss T^-1 l whose noisy expectation is the clean loss, in closed form."""
-    loss_minus, loss_plus = _as_loss_vector(loss).tolist()
+    """Surrogate loss T^-1 l of (l(h(x), -1), l(h(x), +1)): its noisy expectation is the clean loss."""
+    loss_minus, loss_plus = _finite_pair(loss, "loss vector").tolist()
     if not isinstance(rates, BinaryNoiseRates):
         raise TypeError(f"expected BinaryNoiseRates, got {type(rates)!r}")
     e_p, e_m = rates.e_plus, rates.e_minus
@@ -128,10 +117,10 @@ def compare_ls_lc(dist: LabelDist, y: int, rates: BinaryNoiseRates, a: float) ->
     so both errors coincide; testing the mass directly keeps the tie exact
     instead of comparing two float error values that agree only to
     rounding).  Under unequal rates the even split is not a fixed point, so
-    the two memorization errors are compared directly.
+    the two memorization errors are compared directly.  a is a scenario's
+    smoothing_a, so it lies in (0, 1), the range InstanceScenario gives it.
     """
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"smoothing weight must lie in (0, 1), got {a}")
+    raise_first(field_violations({"a": a}, {"a": _OPEN_UNIT}))
     p_true = dist.prob_of(y)
     if rates.e_plus == rates.e_minus and abs(p_true - 0.5) <= _TIE_EPS:
         return Comparison.TIE
@@ -185,19 +174,20 @@ class PeerLossDecomposition:
 def peer_expected_loss(joint, predictor, q_min: float = 1e-3) -> PeerLossDecomposition:
     """Expected peer loss and its exact KL decomposition.
 
-    joint is the data table P(x, y~) over finite X x Y; predictor rows are
-    Q(y~ | x), clamped toward uniform by q_min before use.  The expectation
-    weighs the cross-entropy terms by the model joint Q(y~|x) P(x): under
-    that weighting the difference of the conditional and marginal CE terms
-    equals KL(Q || P) - KL(Q || P_x x P_y~) identically.  Minimizing over Q
-    therefore rewards matching the joint while diverging from the
-    independent product — confident predictions.
+    joint is the data table P(x, y~), an (X, 2) array over finite X and the two
+    labels; predictor rows are Q(y~ | x), shrunk toward (1/2, 1/2) by q_min in
+    (0, 1/2) before use.  The expectation weighs the cross-entropy terms by the
+    model joint Q(y~|x) P(x): under that weighting the difference of the
+    conditional and marginal CE terms equals KL(Q || P) - KL(Q || P_x x P_y~)
+    identically.  Minimizing over Q therefore rewards matching the joint while
+    diverging from the independent product — confident predictions.
     """
+    raise_first(field_violations({"q_min": q_min}, _ARGUMENTS))
     joint = np.asarray(joint, dtype=float)
     predictor = np.asarray(predictor, dtype=float)
-    if joint.ndim != 2 or joint.shape != predictor.shape:
+    if joint.shape[1:] != (2,) or joint.shape != predictor.shape:
         raise ValueError(
-            f"joint and predictor must be matching 2-d tables, got {joint.shape} vs {predictor.shape}"
+            f"joint and predictor must be matching (X, 2) tables, got {joint.shape} vs {predictor.shape}"
         )
     for name, table in (("joint", joint), ("predictor", predictor)):
         if not np.isfinite(table).all():
@@ -208,10 +198,7 @@ def peer_expected_loss(joint, predictor, q_min: float = 1e-3) -> PeerLossDecompo
         raise ValueError("every feature must carry positive probability")
     if np.any(predictor < 0.0) or np.any(np.abs(predictor.sum(axis=1) - 1.0) > _SUM_TOL):
         raise ValueError("predictor rows must be proper distributions")
-    m = predictor.shape[1]
-    if not 0.0 < q_min < 1.0 / m:
-        raise ValueError(f"q_min must lie in (0, 1/m), got {q_min}")
-    q = (1.0 - m * q_min) * predictor + q_min  # rows shrunk toward uniform
+    q = (1.0 - 2 * q_min) * predictor + q_min  # rows shrunk toward (1/2, 1/2)
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     if np.any(py <= 0.0):
@@ -228,18 +215,14 @@ def peer_expected_loss(joint, predictor, q_min: float = 1e-3) -> PeerLossDecompo
     )
 
 
-def _peer_instance_objective(
-    dist_local: LabelDist, global_rate: float, q, q_min: float = 1e-3
-) -> np.ndarray:
-    """Per-instance expected peer loss at prediction mass q = P[h(x) = +1].
+def _peer_instance_objective(dist_local: LabelDist, global_rate: float, q) -> np.ndarray:
+    """Per-instance expected peer loss at prediction masses q = P[h(x) = +1] in (0, 1).
 
     CE on the local noisy distribution minus CE on the global noisy label
-    rate, with the prediction clamped to [q_min, 1 - q_min]:
-    -(p log q + (1-p) log(1-q)) + (r log q + (1-r) log(1-q)).
+    rate: -(p log q + (1-p) log(1-q)) + (r log q + (1-r) log(1-q)).
     The coefficient of -log q is the decision margin, so the objective is
     monotone in q and flat exactly when the margin vanishes.
     """
-    q = np.clip(np.asarray(q, dtype=float), q_min, 1.0 - q_min)
     p = float(dist_local.probs[1])
     ce_local = -(p * np.log(q) + (1.0 - p) * np.log1p(-q))
     ce_global = -(global_rate * np.log(q) + (1.0 - global_rate) * np.log1p(-q))
@@ -253,10 +236,11 @@ def peer_vertex_check(
 
     A nonzero margin makes the objective strictly monotone, so the argmin
     sits at a grid boundary; a zero margin leaves it flat (the returned
-    point is then the first grid entry).
+    point is then the first grid entry).  The grid's ends are exactly q_min
+    and 1 - q_min, so every point lies in the objective's open window.
     """
     raise_first(field_violations({"global_rate": global_rate, "grid_points": grid_points,
                                   "q_min": q_min}, _ARGUMENTS))
     grid = np.linspace(q_min, 1.0 - q_min, grid_points)
-    objective = _peer_instance_objective(dist_local, global_rate, grid, q_min=q_min)
+    objective = _peer_instance_objective(dist_local, global_rate, grid)
     return float(grid[int(np.argmin(objective))])

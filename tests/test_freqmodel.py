@@ -174,6 +174,13 @@ class TestCapped:
         out = build_prior("explicit", values=np.array([0.5, 0.3, 0.2]), cap=cap).values
         assert (out == cap).all()
 
+    @pytest.mark.parametrize("cap", [0.9, float(np.nextafter(0.9, 1.0))])
+    def test_a_cap_an_ulp_past_the_total_pins_every_entry(self, cap):
+        # 10 * cap passes the total 9 by at most an ulp, under the same relative 1e-12
+        # as feasibility, and no scale fits past the subnormal: every entry sits at the cap
+        out = build_prior("explicit", values=[1.0] * 9 + [1e-310], cap=cap).values
+        assert (out == cap).all()
+
     def test_infeasible_cap_rejected(self):
         with pytest.raises(ValueError):
             build_prior("explicit", values=np.array([0.5, 0.5]), cap=0.3)

@@ -1117,6 +1117,17 @@ class TestOutcomeTables:
                 got = compare_ls_lc(LabelDist(np.array(probs)), s.y, rates, s.smoothing_a)
                 assert table[wrong] == code[got]
 
+    def test_equal_rates_tie_near_an_even_split_as_the_comparator_does(self):
+        # at l = 2**41 + 1 the two middle counts put p_true 2.3e-13 from 1/2: the two
+        # errors differ there, so only the even-split rule, within _TIE_EPS, ties them
+        s = InstanceScenario(l=2**41 + 1, y=1, e_plus=0.2, e_minus=0.2, smoothing_a=0.1)
+        smoothing = list(Treatment).index(Treatment.LABEL_SMOOTHING)
+        for wrong in (2**40, 2**40 + 1):
+            assert _codes(_params([s]), np.array([wrong]))[smoothing, 0, 0] == _TIE
+            p_true = (s.l - wrong) / s.l
+            dist = LabelDist(np.array([1 - p_true, p_true]))
+            assert compare_ls_lc(dist, 1, BinaryNoiseRates(0.2, 0.2), 0.1) is Comparison.TIE
+
     def test_smoothing_favorable_region_is_an_upper_tail_of_wrong_counts(self):
         rng = np.random.default_rng(23)
         for _ in range(40):

@@ -87,6 +87,14 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError, match="integer"):
             empirical_distribution([-1.0, 0.5])
         np.testing.assert_array_equal(_label_counts(np.array([1.0, -1.0, 1.0])), [1, 2])
+
+    def test_bool_labels_rejected_as_a_scalar_label_is(self):
+        # numpy reads True as 1: without the check a bool array counts as +1 labels
+        for labels in ([True, True], np.array([False, True])):
+            with pytest.raises(ValueError, match="^labels must be -1 or \\+1, got bools$"):
+                _label_counts(labels)
+            with pytest.raises(ValueError, match="^labels must be -1 or \\+1, got bools$"):
+                empirical_distribution(labels)
         np.testing.assert_array_equal(empirical_distribution([-1.0, 1.0, 1.0, 1.0]).probs, [0.25, 0.75])
 
 

@@ -27,7 +27,7 @@ from noisylab import (
     smoothed_label,
 )
 from noisylab.noise import _label_to_index
-from noisylab.treatments import _as_loss_vector, _peer_instance_objective
+from noisylab.treatments import _peer_instance_objective
 
 SYMM_02 = BinaryNoiseRates(0.2, 0.2)
 
@@ -169,18 +169,13 @@ class TestLcLossVector:
     def test_input_validation(self):
         with pytest.raises(TypeError):
             lc_loss_vector([1.0, 0.0], "rates")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a loss vector has two entries, got 3$"):
             lc_loss_vector([1.0, 0.0, 2.0], SYMM_02)
-        with pytest.raises(ValueError):
-            _as_loss_vector([1.0])
-        with pytest.raises(ValueError):
-            _as_loss_vector([np.inf, 0.0])
-        with pytest.raises(ValueError):
-            _as_loss_vector([0.0, np.nan])
-        with pytest.raises(ValueError):
-            _as_loss_vector([1.0, -np.inf])
-        with pytest.raises(ValueError):
-            _as_loss_vector([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="^a loss vector has two entries, got 1$"):
+            lc_loss_vector([1.0], SYMM_02)
+        for loss in ([np.inf, 0.0], [0.0, np.nan], [1.0, -np.inf]):
+            with pytest.raises(ValueError, match="^loss vector entries must be finite$"):
+                lc_loss_vector(loss, SYMM_02)
 
 
 class TestLcEmpiricalLoss:
@@ -213,6 +208,9 @@ class TestLcEmpiricalLoss:
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             lc_empirical_loss([1.5, -1.0], SYMM_02, [2.0, 0.1])
+        # True is 1 to numpy, but no label, as memorization_error's y
+        with pytest.raises(ValueError, match="^labels must be -1 or \\+1, got bools$"):
+            lc_empirical_loss([True], BinaryNoiseRates(0.1, 0.1), [1.0, 0.0])
         assert lc_empirical_loss([1.0, 1.0, -1.0], SYMM_02, [2.0, 0.1]) == lc_empirical_loss(
             [1, 1, -1], SYMM_02, [2.0, 0.1]
         )
@@ -305,8 +303,11 @@ class TestCompareLsLc:
 
     def test_parameter_validation(self):
         dist = LabelDist(np.array([0.4, 0.6]))
-        with pytest.raises(ValueError):
+        # a is a scenario's smoothing_a, open at both ends, though smoothed_label takes 0 and 1
+        with pytest.raises(ValueError, match="^a: must be > 0.0, got 0.0$"):
             compare_ls_lc(dist, 1, SYMM_02, 0.0)
+        with pytest.raises(ValueError, match="^a: must be < 1.0, got 1.0$"):
+            compare_ls_lc(dist, 1, SYMM_02, 1.0)
         with pytest.raises(ValueError):
             compare_ls_lc(LabelDist(np.ones(3) / 3.0), 0, SYMM_02, 0.1)
 
@@ -382,8 +383,15 @@ class TestPeerExpectedLoss:
             peer_expected_loss(np.array([[0.5, 0.6]]), np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
             peer_expected_loss(_random_joint(rng, 2), np.array([[0.9, 0.2], [0.5, 0.5]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^q_min: must be < 0.5, got 0.6$"):
             peer_expected_loss(_random_joint(rng, 2), _random_predictor(rng, 2), q_min=0.6)
+        with pytest.raises(ValueError, match="^q_min: must be > 0.0, got 0.0$"):
+            peer_expected_loss(_random_joint(rng, 2), _random_predictor(rng, 2), q_min=0.0)
+        # the tables are binary: an (X, 3) pair, or a flat one, is no peer table
+        for joint, predictor in ((_random_joint(rng, 2, 3), _random_predictor(rng, 2, 3)),
+                                 (np.array([0.5, 0.5]), np.array([0.5, 0.5]))):
+            with pytest.raises(ValueError, match="^joint and predictor must be matching \\(X, 2\\) tables"):
+                peer_expected_loss(joint, predictor)
         # NaN passes the sign and sum checks, so each table is checked finite first
         nan = float("nan")
         with pytest.raises(ValueError, match="^joint entries must be finite$"):
