@@ -45,6 +45,8 @@ _TABLES = "tests/test_mcsim.py::TestOutcomeTables::"
 _WORKERS = "tests/test_mcsim.py::TestDeterminism::test_worker_count_never_changes_the_tally"
 _SCHEDULE = "tests/test_mcsim.py::TestSchedule::"
 _PEER_CHECKS = "tests/test_treatments.py::TestPeerExpectedLoss::test_input_validation"
+_BOOLS = "tests/test_memorize.py::TestEmpiricalDistribution::test_bool_labels_rejected_as_a_scalar_label_is"
+_VACUOUS = "tests/test_cli.py::TestQuietRuns::test_single_appearance_writes_a_vacuous_small_l_row"
 
 # (file under src/, old text, new text, reason, killing node ids)
 MUTANTS = [
@@ -94,6 +96,15 @@ MUTANTS = [
     (FREQ, "if n_values == 1:", "if n_values == 0:",
      "the one-value check disabled: a point-mass prior's moments take -inf - -inf",
      ["tests/test_cli.py::TestQuietRuns::test_a_one_value_prior_writes_the_point_mass"]),
+    # freqmodel._TAU_FORMS: each form's smallest asserted l
+    (FREQ, "lambda n, l: 0.4 * (l * (l - 1.0)) / (n * (n - 1.0)), 1),",
+     "lambda n, l: 0.4 * (l * (l - 1.0)) / (n * (n - 1.0)), 2),",
+     "the large-l bound's row at l = 1 no longer asserted",
+     [_VACUOUS]),
+    (FREQ, "lambda n, l: 0.4 * ((l - 1.0) / (n - 1.0)) * (1.1 ** -l), 2),",
+     "lambda n, l: 0.4 * ((l - 1.0) / (n - 1.0)) * (1.1 ** -l), 1),",
+     "the small-l bound asserted at l = 1, where it is vacuous",
+     [_VACUOUS]),
     # bounds._FORMS: each form's e_y domain
     (BOUNDS, "(lambda e: (0.0 < e) & (e <= 0.5), (1, 0, 0, 0)",
      "(lambda e: (0.0 <= e) & (e <= 0.5), (1, 0, 0, 0)",
@@ -189,9 +200,15 @@ MUTANTS = [
      "the finite-pair check reads only the first entry",
      ["tests/test_treatments.py::TestLcLossVector::test_input_validation",
       "tests/test_memorize.py"]),
-    (MEMO, "if raw.dtype == bool:", "if raw.dtype == object:",
-     "bool label arrays count True as +1",
-     ["tests/test_memorize.py::TestEmpiricalDistribution::test_bool_labels_rejected_as_a_scalar_label_is"]),
+    (MEMO, "isinstance(v, (bool, np.bool_))", "isinstance(v, np.bool_)",
+     "bool label arrays and lists count True as +1",
+     [_BOOLS]),
+    (MEMO, "for v in np.asarray(labels, dtype=object).flat", "for v in raw",
+     "the bool check reads numpy's conversion, where a list mixing bools and numbers has none",
+     [_BOOLS]),
+    (MEMO, "isinstance(v, (bool, np.bool_))", "isinstance(v, bool)",
+     "a numpy bool mixed into a label list counts as +1",
+     [_BOOLS]),
     (FREQ, "elif n * cap <= total * (1.0 + _FILL_TOL):", "elif total - n * cap >= -1e-15:",
      "the all-at-cap test back on an absolute 1e-15 slack",
      ["tests/test_freqmodel.py::TestCapped::test_a_cap_an_ulp_past_the_total_pins_every_entry"]),

@@ -287,8 +287,8 @@ def _tau_rows(doc: dict, prior: PriorSpec, ls: list[int]) -> list[dict]:
     rows = []
     for est in estimates:
         mc = {} if est.mc is None else {
-            "mc_estimate": est.mc, "ci_lo": est.mc - _Z_95 * est.mc_stderr,
-            "ci_hi": est.mc + _Z_95 * est.mc_stderr}
+            "mc_estimate": est.mc.value, "ci_lo": est.mc.value - _Z_95 * est.mc.stderr,
+            "ci_hi": est.mc.value + _Z_95 * est.mc.stderr}
         rows += [{"l": est.l, "n": n, "treatment": "tau", **mc, **_bound_cells(est.exact, bound)}
                  for bound in est.bounds]
     return rows

@@ -85,21 +85,13 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class TauEstimate:
-    """Importance weight of l-appearance instances, all routes side by side."""
+    """Importance weight of l-appearance instances, all routes side by side: the exact
+    tau_l, the _TAU_FORMS lower bounds in table order, and the normalized-mode MC tau or None."""
 
     l: int
     exact: float
-    lower_large: float
-    lower_small: float
-    mc: float | None = None
-    mc_stderr: float | None = None
-    regime_ok: bool = True
-
-    @property
-    def bounds(self) -> tuple[BoundValue, BoundValue]:
-        """Both lower bounds, asserted where regime_ok holds; the small-l one, vacuous at l = 1, past it."""
-        return (BoundValue(BoundKind.TAU_LOWER_LARGE, self.lower_large, self.regime_ok),
-                BoundValue(BoundKind.TAU_LOWER_SMALL, self.lower_small, self.regime_ok and self.l > 1))
+    bounds: tuple[BoundValue, BoundValue]
+    mc: McEstimate | None = None
 
 
 def _array_violations(values: np.ndarray) -> list[str]:
@@ -400,15 +392,32 @@ def _tau_mc(lnum: np.ndarray, lden: np.ndarray) -> McEstimate:
     return McEstimate(value=value, stderr=stderr)
 
 
+# Per tau_l lower bound (Feldman 2020): the frequency window it weighs, as a function of
+# (n, l), which may end past 1, where no realized D lies; its factor on that weight, in the
+# form's float operations; and the smallest l it is asserted at, below which it is 0.
+_TAU_FORMS = {
+    BoundKind.TAU_LOWER_LARGE: (
+        lambda n, l: ((2.0 / 3.0) * (l - 1.0) / (n - 1.0), (4.0 / 3.0) * l / n),
+        lambda n, l: 0.4 * (l * (l - 1.0)) / (n * (n - 1.0)), 1),
+    BoundKind.TAU_LOWER_SMALL: (
+        lambda n, l: (0.7 * ((l - 1.0) / (n - 1.0)), (4.0 / 3.0) * ((l - 1.0) / (n - 1.0))),
+        lambda n, l: 0.4 * ((l - 1.0) / (n - 1.0)) * (1.1 ** -l), 2),
+}
+
+
+def _tau_lower(kind: BoundKind, n: int, l: int, weight_value: float) -> float:
+    raise_first(parse_tau({"n": n, "l": l})[1]
+                + field_violations({"weight_value": weight_value}, _WEIGHT_VALUE))
+    return _TAU_FORMS[kind][1](n, l) * weight_value
+
+
 def tau_lower_large(n: int, l: int, weight_value: float) -> float:
     """Large-regime lower bound 0.4 * l(l-1)/(n(n-1)) * weight_value.
 
     weight_value is weight(pi, [2/3 (l-1)/(n-1), 4/3 l/n]); asserted when
     n >= 1e3, N >= 1e2, l <= n/10, and pi_max <= 1/20.  Vacuous at l = 1.
     """
-    raise_first(parse_tau({"n": n, "l": l})[1]
-                + field_violations({"weight_value": weight_value}, _WEIGHT_VALUE))
-    return 0.4 * (l * (l - 1.0)) / (n * (n - 1.0)) * weight_value
+    return _tau_lower(BoundKind.TAU_LOWER_LARGE, n, l, weight_value)
 
 
 def tau_lower_small(n: int, l: int, weight_value: float) -> float:
@@ -418,56 +427,44 @@ def tau_lower_small(n: int, l: int, weight_value: float) -> float:
     geometric factor makes the bound less informative as l grows; at l = 1
     it is vacuous (zero).
     """
-    raise_first(parse_tau({"n": n, "l": l})[1]
-                + field_violations({"weight_value": weight_value}, _WEIGHT_VALUE))
-    return 0.4 * ((l - 1.0) / (n - 1.0)) * (1.1 ** -l) * weight_value
+    return _tau_lower(BoundKind.TAU_LOWER_SMALL, n, l, weight_value)
 
 
 def large_interval(n: int, l: int) -> tuple[float, float]:
     """Frequency window the large-regime bound weighs: [2/3 (l-1)/(n-1), 4/3 l/n]."""
     raise_first(parse_tau({"n": n, "l": l})[1])
-    return (2.0 / 3.0) * (l - 1.0) / (n - 1.0), (4.0 / 3.0) * l / n
-
-
-def _small_interval(n: int, l: int) -> tuple[float, float]:
-    """Frequency window the small-l bound weighs: [0.7, 4/3] * (l-1)/(n-1)."""
-    base = (l - 1.0) / (n - 1.0)
-    return 0.7 * base, (4.0 / 3.0) * base
+    return _TAU_FORMS[BoundKind.TAU_LOWER_LARGE][0](n, l)
 
 
 def estimate_taus(prior: PriorSpec, n: int, ls: list[int], rng: np.random.Generator, *,
                   mc_replicates: int = 0, weight_replicates: int = 10**4) -> list[TauEstimate]:
     """Exact tau, optional normalized-mode MC, and both lower bounds, per l.
 
-    The bounds need weight(pi, .) over each l's two frequency windows (only
-    the large one at l = 1, where the small-l bound is vacuous).  Every
-    window and the MC moments of every l are reduced from one batch of
-    max(mc_replicates, weight_replicates) realizations drawn from rng, in
-    chunks of whole rows sized by the element budget _CHUNK_ELEMENTS: the
-    windows read the first weight_replicates rows and the MC route the first
-    mc_replicates rows (mc_replicates = 0 skips it).  The draws do not depend
-    on the chunking, so each l's estimate is the same whether it is requested
-    alone or with others, and the bound columns do not depend on
-    mc_replicates.  The first parse_tau message is raised as ValueError.
+    The first parse_tau message is raised as ValueError.  Each _TAU_FORMS
+    form weighs its window from its smallest l on, and its bound, its factor
+    times that weight, is asserted where prior.regime_ok(n, l) holds; below
+    that l it is 0 and not asserted.  One batch of max(mc_replicates,
+    weight_replicates) realizations, drawn from rng in chunks of whole rows
+    sized by _CHUNK_ELEMENTS, gives every window (its first weight_replicates
+    rows) and every l's MC moments (its first mc_replicates; 0 skips them).
+    The draws do not depend on the chunking, so each l's estimate is the same
+    alone or with other l, and the bounds do not depend on mc_replicates.
     """
     raise_first(parse_tau({"n": n, "l": list(ls), "mc_replicates": mc_replicates,
                            "weight_replicates": weight_replicates})[1])
-    exact = [tau_exact(prior, n, l) for l in ls]
-    windows = {(l, "large"): large_interval(n, l) for l in ls}
-    windows.update({(l, "small"): _small_interval(n, l) for l in ls if l > 1})
+    windows = {(l, kind): window(n, l) for l in ls
+               for kind, (window, _, least) in _TAU_FORMS.items() if l >= least}
     lnum, lden, masses = _realizations(
         prior, rng, n=n, ls=ls if mc_replicates else (), mc_replicates=mc_replicates,
-        windows=[(lo, min(hi, 1.0)) for lo, hi in windows.values()],
-        weight_replicates=weight_replicates,
-    )
+        windows=list(windows.values()), weight_replicates=weight_replicates)
     weight = {key: min(1.0, float(row.mean())) for key, row in zip(windows, masses)}
     out = []
     for i, l in enumerate(ls):
-        mc = _tau_mc(lnum[i], lden[i]) if mc_replicates else None
-        small = tau_lower_small(n, l, weight.get((l, "small"), 0.0))
-        out.append(TauEstimate(l, exact[i], tau_lower_large(n, l, weight[l, "large"]), small,
-                               mc.value if mc else None, mc.stderr if mc else None,
-                               prior.regime_ok(n, l)))
+        ok = prior.regime_ok(n, l)
+        bounds = tuple(BoundValue(kind, factor(n, l) * weight.get((l, kind), 0.0), ok and l >= least)
+                       for kind, (_, factor, least) in _TAU_FORMS.items())
+        out.append(TauEstimate(l, tau_exact(prior, n, l), bounds,
+                               _tau_mc(lnum[i], lden[i]) if mc_replicates else None))
     return out
 
 

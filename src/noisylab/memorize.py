@@ -57,13 +57,13 @@ class LabelDist:
 def _label_counts(labels) -> np.ndarray:
     """Counts of the observed -1 and +1 labels, in class-index order.
 
-    Integral floats such as 1.0 count as labels; a bool array, as a bool label,
-    and other values are rejected, never truncated.
+    Integral floats such as 1.0 count as labels; a bool anywhere in the input, as
+    a bool label, and other values are rejected, never truncated.
     """
     raw = np.asarray(labels).ravel()
     if raw.size == 0:
         raise ValueError("need at least one label")
-    if raw.dtype == bool:
+    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(labels, dtype=object).flat):
         raise ValueError("labels must be -1 or +1, got bools")
     arr = raw.astype(np.int64, copy=False)
     if arr is not raw and not np.array_equal(arr, raw):

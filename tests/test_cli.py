@@ -765,7 +765,8 @@ class TestOneOrderingRule:
     @pytest.mark.parametrize("gap, holds", [(1e-13, "true"), (1e-11, "false")])
     def test_rows_just_below_their_bounds_get_the_same_ordering(self, tmp_path, capsys,
                                                                  monkeypatch, gap, holds):
-        est = freqmodel.TauEstimate(l=2, exact=1e-3, lower_large=1e-3 + gap, lower_small=1e-3 + gap)
+        est = freqmodel.TauEstimate(l=2, exact=1e-3, bounds=tuple(
+            bounds.BoundValue(kind, 1e-3 + gap) for kind in freqmodel._TAU_FORMS))
         monkeypatch.setattr(cli, "estimate_taus", lambda *args, **kwargs: [est])
         config = _write_config(tmp_path, {"seed": 1, "n": 100, "l": [2],
                                           "prior": {"generator": "uniform", "n_values": 10}})

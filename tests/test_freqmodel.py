@@ -31,7 +31,10 @@ from noisylab import (
     tau_monte_carlo,
     weight_estimate,
 )
-from noisylab.freqmodel import _small_interval, estimate_tau, estimate_taus
+from noisylab.bounds import BoundKind
+from noisylab.freqmodel import _TAU_FORMS, estimate_tau, estimate_taus
+
+_SMALL_WINDOW = _TAU_FORMS[BoundKind.TAU_LOWER_SMALL][0]
 
 
 def _tau_two_values(a: float, k: int, b: float, slots: int, n: int, l: int) -> float:
@@ -385,7 +388,7 @@ class TestTauMonteCarlo:
         estimates = estimate_taus(prior, n, ls, np.random.default_rng(25), mc_replicates=40_000)
         for l, est in zip(ls, estimates):
             oracle = _tau_two_values(a, k, b, slots, n, l)
-            assert abs(est.mc - oracle) <= 4.0 * est.mc_stderr, (l, est.mc, oracle)
+            assert abs(est.mc.value - oracle) <= 4.0 * est.mc.stderr, (l, est.mc, oracle)
 
     def test_point_mass_replicates_are_constant(self):
         prior = PriorSpec(np.full(64, 0.015625))
@@ -432,7 +435,7 @@ class TestTauLowerBounds:
         lo, hi = large_interval(10_000, 100)
         np.testing.assert_allclose(lo, (2.0 / 3.0) * 99.0 / 9999.0, rtol=1e-14)
         np.testing.assert_allclose(hi, (4.0 / 3.0) * 100.0 / 10_000.0, rtol=1e-14)
-        lo, hi = _small_interval(1001, 5)
+        lo, hi = _SMALL_WINDOW(1001, 5)
         np.testing.assert_allclose(lo, 0.7 * 4.0 / 1000.0, rtol=1e-14)
         np.testing.assert_allclose(hi, (4.0 / 3.0) * 4.0 / 1000.0, rtol=1e-14)
 
@@ -443,9 +446,10 @@ class TestEstimateTau:
         rng = np.random.default_rng(11)
         for l in (2, 10, 100):
             est = estimate_tau(prior, 10_000, l, rng)
-            assert est.regime_ok
-            assert est.exact >= est.lower_large
-            assert est.exact >= est.lower_small
+            large, small = est.bounds
+            assert large.regime_ok and small.regime_ok
+            assert est.exact >= large.value
+            assert est.exact >= small.value
             assert est.mc is None
 
     def test_monte_carlo_route_attached_on_request(self):
@@ -453,18 +457,54 @@ class TestEstimateTau:
         est = estimate_tau(
             prior, 2000, 5, np.random.default_rng(12), mc_replicates=500
         )
-        assert est.mc is not None and est.mc_stderr is not None
-        assert abs(est.mc - est.exact) <= 6.0 * est.mc_stderr + 1e-4
+        assert est.mc is not None
+        assert abs(est.mc.value - est.exact) <= 6.0 * est.mc.stderr + 1e-4
 
     def test_single_appearance_flagged_vacuous(self):
         prior = build_prior("uniform", n=100)
         est = estimate_tau(prior, 1000, 1, np.random.default_rng(13))
         # the prior sits in the large-l regime, yet both bounds vanish at
-        # l = 1; the CLI writes the small-l row with regime_ok = false
-        assert est.regime_ok
-        assert est.lower_large == 0.0
-        assert est.lower_small == 0.0
+        # l = 1; the small-l one, below its smallest l, is not asserted
+        large, small = est.bounds
+        assert large.regime_ok and not small.regime_ok
+        assert large.value == 0.0
+        assert small.value == 0.0
         assert est.exact > 0.0
+
+    @pytest.mark.parametrize("prior", [build_prior("zipf", n=200, exponent=1.1, cap=0.05),
+                                       build_prior("zipf", n=2, exponent=20.0)],
+                             ids=["in-regime", "mass-near-1"])
+    def test_the_table_gives_the_public_bounds_bit_for_bit(self, prior):
+        n, ls, replicates, seed = 2000, [1, 2, 10, 200, 1600], 400, 29
+        # each form's window and factor on its weight, in the float operations written out
+        written = {
+            tau_lower_large: (lambda l: ((2.0 / 3.0) * (l - 1.0) / (n - 1.0), (4.0 / 3.0) * l / n),
+                              lambda l: 0.4 * (l * (l - 1.0)) / (n * (n - 1.0))),
+            tau_lower_small: (lambda l: (0.7 * ((l - 1.0) / (n - 1.0)),
+                                         (4.0 / 3.0) * ((l - 1.0) / (n - 1.0))),
+                              lambda l: 0.4 * ((l - 1.0) / (n - 1.0)) * (1.1 ** -l)),
+        }
+        for (window, factor, _), (want_window, want_factor) in zip(_TAU_FORMS.values(),
+                                                                   written.values()):
+            assert all(window(n, l) == want_window(l) and factor(n, l) == want_factor(l)
+                       for l in range(1, n + 1))
+        # the large window at l = 1600 ends above 1: estimate_taus weighs it unclipped where
+        # weight_estimate takes it clipped; on the two-value prior a realization mixing both
+        # values puts D = 1 - 2**-20 inside it
+        assert written[tau_lower_large][0](1600)[1] > 1.0
+        estimates = estimate_taus(prior, n, ls, np.random.default_rng(seed), mc_replicates=0,
+                                  weight_replicates=replicates)
+        weights = []
+        for l, est in zip(ls, estimates):
+            for bound, (public, (want_window, want_factor)) in zip(est.bounds, written.items()):
+                lo, hi = want_window(l)
+                weight = weight_estimate(prior, (lo, min(hi, 1.0)), replicates,
+                                         np.random.default_rng(seed)).value
+                weights.append(weight)
+                assert bound.value == public(n, l, weight) == want_factor(l) * weight, (l, bound)
+                # the small-l form is not asserted at l = 1, where it is vacuous
+                assert bound.regime_ok is (prior.regime_ok(n, l) and (public is tau_lower_large or l > 1))
+        assert any(weights)
 
 
 class _DrawRecorder:
@@ -511,7 +551,7 @@ def _masked_reference(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), we
 class TestBitIdentity:
     # (prior, n, ls, mc_replicates, windows, weight_replicates, rows per chunk or None)
     ODD = build_prior("zipf", n=199, exponent=1.1, cap=0.05)
-    WINDOWS = [large_interval(2000, 5), _small_interval(2000, 5), (0.0, 1.0), (0.5, 1.0)]
+    WINDOWS = [large_interval(2000, 5), _SMALL_WINDOW(2000, 5), (0.0, 1.0), (0.5, 1.0)]
     CASES = {
         "odd-slot-count": (ODD, 2000, [2, 5, 40], 500, WINDOWS, 500, None),
         "one-row-per-chunk": (ODD, 2000, [2, 5, 40], 30, WINDOWS, 30, 1),
@@ -562,11 +602,10 @@ class TestSharedRealizations:
 
     def test_bound_columns_do_not_depend_on_mc_replicates(self):
         def bounds(mc_replicates):
-            return [(e.exact, e.lower_large, e.lower_small)
-                    for e in self._taus(mc_replicates=mc_replicates)]
+            return [(e.exact, *e.bounds) for e in self._taus(mc_replicates=mc_replicates)]
 
         reference = bounds(0)
-        assert all(value > 0.0 for _, value, _ in reference)
+        assert all(large.value > 0.0 for _, large, _ in reference)
         for mc_replicates in (2, 300, 500, 1200):
             assert bounds(mc_replicates) == reference
 
@@ -629,5 +668,5 @@ class TestSharedRealizations:
         assert peak < 16 * 8 * prior.n_values
         assert 0.0 < weight.value <= 1.0
         for est in taus:
-            assert est.exact >= est.lower_large and est.exact >= est.lower_small
-            assert math.isfinite(est.mc) and est.mc_stderr > 0.0
+            assert all(est.exact >= bound.value for bound in est.bounds)
+            assert math.isfinite(est.mc.value) and est.mc.stderr > 0.0

@@ -273,7 +273,7 @@ def test_the_readme_states_the_export_count():
 # Members read only under a name that another exported class also has, with
 # the module that reads each one.
 SHARED_NAMES = {
-    "PriorSpec.regime_ok": "src/noisylab/freqmodel.py",  # TauEstimate.regime_ok is a field
+    "PriorSpec.regime_ok": "src/noisylab/freqmodel.py",  # BoundValue.regime_ok is a field
 }
 
 

@@ -89,8 +89,10 @@ class TestEmpiricalDistribution:
         np.testing.assert_array_equal(_label_counts(np.array([1.0, -1.0, 1.0])), [1, 2])
 
     def test_bool_labels_rejected_as_a_scalar_label_is(self):
-        # numpy reads True as 1: without the check a bool array counts as +1 labels
-        for labels in ([True, True], np.array([False, True])):
+        # numpy reads True as 1: without the check a bool array counts as +1 labels, and a
+        # list mixing bools and numbers turns into numbers before any dtype shows a bool
+        for labels in ([True, True], np.array([False, True]), [True, -1], [True, 1.0],
+                       [np.True_, -1], np.array([True, -1], dtype=object), [[-1], [False]]):
             with pytest.raises(ValueError, match="^labels must be -1 or \\+1, got bools$"):
                 _label_counts(labels)
             with pytest.raises(ValueError, match="^labels must be -1 or \\+1, got bools$"):

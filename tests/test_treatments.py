@@ -209,8 +209,9 @@ class TestLcEmpiricalLoss:
         with pytest.raises(ValueError, match="integer"):
             lc_empirical_loss([1.5, -1.0], SYMM_02, [2.0, 0.1])
         # True is 1 to numpy, but no label, as memorization_error's y
-        with pytest.raises(ValueError, match="^labels must be -1 or \\+1, got bools$"):
-            lc_empirical_loss([True], BinaryNoiseRates(0.1, 0.1), [1.0, 0.0])
+        for labels in ([True], [True, -1]):
+            with pytest.raises(ValueError, match="^labels must be -1 or \\+1, got bools$"):
+                lc_empirical_loss(labels, BinaryNoiseRates(0.1, 0.1), [1.0, 0.0])
         assert lc_empirical_loss([1.0, 1.0, -1.0], SYMM_02, [2.0, 0.1]) == lc_empirical_loss(
             [1, 1, -1], SYMM_02, [2.0, 0.1]
         )
