@@ -47,6 +47,7 @@ _SCHEDULE = "tests/test_mcsim.py::TestSchedule::"
 _PEER_CHECKS = "tests/test_treatments.py::TestPeerExpectedLoss::test_input_validation"
 _BOOLS = "tests/test_memorize.py::TestEmpiricalDistribution::test_bool_labels_rejected_as_a_scalar_label_is"
 _VACUOUS = "tests/test_cli.py::TestQuietRuns::test_single_appearance_writes_a_vacuous_small_l_row"
+_BOUNDS = "tests/test_bounds.py::"
 
 # (file under src/, old text, new text, reason, killing node ids)
 MUTANTS = [
@@ -124,6 +125,20 @@ MUTANTS = [
     (BOUNDS, "(_open_unit, (1, 1, 1, 0),", "(lambda e: (0.0 <= e) & (e < 1.0), (1, 1, 1, 0),",
      "the peer failure floor given at e_y = 0, outside its function's domain",
      [_OMITS, _NOISELESS]),
+    # bounds: the public functions' argument tables and the Hoeffding kernel
+    (BOUNDS, "lambda k, l: k <= l,", "lambda k, l: k <= l + 1,",
+     "binom_tail takes the threshold k = l + 1, past every count",
+     [_BOUNDS + "TestBinomTail::test_out_of_range_threshold_rejected"]),
+    (BOUNDS, '"e": Spec(lo=0.0, hi=0.5)', '"e": Spec(lo=0.0, hi=1.0)',
+     "lc_success_lower takes e past 1/2, where its margin 1/2 - e is negative",
+     [_BOUNDS + "TestSuccessLowerBound::test_rate_validation"]),
+    (BOUNDS, '"l": Spec("integer", lo=0), "p_opposite"', '"l": _COUNT, "p_opposite"',
+     "peer_success_lower rejects l = 0, where it is vacuously 0",
+     [_BOUNDS + "TestPeerBounds::test_zero_draws_is_vacuous"]),
+    (BOUNDS, "-math.expm1(-2.0 * l * margin ** 2)", "-math.expm1(-1.0 * l * margin ** 2)",
+     "Hoeffding's exponent loses its factor 2, in both success bounds",
+     [_BOUNDS + "TestSuccessLowerBound::test_anchor_values",
+      _BOUNDS + "TestPeerBounds::test_success_anchor"]),
     # mcsim._codes: each tie rule
     (MCSIM, "tied = (err_lc == err_ls) | ((e_plus == e_minus) & (np.abs(p_true - 0.5) <= _TIE_EPS))",
      "tied = (e_plus == e_minus) & (np.abs(p_true - 0.5) <= _TIE_EPS)",

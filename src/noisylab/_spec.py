@@ -66,7 +66,14 @@ class Spec:
 
 
 _COUNT = Spec("integer", lo=1)
+_UNIT = Spec(lo=0.0, hi=1.0)
 _OPEN_UNIT = Spec(lo=0.0, hi=1.0, lo_open=True, hi_open=True, required=False)
+_RATE = Spec(lo=0.0, hi=1.0, hi_open=True)
+_RATE_FIELDS = {"e_plus": _RATE, "e_minus": _RATE}
+_RATE_RULES = {  # see noise.BinaryNoiseRates for why the sum stays below 1
+    "e_minus": ("e_plus", ("e_plus", "e_minus"), lambda a, b: a + b < 1.0,
+                lambda a, b: f"e_plus + e_minus must be < 1, got {a + b}"),
+}
 
 
 def field_violations(values, fields: dict, rules: dict | None = None, path: str = "") -> list[str]:

@@ -7,7 +7,8 @@ bounds are stated for the tie-inclusive complement (wrong >= l/2) and are
 only asserted as true lower bounds at even l, where the tie carries the
 mass the l/sqrt term needs.  Odd-l values are still computed for reporting
 but carry regime_ok=False.  The exact tails use scipy.special, which
-_special imports on first use.
+_special imports on first use.  A public function checks its arguments against
+a _spec table, where no bool (numpy's included) is a number, then calls its kernel.
 """
 from __future__ import annotations
 
@@ -15,16 +16,14 @@ import enum
 import math
 from dataclasses import dataclass
 
-from ._spec import _TYPES
+from ._spec import _COUNT, _OPEN_UNIT, _RATE_FIELDS, _RATE_RULES, _UNIT, Spec, field_violations, raise_first
 
-# _spec's integer types, tested after a plain int: sweep runs the closed forms per scenario
-_INTEGER = _TYPES["integer"]
-
-
-def _check_l(l, lo: int = 1) -> None:
-    """Raise unless the draw count l is an integer >= lo."""
-    if type(l) is not int and (isinstance(l, bool) or not isinstance(l, _INTEGER)) or l < lo:
-        raise ValueError(f"l must be an integer >= {lo}, got {l!r}")
+# each public function's arguments, in its signature's order
+_TAIL = {"l": _COUNT, "p": _UNIT, "k": Spec("integer", lo=0)}
+_TAIL_RULES = {"k": ("k", ("k", "l"), lambda k, l: k <= l, lambda k, l: f"must be <= l, got k={k}, l={l}")}
+_SUCCESS = {"l": _COUNT, "e": Spec(lo=0.0, hi=0.5)}
+_FAILURE = {"l": _COUNT, "e": _OPEN_UNIT}
+_PEER_SUCCESS = {"l": Spec("integer", lo=0), "p_opposite": _OPEN_UNIT, **_RATE_FIELDS}
 
 
 def _special():
@@ -63,8 +62,9 @@ class BoundValue:
     regime_ok: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:  # NaN fails too
-            raise ValueError(f"{self.kind.value} bound must lie in [0, 1], got {self.value}")
+        message = _UNIT.violation(self.value)  # not field_violations: a grid builds tens of thousands
+        if message is not None:
+            raise ValueError(f"{self.kind.value}.value: {message}")
 
 
 _ORDER_SLACK = 1e-12  # a bound met with equality may round a few ulps above an exact tail
@@ -87,14 +87,21 @@ def binom_tail(l: int, p: float, k: int) -> float:
     (Abramowitz & Stegun 26.5.24) gives it as one regularized incomplete beta
     call, accurate to a few ulps in relative terms even in deep tails.
     """
-    _check_l(l)
-    if isinstance(p, bool) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if type(k) is not int and (isinstance(k, bool) or not isinstance(k, _INTEGER)) or not 0 <= k <= l:
-        raise ValueError(f"threshold must be an integer in [0, l], got k={k!r} with l={l}")
+    raise_first(field_violations({"l": l, "p": p, "k": k}, _TAIL, _TAIL_RULES))
     if k == 0:
         return 1.0
     return float(_special().betainc(k, l - k + 1, p))
+
+
+def _hoeffding(l, margin):
+    """Hoeffding's floor 1 - exp(-2 l margin^2) on l draws whose mean clears a threshold by margin."""
+    return -math.expm1(-2.0 * l * margin ** 2)
+
+
+def _kl_floor(l, e):
+    """The anti-concentration floor exp(-l KL(1/2 || e)) / sqrt(2l); see lc_failure_lower."""
+    kl = 0.5 * math.log(0.5 / e) + 0.5 * math.log(0.5 / (1.0 - e))
+    return math.exp(-l * kl) / math.sqrt(2.0 * l)
 
 
 def lc_success_lower(l: int, e: float) -> float:
@@ -104,10 +111,8 @@ def lc_success_lower(l: int, e: float) -> float:
     label when each flips independently with rate e <= 1/2.  At e = 1/2 the
     bound is vacuously 0.
     """
-    _check_l(l)
-    if isinstance(e, bool) or not 0.0 <= e <= 0.5:
-        raise ValueError(f"e must lie in [0, 1/2], got {e!r}")
-    return -math.expm1(-2.0 * l * (0.5 - e) ** 2)
+    raise_first(field_violations({"l": l, "e": e}, _SUCCESS))
+    return _hoeffding(l, 0.5 - e)
 
 
 def lc_failure_lower(l: int, e: float) -> float:
@@ -117,11 +122,8 @@ def lc_failure_lower(l: int, e: float) -> float:
     P[Bin(l, e) >= l/2]; asserted only at even l, where the tie point k=l/2
     is part of the event.  Requires e in (0, 1).
     """
-    _check_l(l)
-    if isinstance(e, bool) or not _open_unit(e):
-        raise ValueError(f"e must lie in (0, 1), got {e!r}")
-    kl = 0.5 * math.log(0.5 / e) + 0.5 * math.log(0.5 / (1.0 - e))
-    return math.exp(-l * kl) / math.sqrt(2.0 * l)
+    raise_first(field_violations({"l": l, "e": e}, _FAILURE))
+    return _kl_floor(l, e)
 
 
 def peer_success_lower(l: int, p_opposite: float, e_plus: float, e_minus: float) -> float:
@@ -134,13 +136,9 @@ def peer_success_lower(l: int, p_opposite: float, e_plus: float, e_minus: float)
     arXiv 1910.03231).  The bound weakens as the margin shrinks and is
     vacuously 0 at l = 0.
     """
-    _check_l(l, 0)
-    if isinstance(p_opposite, bool) or not 0.0 < p_opposite < 1.0:
-        raise ValueError(f"p_opposite must lie in (0, 1), got {p_opposite!r}")
-    if (isinstance(e_plus, bool) or isinstance(e_minus, bool)
-            or not (0.0 <= e_plus < 1.0 and 0.0 <= e_minus < 1.0 and e_plus + e_minus < 1.0)):
-        raise ValueError(f"e_plus, e_minus must lie in [0, 1) and sum below 1, got {e_plus!r}, {e_minus!r}")
-    return -math.expm1(-2.0 * l * (p_opposite * (1.0 - e_plus - e_minus)) ** 2)
+    args = {"l": l, "p_opposite": p_opposite, "e_plus": e_plus, "e_minus": e_minus}
+    raise_first(field_violations(args, _PEER_SUCCESS, _RATE_RULES))
+    return _hoeffding(l, p_opposite * (1.0 - e_plus - e_minus))
 
 
 def peer_failure_lower(l: int, e: float) -> float:
@@ -157,14 +155,13 @@ def peer_failure_lower(l: int, e: float) -> float:
 # A scenario report's closed forms, by kind: the e_y it is given at, as an elementwise test,
 # its function's domain but for Hoeffding's e_y = 0, where every loss-correction trial ties;
 # the regime its ordering needs, as flags: equal rates, even l, p_plus = 1/2 and a positive
-# peer margin; and the form, called with (l, e_y, p_opposite, e_plus, e_minus).
+# peer margin; and the form's kernel, on (l, e_y, p_opposite, e_plus, e_minus) unchecked:
+# InstanceScenario has checked them, and the e_y test gates every call.
 _FORMS = {
     BoundKind.HOEFFDING_SUCCESS: (lambda e: (0.0 < e) & (e <= 0.5), (1, 0, 0, 0),
-                                  lambda l, e, p, a, b: lc_success_lower(l, e)),
-    BoundKind.BINOMIAL_FAILURE_LOWER: (_open_unit, (1, 1, 0, 0),
-                                       lambda l, e, p, a, b: lc_failure_lower(l, e)),
+                                  lambda l, e, p, a, b: _hoeffding(l, 0.5 - e)),
+    BoundKind.BINOMIAL_FAILURE_LOWER: (_open_unit, (1, 1, 0, 0), lambda l, e, p, a, b: _kl_floor(l, e)),
     BoundKind.PEER_SUCCESS: (lambda e: (0.0 <= e) & (e < 1.0), (0, 0, 0, 1),
-                             lambda l, e, p, a, b: peer_success_lower(l, p, a, b)),
-    BoundKind.PEER_FAILURE_LOWER: (_open_unit, (1, 1, 1, 0),
-                                   lambda l, e, p, a, b: peer_failure_lower(l, e)),
+                             lambda l, e, p, a, b: _hoeffding(l, p * (1.0 - a - b))),
+    BoundKind.PEER_FAILURE_LOWER: (_open_unit, (1, 1, 1, 0), lambda l, e, p, a, b: _kl_floor(l, e)),
 }

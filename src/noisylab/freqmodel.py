@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._spec import _COUNT, Spec, field_violations, raise_first, reads, unknown_fields
+from ._spec import _COUNT, _UNIT, Spec, field_violations, raise_first, reads, unknown_fields
 from .bounds import BoundKind, BoundValue
 
 # Prior draws per chunk.  A float64 chunk buffer is then 256 KB, within a
@@ -270,7 +270,7 @@ def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight
 # run holds 16 B per Monte-Carlo replicate per l and 32 B more while it reduces them,
 # 16 B per weight replicate per l, and a weight run 10 B per replicate.
 _MC_REPLICATES = Spec("integer", lo=2, hi=2**24)
-_WEIGHT_VALUE = {"weight_value": Spec(lo=0.0, hi=1.0)}
+_WEIGHT_VALUE = {"weight_value": _UNIT}
 # tau config fields, checked before l; mc_replicates = 0 skips Monte Carlo
 _TAU_FIELDS = {
     "n": Spec("integer", lo=2, hi=2**53),  # used as a float; the windows divide by n - 1

@@ -48,9 +48,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from ._spec import _COUNT, _OPEN_UNIT, Spec, field_violations, raise_first, unknown_fields
+from ._spec import _COUNT, _OPEN_UNIT, _RATE_FIELDS, _RATE_RULES, Spec, field_violations, raise_first, unknown_fields
 from .bounds import _FORMS, BoundKind, BoundValue, _special, ordering_holds
-from .noise import _LABEL, _RATE_FIELDS, _RATE_RULES
+from .noise import _LABEL
 from .treatments import _TIE_EPS
 
 STREAM_VERSION = 11  # the README's Determinism section says what each version changed

@@ -11,22 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spec import _COUNT, Spec, field_violations, raise_first
+from ._spec import _COUNT, _RATE_FIELDS, _RATE_RULES, _UNIT, Spec, field_violations, raise_first
 from .bounds import _special
 
 _RATE_CEIL = 1.0 - 1e-6
 _LABEL = {"y": Spec(choices=(-1, 1))}  # a bool or a float equal to a label is not one
 
-_RATE = Spec(lo=0.0, hi=1.0, hi_open=True)
-_RATE_FIELDS = {"e_plus": _RATE, "e_minus": _RATE}
-_RATE_RULES = {  # see BinaryNoiseRates for why the sum stays below 1
-    "e_minus": ("e_plus", ("e_plus", "e_minus"), lambda a, b: a + b < 1.0,
-                lambda a, b: f"e_plus + e_minus must be < 1, got {a + b}"),
-}
 # q's window [0, 1] spans 1 / sigma standard deviations, so its uniforms span about
 # 0.4 / sigma next to 0.5, where doubles lie 2**-53 apart: 3.6e9 > 2**31 distinct q at 1e6
 _SYNTH_FIELDS = {
-    "epsilon": Spec(lo=0.0, hi=1.0),
+    "epsilon": _UNIT,
     "sigma": Spec(lo=0.0, lo_open=True, hi=1e6, required=False),
 }
 _NORMAL = {"mean": Spec(), "sd": Spec(lo=0.0, lo_open=True), "size": Spec("integer", lo=0, nullable=True)}

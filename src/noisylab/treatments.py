@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._spec import _OPEN_UNIT, Spec, field_violations, raise_first
+from ._spec import _OPEN_UNIT, _UNIT, Spec, field_violations, raise_first
 from .memorize import LabelDist, _finite_pair, _label_counts, memorization_error
 from .noise import _LABEL, BinaryNoiseRates
 
@@ -27,8 +27,8 @@ _TIE_EPS = 1e-12
 # far more than an ulp; looser than _TIE_EPS, since no decision reads the sum
 _SUM_TOL = 1e-9
 # the comparators' scalar arguments, each checked where it is given
-_UNIT = Spec(lo=0.0, hi=1.0, required=False)
-_ARGUMENTS = {"a": _UNIT, "global_noisy_positive_rate": _UNIT, "global_rate": _UNIT,
+_GIVEN_UNIT = replace(_UNIT, required=False)
+_ARGUMENTS = {"a": _GIVEN_UNIT, "global_noisy_positive_rate": _GIVEN_UNIT, "global_rate": _GIVEN_UNIT,
               "predicted": replace(_LABEL["y"], required=False), "grid_points": Spec("integer", lo=3, required=False),
               "q_min": replace(_OPEN_UNIT, hi=0.5)}
 

@@ -366,12 +366,13 @@ CALLS = [
 ]
 INTEGERS = {"l", "k", "size", "dim", "y", "n", "trials", "seed", "workers", "predicted",
             "grid_points", "replicates"}
+BAD = (True, np.True_, np.False_, float("nan"), float("inf"), -float("inf"))  # numpy bools are not numbers either
 for call, kwargs, probed in CALLS:
     name = call.__qualname__
     print(json.dumps([name, "valid"]), flush=True)
     call(**kwargs)
     for arg in probed.split():
-        for bad in (True, float("nan"), float("inf"), -float("inf")) + (2.5,) * (arg in INTEGERS):
+        for bad in BAD + (2.5,) * (arg in INTEGERS):
             label = f"{name}({arg}={bad!r})"
             print(json.dumps([label, "called"]), flush=True)
             try:
@@ -399,4 +400,4 @@ def test_every_scalar_argument_rejects_bools_nan_infinities_and_fractions(tmp_pa
         outcomes[json.loads(stdout.splitlines()[-1])[0]] = "timed out"
     assert {label: outcome for label, outcome in outcomes.items()
             if outcome not in ("ValueError", "valid")} == {}
-    assert len(outcomes) == 332  # 27 valid calls and 305 probes
+    assert len(outcomes) == 466  # 27 valid calls and 439 probes

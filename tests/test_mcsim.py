@@ -1604,6 +1604,37 @@ class TestBoundReport:
             else:
                 assert check.bound.kind is kind, check
 
+    def test_report_bounds_are_the_public_functions_bit_for_bit(self):
+        # the report calls the forms' kernels unchecked; each value must still be the
+        # public function's on the same arguments, at e_y = 0, 1/2 and just past 1/2 too
+        rng = np.random.default_rng(35)
+        e_ys = [0.0, 0.5, math.nextafter(0.5, 1.0)]
+        scenarios = []
+        for i in range(200):
+            e_y = e_ys[i % 4] if i % 4 < 3 else float(rng.uniform(0.0, 0.9))
+            equal = i % 5 == 0 and e_y < 0.5  # some equal rates
+            e_other = e_y if equal else float(rng.uniform(0.0, 0.95 - e_y))
+            y = 1 if i % 2 else -1
+            e_plus, e_minus = (e_y, e_other) if y == 1 else (e_other, e_y)
+            p_plus = 0.5 if i % 3 == 0 else float(rng.uniform(0.01, 0.99))
+            scenarios.append(InstanceScenario(l=int(rng.integers(1, 300)), y=y, e_plus=e_plus,
+                                              e_minus=e_minus, p_plus=p_plus))
+        public = {
+            BoundKind.HOEFFDING_SUCCESS: lambda s, p: lc_success_lower(s.l, s.e_y),
+            BoundKind.BINOMIAL_FAILURE_LOWER: lambda s, p: lc_failure_lower(s.l, s.e_y),
+            BoundKind.PEER_SUCCESS: lambda s, p: peer_success_lower(s.l, p, s.e_plus, s.e_minus),
+            BoundKind.PEER_FAILURE_LOWER: lambda s, p: peer_failure_lower(s.l, s.e_y),
+        }
+        compared = dict.fromkeys(public, 0)
+        for s, report in zip(scenarios, sweep(scenarios, trials=10, seed=8), strict=True):
+            p_opposite = s.p_minus if s.y == 1 else s.p_plus
+            for check in report.checks:
+                if check.bound is not None:
+                    assert check.bound.value == public[check.bound.kind](s, p_opposite), (s, check)
+                    compared[check.bound.kind] += 1
+        # Hoeffding's, omitted at e_y = 0 and past 1/2, on the fewest: every e_y = 1/2 and some others
+        assert min(compared.values()) > 50, compared
+
     def test_heavy_noise_drops_the_success_bound(self):
         s = InstanceScenario(l=4, y=1, e_plus=0.6, e_minus=0.3)
         report = bound_report(s, trials=1000, seed=2)
