@@ -48,6 +48,11 @@ _PEER_CHECKS = "tests/test_treatments.py::TestPeerExpectedLoss::test_input_valid
 _BOOLS = "tests/test_memorize.py::TestEmpiricalDistribution::test_bool_labels_rejected_as_a_scalar_label_is"
 _VACUOUS = "tests/test_cli.py::TestQuietRuns::test_single_appearance_writes_a_vacuous_small_l_row"
 _BOUNDS = "tests/test_bounds.py::"
+_REGIME = "tests/test_freqmodel.py::TestPriorSpec::test_regime_flag_thresholds"
+_ONE_L = "tests/test_freqmodel.py::TestTauLowerBounds::test_every_function_of_one_l_takes_one_integer_up_to_n"
+_PROBE = "tests/test_imports.py::test_every_scalar_argument_rejects_bools_nan_infinities_and_fractions"
+_TAU_CEILINGS = "tests/test_cli.py::TestValidateConfig::test_tau_ceilings_admit_their_edges"
+_PAST_CEILING = "tests/test_cli.py::TestValidateCommand::test_a_tau_config_past_its_memory_ceiling_exits_2"
 
 # (file under src/, old text, new text, reason, killing node ids)
 MUTANTS = [
@@ -97,6 +102,44 @@ MUTANTS = [
     (FREQ, "if n_values == 1:", "if n_values == 0:",
      "the one-value check disabled: a point-mass prior's moments take -inf - -inf",
      ["tests/test_cli.py::TestQuietRuns::test_a_one_value_prior_writes_the_point_mass"]),
+    # freqmodel.PriorSpec.regime_ok: the tau bounds' four regime thresholds
+    (FREQ, "n >= _REGIME_MIN_N", "n > _REGIME_MIN_N",
+     "n = 1000 falls out of the regime",
+     [_REGIME]),
+    (FREQ, "self.n_values >= _REGIME_MIN_VALUES", "self.n_values > _REGIME_MIN_VALUES",
+     "a prior of 100 values falls out of the regime",
+     [_REGIME]),
+    (FREQ, "and l <= n / 10", "and l < n / 10",
+     "l = n / 10 falls out of the regime",
+     [_REGIME]),
+    (FREQ, "<= _REGIME_PI_MAX + _PI_MAX_TOL", "<= _REGIME_PI_MAX",
+     "a largest value an ulp past 1/20, as a built prior may round, falls out of the regime",
+     [_REGIME]),
+    # freqmodel: a tau config's two memory ceilings, and the functions of one l
+    (FREQ, "if isinstance(ls, list) and len(ls) > _MAX_LS:",
+     "if isinstance(ls, list) and len(ls) > _MAX_LS + 1:",
+     "one l value past the count ceiling is admitted",
+     [_TAU_CEILINGS]),
+    (FREQ, "len(ls) * (mc + weight) > _MAX_L_REPLICATES", "len(ls) * mc > _MAX_L_REPLICATES",
+     "the pair ceiling counts Monte-Carlo replicates only",
+     [_TAU_CEILINGS]),
+    (FREQ, 'doc.get("weight_replicates", _WEIGHT_REPLICATES)', 'doc.get("weight_replicates", 0)',
+     "an absent weight_replicates counts as 0 pairs, not its default 10**4",
+     [_TAU_CEILINGS]),
+    (FREQ, '_POINT = {"n": replace(_TAU_FIELDS["n"], lo=1), "l": _COUNT,',
+     '_POINT = {"n": replace(_TAU_FIELDS["n"], lo=1),',
+     "tau_exact and tau_monte_carlo check no l: a list reaches numpy",
+     [_ONE_L, _PROBE]),
+    (FREQ, '_WINDOW = {"n": _TAU_FIELDS["n"], "l": _COUNT,', '_WINDOW = {"n": _TAU_FIELDS["n"], "l": Spec(),',
+     "tau_lower_large and large_interval take any number as l",
+     [_ONE_L]),
+    (FREQ, "lambda l, n: l <= n,", "lambda l, n: l <= n + 1,",
+     "the functions of one l take l = n + 1",
+     [_ONE_L]),
+    (FREQ, "masses[j, start : start + k] = selected / totals[:k]",
+     "masses[j, start : start + k] = selected",
+     "a window's captured mass is not divided by its realization's total, so it reads the prior's scale",
+     ["tests/test_relations.py::test_a_scaled_prior_writes_the_same_weight_cells"]),
     # freqmodel._TAU_FORMS: each form's smallest asserted l
     (FREQ, "lambda n, l: 0.4 * (l * (l - 1.0)) / (n * (n - 1.0)), 1),",
      "lambda n, l: 0.4 * (l * (l - 1.0)) / (n * (n - 1.0)), 2),",
@@ -181,6 +224,10 @@ MUTANTS = [
     (BOUNDS, "exact >= bound.value - _ORDER_SLACK", "exact >= bound.value + _ORDER_SLACK",
      "the ordering slack's sign flipped: a bound met with equality fails",
      [_REPORT + "test_tiny_equal_rates_keep_the_correction_bound"]),
+    (MCSIM, "args = (s.l, s.e_y, s.p_minus if s.y == 1 else s.p_plus, s.e_plus, s.e_minus)",
+     "args = (s.l, s.e_y, s.p_minus, s.e_plus, s.e_minus)",
+     "the peer success bound reads p_minus as p_opposite whatever the true label",
+     ["tests/test_relations.py::test_mirrored_labels_write_the_same_checks"]),
     (MCSIM, "_Z_95 = 1.959963984540054", "_Z_95 = 1.96",
      "the Wilson z rounded to 1.96",
      ["tests/test_mcsim.py::TestWilsonInterval::test_equals_the_formula_on_python_floats"]),

@@ -29,7 +29,6 @@ from .freqmodel import (
     large_interval,
     tau_exact,
     tau_lower_large,
-    tau_lower_small,
     tau_monte_carlo,
     weight_estimate,
 )

@@ -35,7 +35,7 @@ _CHUNK_ELEMENTS = 1 << 15
 _REGIME_MIN_N = 10**3
 _REGIME_MIN_VALUES = 10**2
 _REGIME_PI_MAX = 1.0 / 20.0
-_PI_MAX_TOL = 1e-15  # a prior built to pi_max = 1/20, as weights over their sum, may round above it
+_PI_MAX_TOL = 1e-15  # a prior built to max(pi) = 1/20, as weights over their sum, may round above it
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,13 @@ class PriorSpec:
     def n_values(self) -> int:
         return int(self.values.size)
 
-    def pi_max(self) -> float:
-        return float(self.values.max())
-
     def regime_ok(self, n: int, l: int) -> bool:
-        """Whether (n, N, l, pi_max) sit inside the asserted bound regime."""
+        """Whether (n, N, l, max(pi)) sit inside the asserted bound regime."""
         return (
             n >= _REGIME_MIN_N
             and self.n_values >= _REGIME_MIN_VALUES
             and l <= n / 10
-            and self.pi_max() <= _REGIME_PI_MAX + _PI_MAX_TOL
+            and float(self.values.max()) <= _REGIME_PI_MAX + _PI_MAX_TOL
         )
 
 
@@ -219,7 +216,7 @@ def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight
     lnum = np.empty((len(ls), mc_replicates))
     lden = np.empty_like(lnum)
     if n_values == 1:  # D = 1 in every realization: each moment is log 1 = 0, as at n == l,
-        lnum[:], lden[:], ls = 0.0, 0.0, ()  # so tau is the point mass 1, as tau_exact gives
+        lnum[:], lden[:], ls = 0.0, 0.0, ()  # so tau is the point mass 1
     masses = np.empty((len(windows), weight_replicates))
     total, step = max(mc_replicates, weight_replicates), max(1, _CHUNK_ELEMENTS // n_values)
     # one set of buffers for the whole batch, sliced per chunk; a window keeps
@@ -266,30 +263,39 @@ def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight
     return lnum, lden, masses
 
 
-# A standard error needs two replicates.  Every replicate count stops at 2**24: a tau
-# run holds 16 B per Monte-Carlo replicate per l and 32 B more while it reduces them,
-# 16 B per weight replicate per l, and a weight run 10 B per replicate.
+# A standard error needs two replicates.  A tau run holds 16 B per replicate per l, Monte
+# Carlo or weight, 32 B more per Monte-Carlo replicate while it reduces them, and 1.1 KiB
+# per l until the write; a weight run holds 10 B per replicate.  So, at most 1 GiB each,
+# a replicate count stops at 2**24, l values x replicates at 2**26 and l values at 2**19.
 _MC_REPLICATES = Spec("integer", lo=2, hi=2**24)
-_WEIGHT_VALUE = {"weight_value": _UNIT}
+_MAX_L_REPLICATES = 2**26
+_MAX_LS = 2**19
 # tau config fields, checked before l; mc_replicates = 0 skips Monte Carlo
 _TAU_FIELDS = {
     "n": Spec("integer", lo=2, hi=2**53),  # used as a float; the windows divide by n - 1
     "mc_replicates": replace(_MC_REPLICATES, lo=0, required=False),
     "weight_replicates": replace(_MC_REPLICATES, lo=1, required=False),
 }
-# tau_exact and tau_monte_carlo read no n - 1, so they take n = 1 too
-_N_AND_REPLICATES = {"n": replace(_TAU_FIELDS["n"], lo=1), "replicates": replace(_MC_REPLICATES, required=False)}
+_WEIGHT_REPLICATES = 10**4  # a tau run's weight_replicates where none is given
 _TAU_RULES = {
     "mc_replicates": ("mc_replicates", ("mc_replicates",),
                       lambda r: r == 0 or _MC_REPLICATES.violation(r) is None,
                       lambda r: f"must be 0 or >= {_MC_REPLICATES.lo}, got {r}"),
 }
+# One l is an integer in 1..n.  tau_exact and tau_monte_carlo read no n - 1, so take n = 1.
+_L_RULES = {"l": ("l", ("l", "n"), lambda l, n: l <= n, lambda l, n: f"must be <= n, got l={l}, n={n}")}
+_POINT = {"n": replace(_TAU_FIELDS["n"], lo=1), "l": _COUNT,
+          "replicates": replace(_MC_REPLICATES, required=False)}
+_WINDOW = {"n": _TAU_FIELDS["n"], "l": _COUNT, "weight_value": replace(_UNIT, required=False)}
 
 
 def _draw_counts(doc: dict) -> tuple[list | None, list[str]]:
-    """A config's l as a list, one integer standing for [l], or None and why it is not one."""
+    """A config's l as a list, one integer standing for [l], or None and why it is not one;
+    past _MAX_LS values, before any value is checked."""
     ls = doc.get("l")
     ls = [ls] if Spec("integer").violation(ls) is None else ls
+    if isinstance(ls, list) and len(ls) > _MAX_LS:
+        return None, [f"l: value count must be <= {_MAX_LS}, got {len(ls)}"]
     if not isinstance(ls, list) or not ls or any(map(_COUNT.violation, ls)):
         return None, ["l: must be a positive integer or nonempty list of them"]
     n = doc.get("n")
@@ -301,9 +307,14 @@ def _draw_counts(doc: dict) -> tuple[list | None, list[str]]:
 @reads(*_TAU_FIELDS, "l")
 def parse_tau(doc: dict) -> tuple[list | None, list[str]]:
     """A tau config's l as a list, or None, and one message per broken rule: n, the
-    replicate counts, then l."""
+    replicate counts, l, then, once all hold, _MAX_L_REPLICATES."""
     ls, violations = _draw_counts(doc)
-    return ls, field_violations(doc, _TAU_FIELDS, _TAU_RULES) + violations
+    violations = field_violations(doc, _TAU_FIELDS, _TAU_RULES) + violations
+    mc, weight = doc.get("mc_replicates", 0), doc.get("weight_replicates", _WEIGHT_REPLICATES)
+    if not violations and len(ls) * (mc + weight) > _MAX_L_REPLICATES:
+        violations = [f"l: values x (mc_replicates + weight_replicates) must be "
+                      f"<= {_MAX_L_REPLICATES}, got {len(ls)} x ({mc} + {weight})"]
+    return ls, violations
 
 
 _WEIGHT_FIELDS = {"replicates": _MC_REPLICATES}
@@ -347,7 +358,7 @@ def tau_exact(prior: PriorSpec, n: int, l: int) -> float:
     common factor cancels exactly, and cancelling it symbolically keeps the
     point-mass identity exact in floating point.
     """
-    raise_first(field_violations({"n": n}, _N_AND_REPLICATES) + _draw_counts({"n": n, "l": l})[1])
+    raise_first(field_violations({"n": n, "l": l}, _POINT, _L_RULES))
     values = prior.values
     first = values[0]
     if np.all(values == first):
@@ -372,8 +383,7 @@ def tau_monte_carlo(
     from the per-replicate (numerator, denominator) pairs rescaled by a
     common shift, which cancels in both.
     """
-    raise_first(field_violations({"n": n, "replicates": replicates}, _N_AND_REPLICATES)
-                + _draw_counts({"n": n, "l": l})[1])
+    raise_first(field_violations({"n": n, "l": l, "replicates": replicates}, _POINT, _L_RULES))
     lnum, lden, _ = _realizations(prior, rng, n=n, ls=[l], mc_replicates=replicates)
     return _tau_mc(lnum[0], lden[0])
 
@@ -405,39 +415,25 @@ _TAU_FORMS = {
 }
 
 
-def _tau_lower(kind: BoundKind, n: int, l: int, weight_value: float) -> float:
-    raise_first(parse_tau({"n": n, "l": l})[1]
-                + field_violations({"weight_value": weight_value}, _WEIGHT_VALUE))
-    return _TAU_FORMS[kind][1](n, l) * weight_value
-
-
 def tau_lower_large(n: int, l: int, weight_value: float) -> float:
     """Large-regime lower bound 0.4 * l(l-1)/(n(n-1)) * weight_value.
 
     weight_value is weight(pi, [2/3 (l-1)/(n-1), 4/3 l/n]); asserted when
-    n >= 1e3, N >= 1e2, l <= n/10, and pi_max <= 1/20.  Vacuous at l = 1.
+    n >= 1e3, N >= 1e2, l <= n/10, and max(pi) <= 1/20.  Vacuous at l = 1.
     """
-    return _tau_lower(BoundKind.TAU_LOWER_LARGE, n, l, weight_value)
-
-
-def tau_lower_small(n: int, l: int, weight_value: float) -> float:
-    """Small-l lower bound 0.4 * ((l-1)/(n-1)) * 1.1^-l * weight_value.
-
-    weight_value is weight(pi, [0.7 (l-1)/(n-1), 4/3 (l-1)/(n-1)]).  The
-    geometric factor makes the bound less informative as l grows; at l = 1
-    it is vacuous (zero).
-    """
-    return _tau_lower(BoundKind.TAU_LOWER_SMALL, n, l, weight_value)
+    raise_first(field_violations({"n": n, "l": l, "weight_value": weight_value}, _WINDOW, _L_RULES))
+    return _TAU_FORMS[BoundKind.TAU_LOWER_LARGE][1](n, l) * weight_value
 
 
 def large_interval(n: int, l: int) -> tuple[float, float]:
     """Frequency window the large-regime bound weighs: [2/3 (l-1)/(n-1), 4/3 l/n]."""
-    raise_first(parse_tau({"n": n, "l": l})[1])
+    raise_first(field_violations({"n": n, "l": l}, _WINDOW, _L_RULES))
     return _TAU_FORMS[BoundKind.TAU_LOWER_LARGE][0](n, l)
 
 
 def estimate_taus(prior: PriorSpec, n: int, ls: list[int], rng: np.random.Generator, *,
-                  mc_replicates: int = 0, weight_replicates: int = 10**4) -> list[TauEstimate]:
+                  mc_replicates: int = 0,
+                  weight_replicates: int = _WEIGHT_REPLICATES) -> list[TauEstimate]:
     """Exact tau, optional normalized-mode MC, and both lower bounds, per l.
 
     The first parse_tau message is raised as ValueError.  Each _TAU_FORMS

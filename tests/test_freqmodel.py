@@ -27,14 +27,13 @@ from noisylab import (
     large_interval,
     tau_exact,
     tau_lower_large,
-    tau_lower_small,
     tau_monte_carlo,
     weight_estimate,
 )
 from noisylab.bounds import BoundKind
 from noisylab.freqmodel import _TAU_FORMS, estimate_tau, estimate_taus
 
-_SMALL_WINDOW = _TAU_FORMS[BoundKind.TAU_LOWER_SMALL][0]
+_SMALL_WINDOW, _SMALL_FACTOR, _ = _TAU_FORMS[BoundKind.TAU_LOWER_SMALL]
 
 
 def _tau_two_values(a: float, k: int, b: float, slots: int, n: int, l: int) -> float:
@@ -68,7 +67,6 @@ class TestPriorSpec:
     def test_values_kept_as_given(self):
         p = PriorSpec(np.array([0.1, 0.2]))
         np.testing.assert_array_equal(p.values, [0.1, 0.2])
-        assert p.pi_max() == 0.2
         assert p.n_values == 2
 
     def test_positivity_and_range_enforced(self):
@@ -92,6 +90,10 @@ class TestPriorSpec:
         assert not small.regime_ok(n=1000, l=10)  # too few values
         peaked = PriorSpec(np.concatenate([[0.2], np.full(199, 0.004)]))
         assert not peaked.regime_ok(n=10_000, l=10)  # pi_max > 1/20
+        # pi_max at 1/20 and an ulp past it, as a built prior may round, sit in the regime
+        for top, inside in ((0.05, True), (np.nextafter(0.05, 1.0), True), (0.05 + 1e-14, False)):
+            prior = PriorSpec(np.concatenate([[top], np.full(199, 0.004)]))
+            assert prior.regime_ok(n=1000, l=10) is inside, top
 
 
 class TestBuildPrior:
@@ -114,7 +116,7 @@ class TestBuildPrior:
 
     def test_cap_applied_when_requested(self):
         p = build_prior("zipf", n=1000, exponent=1.1, cap=0.05)
-        assert p.pi_max() <= 0.05 + 1e-12
+        assert p.values.max() <= 0.05 + 1e-12
         np.testing.assert_allclose(p.values.sum(), 1.0, atol=1e-9)
 
     def test_bad_arguments(self):
@@ -413,21 +415,21 @@ class TestTauLowerBounds:
 
     def test_small_regime_anchor(self):
         np.testing.assert_allclose(
-            tau_lower_small(1001, 5, 1.0), 0.4 * (4.0 / 1000.0) / 1.1**5, rtol=1e-14
+            _SMALL_FACTOR(1001, 5) * 1.0, 0.4 * (4.0 / 1000.0) / 1.1**5, rtol=1e-14
         )
-        np.testing.assert_allclose(tau_lower_small(1001, 5, 1.0), 9.9348e-4, rtol=1e-4)
+        np.testing.assert_allclose(_SMALL_FACTOR(1001, 5) * 1.0, 9.9348e-4, rtol=1e-4)
 
     def test_vacuous_cases(self):
         assert tau_lower_large(100, 1, 1.0) == 0.0
         assert tau_lower_large(100, 7, 0.0) == 0.0
-        assert tau_lower_small(100, 1, 1.0) == 0.0
-        assert tau_lower_small(100, 7, 0.0) == 0.0
+        assert _SMALL_FACTOR(100, 1) * 1.0 == 0.0
+        assert _SMALL_FACTOR(100, 7) * 0.0 == 0.0
 
     def test_weight_range_validation(self):
         with pytest.raises(ValueError):
             tau_lower_large(100, 7, 1.5)
         with pytest.raises(ValueError):
-            tau_lower_small(100, 7, -0.1)
+            tau_lower_large(100, 7, -0.1)
         with pytest.raises(ValueError):
             tau_lower_large(5, 7, 0.5)
 
@@ -438,6 +440,19 @@ class TestTauLowerBounds:
         lo, hi = _SMALL_WINDOW(1001, 5)
         np.testing.assert_allclose(lo, 0.7 * 4.0 / 1000.0, rtol=1e-14)
         np.testing.assert_allclose(hi, (4.0 / 3.0) * 4.0 / 1000.0, rtol=1e-14)
+
+    def test_every_function_of_one_l_takes_one_integer_up_to_n(self):
+        # a list is a tau config's l, not one of these functions': it fails the check, not numpy
+        prior, rng = PriorSpec(np.array([0.1, 0.2, 0.3, 0.4])), np.random.default_rng(0)
+        calls = [lambda l: tau_exact(prior, 10, l), lambda l: tau_monte_carlo(prior, 10, l, 10, rng),
+                 lambda l: tau_lower_large(10, l, 0.5), lambda l: large_interval(10, l)]
+        for call in calls:
+            for l in ([3], [2, 3]):
+                with pytest.raises(ValueError, match=rf"^l: must be an integer, got \[{l[0]}"):
+                    call(l)
+            with pytest.raises(ValueError, match=r"^l: must be <= n, got l=11, n=10$"):
+                call(11)
+            call(10)
 
 
 class TestEstimateTau:
@@ -476,13 +491,14 @@ class TestEstimateTau:
                              ids=["in-regime", "mass-near-1"])
     def test_the_table_gives_the_public_bounds_bit_for_bit(self, prior):
         n, ls, replicates, seed = 2000, [1, 2, 10, 200, 1600], 400, 29
+        LARGE = BoundKind.TAU_LOWER_LARGE
         # each form's window and factor on its weight, in the float operations written out
         written = {
-            tau_lower_large: (lambda l: ((2.0 / 3.0) * (l - 1.0) / (n - 1.0), (4.0 / 3.0) * l / n),
-                              lambda l: 0.4 * (l * (l - 1.0)) / (n * (n - 1.0))),
-            tau_lower_small: (lambda l: (0.7 * ((l - 1.0) / (n - 1.0)),
-                                         (4.0 / 3.0) * ((l - 1.0) / (n - 1.0))),
-                              lambda l: 0.4 * ((l - 1.0) / (n - 1.0)) * (1.1 ** -l)),
+            LARGE: (lambda l: ((2.0 / 3.0) * (l - 1.0) / (n - 1.0), (4.0 / 3.0) * l / n),
+                    lambda l: 0.4 * (l * (l - 1.0)) / (n * (n - 1.0))),
+            BoundKind.TAU_LOWER_SMALL: (lambda l: (0.7 * ((l - 1.0) / (n - 1.0)),
+                                                   (4.0 / 3.0) * ((l - 1.0) / (n - 1.0))),
+                                        lambda l: 0.4 * ((l - 1.0) / (n - 1.0)) * (1.1 ** -l)),
         }
         for (window, factor, _), (want_window, want_factor) in zip(_TAU_FORMS.values(),
                                                                    written.values()):
@@ -491,19 +507,21 @@ class TestEstimateTau:
         # the large window at l = 1600 ends above 1: estimate_taus weighs it unclipped where
         # weight_estimate takes it clipped; on the two-value prior a realization mixing both
         # values puts D = 1 - 2**-20 inside it
-        assert written[tau_lower_large][0](1600)[1] > 1.0
+        assert written[LARGE][0](1600)[1] > 1.0
         estimates = estimate_taus(prior, n, ls, np.random.default_rng(seed), mc_replicates=0,
                                   weight_replicates=replicates)
         weights = []
         for l, est in zip(ls, estimates):
-            for bound, (public, (want_window, want_factor)) in zip(est.bounds, written.items()):
+            for bound, (kind, (want_window, want_factor)) in zip(est.bounds, written.items()):
                 lo, hi = want_window(l)
                 weight = weight_estimate(prior, (lo, min(hi, 1.0)), replicates,
                                          np.random.default_rng(seed)).value
                 weights.append(weight)
-                assert bound.value == public(n, l, weight) == want_factor(l) * weight, (l, bound)
+                assert bound.kind is kind and bound.value == want_factor(l) * weight, (l, bound)
+                if kind is LARGE:  # the one form with a public function
+                    assert bound.value == tau_lower_large(n, l, weight)
                 # the small-l form is not asserted at l = 1, where it is vacuous
-                assert bound.regime_ok is (prior.regime_ok(n, l) and (public is tau_lower_large or l > 1))
+                assert bound.regime_ok is (prior.regime_ok(n, l) and (kind is LARGE or l > 1))
         assert any(weights)
 
 

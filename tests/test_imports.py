@@ -317,7 +317,8 @@ def test_every_field_of_an_exported_dataclass_has_a_reader():
 
 # Every exported entry point with a scalar numeric argument that has a range
 # rule, as (callable, valid keyword arguments, the arguments probed).  The
-# window ends of truncated_normal are not probed: they may be infinite.
+# window ends of truncated_normal are not probed: they may be infinite.  A
+# one-element list is probed as l too, which every entry point takes as one count.
 PROBE = """
 import json, sys
 import numpy as np
@@ -361,7 +362,6 @@ CALLS = [
     (weight_estimate, {"prior": prior, "interval": (0.1, 0.5), "replicates": 10, "rng": rng},
      "replicates"),
     (tau_lower_large, {"n": 1000, "l": 3, "weight_value": 0.5}, "n l weight_value"),
-    (tau_lower_small, {"n": 1000, "l": 3, "weight_value": 0.5}, "n l weight_value"),
     (large_interval, {"n": 1000, "l": 3}, "n l"),
 ]
 INTEGERS = {"l", "k", "size", "dim", "y", "n", "trials", "seed", "workers", "predicted",
@@ -372,7 +372,7 @@ for call, kwargs, probed in CALLS:
     print(json.dumps([name, "valid"]), flush=True)
     call(**kwargs)
     for arg in probed.split():
-        for bad in BAD + (2.5,) * (arg in INTEGERS):
+        for bad in BAD + (2.5,) * (arg in INTEGERS) + ([3],) * (arg == "l"):
             label = f"{name}({arg}={bad!r})"
             print(json.dumps([label, "called"]), flush=True)
             try:
@@ -400,4 +400,4 @@ def test_every_scalar_argument_rejects_bools_nan_infinities_and_fractions(tmp_pa
         outcomes[json.loads(stdout.splitlines()[-1])[0]] = "timed out"
     assert {label: outcome for label, outcome in outcomes.items()
             if outcome not in ("ValueError", "valid")} == {}
-    assert len(outcomes) == 466  # 27 valid calls and 439 probes
+    assert len(outcomes) == 455  # 26 valid calls and 429 probes
