@@ -42,6 +42,7 @@ _NOISELESS = _REPORT + "test_noiseless_scenario_degenerates"
 _ANCHOR = _REPORT + "test_symmetric_anchor_values"
 _SHARED = "tests/test_mcsim.py::TestSharedDraw::test_symmetric_scenario_gives_the_threshold_treatments_one_tally"
 _TABLES = "tests/test_mcsim.py::TestOutcomeTables::"
+_EQUAL_ERRORS = _TABLES + "test_unequal_rates_tie_on_equal_errors_as_the_comparator_does"
 _WORKERS = "tests/test_mcsim.py::TestDeterminism::test_worker_count_never_changes_the_tally"
 _SCHEDULE = "tests/test_mcsim.py::TestSchedule::"
 _PEER_CHECKS = "tests/test_treatments.py::TestPeerExpectedLoss::test_input_validation"
@@ -186,7 +187,7 @@ MUTANTS = [
     (MCSIM, "tied = (err_lc == err_ls) | ((e_plus == e_minus) & (np.abs(p_true - 0.5) <= _TIE_EPS))",
      "tied = (e_plus == e_minus) & (np.abs(p_true - 0.5) <= _TIE_EPS)",
      "label smoothing no longer ties on equal errors",
-     ["tests/test_mcsim.py::TestCuts::test_the_edges_past_2_to_the_52_are_pinned"]),
+     ["tests/test_mcsim.py::TestCuts::test_the_edges_past_2_to_the_52_are_pinned", _EQUAL_ERRORS]),
     (MCSIM, "tied = (err_lc == err_ls) | ((e_plus == e_minus) & (np.abs(p_true - 0.5) <= _TIE_EPS))",
      "tied = err_lc == err_ls",
      "label smoothing no longer ties within _TIE_EPS of an even split under equal rates",
@@ -228,6 +229,9 @@ MUTANTS = [
      "args = (s.l, s.e_y, s.p_minus, s.e_plus, s.e_minus)",
      "the peer success bound reads p_minus as p_opposite whatever the true label",
      ["tests/test_relations.py::test_mirrored_labels_write_the_same_checks"]),
+    (MCSIM, "np.where(upper, e_y, 1.0 - e_y))", "np.where(upper, e_y, e_y))",
+     "a lower tail reads e_y, not 1 - e_y: strict success takes the majority-wrong mass, which falls with l",
+     ["tests/test_relations.py::test_more_appearances_never_lower_the_majority_rules_success"]),
     (MCSIM, "_Z_95 = 1.959963984540054", "_Z_95 = 1.96",
      "the Wilson z rounded to 1.96",
      ["tests/test_mcsim.py::TestWilsonInterval::test_equals_the_formula_on_python_floats"]),
@@ -254,6 +258,17 @@ MUTANTS = [
      "    joint",
      "peer_expected_loss no longer checks q_min",
      [_PEER_CHECKS]),
+    (TREAT, '    if np.any(joint.sum(axis=1) <= 0.0):\n'
+     '        raise ValueError("every feature must carry positive probability")\n', "",
+     "peer_expected_loss takes a feature without mass, and returns NaN",
+     [_PEER_CHECKS]),
+    (TREAT, '    if np.any(py <= 0.0):\n'
+     '        raise ValueError("every label must carry positive probability")\n', "",
+     "peer_expected_loss takes a label without mass, and returns a NaN value",
+     [_PEER_CHECKS]),
+    (TREAT, "    if err_lc == err_ls:\n        return Comparison.TIE\n", "",
+     "compare_ls_lc no longer ties on equal errors at unequal rates",
+     [_EQUAL_ERRORS]),
     (TREAT, '{"a": _OPEN_UNIT}', "_ARGUMENTS",
      "compare_ls_lc takes a in smoothed_label's closed [0, 1]",
      ["tests/test_treatments.py::TestCompareLsLc::test_parameter_validation"]),

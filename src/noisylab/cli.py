@@ -255,6 +255,17 @@ def _command_rng(seed: int, command: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, _COMMAND_STREAM[command])))
 
 
+def _row(treatment: str, mc_estimate=None, ci_lo=None, ci_hi=None, exact=None,
+         bound: BoundValue | None = None, **scenario) -> dict:
+    """An estimate row: scenario cells, treatment, Monte-Carlo estimate and interval, exact value,
+    the bound's value, form and regime, and their ordering.  A cell not filled is written empty."""
+    row = {**scenario, "treatment": treatment, "mc_estimate": mc_estimate, "ci_lo": ci_lo,
+           "ci_hi": ci_hi, "exact": exact, "ordering_holds": ordering_holds(exact, bound)}
+    if bound is not None:
+        row.update(bound=bound.value, bound_form=bound.kind.value, regime_ok=bound.regime_ok)
+    return row
+
+
 def _report_rows(headline_only: bool) -> Callable[..., list[dict]]:
     """The row builder of simulate, bounds and sweep: a row per check of each scenario."""
     def rows(doc: dict, scenarios: list[InstanceScenario]) -> list[dict]:
@@ -264,20 +275,11 @@ def _report_rows(headline_only: bool) -> Callable[..., list[dict]]:
             for check in report.checks:
                 if headline_only and not check.headline:
                     continue
-                out.append({**scenario, "treatment": check.treatment.value,
-                            "mc_estimate": check.mc_estimate, "ci_lo": check.ci[0],
-                            "ci_hi": check.ci[1], **_bound_cells(check.exact, check.bound)})
+                out.append(_row(check.treatment.value, check.mc_estimate, *check.ci, check.exact,
+                                check.bound, **scenario))
         return out
 
     return rows
-
-
-def _bound_cells(exact: float, bound: BoundValue | None) -> dict:
-    """A row's exact value, its bound's value, form and regime, and their ordering."""
-    cells = {"exact": exact, "ordering_holds": ordering_holds(exact, bound)}
-    if bound is not None:
-        cells.update(bound=bound.value, bound_form=bound.kind.value, regime_ok=bound.regime_ok)
-    return cells
 
 
 def _tau_rows(doc: dict, prior: PriorSpec, ls: list[int]) -> list[dict]:
@@ -286,27 +288,25 @@ def _tau_rows(doc: dict, prior: PriorSpec, ls: list[int]) -> list[dict]:
         key: doc[key] for key in ("mc_replicates", "weight_replicates") if key in doc})
     rows = []
     for est in estimates:
-        mc = {} if est.mc is None else {
-            "mc_estimate": est.mc.value, "ci_lo": est.mc.value - _Z_95 * est.mc.stderr,
-            "ci_hi": est.mc.value + _Z_95 * est.mc.stderr}
-        rows += [{"l": est.l, "n": n, "treatment": "tau", **mc, **_bound_cells(est.exact, bound)}
-                 for bound in est.bounds]
+        mc = (None, None, None)
+        if est.mc is not None:
+            half = _Z_95 * est.mc.stderr
+            mc = (est.mc.value, est.mc.value - half, est.mc.value + half)
+        rows += [_row("tau", *mc, est.exact, bound, l=est.l, n=n) for bound in est.bounds]
     return rows
 
 
 def _weight_rows(doc: dict, prior: PriorSpec) -> list[dict]:
     rng = _command_rng(doc["seed"], "weight")
     est = weight_estimate(prior, doc["interval"], doc["replicates"], rng)
-    return [{"treatment": "weight", "mc_estimate": est.value,
-             "ci_lo": max(0.0, est.value - _Z_95 * est.stderr),
-             "ci_hi": min(1.0, est.value + _Z_95 * est.stderr)}]
+    half = _Z_95 * est.stderr
+    return [_row("weight", est.value, max(0.0, est.value - half), min(1.0, est.value + half))]
 
 
 def _synth_rows(doc: dict) -> list[dict]:
     rng = _command_rng(doc["seed"], "noise-synth")
-    synth = InstanceNoiseSynth.sample(
-        doc["epsilon"], doc["feature_dim"], rng, sigma=doc.get("sigma", 0.1)
-    )
+    synth = InstanceNoiseSynth.sample(doc["epsilon"], doc["feature_dim"], rng,
+                                      **{key: doc[key] for key in ("sigma",) if key in doc})
     table = np.empty((doc["count"], 3))
     for start in range(0, len(table), _CHUNK_ROWS):
         features = rng.standard_normal((min(_CHUNK_ROWS, len(table) - start), doc["feature_dim"]))

@@ -219,17 +219,15 @@ def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight
         lnum[:], lden[:], ls = 0.0, 0.0, ()  # so tau is the point mass 1
     masses = np.empty((len(windows), weight_replicates))
     total, step = max(mc_replicates, weight_replicates), max(1, _CHUNK_ELEMENTS // n_values)
-    # one set of buffers for the whole batch, sliced per chunk; a window keeps
-    # p where its mask holds (p * mask equals np.where(mask, p, 0.0): p is finite
-    # and positive), so every sum adds the same numbers in the same order.
-    # take's default mode="raise" would fill a temporary before out; every
-    # index is in range, so "clip" changes nothing but that
-    rows = min(step, total)
-    mc_rows = min(step, mc_replicates) if ls else 0
-    window_rows = min(step, weight_replicates) if windows else 0
-    p_buf, d_buf, scratch = (np.empty((rows, n_values)) for _ in range(3))
-    log_d_buf, log_rest_buf, w_buf = (np.empty((mc_rows, n_values)) for _ in range(3))
-    above, below = (np.empty((window_rows, n_values), dtype=bool) for _ in range(2))
+    # one set of buffers for the whole batch, a chunk high and sliced per chunk;
+    # one the batch never writes stays untouched, so it never becomes resident.
+    # A window keeps p where its mask holds (p * mask equals np.where(mask, p,
+    # 0.0): p is finite and positive), so every sum adds the same numbers in
+    # the same order.  take's default mode="raise" would fill a temporary
+    # before out; every index is in range, so "clip" changes nothing but that
+    shape = (min(step, total), n_values)
+    p_buf, d_buf, scratch, log_d_buf, log_rest_buf, w_buf = (np.empty(shape) for _ in range(6))
+    above, below = (np.empty(shape, dtype=bool) for _ in range(2))
     for start in range(0, total, step):
         idx = rng.integers(0, n_values, size=(min(step, total - start), n_values))
         p = np.take(values, idx, out=p_buf[: len(idx)], mode="clip")
@@ -242,7 +240,7 @@ def _realizations(prior, rng, *, n=0, ls=(), mc_replicates=0, windows=(), weight
             selected = np.multiply(p[:k], inside, out=scratch[:k]).sum(axis=1)
             masses[j, start : start + k] = selected / totals[:k]
         k = min(len(idx), mc_replicates - start)
-        if k <= 0 or not ls:
+        if k <= 0:
             continue
         log_d = np.take(log_values, idx[:k], out=log_d_buf[:k], mode="clip")
         log_d -= np.log(totals[:k])[:, None]
@@ -296,7 +294,7 @@ def _draw_counts(doc: dict) -> tuple[list | None, list[str]]:
     ls = [ls] if Spec("integer").violation(ls) is None else ls
     if isinstance(ls, list) and len(ls) > _MAX_LS:
         return None, [f"l: value count must be <= {_MAX_LS}, got {len(ls)}"]
-    if not isinstance(ls, list) or not ls or any(map(_COUNT.violation, ls)):
+    if not isinstance(ls, list) or len(ls) == 0 or any(map(_COUNT.violation, ls)):
         return None, ["l: must be a positive integer or nonempty list of them"]
     n = doc.get("n")
     if Spec("integer").violation(n) is None and any(v > n for v in ls):
@@ -450,9 +448,8 @@ def estimate_taus(prior: PriorSpec, n: int, ls: list[int], rng: np.random.Genera
                            "weight_replicates": weight_replicates})[1])
     windows = {(l, kind): window(n, l) for l in ls
                for kind, (window, _, least) in _TAU_FORMS.items() if l >= least}
-    lnum, lden, masses = _realizations(
-        prior, rng, n=n, ls=ls if mc_replicates else (), mc_replicates=mc_replicates,
-        windows=list(windows.values()), weight_replicates=weight_replicates)
+    lnum, lden, masses = _realizations(prior, rng, n=n, ls=ls, mc_replicates=mc_replicates,
+                                       windows=list(windows.values()), weight_replicates=weight_replicates)
     weight = {key: min(1.0, float(row.mean())) for key, row in zip(windows, masses)}
     out = []
     for i, l in enumerate(ls):

@@ -102,11 +102,11 @@ class InstanceNoiseSynth:
         object.__setattr__(self, "w", w)
 
     @classmethod
-    def sample(
-        cls, epsilon: float, dim: int, rng: np.random.Generator, sigma: float = 0.1
-    ) -> "InstanceNoiseSynth":
+    def sample(cls, epsilon: float, dim: int, rng: np.random.Generator, **sigma) -> "InstanceNoiseSynth":
+        """A synthesizer whose w is dim standard normals drawn from rng; sigma, a keyword,
+        takes the field's default when not given."""
         raise_first(field_violations({"dim": dim}, {"dim": _COUNT}))
-        return cls(epsilon=epsilon, w=rng.standard_normal(dim), sigma=sigma)
+        return cls(epsilon=epsilon, w=rng.standard_normal(dim), **sigma)
 
     def draw_rows(self, features, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
         """Sample (q, projection, rate) arrays for a block of feature rows, all q in one draw.

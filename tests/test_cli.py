@@ -510,15 +510,13 @@ class TestWeightCommand:
     @pytest.mark.parametrize(
         "prior, interval, replicates, row",
         [
-            ({"generator": "explicit", "values": [0.1, 0.2, 0.3, 0.4]}, [0.05, 0.4], 10_000,
-             ",,,,,,,,weight,0.8981888888888888,0.8944136384914023,0.9019641392863753,,,,,"),
             ({"generator": "zipf", "n_values": 1000, "exponent": 1.1, "cap": 0.05},
              [0.0005, 0.002], 2500,
              ",,,,,,,,weight,0.17502521396051032,0.17409375300803226,0.1759566749129884,,,,,"),
         ],
     )
     def test_golden_output(self, tmp_path, capsys, prior, interval, replicates, row):
-        # the first case is the README weight example
+        # the README weight example is frozen with the other README examples (TestGoldenOutputs)
         doc = {"command": "weight", "seed": 7, "prior": prior, "interval": interval,
                "replicates": replicates}
         out = tmp_path / "w.csv"
@@ -681,9 +679,10 @@ def test_bounds_at_a_billion_labels_runs_in_flat_memory(tmp_path, capsys):
 
 
 class TestGoldenOutputs:
-    # Frozen README examples, plus `simulate` on the `bounds` scenario: exit
-    # code, manifest row count, the first and last CSV lines and the SHA-256
-    # of the whole file.  These bytes may only change together with the
+    # Frozen README examples, plus `simulate` on the `bounds` scenario and a
+    # `tau` run without Monte Carlo, whose mc_estimate, ci_lo and ci_hi cells
+    # are empty: exit code, manifest row count, the first and last CSV lines
+    # and the SHA-256 of the whole file.  These bytes may only change together with the
     # stream version; the bounds/simulate/sweep bytes were re-captured at
     # version 4, each changed exact cell checked against an exact rational
     # binomial sum, and at version 5, each changed Monte-Carlo cell checked
@@ -726,8 +725,21 @@ class TestGoldenOutputs:
              "0.009911100386540401,0.009909000827635437,2.8634351731114718e-08,"
              "tau_lower_small,true,true",
              "fe4a8e5a81482c34446b75e9c7bc6f252cd0df67cd8b2529be68b8d00adc9e3d"),
+            ({"command": "tau", "seed": 3,
+              "prior": {"generator": "zipf", "n_values": 200, "exponent": 1.1, "cap": 0.05},
+              "n": 1000, "l": [1, 2, 50], "weight_replicates": 300}, 6,
+             "1,,,,,,,1000,tau,,,,0.0015457977100884574,0.0,tau_lower_large,true,true",
+             "50,,,,,,,1000,tau,,,,0.049227720085308166,4.9608135119314903e-05,"
+             "tau_lower_small,true,true",
+             "c3a76b97c52eae26b81b5af209bb8f0dd736d71ba9b927babc6d4ff4046c2350"),
+            ({"command": "weight", "seed": 7,
+              "prior": {"generator": "explicit", "values": [0.1, 0.2, 0.3, 0.4]},
+              "interval": [0.05, 0.4], "replicates": 10_000}, 1,
+             ",,,,,,,,weight,0.8981888888888888,0.8944136384914023,0.9019641392863753,,,,,",
+             ",,,,,,,,weight,0.8981888888888888,0.8944136384914023,0.9019641392863753,,,,,",
+             "fbbfd9f90aa4e752fb248e596b3b2f0e78c4451817e3109229c825aa683e4be7"),
         ],
-        ids=["bounds", "simulate", "sweep", "noise-synth", "tau"],
+        ids=["bounds", "simulate", "sweep", "noise-synth", "tau", "tau-without-monte-carlo", "weight"],
     )
     def test_readme_example_output_is_frozen(self, tmp_path, capsys, doc, rows, first, last,
                                              digest):

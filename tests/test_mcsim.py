@@ -1128,6 +1128,19 @@ class TestOutcomeTables:
             dist = LabelDist(np.array([1 - p_true, p_true]))
             assert compare_ls_lc(dist, 1, BinaryNoiseRates(0.2, 0.2), 0.1) is Comparison.TIE
 
+    def test_unequal_rates_tie_on_equal_errors_as_the_comparator_does(self):
+        # at these smoothing weights the capped corrected label and the smoothed one leave
+        # the same error on y, bit for bit; the rates differ, so only the equal-error rule
+        # ties them
+        smoothing = list(Treatment).index(Treatment.LABEL_SMOOTHING)
+        for l, wrong, y, e_plus, e_minus, a in ((12, 4, -1, 0.2, 0.022, 0.40102827763496113),
+                                                (31, 22, 1, 0.247, 0.001, 0.45028641571194705)):
+            s = InstanceScenario(l=l, y=y, e_plus=e_plus, e_minus=e_minus, smoothing_a=a)
+            assert _codes(_params([s]), np.array([wrong]))[smoothing, 0, 0] == _TIE
+            p_true = (l - wrong) / l
+            dist = LabelDist(np.array([1 - p_true, p_true] if y == 1 else [p_true, 1 - p_true]))
+            assert compare_ls_lc(dist, y, BinaryNoiseRates(e_plus, e_minus), a) is Comparison.TIE
+
     def test_smoothing_favorable_region_is_an_upper_tail_of_wrong_counts(self):
         rng = np.random.default_rng(23)
         for _ in range(40):

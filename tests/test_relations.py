@@ -12,11 +12,25 @@ fixed before any result was seen.
   c writes the same weight cells.  It should write the same tau cells too, but
   exact and regime_ok read the values as given, a known defect, so that half
   is a strict xfail.
+- Appearance count: at equal rates e < 1/2 and p_plus 1/2, loss correction and
+  peer loss follow the majority of the l labels, so their exact strict success
+  is P[Bin(l, e) < l / 2], nondecreasing over odd l (Condorcet's jury theorem):
+  an instance seen more often is helped more often.
 
-Batch independence is another relation, tested where its code lives: a
-scenario's rows are the same alone, in a sweep, repeated and at any worker
-count (tests/test_mcsim.py: TestDeterminism, TestSweep), and a tau row is the
-same alone or with other l and under any chunking (tests/test_freqmodel.py).
+Batch independence is another relation, tested where its code lives:
+- a scenario's rows are the same rerun, alone, in a sweep, repeated and at any
+  worker count: tests/test_mcsim.py, TestDeterminism's
+  test_rerun_is_bit_identical, test_worker_count_never_changes_the_tally,
+  test_trial_streams_are_batching_invariant and
+  test_tallies_reassemble_from_their_chunks, and TestSweep's
+  test_reports_are_schedule_invariant and
+  test_preserves_input_order_and_substream_isolation;
+- a sweep's CSV is the same at any worker count: tests/test_cli.py,
+  TestSweepCommand::test_grid_runs_are_byte_identical_across_workers;
+- a tau row is the same alone or with other l and under any chunking:
+  tests/test_freqmodel.py, TestSharedRealizations's
+  test_each_l_is_the_same_alone_or_in_a_list and
+  test_results_do_not_depend_on_the_chunking.
 """
 import csv
 import json
@@ -25,7 +39,7 @@ import struct
 import numpy as np
 import pytest
 
-from noisylab import BoundKind, InstanceScenario, sweep
+from noisylab import BoundKind, InstanceScenario, Treatment, sweep
 from noisylab.cli import main
 
 
@@ -91,6 +105,28 @@ def test_mirrored_labels_write_the_same_checks():
             assert _ulps(check.bound.value, other.bound.value) <= budget, where
             compared += 1
     assert compared > 1000
+
+
+# The appearance-count relation's rates: both ends of [0, 1/2) and seeded draws.
+_JURY_RATES = (0.0, 0.01, 0.1, 0.25, 0.4, 0.49, 0.4999,
+               *np.random.default_rng(1837).uniform(0.0, 0.5, 13).tolist())
+_ODD_LS = range(1, 402, 2)
+
+
+def test_more_appearances_never_lower_the_majority_rules_success():
+    scenarios = [InstanceScenario(l, y, e, e, 0.5) for e in _JURY_RATES for y in (1, -1)
+                 for l in _ODD_LS]
+    exact = {}
+    for report in sweep(scenarios, trials=1, seed=1):
+        for check in report.checks:
+            if check.event == "strict_success":
+                key = (report.scenario.e_plus, report.scenario.y, check.treatment)
+                exact.setdefault(key, []).append(check.exact)
+    assert {treatment for *_, treatment in exact} == {Treatment.LOSS_CORRECTION, Treatment.PEER_LOSS}
+    assert len(exact) == 4 * len(_JURY_RATES)
+    for key, cells in exact.items():
+        assert len(cells) == len(_ODD_LS)
+        assert all(a <= b for a, b in zip(cells, cells[1:])), key
 
 
 # An explicit prior of 200 values in [0.5, 1) and the runs that read it.  Scaling the

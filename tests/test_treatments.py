@@ -399,6 +399,11 @@ class TestPeerExpectedLoss:
             peer_expected_loss([[0.2, nan], [0.4, 0.1]], np.full((2, 2), 0.5))
         with pytest.raises(ValueError, match="^predictor entries must be finite$"):
             peer_expected_loss([[0.2, 0.3], [0.4, 0.1]], [[0.5, 0.5], [nan, 0.5]])
+        # a feature or a label without mass would divide by zero: all NaN, or a NaN value
+        with pytest.raises(ValueError, match="^every feature must carry positive probability$"):
+            peer_expected_loss([[0.0, 0.0], [0.5, 0.5]], np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="^every label must carry positive probability$"):
+            peer_expected_loss([[0.5, 0.0], [0.5, 0.0]], np.full((2, 2), 0.5))
 
 
 class TestPeerObjectiveGeometry:
