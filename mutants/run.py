@@ -50,6 +50,7 @@ _BOOLS = "tests/test_memorize.py::TestEmpiricalDistribution::test_bool_labels_re
 _VACUOUS = "tests/test_cli.py::TestQuietRuns::test_single_appearance_writes_a_vacuous_small_l_row"
 _BOUNDS = "tests/test_bounds.py::"
 _REGIME = "tests/test_freqmodel.py::TestPriorSpec::test_regime_flag_thresholds"
+_MC_CI = "tests/test_freqmodel.py::TestMcEstimateInterval::test_the_normal_interval_is_clipped_to_the_unit_interval"
 _ONE_L = "tests/test_freqmodel.py::TestTauLowerBounds::test_every_function_of_one_l_takes_one_integer_up_to_n"
 _PROBE = "tests/test_imports.py::test_every_scalar_argument_rejects_bools_nan_infinities_and_fractions"
 _TAU_CEILINGS = "tests/test_cli.py::TestValidateConfig::test_tau_ceilings_admit_their_edges"
@@ -225,6 +226,9 @@ MUTANTS = [
     (BOUNDS, "exact >= bound.value - _ORDER_SLACK", "exact >= bound.value + _ORDER_SLACK",
      "the ordering slack's sign flipped: a bound met with equality fails",
      [_REPORT + "test_tiny_equal_rates_keep_the_correction_bound"]),
+    (BOUNDS, "_Z_95 = 1.959963984540054", "_Z_95 = 1.96",
+     "the 95% normal quantile rounded to 1.96",
+     ["tests/test_mcsim.py::TestWilsonInterval::test_equals_the_formula_on_python_floats", _MC_CI]),
     (MCSIM, "args = (s.l, s.e_y, s.p_minus if s.y == 1 else s.p_plus, s.e_plus, s.e_minus)",
      "args = (s.l, s.e_y, s.p_minus, s.e_plus, s.e_minus)",
      "the peer success bound reads p_minus as p_opposite whatever the true label",
@@ -232,9 +236,6 @@ MUTANTS = [
     (MCSIM, "np.where(upper, e_y, 1.0 - e_y))", "np.where(upper, e_y, e_y))",
      "a lower tail reads e_y, not 1 - e_y: strict success takes the majority-wrong mass, which falls with l",
      ["tests/test_relations.py::test_more_appearances_never_lower_the_majority_rules_success"]),
-    (MCSIM, "_Z_95 = 1.959963984540054", "_Z_95 = 1.96",
-     "the Wilson z rounded to 1.96",
-     ["tests/test_mcsim.py::TestWilsonInterval::test_equals_the_formula_on_python_floats"]),
     # mcsim._cut_counts: the thread split's bounds
     (MCSIM, "mine = inverted + max(0, ((inverted + 5 * btpe) // threads - inverted) // 5)",
      "mine = inverted + ((inverted + 5 * btpe) // threads - inverted) // 5",
@@ -286,6 +287,10 @@ MUTANTS = [
     (MEMO, "isinstance(v, (bool, np.bool_))", "isinstance(v, bool)",
      "a numpy bool mixed into a label list counts as +1",
      [_BOOLS]),
+    (FREQ, "return max(0.0, self.value - half), min(1.0, self.value + half)",
+     "return self.value - half, self.value + half",
+     "a tau or weight interval leaves [0, 1]: McEstimate.ci drops its clip",
+     [_MC_CI, "tests/test_cli.py::TestTauCommand::test_every_interval_lies_in_the_unit_interval_around_its_estimate"]),
     (FREQ, "elif n * cap <= total * (1.0 + _FILL_TOL):", "elif total - n * cap >= -1e-15:",
      "the all-at-cap test back on an absolute 1e-15 slack",
      ["tests/test_freqmodel.py::TestCapped::test_a_cap_an_ulp_past_the_total_pins_every_entry"]),

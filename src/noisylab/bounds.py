@@ -68,6 +68,7 @@ class BoundValue:
 
 
 _ORDER_SLACK = 1e-12  # a bound met with equality may round a few ulps above an exact tail
+_Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 def ordering_holds(exact: float, bound: BoundValue | None) -> bool | None:

@@ -36,7 +36,6 @@ from .freqmodel import PriorSpec, estimate_taus, parse_prior, parse_tau, weight_
 from .mcsim import (
     _RUN_FIELDS,
     _SCENARIO_FIELDS,
-    _Z_95,
     STREAM_VERSION,
     InstanceScenario,
     batch_violations,
@@ -288,10 +287,7 @@ def _tau_rows(doc: dict, prior: PriorSpec, ls: list[int]) -> list[dict]:
         key: doc[key] for key in ("mc_replicates", "weight_replicates") if key in doc})
     rows = []
     for est in estimates:
-        mc = (None, None, None)
-        if est.mc is not None:
-            half = _Z_95 * est.mc.stderr
-            mc = (est.mc.value, est.mc.value - half, est.mc.value + half)
+        mc = (None, None, None) if est.mc is None else (est.mc.value, *est.mc.ci)
         rows += [_row("tau", *mc, est.exact, bound, l=est.l, n=n) for bound in est.bounds]
     return rows
 
@@ -299,8 +295,7 @@ def _tau_rows(doc: dict, prior: PriorSpec, ls: list[int]) -> list[dict]:
 def _weight_rows(doc: dict, prior: PriorSpec) -> list[dict]:
     rng = _command_rng(doc["seed"], "weight")
     est = weight_estimate(prior, doc["interval"], doc["replicates"], rng)
-    half = _Z_95 * est.stderr
-    return [_row("weight", est.value, max(0.0, est.value - half), min(1.0, est.value + half))]
+    return [_row("weight", est.value, *est.ci)]
 
 
 def _synth_rows(doc: dict) -> list[dict]:

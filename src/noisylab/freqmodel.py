@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._spec import _COUNT, _UNIT, Spec, field_violations, raise_first, reads, unknown_fields
-from .bounds import BoundKind, BoundValue
+from .bounds import _Z_95, BoundKind, BoundValue
 
 # Prior draws per chunk.  A float64 chunk buffer is then 256 KB, within a
 # core's L2 cache; the buffers are allocated once per batch and reused by
@@ -78,6 +78,12 @@ class McEstimate:
 
     value: float
     stderr: float
+
+    @property
+    def ci(self) -> tuple[float, float]:
+        """The 95% normal interval value -/+ z * stderr, clipped to [0, 1], where every estimate lies."""
+        half = _Z_95 * self.stderr
+        return max(0.0, self.value - half), min(1.0, self.value + half)
 
 
 @dataclass(frozen=True)

@@ -49,12 +49,11 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from ._spec import _COUNT, _OPEN_UNIT, _RATE_FIELDS, _RATE_RULES, Spec, field_violations, raise_first, unknown_fields
-from .bounds import _FORMS, BoundKind, BoundValue, _special, ordering_holds
+from .bounds import _FORMS, _Z_95, BoundKind, BoundValue, _special, ordering_holds
 from .noise import _LABEL
 from .treatments import _TIE_EPS
 
-STREAM_VERSION = 11  # the README's Determinism section says what each version changed
-_Z_95 = 1.959963984540054  # two-sided 95% normal quantile
+STREAM_VERSION = 12  # the README's Determinism section says what each version changed
 _CHUNK_TRIALS = 1 << 16  # trials per chunk; each chunk owns one Philox counter range
 # counts per block of a chunk: a block's int64 arrays are 128 KiB, small enough that malloc
 # hands them back to the next block instead of mapping fresh pages for each

@@ -361,6 +361,22 @@ class TestBoundsCommand:
             "memorize", "loss_correction", "label_smoothing", "peer_loss",
         ]
 
+    def test_zero_rates_keep_the_event_order(self, tmp_path):
+        # no bound_form names loss correction's two events at zero rates: only their order does
+        scenario = {"l": 10, "y": 1, "e_plus": 0.0, "e_minus": 0.0}
+        config = _write_config(tmp_path, _bounds_doc(seed=1, scenario=scenario))
+        out = tmp_path / "zero.csv"
+        assert main(["bounds", "--config", str(config), "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert [(r[8], r[9], r[12], r[14]) for r in rows] == [
+            ("memorize", "0.0", "0.0", ""),
+            ("loss_correction", "0.0", "0.0", ""),  # strict success: every trial ties
+            ("loss_correction", "1.0", "1.0", ""),  # tie-inclusive failure
+            ("label_smoothing", "0.0", "0.0", ""),
+            ("peer_loss", "1.0", "1.0", "peer_success"),  # strict success
+            ("peer_loss", "0.0", "0.0", ""),  # tie-inclusive failure
+        ]
+
     def test_flag_overrides_reach_the_manifest(self, tmp_path):
         config = _write_config(tmp_path, _bounds_doc())
         out = tmp_path / "o.csv"
@@ -459,6 +475,20 @@ class TestTauCommand:
         assert main(["tau", "--config", str(config), "--out", str(out)]) == 0
         _, rows = _read_csv(out)
         assert all(row[12] == "0.001" for row in rows)
+
+    def test_every_interval_lies_in_the_unit_interval_around_its_estimate(self, tmp_path):
+        # two replicates of four values: at l = 5 the normal interval, unclipped, starts at
+        # -0.04573961886987639, below its estimate of 0.046054922661398684
+        doc = {"seed": 0, "n": 50, "l": [1, 2, 5], "mc_replicates": 2, "weight_replicates": 2,
+               "prior": {"generator": "explicit", "values": [0.9, 0.01, 0.02, 0.5]}}
+        out = tmp_path / "tau.csv"
+        assert main(["tau", "--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert len(rows) == 6
+        for row in rows:
+            mc, lo, hi = map(float, row[9:12])
+            assert 0.0 <= lo <= mc <= hi <= 1.0
+        assert [row[9:12] for row in rows[4:]] == [["0.046054922661398684", "0.0", "0.13784946419267374"]] * 2
 
     @pytest.mark.parametrize(
         "overrides, code, message",

@@ -22,6 +22,7 @@ from scipy.special import logsumexp
 
 from noisylab import freqmodel
 from noisylab import (
+    McEstimate,
     PriorSpec,
     build_prior,
     large_interval,
@@ -297,6 +298,16 @@ class TestWeightEstimate:
         # one replicate has no standard error, so no CI
         with pytest.raises(ValueError, match=r"^replicates: must be >= 2, got 1$"):
             weight_estimate(prior, (0.0, 1.0), 1, np.random.default_rng(0))
+
+
+class TestMcEstimateInterval:
+    def test_the_normal_interval_is_clipped_to_the_unit_interval(self):
+        z = 1.959963984540054  # the two-sided 95% normal quantile, written out
+        assert McEstimate(0.5, 0.1).ci == (0.5 - z * 0.1, 0.5 + z * 0.1)
+        assert McEstimate(0.05, 0.1).ci == (0.0, 0.05 + z * 0.1)
+        assert McEstimate(0.95, 0.1).ci == (0.95 - z * 0.1, 1.0)
+        assert McEstimate(0.5, 1.0).ci == (0.0, 1.0)
+        assert McEstimate(1.0, 0.0).ci == (1.0, 1.0)
 
 
 class TestTauExact:
